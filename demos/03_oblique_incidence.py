@@ -17,7 +17,7 @@ from fsskit import (
     build_first_order,
     incidence_media,
     predict_resonances,
-    stack_sparams,
+    stack_response,
     sweep,
 )
 
@@ -44,7 +44,7 @@ for theta_deg in (0, 15, 30, 45):
         inc = Incidence(math.radians(theta_deg), pol)
         stack = build_first_order(circuit, substrate, inc)
         rep = band_report(sweep(stack, 1 * GHZ, 12 * GHZ, 2201))
-        depth = abs(stack_sparams(stack, f_zero).S21)
+        depth = abs(stack_response(stack, [f_zero])[1][0])
         print(
             f"  {theta_deg:4.0f}   {pol}  {rep.f_lower/GHZ:8.4f}  {rep.f_upper/GHZ:9.4f}"
             f"   {depth:.2e}"

@@ -21,7 +21,7 @@ from fsskit import (
     build_second_order,
     foster_transform,
     hybrid_impedance,
-    stack_sparams,
+    stack_response,
     sweep,
 )
 
@@ -55,7 +55,7 @@ print(f"  passband poles above the zero: "
 
 print("\nzero depths (exact shorts):")
 for name, branch in (("A", branch_a), ("B", branch_b)):
-    print(f"  |S21| at zero {name}: {abs(stack_sparams(stack, branch.resonance()).S21):.2e}")
+    print(f"  |S21| at zero {name}: {abs(stack_response(stack, [branch.resonance()])[1][0]):.2e}")
 
 hybrid = foster_transform(branch_a.L, branch_a.C, branch_b.L, branch_b.C)
 print("\nhybrid view of one outer layer:")
@@ -76,7 +76,7 @@ for scale in (1.0, 1.1, 1.3):
     b = SeriesLC(branch_b.L, branch_b.C * scale)
     detuned = build_second_order((branch_a, b), middle, substrate)
     r = band_report(sweep(detuned, 1.5 * GHZ, min(4.9, b.resonance() / GHZ - 0.1) * GHZ, 1701))
-    depth_a = abs(stack_sparams(detuned, branch_a.resonance()).S21)
+    depth_a = abs(stack_response(detuned, [branch_a.resonance()])[1][0])
     print(
         f"  x{scale:.1f}   {branch_a.resonance()/GHZ:.4f} GHz"
         f"  {b.resonance()/GHZ:.4f} GHz   {r.f_upper/GHZ:.4f} GHz"

@@ -65,16 +65,4 @@ from .topology import (
     port_impedance,
     stack_response,
     stack_response_full,
-    stack_sparams,
-    stack_twoport,
-)
-from .twoport import (
-    SParams,
-    TwoPort,
-    cascade,
-    identity,
-    line,
-    reverse,
-    shunt,
-    to_sparams,
 )

@@ -140,6 +140,13 @@ def _parse_circuit(block: dict, context: str) -> ExtractedCircuit:
     return ExtractedCircuit(**values)
 
 
+def _parse_loss(design: dict) -> bool:
+    loss = design.get("dielectric_loss", False)
+    if not isinstance(loss, bool):
+        _fail("design.dielectric_loss", "boolean")
+    return loss
+
+
 def _parse_design(cfg: dict):
     """Returns (stack builder taking an Incidence, substrate, geometry-or-None,
     circuit-or-None, order)."""
@@ -152,9 +159,7 @@ def _parse_design(cfg: dict):
     order = design.get("order", "first")
     if order not in ("first", "second"):
         _fail("design.order", "'first' or 'second'")
-    loss = design.get("dielectric_loss", False)
-    if not isinstance(loss, bool):
-        _fail("design.dielectric_loss", "boolean")
+    loss = _parse_loss(design)
     sub = _parse_substrate(design)
 
     if order == "first":
@@ -233,8 +238,8 @@ def _parse_incidence_single(cfg: dict) -> Incidence:
             "incidence: this command takes a single theta_deg/polarization "
             "(lists are for the 'angular' command)"
         )
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)) or theta < 0:
-        _fail("incidence.theta_deg", "number >= 0 (degrees)")
+    if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < 90:
+        _fail("incidence.theta_deg", "number in [0, 90) (degrees)")
     if pol not in ("TE", "TM"):
         _fail("incidence.polarization", "'TE' or 'TM'")
     return Incidence(math.radians(float(theta)), pol)
@@ -253,8 +258,8 @@ def _parse_incidence_lists(cfg: dict):
         raise EmptySweepError("incidence: empty theta_deg or polarization list")
     out = []
     for theta in thetas:
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or theta < 0:
-            _fail("incidence.theta_deg", "numbers >= 0 (degrees)")
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < 90:
+            _fail("incidence.theta_deg", "numbers in [0, 90) (degrees)")
         for pol in pols:
             if pol not in ("TE", "TM"):
                 _fail("incidence.polarization", "'TE' or 'TM' entries")
@@ -510,7 +515,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
 
     design = _block(cfg, "design")
     sub = _parse_substrate(design)
-    loss = design.get("dielectric_loss", False)
+    loss = _parse_loss(design)
     inc = _parse_incidence_single(cfg)
 
     data = _apply_smoothing(load_response(data_file), smooth_ghz)
@@ -520,7 +525,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
         initial,
         sub,
         inc,
-        dielectric_loss=bool(loss),
+        dielectric_loss=loss,
         magnitude_only=magnitude_only,
         max_iter=max_iter,
     )

@@ -13,10 +13,6 @@ class InvalidParameterError(FssError):
     category = "invalid-parameter"
 
 
-class FrequencyMismatchError(FssError):
-    category = "frequency-mismatch"
-
-
 class SingularNetworkError(FssError):
     category = "singular-network"
 

@@ -33,6 +33,18 @@ def _db(z: complex) -> float:
     return 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
 
 
+def _data_row(path, row: str, parts) -> list:
+    """Values of one data row; frequency, S11 and S21 (the first five) must
+    be finite."""
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError:
+        raise InvalidParameterError(f"{path}: non-numeric value in row {row!r}") from None
+    if not all(map(math.isfinite, vals[:5])):
+        raise InvalidParameterError(f"{path}: non-finite value in row {row!r}")
+    return vals
+
+
 def write_response_csv(table: ResponseTable, path) -> None:
     lines = [CSV_HEADER]
     for f, s11, s21 in zip(table.frequency, table.s11, table.s21):
@@ -64,7 +76,7 @@ def read_response_csv(path) -> ResponseTable:
         parts = ln.split(",")
         if len(parts) != 7:
             raise InvalidParameterError(f"{path}: malformed CSV row {ln!r}")
-        vals = [float(p) for p in parts]
+        vals = _data_row(path, ln, parts)
         freqs.append(vals[0])
         s11.append(complex(vals[1], vals[2]))
         s21.append(complex(vals[3], vals[4]))
@@ -138,7 +150,7 @@ def read_touchstone(path) -> ResponseTable:
             raise InvalidParameterError(
                 f"{path}: expected 9-column two-port rows, got {len(parts)} columns"
             )
-        rows.append([float(p) for p in parts])
+        rows.append(_data_row(path, line, parts))
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows found")
 

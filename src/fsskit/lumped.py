@@ -115,39 +115,12 @@ def branch_impedance(b: Branch, f: float):
     """
     if not f > 0.0:
         raise InvalidParameterError(f"frequency must be positive, got {f!r}")
-    w = 2.0 * math.pi * f
-    return _impedance(b, w)
-
-
-def _impedance(b: Branch, w: float):
-    if isinstance(b, SeriesLC):
-        return b.R + 1j * (w * b.L - 1.0 / (w * b.C))
-    if isinstance(b, Tank):
-        y = b.G + 1j * (w * b.C - 1.0 / (w * b.L))
-        return OPEN if y == 0 else 1.0 / y
-    if isinstance(b, Inductor):
-        return 1j * (w * b.L)
-    if isinstance(b, Parallel):
-        y = 0j
-        for sub in b.branches:
-            z = _impedance(sub, w)
-            if z is OPEN:
-                continue
-            if z == 0:
-                return 0j
-            y += 1.0 / z
-        return OPEN if y == 0 else 1.0 / y
-    raise InvalidParameterError(f"not a lumped branch: {b!r}")
-
-
-def _admittance(b: Branch, w: float) -> complex:
-    """Scalar branch admittance; a non-finite result marks a perfect short."""
-    z = _impedance(b, w)
-    if z is OPEN:
+    y = complex(_admittance_array(b, np.array([2.0 * math.pi * f]))[0])
+    if y == 0:
+        return OPEN
+    if not cmath.isfinite(y):
         return 0j
-    if z == 0:
-        return complex(math.inf, 0.0)
-    return 1.0 / z
+    return 1.0 / y
 
 
 def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
@@ -199,7 +172,7 @@ def hybrid_impedance(h: HybridCircuit, f: float):
     if not f > 0.0:
         raise InvalidParameterError(f"frequency must be positive, got {f!r}")
     w = 2.0 * math.pi * f
-    z_tank = _impedance(Tank(h.L_tank, h.C_tank), w)
+    z_tank = branch_impedance(Tank(h.L_tank, h.C_tank), f)
     if z_tank is OPEN:
         return OPEN
     return 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + z_tank
@@ -252,9 +225,8 @@ def _verify_hybrid(h: HybridCircuit, L1, C1, L2, C2, tol=1e-9):
     keep = np.all(np.abs(freqs[:, None] - special[None, :]) > 1e-3 * special[None, :], axis=1)
     worst = 0.0
     for f in freqs[keep]:
-        w = 2.0 * math.pi * f
-        z1 = _impedance(SeriesLC(L1, C1), w)
-        z2 = _impedance(SeriesLC(L2, C2), w)
+        z1 = branch_impedance(SeriesLC(L1, C1), f)
+        z2 = branch_impedance(SeriesLC(L2, C2), f)
         z_par = z1 * z2 / (z1 + z2)
         z_hyb = hybrid_impedance(h, f)
         if z_hyb is OPEN or not cmath.isfinite(z_par):

@@ -11,7 +11,6 @@ the electrical length only.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,18 +19,13 @@ import numpy as np
 from .constants import C0, ETA0
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
-from .lumped import (
-    Branch,
-    Inductor,
-    Parallel,
-    SeriesLC,
-    Tank,
-    _admittance,
-    _admittance_array,
-)
-from .twoport import SINGULAR_DELTA, SParams, TwoPort, cascade, identity, line, shunt
+from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _admittance_array
 
 _POLARIZATIONS = ("TE", "TM")
+
+# |denominator| below this is reported as a singular network instead of
+# silently turning into infinities.
+SINGULAR_DELTA = 1e-30
 
 
 @dataclass(frozen=True)
@@ -178,66 +172,6 @@ def build_second_order(
     return FssStack((node, sub, middle, sub, node), inc, dielectric_loss)
 
 
-def stack_twoport(stack: FssStack, f: float) -> TwoPort:
-    """Chain matrix of the whole stack at one frequency.
-
-    Raises SingularNetworkError if a node is a perfect short there (the
-    chain matrix does not exist); use stack_sparams for that case.
-    """
-    parts = []
-    for layer in stack.layers:
-        if isinstance(layer, Substrate):
-            _, line_z, theta_d = incidence_media(
-                stack.incidence, layer, f, stack.dielectric_loss
-            )
-            parts.append(line(line_z, theta_d, f))
-        else:
-            y = _admittance(layer, 2.0 * math.pi * f)
-            if not (cmath.isfinite(y)):
-                raise SingularNetworkError(
-                    f"shunt node is a perfect short at {f} Hz; no chain matrix exists"
-                )
-            parts.append(shunt(y, f))
-    return cascade(parts)
-
-
-def stack_sparams(stack: FssStack, f: float) -> SParams:
-    """S-parameters of the stack between its free-space ports at one
-    frequency, including exact transmission zeros (shorted nodes)."""
-    port = port_impedance(stack.incidence)
-    parts = []
-    for layer in stack.layers:
-        if isinstance(layer, Substrate):
-            _, line_z, theta_d = incidence_media(
-                stack.incidence, layer, f, stack.dielectric_loss
-            )
-            parts.append(line(line_z, theta_d, f))
-        else:
-            y = _admittance(layer, 2.0 * math.pi * f)
-            if not cmath.isfinite(y):
-                return _shorted_sparams(parts, port, f)
-            parts.append(shunt(y, f))
-    tp = cascade(parts)
-    return _to_sparams_equal(tp, port)
-
-
-def _shorted_sparams(left_parts, port: float, f: float) -> SParams:
-    """Response when a node shorts to ground: no transmission, reflection
-    set by the sub-network left of the short terminated in 0 ohm."""
-    left = cascade(left_parts) if left_parts else identity(f)
-    s11 = (left.B - left.D * port) / (left.B + left.D * port)
-    return SParams(s11, 0j, port, port, f)
-
-
-def _to_sparams_equal(tp: TwoPort, port: float) -> SParams:
-    delta = tp.A * port + tp.B + tp.C * port * port + tp.D * port
-    if abs(delta) < SINGULAR_DELTA:
-        raise SingularNetworkError(f"singular network at {tp.frequency} Hz")
-    s21 = 2.0 * port / delta
-    s11 = (tp.A * port + tp.B - tp.C * port * port - tp.D * port) / delta
-    return SParams(s11, s21, port, port, tp.frequency)
-
-
 def stack_response(stack: FssStack, freqs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (S11, S21) over a frequency array."""
     s11, s21, _ = _response_arrays(stack, freqs, want_s22=False)
@@ -249,26 +183,28 @@ def stack_response_full(stack: FssStack, freqs):
     return _response_arrays(stack, freqs, want_s22=True)
 
 
-def _response_arrays(stack: FssStack, freqs, want_s22: bool):
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size == 0:
-        raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
-    if np.any(freqs <= 0.0):
-        raise InvalidParameterError("all frequencies must be positive")
+def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
+    """Chain-matrix entries A, B, C, D of ``layers`` over the grid ``freqs``.
 
+    Where a node is a perfect short (non-finite admittance), the first such
+    node ends transmission: the reflection into the prefix chain terminated
+    in that short, S11 = (B - D*Z)/(B + D*Z) with Z the port impedance, is
+    recorded, and the node is then taken as Y = 0 so the product stays
+    finite.  Returns (A, B, C, D, shorted, s11_short); ``s11_short`` is
+    meaningful only where ``shorted`` is set.
+    """
     w = 2.0 * math.pi * freqs
-    port = port_impedance(stack.incidence)
+    port = port_impedance(incidence)
     A = np.ones(freqs.shape, dtype=complex)
     B = np.zeros(freqs.shape, dtype=complex)
     C = np.zeros(freqs.shape, dtype=complex)
     D = np.ones(freqs.shape, dtype=complex)
     shorted = np.zeros(freqs.shape, dtype=bool)
+    s11_short = np.zeros(freqs.shape, dtype=complex)
 
-    for layer in stack.layers:
+    for layer in layers:
         if isinstance(layer, Substrate):
-            _, line_z, theta_d = incidence_media(
-                stack.incidence, layer, freqs, stack.dielectric_loss
-            )
+            _, line_z, theta_d = incidence_media(incidence, layer, freqs, dielectric_loss)
             cos_t = np.cos(theta_d)
             sin_t = np.sin(theta_d)
             b_line = 1j * line_z * sin_t
@@ -283,10 +219,26 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
             y = _admittance_array(layer, w)
             bad = ~np.isfinite(y)
             if bad.any():
+                first = bad & ~shorted
+                s11_short[first] = (B[first] - D[first] * port) / (B[first] + D[first] * port)
                 shorted |= bad
                 y = np.where(bad, 0.0, y)
             A = A + B * y
             C = C + D * y
+    return A, B, C, D, shorted, s11_short
+
+
+def _response_arrays(stack: FssStack, freqs, want_s22: bool):
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1 or freqs.size == 0:
+        raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
+    if np.any(freqs <= 0.0):
+        raise InvalidParameterError("all frequencies must be positive")
+
+    port = port_impedance(stack.incidence)
+    A, B, C, D, shorted, s11_short = _chain(
+        stack.layers, stack.incidence, stack.dielectric_loss, freqs
+    )
 
     delta = A * port + B + C * port * port + D * port
     ok = ~shorted
@@ -300,16 +252,11 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
         s22 = (-A * port + B - C * port * port + D * port) / delta
 
     if shorted.any():
-        reversed_stack = None
-        for i in np.nonzero(shorted)[0]:
-            f_i = float(freqs[i])
-            sp = stack_sparams(stack, f_i)
-            s11[i] = sp.S11
-            s21[i] = sp.S21
-            if want_s22:
-                if reversed_stack is None:
-                    reversed_stack = FssStack(
-                        stack.layers[::-1], stack.incidence, stack.dielectric_loss
-                    )
-                s22[i] = stack_sparams(reversed_stack, f_i).S11
+        # No transmission past a short; each side sees its own shorted prefix.
+        s11[shorted] = s11_short[shorted]
+        s21[shorted] = 0j
+        if want_s22:
+            s22[shorted] = _chain(
+                stack.layers[::-1], stack.incidence, stack.dielectric_loss, freqs[shorted]
+            )[5]
     return s11, s21, s22

@@ -39,7 +39,6 @@ from fsskit import (
     parametric_sweep,
     predict_resonances,
     stack_response,
-    stack_sparams,
     surface_impedance,
     sweep,
 )
@@ -121,7 +120,7 @@ def test_criterion_2_transmission_zero_robustness():
         for pol in ("TE", "TM"):
             inc = Incidence(math.radians(theta_deg), pol)
             stack = build_first_order(REF_CIRCUIT, REF_SUBSTRATE, inc)
-            assert abs(stack_sparams(stack, f_zero).S21) < 1e-8
+            assert abs(stack_response(stack, [f_zero])[1][0]) < 1e-8
     _report(f"2 PASS transmission zero pinned at {f_zero/1e9:.6f} GHz over angle/polarization")
 
 
@@ -147,7 +146,7 @@ def test_criterion_3_dual_band_peaks():
     ]
     assert len(peaks) == 2
 
-    mag = lambda f: abs(stack_sparams(stack, f).S21)
+    mag = lambda f: abs(stack_response(stack, [f])[1][0])
     p1 = _golden_section_peak(mag, freqs[peaks[0]] - 1e8, freqs[peaks[0]] + 1e8)
     p2 = _golden_section_peak(mag, freqs[peaks[1]] - 1e8, freqs[peaks[1]] + 1e8)
     golden = (2996476600.9, 7865912799.5)
@@ -287,7 +286,7 @@ def test_criterion_7_second_order_structure():
     stack = build_second_order((branch_a, branch_b), middle, sub)
 
     for branch in (branch_a, branch_b):
-        assert abs(stack_sparams(stack, branch.resonance()).S21) < 1e-8
+        assert abs(stack_response(stack, [branch.resonance()])[1][0]) < 1e-8
 
     table = sweep(stack, 1.5e9, 4.9e9, 1701)
     rep = band_report(table)
@@ -322,7 +321,7 @@ def test_criterion_7_second_order_structure():
         detuned = build_second_order(
             (branch_a, SeriesLC(2.0e-9, 0.5e-12 * scale)), middle, sub
         )
-        assert abs(stack_sparams(detuned, f_a).S21) < 1e-8
+        assert abs(stack_response(detuned, [f_a])[1][0]) < 1e-8
     _report(
         "7 PASS second order: zeros at %.4f / %.4f GHz, upper band holds two poles, "
         "hybrid transform mismatch %.1e" % (f_a / 1e9, branch_b.resonance() / 1e9, worst)
@@ -335,8 +334,8 @@ def test_criterion_8_property_suites():
     instances.  The standalone >= 1000-instance suites live in
     test_properties.py; this criterion runs them end to end in one place."""
     rng = np.random.default_rng(8)
-    from fsskit import FssStack, stack_twoport
-    from fsskit.errors import SingularNetworkError
+    from fsskit import FssStack
+    from fsskit.topology import _chain
 
     checked = 0
     for _ in range(1000):
@@ -348,17 +347,16 @@ def test_criterion_8_property_suites():
         inc = Incidence(rng.uniform(0, math.radians(60)), rng.choice(["TE", "TM"]))
         stack = FssStack((Tank(l1, c1), sub, SeriesLC(l2, c2)), inc)
         f = 10 ** rng.uniform(8.5, 10.5)
-        try:
-            tp = stack_twoport(stack, f)
-        except SingularNetworkError:
-            continue
+        A, B, C, D, shorted, _ = _chain(stack.layers, inc, False, np.array([f]))
+        if shorted[0]:
+            continue  # exact shorts have no chain matrix
         checked += 1
-        assert abs(tp.det() - 1.0) < 1e-10  # reciprocity
-        sp = stack_sparams(stack, f)
-        assert abs(abs(sp.S11) ** 2 + abs(sp.S21) ** 2 - 1.0) < 1e-10  # unitarity
-        te = stack_sparams(FssStack(stack.layers, Incidence(0.0, "TE")), f)
-        tm = stack_sparams(FssStack(stack.layers, Incidence(0.0, "TM")), f)
-        assert te.S21 == tm.S21 and te.S11 == tm.S11
+        assert abs(A[0] * D[0] - B[0] * C[0] - 1.0) < 1e-10  # reciprocity
+        s11, s21 = stack_response(stack, [f])
+        assert abs(abs(s11[0]) ** 2 + abs(s21[0]) ** 2 - 1.0) < 1e-10  # unitarity
+        te = stack_response(FssStack(stack.layers, Incidence(0.0, "TE")), [f])
+        tm = stack_response(FssStack(stack.layers, Incidence(0.0, "TM")), [f])
+        assert te[1][0] == tm[1][0] and te[0][0] == tm[0][0]
 
         # target inversion round trip on the dual-band subset
         if l2 * c2 > l1 * c1:

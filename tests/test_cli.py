@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,22 @@ def test_analyze_outputs_are_reproducible(tmp_path):
     run("analyze", CONFIGS / "sc_band_first_order.json", out2)
     for name in ("response.csv", "response.s2p", "band_report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# SHA-256 of the analyze data files for sc_band_first_order.json; a change
+# to the network evaluator or the writers must leave them unchanged.
+GOLDEN_SHA256 = {
+    "response.csv": "704854597a2e6f255985fe381c83b147ab7cdba014c368ff4d93080374dfbbdf",
+    "response.s2p": "341004188cd46621912256e621c687f44760a88313e9624ad01bee7eb5e5a40c",
+    "band_report.txt": "7d0fbf92ed1b06a29c5b6758acbbedfa803055387a05ce2790b4810e9899074f",
+}
+
+
+def test_analyze_golden_bytes(tmp_path):
+    out = tmp_path / "out"
+    run("analyze", CONFIGS / "sc_band_first_order.json", out)
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_csv_roundtrips_through_importer(tmp_path):
@@ -254,6 +271,55 @@ def test_missing_config_file(tmp_path, capsys):
     )
     assert code == 2
     assert "invalid-config" in capsys.readouterr().err
+
+
+def test_fit_rejects_bad_data_row(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n"
+        "1e9,0,0,0.5,0,0,-6\n2e9,0,0,nan,0,0,-6\n3e9,0,0,0.5,0,0,-6\n"
+    )
+    cfg = {
+        "design": {"substrate": {"thickness_mm": 0.635, "eps_r": 10.2}},
+        "fit": {"data": str(data), "initial": {"L_series_nH": 4.9}},
+    }
+    code = main(["fit", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-parameter: ")
+    assert "data.csv" in err and "2e9,0,0,nan" in err
+    assert "\n" not in err.strip()
+
+
+def test_fit_rejects_non_boolean_dielectric_loss(tmp_path, capsys):
+    cfg = {
+        "design": {
+            "substrate": {"thickness_mm": 0.635, "eps_r": 10.2},
+            "dielectric_loss": "no",
+        },
+        "fit": {
+            "data": str(CONFIGS / "sc_band_first_order.json"),
+            "initial": {"L_series_nH": 4.9},
+        },
+    }
+    code = main(["fit", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: design.dielectric_loss")
+
+
+@pytest.mark.parametrize(
+    "command,theta", [("analyze", 90.0), ("analyze", 120), ("angular", [0.0, 90.0])]
+)
+def test_incidence_angle_of_90_degrees_or_more_is_a_config_error(
+    tmp_path, capsys, command, theta
+):
+    cfg = _load_config("sc_band_first_order.json")
+    cfg["incidence"] = {"theta_deg": theta, "polarization": "TE"}
+    code = main([command, str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: incidence.theta_deg")
 
 
 def test_smoothing_flag(tmp_path):

@@ -142,6 +142,27 @@ def test_touchstone_rejects_malformed(tmp_path):
         read_touchstone(odd)
 
 
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+def test_importers_reject_bad_data_rows(tmp_path, cell):
+    # one non-numeric or non-finite cell fails with the path and the row
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(CSV_HEADER + f"\n1e9,0,0,0.5,{cell},0,-6\n2e9,0,0,0.5,0,0,-6\n")
+    with pytest.raises(InvalidParameterError, match=f"bad.csv.*0.5,{cell}"):
+        read_response_csv(csv_path)
+    ts_path = tmp_path / "bad.s2p"
+    ts_path.write_text(f"# HZ S RI R 50\n1e9 0 0 0.5 {cell} 0.5 0 0 0\n2e9 0 0 0.5 0 0.5 0 0 0\n")
+    with pytest.raises(InvalidParameterError, match=f"bad.s2p.*0.5 {cell}"):
+        read_touchstone(ts_path)
+
+
+def test_csv_accepts_infinite_db_columns(tmp_path):
+    # the writer prints -inf dB for an exact null; only the data columns
+    # must be finite
+    path = tmp_path / "null.csv"
+    path.write_text(CSV_HEADER + "\n1e9,-1,0,0,0,0,-inf\n2e9,0,0,1,0,-inf,0\n")
+    assert read_response_csv(path).s21[0] == 0j
+
+
 def test_load_response_sniffs_both_formats(tmp_path, ref_circuit, ref_substrate):
     table = _small_table(ref_circuit, ref_substrate)
     csv_path = tmp_path / "data.csv"

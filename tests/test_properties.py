@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from fsskit import (
     DesignTargets,
     ExtractedCircuit,
@@ -18,9 +20,9 @@ from fsskit import (
     extract_circuit,
     geometry_from_circuit,
     predict_resonances,
-    stack_sparams,
-    stack_twoport,
+    stack_response,
 )
+from fsskit.topology import _chain
 
 N = 1000
 
@@ -56,38 +58,37 @@ def _random_stack(rng, lossless=True):
 
 
 def test_reciprocity_1000(rng):
-    from fsskit.errors import SingularNetworkError
-
     for _ in range(N):
         stack = _random_stack(rng)
         f = 10 ** rng.uniform(8.5, 10.5)
-        try:
-            tp = stack_twoport(stack, f)
-        except SingularNetworkError:
+        A, B, C, D, shorted, _ = _chain(
+            stack.layers, stack.incidence, stack.dielectric_loss, np.array([f])
+        )
+        if shorted[0]:
             continue  # exact shorts have no chain matrix
-        assert abs(tp.det() - 1.0) < 1e-10
+        assert abs(A[0] * D[0] - B[0] * C[0] - 1.0) < 1e-10
 
 
 def test_lossless_unitarity_1000(rng):
     for _ in range(N):
         stack = _random_stack(rng, lossless=True)
         f = 10 ** rng.uniform(8.5, 10.5)
-        sp = stack_sparams(stack, f)
-        assert abs(abs(sp.S11) ** 2 + abs(sp.S21) ** 2 - 1.0) < 1e-10
+        s11, s21 = stack_response(stack, [f])
+        assert abs(abs(s11[0]) ** 2 + abs(s21[0]) ** 2 - 1.0) < 1e-10
 
 
 def test_normal_incidence_te_tm_equality_1000(rng):
     for _ in range(N):
         stack = _random_stack(rng)
         f = 10 ** rng.uniform(8.5, 10.5)
-        te = stack_sparams(
-            FssStack(stack.layers, Incidence(0.0, "TE"), stack.dielectric_loss), f
+        te = stack_response(
+            FssStack(stack.layers, Incidence(0.0, "TE"), stack.dielectric_loss), [f]
         )
-        tm = stack_sparams(
-            FssStack(stack.layers, Incidence(0.0, "TM"), stack.dielectric_loss), f
+        tm = stack_response(
+            FssStack(stack.layers, Incidence(0.0, "TM"), stack.dielectric_loss), [f]
         )
         # bit identical, not merely within tolerance
-        assert te.S11 == tm.S11 and te.S21 == tm.S21
+        assert te[0][0] == tm[0][0] and te[1][0] == tm[1][0]
 
 
 def test_target_roundtrip_1000(rng):
@@ -149,4 +150,4 @@ def test_series_short_transmission_zero_1000(rng):
         sub = Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0))
         inc = Incidence(rng.uniform(0.0, math.radians(60)), rng.choice(["TE", "TM"]))
         stack = FssStack((other, sub, node), inc)
-        assert abs(stack_sparams(stack, series.resonance()).S21) < 1e-8
+        assert abs(stack_response(stack, [series.resonance()])[1][0]) < 1e-8

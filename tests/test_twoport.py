@@ -1,194 +1,204 @@
+"""Chain-matrix algebra of the array network engine.
+
+``_chain`` multiplies the ABCD matrices of any sequence of shunt nodes and
+line sections over a frequency grid; ``stack_response`` turns a stack's
+chain matrix into S-parameters between its free-space ports.
+"""
+
 import cmath
 import math
 
 import numpy as np
 import pytest
 
-from fsskit import cascade, identity, line, reverse, shunt, to_sparams
-from fsskit.errors import (
-    FrequencyMismatchError,
-    InvalidParameterError,
-    SingularNetworkError,
+from fsskit import (
+    C0,
+    ETA0,
+    FssStack,
+    Incidence,
+    Inductor,
+    Parallel,
+    SeriesLC,
+    Substrate,
+    Tank,
+    incidence_media,
+    stack_response,
 )
-from fsskit.lumped import OPEN
+from fsskit.errors import SingularNetworkError
+from fsskit.lumped import _admittance_array
+from fsskit.topology import _chain
 
 F = 1e9
+F_UNIT = 1.0 / (2.0 * math.pi)  # w = 1: Tank(1, 1) is exactly open here
+OPEN_NODE = Tank(1.0, 1.0)
+
+
+def _abcd(layers, f, incidence=Incidence(), dielectric_loss=False):
+    A, B, C, D, shorted, _ = _chain(layers, incidence, dielectric_loss, np.array([f]))
+    assert not shorted[0]
+    return A[0], B[0], C[0], D[0]
+
+
+def _free_space_line(theta, f):
+    """eps_r = 1 substrate matched to the normal-incidence port, electrical
+    length theta at f."""
+    return Substrate(theta * C0 / (2.0 * math.pi * f), 1.0)
 
 
 def test_shunt_open_branch_is_identity():
-    p = shunt(0j, F)
-    assert (p.A, p.B, p.C, p.D) == (1, 0, 0, 1)
-    q = shunt(OPEN, F)
-    assert (q.A, q.B, q.C, q.D) == (1, 0, 0, 1)
+    assert _abcd((OPEN_NODE,), F_UNIT) == (1, 0, 0, 1)
+    assert _abcd((Parallel((OPEN_NODE, OPEN_NODE)),), F_UNIT) == (1, 0, 0, 1)
 
 
 def test_shunt_stores_admittance():
-    p = shunt(1 / 377 + 0j, F)
-    assert p.C == 1 / 377 + 0j
-    assert p.A == 1 and p.D == 1 and p.B == 0
+    node = Tank(1.0, 1.0, G=1 / 377)  # admittance exactly G at w = 1
+    A, B, C, D = _abcd((node,), F_UNIT)
+    assert C == 1 / 377 + 0j
+    assert A == 1 and D == 1 and B == 0
 
 
 def test_shunt_capacitor_admittance():
-    # j*w*C for C = 0.5 pF at 1 GHz
-    y = 1j * 2 * math.pi * F * 0.5e-12
-    p = shunt(y, F)
-    assert p.C == pytest.approx(3.14159265e-3j, rel=1e-8)
+    # j*w*C for C = 0.5 pF at 1 GHz, from a tank whose inductive part is
+    # negligible
+    _, _, C, _ = _abcd((Tank(1e3, 0.5e-12),), F)
+    assert C == pytest.approx(3.14159265e-3j, rel=1e-8)
 
 
 def test_line_zero_length_is_identity():
-    p = line(118.0, 0.0, F)
-    assert p.A == 1 and p.D == 1
-    assert p.B == 0 and p.C == 0
+    A, B, C, D = _abcd((_free_space_line(1e-15, F),), F)
+    assert A == pytest.approx(1, abs=1e-15) and D == pytest.approx(1, abs=1e-15)
+    assert B == pytest.approx(0, abs=1e-12) and C == pytest.approx(0, abs=1e-15)
 
 
 def test_quarter_wave_matched_line_gives_minus_j():
-    z0 = 377.0
-    p = line(z0, math.pi / 2, F)
-    s = to_sparams(p, z0, z0)
-    assert s.S21 == pytest.approx(-1j, abs=1e-12)
-    assert abs(s.S11) < 1e-12
+    sub = _free_space_line(math.pi / 2, F_UNIT)
+    s11, s21 = stack_response(FssStack((OPEN_NODE, sub, OPEN_NODE)), [F_UNIT])
+    assert s21[0] == pytest.approx(-1j, abs=1e-12)
+    assert abs(s11[0]) < 1e-12
 
 
 def test_line_accepts_substrate_impedance():
-    zc = 377.0 / math.sqrt(10.2)
-    p = line(zc, 0.3, F)
-    assert p.B == pytest.approx(1j * zc * math.sin(0.3))
-    assert p.C == pytest.approx(1j * math.sin(0.3) / zc)
-
-
-def test_line_rejects_nonpositive_impedance():
-    with pytest.raises(InvalidParameterError):
-        line(0.0, 0.1, F)
-    with pytest.raises(InvalidParameterError):
-        line(-50.0, 0.1, F)
+    sub = Substrate(0.635e-3, 10.2)
+    _, zc, theta = incidence_media(Incidence(), sub, F)
+    assert zc == pytest.approx(377.0 / math.sqrt(10.2), rel=1e-3)
+    _, B, C, _ = _abcd((sub,), F)
+    assert B == pytest.approx(1j * zc * math.sin(theta))
+    assert C == pytest.approx(1j * math.sin(theta) / zc)
 
 
 def test_line_accepts_complex_arguments():
     # lossy dielectric: complex impedance and electrical length
-    p = line(118.0 - 0.1j, 0.3 - 0.002j, F)
-    assert p.A == pytest.approx(cmath.cos(0.3 - 0.002j))
+    sub = Substrate(0.635e-3, 10.2, 0.01)
+    _, zc, theta = incidence_media(Incidence(), sub, F, dielectric_loss=True)
+    assert zc.imag != 0.0 and theta.imag != 0.0
+    A, _, _, _ = _abcd((sub,), F, dielectric_loss=True)
+    assert A == pytest.approx(cmath.cos(theta))
 
 
 def test_cascade_identities():
-    assert cascade([identity(F), identity(F)]) == identity(F)
+    assert _abcd((OPEN_NODE, OPEN_NODE), F_UNIT) == (1, 0, 0, 1)
 
 
 def test_cascade_merges_adjacent_shunts():
-    y1, y2 = 0.01 + 0.002j, -0.003j
-    combined = cascade([shunt(y1, F), shunt(y2, F)])
-    merged = shunt(y1 + y2, F)
-    assert combined.C == pytest.approx(merged.C)
-    assert combined.A == 1 and combined.B == 0 and combined.D == 1
+    n1, n2 = Tank(2e-9, 1e-12, 0.002), SeriesLC(3e-9, 2e-12, 1.0)
+    w = np.array([2 * math.pi * F])
+    A, B, C, D = _abcd((n1, n2), F)
+    assert C == pytest.approx(complex(_admittance_array(n1, w)[0] + _admittance_array(n2, w)[0]))
+    assert A == 1 and B == 0 and D == 1
+    assert C == pytest.approx(_abcd((Parallel((n1, n2)),), F)[2])
 
 
 def test_cascade_associativity(rng):
+    # the chain of a sequence is the matrix product of the chains of any
+    # split of it
     for _ in range(200):
-        ports = [
-            shunt(complex(*rng.normal(0, 0.01, 2)), F),
-            line(rng.uniform(10, 400), rng.uniform(0, 3), F),
-            shunt(complex(*rng.normal(0, 0.01, 2)), F),
-        ]
-        left = cascade([cascade(ports[:2]), ports[2]])
-        right = cascade([ports[0], cascade(ports[1:])])
-        for attr in "ABCD":
-            a, b = getattr(left, attr), getattr(right, attr)
-            assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
-
-
-def test_cascade_rejects_frequency_mismatch():
-    with pytest.raises(FrequencyMismatchError):
-        cascade([identity(1e9), identity(2e9)])
-
-
-def test_cascade_rejects_empty():
-    with pytest.raises(InvalidParameterError):
-        cascade([])
+        f = rng.uniform(1e8, 2e10)
+        layers = (
+            Tank(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13, -12), rng.uniform(0, 0.01)),
+            Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0)),
+            SeriesLC(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13, -12), rng.uniform(0, 5)),
+        )
+        whole = np.array(_abcd(layers, f)).reshape(2, 2)
+        for k in (1, 2):
+            left = np.array(_abcd(layers[:k], f)).reshape(2, 2)
+            right = np.array(_abcd(layers[k:], f)).reshape(2, 2)
+            np.testing.assert_allclose(left @ right, whole, rtol=1e-12, atol=1e-12)
 
 
 def test_to_sparams_identity_network():
-    s = to_sparams(identity(F), 377.0, 377.0)
-    assert s.S21 == pytest.approx(1.0)
-    assert s.S11 == pytest.approx(0.0, abs=1e-15)
+    # a matched line between two open nodes is a perfect through
+    sub = _free_space_line(0.7, F_UNIT)
+    s11, s21 = stack_response(FssStack((OPEN_NODE, sub, OPEN_NODE)), [F_UNIT])
+    assert abs(s21[0]) == pytest.approx(1.0)
+    assert s11[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_to_sparams_matched_shunt():
-    z0 = 377.0
-    s = to_sparams(shunt(1 / z0 + 0j, F), z0, z0)
-    assert s.S21 == pytest.approx(2 / 3)
-    assert s.S11 == pytest.approx(-1 / 3)
+    # shunt conductance 1/eta0 at port 1, then a matched line to an open
+    # node: S11 = -1/3, |S21| = 2/3
+    node = Tank(1.0, 1.0, G=1 / ETA0)
+    sub = _free_space_line(0.7, F_UNIT)
+    s11, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
+    assert abs(s21[0]) == pytest.approx(2 / 3)
+    assert s11[0] == pytest.approx(-1 / 3)
 
 
 def test_to_sparams_shunt_short_blocks_transmission():
-    s = to_sparams(shunt(1e14 + 0j, F), 377.0, 377.0)
-    assert abs(s.S21) < 1e-8
+    node = Tank(1.0, 1.0, G=1e14)
+    sub = _free_space_line(0.7, F_UNIT)
+    _, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
+    assert abs(s21[0]) < 1e-8
 
 
-def test_to_sparams_rejects_bad_ports():
-    with pytest.raises(InvalidParameterError):
-        to_sparams(identity(F), -1.0, 377.0)
-    with pytest.raises(InvalidParameterError):
-        to_sparams(identity(F), 377.0, 0.0)
-
-
-def test_to_sparams_unequal_references():
-    # quarter-wave transformer matches source to load when Zc^2 = Zs*Zl
-    zs, zl = 100.0, 400.0
-    p = line(math.sqrt(zs * zl), math.pi / 2, F)
-    s = to_sparams(p, zs, zl)
-    assert abs(s.S11) < 1e-12
-    assert abs(s.S21) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_singular_network_detected():
-    p = line(100.0, math.pi / 2, F)  # A = D = 0
-    degenerate = cascade([p, shunt(0j, F), p])  # half-wave: A = D = -1
-    # force a pathological denominator via a contrived matrix instead
+def test_singular_network_detected(monkeypatch):
+    # a legitimate half-wave line is not singular
+    sub = _free_space_line(math.pi, F_UNIT)
+    stack = FssStack((OPEN_NODE, sub, OPEN_NODE))
+    _, s21 = stack_response(stack, [F_UNIT])
+    assert abs(s21[0]) == pytest.approx(1.0)
+    # a pathological all-zero chain matrix is reported, not divided by
+    zero = np.zeros(1, dtype=complex)
+    monkeypatch.setattr(
+        "fsskit.topology._chain",
+        lambda *args: (zero, zero, zero, zero, np.zeros(1, dtype=bool), zero),
+    )
     with pytest.raises(SingularNetworkError):
-        to_sparams(
-            type(p)(A=0j, B=0j, C=0j, D=0j, frequency=F), 50.0, 50.0
-        )
-    # sanity: the legitimate half-wave line is not singular
-    assert abs(to_sparams(degenerate, 50.0, 50.0).S21) == pytest.approx(1.0)
+        stack_response(stack, [F_UNIT])
 
 
-def test_reverse_swaps_ports():
-    p = cascade([shunt(0.01j, F), line(118.0, 0.4, F), shunt(-0.02j, F)])
-    r = reverse(p)
-    assert r.A == pytest.approx(p.D)
-    assert r.D == pytest.approx(p.A)
-    rr = reverse(r)
-    for attr in "ABCD":
-        assert getattr(rr, attr) == pytest.approx(getattr(p, attr))
-
-
-def _random_network(rng, f):
-    parts = []
+def _random_layers(rng, lossless):
+    layers = []
     for _ in range(rng.integers(1, 6)):
-        if rng.random() < 0.5:
-            parts.append(shunt(complex(rng.normal(0, 0.01), rng.normal(0, 0.01)), f))
+        l = 10 ** rng.uniform(-9.5, -8.0)
+        c = 10 ** rng.uniform(-13.5, -12.0)
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            layers.append(Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0)))
+        elif kind == 1:
+            layers.append(SeriesLC(l, c, 0.0 if lossless else rng.uniform(0, 5)))
+        elif kind == 2:
+            layers.append(Tank(l, c, 0.0 if lossless else rng.uniform(0, 0.01)))
         else:
-            parts.append(line(rng.uniform(20, 500), rng.uniform(0, 3), f))
-    return cascade(parts)
+            layers.append(Parallel((SeriesLC(l, c), Inductor(10 ** rng.uniform(-9.5, -8.0)))))
+    return tuple(layers)
 
 
 def test_reciprocity_of_assembled_networks(rng):
     # shunt/line primitives always produce AD - BC = 1
     for _ in range(100):
         f = rng.uniform(1e8, 2e10)
-        p = _random_network(rng, f)
-        assert abs(p.det() - 1.0) < 1e-10
+        A, B, C, D = _abcd(_random_layers(rng, lossless=False), f)
+        assert abs(A * D - B * C - 1.0) < 1e-10
 
 
 def test_lossless_unitarity(rng):
     # pure reactances + real equal ports conserve power
     for _ in range(200):
         f = rng.uniform(1e8, 2e10)
-        parts = []
-        for _ in range(rng.integers(1, 6)):
-            if rng.random() < 0.5:
-                parts.append(shunt(1j * rng.normal(0, 0.02), f))
-            else:
-                parts.append(line(rng.uniform(20, 500), rng.uniform(0, 3), f))
-        z0 = rng.uniform(50, 500)
-        s = to_sparams(cascade(parts), z0, z0)
-        assert abs(abs(s.S11) ** 2 + abs(s.S21) ** 2 - 1.0) < 1e-10
+        sub = Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0))
+        nodes = [Tank(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13.5, -12)),
+                 SeriesLC(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13.5, -12))]
+        rng.shuffle(nodes)
+        inc = Incidence(rng.uniform(0, math.radians(80)), rng.choice(["TE", "TM"]))
+        s11, s21 = stack_response(FssStack((nodes[0], sub, nodes[1]), inc), [f])
+        assert abs(abs(s11[0]) ** 2 + abs(s21[0]) ** 2 - 1.0) < 1e-10
