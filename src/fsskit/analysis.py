@@ -118,6 +118,11 @@ def sweep(
     spacing: str = "linear",
 ) -> ResponseTable:
     """Evaluate the stack on a linear or logarithmic frequency grid."""
+    return sweep_at(stack, _grid(f_start, f_stop, n_points, spacing))
+
+
+def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndarray:
+    """The linear or logarithmic frequency grid of a sweep."""
     if not 0.0 < f_start < f_stop:
         raise InvalidParameterError(
             f"need 0 < f_start < f_stop, got {f_start}, {f_stop}"
@@ -125,12 +130,10 @@ def sweep(
     if n_points < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
     if spacing == "linear":
-        grid = np.linspace(f_start, f_stop, n_points)
-    elif spacing == "log":
-        grid = np.geomspace(f_start, f_stop, n_points)
-    else:
-        raise InvalidParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    return sweep_at(stack, grid)
+        return np.linspace(f_start, f_stop, n_points)
+    if spacing == "log":
+        return np.geomspace(f_start, f_stop, n_points)
+    raise InvalidParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
 def sweep_at(stack: FssStack, freqs) -> ResponseTable:
@@ -150,12 +153,11 @@ def band_report(table: ResponseTable) -> BandReport:
     f = table.frequency
     db = table.s21_db
 
-    peaks = [
-        i
-        for i in range(1, len(f) - 1)
-        if db[i] > db[i - 1] and db[i] >= db[i + 1] and np.isfinite(db[i])
-    ]
-    qualified = [i for i in peaks if db[i] > BAND_THRESHOLD_DB]
+    # Local maxima: strictly above the left neighbor, not below the right
+    # one, and finite (NaN and -inf samples never qualify).
+    m = db[1:-1]
+    peaks = 1 + np.flatnonzero((m > db[:-2]) & (m >= db[2:]) & np.isfinite(m))
+    qualified = peaks[db[peaks] > BAND_THRESHOLD_DB].tolist()
     bands: list[list[int]] = []
     for i in qualified:
         if bands and np.min(db[bands[-1][-1] : i + 1]) > BAND_THRESHOLD_DB:
@@ -230,12 +232,15 @@ def _bandwidth(f, db, band, peak_level, f_peak, which) -> float:
 
 
 def _cross_left(f, db, start, target, which) -> float:
-    for i in range(start - 1, -1, -1):
-        if db[i] < target:
-            if not np.isfinite(db[i]):
-                return float(f[i])
-            frac = (target - db[i]) / (db[i + 1] - db[i])
-            return float(f[i] + frac * (f[i + 1] - f[i]))
+    """Crossing at the nearest sample below ``start`` that lies under the
+    target level."""
+    below = np.flatnonzero(db[:start] < target)
+    if below.size:
+        i = int(below[-1])
+        if not np.isfinite(db[i]):
+            return float(f[i])
+        frac = (target - db[i]) / (db[i + 1] - db[i])
+        return float(f[i] + frac * (f[i + 1] - f[i]))
     raise TruncatedBandError(
         f"low-side 3 dB crossing of the {which} band lies below the swept range",
         side=f"{which}-low",
@@ -243,12 +248,15 @@ def _cross_left(f, db, start, target, which) -> float:
 
 
 def _cross_right(f, db, start, target, which) -> float:
-    for i in range(start + 1, len(f)):
-        if db[i] < target:
-            if not np.isfinite(db[i]):
-                return float(f[i])
-            frac = (target - db[i]) / (db[i - 1] - db[i])
-            return float(f[i] - frac * (f[i] - f[i - 1]))
+    """Crossing at the nearest sample above ``start`` that lies under the
+    target level."""
+    below = np.flatnonzero(db[start + 1 :] < target)
+    if below.size:
+        i = start + 1 + int(below[0])
+        if not np.isfinite(db[i]):
+            return float(f[i])
+        frac = (target - db[i]) / (db[i - 1] - db[i])
+        return float(f[i] - frac * (f[i] - f[i - 1]))
     raise TruncatedBandError(
         f"high-side 3 dB crossing of the {which} band lies above the swept range",
         side=f"{which}-high",

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import band_report, parametric_sweep, smooth_response, sweep
+from .analysis import ResponseTable, _grid, band_report, parametric_sweep, smooth_response, sweep
 from .constants import C0
 from .errors import ConfigError, EmptySweepError, FssError
 from .extraction import ExtractedCircuit, FirstOrderGeometry, extract_circuit, predict_resonances
@@ -257,13 +257,21 @@ def _parse_incidence_lists(cfg: dict):
     if not thetas or not pols:
         raise EmptySweepError("incidence: empty theta_deg or polarization list")
     out = []
+    entries: dict[str, list] = {}
     for theta in thetas:
         if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < 90:
             _fail("incidence.theta_deg", "numbers in [0, 90) (degrees)")
         for pol in pols:
             if pol not in ("TE", "TM"):
                 _fail("incidence.polarization", "'TE' or 'TM' entries")
-            out.append((float(theta), Incidence(math.radians(float(theta)), pol)))
+            name = f"response_{pol.lower()}_{float(theta):g}deg.csv"
+            entries.setdefault(name, []).append(f"theta_deg {theta!r} {pol}")
+            out.append((name, Incidence(math.radians(float(theta)), pol)))
+    clashes = [f"{', '.join(e)} -> {name}" for name, e in entries.items() if len(e) > 1]
+    if clashes:
+        raise ConfigError(
+            "incidence: entries would write the same output file: " + "; ".join(clashes)
+        )
     return out
 
 
@@ -304,16 +312,16 @@ def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
     builder, _, _, _, _, _ = _parse_design(cfg)
     inc = _parse_incidence_single(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
-    stack = builder(inc)
-    table = sweep(stack, f_start, f_stop, n_points, spacing)
+    freqs = _grid(f_start, f_stop, n_points, spacing)
+    s11, s21, s22 = stack_response_full(builder(inc), freqs)
+    table = ResponseTable(freqs, s11, s21)
 
     write_response_csv(table, outdir / "response.csv")
-    _, s21, s22 = stack_response_full(stack, table.frequency)
     port = port_impedance(inc)
     write_touchstone(
-        table.frequency,
-        table.s11,
-        table.s21,
+        freqs,
+        s11,
+        s21,
         s21,
         s22,
         outdir / "response.s2p",
@@ -402,10 +410,8 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
 def _cmd_angular(cfg, outdir: Path, config_path, smooth_ghz):
     builder, _, _, _, _, _ = _parse_design(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
-    for theta_deg, inc in _parse_incidence_lists(cfg):
-        stack = builder(inc)
-        table = sweep(stack, f_start, f_stop, n_points, spacing)
-        name = f"response_{inc.polarization.lower()}_{theta_deg:g}deg.csv"
+    for name, inc in _parse_incidence_lists(cfg):
+        table = sweep(builder(inc), f_start, f_stop, n_points, spacing)
         write_response_csv(table, outdir / name)
 
 

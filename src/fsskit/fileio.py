@@ -21,11 +21,9 @@ CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
 _FREQ_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits; infinities print as inf/-inf."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.11e}"
+# Rows formatted per block: big enough that the per-block overhead vanishes,
+# small enough that a large table's text is never held in memory at once.
+_BLOCK_ROWS = 2048
 
 
 def _db(z: complex) -> float:
@@ -45,23 +43,35 @@ def _data_row(path, row: str, parts) -> list:
     return vals
 
 
+def _write_rows(fh, columns, sep: str) -> None:
+    """One line per row of the stacked columns, every value as ``%.11e``
+    (12 significant digits; inf, -inf and nan print as such), formatted a
+    block of rows at a time."""
+    block = np.column_stack(columns)
+    row = sep.join(["%.11e"] * block.shape[1])
+    for start in range(0, len(block), _BLOCK_ROWS):
+        chunk = block[start : start + _BLOCK_ROWS]
+        fh.write("\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+        fh.write("\n")
+
+
 def write_response_csv(table: ResponseTable, path) -> None:
-    lines = [CSV_HEADER]
-    for f, s11, s21 in zip(table.frequency, table.s11, table.s21):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(f),
-                    _fmt(s11.real),
-                    _fmt(s11.imag),
-                    _fmt(s21.real),
-                    _fmt(s21.imag),
-                    _fmt(_db(s11)),
-                    _fmt(_db(s21)),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # dB through abs(complex) and math.log10: numpy's vector log10 can
+    # differ in the last bit, which would change printed digits.
+    s11_db = [_db(z) for z in table.s11.tolist()]
+    s21_db = [_db(z) for z in table.s21.tolist()]
+    columns = (
+        table.frequency,
+        table.s11.real,
+        table.s11.imag,
+        table.s21.real,
+        table.s21.imag,
+        s11_db,
+        s21_db,
+    )
+    with Path(path).open("w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        _write_rows(fh, columns, ",")
 
 
 def read_response_csv(path) -> ResponseTable:
@@ -101,20 +111,13 @@ def write_touchstone(
     lines = [f"! reference impedance {port_z:.6f} ohm"]
     lines.extend(f"! {c}" for c in comments)
     lines.append(f"# HZ S RI R {port_z:.6f}")
-    for i, f in enumerate(freqs):
-        row = [
-            _fmt(float(f)),
-            _fmt(s11[i].real),
-            _fmt(s11[i].imag),
-            _fmt(s21[i].real),
-            _fmt(s21[i].imag),
-            _fmt(s12[i].real),
-            _fmt(s12[i].imag),
-            _fmt(s22[i].real),
-            _fmt(s22[i].imag),
-        ]
-        lines.append(" ".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(freqs, dtype=float)]
+    for s in (s11, s21, s12, s22):
+        s = np.asarray(s, dtype=complex)
+        columns += [s.real, s.imag]
+    with Path(path).open("w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, columns, " ")
 
 
 def read_touchstone(path) -> ResponseTable:

@@ -1,10 +1,13 @@
-from dataclasses import replace
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from fsskit import (
+    BandReport,
     ExtractedCircuit,
+    Incidence,
     ResponseTable,
     Substrate,
     band_report,
@@ -15,9 +18,11 @@ from fsskit import (
     sweep,
     sweep_at,
 )
+from fsskit.analysis import BAND_THRESHOLD_DB, ZERO_FLOOR_DB
 from fsskit.errors import (
     BandStructureError,
     EmptySweepError,
+    FssError,
     InvalidParameterError,
     TruncatedBandError,
 )
@@ -218,3 +223,209 @@ def test_smooth_response_reduces_ripple(rng):
     )
     with pytest.raises(InvalidParameterError):
         smooth_response(t, 0.0)
+
+
+# --- Oracle: the per-sample loop implementation of band_report ------------
+#
+# A verbatim copy of the scanning version of band_report, kept as the
+# reference for the whole-array one.  Both must agree bit for bit on every
+# field, and raise the same error with the same payload.
+
+def _reference_band_report(table: ResponseTable) -> BandReport:
+    f = table.frequency
+    db = table.s21_db
+
+    peaks = [
+        i
+        for i in range(1, len(f) - 1)
+        if db[i] > db[i - 1] and db[i] >= db[i + 1] and np.isfinite(db[i])
+    ]
+    qualified = [i for i in peaks if db[i] > BAND_THRESHOLD_DB]
+    bands: list[list[int]] = []
+    for i in qualified:
+        if bands and np.min(db[bands[-1][-1] : i + 1]) > BAND_THRESHOLD_DB:
+            bands[-1].append(i)
+        else:
+            bands.append([i])
+    if len(bands) != 2:
+        raise BandStructureError(
+            f"expected exactly 2 passbands, found {len(bands)}", band_count=len(bands)
+        )
+    lower_band, upper_band = bands
+
+    f_lower, level_lower = _ref_band_peak(f, db, lower_band)
+    f_upper, level_upper = _ref_band_peak(f, db, upper_band)
+
+    lo, hi = lower_band[-1], upper_band[0]
+    j = lo + 1 + int(np.argmin(db[lo + 1 : hi]))
+    if db[j] <= ZERO_FLOOR_DB:
+        f_zero = float(f[j])
+    else:
+        f_zero, _ = _ref_refine_quadratic(f, db, j)
+
+    bw_lower = _ref_bandwidth(f, db, lower_band, level_lower, f_lower, "lower")
+    bw_upper = _ref_bandwidth(f, db, upper_band, level_upper, f_upper, "upper")
+
+    return BandReport(
+        f_lower=f_lower,
+        f_zero=f_zero,
+        f_upper=f_upper,
+        bw_lower=bw_lower,
+        bw_upper=bw_upper,
+        il_lower_db=max(0.0, -level_lower),
+        il_upper_db=max(0.0, -level_upper),
+        separation=f_upper - f_lower,
+    )
+
+
+def _ref_band_peak(f, db, band):
+    top = band[int(np.argmax(db[band]))]
+    return _ref_refine_quadratic(f, db, top)
+
+
+def _ref_refine_quadratic(f, db, i):
+    x1, x2, x3 = f[i - 1], f[i], f[i + 1]
+    y1, y2, y3 = db[i - 1], db[i], db[i + 1]
+    if not (np.isfinite(y1) and np.isfinite(y2) and np.isfinite(y3)):
+        return float(x2), float(y2)
+    d1 = (y2 - y1) / (x2 - x1)
+    d2 = (y3 - y2) / (x3 - x2)
+    curv = (d2 - d1) / (x3 - x1)
+    if curv == 0.0:
+        return float(x2), float(y2)
+    x_star = 0.5 * (x1 + x2) - d1 / (2.0 * curv)
+    x_star = min(max(x_star, x1), x3)
+    y_star = y1 + d1 * (x_star - x1) + curv * (x_star - x1) * (x_star - x2)
+    return float(x_star), float(y_star)
+
+
+def _ref_bandwidth(f, db, band, peak_level, f_peak, which):
+    target = peak_level - 3.0
+    f_lo = _ref_cross_left(f, db, band[0], target, which)
+    f_hi = _ref_cross_right(f, db, band[-1], target, which)
+    return (f_hi - f_lo) / f_peak
+
+
+def _ref_cross_left(f, db, start, target, which):
+    for i in range(start - 1, -1, -1):
+        if db[i] < target:
+            if not np.isfinite(db[i]):
+                return float(f[i])
+            frac = (target - db[i]) / (db[i + 1] - db[i])
+            return float(f[i] + frac * (f[i + 1] - f[i]))
+    raise TruncatedBandError(
+        f"low-side 3 dB crossing of the {which} band lies below the swept range",
+        side=f"{which}-low",
+    )
+
+
+def _ref_cross_right(f, db, start, target, which):
+    for i in range(start + 1, len(f)):
+        if db[i] < target:
+            if not np.isfinite(db[i]):
+                return float(f[i])
+            frac = (target - db[i]) / (db[i - 1] - db[i])
+            return float(f[i] - frac * (f[i] - f[i - 1]))
+    raise TruncatedBandError(
+        f"high-side 3 dB crossing of the {which} band lies above the swept range",
+        side=f"{which}-high",
+    )
+
+
+def _oracle_stack_table(rng, ref_circuit):
+    """Swept first-order stack: lossless or lossy, TE/TM, 0-80 deg, on a
+    grid that may hold the exact zero and may cut a band short."""
+    scale = np.exp(rng.normal(0.0, 0.1, 5))
+    circuit = ExtractedCircuit(
+        *(v * s for v, s in zip(
+            (ref_circuit.L_series, ref_circuit.C_series, ref_circuit.L_tank,
+             ref_circuit.C_tank, ref_circuit.L_parasitic),
+            scale,
+        ))
+    )
+    loss = bool(rng.integers(2))
+    sub = Substrate(
+        rng.uniform(0.1e-3, 1.0e-3),
+        rng.uniform(2.0, 10.2),
+        rng.uniform(0.0005, 0.005) if loss else 0.0,
+    )
+    inc = Incidence(math.radians(rng.uniform(0.0, 80.0)), ("TE", "TM")[rng.integers(2)])
+    pred = predict_resonances(circuit)
+    # the swept upper peak lies well above the tank-only prediction
+    f_start = pred.f_lower * rng.uniform(0.2, 1.1)
+    f_stop = pred.f_upper * rng.uniform(2.0, 4.0)
+    grid = np.linspace(f_start, f_stop, int(rng.integers(150, 900)))
+    if rng.random() < 0.5 and f_start < pred.f_zero < f_stop:
+        grid = np.union1d(grid, [pred.f_zero])
+    stack = build_first_order(circuit, sub, inc, loss)
+    return sweep_at(stack, grid)
+
+
+def _oracle_lorentz_table(rng):
+    """One to three Lorentzian passbands, some clipped by the grid edges."""
+    f = np.linspace(1e9, 10e9, int(rng.integers(80, 700)))
+    s21 = np.zeros(f.size, dtype=complex)
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        fc = rng.uniform(0.5e9, 10.5e9)
+        width = rng.uniform(0.1e9, 1.5e9)
+        s21 += rng.uniform(0.6, 1.0) / (1 + 2j * (f - fc) / width)
+    if rng.random() < 0.3:
+        s21[rng.integers(f.size)] = 0j
+    return ResponseTable(f, np.zeros_like(s21), s21)
+
+
+def _oracle_tiny_table(rng):
+    """3-7 samples of arbitrary levels, with exact zeros, NaN and ties."""
+    n = int(rng.integers(3, 8))
+    f = np.cumsum(rng.uniform(0.1e9, 1e9, n)) + 1e9
+    mag = rng.choice([0.0, 0.05, 0.5, 0.7, 0.9, 1.0, rng.uniform(0.0, 1.2)], n)
+    if rng.random() < 0.1:
+        mag[rng.integers(n)] = np.nan
+    s21 = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    return ResponseTable(f, np.zeros(n, dtype=complex), s21)
+
+
+def _outcome(fn, table):
+    try:
+        rep = fn(table)
+    except FssError as exc:
+        return (
+            "error",
+            type(exc),
+            str(exc),
+            getattr(exc, "band_count", None),
+            getattr(exc, "side", None),
+        )
+    return ("report",) + tuple(float(v).hex() for v in astuple(rep))
+
+
+def test_band_report_matches_reference_loop(ref_circuit):
+    rng = np.random.default_rng(20261018)
+    # stack / noisy / lorentz / tiny in a 7:5:5:3 mix
+    kinds = ["stack"] * 7 + ["noisy"] * 5 + ["lorentz"] * 5 + ["tiny"] * 3
+    draws = 1200
+    reports = dict.fromkeys(kinds, 0)
+    errors = {}
+    for k in range(draws):
+        kind = kinds[k % len(kinds)]
+        if kind in ("stack", "noisy"):
+            table = _oracle_stack_table(rng, ref_circuit)
+            if kind == "noisy":
+                n = len(table)
+                sigma = rng.uniform(1e-3, 1e-2)
+                noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                table = ResponseTable(table.frequency, table.s11, table.s21 + noise)
+        elif kind == "lorentz":
+            table = _oracle_lorentz_table(rng)
+        else:
+            table = _oracle_tiny_table(rng)
+        want = _outcome(_reference_band_report, table)
+        got = _outcome(band_report, table)
+        assert got == want, (k, kind)
+        if want[0] == "report":
+            reports[kind] += 1
+        else:
+            errors[want[1].__name__] = errors.get(want[1].__name__, 0) + 1
+    raised = sum(errors.values())
+    print(f"band_report oracle: {draws} draws, {raised} raised {errors}, reports {reports}")
+    assert draws - raised >= 0.3 * draws

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsskit import band_report, extract_circuit, load_response, predict_resonances
+import fsskit
+from fsskit import band_report, extract_circuit, load_response, predict_resonances, topology
 from fsskit.cli import main, run
 from fsskit.errors import ConfigError
 
@@ -119,6 +121,38 @@ def test_angular_oblique_files(tmp_path):
     assert (out / "response_te_30deg.csv").read_bytes() != (
         out / "response_tm_30deg.csv"
     ).read_bytes()
+
+
+def test_angular_rejects_entries_sharing_an_output_file(tmp_path, capsys):
+    # 10.0, 10.000001 and 10 all print as "10deg"; six sweeps would leave
+    # two files behind
+    cfg = _load_config("sc_band_first_order.json")
+    cfg["incidence"] = {"theta_deg": [10.0, 10.000001, 10], "polarization": ["TE", "TM"]}
+    cfg["sweep"]["n_points"] = 101
+    out = tmp_path / "out"
+    code = main(["angular", str(_write(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: incidence:")
+    assert "\n" not in err.strip()
+    for entry in ("theta_deg 10.0 TE", "theta_deg 10.000001 TE", "theta_deg 10 TE",
+                  "response_te_10deg.csv", "response_tm_10deg.csv"):
+        assert entry in err
+    assert not list(out.glob("response_*.csv"))
+
+
+def test_analyze_evaluates_the_stack_once(tmp_path, monkeypatch):
+    calls = []
+    engine = topology._response_arrays
+
+    def counted(stack, freqs, want_s22):
+        calls.append(np.size(freqs))
+        return engine(stack, freqs, want_s22)
+
+    monkeypatch.setattr(topology, "_response_arrays", counted)
+    run("analyze", CONFIGS / "sc_band_first_order.json", tmp_path / "out")
+    cfg = _load_config("sc_band_first_order.json")
+    assert calls == [cfg["sweep"]["n_points"]]
 
 
 def test_sweep_command(tmp_path):
@@ -329,6 +363,10 @@ def test_smoothing_flag(tmp_path):
 
 
 def test_console_entry_subprocess(tmp_path):
+    # the child imports the same fsskit as this test, installed or not
+    src = str(Path(fsskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "out"
     proc = subprocess.run(
         [
@@ -342,6 +380,7 @@ def test_console_entry_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "response.csv").exists()

@@ -175,3 +175,85 @@ def test_load_response_sniffs_both_formats(tmp_path, ref_circuit, ref_substrate)
     write_touchstone(table.frequency, s11, s21, s21, s22, ts_path, ETA0)
     got = load_response(ts_path)
     np.testing.assert_allclose(got.s21, table.s21, atol=1e-11)
+
+
+# --- Byte identity of the writers against a per-cell reference ------------
+
+
+def _ref_cell(x) -> str:
+    """12 significant digits; infinities print as inf/-inf."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.11e}"
+
+
+def _ref_db(z) -> float:
+    mag = abs(z)
+    return 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
+
+
+def _ref_csv_text(table) -> str:
+    lines = [CSV_HEADER]
+    for f, s11, s21 in zip(table.frequency, table.s11, table.s21):
+        cells = (f, s11.real, s11.imag, s21.real, s21.imag, _ref_db(s11), _ref_db(s21))
+        lines.append(",".join(_ref_cell(x) for x in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_touchstone_text(freqs, s11, s21, s12, s22, port_z, comments=()) -> str:
+    lines = [f"! reference impedance {port_z:.6f} ohm"]
+    lines.extend(f"! {c}" for c in comments)
+    lines.append(f"# HZ S RI R {port_z:.6f}")
+    for i, f in enumerate(freqs):
+        cells = [float(f)]
+        for s in (s11, s21, s12, s22):
+            cells += [s[i].real, s[i].imag]
+        lines.append(" ".join(_ref_cell(x) for x in cells))
+    return "\n".join(lines) + "\n"
+
+
+# Values whose printed form is easy to get wrong: signed zeros, the
+# smallest subnormal, infinities and NaN.
+_AWKWARD = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e308, math.inf, -math.inf, math.nan]
+)
+
+
+def _awkward_response(rng, n):
+    freqs = np.sort(rng.uniform(1e6, 1e11, n))
+    freqs[0] = 5e-324  # smallest positive subnormal frequency
+    parts = rng.standard_normal((4, 2, n)) * 10.0 ** rng.uniform(-6, 1, (4, 2, n))
+    for arr in parts.reshape(8, n):
+        hit = rng.random(n) < 0.05
+        arr[hit] = rng.choice(_AWKWARD, hit.sum())
+    s = parts[:, 0].astype(complex)  # not re + 1j*im: 1j*inf has a NaN real part
+    s.imag = parts[:, 1]
+    # exact nulls (-inf dB) and a magnitude that underflows in the dB column
+    s[:, rng.random(n) < 0.05] = 0j
+    s[:, -1] = complex(-0.0, -0.0)
+    s[1, 0] = complex(5e-324, -0.0)
+    return freqs, s
+
+
+@pytest.mark.parametrize("n", [2, 2047, 2048, 2049, 5001])
+def test_writers_match_per_cell_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    freqs, (s11, s21, s12, s22) = _awkward_response(rng, n)
+    table = ResponseTable(freqs, s11, s21)
+    csv_path = tmp_path / "response.csv"
+    write_response_csv(table, csv_path)
+    assert csv_path.read_bytes() == _ref_csv_text(table).encode()
+
+    ts_path = tmp_path / "response.s2p"
+    comments = ("incidence theta = 10.000 deg, polarization = TM",)
+    write_touchstone(freqs, s11, s21, s12, s22, ts_path, 50.0, comments=comments)
+    want = _ref_touchstone_text(freqs, s11, s21, s12, s22, 50.0, comments)
+    assert ts_path.read_bytes() == want.encode()
+
+
+def test_touchstone_writer_with_no_rows(tmp_path):
+    path = tmp_path / "empty.s2p"
+    empty = np.array([], dtype=complex)
+    write_touchstone(np.array([]), empty, empty, empty, empty, path, ETA0)
+    want = _ref_touchstone_text([], empty, empty, empty, empty, ETA0)
+    assert path.read_bytes() == want.encode()
