@@ -39,16 +39,15 @@ table = sweep(stack, 1 * GHZ, 8 * GHZ, 801)
 ripple = 2e-3 * (rng.standard_normal(len(table)) + 1j * rng.standard_normal(len(table)))
 bench = ResponseTable(table.frequency, table.s11, table.s21 + ripple)
 
-workdir = Path(tempfile.mkdtemp(prefix="fss_fit_"))
-s2p = workdir / "bench.s2p"
 _, s21, s22 = stack_response_full(stack, table.frequency)
-write_touchstone(
-    bench.frequency, bench.s11, bench.s21, bench.s21, s22, s2p, ETA0,
-    comments=("synthetic bench trace with 2e-3 ripple",),
-)
-print(f"wrote {s2p}")
-
-imported = load_response(s2p)
+with tempfile.TemporaryDirectory(prefix="fss_fit_") as workdir:
+    s2p = Path(workdir) / "bench.s2p"
+    write_touchstone(
+        bench.frequency, bench.s11, bench.s21, bench.s21, s22, s2p, ETA0,
+        comments=("synthetic bench trace with 2e-3 ripple",),
+    )
+    print(f"wrote {s2p}")
+    imported = load_response(s2p)
 smoothed = smooth_response(imported, 0.1 * GHZ)
 print(f"imported {len(imported)} rows; smoothed over 0.1 GHz")
 

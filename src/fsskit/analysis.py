@@ -9,7 +9,6 @@ responses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     TruncatedBandError,
 )
 from .extraction import FirstOrderGeometry, extract_circuit
+from .lumped import SeriesLC
 from .topology import FssStack, Incidence, Substrate, build_first_order, stack_response
 
 # Local maxima qualify as passband peaks above this absolute level, and a
@@ -224,8 +224,10 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
 
 def _bandwidth(f, db, band, peak_level, f_peak, which) -> float:
     """Fractional 3 dB width: crossings of (peak - 3 dB) found by linear
-    interpolation outward from the band's outermost peaks."""
+    interpolation outward from the band's outermost peaks that reach the
+    target level (a grouped peak under it would bracket no crossing)."""
     target = peak_level - 3.0
+    band = [i for i in band if db[i] >= target] or band
     f_lo = _cross_left(f, db, band[0], target, which)
     f_hi = _cross_right(f, db, band[-1], target, which)
     return (f_hi - f_lo) / f_peak
@@ -285,11 +287,7 @@ def parametric_sweep(
         raise EmptySweepError(f"no values supplied for parameter {param!r}")
     if param not in FirstOrderGeometry.__dataclass_fields__:
         raise InvalidParameterError(f"unknown geometry parameter {param!r}")
-    if not 0.0 < f_start < f_stop:
-        raise InvalidParameterError(
-            f"need 0 < f_start < f_stop, got {f_start}, {f_stop}"
-        )
-    grid = np.linspace(f_start, f_stop, n_points)
+    grid = _grid(f_start, f_stop, n_points, "linear")
 
     points = []
     for value in values:
@@ -298,9 +296,7 @@ def parametric_sweep(
             circuit = extract_circuit(geom)
             sub = Substrate(geom.thickness, geom.eps_r, geom.tan_delta)
             stack = build_first_order(circuit, sub, inc, dielectric_loss)
-            f_zero = 1.0 / (
-                2.0 * math.pi * math.sqrt(circuit.L_series * circuit.C_series)
-            )
+            f_zero = SeriesLC(circuit.L_series, circuit.C_series).resonance()
             this_grid = grid
             if f_start < f_zero < f_stop:
                 this_grid = np.union1d(grid, [f_zero])

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +25,14 @@ from .errors import ConfigError, EmptySweepError, FssError
 from .extraction import ExtractedCircuit, FirstOrderGeometry, extract_circuit, predict_resonances
 from .fileio import load_response, write_response_csv, write_touchstone
 from .lumped import SeriesLC, Tank
-from .synthesis import DesignTargets, circuit_from_targets, fit_circuit, geometry_from_circuit
+from .synthesis import (
+    FIRST_ORDER_PARAMS,
+    SECOND_ORDER_PARAMS,
+    DesignTargets,
+    circuit_from_targets,
+    fit_circuit,
+    geometry_from_circuit,
+)
 from .topology import (
     FssStack,
     Incidence,
@@ -39,38 +47,61 @@ GHZ = 1e9
 NH = 1e-9
 PF = 1e-12
 MM = 1e-3
+# A number's key names its unit; keys without one of these suffixes are
+# dimensionless.
+_UNITS = {"GHz": GHZ, "nH": NH, "pF": PF, "mm": MM}
 
 _GEOM_KEYS = {
-    "period_mm": "period",
-    "hat_length_mm": "hat_length",
-    "jc_slot_mm": "jc_slot",
-    "cross_slot_mm": "cross_slot",
-    "jc_gap_mm": "jc_gap",
+    f"{name}_mm": name for name in ("period", "hat_length", "jc_slot", "cross_slot", "jc_gap")
 }
-_CIRCUIT_KEYS = {
-    "L_series_nH": ("L_series", NH),
-    "C_series_pF": ("C_series", PF),
-    "L_tank_nH": ("L_tank", NH),
-    "C_tank_pF": ("C_tank", PF),
-    "L_parasitic_nH": ("L_parasitic", NH),
-}
+_TEMPLATES = {"first_order": FIRST_ORDER_PARAMS, "second_order": SECOND_ORDER_PARAMS}
+
+
+def _element_keys(names) -> dict:
+    """Config key -> circuit element name: the name plus _nH or _pF."""
+    return {name + ("_nH" if name.startswith("L") else "_pF"): name for name in names}
 
 
 def _fail(key: str, expected: str):
     raise ConfigError(f"{key}: expected {expected}")
 
 
-def _number(block: dict, key: str, context: str, unit: str, *, positive=True, default=None):
-    if key not in block:
-        if default is not None:
-            return default
-        _fail(f"{context}.{key}", f"number ({unit})")
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{context}.{key}", f"number ({unit})")
-    if positive and not v > 0:
-        _fail(f"{context}.{key}", f"positive number ({unit})")
-    return float(v)
+def _positive(v) -> bool:
+    return 0 < v < math.inf
+
+
+def _value(v, path: str, expected: str, ok):
+    """``v`` unchanged if it is a JSON number, not a boolean, for which
+    ``ok`` holds; every numeric config leaf goes through here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(v):
+        _fail(path, expected)
+    return v
+
+
+def _integer(block: dict, key: str, context: str, default: int, minimum: int) -> int:
+    return _value(
+        block.get(key, default),
+        f"{context}.{key}",
+        f"integer >= {minimum}",
+        lambda v: isinstance(v, int) and v >= minimum,
+    )
+
+
+def _number(block: dict, key: str, context: str, minimum=None, default=None) -> float:
+    """``block[key]`` in SI units, scaled by the unit its key ends with: a
+    finite number that is positive, or at least ``minimum`` when given."""
+    unit = key.rsplit("_", 1)[-1]
+    if minimum is None:
+        expected, ok = "positive number", _positive
+    else:
+        expected, ok = f"number >= {minimum}", lambda v: minimum <= v < math.inf
+    v = _value(
+        block.get(key, default),
+        f"{context}.{key}",
+        f"{expected} ({unit if unit in _UNITS else 'dimensionless'})",
+        ok,
+    )
+    return v * _UNITS.get(unit, 1.0)
 
 
 def _block(cfg: dict, key: str, context: str = "") -> dict:
@@ -103,64 +134,56 @@ def load_config(path) -> dict:
 def _parse_substrate(design: dict) -> Substrate:
     sub = _block(design, "substrate", "design")
     _check_keys(sub, ("thickness_mm", "eps_r", "tan_delta"), "design.substrate")
-    thickness = _number(sub, "thickness_mm", "design.substrate", "mm") * MM
-    eps_r = _number(sub, "eps_r", "design.substrate", "dimensionless")
-    if eps_r < 1.0:
-        _fail("design.substrate.eps_r", "number >= 1")
-    tan_delta = _number(
-        sub, "tan_delta", "design.substrate", "dimensionless", positive=False, default=0.0
+    return Substrate(
+        _number(sub, "thickness_mm", "design.substrate"),
+        _number(sub, "eps_r", "design.substrate", minimum=1),
+        _number(sub, "tan_delta", "design.substrate", minimum=0, default=0.0),
     )
-    if tan_delta < 0.0:
-        _fail("design.substrate.tan_delta", "number >= 0")
-    return Substrate(thickness, eps_r, tan_delta)
 
 
 def _parse_geometry(design: dict, sub: Substrate) -> FirstOrderGeometry:
     geo = _block(design, "geometry", "design")
     _check_keys(geo, _GEOM_KEYS, "design.geometry")
-    kwargs = {
-        field: _number(geo, key, "design.geometry", "mm") * MM
-        for key, field in _GEOM_KEYS.items()
-    }
+    kwargs = {field: _number(geo, key, "design.geometry") for key, field in _GEOM_KEYS.items()}
     return FirstOrderGeometry(
         thickness=sub.thickness, eps_r=sub.eps_r, tan_delta=sub.tan_delta, **kwargs
     )
 
 
 def _parse_circuit(block: dict, context: str) -> ExtractedCircuit:
-    _check_keys(block, _CIRCUIT_KEYS, context)
-    values = {}
-    for key, (field, scale) in _CIRCUIT_KEYS.items():
-        if field == "L_parasitic":
-            values[field] = (
-                _number(block, key, context, "nH", positive=False, default=0.0) * scale
-            )
-        else:
-            values[field] = _number(block, key, context, key.rsplit("_", 1)[1]) * scale
-    return ExtractedCircuit(**values)
+    keys = _element_keys(FIRST_ORDER_PARAMS)
+    _check_keys(block, keys, context)
+    return ExtractedCircuit(
+        **{
+            name: _number(block, key, context, minimum=0, default=0.0)
+            if name == "L_parasitic"
+            else _number(block, key, context)
+            for key, name in keys.items()
+        }
+    )
 
 
-def _parse_loss(design: dict) -> bool:
-    loss = design.get("dielectric_loss", False)
-    if not isinstance(loss, bool):
-        _fail("design.dielectric_loss", "boolean")
-    return loss
-
-
-def _parse_design(cfg: dict):
-    """Returns (stack builder taking an Incidence, substrate, geometry-or-None,
-    circuit-or-None, order)."""
+def _read_design(cfg: dict):
+    """The part of the design block every command reads: returns (design
+    block with its keys checked, substrate, dielectric_loss)."""
     design = _block(cfg, "design")
     _check_keys(
         design,
         ("order", "circuit", "geometry", "substrate", "dielectric_loss", "outer", "middle"),
         "design",
     )
+    loss = design.get("dielectric_loss", False)
+    if not isinstance(loss, bool):
+        _fail("design.dielectric_loss", "boolean")
+    return design, _parse_substrate(design), loss
+
+
+def _parse_design(cfg: dict):
+    """Returns (stack builder taking an Incidence, geometry-or-None, loss)."""
+    design, sub, loss = _read_design(cfg)
     order = design.get("order", "first")
     if order not in ("first", "second"):
         _fail("design.order", "'first' or 'second'")
-    loss = _parse_loss(design)
-    sub = _parse_substrate(design)
 
     if order == "first":
         has_geo = "geometry" in design
@@ -179,7 +202,7 @@ def _parse_design(cfg: dict):
         def builder(inc: Incidence) -> FssStack:
             return build_first_order(circuit, sub, inc, loss)
 
-        return builder, sub, geometry, circuit, order, loss
+        return builder, geometry, loss
 
     if "outer" not in design or "middle" not in design:
         raise ConfigError("design: second-order designs need 'outer' and 'middle' blocks")
@@ -193,33 +216,31 @@ def _parse_design(cfg: dict):
         _check_keys(entry, ("L_nH", "C_pF"), f"design.outer[{i}]")
         branches.append(
             SeriesLC(
-                _number(entry, "L_nH", f"design.outer[{i}]", "nH") * NH,
-                _number(entry, "C_pF", f"design.outer[{i}]", "pF") * PF,
+                _number(entry, "L_nH", f"design.outer[{i}]"),
+                _number(entry, "C_pF", f"design.outer[{i}]"),
             )
         )
     middle_block = _block(design, "middle", "design")
     _check_keys(middle_block, ("L_tank_nH", "C_tank_pF"), "design.middle")
     middle = Tank(
-        _number(middle_block, "L_tank_nH", "design.middle", "nH") * NH,
-        _number(middle_block, "C_tank_pF", "design.middle", "pF") * PF,
+        _number(middle_block, "L_tank_nH", "design.middle"),
+        _number(middle_block, "C_tank_pF", "design.middle"),
     )
 
     def builder(inc: Incidence) -> FssStack:
         return build_second_order((branches[0], branches[1]), middle, sub, inc, loss)
 
-    return builder, sub, None, None, order, loss
+    return builder, None, loss
 
 
 def _parse_sweep(cfg: dict):
     blk = _block(cfg, "sweep")
     _check_keys(blk, ("f_start_GHz", "f_stop_GHz", "n_points", "spacing"), "sweep")
-    f_start = _number(blk, "f_start_GHz", "sweep", "GHz") * GHZ
-    f_stop = _number(blk, "f_stop_GHz", "sweep", "GHz") * GHZ
+    f_start = _number(blk, "f_start_GHz", "sweep")
+    f_stop = _number(blk, "f_stop_GHz", "sweep")
     if not f_start < f_stop:
         _fail("sweep.f_stop_GHz", "value greater than f_start_GHz")
-    n_points = blk.get("n_points", 1401)
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 2:
-        _fail("sweep.n_points", "integer >= 2")
+    n_points = _integer(blk, "n_points", "sweep", 1401, 2)
     spacing = blk.get("spacing", "linear")
     if spacing not in ("linear", "log"):
         _fail("sweep.spacing", "'linear' or 'log'")
@@ -227,29 +248,25 @@ def _parse_sweep(cfg: dict):
 
 
 def _parse_incidence_single(cfg: dict) -> Incidence:
-    blk = cfg.get("incidence", {"theta_deg": 0.0, "polarization": "TE"})
-    if not isinstance(blk, dict):
-        _fail("incidence", "object")
-    _check_keys(blk, ("theta_deg", "polarization"), "incidence")
-    theta = blk.get("theta_deg", 0.0)
-    pol = blk.get("polarization", "TE")
-    if isinstance(theta, list) or isinstance(pol, list):
+    """The one-entry case of the incidence lists, normal TE by default."""
+    blk = cfg.get("incidence", {})
+    if isinstance(blk, dict) and (
+        isinstance(blk.get("theta_deg"), list) or isinstance(blk.get("polarization"), list)
+    ):
         raise ConfigError(
             "incidence: this command takes a single theta_deg/polarization "
             "(lists are for the 'angular' command)"
         )
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < 90:
-        _fail("incidence.theta_deg", "number in [0, 90) (degrees)")
-    if pol not in ("TE", "TM"):
-        _fail("incidence.polarization", "'TE' or 'TM'")
-    return Incidence(math.radians(float(theta)), pol)
+    ((_, inc),) = _parse_incidence_lists({"incidence": blk}, ("TE",))
+    return inc
 
 
-def _parse_incidence_lists(cfg: dict):
+def _parse_incidence_lists(cfg: dict, polarizations=("TE", "TM")):
+    """(output file name, Incidence) for each theta_deg/polarization pair."""
     blk = _block(cfg, "incidence")
     _check_keys(blk, ("theta_deg", "polarization"), "incidence")
     thetas = blk.get("theta_deg", [0.0])
-    pols = blk.get("polarization", ["TE", "TM"])
+    pols = blk.get("polarization", list(polarizations))
     if not isinstance(thetas, list):
         thetas = [thetas]
     if not isinstance(pols, list):
@@ -259,11 +276,10 @@ def _parse_incidence_lists(cfg: dict):
     out = []
     entries: dict[str, list] = {}
     for theta in thetas:
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < 90:
-            _fail("incidence.theta_deg", "numbers in [0, 90) (degrees)")
+        _value(theta, "incidence.theta_deg", "number in [0, 90) (degrees)", lambda v: 0 <= v < 90)
         for pol in pols:
             if pol not in ("TE", "TM"):
-                _fail("incidence.polarization", "'TE' or 'TM' entries")
+                _fail("incidence.polarization", "'TE' or 'TM'")
             name = f"response_{pol.lower()}_{float(theta):g}deg.csv"
             entries.setdefault(name, []).append(f"theta_deg {theta!r} {pol}")
             out.append((name, Incidence(math.radians(float(theta)), pol)))
@@ -309,7 +325,7 @@ def _band_report_text(rep) -> str:
 def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
     """Response files carry the raw model data; smoothing (if any) applies
     only to the band report, mirroring how measured traces are treated."""
-    builder, _, _, _, _, _ = _parse_design(cfg)
+    builder, _, _ = _parse_design(cfg)
     inc = _parse_incidence_single(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
     freqs = _grid(f_start, f_stop, n_points, spacing)
@@ -336,8 +352,8 @@ def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
 
 
 def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
-    builder, sub, geometry, _, order, loss = _parse_design(cfg)
-    if order != "first" or geometry is None:
+    _, geometry, loss = _parse_design(cfg)
+    if geometry is None:
         raise ConfigError(
             "sweep: parametric sweeps need a first-order design specified by geometry"
         )
@@ -350,18 +366,16 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
     values = blk.get("values_mm")
     if not isinstance(values, list):
         _fail("parametric.values_mm", "list of numbers (mm)")
-    if not values:
-        raise EmptySweepError("parametric.values_mm: empty sweep")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            _fail("parametric.values_mm", "positive numbers (mm)")
+    values = [
+        _value(v, "parametric.values_mm", "positive numbers (mm)", _positive) * MM for v in values
+    ]
     inc = _parse_incidence_single(cfg)
     f_start, f_stop, n_points, _ = _parse_sweep(cfg)
 
     points = parametric_sweep(
         geometry,
         param,
-        [v * MM for v in values],
+        values,
         f_start,
         f_stop,
         n_points,
@@ -387,28 +401,15 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
         )
         for pt in points:
             if pt.report is None:
-                writer.writerow([param, f"{pt.value:.11e}"] + [""] * 8 + [pt.error])
+                metrics = [""] * 8 + [pt.error]
             else:
-                r = pt.report
-                writer.writerow(
-                    [
-                        param,
-                        f"{pt.value:.11e}",
-                        f"{r.f_lower:.11e}",
-                        f"{r.f_zero:.11e}",
-                        f"{r.f_upper:.11e}",
-                        f"{r.bw_lower:.11e}",
-                        f"{r.bw_upper:.11e}",
-                        f"{r.il_lower_db:.11e}",
-                        f"{r.il_upper_db:.11e}",
-                        f"{r.separation:.11e}",
-                        "",
-                    ]
-                )
+                # BandReport's field order is the column order
+                metrics = [f"{x:.11e}" for x in astuple(pt.report)] + [""]
+            writer.writerow([param, f"{pt.value:.11e}"] + metrics)
 
 
 def _cmd_angular(cfg, outdir: Path, config_path, smooth_ghz):
-    builder, _, _, _, _, _ = _parse_design(cfg)
+    builder, _, _ = _parse_design(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
     for name, inc in _parse_incidence_lists(cfg):
         table = sweep(builder(inc), f_start, f_stop, n_points, spacing)
@@ -422,21 +423,18 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
         ("f_lower_GHz", "f_upper_GHz", "f_zero_GHz", "L_tank_nH", "period_mm"),
         "targets",
     )
-    f_lower = _number(blk, "f_lower_GHz", "targets", "GHz") * GHZ
-    f_upper = _number(blk, "f_upper_GHz", "targets", "GHz") * GHZ
+    f_lower = _number(blk, "f_lower_GHz", "targets")
+    f_upper = _number(blk, "f_upper_GHz", "targets")
     f_zero = blk.get("f_zero_GHz")
     if f_zero is not None:
-        if isinstance(f_zero, bool) or not isinstance(f_zero, (int, float)) or f_zero <= 0:
-            _fail("targets.f_zero_GHz", "positive number (GHz) or null")
-        f_zero = float(f_zero) * GHZ
-    l_tank = _number(blk, "L_tank_nH", "targets", "nH", default=4.0) * NH
+        f_zero = GHZ * _value(
+            f_zero, "targets.f_zero_GHz", "positive number (GHz) or null", _positive
+        )
+    l_tank = _number(blk, "L_tank_nH", "targets", default=4.0)
     # Default period: one fifteenth of the free-space wavelength at the
     # lower band center, the usual subwavelength working point.
-    period = _number(
-        blk, "period_mm", "targets", "mm", default=(C0 / f_lower) / 15.0 / MM
-    ) * MM
-    design = _block(cfg, "design")
-    sub = _parse_substrate(design)
+    period = _number(blk, "period_mm", "targets", default=(C0 / f_lower) / 15.0 / MM)
+    _, sub, _ = _read_design(cfg)
 
     targets = DesignTargets(f_lower, f_upper, f_zero, l_tank)
     circuit = circuit_from_targets(targets)
@@ -499,29 +497,19 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     if not data_file.exists():
         raise ConfigError(f"fit.data: file not found: {data_file}")
     template = blk.get("template", "first_order")
-    if template not in ("first_order", "second_order"):
+    if template not in _TEMPLATES:
         _fail("fit.template", "'first_order' or 'second_order'")
+    # A key missing from the template is left to fit_circuit, which names it.
+    keys = _element_keys(_TEMPLATES[template])
     initial_block = _block(blk, "initial", "fit")
-    initial = {}
-    for key, raw in initial_block.items():
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
-            _fail(f"fit.initial.{key}", "positive number")
-        if key.endswith("_nH"):
-            initial[key[:-3]] = float(raw) * NH
-        elif key.endswith("_pF"):
-            initial[key[:-3]] = float(raw) * PF
-        else:
-            _fail(f"fit.initial.{key}", "key suffixed with _nH or _pF")
+    _check_keys(initial_block, keys, "fit.initial")
+    initial = {keys[key]: _number(initial_block, key, "fit.initial") for key in initial_block}
     magnitude_only = blk.get("magnitude_only", False)
     if not isinstance(magnitude_only, bool):
         _fail("fit.magnitude_only", "boolean")
-    max_iter = blk.get("max_iter", 200)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
-        _fail("fit.max_iter", "integer >= 0")
+    max_iter = _integer(blk, "max_iter", "fit", 200, 0)
 
-    design = _block(cfg, "design")
-    sub = _parse_substrate(design)
-    loss = _parse_loss(design)
+    _, sub, loss = _read_design(cfg)
     inc = _parse_incidence_single(cfg)
 
     data = _apply_smoothing(load_response(data_file), smooth_ghz)
@@ -588,15 +576,16 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument(
-            "--smooth-ghz",
-            type=float,
-            default=None,
-            help="moving-average window (GHz) applied before reporting/fitting",
-        )
+        if name in ("analyze", "fit"):
+            cmd.add_argument(
+                "--smooth-ghz",
+                type=float,
+                default=None,
+                help="moving-average window (GHz) applied before reporting/fitting",
+            )
     args = parser.parse_args(argv)
     try:
-        run(args.command, args.config, args.out, args.smooth_ghz)
+        run(args.command, args.config, args.out, getattr(args, "smooth_ghz", None))
     except ConfigError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 2

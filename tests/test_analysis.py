@@ -18,7 +18,7 @@ from fsskit import (
     sweep,
     sweep_at,
 )
-from fsskit.analysis import BAND_THRESHOLD_DB, ZERO_FLOOR_DB
+from fsskit.analysis import BAND_THRESHOLD_DB, ZERO_FLOOR_DB, _refine_quadratic
 from fsskit.errors import (
     BandStructureError,
     EmptySweepError,
@@ -166,6 +166,24 @@ def test_refined_frequencies_inside_bracketing_interval(ref_circuit, ref_substra
         assert f[i - 1] <= value <= f[i]
 
 
+def test_3db_edges_lie_between_their_bracketing_samples():
+    # Each band groups a +1 dB peak with an outer -2.2 dB one, which sits
+    # under the band's -1.9 dB target (|S21| above 0 dB, as in noisy
+    # measured data): the edges are bracketed by the +1 dB peak and its
+    # outer neighbours, never by two samples that are both under the target.
+    f = np.arange(1.0, 13.0) * 1e9
+    db = np.array([-20, -5, 1, -2.5, -2.2, -40, -10, -2.2, -2.5, 1, -5, -20.0])
+    rep = band_report(ResponseTable(f, np.zeros(12, complex), 10 ** (db / 20) + 0j))
+    for top, bw, f_peak in ((2, rep.bw_lower, rep.f_lower), (9, rep.bw_upper, rep.f_upper)):
+        target = _refine_quadratic(f, db, top)[1] - 3.0
+        lo, hi = top - 1, top + 1
+        assert db[lo] < target <= db[top] and db[hi] < target
+        f_lo = f[lo] + (target - db[lo]) / (db[top] - db[lo]) * (f[top] - f[lo])
+        f_hi = f[hi] - (target - db[hi]) / (db[top] - db[hi]) * (f[hi] - f[top])
+        assert f[lo] < f_lo < f[top] < f_hi < f[hi]
+        assert bw == pytest.approx((f_hi - f_lo) / f_peak, rel=1e-12)
+
+
 def test_parametric_sweep_error_propagation(nominal_geometry):
     # second value is geometrically impossible; the sweep must keep going
     points = parametric_sweep(
@@ -301,6 +319,7 @@ def _ref_refine_quadratic(f, db, i):
 
 def _ref_bandwidth(f, db, band, peak_level, f_peak, which):
     target = peak_level - 3.0
+    band = [i for i in band if db[i] >= target] or band
     f_lo = _ref_cross_left(f, db, band[0], target, which)
     f_hi = _ref_cross_right(f, db, band[-1], target, which)
     return (f_hi - f_lo) / f_peak

@@ -66,6 +66,59 @@ def test_analyze_golden_bytes(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# The same for every other command on its demo config, and for a sweep
+# whose points fail (an impossible geometry, a one-band response), so the
+# error rows of parametric.csv are pinned too.  run_meta.json is the only
+# file left out: it carries the timestamp.
+COMMAND_GOLDEN_SHA256 = {
+    "analyze-geometry": ("analyze", "sc_band_geometry.json", {}, {
+        "band_report.txt": "bb203bfde5b33584543d519605d6cba9b0bb6de0d277a9c6154cfd11db1a2980",
+        "response.csv": "9b4f6859c313a2707d6469394e7725dd3277d92d0b61d0c555b0d38789658b38",
+        "response.s2p": "16ac56c568d92f659dcbaa05449874eac4d45d394a716039e61bde3ea46690ff",
+    }),
+    "analyze-second-order": ("analyze", "second_order.json", {}, {
+        "band_report.txt": "2355f2cf2058fa4a465af332215969129c60a2c888329b1241a7db1b2ef0832f",
+        "response.csv": "ffa16bc99fea5eea2055991aeea5211c146532afb3cc5276c1d87760c5383ee3",
+        "response.s2p": "5f0600b9f23535693e61467b178b8f7968cfe7884543ae3cfb4337822b42fcc7",
+    }),
+    "sweep": ("sweep", "parametric_hat_length.json", {}, {
+        "parametric.csv": "45f406b252fde4add37a2664bba14cb0d3993035f66da89bab5399a29746dcaa",
+    }),
+    "sweep-error-rows": ("sweep", "parametric_hat_length.json", {
+        "parametric": {"param": "hat_length", "values_mm": [3.0, 9.0, 0.1]},
+        "sweep": {"f_start_GHz": 0.5, "f_stop_GHz": 30.0, "n_points": 601},
+    }, {
+        "parametric.csv": "6018b2ae0c0cd14569bbc0aaa322979c6340c12f89aea245e7670abc6b6dc60b",
+    }),
+    "angular": ("angular", "angular_scan.json", {}, {
+        "response_te_0deg.csv": "1c467d7428f842738a9189329655adfb4c1ab5b8ca2bb8be2be929080f3593ad",
+        "response_te_15deg.csv": "e3d7fe8e88078ff826fff90ae64f46813d2a9d14fd07587080665b8f2b1f9808",
+        "response_te_30deg.csv": "779146f5b22e1f0b50ca3de307d4c612f23f3b0379e635e07149d180405d29d3",
+        "response_te_45deg.csv": "5359772e92418de96de9d69d545605cc01935196fd50b0c961abc8cf06a8a588",
+        "response_tm_0deg.csv": "1c467d7428f842738a9189329655adfb4c1ab5b8ca2bb8be2be929080f3593ad",
+        "response_tm_15deg.csv": "709112f4fad43c74e7e18533701eccf98b0a998ee035b4ec7fe532c0010e5910",
+        "response_tm_30deg.csv": "2ac19b9ab4576812e0f273cc82ef6d51270724eb39fb619d59162780fab3cf02",
+        "response_tm_45deg.csv": "181d595cc84f8835f211bf39a3a608a46b2363e049bf55edc4b3f5f9cfe28cad",
+    }),
+    "synth": ("synth", "synth_targets.json", {}, {
+        "design.json": "36b30c743cc33eafc76bde3a9fed477758f02c17f7b0e994b820559927eec4c7",
+        "design_report.txt": "f21aaa2bfa4f6767d8d44692d0bdc10c91e2327c330475d4155fc81d1472eda4",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_GOLDEN_SHA256))
+def test_command_golden_bytes(tmp_path, case):
+    command, config, overrides, digests = COMMAND_GOLDEN_SHA256[case]
+    cfg = dict(_load_config(config), **overrides)
+    out = tmp_path / "out"
+    run(command, _write(tmp_path, cfg), out)
+    written = sorted(p.name for p in out.iterdir() if p.name != "run_meta.json")
+    assert written == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_csv_roundtrips_through_importer(tmp_path):
     out = tmp_path / "out"
     run("analyze", CONFIGS / "sc_band_first_order.json", out)
@@ -340,6 +393,199 @@ def test_fit_rejects_non_boolean_dielectric_loss(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config: design.dielectric_loss")
+
+
+_FIT_CONFIG = {
+    "design": {"substrate": {"thickness_mm": 0.635, "eps_r": 10.2}},
+    "fit": {
+        "data": "data.csv",
+        "template": "first_order",
+        "initial": {
+            "L_series_nH": 4.9,
+            "C_series_pF": 0.5,
+            "L_tank_nH": 4.0,
+            "C_tank_pF": 0.35,
+            "L_parasitic_nH": 0.8,
+        },
+        "max_iter": 0,
+    },
+}
+
+
+def _write_fit_data(tmp_path):
+    (tmp_path / "data.csv").write_text(
+        "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n"
+        "1e9,0,0,0.5,0,0,-6\n2e9,0,0,0.5,0,0,-6\n3e9,0,0,0.5,0,0,-6\n"
+    )
+
+
+def _config(base):
+    if base == "fit":
+        return json.loads(json.dumps(_FIT_CONFIG))
+    return _load_config(base)
+
+
+_DELETE = object()
+
+
+def _set(cfg, path, value):
+    *parents, leaf = path.split(".")
+    for key in parents:
+        cfg = cfg[key]
+    if value is _DELETE:
+        del cfg[leaf]
+    else:
+        cfg[leaf] = value
+
+
+def _main_with(tmp_path, command, base, path, value):
+    """Exit code of ``command`` on the base config with one leaf set."""
+    _write_fit_data(tmp_path)
+    cfg = _config(base)
+    _set(cfg, path, value)
+    return main([command, str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+
+
+_FIRST = "sc_band_first_order.json"
+_SECOND = "second_order.json"
+_SWEEP = "parametric_hat_length.json"
+_ANGULAR = "angular_scan.json"
+_SYNTH = "synth_targets.json"
+
+# One malformed leaf per row: command, base config, the leaf and its bad
+# value, then the exit code, the error category and the key path the
+# one-line message must start with.
+ERROR_CONTRACT = [
+    ("analyze", _FIRST, "design.substrate.eps_r", True, 2, "invalid-config",
+     "design.substrate.eps_r"),
+    ("analyze", _FIRST, "design.substrate.tan_delta", -0.1, 2, "invalid-config",
+     "design.substrate.tan_delta"),
+    ("analyze", _FIRST, "design.circuit.L_series_nH", "4.9", 2, "invalid-config",
+     "design.circuit.L_series_nH"),
+    ("analyze", _FIRST, "design.order", "third", 2, "invalid-config", "design.order"),
+    ("analyze", _FIRST, "design.dielectric_loss", 1, 2, "invalid-config",
+     "design.dielectric_loss"),
+    ("analyze", _SECOND, "design.outer", [{"L_nH": 4.9, "C_pF": 0.5}], 2,
+     "invalid-config", "design.outer"),
+    ("analyze", _SECOND, "design.middle.C_tank_pF", 0, 2, "invalid-config",
+     "design.middle.C_tank_pF"),
+    ("analyze", _FIRST, "sweep.n_points", 1, 2, "invalid-config", "sweep.n_points"),
+    ("analyze", _FIRST, "sweep.n_points", 2.0, 2, "invalid-config", "sweep.n_points"),
+    ("analyze", _FIRST, "sweep.f_stop_GHz", 0.5, 2, "invalid-config", "sweep.f_stop_GHz"),
+    ("analyze", _FIRST, "sweep.spacing", "cubic", 2, "invalid-config", "sweep.spacing"),
+    ("analyze", _FIRST, "incidence.theta_deg", 95, 2, "invalid-config",
+     "incidence.theta_deg"),
+    ("analyze", _FIRST, "incidence.theta_deg", True, 2, "invalid-config",
+     "incidence.theta_deg"),
+    ("analyze", _FIRST, "incidence.theta_deg", [0.0, 10.0], 2, "invalid-config",
+     "incidence: this command takes a single"),
+    ("analyze", _FIRST, "incidence.polarization", "XY", 2, "invalid-config",
+     "incidence.polarization"),
+    ("sweep", _SWEEP, "parametric.values_mm", [1.0, True], 2, "invalid-config",
+     "parametric.values_mm"),
+    ("sweep", _SWEEP, "parametric.values_mm", [1.0, -2.0], 2, "invalid-config",
+     "parametric.values_mm"),
+    ("sweep", _SWEEP, "parametric.param", "bogus", 2, "invalid-config",
+     "parametric.param"),
+    # a design given by its circuit has no geometry to sweep
+    ("sweep", _FIRST, "design.dielectric_loss", True, 2, "invalid-config",
+     "sweep: parametric sweeps need"),
+    ("angular", _ANGULAR, "incidence.theta_deg", [0.0, True], 2, "invalid-config",
+     "incidence.theta_deg"),
+    ("angular", _ANGULAR, "incidence.polarization", ["TE", "XY"], 2, "invalid-config",
+     "incidence.polarization"),
+    ("angular", _ANGULAR, "incidence.theta_deg", [], 1, "empty-sweep", "incidence"),
+    ("synth", _SYNTH, "targets.f_zero_GHz", True, 2, "invalid-config",
+     "targets.f_zero_GHz"),
+    ("synth", _SYNTH, "targets.f_zero_GHz", -1, 2, "invalid-config",
+     "targets.f_zero_GHz"),
+    ("synth", _SYNTH, "targets.period_mm", 0, 2, "invalid-config", "targets.period_mm"),
+    ("fit", "fit", "fit.max_iter", -1, 2, "invalid-config", "fit.max_iter"),
+    ("fit", "fit", "fit.max_iter", True, 2, "invalid-config", "fit.max_iter"),
+    ("fit", "fit", "fit.initial.L_tank_nH", True, 2, "invalid-config",
+     "fit.initial.L_tank_nH"),
+    ("fit", "fit", "fit.initial.C_tank_pF", 0, 2, "invalid-config",
+     "fit.initial.C_tank_pF"),
+    ("fit", "fit", "fit.initial.L_series", 4.9, 2, "invalid-config", "fit.initial"),
+    ("fit", "fit", "fit.magnitude_only", "yes", 2, "invalid-config",
+     "fit.magnitude_only"),
+    ("fit", "fit", "fit.template", "third_order", 2, "invalid-config", "fit.template"),
+    ("fit", "fit", "fit.initial.C_tank_pF", _DELETE, 1, "invalid-parameter",
+     "initial guess is missing ['C_tank']"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,base,path,value,code,category,where",
+    ERROR_CONTRACT,
+    ids=[f"{r[0]}-{r[2]}-{r[3]!r}" for r in ERROR_CONTRACT],
+)
+def test_error_contract(tmp_path, capsys, command, base, path, value, code, category, where):
+    got = _main_with(tmp_path, command, base, path, value)
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert err.startswith(f"error: {category}: {where}"), err
+    assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "command,base,path,value",
+    [
+        ("analyze", _FIRST, "design.substrate.tan_delta", float("nan")),
+        ("analyze", _FIRST, "design.substrate.thickness_mm", float("inf")),
+        ("analyze", _FIRST, "design.circuit.L_parasitic_nH", float("nan")),
+        ("analyze", _FIRST, "design.circuit.L_parasitic_nH", -0.8),
+        ("analyze", _FIRST, "sweep.f_stop_GHz", float("inf")),
+        ("sweep", _SWEEP, "parametric.values_mm", [1.0, float("inf")]),
+        ("synth", _SYNTH, "targets.f_zero_GHz", float("inf")),
+        ("fit", "fit", "fit.initial.L_parasitic_nH", float("inf")),
+    ],
+)
+def test_non_finite_or_negative_numbers_are_config_errors(
+    tmp_path, capsys, command, base, path, value
+):
+    # JSON readers accept NaN and Infinity; a leaf's own key must reject them
+    assert _main_with(tmp_path, command, base, path, value) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid-config: {path}")
+
+
+@pytest.mark.parametrize(
+    "template,rename",
+    [
+        ("first_order", ("L_series_nH", "L_series_pF")),  # a 5.2 pF inductor
+        ("first_order", ("L_parasitic_nH", "L_weird_nH")),
+        ("second_order", None),  # first-order names under the second-order template
+    ],
+)
+def test_fit_initial_keys_follow_the_template(tmp_path, capsys, template, rename):
+    cfg = _config("fit")
+    cfg["fit"]["template"] = template
+    initial = cfg["fit"]["initial"]
+    if rename:
+        initial[rename[1]] = initial.pop(rename[0])
+    _write_fit_data(tmp_path)
+    code = main(["fit", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: fit.initial: unknown key(s)"), err
+
+
+@pytest.mark.parametrize("command,base", [("fit", "fit"), ("synth", _SYNTH)])
+def test_misspelled_design_key_is_a_config_error(tmp_path, capsys, command, base):
+    assert _main_with(tmp_path, command, base, "design.dielectric_los", True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: design: unknown key(s) ['dielectric_los']")
+
+
+@pytest.mark.parametrize("command,config", [("sweep", _SWEEP), ("angular", _ANGULAR),
+                                            ("synth", _SYNTH)])
+def test_smooth_flag_is_rejected_where_it_does_nothing(tmp_path, capsys, command, config):
+    argv = [command, str(CONFIGS / config), "--out", str(tmp_path / "o"), "--smooth-ghz", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--smooth-ghz" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
