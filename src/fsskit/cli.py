@@ -370,7 +370,9 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
         _value(v, "parametric.values_mm", "positive numbers (mm)", _positive) * MM for v in values
     ]
     inc = _parse_incidence_single(cfg)
-    f_start, f_stop, n_points, _ = _parse_sweep(cfg)
+    f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
+    if spacing != "linear":
+        _fail("sweep.spacing", "'linear' (parametric sweeps run on a linear grid)")
 
     points = parametric_sweep(
         geometry,

@@ -130,10 +130,9 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     """
     if isinstance(b, SeriesLC):
         z = b.R + 1j * (w * b.L - 1.0 / (w * b.C))
-        y = np.empty_like(z)
-        zero = z == 0
-        y[~zero] = 1.0 / z[~zero]
-        y[zero] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = 1.0 / z
+        y[z == 0] = np.inf
         return y
     if isinstance(b, Tank):
         return b.G + 1j * (w * b.C - 1.0 / (w * b.L))
@@ -144,7 +143,7 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     if isinstance(b, Parallel):
         y = np.zeros(w.shape, dtype=complex)
         for sub in b.branches:
-            y = y + _admittance_array(sub, w)
+            y += _admittance_array(sub, w)
         return y
     raise InvalidParameterError(f"not a lumped branch: {b!r}")
 

@@ -27,6 +27,11 @@ _POLARIZATIONS = ("TE", "TM")
 # silently turning into infinities.
 SINGULAR_DELTA = 1e-30
 
+# The engine runs over the grid in blocks of this many points, so that its
+# temporaries stay in cache; every operation is element-wise, so the bits
+# do not depend on it.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Incidence:
@@ -192,6 +197,10 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     recorded, and the node is then taken as Y = 0 so the product stays
     finite.  Returns (A, B, C, D, shorted, s11_short); ``s11_short`` is
     meaningful only where ``shorted`` is set.
+
+    A, B, C and D are updated in place through two scratch buffers; every
+    product and sum keeps the operand order of the plain matrix product,
+    so the bits are those of evaluating it with fresh arrays.
     """
     w = 2.0 * math.pi * freqs
     port = port_impedance(incidence)
@@ -199,6 +208,8 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     B = np.zeros(freqs.shape, dtype=complex)
     C = np.zeros(freqs.shape, dtype=complex)
     D = np.ones(freqs.shape, dtype=complex)
+    t1 = np.empty(freqs.shape, dtype=complex)
+    t2 = np.empty(freqs.shape, dtype=complex)
     shorted = np.zeros(freqs.shape, dtype=bool)
     s11_short = np.zeros(freqs.shape, dtype=complex)
 
@@ -209,12 +220,19 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
             sin_t = np.sin(theta_d)
             b_line = 1j * line_z * sin_t
             c_line = 1j * sin_t / line_z
-            A, B, C, D = (
-                A * cos_t + B * c_line,
-                A * b_line + B * cos_t,
-                C * cos_t + D * c_line,
-                C * b_line + D * cos_t,
-            )
+            # [A B; C D] @ [cos_t b_line; c_line cos_t].  No product writes
+            # over one of its own operands: numpy may round such an aliased
+            # complex product differently (seen on one-point arrays).
+            np.multiply(A, cos_t, out=t1)
+            t1 += np.multiply(B, c_line, out=t2)
+            np.multiply(A, b_line, out=t2)
+            np.add(t2, np.multiply(B, cos_t, out=A), out=B)
+            A, t1 = t1, A
+            np.multiply(C, cos_t, out=t1)
+            t1 += np.multiply(D, c_line, out=t2)
+            np.multiply(C, b_line, out=t2)
+            np.add(t2, np.multiply(D, cos_t, out=C), out=D)
+            C, t1 = t1, C
         else:
             y = _admittance_array(layer, w)
             bad = ~np.isfinite(y)
@@ -222,9 +240,9 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
                 first = bad & ~shorted
                 s11_short[first] = (B[first] - D[first] * port) / (B[first] + D[first] * port)
                 shorted |= bad
-                y = np.where(bad, 0.0, y)
-            A = A + B * y
-            C = C + D * y
+                y[bad] = 0.0
+            A += np.multiply(B, y, out=t1)
+            C += np.multiply(D, y, out=t1)
     return A, B, C, D, shorted, s11_short
 
 
@@ -235,28 +253,59 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     if np.any(freqs <= 0.0):
         raise InvalidParameterError("all frequencies must be positive")
 
+    s11 = np.empty(freqs.shape, dtype=complex)
+    s21 = np.empty(freqs.shape, dtype=complex)
+    s22 = np.empty(freqs.shape, dtype=complex) if want_s22 else None
+    for start in range(0, freqs.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _block_response(
+            stack, freqs[block], s11[block], s21[block], None if s22 is None else s22[block]
+        )
+    return s11, s21, s22
+
+
+def _block_response(stack: FssStack, freqs, s11, s21, s22):
+    """Write S11, S21 (and S22 unless it is None) of one block of the grid
+    into the given output slices."""
     port = port_impedance(stack.incidence)
     A, B, C, D, shorted, s11_short = _chain(
         stack.layers, stack.incidence, stack.dielectric_loss, freqs
     )
+    # A*port, D*port and C*port*port are each formed once and shared by
+    # delta, S11 and S22; the sums keep the left-to-right order of
+    #   delta = A*port + B + C*port*port + D*port
+    #   S11 = (A*port + B - C*port*port - D*port) / delta
+    #   S22 = (-A*port + B - C*port*port + D*port) / delta
+    num11 = A * port
+    if s22 is not None:
+        num22 = np.multiply(-A, port, out=A)
+        num22 += B
+    num11 += B
+    t = C * port
+    Cpp = np.multiply(t, port, out=C)
+    Dp = np.multiply(D, port, out=t)
+    delta = num11 + Cpp
+    delta += Dp
 
-    delta = A * port + B + C * port * port + D * port
-    ok = ~shorted
-    if np.any(np.abs(delta[ok]) < SINGULAR_DELTA):
-        idx = np.nonzero(ok & (np.abs(delta) < SINGULAR_DELTA))[0][0]
+    singular = np.abs(delta) < SINGULAR_DELTA
+    singular &= ~shorted
+    if singular.any():
+        idx = np.flatnonzero(singular)[0]
         raise SingularNetworkError(f"singular network at {freqs[idx]} Hz")
-    s21 = 2.0 * port / delta
-    s11 = (A * port + B - C * port * port - D * port) / delta
-    s22 = None
-    if want_s22:
-        s22 = (-A * port + B - C * port * port + D * port) / delta
+    np.divide(2.0 * port, delta, out=s21)
+    num11 -= Cpp
+    num11 -= Dp
+    np.divide(num11, delta, out=s11)
+    if s22 is not None:
+        num22 -= Cpp
+        num22 += Dp
+        np.divide(num22, delta, out=s22)
 
     if shorted.any():
         # No transmission past a short; each side sees its own shorted prefix.
         s11[shorted] = s11_short[shorted]
         s21[shorted] = 0j
-        if want_s22:
+        if s22 is not None:
             s22[shorted] = _chain(
                 stack.layers[::-1], stack.incidence, stack.dielectric_loss, freqs[shorted]
             )[5]
-    return s11, s21, s22

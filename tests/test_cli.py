@@ -222,6 +222,42 @@ def test_sweep_command(tmp_path):
     assert float(first[2]) > 1e9
 
 
+def test_sweep_rejects_log_spacing(tmp_path, capsys):
+    # parametric sweeps run on a linear grid; a log request is refused
+    # instead of being answered with the linear file
+    cfg = _load_config("parametric_hat_length.json")
+    cfg["parametric"]["values_mm"] = [1.0, 3.0]
+    cfg["sweep"]["n_points"] = 601
+    outputs = {}
+    for spacing in (None, "linear", "log"):
+        if spacing is not None:
+            cfg["sweep"]["spacing"] = spacing
+        out = tmp_path / f"out_{spacing}"
+        code = main(["sweep", str(_write(tmp_path, cfg)), "--out", str(out)])
+        err = capsys.readouterr().err
+        if spacing == "log":
+            assert code == 2
+            assert err.startswith("error: invalid-config: sweep.spacing: expected 'linear'"), err
+            assert not (out / "parametric.csv").exists()
+        else:
+            assert code == 0, err
+            outputs[spacing] = (out / "parametric.csv").read_bytes()
+    assert outputs[None] == outputs["linear"]
+
+    # analyze and angular still take a log grid
+    for command, name, data in (
+        ("analyze", "sc_band_first_order.json", "response.csv"),
+        ("angular", "angular_scan.json", "response_te_0deg.csv"),
+    ):
+        cfg = _load_config(name)
+        cfg["sweep"]["spacing"] = "log"
+        out = tmp_path / command
+        assert main([command, str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+        rows = (out / data).read_text().splitlines()[1:]
+        f = np.array([float(row.split(",")[0]) for row in rows])
+        np.testing.assert_allclose(f, np.geomspace(f[0], f[-1], f.size), rtol=1e-11)
+
+
 def test_sweep_empty_values_exit_code(tmp_path, capsys):
     cfg = _load_config("parametric_hat_length.json")
     cfg["parametric"]["values_mm"] = []
@@ -425,7 +461,14 @@ def _config(base):
     return _load_config(base)
 
 
-_DELETE = object()
+class _Delete:
+    """Marks a leaf to remove; its repr keeps the test id stable across runs."""
+
+    def __repr__(self):
+        return "<delete>"
+
+
+_DELETE = _Delete()
 
 
 def _set(cfg, path, value):
@@ -487,6 +530,7 @@ ERROR_CONTRACT = [
      "parametric.values_mm"),
     ("sweep", _SWEEP, "parametric.param", "bogus", 2, "invalid-config",
      "parametric.param"),
+    ("sweep", _SWEEP, "sweep.spacing", "log", 2, "invalid-config", "sweep.spacing"),
     # a design given by its circuit has no geometry to sweep
     ("sweep", _FIRST, "design.dielectric_loss", True, 2, "invalid-config",
      "sweep: parametric sweeps need"),

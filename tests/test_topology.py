@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +27,9 @@ from fsskit import (
     surface_impedance,
 )
 from fsskit.lumped import OPEN
-from fsskit.errors import InvalidParameterError
-from fsskit.topology import _chain
+from fsskit import topology
+from fsskit.errors import InvalidParameterError, SingularNetworkError
+from fsskit.topology import SINGULAR_DELTA, _chain
 
 
 def _nodal_sparams(stack, freqs):
@@ -306,3 +309,218 @@ def test_dielectric_loss_breaks_unitarity(ref_circuit, ref_substrate):
     stack = build_first_order(ref_circuit, ref_substrate, dielectric_loss=True)
     s11, s21 = stack_response(stack, [2.99e9])
     assert abs(s11[0]) ** 2 + abs(s21[0]) ** 2 < 1.0 - 1e-6
+
+
+def test_engine_peak_memory_is_bounded(ref_circuit, ref_substrate):
+    # the engine's temporaries live in fixed-size blocks, so a warm
+    # 100,000-point call peaks below twice its three 1.6 MB outputs
+    freqs = np.linspace(1e9, 12e9, 100_000)
+    outputs = 3 * freqs.size * np.dtype(complex).itemsize
+    for loss in (False, True):
+        stack = build_first_order(ref_circuit, ref_substrate, dielectric_loss=loss)
+        stack_response_full(stack, freqs)
+        tracemalloc.start()
+        try:
+            stack_response_full(stack, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * outputs, (loss, peak)
+
+
+# --- Oracle: the whole-array engine ------------------------------------------
+#
+# A verbatim copy of the engine as it was before it ran over blocks with
+# in-place updates (SeriesLC admittance included), kept as the reference for
+# the blocked one.  The only edit: the chain function is a parameter, so a
+# test can wrap it.  Both must agree bit for bit, signed zeros and NaNs
+# included, and raise the same error with the same message.
+
+
+def _reference_admittance(b, w):
+    if isinstance(b, SeriesLC):
+        z = b.R + 1j * (w * b.L - 1.0 / (w * b.C))
+        y = np.empty_like(z)
+        zero = z == 0
+        y[~zero] = 1.0 / z[~zero]
+        y[zero] = np.inf
+        return y
+    if isinstance(b, Tank):
+        return b.G + 1j * (w * b.C - 1.0 / (w * b.L))
+    if isinstance(b, Inductor):
+        if b.L == 0.0:
+            return np.full(w.shape, np.inf, dtype=complex)
+        return -1j / (w * b.L)
+    y = np.zeros(w.shape, dtype=complex)
+    for sub in b.branches:
+        y = y + _reference_admittance(sub, w)
+    return y
+
+
+def _reference_chain(layers, incidence, dielectric_loss, freqs):
+    w = 2.0 * math.pi * freqs
+    port = port_impedance(incidence)
+    A = np.ones(freqs.shape, dtype=complex)
+    B = np.zeros(freqs.shape, dtype=complex)
+    C = np.zeros(freqs.shape, dtype=complex)
+    D = np.ones(freqs.shape, dtype=complex)
+    shorted = np.zeros(freqs.shape, dtype=bool)
+    s11_short = np.zeros(freqs.shape, dtype=complex)
+
+    for layer in layers:
+        if isinstance(layer, Substrate):
+            _, line_z, theta_d = incidence_media(incidence, layer, freqs, dielectric_loss)
+            cos_t = np.cos(theta_d)
+            sin_t = np.sin(theta_d)
+            b_line = 1j * line_z * sin_t
+            c_line = 1j * sin_t / line_z
+            A, B, C, D = (
+                A * cos_t + B * c_line,
+                A * b_line + B * cos_t,
+                C * cos_t + D * c_line,
+                C * b_line + D * cos_t,
+            )
+        else:
+            y = _reference_admittance(layer, w)
+            bad = ~np.isfinite(y)
+            if bad.any():
+                first = bad & ~shorted
+                s11_short[first] = (B[first] - D[first] * port) / (B[first] + D[first] * port)
+                shorted |= bad
+                y = np.where(bad, 0.0, y)
+            A = A + B * y
+            C = C + D * y
+    return A, B, C, D, shorted, s11_short
+
+
+def _reference_response_arrays(stack, freqs, want_s22, _chain=_reference_chain):
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1 or freqs.size == 0:
+        raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
+    if np.any(freqs <= 0.0):
+        raise InvalidParameterError("all frequencies must be positive")
+
+    port = port_impedance(stack.incidence)
+    A, B, C, D, shorted, s11_short = _chain(
+        stack.layers, stack.incidence, stack.dielectric_loss, freqs
+    )
+
+    delta = A * port + B + C * port * port + D * port
+    ok = ~shorted
+    if np.any(np.abs(delta[ok]) < SINGULAR_DELTA):
+        idx = np.nonzero(ok & (np.abs(delta) < SINGULAR_DELTA))[0][0]
+        raise SingularNetworkError(f"singular network at {freqs[idx]} Hz")
+    s21 = 2.0 * port / delta
+    s11 = (A * port + B - C * port * port - D * port) / delta
+    s22 = None
+    if want_s22:
+        s22 = (-A * port + B - C * port * port + D * port) / delta
+
+    if shorted.any():
+        # No transmission past a short; each side sees its own shorted prefix.
+        s11[shorted] = s11_short[shorted]
+        s21[shorted] = 0j
+        if want_s22:
+            s22[shorted] = _chain(
+                stack.layers[::-1], stack.incidence, stack.dielectric_loss, freqs[shorted]
+            )[5]
+    return s11, s21, s22
+
+
+def _engine_outcome(fn, *args):
+    """The raw bits of every output, or the class and message of the error."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(None if s is None else s.view(np.uint64).tolist() for s in out)
+
+
+def _exact_short(branch):
+    """A frequency where the lossless series branch is an exact short, or None."""
+    f0 = branch.resonance()
+    for f in f0 + np.arange(-32, 33) * np.spacing(f0):
+        w = 2.0 * math.pi * np.array([f])
+        if (w * branch.L - 1.0 / (w * branch.C))[0] == 0.0:
+            return float(f)
+    return None
+
+
+def _shorting_stack(rng, second_order, polarization, loss):
+    """A seeded first- or second-order stack and the exact-short frequency
+    of one of its series branches."""
+    while True:
+        s = rng.uniform(0.8, 1.2, 6)
+        sub = Substrate(0.635e-3 * s[0], 10.2, 0.0023)
+        inc = Incidence(rng.uniform(0.0, math.radians(80)), polarization)
+        if second_order:
+            branch = SeriesLC(4.9e-9 * s[1], 0.5e-12 * s[2])
+            other = SeriesLC(2.0e-9 * s[3], 0.5e-12, rng.choice([0.0, 2.0]))
+            stack = build_second_order(
+                (branch, other), Tank(2.5e-9 * s[4], 0.3e-12 * s[5]), sub, inc, loss
+            )
+        else:
+            circuit = ExtractedCircuit(
+                4.9e-9 * s[1], 0.5e-12 * s[2], 4e-9 * s[3], 0.35e-12 * s[4],
+                rng.choice([0.0, 0.8e-9 * s[5]]),
+            )
+            branch = SeriesLC(circuit.L_series, circuit.C_series)
+            stack = build_first_order(circuit, sub, inc, loss)
+        f_short = _exact_short(branch)
+        if f_short is not None:
+            return stack, f_short
+
+
+def test_blocked_engine_matches_unblocked_reference(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    block = topology._BLOCK
+    compared = 0
+    for n in (1, block - 1, block, block + 1, 3 * block + 17):
+        # exact shorts in the first block, the last block, and on both
+        # sides of the first block edge the grid has
+        at = sorted({3 % n, n - 1} | ({block - 1, block} if n > block else set()))
+        # numpy may round a one-element complex product differently when it
+        # is written over an operand, so one-point grids get many stacks
+        draws = 30 if n == 1 else 1
+        for second_order, polarization, loss, _ in itertools.product(
+            (False, True), ("TE", "TM"), (False, True), range(draws)
+        ):
+            stack, f_short = _shorting_stack(rng, second_order, polarization, loss)
+            plain = np.linspace(0.5e9, 12e9, n) if n > 1 else rng.uniform(0.5e9, 12e9, 1)
+            shorts = plain.copy()
+            shorts[at] = f_short
+            short = _chain(stack.layers, stack.incidence, loss, shorts)[4]
+            assert np.flatnonzero(short).tolist() == at
+            for freqs, want_s22 in itertools.product((plain, shorts), (True, False)):
+                want = _engine_outcome(_reference_response_arrays, stack, freqs, want_s22)
+                got = _engine_outcome(topology._response_arrays, stack, freqs, want_s22)
+                assert got == want, (n, second_order, polarization, loss, want_s22)
+                compared += 1
+    assert compared == 4 * 8 * (30 + 4)
+
+    # a network singular from the third block on, and at an exact short of
+    # the first block (which does not count): the error names the first
+    # singular frequency of the whole grid
+    n = 3 * block + 17
+    stack, f_short = _shorting_stack(rng, False, "TE", True)
+    freqs = np.linspace(0.5e9, 12e9, n)
+    freqs[3] = f_short
+    f_bad = freqs[[3, 2 * block + 5, 3 * block + 3]]
+
+    def zeroed(chain):
+        def wrapped(layers, incidence, dielectric_loss, f):
+            A, B, C, D, short, s11_short = chain(layers, incidence, dielectric_loss, f)
+            hit = np.isin(f, f_bad)
+            for m in (A, B, C, D):
+                m[hit] = 0.0
+            return A, B, C, D, short, s11_short
+
+        return wrapped
+
+    want = _engine_outcome(
+        _reference_response_arrays, stack, freqs, True, zeroed(_reference_chain)
+    )
+    monkeypatch.setattr(topology, "_chain", zeroed(topology._chain))
+    got = _engine_outcome(topology._response_arrays, stack, freqs, True)
+    assert want == (SingularNetworkError, f"singular network at {freqs[2 * block + 5]} Hz")
+    assert got == want
