@@ -225,44 +225,38 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
 def _bandwidth(f, db, band, peak_level, f_peak, which) -> float:
     """Fractional 3 dB width: crossings of (peak - 3 dB) found by linear
     interpolation outward from the band's outermost peaks that reach the
-    target level (a grouped peak under it would bracket no crossing)."""
+    target level (a grouped peak under it would bracket no crossing).  A
+    band with no sample at the target level is not resolved by the grid."""
     target = peak_level - 3.0
-    band = [i for i in band if db[i] >= target] or band
-    f_lo = _cross_left(f, db, band[0], target, which)
-    f_hi = _cross_right(f, db, band[-1], target, which)
+    band = [i for i in band if db[i] >= target]
+    if not band:
+        raise BandStructureError(
+            f"the {which} band is not resolved by the grid: no sample reaches "
+            f"3 dB below its refined peak level of {peak_level:.3f} dB",
+            band_count=2,
+        )
+    f_lo = _crossing(f, db, band[0], target, which, "low")
+    f_hi = _crossing(f, db, band[-1], target, which, "high")
     return (f_hi - f_lo) / f_peak
 
 
-def _cross_left(f, db, start, target, which) -> float:
-    """Crossing at the nearest sample below ``start`` that lies under the
-    target level."""
-    below = np.flatnonzero(db[:start] < target)
-    if below.size:
-        i = int(below[-1])
-        if not np.isfinite(db[i]):
-            return float(f[i])
-        frac = (target - db[i]) / (db[i + 1] - db[i])
-        return float(f[i] + frac * (f[i + 1] - f[i]))
-    raise TruncatedBandError(
-        f"low-side 3 dB crossing of the {which} band lies below the swept range",
-        side=f"{which}-low",
-    )
-
-
-def _cross_right(f, db, start, target, which) -> float:
-    """Crossing at the nearest sample above ``start`` that lies under the
-    target level."""
-    below = np.flatnonzero(db[start + 1 :] < target)
-    if below.size:
-        i = start + 1 + int(below[0])
-        if not np.isfinite(db[i]):
-            return float(f[i])
-        frac = (target - db[i]) / (db[i - 1] - db[i])
-        return float(f[i] - frac * (f[i] - f[i - 1]))
-    raise TruncatedBandError(
-        f"high-side 3 dB crossing of the {which} band lies above the swept range",
-        side=f"{which}-high",
-    )
+def _crossing(f, db, start, target, which, side) -> float:
+    """Crossing at the nearest sample under the target level below
+    ``start`` (side "low") or above it (side "high"), interpolated toward
+    the sample next to it on the ``start`` side."""
+    low = side == "low"
+    below = np.flatnonzero(db[:start] < target if low else db[start + 1 :] < target)
+    if not below.size:
+        raise TruncatedBandError(
+            f"{side}-side 3 dB crossing of the {which} band lies "
+            f"{'below' if low else 'above'} the swept range",
+            side=f"{which}-{side}",
+        )
+    i, step = (int(below[-1]), 1) if low else (start + 1 + int(below[0]), -1)
+    if not np.isfinite(db[i]):
+        return float(f[i])
+    frac = (target - db[i]) / (db[i + step] - db[i])
+    return float(f[i] + frac * (f[i + step] - f[i]))
 
 
 def parametric_sweep(

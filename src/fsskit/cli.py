@@ -27,7 +27,7 @@ from .fileio import load_response, write_response_csv, write_touchstone
 from .lumped import SeriesLC, Tank
 from .synthesis import (
     FIRST_ORDER_PARAMS,
-    SECOND_ORDER_PARAMS,
+    TEMPLATES,
     DesignTargets,
     circuit_from_targets,
     fit_circuit,
@@ -54,12 +54,11 @@ _UNITS = {"GHz": GHZ, "nH": NH, "pF": PF, "mm": MM}
 _GEOM_KEYS = {
     f"{name}_mm": name for name in ("period", "hat_length", "jc_slot", "cross_slot", "jc_gap")
 }
-_TEMPLATES = {"first_order": FIRST_ORDER_PARAMS, "second_order": SECOND_ORDER_PARAMS}
 
 
-def _element_keys(names) -> dict:
-    """Config key -> circuit element name: the name plus _nH or _pF."""
-    return {name + ("_nH" if name.startswith("L") else "_pF"): name for name in names}
+def _element_keys(names, inductance: str, capacitance: str) -> dict:
+    """Key -> element name: the name plus the unit of an inductance (L...) or a capacitance."""
+    return {f"{n}_{inductance if n.startswith('L') else capacitance}": n for n in names}
 
 
 def _fail(key: str, expected: str):
@@ -151,7 +150,7 @@ def _parse_geometry(design: dict, sub: Substrate) -> FirstOrderGeometry:
 
 
 def _parse_circuit(block: dict, context: str) -> ExtractedCircuit:
-    keys = _element_keys(FIRST_ORDER_PARAMS)
+    keys = _element_keys(FIRST_ORDER_PARAMS, "nH", "pF")
     _check_keys(block, keys, context)
     return ExtractedCircuit(
         **{
@@ -360,7 +359,9 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
     blk = _block(cfg, "parametric")
     _check_keys(blk, ("param", "values_mm"), "parametric")
     param_key = blk.get("param")
-    if param_key not in _GEOM_KEYS and param_key not in _GEOM_KEYS.values():
+    if not isinstance(param_key, str) or (
+        param_key not in _GEOM_KEYS and param_key not in _GEOM_KEYS.values()
+    ):
         _fail("parametric.param", f"one of {sorted(_GEOM_KEYS)}")
     param = _GEOM_KEYS.get(param_key, param_key)
     values = blk.get("values_mm")
@@ -445,19 +446,11 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
 
     payload = {
         "circuit": {
-            "L_series_H": circuit.L_series,
-            "C_series_F": circuit.C_series,
-            "L_tank_H": circuit.L_tank,
-            "C_tank_F": circuit.C_tank,
-            "L_parasitic_H": circuit.L_parasitic,
+            key: getattr(circuit, name)
+            for key, name in _element_keys(FIRST_ORDER_PARAMS, "H", "F").items()
         },
         "geometry": {
-            "period_m": geom.period,
-            "hat_length_m": geom.hat_length,
-            "jc_slot_m": geom.jc_slot,
-            "cross_slot_m": geom.cross_slot,
-            "jc_gap_m": geom.jc_gap,
-            "thickness_m": geom.thickness,
+            **{f"{name}_m": getattr(geom, name) for name in (*_GEOM_KEYS.values(), "thickness")},
             "eps_r": geom.eps_r,
             "tan_delta": geom.tan_delta,
         },
@@ -499,10 +492,10 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     if not data_file.exists():
         raise ConfigError(f"fit.data: file not found: {data_file}")
     template = blk.get("template", "first_order")
-    if template not in _TEMPLATES:
+    if not isinstance(template, str) or template not in TEMPLATES:
         _fail("fit.template", "'first_order' or 'second_order'")
     # A key missing from the template is left to fit_circuit, which names it.
-    keys = _element_keys(_TEMPLATES[template])
+    keys = _element_keys(TEMPLATES[template], "nH", "pF")
     initial_block = _block(blk, "initial", "fit")
     _check_keys(initial_block, keys, "fit.initial")
     initial = {keys[key]: _number(initial_block, key, "fit.initial") for key in initial_block}

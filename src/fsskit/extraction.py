@@ -119,6 +119,16 @@ def _ln_csc(x: float) -> float:
     return -math.log(math.sin(x))
 
 
+def _strip_inductance(a: float, mu_reff: float, width: float) -> float:
+    """Grid inductance of strips parted by slots of ``width``, period ``a``."""
+    return (a * MU0 * mu_reff / (2.0 * math.pi)) * _ln_csc(math.pi * width / (2.0 * a))
+
+
+def _slot_capacitance(opening: float, slot: float, er_eff: float) -> float:
+    """Grid capacitance across a ``slot`` in an ``opening`` (period - gap - slot)."""
+    return (opening / math.pi) * EPS0 * er_eff * _ln_csc(math.pi * slot / opening)
+
+
 def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     """Geometry to lumped values via the subwavelength grid formulas.
 
@@ -127,17 +137,16 @@ def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     """
     a = geom.period
     er_eff = effective_permittivity(geom.eps_r)
-    k_mag = a * MU0 * geom.mu_reff / (2.0 * math.pi)
 
-    l_series = k_mag * _ln_csc(math.pi * geom.jc_slot / (2.0 * a))
+    l_series = _strip_inductance(a, geom.mu_reff, geom.jc_slot)
     c_series = (
         (2.0 * geom.hat_length / math.pi)
         * EPS0 * er_eff
         * _ln_csc(math.pi * geom.jc_gap / (2.0 * a))
     )
-    l_tank = k_mag * _ln_csc(math.pi * geom.jc_gap / (2.0 * a))
+    l_tank = _strip_inductance(a, geom.mu_reff, geom.jc_gap)
     d = a - geom.jc_gap - geom.cross_slot
-    c_tank = (d / math.pi) * EPS0 * er_eff * _ln_csc(math.pi * geom.cross_slot / d)
+    c_tank = _slot_capacitance(d, geom.cross_slot, er_eff)
     return ExtractedCircuit(l_series, c_series, l_tank, c_tank, 0.0)
 
 

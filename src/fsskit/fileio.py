@@ -120,6 +120,18 @@ def write_touchstone(
         _write_rows(fh, columns, " ")
 
 
+def _check_reference_resistance(path, token) -> None:
+    """Reject an option-line R value that is not a finite positive number."""
+    try:
+        ok = 0.0 < float(token) < math.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InvalidParameterError(
+            f"{path}: option-line R needs a finite positive reference resistance, got {token!r}"
+        )
+
+
 def read_touchstone(path) -> ResponseTable:
     """Parse a two-port Touchstone v1 file (RI, MA, or DB formats)."""
     fmt = "MA"
@@ -130,16 +142,17 @@ def read_touchstone(path) -> ResponseTable:
         if not line:
             continue
         if line.startswith("#"):
-            tokens = line[1:].upper().split()
+            tokens = line[1:].split()
             i = 0
             while i < len(tokens):
-                tok = tokens[i]
+                tok = tokens[i].upper()
                 if tok in _FREQ_SCALE:
                     scale = _FREQ_SCALE[tok]
                 elif tok in ("RI", "MA", "DB"):
                     fmt = tok
-                elif tok == "R" and i + 1 < len(tokens):
-                    i += 1  # reference resistance: parsed, not needed here
+                elif tok == "R":  # checked, but the data are not renormalized to it
+                    i += 1
+                    _check_reference_resistance(path, tokens[i] if i < len(tokens) else None)
                 elif tok == "S":
                     pass
                 else:

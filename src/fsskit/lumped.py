@@ -216,21 +216,19 @@ def _verify_hybrid(h: HybridCircuit, L1, C1, L2, C2, tol=1e-9):
     """Impedance-equality check on 200 log-spaced frequencies spanning
     0.1x to 10x both branch resonances, skipping points within 0.1% of the
     exact poles and zeros."""
-    f1 = 1.0 / (2.0 * math.pi * math.sqrt(L1 * C1))
-    f2 = 1.0 / (2.0 * math.pi * math.sqrt(L2 * C2))
+    b1, b2 = SeriesLC(L1, C1), SeriesLC(L2, C2)
+    f1, f2 = b1.resonance(), b2.resonance()
     fp = math.sqrt((C1 + C2) / (C1 * C2 * (L1 + L2))) / (2.0 * math.pi)
     freqs = np.geomspace(0.1 * min(f1, f2), 10.0 * max(f1, f2), 200)
     special = np.array([f1, f2, fp])
     keep = np.all(np.abs(freqs[:, None] - special[None, :]) > 1e-3 * special[None, :], axis=1)
-    worst = 0.0
-    for f in freqs[keep]:
-        z1 = branch_impedance(SeriesLC(L1, C1), f)
-        z2 = branch_impedance(SeriesLC(L2, C2), f)
-        z_par = z1 * z2 / (z1 + z2)
-        z_hyb = hybrid_impedance(h, f)
-        if z_hyb is OPEN or not cmath.isfinite(z_par):
-            continue
-        worst = max(worst, abs(z_hyb - z_par) / abs(z_par))
+    w = 2.0 * math.pi * freqs[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_par = 1.0 / _admittance_array(Parallel((b1, b2)), w)
+        z_tank = 1.0 / _admittance_array(Tank(h.L_tank, h.C_tank), w)
+        z_hyb = 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + z_tank
+        mismatch = np.abs(z_hyb - z_par) / np.abs(z_par)
+    worst = float(np.max(mismatch[np.isfinite(mismatch)], initial=0.0))
     if worst > tol:
         raise DegenerateTransformError(
             f"hybrid transform failed verification (relative mismatch {worst:.3e}); "

@@ -11,11 +11,11 @@ strictly positive and the accepted-step residual monotone non-increasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import EPS0, MU0
+from .constants import EPS0
 from .errors import (
     DivergedFitError,
     FssError,
@@ -27,6 +27,8 @@ from .extraction import (
     ExtractedCircuit,
     FirstOrderGeometry,
     _ln_csc,
+    _slot_capacitance,
+    _strip_inductance,
     effective_permittivity,
     extract_circuit,
 )
@@ -47,7 +49,7 @@ DEFAULT_TANK_L = 4e-9
 BISECT_TOL_M = 1e-12
 BISECT_MAX_ITER = 60
 
-FIRST_ORDER_PARAMS = ("L_series", "C_series", "L_tank", "C_tank", "L_parasitic")
+FIRST_ORDER_PARAMS = tuple(f.name for f in fields(ExtractedCircuit))
 SECOND_ORDER_PARAMS = (
     "L_outer_a",
     "C_outer_a",
@@ -56,6 +58,8 @@ SECOND_ORDER_PARAMS = (
     "L_tank",
     "C_tank",
 )
+#: Element names of each fit template, in parameter-vector order.
+TEMPLATES = {"first_order": FIRST_ORDER_PARAMS, "second_order": SECOND_ORDER_PARAMS}
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,9 @@ def geometry_from_circuit(
         raise InvalidParameterError(f"period must be positive, got {period}")
     a = period
     er_eff = effective_permittivity(sub.eps_r)
-    k_mag = a * MU0 * mu_reff / (2.0 * math.pi)
 
     jc_slot = _bisect_decreasing(
-        lambda s: k_mag * _ln_csc(math.pi * s / (2.0 * a)),
+        lambda s: _strip_inductance(a, mu_reff, s),
         c.L_series,
         a * 1e-9,
         a * (1.0 - 1e-9),
@@ -134,7 +137,7 @@ def geometry_from_circuit(
         target_name="L_series",
     )
     jc_gap = _bisect_decreasing(
-        lambda g: k_mag * _ln_csc(math.pi * g / (2.0 * a)),
+        lambda g: _strip_inductance(a, mu_reff, g),
         c.L_tank,
         a * 1e-9,
         a * (1.0 - 1e-9),
@@ -153,9 +156,7 @@ def geometry_from_circuit(
 
     d0 = a - jc_gap
     cross_slot = _bisect_decreasing(
-        lambda s1: ((d0 - s1) / math.pi)
-        * EPS0 * er_eff
-        * _ln_csc(math.pi * s1 / (d0 - s1)),
+        lambda s1: _slot_capacitance(d0 - s1, s1, er_eff),
         c.C_tank,
         d0 * 1e-9,
         # The capacitance formula decreases to zero where the slot reaches a
@@ -225,10 +226,7 @@ class FitResult:
     def circuit(self) -> ExtractedCircuit:
         if self.template != "first_order":
             raise InvalidParameterError("circuit() is only defined for first_order fits")
-        p = self.params
-        return ExtractedCircuit(
-            p["L_series"], p["C_series"], p["L_tank"], p["C_tank"], p["L_parasitic"]
-        )
+        return ExtractedCircuit(**self.params)
 
 
 def fit_circuit(
@@ -258,14 +256,11 @@ def fit_circuit(
     exhausting the cap without meeting the convergence tests raises
     DivergedFitError carrying the best parameters and the residual trace.
     """
-    if template == "first_order":
-        names = FIRST_ORDER_PARAMS
-    elif template == "second_order":
-        names = SECOND_ORDER_PARAMS
-    else:
+    if not isinstance(template, str) or template not in TEMPLATES:
         raise InvalidParameterError(
             f"template must be 'first_order' or 'second_order', got {template!r}"
         )
+    names = TEMPLATES[template]
     missing = [n for n in names if n not in initial]
     if missing:
         raise InvalidParameterError(f"initial guess is missing {missing}")
@@ -390,10 +385,7 @@ def fit_circuit(
 def _build_template(template, names, values, sub, inc, dielectric_loss):
     p = dict(zip(names, values))
     if template == "first_order":
-        circuit = ExtractedCircuit(
-            p["L_series"], p["C_series"], p["L_tank"], p["C_tank"], p["L_parasitic"]
-        )
-        return build_first_order(circuit, sub, inc, dielectric_loss)
+        return build_first_order(ExtractedCircuit(**p), sub, inc, dielectric_loss)
     outer = (
         SeriesLC(p["L_outer_a"], p["C_outer_a"]),
         SeriesLC(p["L_outer_b"], p["C_outer_b"]),

@@ -148,6 +148,18 @@ def test_band_report_truncated_band(ref_circuit, ref_substrate):
     assert info.value.side == "upper-high"
 
 
+def test_band_report_under_resolved_band():
+    # Five samples; the upper band's two flat top samples sit at +0.33 dB
+    # and the quadratic refinement puts its peak at +7.46 dB, so no sample
+    # reaches the 3 dB target and no crossing can be bracketed.
+    f = np.array([1.109329, 1.71192169, 2.27802547, 2.43680682, 3.28371911]) * 1e9
+    mag = np.array([0.5, 0.9, 0.5, 1.0389, 1.0389])
+    with pytest.raises(BandStructureError, match="upper band is not resolved") as info:
+        band_report(ResponseTable(f, np.zeros(5, complex), mag + 0j))
+    assert info.value.band_count == 2
+    assert "7.464 dB" in str(info.value)
+
+
 def test_band_report_grid_independence(ref_circuit, ref_substrate):
     stack = _ref_stack(ref_circuit, ref_substrate)
     a = band_report(sweep(stack, 1e9, 12e9, 1401))
@@ -319,7 +331,13 @@ def _ref_refine_quadratic(f, db, i):
 
 def _ref_bandwidth(f, db, band, peak_level, f_peak, which):
     target = peak_level - 3.0
-    band = [i for i in band if db[i] >= target] or band
+    band = [i for i in band if db[i] >= target]
+    if not band:
+        raise BandStructureError(
+            f"the {which} band is not resolved by the grid: no sample reaches "
+            f"3 dB below its refined peak level of {peak_level:.3f} dB",
+            band_count=2,
+        )
     f_lo = _ref_cross_left(f, db, band[0], target, which)
     f_hi = _ref_cross_right(f, db, band[-1], target, which)
     return (f_hi - f_lo) / f_peak

@@ -530,6 +530,8 @@ ERROR_CONTRACT = [
      "parametric.values_mm"),
     ("sweep", _SWEEP, "parametric.param", "bogus", 2, "invalid-config",
      "parametric.param"),
+    ("sweep", _SWEEP, "parametric.param", ["hat_length"], 2, "invalid-config",
+     "parametric.param"),
     ("sweep", _SWEEP, "sweep.spacing", "log", 2, "invalid-config", "sweep.spacing"),
     # a design given by its circuit has no geometry to sweep
     ("sweep", _FIRST, "design.dielectric_loss", True, 2, "invalid-config",
@@ -554,6 +556,7 @@ ERROR_CONTRACT = [
     ("fit", "fit", "fit.magnitude_only", "yes", 2, "invalid-config",
      "fit.magnitude_only"),
     ("fit", "fit", "fit.template", "third_order", 2, "invalid-config", "fit.template"),
+    ("fit", "fit", "fit.template", ["first_order"], 2, "invalid-config", "fit.template"),
     ("fit", "fit", "fit.initial.C_tank_pF", _DELETE, 1, "invalid-parameter",
      "initial guess is missing ['C_tank']"),
 ]

@@ -142,6 +142,24 @@ def test_touchstone_rejects_malformed(tmp_path):
         read_touchstone(odd)
 
 
+@pytest.mark.parametrize("option", ["R fifty", "R -5", "R 0", "R nan", "R inf", "R"])
+def test_touchstone_rejects_bad_reference_resistance(tmp_path, option):
+    # the value after R must be a finite positive number, even though the
+    # data are not renormalized to it
+    path = tmp_path / "bad_r.s2p"
+    path.write_text(f"# GHZ S RI {option}\n1 0 0 1 0 1 0 0 0\n2 0 0 1 0 1 0 0 0\n")
+    token = option.split()[1] if " " in option else None
+    with pytest.raises(InvalidParameterError, match=f"bad_r.s2p.*got {token!r}"):
+        read_touchstone(path)
+
+
+def test_touchstone_accepts_any_positive_reference_resistance(tmp_path):
+    for option in ("R 50", "r 376.730313", "R 1e3", ""):
+        path = tmp_path / "ok.s2p"
+        path.write_text(f"# GHZ S RI {option}\n1 0 0 1 0 1 0 0 0\n2 0 0 1 0 1 0 0 0\n")
+        assert read_touchstone(path).s21[0] == 1
+
+
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
 def test_importers_reject_bad_data_rows(tmp_path, cell):
     # one non-numeric or non-finite cell fails with the path and the row

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,15 +15,19 @@ from fsskit import (
     build_first_order,
     build_second_order,
     circuit_from_targets,
+    exact_poles,
     extract_circuit,
     fit_circuit,
+    foster_transform,
     geometry_from_circuit,
     predict_resonances,
+    surface_impedance,
     sweep,
 )
 from fsskit.errors import (
     DivergedFitError,
     InfeasibleTargetsError,
+    InvalidGeometryError,
     InvalidParameterError,
     UnattainableDimensionError,
 )
@@ -276,6 +281,8 @@ def test_fit_input_validation(ref_substrate):
     with pytest.raises(InvalidParameterError):
         fit_circuit(data, "third_order", dict(WEAK_PARASITIC), ref_substrate)
     with pytest.raises(InvalidParameterError):
+        fit_circuit(data, ["first_order"], dict(WEAK_PARASITIC), ref_substrate)
+    with pytest.raises(InvalidParameterError):
         fit_circuit(data, "first_order", {"L_series": 1e-9}, ref_substrate)
     bad = dict(WEAK_PARASITIC, L_series=-1e-9)
     with pytest.raises(InvalidParameterError):
@@ -289,3 +296,82 @@ def test_fit_result_circuit_helper(ref_substrate):
     circuit = result.circuit()
     assert isinstance(circuit, ExtractedCircuit)
     assert circuit.L_series == pytest.approx(WEAK_PARASITIC["L_series"], rel=1e-3)
+
+
+def _outcome(fn, *args) -> str:
+    """repr of fn(*args), or the exception class and message it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _log_uniform(rng, lo, hi) -> float:
+    return float(10.0 ** rng.uniform(lo, hi))
+
+
+def test_model_outputs_golden():
+    """SHA-256 over the reprs of seeded outcomes (value, or exception class
+    and message) of the closed-form model functions.  A refactor of the
+    grid formulas, the resonance relations or the hybrid transform must
+    leave every bit and every message unchanged."""
+    rng = np.random.default_rng(70707)
+    lines = []
+    for _ in range(400):
+        a = float(rng.uniform(2e-3, 15e-3))
+        try:
+            geom = FirstOrderGeometry(
+                period=a,
+                hat_length=float(rng.uniform(0.05, 0.95)) * a,
+                jc_slot=float(rng.uniform(0.005, 0.6)) * a,
+                cross_slot=float(rng.uniform(0.005, 0.3)) * a,
+                jc_gap=float(rng.uniform(0.01, 0.5)) * a,
+                thickness=1e-3,
+                eps_r=float(rng.uniform(1.0, 12.0)),
+                mu_reff=float(rng.uniform(0.5, 2.0)),
+            )
+        except InvalidGeometryError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+            continue
+        c = extract_circuit(geom)
+        lines.append(repr(c))
+        # perturbed circuits reach the unattainable and re-extraction branches
+        scaled = ExtractedCircuit(
+            *(getattr(c, n) * _log_uniform(rng, -0.5, 0.5)
+              for n in ("L_series", "C_series", "L_tank", "C_tank"))
+        )
+        sub = Substrate(1e-3, geom.eps_r)
+        lines.append(_outcome(geometry_from_circuit, c, a, sub, geom.mu_reff))
+        lines.append(_outcome(geometry_from_circuit, scaled, a, sub, geom.mu_reff))
+    for _ in range(1500):
+        c = ExtractedCircuit(
+            _log_uniform(rng, -9.7, -7.7),
+            _log_uniform(rng, -13.7, -11.7),
+            _log_uniform(rng, -9.7, -7.7),
+            _log_uniform(rng, -13.7, -11.7),
+            _log_uniform(rng, -10.0, -8.0),
+        )
+        lines.append(_outcome(predict_resonances, c))
+        lines.append(_outcome(exact_poles, c))
+        f = _log_uniform(rng, 8.0, 11.0) if rng.uniform() < 0.95 else -1.0
+        lines.append(_outcome(surface_impedance, c, f))
+        f_lower = _log_uniform(rng, 8.5, 10.0)
+        f_upper = f_lower * _log_uniform(rng, 0.05, 1.0)
+        f_zero = None if rng.uniform() < 0.5 else f_lower * _log_uniform(rng, 0.0, 1.0)
+        targets = (f_lower, f_upper, f_zero, c.L_tank)
+        lines.append(_outcome(lambda: circuit_from_targets(DesignTargets(*targets))))
+    for k in range(300):
+        l1 = _log_uniform(rng, -9.5, -8.0)
+        c1 = _log_uniform(rng, -13.5, -12.0)
+        l2 = _log_uniform(rng, -9.5, -8.0)
+        if k % 3 == 0:
+            c2 = _log_uniform(rng, -13.5, -12.0)
+        else:
+            # branch resonances 1e-7 to 1e-4 apart, around the coincidence limit
+            spread = _log_uniform(rng, -7.0, -4.0) * (1.0 if k % 2 else -1.0)
+            c2 = l1 * c1 * (1.0 + spread) / l2
+        if k % 50 == 7:
+            l2 = -l2
+        lines.append(_outcome(foster_transform, l1, c1, l2, c2))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "94951084aa8c9d90f50bfc2278fbbd646c505ccc56b9748b7ae42271aa40a7a9", digest

@@ -517,10 +517,13 @@ def test_blocked_engine_matches_unblocked_reference(monkeypatch):
 
         return wrapped
 
-    want = _engine_outcome(
-        _reference_response_arrays, stack, freqs, True, zeroed(_reference_chain)
-    )
-    monkeypatch.setattr(topology, "_chain", zeroed(topology._chain))
-    got = _engine_outcome(topology._response_arrays, stack, freqs, True)
+    # zeroed A-D divide 0 by 0 at the exact short, which real stacks never
+    # reach; the engine's own divisions are not wrapped in errstate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _engine_outcome(
+            _reference_response_arrays, stack, freqs, True, zeroed(_reference_chain)
+        )
+        monkeypatch.setattr(topology, "_chain", zeroed(topology._chain))
+        got = _engine_outcome(topology._response_arrays, stack, freqs, True)
     assert want == (SingularNetworkError, f"singular network at {freqs[2 * block + 5]} Hz")
     assert got == want
