@@ -95,8 +95,8 @@ class BandReport:
             )
         for name in ("bw_lower", "bw_upper"):
             bw = getattr(self, name)
-            if not 0.0 < bw < 1.0:
-                raise InvalidParameterError(f"{name} must lie in (0, 1), got {bw}")
+            if not 0.0 < bw < np.inf:
+                raise InvalidParameterError(f"{name} must be finite and positive, got {bw}")
         if self.il_lower_db < 0.0 or self.il_upper_db < 0.0:
             raise InvalidParameterError("insertion loss cannot be negative")
 
@@ -182,8 +182,8 @@ def band_report(table: ResponseTable) -> BandReport:
     else:
         f_zero, _ = _refine_quadratic(f, db, j)
 
-    bw_lower = _bandwidth(f, db, lower_band, level_lower, f_lower, "lower")
-    bw_upper = _bandwidth(f, db, upper_band, level_upper, f_upper, "upper")
+    bw_lower = _bandwidth(f, db, lower_band, level_lower, f_lower, "lower", j)
+    bw_upper = _bandwidth(f, db, upper_band, level_upper, f_upper, "upper", j)
 
     return BandReport(
         f_lower=f_lower,
@@ -222,12 +222,19 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
     return float(x_star), float(y_star)
 
 
-def _bandwidth(f, db, band, peak_level, f_peak, which) -> float:
+def _bandwidth(f, db, band, peak_level, f_peak, which, null) -> float:
     """Fractional 3 dB width: crossings of (peak - 3 dB) found by linear
     interpolation outward from the band's outermost peaks that reach the
-    target level (a grouped peak under it would bracket no crossing).  A
-    band with no sample at the target level is not resolved by the grid."""
+    target level (a grouped peak under it would bracket no crossing).  A null
+    not under the target merges the bands, and a band with no sample at the
+    target level is not resolved by the grid."""
     target = peak_level - 3.0
+    if not db[null] < target:
+        raise BandStructureError(
+            f"the {which} band merges with the other one: the null at {db[null]:.3f} dB is "
+            f"not 3 dB under its refined peak level of {peak_level:.3f} dB",
+            band_count=2,
+        )
     band = [i for i in band if db[i] >= target]
     if not band:
         raise BandStructureError(
@@ -304,8 +311,8 @@ def parametric_sweep(
 def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     """Moving average of the complex S-parameters over a frequency window,
     used to knock ripple off imported measurement data."""
-    if not window_hz > 0.0:
-        raise InvalidParameterError(f"window must be positive, got {window_hz}")
+    if not 0.0 < window_hz < np.inf:
+        raise InvalidParameterError(f"window must be finite and positive, got {window_hz}")
     f = table.frequency
     half = window_hz / 2.0
     lo = np.searchsorted(f, f - half, side="left")

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,26 +22,18 @@ from . import __version__
 from .analysis import ResponseTable, _grid, band_report, parametric_sweep, smooth_response, sweep
 from .constants import C0
 from .errors import ConfigError, EmptySweepError, FssError
-from .extraction import ExtractedCircuit, FirstOrderGeometry, extract_circuit, predict_resonances
+from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
 from .fileio import load_response, write_response_csv, write_touchstone
-from .lumped import SeriesLC, Tank
 from .synthesis import (
     FIRST_ORDER_PARAMS,
     TEMPLATES,
     DesignTargets,
+    _build_template,
     circuit_from_targets,
     fit_circuit,
     geometry_from_circuit,
 )
-from .topology import (
-    FssStack,
-    Incidence,
-    Substrate,
-    build_first_order,
-    build_second_order,
-    port_impedance,
-    stack_response_full,
-)
+from .topology import FssStack, Incidence, Substrate, port_impedance, stack_response_full
 
 GHZ = 1e9
 NH = 1e-9
@@ -103,10 +95,12 @@ def _number(block: dict, key: str, context: str, minimum=None, default=None) -> 
     return v * _UNITS.get(unit, 1.0)
 
 
-def _block(cfg: dict, key: str, context: str = "") -> dict:
+def _block(cfg: dict, key: str, allowed, context: str = "") -> dict:
+    """``cfg[key]``, which must be an object with no key outside ``allowed``."""
     path = f"{context}.{key}" if context else key
     if key not in cfg or not isinstance(cfg[key], dict):
         _fail(path, "object")
+    _check_keys(cfg[key], allowed, path)
     return cfg[key]
 
 
@@ -131,8 +125,7 @@ def load_config(path) -> dict:
 
 
 def _parse_substrate(design: dict) -> Substrate:
-    sub = _block(design, "substrate", "design")
-    _check_keys(sub, ("thickness_mm", "eps_r", "tan_delta"), "design.substrate")
+    sub = _block(design, "substrate", ("thickness_mm", "eps_r", "tan_delta"), "design")
     return Substrate(
         _number(sub, "thickness_mm", "design.substrate"),
         _number(sub, "eps_r", "design.substrate", minimum=1),
@@ -141,35 +134,32 @@ def _parse_substrate(design: dict) -> Substrate:
 
 
 def _parse_geometry(design: dict, sub: Substrate) -> FirstOrderGeometry:
-    geo = _block(design, "geometry", "design")
-    _check_keys(geo, _GEOM_KEYS, "design.geometry")
+    geo = _block(design, "geometry", _GEOM_KEYS, "design")
     kwargs = {field: _number(geo, key, "design.geometry") for key, field in _GEOM_KEYS.items()}
     return FirstOrderGeometry(
         thickness=sub.thickness, eps_r=sub.eps_r, tan_delta=sub.tan_delta, **kwargs
     )
 
 
-def _parse_circuit(block: dict, context: str) -> ExtractedCircuit:
+def _parse_circuit(design: dict) -> dict:
+    """First-order template params (SI) from the design's circuit block."""
     keys = _element_keys(FIRST_ORDER_PARAMS, "nH", "pF")
-    _check_keys(block, keys, context)
-    return ExtractedCircuit(
-        **{
-            name: _number(block, key, context, minimum=0, default=0.0)
-            if name == "L_parasitic"
-            else _number(block, key, context)
-            for key, name in keys.items()
-        }
-    )
+    block = _block(design, "circuit", keys, "design")
+    return {
+        name: _number(block, key, "design.circuit", minimum=0, default=0.0)
+        if name == "L_parasitic"
+        else _number(block, key, "design.circuit")
+        for key, name in keys.items()
+    }
 
 
 def _read_design(cfg: dict):
     """The part of the design block every command reads: returns (design
     block with its keys checked, substrate, dielectric_loss)."""
-    design = _block(cfg, "design")
-    _check_keys(
-        design,
-        ("order", "circuit", "geometry", "substrate", "dielectric_loss", "outer", "middle"),
+    design = _block(
+        cfg,
         "design",
+        ("order", "circuit", "geometry", "substrate", "dielectric_loss", "outer", "middle"),
     )
     loss = design.get("dielectric_loss", False)
     if not isinstance(loss, bool):
@@ -178,63 +168,50 @@ def _read_design(cfg: dict):
 
 
 def _parse_design(cfg: dict):
-    """Returns (stack builder taking an Incidence, geometry-or-None, loss)."""
+    """Returns (stack builder taking an Incidence, geometry-or-None, loss);
+    every design becomes fit-template params, built by the template builder."""
     design, sub, loss = _read_design(cfg)
     order = design.get("order", "first")
     if order not in ("first", "second"):
         _fail("design.order", "'first' or 'second'")
 
+    template, geometry = f"{order}_order", None
     if order == "first":
-        has_geo = "geometry" in design
-        has_cir = "circuit" in design
-        if has_geo == has_cir:
+        if ("geometry" in design) == ("circuit" in design):
             raise ConfigError(
                 "design: first-order designs need exactly one of 'geometry' or 'circuit'"
             )
-        geometry = _parse_geometry(design, sub) if has_geo else None
-        circuit = (
-            _parse_circuit(_block(design, "circuit", "design"), "design.circuit")
-            if has_cir
-            else extract_circuit(geometry)
-        )
-
-        def builder(inc: Incidence) -> FssStack:
-            return build_first_order(circuit, sub, inc, loss)
-
-        return builder, geometry, loss
-
-    if "outer" not in design or "middle" not in design:
-        raise ConfigError("design: second-order designs need 'outer' and 'middle' blocks")
-    outer_raw = design["outer"]
-    if not isinstance(outer_raw, list) or len(outer_raw) != 2:
-        _fail("design.outer", "list of two {L_nH, C_pF} objects")
-    branches = []
-    for i, entry in enumerate(outer_raw):
-        if not isinstance(entry, dict):
-            _fail(f"design.outer[{i}]", "object with L_nH and C_pF")
-        _check_keys(entry, ("L_nH", "C_pF"), f"design.outer[{i}]")
-        branches.append(
-            SeriesLC(
-                _number(entry, "L_nH", f"design.outer[{i}]"),
-                _number(entry, "C_pF", f"design.outer[{i}]"),
-            )
-        )
-    middle_block = _block(design, "middle", "design")
-    _check_keys(middle_block, ("L_tank_nH", "C_tank_pF"), "design.middle")
-    middle = Tank(
-        _number(middle_block, "L_tank_nH", "design.middle"),
-        _number(middle_block, "C_tank_pF", "design.middle"),
-    )
+        if "geometry" in design:
+            geometry = _parse_geometry(design, sub)
+            params = asdict(extract_circuit(geometry))
+        else:
+            params = _parse_circuit(design)
+    else:
+        if "outer" not in design or "middle" not in design:
+            raise ConfigError("design: second-order designs need 'outer' and 'middle' blocks")
+        outer = design["outer"]
+        if not isinstance(outer, list) or len(outer) != 2:
+            _fail("design.outer", "list of two {L_nH, C_pF} objects")
+        params = {}
+        for i, (branch, entry) in enumerate(zip("ab", outer)):
+            where = f"design.outer[{i}]"
+            if not isinstance(entry, dict):
+                _fail(where, "object with L_nH and C_pF")
+            _check_keys(entry, ("L_nH", "C_pF"), where)
+            params[f"L_outer_{branch}"] = _number(entry, "L_nH", where)
+            params[f"C_outer_{branch}"] = _number(entry, "C_pF", where)
+        keys = _element_keys(("L_tank", "C_tank"), "nH", "pF")
+        middle = _block(design, "middle", keys, "design")
+        params.update({name: _number(middle, key, "design.middle") for key, name in keys.items()})
 
     def builder(inc: Incidence) -> FssStack:
-        return build_second_order((branches[0], branches[1]), middle, sub, inc, loss)
+        return _build_template(template, params, sub, inc, loss)
 
-    return builder, None, loss
+    return builder, geometry, loss
 
 
 def _parse_sweep(cfg: dict):
-    blk = _block(cfg, "sweep")
-    _check_keys(blk, ("f_start_GHz", "f_stop_GHz", "n_points", "spacing"), "sweep")
+    blk = _block(cfg, "sweep", ("f_start_GHz", "f_stop_GHz", "n_points", "spacing"))
     f_start = _number(blk, "f_start_GHz", "sweep")
     f_stop = _number(blk, "f_stop_GHz", "sweep")
     if not f_start < f_stop:
@@ -262,8 +239,7 @@ def _parse_incidence_single(cfg: dict) -> Incidence:
 
 def _parse_incidence_lists(cfg: dict, polarizations=("TE", "TM")):
     """(output file name, Incidence) for each theta_deg/polarization pair."""
-    blk = _block(cfg, "incidence")
-    _check_keys(blk, ("theta_deg", "polarization"), "incidence")
+    blk = _block(cfg, "incidence", ("theta_deg", "polarization"))
     thetas = blk.get("theta_deg", [0.0])
     pols = blk.get("polarization", list(polarizations))
     if not isinstance(thetas, list):
@@ -296,6 +272,10 @@ def _apply_smoothing(table, smooth_ghz):
     return smooth_response(table, smooth_ghz * GHZ)
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_meta(outdir: Path, command: str, config_path):
     meta = {
         "command": command,
@@ -303,7 +283,7 @@ def _write_meta(outdir: Path, command: str, config_path):
         "generator": f"fsskit {__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / "run_meta.json", meta)
 
 
 def _band_report_text(rep) -> str:
@@ -356,8 +336,7 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
         raise ConfigError(
             "sweep: parametric sweeps need a first-order design specified by geometry"
         )
-    blk = _block(cfg, "parametric")
-    _check_keys(blk, ("param", "values_mm"), "parametric")
+    blk = _block(cfg, "parametric", ("param", "values_mm"))
     param_key = blk.get("param")
     if not isinstance(param_key, str) or (
         param_key not in _GEOM_KEYS and param_key not in _GEOM_KEYS.values()
@@ -420,11 +399,8 @@ def _cmd_angular(cfg, outdir: Path, config_path, smooth_ghz):
 
 
 def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
-    blk = _block(cfg, "targets")
-    _check_keys(
-        blk,
-        ("f_lower_GHz", "f_upper_GHz", "f_zero_GHz", "L_tank_nH", "period_mm"),
-        "targets",
+    blk = _block(
+        cfg, "targets", ("f_lower_GHz", "f_upper_GHz", "f_zero_GHz", "L_tank_nH", "period_mm")
     )
     f_lower = _number(blk, "f_lower_GHz", "targets")
     f_upper = _number(blk, "f_upper_GHz", "targets")
@@ -460,7 +436,7 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
             "f_upper_Hz": pred.f_upper,
         },
     }
-    (outdir / "design.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / "design.json", payload)
     lines = [
         "synthesized first-order design",
         f"targets    : f_lower = {f_lower / GHZ:.4f} GHz, f_upper = {f_upper / GHZ:.4f} GHz",
@@ -479,10 +455,7 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
 
 
 def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
-    blk = _block(cfg, "fit")
-    _check_keys(
-        blk, ("data", "template", "initial", "magnitude_only", "max_iter"), "fit"
-    )
+    blk = _block(cfg, "fit", ("data", "template", "initial", "magnitude_only", "max_iter"))
     data_path = blk.get("data")
     if not isinstance(data_path, str) or not data_path:
         _fail("fit.data", "path to a response CSV or Touchstone file")
@@ -496,8 +469,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
         _fail("fit.template", "'first_order' or 'second_order'")
     # A key missing from the template is left to fit_circuit, which names it.
     keys = _element_keys(TEMPLATES[template], "nH", "pF")
-    initial_block = _block(blk, "initial", "fit")
-    _check_keys(initial_block, keys, "fit.initial")
+    initial_block = _block(blk, "initial", keys, "fit")
     initial = {keys[key]: _number(initial_block, key, "fit.initial") for key in initial_block}
     magnitude_only = blk.get("magnitude_only", False)
     if not isinstance(magnitude_only, bool):
@@ -524,9 +496,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
         "rms_residual": result.rms_residual,
         "iterations": result.iterations,
     }
-    (outdir / "fit_result.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(outdir / "fit_result.json", payload)
     with (outdir / "residual_trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "rms_residual"])
@@ -547,6 +517,8 @@ def run(command: str, config_path, output_dir, smooth_ghz=None) -> None:
     """Execute one command; raises FssError subclasses on failure."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {sorted(_COMMANDS)}")
+    if smooth_ghz is not None and not _positive(smooth_ghz):
+        _fail("--smooth-ghz", "finite positive number (GHz)")
     cfg = load_config(config_path)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -581,12 +553,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         run(args.command, args.config, args.out, getattr(args, "smooth_ghz", None))
-    except ConfigError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 2
     except FssError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     except OSError as exc:
         print(f"error: io-error: {exc}", file=sys.stderr)
         return 1

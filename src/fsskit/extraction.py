@@ -35,18 +35,10 @@ class FirstOrderGeometry:
         a = self.period
         if not a > 0.0:
             raise InvalidGeometryError(f"period must be positive, got {a}")
-        if not 0.0 < self.jc_slot < a:
-            raise InvalidGeometryError(
-                f"jc_slot must lie in (0, period), got {self.jc_slot}"
-            )
-        if not 0.0 < self.jc_gap < a:
-            raise InvalidGeometryError(
-                f"jc_gap must lie in (0, period), got {self.jc_gap}"
-            )
-        if not 0.0 < self.hat_length < a:
-            raise InvalidGeometryError(
-                f"hat_length must lie in (0, period), got {self.hat_length}"
-            )
+        for name in ("jc_slot", "jc_gap", "hat_length"):
+            value = getattr(self, name)
+            if not 0.0 < value < a:
+                raise InvalidGeometryError(f"{name} must lie in (0, period), got {value}")
         d = a - self.jc_gap - self.cross_slot
         if not (self.cross_slot > 0.0 and self.cross_slot < d):
             raise InvalidGeometryError(

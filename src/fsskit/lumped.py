@@ -100,7 +100,7 @@ class Parallel:
             raise InvalidParameterError("parallel combination needs at least one branch")
         object.__setattr__(self, "branches", tuple(self.branches))
         for b in self.branches:
-            if not isinstance(b, (SeriesLC, Tank, Inductor, Parallel)):
+            if not isinstance(b, Branch):
                 raise InvalidParameterError(f"not a lumped branch: {b!r}")
 
 

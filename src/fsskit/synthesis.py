@@ -290,7 +290,7 @@ def fit_circuit(
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             return None
         try:
-            stack = _build_template(template, names, values, sub, inc, dielectric_loss)
+            stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
             _, s21 = stack_response(stack, freqs)
         except FssError:
             return None
@@ -382,12 +382,13 @@ def fit_circuit(
     return FitResult(template, params, trace[-1], iterations, tuple(trace))
 
 
-def _build_template(template, names, values, sub, inc, dielectric_loss):
-    p = dict(zip(names, values))
+def _build_template(template, params, sub, inc, dielectric_loss):
+    """The stack of a fit template from its element values (SI) by name."""
     if template == "first_order":
-        return build_first_order(ExtractedCircuit(**p), sub, inc, dielectric_loss)
+        return build_first_order(ExtractedCircuit(**params), sub, inc, dielectric_loss)
     outer = (
-        SeriesLC(p["L_outer_a"], p["C_outer_a"]),
-        SeriesLC(p["L_outer_b"], p["C_outer_b"]),
+        SeriesLC(params["L_outer_a"], params["C_outer_a"]),
+        SeriesLC(params["L_outer_b"], params["C_outer_b"]),
     )
-    return build_second_order(outer, Tank(p["L_tank"], p["C_tank"]), sub, inc, dielectric_loss)
+    middle = Tank(params["L_tank"], params["C_tank"])
+    return build_second_order(outer, middle, sub, inc, dielectric_loss)

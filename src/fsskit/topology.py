@@ -88,7 +88,7 @@ class FssStack:
             )
         for i, layer in enumerate(layers):
             if i % 2 == 0:
-                if not isinstance(layer, (SeriesLC, Tank, Inductor, Parallel)):
+                if not isinstance(layer, Branch):
                     raise InvalidParameterError(
                         f"layer {i} must be a shunt lumped branch, got {layer!r}"
                     )

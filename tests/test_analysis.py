@@ -160,6 +160,39 @@ def test_band_report_under_resolved_band():
     assert "7.464 dB" in str(info.value)
 
 
+def _db_table(f, db):
+    return ResponseTable(f, np.zeros(f.size, complex), 10 ** (db / 20) + 0j)
+
+
+def test_band_report_merged_bands_are_a_band_structure_error():
+    # Two -2 dB peaks whose valley sits at -3.99 dB: under the -3 dB band
+    # line, so they count as two bands, but less than 3 dB under each peak,
+    # so a 3 dB search would run through the null into the other band.
+    f = np.linspace(1e9, 12e9, 4001)
+    g = lambda f0: np.exp(-(((f - f0) / 1.84e9) ** 2))
+    db = -30.0 + 28.0 * np.maximum(g(6e9), g(7e9))
+    with pytest.raises(BandStructureError, match="lower band merges") as info:
+        band_report(_db_table(f, db))
+    assert info.value.band_count == 2
+    assert "null at -3.993 dB" in str(info.value)
+    assert "peak level of -2.000 dB" in str(info.value)
+
+
+def test_band_report_accepts_a_width_beyond_the_peak_frequency():
+    # A resolved upper band whose 3 dB width is 118% of its peak frequency:
+    # a property of the data, not a bad parameter.
+    f = np.linspace(0.1e9, 20e9, 6001)
+    g = lambda f0, w: np.exp(-((np.log(f / f0) / w) ** 2))
+    db = -40.0 + 40.0 * np.maximum(g(0.5e9, 0.15), g(2e9, 2.0))
+    rep = band_report(_db_table(f, db))
+    half_width = 2.0 * math.sqrt(-math.log(37.0 / 40.0))  # ln of edge over peak
+    assert rep.bw_upper == pytest.approx(2 * math.sinh(half_width), rel=1e-3)
+    assert rep.bw_upper > 1.0
+    for bad in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="bw_upper must be finite and positive"):
+            replace(rep, bw_upper=bad)
+
+
 def test_band_report_grid_independence(ref_circuit, ref_substrate):
     stack = _ref_stack(ref_circuit, ref_substrate)
     a = band_report(sweep(stack, 1e9, 12e9, 1401))
@@ -251,8 +284,9 @@ def test_smooth_response_reduces_ripple(rng):
     assert np.std(np.abs(sm.s21) - np.abs(base)) < 0.5 * np.std(
         np.abs(noisy) - np.abs(base)
     )
-    with pytest.raises(InvalidParameterError):
-        smooth_response(t, 0.0)
+    for window in (0.0, -1e9, np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="window must be finite and positive"):
+            smooth_response(t, window)
 
 
 # --- Oracle: the per-sample loop implementation of band_report ------------
@@ -293,8 +327,8 @@ def _reference_band_report(table: ResponseTable) -> BandReport:
     else:
         f_zero, _ = _ref_refine_quadratic(f, db, j)
 
-    bw_lower = _ref_bandwidth(f, db, lower_band, level_lower, f_lower, "lower")
-    bw_upper = _ref_bandwidth(f, db, upper_band, level_upper, f_upper, "upper")
+    bw_lower = _ref_bandwidth(f, db, lower_band, level_lower, f_lower, "lower", j)
+    bw_upper = _ref_bandwidth(f, db, upper_band, level_upper, f_upper, "upper", j)
 
     return BandReport(
         f_lower=f_lower,
@@ -329,8 +363,14 @@ def _ref_refine_quadratic(f, db, i):
     return float(x_star), float(y_star)
 
 
-def _ref_bandwidth(f, db, band, peak_level, f_peak, which):
+def _ref_bandwidth(f, db, band, peak_level, f_peak, which, null):
     target = peak_level - 3.0
+    if not db[null] < target:
+        raise BandStructureError(
+            f"the {which} band merges with the other one: the null at {db[null]:.3f} dB is "
+            f"not 3 dB under its refined peak level of {peak_level:.3f} dB",
+            band_count=2,
+        )
     band = [i for i in band if db[i] >= target]
     if not band:
         raise BandStructureError(

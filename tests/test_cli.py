@@ -12,6 +12,9 @@ import fsskit
 from fsskit import band_report, extract_circuit, load_response, predict_resonances, topology
 from fsskit.cli import main, run
 from fsskit.errors import ConfigError
+from fsskit.extraction import ExtractedCircuit
+from fsskit.fileio import write_touchstone
+from fsskit.lumped import SeriesLC, Tank
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -68,9 +71,29 @@ def test_analyze_golden_bytes(tmp_path):
 
 # The same for every other command on its demo config, and for a sweep
 # whose points fail (an impossible geometry, a one-band response), so the
-# error rows of parametric.csv are pinned too.  run_meta.json is the only
-# file left out: it carries the timestamp.
+# error rows of parametric.csv are pinned too.  The fit cases fit each
+# template to the Touchstone file that _write_fit_s2p makes from the demo
+# design, starting a few percent off.  run_meta.json is the only file left
+# out: it carries the timestamp.
 COMMAND_GOLDEN_SHA256 = {
+    "fit-first-order": ("fit", "sc_band_first_order.json", {"fit": {
+        "data": "fit_data.s2p",
+        "template": "first_order",
+        "initial": {"L_series_nH": 5.1, "C_series_pF": 0.48, "L_tank_nH": 4.2,
+                    "C_tank_pF": 0.34, "L_parasitic_nH": 0.9},
+    }}, {
+        "fit_result.json": "ce833dcc43c8c6accf060bce7c0a3ff43eb61e5fbd6c95cc297d2a63027535db",
+        "residual_trace.csv": "a2f668393fe0d452990b1a17925e81d412da6212d723115c6f221a188c2f3592",
+    }),
+    "fit-second-order": ("fit", "second_order.json", {"fit": {
+        "data": "fit_data.s2p",
+        "template": "second_order",
+        "initial": {"L_outer_a_nH": 5.0, "C_outer_a_pF": 0.49, "L_outer_b_nH": 2.1,
+                    "C_outer_b_pF": 0.48, "L_tank_nH": 2.6, "C_tank_pF": 0.29},
+    }}, {
+        "fit_result.json": "b3da3e7def2da564b89ee80d238600d115313cedf30fc26bdd9b185e0bdca880",
+        "residual_trace.csv": "fdcd668396430b10ab9c36a19f535d913d2b143d3d4df1cf212c293998105569",
+    }),
     "analyze-geometry": ("analyze", "sc_band_geometry.json", {}, {
         "band_report.txt": "bb203bfde5b33584543d519605d6cba9b0bb6de0d277a9c6154cfd11db1a2980",
         "response.csv": "9b4f6859c313a2707d6469394e7725dd3277d92d0b61d0c555b0d38789658b38",
@@ -107,10 +130,30 @@ COMMAND_GOLDEN_SHA256 = {
 }
 
 
+def _write_fit_s2p(path, template):
+    """Noise-free Touchstone data of the demo design of each fit template,
+    built with the topology builders rather than through the CLI."""
+    if template == "first_order":
+        sub = topology.Substrate(0.635e-3, 10.2, 0.0023)
+        circuit = ExtractedCircuit(4.9e-9, 0.5e-12, 4.0e-9, 0.35e-12, 0.8e-9)
+        stack = topology.build_first_order(circuit, sub)
+        freqs = np.linspace(1e9, 12e9, 401)
+    else:
+        sub = topology.Substrate(3.4e-3, 10.2, 0.0023)
+        outer = (SeriesLC(4.9e-9, 0.5e-12), SeriesLC(2.0e-9, 0.5e-12))
+        stack = topology.build_second_order(outer, Tank(2.5e-9, 0.3e-12), sub)
+        freqs = np.linspace(1.5e9, 4.9e9, 341)
+    s11, s21, s22 = topology.stack_response_full(stack, freqs)
+    port = topology.port_impedance(topology.Incidence())
+    write_touchstone(freqs, s11, s21, s21, s22, path, port)
+
+
 @pytest.mark.parametrize("case", sorted(COMMAND_GOLDEN_SHA256))
 def test_command_golden_bytes(tmp_path, case):
     command, config, overrides, digests = COMMAND_GOLDEN_SHA256[case]
     cfg = dict(_load_config(config), **overrides)
+    if command == "fit":
+        _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out)
     written = sorted(p.name for p in out.iterdir() if p.name != "run_meta.json")
@@ -633,6 +676,21 @@ def test_smooth_flag_is_rejected_where_it_does_nothing(tmp_path, capsys, command
     assert exc.value.code == 2
     assert "--smooth-ghz" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,base,window",
+    [("analyze", _FIRST, "inf"), ("analyze", _FIRST, "nan"), ("fit", "fit", "inf"),
+     ("fit", "fit", "-1")],
+)
+def test_smooth_window_must_be_finite_and_positive(tmp_path, capsys, command, base, window):
+    _write_fit_data(tmp_path)
+    config = _write(tmp_path, _config(base))
+    out = tmp_path / "o"
+    assert main([command, str(config), "--out", str(out), f"--smooth-ghz={window}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: --smooth-ghz: expected finite positive"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
