@@ -21,7 +21,7 @@ from .errors import (
     TruncatedBandError,
 )
 from .extraction import FirstOrderGeometry, extract_circuit
-from .lumped import SeriesLC
+from .lumped import _resonance
 from .topology import FssStack, Incidence, Substrate, build_first_order, stack_response
 
 # Local maxima qualify as passband peaks above this absolute level, and a
@@ -297,7 +297,7 @@ def parametric_sweep(
             circuit = extract_circuit(geom)
             sub = Substrate(geom.thickness, geom.eps_r, geom.tan_delta)
             stack = build_first_order(circuit, sub, inc, dielectric_loss)
-            f_zero = SeriesLC(circuit.L_series, circuit.C_series).resonance()
+            f_zero = _resonance(circuit.L_series, circuit.C_series)
             this_grid = grid
             if f_start < f_zero < f_stop:
                 this_grid = np.union1d(grid, [f_zero])
@@ -310,10 +310,14 @@ def parametric_sweep(
 
 def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     """Moving average of the complex S-parameters over a frequency window,
-    used to knock ripple off imported measurement data."""
+    used to knock ripple off imported measurement data.  The window must be
+    narrower than the data's span, or the centre sample averages it all."""
     if not 0.0 < window_hz < np.inf:
         raise InvalidParameterError(f"window must be finite and positive, got {window_hz}")
     f = table.frequency
+    span = f[-1] - f[0]
+    if not window_hz < span:
+        raise InvalidParameterError(f"window {window_hz} must be below the data span {span}")
     half = window_hz / 2.0
     lo = np.searchsorted(f, f - half, side="left")
     hi = np.searchsorted(f, f + half, side="right")

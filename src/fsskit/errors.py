@@ -1,12 +1,23 @@
 """Exception types shared across the package.
 
 Every exception carries a short machine-readable ``category`` slug; the
-command-line front end prints it as a single parsable error line.
+command-line front end prints it as a single parsable error line.  A class
+that carries diagnostic details names them in ``payload``; each becomes an
+attribute, ``None`` unless passed as a keyword.
 """
 
 
 class FssError(Exception):
     category = "error"
+    payload: tuple = ()
+
+    def __init__(self, message, **details):
+        unknown = sorted(set(details) - set(self.payload))
+        if unknown:
+            raise TypeError(f"{type(self).__name__} got unexpected payload {unknown}")
+        super().__init__(message)
+        for name in self.payload:
+            setattr(self, name, details.get(name))
 
 
 class InvalidParameterError(FssError):
@@ -33,20 +44,14 @@ class BandStructureError(FssError):
     """Swept response does not contain exactly two passbands."""
 
     category = "band-structure"
-
-    def __init__(self, message, band_count=None):
-        super().__init__(message)
-        self.band_count = band_count
+    payload = ("band_count",)
 
 
 class TruncatedBandError(FssError):
     """A 3 dB crossing falls outside the swept frequency range."""
 
     category = "truncated-band"
-
-    def __init__(self, message, side=None):
-        super().__init__(message)
-        self.side = side
+    payload = ("side",)
 
 
 class EmptySweepError(FssError):
@@ -55,30 +60,19 @@ class EmptySweepError(FssError):
 
 class InfeasibleTargetsError(FssError):
     category = "infeasible-targets"
-
-    def __init__(self, message, attainable=None):
-        super().__init__(message)
-        self.attainable = attainable
+    payload = ("attainable",)
 
 
 class UnattainableDimensionError(FssError):
     category = "unattainable-dimension"
-
-    def __init__(self, message, parameter=None, attainable=None):
-        super().__init__(message)
-        self.parameter = parameter
-        self.attainable = attainable
+    payload = ("parameter", "attainable")
 
 
 class DivergedFitError(FssError):
     """Fit hit the iteration cap before converging."""
 
     category = "diverged-fit"
-
-    def __init__(self, message, best=None, trace=None):
-        super().__init__(message)
-        self.best = best
-        self.trace = trace
+    payload = ("best", "trace")
 
 
 class ConfigError(FssError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .constants import EPS0, MU0
 from .errors import InvalidGeometryError, InvalidParameterError, NoRealPolesError
-from .lumped import OPEN
+from .lumped import OPEN, _resonance
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,9 @@ def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
     upper passband from the tank alone, lower passband from the loaded
     series branch.  The parasitic inductor and the substrate are ignored,
     so the upper value in particular underestimates the swept peak."""
-    f_zero = 1.0 / (2.0 * math.pi * math.sqrt(c.L_series * c.C_series))
-    f_upper = 1.0 / (2.0 * math.pi * math.sqrt(c.L_tank * c.C_tank))
-    f_lower = 1.0 / (2.0 * math.pi * math.sqrt((c.L_tank + c.L_series) * c.C_series))
+    f_zero = _resonance(c.L_series, c.C_series)
+    f_upper = _resonance(c.L_tank, c.C_tank)
+    f_lower = _resonance(c.L_tank + c.L_series, c.C_series)
     return ResonancePrediction(f_lower, f_zero, f_upper)
 
 

@@ -142,24 +142,19 @@ def read_touchstone(path) -> ResponseTable:
         if not line:
             continue
         if line.startswith("#"):
-            tokens = line[1:].split()
-            i = 0
-            while i < len(tokens):
-                tok = tokens[i].upper()
+            tokens = iter(line[1:].split())
+            for tok in tokens:
+                tok = tok.upper()
                 if tok in _FREQ_SCALE:
                     scale = _FREQ_SCALE[tok]
                 elif tok in ("RI", "MA", "DB"):
                     fmt = tok
                 elif tok == "R":  # checked, but the data are not renormalized to it
-                    i += 1
-                    _check_reference_resistance(path, tokens[i] if i < len(tokens) else None)
-                elif tok == "S":
-                    pass
-                else:
+                    _check_reference_resistance(path, next(tokens, None))
+                elif tok != "S":
                     raise InvalidParameterError(
                         f"{path}: unsupported option-line token {tok!r}"
                     )
-                i += 1
             continue
         parts = line.split()
         if len(parts) != 9:
@@ -186,12 +181,8 @@ def read_touchstone(path) -> ResponseTable:
 
 def load_response(path) -> ResponseTable:
     """Read either the package CSV schema or a Touchstone v1 file, sniffing
-    by content."""
-    first = ""
-    for raw in Path(path).read_text().splitlines():
-        if raw.strip():
-            first = raw.strip()
-            break
-    if first == CSV_HEADER:
-        return read_response_csv(path)
-    return read_touchstone(path)
+    by its first non-blank line."""
+    with Path(path).open() as fh:
+        # split as the readers split, at \v, \f and the like too
+        first = next((s.strip() for line in fh for s in line.splitlines() if s.strip()), "")
+    return read_response_csv(path) if first == CSV_HEADER else read_touchstone(path)

@@ -38,6 +38,11 @@ class Open:
 OPEN = Open()
 
 
+def _resonance(L: float, C: float) -> float:
+    """Resonance frequency (Hz) of an L-C pair."""
+    return 1.0 / (2.0 * math.pi * math.sqrt(L * C))
+
+
 @dataclass(frozen=True)
 class SeriesLC:
     """Series L-C branch; shunted it produces a transmission zero at
@@ -57,7 +62,7 @@ class SeriesLC:
 
     def resonance(self) -> float:
         """Series-resonance frequency in Hz (the branch is a short there)."""
-        return 1.0 / (2.0 * math.pi * math.sqrt(self.L * self.C))
+        return _resonance(self.L, self.C)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class Tank:
             raise InvalidParameterError(f"tank conductance must be >= 0, got {self.G}")
 
     def resonance(self) -> float:
-        return 1.0 / (2.0 * math.pi * math.sqrt(self.L * self.C))
+        return _resonance(self.L, self.C)
 
 
 @dataclass(frozen=True)
@@ -168,12 +173,10 @@ class HybridCircuit:
 
 def hybrid_impedance(h: HybridCircuit, f: float):
     """Impedance of the hybrid network: jwL_series + 1/(jwC_series) + tank."""
-    if not f > 0.0:
-        raise InvalidParameterError(f"frequency must be positive, got {f!r}")
-    w = 2.0 * math.pi * f
     z_tank = branch_impedance(Tank(h.L_tank, h.C_tank), f)
     if z_tank is OPEN:
         return OPEN
+    w = 2.0 * math.pi * f
     return 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + z_tank
 
 

@@ -128,21 +128,16 @@ def geometry_from_circuit(
     a = period
     er_eff = effective_permittivity(sub.eps_r)
 
-    jc_slot = _bisect_decreasing(
-        lambda s: _strip_inductance(a, mu_reff, s),
-        c.L_series,
-        a * 1e-9,
-        a * (1.0 - 1e-9),
-        parameter="jc_slot",
-        target_name="L_series",
-    )
-    jc_gap = _bisect_decreasing(
-        lambda g: _strip_inductance(a, mu_reff, g),
-        c.L_tank,
-        a * 1e-9,
-        a * (1.0 - 1e-9),
-        parameter="jc_gap",
-        target_name="L_tank",
+    jc_slot, jc_gap = (
+        _bisect_decreasing(
+            lambda w: _strip_inductance(a, mu_reff, w),
+            getattr(c, target_name),
+            a * 1e-9,
+            a * (1.0 - 1e-9),
+            parameter=parameter,
+            target_name=target_name,
+        )
+        for parameter, target_name in (("jc_slot", "L_series"), ("jc_gap", "L_tank"))
     )
     gap_factor = 2.0 * EPS0 * er_eff * _ln_csc(math.pi * jc_gap / (2.0 * a))
     hat_length = c.C_series * math.pi / gap_factor

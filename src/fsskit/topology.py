@@ -107,11 +107,15 @@ class FssStack:
         return self.layers[::2]
 
 
+def _oblique(z, cos, polarization: str):
+    """Wave impedance ``z`` at obliquity ``cos``: divided by it for TE,
+    multiplied by it for TM."""
+    return z / cos if polarization == "TE" else z * cos
+
+
 def port_impedance(inc: Incidence) -> float:
     """Free-space wave impedance seen by the given polarization at angle theta."""
-    if inc.polarization == "TE":
-        return ETA0 / math.cos(inc.theta)
-    return ETA0 * math.cos(inc.theta)
+    return _oblique(ETA0, math.cos(inc.theta), inc.polarization)
 
 
 def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = False):
@@ -130,11 +134,7 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     # cos of the refraction angle; evaluates to exactly 1.0 at normal
     # incidence so TE and TM outputs are bit-identical there.
     cos_r = (1.0 - sin_i * sin_i / eps) ** 0.5
-    z_slab = ETA0 / eps ** 0.5
-    if inc.polarization == "TE":
-        line_z = z_slab / cos_r
-    else:
-        line_z = z_slab * cos_r
+    line_z = _oblique(ETA0 / eps ** 0.5, cos_r, inc.polarization)
     theta_d = (2.0 * math.pi / C0) * sub.thickness * (eps ** 0.5) * cos_r * f
     return port_impedance(inc), line_z, theta_d
 

@@ -289,6 +289,22 @@ def test_smooth_response_reduces_ripple(rng):
             smooth_response(t, window)
 
 
+@pytest.mark.parametrize("share", [1.0, 1.01, 0.99])
+def test_smooth_window_must_be_narrower_than_the_span(ref_circuit, ref_substrate, share):
+    # a window as wide as the span averages the whole record into the centre
+    # sample, and a fit would then fit a flat line
+    table = sweep(_ref_stack(ref_circuit, ref_substrate), 1e9, 8e9, 801)
+    span = table.frequency[-1] - table.frequency[0]
+    window = share * span
+    if share < 1.0:
+        assert np.unique(smooth_response(table, window).s21).size > 1
+        return
+    with pytest.raises(InvalidParameterError) as info:
+        smooth_response(table, window)
+    assert f"window {window}" in str(info.value)
+    assert f"span {span}" in str(info.value)
+
+
 # --- Oracle: the per-sample loop implementation of band_report ------------
 #
 # A verbatim copy of the scanning version of band_report, kept as the

@@ -693,6 +693,18 @@ def test_smooth_window_must_be_finite_and_positive(tmp_path, capsys, command, ba
     assert not out.exists()
 
 
+def test_smooth_window_wider_than_the_data_is_refused(tmp_path, capsys):
+    _write_fit_data(tmp_path)
+    config = _write(tmp_path, _config("fit"))
+    out = tmp_path / "o"
+    assert main(["fit", str(config), "--out", str(out), "--smooth-ghz", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: invalid-parameter: window 1000000000000.0 must be below the data span 2000000000.0"
+    ), err
+    assert not (out / "fit_result.json").exists()
+
+
 @pytest.mark.parametrize(
     "command,theta", [("analyze", 90.0), ("analyze", 120), ("angular", [0.0, 90.0])]
 )

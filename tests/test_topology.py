@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -10,15 +11,19 @@ from fsskit import (
     ETA0,
     ExtractedCircuit,
     FssStack,
+    HybridCircuit,
     Incidence,
     Inductor,
     Parallel,
+    ResponseTable,
     SeriesLC,
     Substrate,
     Tank,
     build_first_order,
     build_second_order,
+    hybrid_impedance,
     incidence_media,
+    load_response,
     port_impedance,
     predict_resonances,
     branch_impedance,
@@ -29,6 +34,7 @@ from fsskit import (
 from fsskit.lumped import OPEN
 from fsskit import topology
 from fsskit.errors import InvalidParameterError, SingularNetworkError
+from fsskit.fileio import CSV_HEADER
 from fsskit.topology import SINGULAR_DELTA, _chain
 
 
@@ -527,3 +533,91 @@ def test_blocked_engine_matches_unblocked_reference(monkeypatch):
         got = _engine_outcome(topology._response_arrays, stack, freqs, True)
     assert want == (SingularNetworkError, f"singular network at {freqs[2 * block + 5]} Hz")
     assert got == want
+
+
+def _bits(*values) -> str:
+    """Type names and hex float bytes of the values (OPEN by name)."""
+    return " ".join(
+        "OPEN" if v is OPEN else f"{type(v).__name__}:{np.asarray(v).tobytes().hex()}"
+        for v in values
+    )
+
+
+def _bits_outcome(fn, *args) -> str:
+    """_bits of fn(*args), or the exception class and message it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, ResponseTable):
+        return _bits(out.frequency, out.s11, out.s21)
+    return _bits(*out) if isinstance(out, tuple) else _bits(out)
+
+
+def _response_file_texts(rng):
+    """Seeded response-file texts: the CSV schema and Touchstone v1 in every
+    format and unit, behind leading blank and comment lines, with malformed
+    variants mixed in."""
+    blanks = ["\n", "  \n", "\t\n", "! note\n", "!\n"]
+    for k in range(120):
+        n = int(rng.integers(2, 6))
+        cells = [[repr(float(x)) for x in row] for row in rng.uniform(-1.0, 1.0, (n, 8))]
+        freqs = np.sort(rng.uniform(1.0, 20.0, n))
+        lead = "".join(rng.choice(blanks, int(rng.integers(0, 4))))
+        if k % 2 == 0:
+            rows = [f"{repr(float(f * 1e9))},{','.join(c[:6])}" for f, c in zip(freqs, cells)]
+            if k % 10 == 4:
+                rows[-1] += ",1"
+            head = CSV_HEADER if k % 14 else CSV_HEADER.replace("s21_db", "s21")
+            if "!" in lead:
+                lead = "\n \n"
+            yield lead + "\n".join([head] + rows) + "\n"
+            continue
+        unit = rng.choice(["HZ", "KHZ", "MHZ", "GHZ", "hz", "Ghz"])
+        fmt = rng.choice(["RI", "MA", "DB", "ri", "db"])
+        r = rng.choice(["R 50", "R 376.730313", "R fifty", "R", "R 0", "R -5", "R inf", ""])
+        option = rng.choice([f"# {unit} S {fmt} {r}", f"#{fmt} {r} {unit}", "", "# S XY"])
+        scale = {"HZ": 1e9, "KHZ": 1e6, "MHZ": 1e3}.get(unit.upper(), 1.0)
+        rows = [f"{repr(float(f * scale))} {' '.join(c)}" for f, c in zip(freqs, cells)]
+        rng.shuffle(rows)
+        if k % 9 == 1:
+            rows[0] += " ! trailing comment"
+        if k % 11 == 3:
+            rows[-1] = " ".join(rows[-1].split()[:8])
+        if k % 13 == 5:
+            rows[-1] = rows[-1].replace(rows[-1].split()[2], "nan", 1)
+        if k % 17 == 7:
+            rows = []
+        yield lead + "\n".join([option] + rows) + "\n"
+
+
+def test_media_resonance_and_reader_outputs_golden(tmp_path):
+    """SHA-256 over seeded outcomes (the float bytes, or the exception class
+    and message) of the TE/TM wave impedances, the L-C resonances, the
+    hybrid impedance and the response-file sniffer.  A refactor of these
+    rules must leave every bit and every message unchanged; the engine
+    tests above call the module's own ``incidence_media`` and cannot."""
+    rng = np.random.default_rng(90210)
+    lines = []
+    for k in range(800):
+        theta = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, math.radians(80.0)))
+        inc = Incidence(theta, "TE" if k % 2 else "TM")
+        tan_delta = 0.0 if k % 7 == 0 else float(rng.uniform(0.0, 0.02))
+        sub = Substrate(float(rng.uniform(0.1e-3, 3e-3)), float(rng.uniform(1.0, 12.0)), tan_delta)
+        loss = bool(k % 3)
+        f = float(rng.uniform(0.1e9, 40e9)) if k % 4 else rng.uniform(0.1e9, 40e9, 3)
+        lines.append(_bits(port_impedance(inc)))
+        lines.append(_bits_outcome(incidence_media, inc, sub, f, loss))
+    for k in range(600):
+        L = float(10.0 ** rng.uniform(-10.0, -7.0))
+        C = float(10.0 ** rng.uniform(-14.0, -11.0))
+        lines.append(_bits(SeriesLC(L, C).resonance(), Tank(C * 1e3, L * 1e-3).resonance()))
+        h = HybridCircuit(L, C, float(10.0 ** rng.uniform(-10.0, -7.0)), C * 2.0)
+        f = [float(rng.uniform(0.1e9, 40e9)), 0.0, -1e9, math.nan, Tank(L, C).resonance()][k % 5]
+        lines.append(_bits_outcome(hybrid_impedance, h, f))
+    for k, text in enumerate(_response_file_texts(rng)):
+        path = tmp_path / f"r{k}.dat"
+        path.write_text(text)
+        lines.append(_bits_outcome(load_response, path).replace(str(path), "<file>"))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "326edf67b16aa126488789722bc3889472fc6e5a9e7e5dca20d61cc16b0cf7a5", digest
