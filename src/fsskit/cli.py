@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import ResponseTable, _grid, band_report, parametric_sweep, smooth_response, sweep
 from .constants import C0
-from .errors import ConfigError, EmptySweepError, FssError
+from .errors import BandStructureError, ConfigError, EmptySweepError, FssError, TruncatedBandError
 from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
 from .fileio import load_response, write_response_csv, write_touchstone
 from .synthesis import (
@@ -326,7 +326,17 @@ def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
             f"polarization = {inc.polarization}",
         ),
     )
-    rep = band_report(_apply_smoothing(table, smooth_ghz))
+    try:
+        rep = band_report(_apply_smoothing(table, smooth_ghz))
+    except (BandStructureError, TruncatedBandError) as exc:
+        if smooth_ghz is None:
+            raise
+        # a window as wide as a band flattens it, so say which window ran
+        raise type(exc)(
+            f"{exc} (after the {smooth_ghz:g} GHz --smooth-ghz moving average; the "
+            "window must sit well below the narrowest 3 dB bandwidth)",
+            **{name: getattr(exc, name) for name in exc.payload},
+        ) from exc
     (outdir / "band_report.txt").write_text(_band_report_text(rep))
 
 

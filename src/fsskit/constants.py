@@ -1,8 +1,14 @@
-"""Physical constants, strict SI."""
+"""Physical constants, strict SI.
 
-from scipy.constants import c as C0            # speed of light, m/s
-from scipy.constants import epsilon_0 as EPS0  # vacuum permittivity, F/m
-from scipy.constants import mu_0 as MU0        # vacuum permeability, H/m
+C0 is exact by definition of the metre.  EPS0 and MU0 are the CODATA 2022
+recommended values, written out so that importing the package loads no
+constants library; each equals ``scipy.constants`` (1.17.1) bit for bit,
+which the test suite checks.
+"""
+
+C0 = 299792458.0          # speed of light, m/s
+EPS0 = 8.8541878188e-12   # vacuum permittivity, F/m
+MU0 = 1.25663706127e-06   # vacuum permeability, H/m
 
 # Free-space wave impedance, ohm.  Pinned to the figure written into
 # Touchstone option lines so exported files and internal port impedances

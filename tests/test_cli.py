@@ -11,7 +11,7 @@ import pytest
 import fsskit
 from fsskit import band_report, extract_circuit, load_response, predict_resonances, topology
 from fsskit.cli import main, run
-from fsskit.errors import ConfigError
+from fsskit.errors import ConfigError, FssError
 from fsskit.extraction import ExtractedCircuit
 from fsskit.fileio import write_touchstone
 from fsskit.lumped import SeriesLC, Tank
@@ -703,6 +703,36 @@ def test_smooth_window_wider_than_the_data_is_refused(tmp_path, capsys):
         "error: invalid-parameter: window 1000000000000.0 must be below the data span 2000000000.0"
     ), err
     assert not (out / "fit_result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "sweep,window,category,payload",
+    [
+        ({}, 0.1, "band-structure", {"band_count": 1}),
+        ({"f_stop_GHz": 8.57, "n_points": 1501}, 0.02, "truncated-band", {"side": "upper-high"}),
+    ],
+    ids=["lower-band-flattened", "upper-edge-lifted"],
+)
+def test_smoothing_that_spoils_a_band_names_the_window(
+    tmp_path, capsys, sweep, window, category, payload
+):
+    # the demo's lower band is 27 MHz wide; a 0.1 GHz average flattens it, and
+    # near the sweep's end the one-sided average lifts the upper band's edge
+    cfg = _load_config(_FIRST)
+    cfg["sweep"].update(sweep)
+    config = _write(tmp_path, cfg)
+    assert main(["analyze", str(config), "--out", str(tmp_path / "raw")]) == 0
+    argv = ["analyze", str(config), "--out", str(tmp_path / "o"), f"--smooth-ghz={window}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}: "), err
+    assert err.count("\n") == 1
+    assert f"after the {window:g} GHz --smooth-ghz moving average" in err
+    assert "well below the narrowest 3 dB bandwidth" in err
+    with pytest.raises(FssError) as exc:
+        run("analyze", config, tmp_path / "o2", smooth_ghz=window)
+    assert exc.value.category == category
+    assert {name: getattr(exc.value, name) for name in payload} == payload
 
 
 @pytest.mark.parametrize(
