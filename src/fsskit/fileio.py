@@ -26,11 +26,6 @@ _FREQ_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _BLOCK_ROWS = 2048
 
 
-def _db(z: complex) -> float:
-    mag = abs(z)
-    return 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
-
-
 def _data_row(path, row: str, parts) -> list:
     """Values of one data row; frequency, S11 and S21 (the first five) must
     be finite."""
@@ -43,35 +38,117 @@ def _data_row(path, row: str, parts) -> list:
     return vals
 
 
-def _write_rows(fh, columns, sep: str) -> None:
-    """One line per row of the stacked columns, every value as ``%.11e``
-    (12 significant digits; inf, -inf and nan print as such), formatted a
-    block of rows at a time."""
+# The writers print every value as "%.11e" does, a whole block at a time.  A
+# finite nonzero x with decimal exponent e (|e| <= 99) prints as its sign,
+# the 12 digits of the integer m = rint(|x| * 10**(11 - e)), and e.  Each
+# value fills a 20-byte cell of five little-endian uint32 words,
+#   [pad, sign or pad, d0, "."] [d1-d4] [d5-d8] [d9-d11, "e"] [exp sign, 2 exp digits, separator],
+# and the pad bytes (0) are dropped when the block is joined.
+_CELL = 20
+_POW10 = np.array([float(f"1e{11 - e}") for e in range(-99, 100)])  # index e + 99
+
+# |x| * 10**(11 - e) carries about 2e-4 of rounding error, from the product
+# and from the power, so a fraction that close to one half may round either
+# way: such values go through "%" (as do zero, inf, nan and |e| >= 100).
+_TIE = 1e-3
+# np.log10 may differ from math.log10 in the last bit or two, which moves
+# 20*log10 by under 1e-3 of a unit in the 12th digit: a dB value nearer a
+# rounding tie than this is recomputed with math.log10.
+_DB_TIE = 1e-2
+
+
+def _ascii_words(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), "<u4")
+
+
+def _ascii_digits(width: int) -> np.ndarray:
+    """Row v holds the ASCII digits of v, zero-padded to `width`."""
+    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T
+    return np.ascontiguousarray(digits + ord("0"))
+
+
+# Word v of the digit tables spells v in ASCII: "0042" and "042e".
+_DIGITS4 = _ascii_digits(4).view("<u4").ravel()
+_DIGITS3E = np.column_stack((_ascii_digits(3), np.full(1000, ord("e"), np.uint8))).view("<u4").ravel()
+_LEAD = _ascii_words("".join(f"\0{sign}{d}." for sign in "\0-" for d in range(10)))
+_EXPONENT = _ascii_words("".join(f"{e:+03d}\0" for e in range(-99, 100)))
+
+
+def _mantissa(x: np.ndarray, tie: float):
+    """The 12-digit integer mantissa m and decimal exponent e of each |x|,
+    and a mask `exact`, False where m and e may not print x as "%.11e"
+    does: zero, inf, nan, |e| >= 100, and a scaled |x| within `tie` of a
+    rounding tie."""
+    a = np.abs(x)
+    exact = np.isfinite(a) & (a != 0.0)
+    a = np.where(exact, a, 1.0)  # log10 and the scaling see no 0, inf or nan
+    e = np.floor(np.log10(a)).astype(np.int64)
+    scaled = a * _POW10.take(e + 99, mode="clip")
+    off = np.flatnonzero((scaled < 1e11) | (scaled >= 1e12))  # log10 one off, or |e| > 99
+    e[off] += np.where(scaled[off] < 1e11, -1, 1)
+    scaled[off] = a[off] * _POW10.take(e[off] + 99, mode="clip")
+    exact &= (np.abs(e) < 100) & (np.abs(scaled - np.floor(scaled) - 0.5) > tie)
+    m = np.rint(np.where(exact, scaled, 1e11)).astype(np.int64)
+    carry = m == 10**12  # 9.99999999999|5 rounds up to the next decade
+    m[carry] = 10**11
+    e += carry
+    exact &= e < 100
+    return m, e, exact
+
+
+def _format_rows(columns, sep: str) -> np.ndarray:
+    """Rows of the equal-length float columns as ASCII text in a uint8
+    array: each value exactly as ``"%.11e" % value`` prints it, values
+    joined by `sep`, one line per row."""
     block = np.column_stack(columns)
-    row = sep.join(["%.11e"] * block.shape[1])
-    for start in range(0, len(block), _BLOCK_ROWS):
-        chunk = block[start : start + _BLOCK_ROWS]
-        fh.write("\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
-        fh.write("\n")
+    x = block.ravel()
+    m, e, exact = _mantissa(x, _TIE)
+    cells = np.empty((x.size, _CELL // 4), "<u4")
+    q = m // 1000
+    cells[:, 3] = _DIGITS3E.take(m - 1000 * q)
+    m = q // 10000
+    cells[:, 2] = _DIGITS4.take(q - 10000 * m)
+    q = m // 10000
+    cells[:, 1] = _DIGITS4.take(m - 10000 * q)
+    cells[:, 0] = _LEAD.take(q + 10 * np.signbit(x))
+    cells[:, 4] = _EXPONENT.take(np.where(exact, e, 0) + 99) | np.uint32(ord(sep) << 24)
+    text = cells.view(np.uint8)
+    text.reshape(*block.shape, _CELL)[:, -1, -1] = ord("\n")
+    slow = np.flatnonzero(~exact)
+    if slow.size:  # right-justified in the cell, leading spaces made pads
+        fallback = ("%19.11e" * slow.size) % tuple(x[slow].tolist())
+        fallback = np.frombuffer(fallback.replace(" ", "\0").encode(), np.uint8)
+        text[slow, : _CELL - 1] = fallback.reshape(slow.size, _CELL - 1)
+    return text[text != 0]
+
+
+def _decibels(s: np.ndarray) -> np.ndarray:
+    """20*log10|s| as ``20.0 * math.log10(abs(z))`` gives it where
+    ``abs(z) > 0``, else -inf (a NaN magnitude included)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        mag = np.hypot(s.real, s.imag)  # bit for bit abs(complex); np.abs is not
+        db = np.where(mag > 0.0, 20.0 * np.log10(mag), -np.inf)
+    near = np.isfinite(db) & ~_mantissa(db, _DB_TIE)[2]
+    db[near] = 20.0 * np.array(list(map(math.log10, mag[near].tolist())))
+    return db
+
+
+def _row_blocks(n: int) -> list:
+    return [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
 
 
 def write_response_csv(table: ResponseTable, path) -> None:
-    # dB through abs(complex) and math.log10: numpy's vector log10 can
-    # differ in the last bit, which would change printed digits.
-    s11_db = [_db(z) for z in table.s11.tolist()]
-    s21_db = [_db(z) for z in table.s21.tolist()]
-    columns = (
-        table.frequency,
-        table.s11.real,
-        table.s11.imag,
-        table.s21.real,
-        table.s21.imag,
-        s11_db,
-        s21_db,
-    )
-    with Path(path).open("w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        _write_rows(fh, columns, ",")
+    """The package CSV schema, every value as ``%.11e`` (12 significant
+    digits; inf, -inf and nan print as such), the dB columns derived from
+    S11 and S21. Formatted a block of rows at a time, whole-array; the
+    bytes are those of formatting each value on its own."""
+    f, s11, s21 = table.frequency, table.s11, table.s21
+    with Path(path).open("wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for rows in _row_blocks(len(f)):
+            a, b = s11[rows], s21[rows]
+            columns = (f[rows], a.real, a.imag, b.real, b.imag, _decibels(a), _decibels(b))
+            fh.write(_format_rows(columns, ","))
 
 
 def read_response_csv(path) -> ResponseTable:
@@ -103,7 +180,8 @@ def write_touchstone(
     port_z: float,
     comments=(),
 ) -> None:
-    """Two-port Touchstone v1, Hz / real-imaginary, one row per frequency.
+    """Two-port Touchstone v1, Hz / real-imaginary, one row per frequency,
+    every value as ``%.11e``, formatted like the CSV writer's.
 
     The option-line reference resistance is the real port impedance of the
     run; extra context (angle, polarization) goes into comment lines.
@@ -115,9 +193,10 @@ def write_touchstone(
     for s in (s11, s21, s12, s22):
         s = np.asarray(s, dtype=complex)
         columns += [s.real, s.imag]
-    with Path(path).open("w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        _write_rows(fh, columns, " ")
+    with Path(path).open("wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        for rows in _row_blocks(len(columns[0])):
+            fh.write(_format_rows([c[rows] for c in columns], " "))
 
 
 def _check_reference_resistance(path, token) -> None:

@@ -305,6 +305,45 @@ def test_smooth_window_must_be_narrower_than_the_span(ref_circuit, ref_substrate
     assert f"span {span}" in str(info.value)
 
 
+def _loop_smooth(table, window_hz):
+    """The per-sample moving average that smooth_response replaced."""
+    f = table.frequency
+    half = window_hz / 2.0
+    lo = np.searchsorted(f, f - half, side="left")
+    hi = np.searchsorted(f, f + half, side="right")
+    s11 = np.empty_like(table.s11)
+    s21 = np.empty_like(table.s21)
+    for i in range(len(f)):
+        s11[i] = table.s11[lo[i] : hi[i]].mean()
+        s21[i] = table.s21[lo[i] : hi[i]].mean()
+    return s11, s21
+
+
+@pytest.mark.parametrize(
+    "n,spacing,window_ghz",
+    [
+        (801, "linear", 0.1),  # the benchmark fit's window
+        (801, "linear", 0.001),  # narrower than a step: one sample per window
+        (801, "log", 6.3),  # most windows clip at both edges
+        (2201, "linear", 4.2),
+        (2201, "log", 0.1),
+        (50001, "linear", 0.1),
+        (50001, "log", 0.05),
+    ],
+)
+def test_smooth_response_matches_per_sample_loop(n, spacing, window_ghz):
+    # bit for bit, on the 1-8 GHz grid
+    rng = np.random.default_rng(n)
+    grid = np.linspace if spacing == "linear" else np.geomspace
+    f = grid(1e9, 8e9, n)
+    parts = rng.standard_normal((2, 2, n)) * 10.0 ** rng.uniform(-3, 1, (2, 2, n))
+    table = ResponseTable(f, parts[0, 0] + 1j * parts[0, 1], parts[1, 0] + 1j * parts[1, 1])
+    got = smooth_response(table, window_ghz * 1e9)
+    want = _loop_smooth(table, window_ghz * 1e9)
+    for g, w in zip((got.s11, got.s21), want):
+        assert np.array_equal(g.view(float), w.view(float))
+
+
 # --- Oracle: the per-sample loop implementation of band_report ------------
 #
 # A verbatim copy of the scanning version of band_report, kept as the

@@ -750,9 +750,26 @@ def test_incidence_angle_of_90_degrees_or_more_is_a_config_error(
 
 
 def test_smoothing_flag(tmp_path):
+    # the report of the smoothed trace, pinned like the unsmoothed goldens
     out = tmp_path / "out"
     run("analyze", CONFIGS / "sc_band_geometry.json", out, smooth_ghz=0.05)
-    assert (out / "band_report.txt").exists()
+    digest = hashlib.sha256((out / "band_report.txt").read_bytes()).hexdigest()
+    assert digest == "668b805c6a519fc45c3ec65785a792e45a55c907712759a48ad3504fb5fcfe3c"
+
+
+def test_smoothed_fit_golden_bytes(tmp_path):
+    # the fit-first-order golden case, fitted to its 0.1 GHz moving average
+    command, config, overrides, _ = COMMAND_GOLDEN_SHA256["fit-first-order"]
+    cfg = dict(_load_config(config), **overrides)
+    _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
+    out = tmp_path / "out"
+    run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
+    digests = {
+        "fit_result.json": "54ce76bbe7948267ca8dc9a7f83c8fa6ea6e3bb3ffeff4f28541ee5c9d12444e",
+        "residual_trace.csv": "43443204a8aab5bc2f89005c860c2a84be8c47ad39a2ebdf1dd3c5421f404276",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_console_entry_subprocess(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fsskit import (
     write_response_csv,
     write_touchstone,
 )
+from fsskit import fileio
 from fsskit.errors import InvalidParameterError
 from fsskit.fileio import CSV_HEADER
 
@@ -275,3 +277,100 @@ def test_touchstone_writer_with_no_rows(tmp_path):
     write_touchstone(np.array([]), empty, empty, empty, empty, path, ETA0)
     want = _ref_touchstone_text([], empty, empty, empty, empty, ETA0)
     assert path.read_bytes() == want.encode()
+
+
+def _ref_rows_text(rows, sep) -> str:
+    return "".join(sep.join(map(_ref_cell, row)) + "\n" for row in rows.tolist())
+
+
+def _hard_values(rng, n):
+    """n values whose "%.11e" form the whole-array writer must match: the
+    bulk with two-digit exponents, plus every case it hands to "%" or must
+    round like it."""
+    m = rng.integers(10**11, 10**12, n // 40).astype(float)
+    e = rng.integers(-99, 100, m.size).astype(float)
+    ties = (m + 0.5) * 10.0 ** (e - 11)  # near ties, and exact ones where representable
+    exact_ties = (m + 0.5) * 10.0 ** rng.integers(0, 5, m.size)  # e = 11..15
+    off = rng.uniform(1e-3, 3e-3, m.size) * rng.choice([-1.0, 1.0], m.size)
+    near_ties = (m + 0.5 + off) * 10.0 ** (e - 11)
+    carry = (10**12 - 0.5 + rng.uniform(-1e-3, 1e-3, m.size)) * 10.0 ** (e - 11)
+    powers = 10.0 ** np.arange(-99, 100)
+    edges = np.array(
+        [9.999999999995e99, 9.99999999999949e99, 1e100, 1e-99, 9.999999999995e-100,
+         9.9999999999949e-100, 1e-100, 1e22, 1e23, 1e308, 1.7976931348623157e308,
+         2.2250738585072014e-308, 5e-324, 0.5, 1.5, 2.5, 0.0, math.inf, math.nan]
+    )
+    special = np.concatenate(
+        [
+            ties, exact_ties, near_ties, carry, powers, edges,
+            10.0 ** rng.uniform(100, 308, 2000),  # three-digit exponents
+            10.0 ** rng.uniform(-323, -100, 2000),
+            rng.integers(1, 2**52, 2000) * 5e-324,  # subnormals
+            np.frombuffer(rng.bytes(8 * 4000), np.float64),  # any bit pattern
+        ]
+    )
+    finite = special[np.isfinite(special)]
+    with np.errstate(over="ignore"):  # the largest float's neighbour is inf
+        special = np.concatenate([special, np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf)])
+    bulk = rng.standard_normal(n - special.size) * 10.0 ** rng.uniform(-99, 99, n - special.size)
+    values = np.concatenate([bulk, special])
+    values.view(np.uint64)[rng.random(values.size) < 0.5] ^= np.uint64(1 << 63)  # sign bit
+    return rng.permutation(values)
+
+
+def test_writers_match_per_cell_reference_on_a_million_hard_values(tmp_path):
+    # ties and their neighbours, mantissas that round up to the next decade,
+    # powers of ten, subnormals, three-digit exponents, signed zeros,
+    # infinities, NaNs and arbitrary bit patterns, each printed as "%.11e"
+    rng = np.random.default_rng(11)
+    rows = _hard_values(rng, 1_000_008).reshape(-1, 9)
+    s = rows[:, 1:].copy().view(complex).T
+    path = tmp_path / "hard.s2p"
+    write_touchstone(rows[:, 0], *s, path, 50.0)
+    header = "! reference impedance 50.000000 ohm\n# HZ S RI R 50.000000\n"
+    assert path.read_bytes() == (header + _ref_rows_text(rows, " ")).encode()
+
+
+def test_db_columns_match_per_value_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    ulp = np.spacing(1.0)
+    mags = np.concatenate(
+        [
+            10.0 ** np.arange(-320, 309),  # exact powers of ten, subnormal ones too
+            1.0 + ulp * np.arange(-40, 41),
+            rng.integers(1, 2**52, 500) * 5e-324,  # subnormal magnitudes
+            10.0 ** rng.uniform(-300, 300, 5000),
+        ]
+    )
+    # exact magnitudes: one part zero, the other carrying it
+    exact = mags * np.where(rng.random(mags.size) < 0.5, 1.0, 1j)
+    # dB values a hair from a 12-digit rounding tie at any phase, where
+    # np.log10 and math.log10, or np.abs and abs, often print differently
+    m = rng.integers(10**11, 10**12, 20000)
+    db = -(m + 0.5) * 10.0 ** rng.integers(-13, -8, m.size)
+    near = 10.0 ** (db / 20.0) * np.exp(2j * np.pi * rng.random(m.size))
+    s = np.concatenate([exact, near])
+    s[rng.random(s.size) < 0.5] *= -1.0
+    table = ResponseTable(np.arange(1.0, s.size + 1), s, s[::-1].copy())
+    path = tmp_path / "db.csv"
+    write_response_csv(table, path)
+    assert path.read_bytes() == _ref_csv_text(table).encode()
+
+
+def test_writers_hold_one_block_in_memory(tmp_path):
+    # the text of a 1e5-row table is ~17 MB and its stacked values ~7 MB; the
+    # writers' peak must be set by one block of rows, not by the table
+    n = 100_000
+    rng = np.random.default_rng(3)
+    freqs = np.linspace(1e9, 12e9, n)
+    s11, s21, s22 = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    table = ResponseTable(freqs, s11, s21)
+    one_block = fileio._BLOCK_ROWS * 9 * fileio._CELL  # a Touchstone block's cells
+    tracemalloc.start()
+    try:
+        write_response_csv(table, tmp_path / "big.csv")
+        write_touchstone(freqs, s11, s21, s21, s22, tmp_path / "big.s2p", ETA0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * one_block, peak
