@@ -33,6 +33,9 @@ BAND_THRESHOLD_DB = -3.0
 # reported as-is instead of being interpolated.
 ZERO_FLOOR_DB = -180.0
 
+# Frequency points of a sweep grid whose caller does not set them.
+SWEEP_POINTS = 1401
+
 
 @dataclass(frozen=True)
 class ResponseTable:
@@ -43,28 +46,20 @@ class ResponseTable:
     s21: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frequency, dtype=float).copy()
-        s11 = np.asarray(self.s11, dtype=complex).copy()
-        s21 = np.asarray(self.s21, dtype=complex).copy()
+        for name, dtype in (("frequency", float), ("s11", complex), ("s21", complex)):
+            arr = np.array(getattr(self, name), dtype=dtype)  # a copy the table owns
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        f = self.frequency
         if f.ndim != 1 or f.size < 2:
             raise InvalidParameterError("response table needs at least 2 rows")
-        if s11.shape != f.shape or s21.shape != f.shape:
+        if self.s11.shape != f.shape or self.s21.shape != f.shape:
             raise InvalidParameterError("frequency/S11/S21 lengths differ")
         if not np.all(np.diff(f) > 0.0):
             raise InvalidParameterError("frequencies must be strictly increasing")
-        for arr in (f, s11, s21):
-            arr.setflags(write=False)
-        object.__setattr__(self, "frequency", f)
-        object.__setattr__(self, "s11", s11)
-        object.__setattr__(self, "s21", s21)
 
     def __len__(self):
         return self.frequency.size
-
-    @property
-    def s11_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(np.abs(self.s11))
 
     @property
     def s21_db(self) -> np.ndarray:
@@ -273,7 +268,7 @@ def parametric_sweep(
     values,
     f_start: float,
     f_stop: float,
-    n_points: int = 1401,
+    n_points: int = SWEEP_POINTS,
     inc: Incidence = Incidence(),
     dielectric_loss: bool = False,
 ) -> list[SweepPoint]:

@@ -19,13 +19,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import ResponseTable, _grid, band_report, parametric_sweep, smooth_response, sweep
+from .analysis import (
+    SWEEP_POINTS, ResponseTable, _grid, band_report, parametric_sweep, smooth_response, sweep
+)
 from .constants import C0
 from .errors import BandStructureError, ConfigError, EmptySweepError, FssError, TruncatedBandError
 from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
 from .fileio import load_response, write_response_csv, write_touchstone
 from .synthesis import (
+    DEFAULT_TANK_L,
     FIRST_ORDER_PARAMS,
+    FIT_MAX_ITER,
     TEMPLATES,
     DesignTargets,
     _build_template,
@@ -216,7 +220,7 @@ def _parse_sweep(cfg: dict):
     f_stop = _number(blk, "f_stop_GHz", "sweep")
     if not f_start < f_stop:
         _fail("sweep.f_stop_GHz", "value greater than f_start_GHz")
-    n_points = _integer(blk, "n_points", "sweep", 1401, 2)
+    n_points = _integer(blk, "n_points", "sweep", SWEEP_POINTS, 2)
     spacing = blk.get("spacing", "linear")
     if spacing not in ("linear", "log"):
         _fail("sweep.spacing", "'linear' or 'log'")
@@ -419,7 +423,7 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
         f_zero = GHZ * _value(
             f_zero, "targets.f_zero_GHz", "positive number (GHz) or null", _positive
         )
-    l_tank = _number(blk, "L_tank_nH", "targets", default=4.0)
+    l_tank = _number(blk, "L_tank_nH", "targets", default=DEFAULT_TANK_L / NH)
     # Default period: one fifteenth of the free-space wavelength at the
     # lower band center, the usual subwavelength working point.
     period = _number(blk, "period_mm", "targets", default=(C0 / f_lower) / 15.0 / MM)
@@ -484,7 +488,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     magnitude_only = blk.get("magnitude_only", False)
     if not isinstance(magnitude_only, bool):
         _fail("fit.magnitude_only", "boolean")
-    max_iter = _integer(blk, "max_iter", "fit", 200, 0)
+    max_iter = _integer(blk, "max_iter", "fit", FIT_MAX_ITER, 0)
 
     _, sub, loss = _read_design(cfg)
     inc = _parse_incidence_single(cfg)
@@ -514,12 +518,13 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
             writer.writerow([i, f"{rms:.11e}"])
 
 
+# Command name -> (handler, help text), in the order of the help listing.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "sweep": _cmd_sweep,
-    "angular": _cmd_angular,
-    "synth": _cmd_synth,
-    "fit": _cmd_fit,
+    "analyze": (_cmd_analyze, "sweep one design and write response + band report"),
+    "sweep": (_cmd_sweep, "parametric geometry sweep with per-value band metrics"),
+    "angular": (_cmd_angular, "response files over incidence angles and polarizations"),
+    "synth": (_cmd_synth, "band targets to circuit values and unit-cell dimensions"),
+    "fit": (_cmd_fit, "least-squares fit of circuit values to imported data"),
 }
 
 
@@ -533,7 +538,8 @@ def run(command: str, config_path, output_dir, smooth_ghz=None) -> None:
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_meta(outdir, command, config_path)
-    _COMMANDS[command](cfg, outdir, config_path, smooth_ghz)
+    handler, _ = _COMMANDS[command]
+    handler(cfg, outdir, config_path, smooth_ghz)
 
 
 def main(argv=None) -> int:
@@ -543,13 +549,7 @@ def main(argv=None) -> int:
         "selective surfaces via their equivalent circuits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "sweep one design and write response + band report"),
-        ("sweep", "parametric geometry sweep with per-value band metrics"),
-        ("angular", "response files over incidence angles and polarizations"),
-        ("synth", "band targets to circuit values and unit-cell dimensions"),
-        ("fit", "least-squares fit of circuit values to imported data"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")

@@ -33,7 +33,7 @@ class FirstOrderGeometry:
 
     def __post_init__(self):
         a = self.period
-        if not a > 0.0:
+        if not 0.0 < a < math.inf:
             raise InvalidGeometryError(f"period must be positive, got {a}")
         for name in ("jc_slot", "jc_gap", "hat_length"):
             value = getattr(self, name)
@@ -45,13 +45,13 @@ class FirstOrderGeometry:
                 "cross_slot must satisfy 0 < cross_slot < period - jc_gap - cross_slot, "
                 f"got cross_slot={self.cross_slot}, period={a}, jc_gap={self.jc_gap}"
             )
-        if not self.thickness > 0.0:
+        if not 0.0 < self.thickness < math.inf:
             raise InvalidGeometryError(f"thickness must be positive, got {self.thickness}")
-        if not self.eps_r >= 1.0:
+        if not 1.0 <= self.eps_r < math.inf:
             raise InvalidGeometryError(f"eps_r must be >= 1, got {self.eps_r}")
-        if self.tan_delta < 0.0:
+        if not 0.0 <= self.tan_delta < math.inf:
             raise InvalidGeometryError(f"tan_delta must be >= 0, got {self.tan_delta}")
-        if not self.mu_reff > 0.0:
+        if not 0.0 < self.mu_reff < math.inf:
             raise InvalidGeometryError(f"mu_reff must be positive, got {self.mu_reff}")
 
 
@@ -68,11 +68,11 @@ class ExtractedCircuit:
 
     def __post_init__(self):
         for name in ("L_series", "C_series", "L_tank", "C_tank"):
-            if not getattr(self, name) > 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidParameterError(
                     f"circuit element {name} must be positive, got {getattr(self, name)}"
                 )
-        if self.L_parasitic < 0.0:
+        if not 0.0 <= self.L_parasitic < math.inf:
             raise InvalidParameterError(
                 f"L_parasitic must be >= 0, got {self.L_parasitic}"
             )

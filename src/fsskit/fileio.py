@@ -212,14 +212,22 @@ def _check_reference_resistance(path, token) -> None:
 
 
 def read_touchstone(path) -> ResponseTable:
-    """Parse a two-port Touchstone v1 file (RI, MA, or DB formats)."""
+    """Parse a two-port Touchstone v1 file (RI, MA, or DB formats).  The one
+    option line, if any, is the first line that is not blank or a comment."""
     fmt = "MA"
     scale = 1e9  # Touchstone v1 default unit is GHz
     rows = []
-    for raw in Path(path).read_text().splitlines():
+    started = False  # a line that is not blank or a comment has been read
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
+        if line.startswith("#") and started:
+            raise InvalidParameterError(
+                f"{path}: line {number}: option line {line!r} must be the first line "
+                "that is not blank or a comment"
+            )
+        started = True
         if line.startswith("#"):
             tokens = iter(line[1:].split())
             for tok in tokens:

@@ -53,11 +53,11 @@ class SeriesLC:
     R: float = 0.0
 
     def __post_init__(self):
-        if not (self.L > 0.0 and self.C > 0.0):
+        if not (0.0 < self.L < math.inf and 0.0 < self.C < math.inf):
             raise InvalidParameterError(
                 f"series L-C branch requires L > 0 and C > 0, got L={self.L}, C={self.C}"
             )
-        if self.R < 0.0:
+        if not 0.0 <= self.R < math.inf:
             raise InvalidParameterError(f"series resistance must be >= 0, got {self.R}")
 
     def resonance(self) -> float:
@@ -74,11 +74,11 @@ class Tank:
     G: float = 0.0
 
     def __post_init__(self):
-        if not (self.L > 0.0 and self.C > 0.0):
+        if not (0.0 < self.L < math.inf and 0.0 < self.C < math.inf):
             raise InvalidParameterError(
                 f"tank requires L > 0 and C > 0, got L={self.L}, C={self.C}"
             )
-        if self.G < 0.0:
+        if not 0.0 <= self.G < math.inf:
             raise InvalidParameterError(f"tank conductance must be >= 0, got {self.G}")
 
     def resonance(self) -> float:
@@ -90,7 +90,7 @@ class Inductor:
     L: float
 
     def __post_init__(self):
-        if self.L < 0.0:
+        if not 0.0 <= self.L < math.inf:
             raise InvalidParameterError(f"inductance must be >= 0, got {self.L}")
 
 
@@ -165,7 +165,7 @@ class HybridCircuit:
 
     def __post_init__(self):
         for name in ("L_tank", "C_tank", "L_series", "C_series"):
-            if not getattr(self, name) > 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidParameterError(
                     f"hybrid circuit requires positive elements, got {name}={getattr(self, name)}"
                 )

@@ -48,6 +48,7 @@ DEFAULT_TANK_L = 4e-9
 
 BISECT_TOL_M = 1e-12
 BISECT_MAX_ITER = 60
+FIT_MAX_ITER = 200  # default cap on accepted fitter iterations
 
 FIRST_ORDER_PARAMS = tuple(f.name for f in fields(ExtractedCircuit))
 SECOND_ORDER_PARAMS = (
@@ -74,11 +75,11 @@ class DesignTargets:
     L_tank: float = DEFAULT_TANK_L
 
     def __post_init__(self):
-        if not 0.0 < self.f_lower < self.f_upper:
+        if not 0.0 < self.f_lower < self.f_upper < math.inf:
             raise InvalidParameterError(
                 f"need 0 < f_lower < f_upper, got {self.f_lower}, {self.f_upper}"
             )
-        if not self.L_tank > 0.0:
+        if not 0.0 < self.L_tank < math.inf:
             raise InvalidParameterError(f"L_tank must be positive, got {self.L_tank}")
         if self.f_zero is not None and not self.f_lower < self.f_zero < self.f_upper:
             raise InfeasibleTargetsError(
@@ -209,8 +210,8 @@ def _bisect_decreasing(func, target, lo, hi, *, parameter, target_name):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a circuit fit: parameter values (SI), the weighted RMS
-    residual, accepted-iteration count, and the residual trace."""
+    """Outcome of a circuit fit: parameter values (SI), the RMS residual,
+    accepted-iteration count, and the residual trace."""
 
     template: str
     params: dict
@@ -231,9 +232,8 @@ def fit_circuit(
     sub: Substrate,
     inc: Incidence = Incidence(),
     dielectric_loss: bool = False,
-    weights=None,
     magnitude_only: bool = False,
-    max_iter: int = 200,
+    max_iter: int = FIT_MAX_ITER,
 ) -> FitResult:
     """Least-squares fit of circuit values to measured/simulated S21.
 
@@ -267,20 +267,12 @@ def fit_circuit(
 
     freqs = data.frequency
     n_freq = freqs.size
-    if weights is None:
-        w_arr = np.ones(n_freq)
-    else:
-        w_arr = np.asarray(weights, dtype=float)
-        if w_arr.shape != freqs.shape:
-            raise InvalidParameterError("weights must match the data length")
-
     s21_data = data.s21
     mag_data = np.abs(s21_data)
 
     def residual(theta):
-        """Weighted residual vector, or None if the trial point is not
-        evaluable (overflowed element values); callers treat None as a
-        rejected step."""
+        """Residual vector, or None if the trial point is not evaluable
+        (overflowed element values); callers treat None as a rejected step."""
         values = np.exp(theta)
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             return None
@@ -290,8 +282,8 @@ def fit_circuit(
         except FssError:
             return None
         if magnitude_only:
-            return (np.abs(s21) - mag_data) * w_arr
-        diff = (s21 - s21_data) * w_arr
+            return np.abs(s21) - mag_data
+        diff = s21 - s21_data
         return np.concatenate([diff.real, diff.imag])
 
     def rms_of(r):
@@ -330,7 +322,7 @@ def fit_circuit(
         diag[diag <= 0.0] = 1.0
 
         accepted = False
-        for _ in range(70):
+        while True:
             try:
                 step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:

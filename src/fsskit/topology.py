@@ -58,13 +58,13 @@ class Substrate:
     tan_delta: float = 0.0
 
     def __post_init__(self):
-        if not self.thickness > 0.0:
+        if not 0.0 < self.thickness < math.inf:
             raise InvalidParameterError(
                 f"substrate thickness must be positive, got {self.thickness}"
             )
-        if not self.eps_r >= 1.0:
+        if not 1.0 <= self.eps_r < math.inf:
             raise InvalidParameterError(f"eps_r must be >= 1, got {self.eps_r}")
-        if self.tan_delta < 0.0:
+        if not 0.0 <= self.tan_delta < math.inf:
             raise InvalidParameterError(f"tan_delta must be >= 0, got {self.tan_delta}")
 
 

@@ -75,13 +75,19 @@ def test_response_table_validation():
 
 
 def test_response_table_is_immutable():
-    t = ResponseTable(
-        np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([1 + 0j, 1 + 0j])
-    )
-    with pytest.raises(ValueError):
-        t.s21[0] = 0.5
-    with pytest.raises(ValueError):
-        t.frequency[0] = 5e8
+    f, s11, s21 = np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([1 + 0j, 1 + 0j])
+    t = ResponseTable(f, s11, s21)
+    for name in ("frequency", "s11", "s21"):
+        with pytest.raises(ValueError):
+            getattr(t, name)[0] = 0.5
+    # the table holds its own copies: the caller's arrays stay writeable and
+    # writing to them does not reach the table
+    for arr in (f, s11, s21):
+        assert arr.flags.writeable
+        arr[:] = 7.0
+    assert t.frequency.tolist() == [1e9, 2e9]
+    assert t.s11.tolist() == [0j, 0j]
+    assert t.s21.tolist() == [1 + 0j, 1 + 0j]
 
 
 def test_reference_stack_band_structure(ref_circuit, ref_substrate):

@@ -794,3 +794,39 @@ def test_console_entry_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "response.csv").exists()
+
+
+_HELP = {
+    "analyze": "sweep one design and write response + band report",
+    "sweep": "parametric geometry sweep with per-value band metrics",
+    "angular": "response files over incidence angles and polarizations",
+    "synth": "band targets to circuit values and unit-cell dimensions",
+    "fit": "least-squares fit of circuit values to imported data",
+}
+
+
+def _help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    # parsed, not hashed: argparse's wording and wrapping vary across versions
+    lines = _help_text(capsys, ["--help"]).splitlines()
+    start = lines.index("  {" + ",".join(_HELP) + "}") + 1
+    listed: dict[str, str] = {}
+    for line in lines[start:]:
+        if not line.startswith("    "):
+            break
+        if line[4] != " ":
+            name, _, text = line.strip().partition(" ")
+            listed[name] = text.strip()
+        else:  # a help text wrapped onto the next line
+            listed[name] += " " + line.strip()
+    assert listed == _HELP
+    assert list(listed) == list(_HELP)
+    for command in _HELP:
+        has_smoothing = "--smooth-ghz" in _help_text(capsys, [command, "--help"])
+        assert has_smoothing == (command in ("analyze", "fit")), command

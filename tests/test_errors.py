@@ -1,12 +1,29 @@
 import ast
+import math
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import fsskit
-from fsskit import errors
-from fsskit.errors import BandStructureError, FssError, UnattainableDimensionError
+from fsskit import (
+    DesignTargets,
+    ExtractedCircuit,
+    FirstOrderGeometry,
+    HybridCircuit,
+    Inductor,
+    SeriesLC,
+    Substrate,
+    Tank,
+    errors,
+)
+from fsskit.errors import (
+    BandStructureError,
+    FssError,
+    InvalidGeometryError,
+    InvalidParameterError,
+    UnattainableDimensionError,
+)
 
 ERROR_CLASSES = {
     name: cls
@@ -50,3 +67,45 @@ def test_payload_is_keyword_only_and_declared():
         FssError("m", band_count=1)
     with pytest.raises(TypeError):
         BandStructureError("m", 1)
+
+
+# A valid value for every numeric field of each model constructor.
+_VALID = {
+    Substrate: dict(thickness=0.635e-3, eps_r=10.2, tan_delta=0.0023),
+    SeriesLC: dict(L=4.9e-9, C=0.5e-12, R=0.1),
+    Tank: dict(L=4e-9, C=0.35e-12, G=1e-3),
+    Inductor: dict(L=0.8e-9),
+    ExtractedCircuit: dict(
+        L_series=4.9e-9, C_series=0.5e-12, L_tank=4e-9, C_tank=0.35e-12, L_parasitic=0.8e-9
+    ),
+    HybridCircuit: dict(L_tank=4e-9, C_tank=0.35e-12, L_series=4.9e-9, C_series=0.5e-12),
+    FirstOrderGeometry: dict(
+        period=8.5e-3,
+        hat_length=6.8e-3,
+        jc_slot=0.3e-3,
+        cross_slot=0.2e-3,
+        jc_gap=0.5e-3,
+        thickness=0.635e-3,
+        eps_r=10.2,
+        tan_delta=0.0023,
+        mu_reff=1.0,
+    ),
+    DesignTargets: dict(f_lower=2.4e9, f_upper=5.8e9, L_tank=4e-9),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "cls,field",
+    [(cls, field) for cls, kwargs in _VALID.items() for field in kwargs],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_model_constructors_reject_non_finite_values(cls, field, value):
+    # NaN fails every comparison and inf passes one-sided ones, so a range
+    # check must also bound the value to be finite
+    cls(**_VALID[cls])
+    expected = InvalidGeometryError if cls is FirstOrderGeometry else InvalidParameterError
+    with pytest.raises(expected) as info:
+        cls(**dict(_VALID[cls], **{field: value}))
+    assert type(info.value) is expected
+    assert str(value) in str(info.value)

@@ -144,6 +144,27 @@ def test_touchstone_rejects_malformed(tmp_path):
         read_touchstone(odd)
 
 
+@pytest.mark.parametrize(
+    "lines,number",
+    [
+        (["# HZ S RI R 50", "3e9 0 0 1 0 1 0 0 0", "1 0 0 1 0 1 0 0 0",
+          "# GHZ S MA R 50", "2e9 0 0 1 0 1 0 0 0"], 4),
+        (["! header", "# HZ S RI R 50", "", "# GHZ S MA R 50", "1e9 0 0 1 0 1 0 0 0"], 4),
+        (["1e9 0 0 1 0 1 0 0 0", "# HZ S RI R 50"], 2),
+    ],
+    ids=["after-data", "second-option-line", "after-the-only-row"],
+)
+def test_touchstone_option_line_must_come_first(tmp_path, lines, number):
+    # Touchstone v1 has one option line, before the data; a later one must not
+    # be applied to rows already read
+    path = tmp_path / "late.s2p"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidParameterError, match=f"late.s2p: line {number}: option line"):
+        read_touchstone(path)
+    with pytest.raises(InvalidParameterError, match=f"late.s2p: line {number}: option line"):
+        load_response(path)
+
+
 @pytest.mark.parametrize("option", ["R fifty", "R -5", "R 0", "R nan", "R inf", "R"])
 def test_touchstone_rejects_bad_reference_resistance(tmp_path, option):
     # the value after R must be a finite positive number, even though the

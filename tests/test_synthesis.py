@@ -244,17 +244,6 @@ def test_fit_magnitude_only_mode(ref_substrate):
         assert result.params[name] == pytest.approx(truth, rel=0.02)
 
 
-def test_fit_weights(ref_substrate):
-    data = _weak_parasitic_data(ref_substrate)
-    weights = 1.0 / (np.abs(data.s21) + 1e-2)
-    initial = {k: v * 1.05 for k, v in WEAK_PARASITIC.items()}
-    result = fit_circuit(
-        data, "first_order", initial, ref_substrate, weights=weights
-    )
-    for name, truth in WEAK_PARASITIC.items():
-        assert result.params[name] == pytest.approx(truth, rel=1e-2)
-
-
 def test_fit_returns_positive_values(ref_substrate):
     data = _weak_parasitic_data(ref_substrate)
     initial = {k: v * 3.0 for k, v in WEAK_PARASITIC.items()}
