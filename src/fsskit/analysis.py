@@ -314,6 +314,13 @@ def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     span = f[-1] - f[0]
     if not window_hz < span:
         raise InvalidParameterError(f"window {window_hz} must be below the data span {span}")
+    s11, s21 = _moving_average(f, window_hz)(np.stack((table.s11, table.s21)))
+    return ResponseTable(f, s11, s21)
+
+
+def _moving_average(f: np.ndarray, window_hz: float):
+    """The moving average over ``window_hz`` on grid ``f``, planned once:
+    returns a function that averages any array along its last axis."""
     half = window_hz / 2.0
     lo = np.searchsorted(f, f - half, side="left")
     width = np.searchsorted(f, f + half, side="right") - lo
@@ -323,11 +330,15 @@ def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     cut = np.flatnonzero((np.diff(width) != 0) | (np.diff(lo) != 1)) + 1
     starts = [0, *cut.tolist()]
     ends = [*cut.tolist(), len(f)]
-    s = np.stack((table.s11, table.s21))
-    out = np.empty_like(s)
-    views = {}
-    for a, b, w, first in zip(starts, ends, width[starts].tolist(), lo[starts].tolist()):
-        if w not in views:
-            views[w] = sliding_window_view(s, w, axis=1)
-        out[:, a:b] = np.add.reduce(views[w][:, first : first + b - a], axis=2) / w
-    return ResponseTable(f, out[0], out[1])
+    runs = list(zip(starts, ends, width[starts].tolist(), lo[starts].tolist()))
+
+    def average(s: np.ndarray) -> np.ndarray:
+        out = np.empty_like(s)
+        views = {}
+        for a, b, w, first in runs:
+            if w not in views:
+                views[w] = sliding_window_view(s, w, axis=-1)
+            out[..., a:b] = np.add.reduce(views[w][..., first : first + b - a, :], axis=-1) / w
+        return out
+
+    return average

@@ -270,21 +270,16 @@ def _parse_incidence_lists(cfg: dict, polarizations=("TE", "TM")):
     return out
 
 
-def _apply_smoothing(table, smooth_ghz):
-    if smooth_ghz is None:
-        return table
-    return smooth_response(table, smooth_ghz * GHZ)
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_meta(outdir: Path, command: str, config_path):
+def _write_meta(outdir: Path, command: str, config_path, smooth_ghz):
     meta = {
         "command": command,
         "config": str(config_path),
         "generator": f"fsskit {__version__}",
+        "smooth_ghz": smooth_ghz,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(outdir / "run_meta.json", meta)
@@ -331,7 +326,7 @@ def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
         ),
     )
     try:
-        rep = band_report(_apply_smoothing(table, smooth_ghz))
+        rep = band_report(table if smooth_ghz is None else smooth_response(table, smooth_ghz * GHZ))
     except (BandStructureError, TruncatedBandError) as exc:
         if smooth_ghz is None:
             raise
@@ -493,9 +488,8 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     _, sub, loss = _read_design(cfg)
     inc = _parse_incidence_single(cfg)
 
-    data = _apply_smoothing(load_response(data_file), smooth_ghz)
     result = fit_circuit(
-        data,
+        load_response(data_file),
         template,
         initial,
         sub,
@@ -503,6 +497,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
         dielectric_loss=loss,
         magnitude_only=magnitude_only,
         max_iter=max_iter,
+        smooth_hz=None if smooth_ghz is None else smooth_ghz * GHZ,
     )
     payload = {
         "template": result.template,
@@ -537,7 +532,7 @@ def run(command: str, config_path, output_dir, smooth_ghz=None) -> None:
     cfg = load_config(config_path)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_meta(outdir, command, config_path)
+    _write_meta(outdir, command, config_path, smooth_ghz)
     handler, _ = _COMMANDS[command]
     handler(cfg, outdir, config_path, smooth_ghz)
 

@@ -190,7 +190,7 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
     on a 200-point frequency grid before being returned.
     """
     for name, v in (("L1", L1), ("C1", C1), ("L2", L2), ("C2", C2)):
-        if not v > 0.0:
+        if not 0.0 < v < math.inf:
             raise InvalidParameterError(f"{name} must be positive, got {v}")
     w1_sq = 1.0 / (L1 * C1)
     w2_sq = 1.0 / (L2 * C2)

@@ -33,7 +33,7 @@ from .extraction import (
     extract_circuit,
 )
 from .lumped import SeriesLC, Tank
-from .analysis import ResponseTable
+from .analysis import ResponseTable, _moving_average, smooth_response
 from .topology import (
     Incidence,
     Substrate,
@@ -124,8 +124,9 @@ def geometry_from_circuit(
     bisects the decreasing branch of its capacitance formula.  The result
     is verified by re-extraction to 1e-6 relative.
     """
-    if not period > 0.0:
-        raise InvalidParameterError(f"period must be positive, got {period}")
+    for name, v in (("period", period), ("mu_reff", mu_reff)):
+        if not 0.0 < v < math.inf:
+            raise InvalidParameterError(f"{name} must be positive, got {v}")
     a = period
     er_eff = effective_permittivity(sub.eps_r)
 
@@ -234,6 +235,7 @@ def fit_circuit(
     dielectric_loss: bool = False,
     magnitude_only: bool = False,
     max_iter: int = FIT_MAX_ITER,
+    smooth_hz: float | None = None,
 ) -> FitResult:
     """Least-squares fit of circuit values to measured/simulated S21.
 
@@ -246,6 +248,12 @@ def fit_circuit(
     the landscape multi-modal, and starts more than roughly 10-15% from
     the answer can settle in a wrong basin.  Seed it from the extraction
     chain (or any bench estimate of comparable quality).
+
+    With ``smooth_hz`` (a window in Hz) the smoothed model is fitted to the
+    smoothed data: the moving average of ``smooth_response`` is applied to
+    the data and to every model trace, to the complex S21 before any
+    magnitude is taken.  The window then averages noise without biasing
+    the answer, and the rms residual compares the two smoothed traces.
 
     ``max_iter = 0`` returns the initial guess with its residual;
     exhausting the cap without meeting the convergence tests raises
@@ -265,6 +273,10 @@ def fit_circuit(
     if max_iter < 0:
         raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
 
+    average = None
+    if smooth_hz is not None:
+        data = smooth_response(data, smooth_hz)
+        average = _moving_average(data.frequency, smooth_hz)
     freqs = data.frequency
     n_freq = freqs.size
     s21_data = data.s21
@@ -281,6 +293,8 @@ def fit_circuit(
             _, s21 = stack_response(stack, freqs)
         except FssError:
             return None
+        if average is not None:
+            s21 = average(s21)
         if magnitude_only:
             return np.abs(s21) - mag_data
         diff = s21 - s21_data

@@ -758,18 +758,66 @@ def test_smoothing_flag(tmp_path):
 
 
 def test_smoothed_fit_golden_bytes(tmp_path):
-    # the fit-first-order golden case, fitted to its 0.1 GHz moving average
+    # the fit-first-order golden case, the smoothed model fitted to its 0.1 GHz
+    # moving average
     command, config, overrides, _ = COMMAND_GOLDEN_SHA256["fit-first-order"]
     cfg = dict(_load_config(config), **overrides)
     _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
     digests = {
-        "fit_result.json": "54ce76bbe7948267ca8dc9a7f83c8fa6ea6e3bb3ffeff4f28541ee5c9d12444e",
-        "residual_trace.csv": "43443204a8aab5bc2f89005c860c2a84be8c47ad39a2ebdf1dd3c5421f404276",
+        "fit_result.json": "36c61cb659c96cc7263acc6f2573ab6e5049ce8c64ba97c76783e921ac2fb4f3",
+        "residual_trace.csv": "58305a0b61472e16d3475b8f85a577b492c80ff666446dfab51bef61b903c552",
     }
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_smoothed_fit_recovers_a_noisy_trace(tmp_path):
+    # a noisy 801-point trace of the reference circuit, like the one the
+    # benchmark's cli cycle fits from the truth; fitting the raw model to the
+    # smoothed data instead ends 13% off on L_series
+    truth = {"L_series": 4.9e-9, "C_series": 0.5e-12, "L_tank": 4.0e-9,
+             "C_tank": 0.35e-12, "L_parasitic": 0.8e-9}
+    sub = topology.Substrate(0.635e-3, 10.2, 0.0023)
+    stack = topology.build_first_order(ExtractedCircuit(**truth), sub, dielectric_loss=True)
+    freqs = np.linspace(1e9, 8e9, 801)
+    s11, s21, s22 = topology.stack_response_full(stack, freqs)
+    rng = np.random.default_rng(1)
+    s21 = s21 + 2e-3 * (rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size))
+    write_touchstone(freqs, s11, s21, s21, s22, tmp_path / "bench.s2p",
+                     topology.port_impedance(topology.Incidence()))
+    cfg = {
+        "design": {"substrate": {"thickness_mm": 0.635, "eps_r": 10.2, "tan_delta": 0.0023},
+                   "dielectric_loss": True},
+        "fit": {
+            "data": "bench.s2p",
+            "template": "first_order",
+            "initial": {f"{name}_{'nH' if name[0] == 'L' else 'pF'}":
+                        value / (1e-9 if name[0] == "L" else 1e-12)
+                        for name, value in truth.items()},
+            "max_iter": 400,
+        },
+    }
+    out = tmp_path / "out"
+    assert main(["fit", str(_write(tmp_path, cfg)), "--out", str(out), "--smooth-ghz", "0.1"]) == 0
+    params = json.loads((out / "fit_result.json").read_text())["params_SI"]
+    for name, value in truth.items():
+        assert params[name] == pytest.approx(value, rel=0.01), name
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit"])
+@pytest.mark.parametrize("window", [None, 0.05])
+def test_run_meta_records_the_smoothing_window(tmp_path, command, window):
+    # rms_residual of fit_result.json compares smoothed traces when a window ran
+    if command == "fit":
+        cfg = dict(_load_config(_FIRST), **COMMAND_GOLDEN_SHA256["fit-first-order"][2])
+        _write_fit_s2p(tmp_path / "fit_data.s2p", "first_order")
+    else:
+        cfg = _load_config("sc_band_geometry.json")
+    out = tmp_path / "out"
+    run(command, _write(tmp_path, cfg), out, smooth_ghz=window)
+    assert json.loads((out / "run_meta.json").read_text())["smooth_ghz"] == window
 
 
 def test_console_entry_subprocess(tmp_path):

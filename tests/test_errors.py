@@ -16,6 +16,8 @@ from fsskit import (
     Substrate,
     Tank,
     errors,
+    foster_transform,
+    geometry_from_circuit,
 )
 from fsskit.errors import (
     BandStructureError,
@@ -109,3 +111,27 @@ def test_model_constructors_reject_non_finite_values(cls, field, value):
         cls(**dict(_VALID[cls], **{field: value}))
     assert type(info.value) is expected
     assert str(value) in str(info.value)
+
+
+# Valid numeric arguments of the two inverse-design entry points.
+_FOSTER = dict(L1=4.9e-9, C1=0.5e-12, L2=2.0e-9, C2=0.5e-12)
+_GRID = dict(period=8.5e-3, mu_reff=1.0)
+
+
+def _inverse_design(argument, value):
+    if argument in _FOSTER:
+        return foster_transform(**dict(_FOSTER, **{argument: value}))
+    circuit = ExtractedCircuit(4.9e-9, 0.5e-12, 4e-9, 0.35e-12, 0.0)
+    sub = Substrate(0.635e-3, 10.2, 0.0023)
+    return geometry_from_circuit(circuit, sub=sub, **dict(_GRID, **{argument: value}))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0], ids=str)
+@pytest.mark.parametrize("argument", [*_FOSTER, *_GRID])
+def test_inverse_design_names_a_bad_argument(argument, value):
+    # not through a derived value such as a nan tank or an attainable range
+    _inverse_design(argument, {**_FOSTER, **_GRID}[argument])
+    with pytest.raises(InvalidParameterError) as info:
+        _inverse_design(argument, value)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"{argument} must be positive, got {value}"

@@ -278,6 +278,23 @@ def test_fit_input_validation(ref_substrate):
         fit_circuit(data, "first_order", bad, ref_substrate)
 
 
+@pytest.mark.parametrize("magnitude_only", [False, True])
+def test_smoothed_fit_of_noise_free_data_from_the_truth_has_zero_residual(
+    ref_circuit, ref_substrate, magnitude_only
+):
+    # the model is smoothed like the data, so the truth matches it exactly;
+    # the fitter evaluates exp(log(x)), so the truth is a value that survives it
+    values = np.exp(np.log([getattr(ref_circuit, name) for name in WEAK_PARASITIC]))
+    truth = dict(zip(WEAK_PARASITIC, values))
+    stack = build_first_order(ExtractedCircuit(**truth), ref_substrate, dielectric_loss=True)
+    data = sweep(stack, 1e9, 8e9, 801)
+    result = fit_circuit(
+        data, "first_order", truth, ref_substrate, dielectric_loss=True,
+        magnitude_only=magnitude_only, max_iter=0, smooth_hz=0.1e9,
+    )
+    assert result.rms_residual == 0.0
+
+
 def test_fit_result_circuit_helper(ref_substrate):
     data = _weak_parasitic_data(ref_substrate)
     initial = {k: v * 1.01 for k, v in WEAK_PARASITIC.items()}
