@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple
 from datetime import datetime, timezone
@@ -568,7 +569,16 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """Console-script entry: run ``main``, flush stdout and stderr, then end
+    the process with ``main``'s exit code, skipping interpreter teardown.
+    Every file a run writes is closed before ``main`` returns, and nothing
+    may rely on running after it (fsskit registers no atexit hook).  A
+    flush that fails raises, so a lost write is never reported as exit 0."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with it closed
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

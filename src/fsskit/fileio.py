@@ -151,6 +151,20 @@ def write_response_csv(table: ResponseTable, path) -> None:
             fh.write(_format_rows(columns, ","))
 
 
+def _imported_table(path, freqs, s11, s21) -> ResponseTable:
+    """The table of an imported file, whose frequencies (Hz) must be
+    strictly increasing; the error names the file and the first frequency
+    that is not."""
+    f = np.array(freqs, dtype=float)
+    bad = np.flatnonzero(np.diff(f) <= 0.0)
+    if bad.size:
+        prev, freq = f[bad[0] : bad[0] + 2].tolist()
+        raise InvalidParameterError(
+            f"{path}: frequencies must be strictly increasing, but {freq!r} Hz follows {prev!r} Hz"
+        )
+    return ResponseTable(f, np.array(s11), np.array(s21))
+
+
 def read_response_csv(path) -> ResponseTable:
     text = Path(path).read_text()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -167,7 +181,7 @@ def read_response_csv(path) -> ResponseTable:
         freqs.append(vals[0])
         s11.append(complex(vals[1], vals[2]))
         s21.append(complex(vals[3], vals[4]))
-    return ResponseTable(np.array(freqs), np.array(s11), np.array(s21))
+    return _imported_table(path, freqs, s11, s21)
 
 
 def write_touchstone(
@@ -248,7 +262,15 @@ def read_touchstone(path) -> ResponseTable:
             raise InvalidParameterError(
                 f"{path}: expected 9-column two-port rows, got {len(parts)} columns"
             )
-        rows.append(_data_row(path, line, parts))
+        vals = _data_row(path, line, parts)
+        if fmt == "MA":  # a negative magnitude would flip the phase by 180 degrees
+            negative = [v for v in vals[1::2] if v < 0.0]
+            if negative:
+                raise InvalidParameterError(
+                    f"{path}: line {number}: MA magnitude must not be negative, "
+                    f"got {negative[0]!r}"
+                )
+        rows.append(vals)
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows found")
 
@@ -260,10 +282,12 @@ def read_touchstone(path) -> ResponseTable:
         return cmath.rect(10.0 ** (a / 20.0), math.radians(b))
 
     rows.sort(key=lambda r: r[0])
-    freqs = np.array([r[0] * scale for r in rows])
-    s11 = np.array([to_complex(r[1], r[2]) for r in rows])
-    s21 = np.array([to_complex(r[3], r[4]) for r in rows])
-    return ResponseTable(freqs, s11, s21)
+    return _imported_table(
+        path,
+        [r[0] * scale for r in rows],
+        [to_complex(r[1], r[2]) for r in rows],
+        [to_complex(r[3], r[4]) for r in rows],
+    )
 
 
 def load_response(path) -> ResponseTable:

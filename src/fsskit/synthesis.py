@@ -255,7 +255,8 @@ def fit_circuit(
     magnitude is taken.  The window then averages noise without biasing
     the answer, and the rms residual compares the two smoothed traces.
 
-    ``max_iter = 0`` returns the initial guess with its residual;
+    ``max_iter = 0`` returns the initial guess unchanged, with the residual
+    evaluated at exactly those values;
     exhausting the cap without meeting the convergence tests raises
     DivergedFitError carrying the best parameters and the residual trace.
     """
@@ -282,10 +283,9 @@ def fit_circuit(
     s21_data = data.s21
     mag_data = np.abs(s21_data)
 
-    def residual(theta):
-        """Residual vector, or None if the trial point is not evaluable
-        (overflowed element values); callers treat None as a rejected step."""
-        values = np.exp(theta)
+    def residual(values):
+        """Residual vector at the element values, or None if they are not
+        evaluable (overflowed); callers treat None as a rejected step."""
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             return None
         try:
@@ -304,7 +304,8 @@ def fit_circuit(
         return math.sqrt(float(np.dot(r, r)) / n_freq)
 
     theta = np.log(x0)
-    r = residual(theta)
+    # the residual of the values returned: x0 itself when no step is taken
+    r = residual(x0 if max_iter == 0 else np.exp(theta))
     if r is None:
         raise InvalidParameterError("initial circuit values are not evaluable")
     cost = float(np.dot(r, r))
@@ -323,10 +324,10 @@ def fit_circuit(
         for k in range(theta.size):
             bumped = theta.copy()
             bumped[k] += fd_step
-            r_bumped = residual(bumped)
+            r_bumped = residual(np.exp(bumped))
             if r_bumped is None:
                 bumped[k] -= 2.0 * fd_step
-                r_bumped = residual(bumped)
+                r_bumped = residual(np.exp(bumped))
                 jac[:, k] = (r - r_bumped) / fd_step
             else:
                 jac[:, k] = (r_bumped - r) / fd_step
@@ -345,7 +346,7 @@ def fit_circuit(
                 biggest = np.max(np.abs(step))
                 if biggest > max_step:
                     step = step * (max_step / biggest)
-                r_new = residual(theta + step)
+                r_new = residual(np.exp(theta + step))
                 if r_new is not None:
                     cost_new = float(np.dot(r_new, r_new))
                     if cost_new < cost:

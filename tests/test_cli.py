@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import fsskit
 from fsskit import band_report, extract_circuit, load_response, predict_resonances, topology
+from fsskit import cli
 from fsskit.cli import main, run
 from fsskit.errors import ConfigError, FssError
 from fsskit.extraction import ExtractedCircuit
@@ -457,6 +459,36 @@ def test_fit_rejects_bad_data_row(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+_ROW = " 0 0 0.5 0 0.5 0 0 0"
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("data.csv",
+         "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n"
+         "1e9,0,0,0.5,0,0,-6\n3e9,0,0,0.5,0,0,-6\n2e9,0,0,0.5,0,0,-6\n",
+         "frequencies must be strictly increasing, but 2000000000.0 Hz follows "
+         "3000000000.0 Hz"),
+        # Touchstone rows are sorted first, so only a repeated frequency remains
+        ("data.s2p", f"# HZ S RI R 50\n3e9{_ROW}\n2e9{_ROW}\n1e9{_ROW}\n2e9{_ROW}\n",
+         "frequencies must be strictly increasing, but 2000000000.0 Hz follows "
+         "2000000000.0 Hz"),
+        ("data.s2p", "# GHZ S MA R 50\n1 0 0 0.5 0 0.5 0 0 0\n2 0 0 -0.5 0 0.5 0 0 0\n",
+         "line 3: MA magnitude must not be negative, got -0.5"),
+    ],
+    ids=["csv-decreasing", "touchstone-repeated", "touchstone-negative-magnitude"],
+)
+def test_fit_names_the_data_file_and_the_bad_value(tmp_path, capsys, name, text, message):
+    data = tmp_path / name
+    data.write_text(text)
+    cfg = json.loads(json.dumps(_FIT_CONFIG))
+    cfg["fit"]["data"] = str(data)
+    code = main(["fit", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid-parameter: {data}: {message}\n"
+
+
 def test_fit_rejects_non_boolean_dielectric_loss(tmp_path, capsys):
     cfg = {
         "design": {
@@ -820,28 +852,129 @@ def test_run_meta_records_the_smoothing_window(tmp_path, command, window):
     assert json.loads((out / "run_meta.json").read_text())["smooth_ghz"] == window
 
 
-def test_console_entry_subprocess(tmp_path):
-    # the child imports the same fsskit as this test, installed or not
+def _cli_process(*args):
+    """``python -m fsskit.cli *args`` in a child process, stdout and stderr
+    piped; the child imports the same fsskit as this test, installed or not."""
     src = str(Path(fsskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "fsskit.cli",
-            "analyze",
-            str(CONFIGS / "sc_band_geometry.json"),
-            "--out",
-            str(out),
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "fsskit.cli", *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert (out / "response.csv").exists()
+
+
+def _digests(outdir):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(outdir.iterdir())
+        if p.name != "run_meta.json"
+    }
+
+
+@pytest.mark.parametrize("case", ["analyze-geometry", "sweep", "angular", "synth", "fit-first-order"])
+def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
+    # the process ends without interpreter teardown: every file must be
+    # complete by then
+    command, config, overrides, digests = COMMAND_GOLDEN_SHA256[case]
+    cfg = dict(_load_config(config), **overrides)
+    if command == "fit":
+        _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
+    config = _write(tmp_path, cfg)
+    proc = _cli_process(command, config, "--out", tmp_path / "child")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    run(command, config, tmp_path / "in_process")
+    assert (tmp_path / "child" / "run_meta.json").exists()
+    assert _digests(tmp_path / "child") == digests
+    assert _digests(tmp_path / "child") == _digests(tmp_path / "in_process")
+
+
+@pytest.mark.parametrize(
+    "argv,code,category",
+    [
+        (["analyze", CONFIGS / _FIRST, "--smooth-ghz", "0.1"], 1, "band-structure"),
+        (["sweep", CONFIGS / _FIRST], 2, "invalid-config"),  # no geometry to sweep
+    ],
+    ids=["band-structure", "invalid-config"],
+)
+def test_console_entry_delivers_the_error_line(tmp_path, capsys, argv, code, category):
+    argv = [str(a) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
+    proc = _cli_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def test_console_entry_usage_error():
+    proc = _cli_process("analyze")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: fsskit analyze")
+    assert "the following arguments are required: config, --out" in proc.stderr
+
+
+class _Stream(io.StringIO):
+    """A text stream that logs its flushes to ``events``."""
+
+    def __init__(self, name, events, fail=None):
+        super().__init__()
+        self.name, self.events, self.fail = name, events, fail
+
+    def flush(self):
+        if self.fail is not None:
+            raise self.fail
+        self.events.append(f"{self.name}.flush")
+
+
+class _Exited(Exception):
+    pass
+
+
+def _fake_exit(events):
+    def _exit(code):
+        events.append(("_exit", code))
+        raise _Exited  # the real os._exit never returns
+
+    return _exit
+
+
+def test_entry_flushes_both_streams_then_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", _fake_exit(events))
+    monkeypatch.setattr(sys, "argv", ["fsskit", "analyze", str(tmp_path / "nope.json"),
+                                      "--out", str(tmp_path / "o")])
+    with pytest.raises(_Exited):
+        cli.entry()
+    assert events == ["stdout.flush", "stderr.flush", ("_exit", 2)]
+    assert sys.stderr.getvalue().startswith("error: invalid-config: cannot read config")
+
+
+def test_entry_exits_when_started_without_stdout(tmp_path, monkeypatch):
+    # a process started with its stdout closed has sys.stdout None
+    events = []
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", _fake_exit(events))
+    monkeypatch.setattr(sys, "argv", ["fsskit", "synth", str(CONFIGS / _SYNTH),
+                                      "--out", str(tmp_path / "o")])
+    with pytest.raises(_Exited):
+        cli.entry()
+    assert events == ["stderr.flush", ("_exit", 0)]
+    assert (tmp_path / "o" / "design.json").exists()
+
+
+def test_entry_raises_a_failed_flush_instead_of_exiting(monkeypatch):
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, fail=BrokenPipeError()))
+    monkeypatch.setattr(os, "_exit", _fake_exit(events))
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    with pytest.raises(BrokenPipeError):
+        cli.entry()
+    assert events == []
 
 
 _HELP = {

@@ -117,6 +117,24 @@ def test_touchstone_ma_and_db_formats(tmp_path):
     np.testing.assert_allclose(got.s21, s21, atol=1e-12)
 
 
+@pytest.mark.parametrize("column", [1, 3, 5, 7])
+@pytest.mark.parametrize("option", ["# GHZ S MA R 50", "! MA is the default format"])
+def test_touchstone_rejects_negative_ma_magnitude(tmp_path, option, column):
+    # cmath.rect would read -0.5 at 30 degrees as 0.5 at 210 degrees
+    row = ["2", "0.5", "30", "0.5", "30", "0.5", "30", "0.5", "30"]
+    row[column] = "-0.5"
+    path = tmp_path / "negative.s2p"
+    path.write_text(f"{option}\n1 0.5 30 0.5 30 0.5 30 0.5 30\n{' '.join(row)}\n")
+    with pytest.raises(
+        InvalidParameterError, match="negative.s2p: line 3: MA magnitude must not be negative, got -0.5"
+    ):
+        load_response(path)
+    # in the other formats a negative value is an ordinary number
+    for fmt in ("RI", "DB"):
+        path.write_text(f"# GHZ S {fmt} R 50\n1 0.5 30 0.5 30 0.5 30 0.5 30\n{' '.join(row)}\n")
+        assert len(read_touchstone(path)) == 2
+
+
 def test_touchstone_sorts_rows(tmp_path):
     path = tmp_path / "unsorted.s2p"
     path.write_text(

@@ -282,17 +282,29 @@ def test_fit_input_validation(ref_substrate):
 def test_smoothed_fit_of_noise_free_data_from_the_truth_has_zero_residual(
     ref_circuit, ref_substrate, magnitude_only
 ):
-    # the model is smoothed like the data, so the truth matches it exactly;
-    # the fitter evaluates exp(log(x)), so the truth is a value that survives it
-    values = np.exp(np.log([getattr(ref_circuit, name) for name in WEAK_PARASITIC]))
-    truth = dict(zip(WEAK_PARASITIC, values))
-    stack = build_first_order(ExtractedCircuit(**truth), ref_substrate, dielectric_loss=True)
+    # the model is smoothed like the data, so the truth matches it exactly
+    truth = {name: getattr(ref_circuit, name) for name in WEAK_PARASITIC}
+    stack = build_first_order(ref_circuit, ref_substrate, dielectric_loss=True)
     data = sweep(stack, 1e9, 8e9, 801)
     result = fit_circuit(
         data, "first_order", truth, ref_substrate, dielectric_loss=True,
         magnitude_only=magnitude_only, max_iter=0, smooth_hz=0.1e9,
     )
     assert result.rms_residual == 0.0
+
+
+def test_zero_iteration_fit_reports_the_residual_of_the_values_it_returns(
+    ref_circuit, ref_substrate
+):
+    # each reference value differs from exp(log(value)) in its last bits, so
+    # a residual taken in log space would not be 0 here
+    truth = {name: getattr(ref_circuit, name) for name in WEAK_PARASITIC}
+    assert any(math.exp(math.log(v)) != v for v in truth.values())
+    data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 8e9, 801)
+    result = fit_circuit(data, "first_order", truth, ref_substrate, max_iter=0)
+    assert result.params == truth
+    assert result.rms_residual == 0.0
+    assert result.trace == (0.0,)
 
 
 def test_fit_result_circuit_helper(ref_substrate):

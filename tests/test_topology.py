@@ -620,4 +620,4 @@ def test_media_resonance_and_reader_outputs_golden(tmp_path):
         path.write_text(text)
         lines.append(_bits_outcome(load_response, path).replace(str(path), "<file>"))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "326edf67b16aa126488789722bc3889472fc6e5a9e7e5dca20d61cc16b0cf7a5", digest
+    assert digest == "2051fb504eee0498fdd95ceda78393158820e13d84324cc50574552a7e266708", digest
