@@ -9,6 +9,7 @@ responses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +56,7 @@ class ResponseTable:
             raise InvalidParameterError("response table needs at least 2 rows")
         if self.s11.shape != f.shape or self.s21.shape != f.shape:
             raise InvalidParameterError("frequency/S11/S21 lengths differ")
-        if not np.all(np.diff(f) > 0.0):
+        if not np.all(f[1:] > f[:-1]):
             raise InvalidParameterError("frequencies must be strictly increasing")
 
     def __len__(self):
@@ -63,8 +64,11 @@ class ResponseTable:
 
     @property
     def s21_db(self) -> np.ndarray:
+        db = np.abs(self.s21)
         with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(np.abs(self.s21))
+            np.log10(db, out=db)
+        db *= 20.0
+        return db
 
 
 @dataclass(frozen=True)
@@ -203,19 +207,20 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
     """Vertex of the parabola through samples i-1, i, i+1, clamped to the
     bracketing grid interval.  Falls back to the grid point for flat or
     non-finite neighborhoods."""
-    x1, x2, x3 = f[i - 1], f[i], f[i + 1]
-    y1, y2, y3 = db[i - 1], db[i], db[i + 1]
-    if not (np.isfinite(y1) and np.isfinite(y2) and np.isfinite(y3)):
-        return float(x2), float(y2)
+    # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
+    x1, x2, x3 = f[i - 1 : i + 2].tolist()
+    y1, y2, y3 = db[i - 1 : i + 2].tolist()
+    if not (math.isfinite(y1) and math.isfinite(y2) and math.isfinite(y3)):
+        return x2, y2
     d1 = (y2 - y1) / (x2 - x1)
     d2 = (y3 - y2) / (x3 - x2)
     curv = (d2 - d1) / (x3 - x1)
     if curv == 0.0:
-        return float(x2), float(y2)
+        return x2, y2
     x_star = 0.5 * (x1 + x2) - d1 / (2.0 * curv)
     x_star = min(max(x_star, x1), x3)
     y_star = y1 + d1 * (x_star - x1) + curv * (x_star - x1) * (x_star - x2)
-    return float(x_star), float(y_star)
+    return x_star, y_star
 
 
 def _bandwidth(f, db, band, peak_level, f_peak, which, null) -> float:
@@ -296,7 +301,9 @@ def parametric_sweep(
             f_zero = _resonance(circuit.L_series, circuit.C_series)
             this_grid = grid
             if f_start < f_zero < f_stop:
-                this_grid = np.union1d(grid, [f_zero])
+                k = int(np.searchsorted(grid, f_zero))
+                if grid[k] != f_zero:
+                    this_grid = np.insert(grid, k, f_zero)
             report = band_report(sweep_at(stack, this_grid))
             points.append(SweepPoint(value=value, report=report))
         except FssError as exc:

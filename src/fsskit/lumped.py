@@ -87,6 +87,8 @@ class Tank:
 
 @dataclass(frozen=True)
 class Inductor:
+    """Bare shunt inductance; L = 0 is a perfect short at every frequency."""
+
     L: float
 
     def __post_init__(self):
@@ -135,10 +137,9 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     """
     if isinstance(b, SeriesLC):
         z = b.R + 1j * (w * b.L - 1.0 / (w * b.C))
+        # 1 / (0+0j) is inf+nanj: a zero impedance is already non-finite
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = 1.0 / z
-        y[z == 0] = np.inf
-        return y
+            return 1.0 / z
     if isinstance(b, Tank):
         return b.G + 1j * (w * b.C - 1.0 / (w * b.L))
     if isinstance(b, Inductor):

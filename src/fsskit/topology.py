@@ -53,6 +53,9 @@ class Incidence:
 
 @dataclass(frozen=True)
 class Substrate:
+    """Dielectric line section between two nodes: thickness (m), relative
+    permittivity and loss tangent (used only with dielectric loss on)."""
+
     thickness: float
     eps_r: float
     tan_delta: float = 0.0
@@ -206,17 +209,40 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     port = port_impedance(incidence)
     A = np.ones(freqs.shape, dtype=complex)
     B = np.zeros(freqs.shape, dtype=complex)
-    C = np.zeros(freqs.shape, dtype=complex)
     D = np.ones(freqs.shape, dtype=complex)
     t1 = np.empty(freqs.shape, dtype=complex)
     t2 = np.empty(freqs.shape, dtype=complex)
     shorted = np.zeros(freqs.shape, dtype=bool)
     s11_short = np.zeros(freqs.shape, dtype=complex)
 
+    def node_admittance(layer):
+        """The node's admittance, with its shorts recorded and zeroed."""
+        y = _admittance_array(layer, w)
+        # the sum of finite values is finite unless it overflows, so the
+        # mask is built only when some node shorts (or on such an overflow)
+        if not np.isfinite(y.sum()):
+            bad = ~np.isfinite(y)
+            first = bad & ~shorted
+            s11_short[first] = (B[first] - D[first] * port) / (B[first] + D[first] * port)
+            np.logical_or(shorted, bad, out=shorted)
+            y[bad] = 0.0
+        return y
+
+    if layers and not isinstance(layers[0], Substrate):
+        # The identity times the first node: A stays exactly 1 and
+        # C = 0 + 1*y is exactly y + 0, whose + 0 turns -0 into +0 as the
+        # sum of the full product does.
+        C = node_admittance(layers[0])
+        C += 0.0
+        layers = layers[1:]
+    else:
+        C = np.zeros(freqs.shape, dtype=complex)
+
     for layer in layers:
         if isinstance(layer, Substrate):
             _, line_z, theta_d = incidence_media(incidence, layer, freqs, dielectric_loss)
-            cos_t = np.cos(theta_d)
+            # cast once: each complex product would cast a real cos_t again
+            cos_t = np.cos(theta_d).astype(complex, copy=False)
             sin_t = np.sin(theta_d)
             b_line = 1j * line_z * sin_t
             c_line = 1j * sin_t / line_z
@@ -234,13 +260,7 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
             np.add(t2, np.multiply(D, cos_t, out=C), out=D)
             C, t1 = t1, C
         else:
-            y = _admittance_array(layer, w)
-            bad = ~np.isfinite(y)
-            if bad.any():
-                first = bad & ~shorted
-                s11_short[first] = (B[first] - D[first] * port) / (B[first] + D[first] * port)
-                shorted |= bad
-                y[bad] = 0.0
+            y = node_admittance(layer)
             A += np.multiply(B, y, out=t1)
             C += np.multiply(D, y, out=t1)
     return A, B, C, D, shorted, s11_short
@@ -250,8 +270,12 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
-    if np.any(freqs <= 0.0):
-        raise InvalidParameterError("all frequencies must be positive")
+    # min and max are NaN if any frequency is; NaN fails every comparison
+    lo, hi = freqs.min(), freqs.max()
+    if not (lo > 0.0 and hi < math.inf):
+        if np.any(freqs <= 0.0):
+            raise InvalidParameterError("all frequencies must be positive")
+        raise InvalidParameterError("all frequencies must be finite")
 
     s11 = np.empty(freqs.shape, dtype=complex)
     s21 = np.empty(freqs.shape, dtype=complex)
@@ -288,10 +312,11 @@ def _block_response(stack: FssStack, freqs, s11, s21, s22):
     delta += Dp
 
     singular = np.abs(delta) < SINGULAR_DELTA
-    singular &= ~shorted
     if singular.any():
-        idx = np.flatnonzero(singular)[0]
-        raise SingularNetworkError(f"singular network at {freqs[idx]} Hz")
+        singular &= ~shorted
+        if singular.any():
+            idx = np.flatnonzero(singular)[0]
+            raise SingularNetworkError(f"singular network at {freqs[idx]} Hz")
     np.divide(2.0 * port, delta, out=s21)
     num11 -= Cpp
     num11 -= Dp

@@ -235,6 +235,93 @@ def test_3db_edges_lie_between_their_bracketing_samples():
         assert bw == pytest.approx((f_hi - f_lo) / f_peak, rel=1e-12)
 
 
+_INF, _NAN, _TINY = math.inf, math.nan, 5e-324  # _TINY: the smallest subnormal
+
+
+@pytest.mark.parametrize(
+    "pair, accepted",
+    [
+        ((1.0, _INF), True),
+        ((_INF, _INF), False),
+        ((_INF, 1e308), False),
+        ((1e308, _INF), True),
+        ((-_INF, 1.0), True),
+        ((-_INF, -_INF), False),
+        ((-_INF, -1e308), True),
+        ((1.0, -_INF), False),
+        ((1.0, _NAN), False),
+        ((_NAN, 1.0), False),
+        ((_NAN, _NAN), False),
+        ((_NAN, _INF), False),
+        ((-_INF, _NAN), False),
+        ((-1e308, 1e308), True),
+        ((1e308, -1e308), False),
+        ((1e308, 1e308), False),
+        ((-1e308, -1e308), False),
+        ((_TINY, 2 * _TINY), True),
+        ((2 * _TINY, _TINY), False),
+        ((_TINY, _TINY), False),
+        ((0.0, _TINY), True),
+        ((-_TINY, 0.0), True),
+        ((-_TINY, _TINY), True),
+        ((-0.0, 0.0), False),
+        ((0.0, -0.0), False),
+        ((-_TINY, -0.0), True),
+    ],
+)
+def test_response_table_ordering_rule(pair, accepted):
+    # outcomes recorded with the former rule, np.all(np.diff(f) > 0.0);
+    # comparing neighbours decides the same without a difference array
+    zeros = np.zeros(2, dtype=complex)
+    try:
+        ResponseTable(np.array(pair), zeros, zeros)
+    except InvalidParameterError as exc:
+        assert str(exc) == "frequencies must be strictly increasing"
+        assert not accepted
+    else:
+        assert accepted
+
+
+def test_s21_db_bits(rng):
+    s21 = np.concatenate(
+        [
+            rng.standard_normal(500) + 1j * rng.standard_normal(500),
+            1e-160 * rng.standard_normal(20) + 1j * 1e-170 * rng.standard_normal(20),
+            [0j, complex(-0.0, -0.0), _NAN, complex(1.0, _NAN)],
+            [complex(_INF, 1.0), complex(_TINY, 0.0), 1e308 + 1e308j, 1 + 0j],
+        ]
+    )
+    table = ResponseTable(np.arange(1.0, s21.size + 1.0), np.zeros_like(s21), s21)
+    with np.errstate(divide="ignore"):
+        want = 20.0 * np.log10(np.abs(s21))
+    got = table.s21_db
+    assert got.tobytes() == want.tobytes()
+    assert got[-8:-6].tolist() == [-math.inf, -math.inf]
+
+
+def test_parametric_sweep_grid_is_the_union_with_the_zero(nominal_geometry, monkeypatch):
+    """The exact zero goes into the grid as np.union1d(grid, [f_zero])
+    would put it: sorted in, or not repeated when the grid holds it."""
+    from fsskit import analysis
+
+    circuit = analysis.extract_circuit(nominal_geometry)
+    f_zero = analysis._resonance(circuit.L_series, circuit.C_series)
+    grids = []
+    monkeypatch.setattr(
+        analysis, "sweep_at", lambda stack, freqs: grids.append(freqs) or sweep_at(stack, freqs)
+    )
+    # f_zero (5.6 GHz) +- 2**28 Hz stays within [2**32, 2**33) Hz, so both
+    # ends are exact, and the middle point of a 3-point grid is f_zero
+    cases = [(0.5e9, 25e9, 1401), (f_zero - 2.0**28, f_zero + 2.0**28, 3), (1e9, 9e9, 2)]
+    for f_start, f_stop, n in cases:
+        # the base cross slot: the sweep's circuit is the one above
+        parametric_sweep(nominal_geometry, "cross_slot", [0.15e-3], f_start, f_stop, n)
+        grid = np.linspace(f_start, f_stop, n)
+        assert grids[-1].tobytes() == np.union1d(grid, [f_zero]).tobytes()
+    assert np.linspace(*cases[1])[1] == f_zero
+    assert len(grids[0]) == 1402 and len(grids[1]) == 3
+
+
 def test_parametric_sweep_error_propagation(nominal_geometry):
     # second value is geometrically impossible; the sweep must keep going
     points = parametric_sweep(

@@ -30,6 +30,7 @@ from fsskit import (
     stack_response,
     stack_response_full,
     surface_impedance,
+    sweep_at,
 )
 from fsskit.lumped import OPEN
 from fsskit import topology
@@ -301,6 +302,30 @@ def test_vectorized_grid_containing_exact_short():
     np.testing.assert_allclose(s21_off, o21, rtol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "all frequencies must be finite"),
+        (math.inf, "all frequencies must be finite"),
+        (-math.inf, "all frequencies must be positive"),
+        (0.0, "all frequencies must be positive"),
+        (-1e9, "all frequencies must be positive"),
+    ],
+)
+def test_grid_must_be_finite_and_positive(ref_circuit, ref_substrate, bad, message):
+    # NaN compares false with everything, so a grid with a NaN once passed a
+    # "no value <= 0" check and came back as S11 = -1, S21 = 0 there
+    stack = build_first_order(ref_circuit, ref_substrate)
+    for grid in ([1e9, bad], [bad, 2e9, 3e9], [bad]):
+        for evaluate in (stack_response, stack_response_full, sweep_at):
+            with pytest.raises(InvalidParameterError) as info:
+                evaluate(stack, grid)
+            assert str(info.value) == message
+    # a value <= 0 is named as such whatever else the grid holds
+    with pytest.raises(InvalidParameterError, match="must be positive"):
+        stack_response(stack, [math.nan, 1e9, -1e9])
+
+
 def test_lossless_unitarity_oblique(ref_circuit, rng):
     sub = Substrate(0.635e-3, 10.2)  # tan_delta = 0
     for _ in range(200):
@@ -533,6 +558,43 @@ def test_blocked_engine_matches_unblocked_reference(monkeypatch):
         got = _engine_outcome(topology._response_arrays, stack, freqs, True)
     assert want == (SingularNetworkError, f"singular network at {freqs[2 * block + 5]} Hz")
     assert got == want
+
+
+def _chain_outcome(chain, layers, incidence, loss, freqs):
+    """The raw bits of every output of a chain function."""
+    return [
+        m.tolist() if m.dtype == bool else m.view(np.uint64).tolist()
+        for m in chain(layers, incidence, loss, freqs)
+    ]
+
+
+def test_chain_matches_reference_from_any_first_layer():
+    """``_chain`` starts at the first node instead of multiplying it into
+    the identity.  Its A, B, C, D, shorts and short reflections keep the
+    reference's bits for layer lists that start with a line, that start
+    with a node shorting at grid points, and that hold a single node."""
+    rng = np.random.default_rng(16)
+    compared = 0
+    for second_order, polarization, loss, n in itertools.product(
+        (False, True), ("TE", "TM"), (False, True), (1, 7, 300)
+    ):
+        stack, f_short = _shorting_stack(rng, second_order, polarization, loss)
+        # the node with the shorting branch goes first: it is the first node
+        # of a second-order stack and the last one of a first-order stack
+        layers = stack.layers if second_order else stack.layers[::-1]
+        plain = np.linspace(0.5e9, 12e9, n) if n > 1 else rng.uniform(0.5e9, 12e9, 1)
+        shorts = plain.copy()
+        shorts[[0, n // 2]] = f_short
+        first = _reference_chain(layers[:1], stack.incidence, loss, shorts)[4]
+        assert np.flatnonzero(first).tolist() == sorted({0, n // 2})
+        inductor = Inductor(1e-9 * rng.uniform(0.5, 2.0))
+        single = [(layers[0],), (layers[2],), (inductor,), (Inductor(0.0),)]
+        for chain_layers in [layers, layers[1:], layers[1:2], layers[1:3], *single]:
+            for freqs in (plain, shorts):
+                args = (chain_layers, stack.incidence, loss, freqs)
+                assert _chain_outcome(_chain, *args) == _chain_outcome(_reference_chain, *args)
+                compared += 1
+    assert compared == 24 * 8 * 2
 
 
 def _bits(*values) -> str:
