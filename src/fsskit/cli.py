@@ -15,13 +15,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    SWEEP_POINTS, ResponseTable, _grid, band_report, parametric_sweep, smooth_response, sweep
+    SWEEP_POINTS, BandReport, ResponseTable, _grid, band_report, parametric_sweep,
+    smooth_response, sweep,
 )
 from .constants import C0
 from .errors import BandStructureError, ConfigError, EmptySweepError, FssError, TruncatedBandError
@@ -66,12 +67,19 @@ def _positive(v) -> bool:
     return 0 < v < math.inf
 
 
-def _value(v, path: str, expected: str, ok):
-    """``v`` unchanged if it is a JSON number, not a boolean, for which
-    ``ok`` holds; every numeric config leaf goes through here."""
+def _value(v, path: str, expected: str, ok, scale=1):
+    """``v * scale`` if ``v`` is a JSON number, not a boolean, for which
+    ``ok`` holds and the product is a finite float (JSON integers are
+    unbounded); every numeric config leaf goes through here."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(v):
         _fail(path, expected)
-    return v
+    try:
+        v *= scale
+        if math.isfinite(v):
+            return v
+    except OverflowError:  # an integer beyond float range
+        pass
+    _fail(path, f"{expected}, finite in SI units")
 
 
 def _integer(block: dict, key: str, context: str, default: int, minimum: int) -> int:
@@ -91,13 +99,13 @@ def _number(block: dict, key: str, context: str, minimum=None, default=None) -> 
         expected, ok = "positive number", _positive
     else:
         expected, ok = f"number >= {minimum}", lambda v: minimum <= v < math.inf
-    v = _value(
+    return _value(
         block.get(key, default),
         f"{context}.{key}",
         f"{expected} ({unit if unit in _UNITS else 'dimensionless'})",
         ok,
+        _UNITS.get(unit, 1.0),
     )
-    return v * _UNITS.get(unit, 1.0)
 
 
 def _block(cfg: dict, key: str, allowed, context: str = "") -> dict:
@@ -117,8 +125,8 @@ def _check_keys(block: dict, allowed, context: str):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -347,17 +355,14 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
             "sweep: parametric sweeps need a first-order design specified by geometry"
         )
     blk = _block(cfg, "parametric", ("param", "values_mm"))
-    param_key = blk.get("param")
-    if not isinstance(param_key, str) or (
-        param_key not in _GEOM_KEYS and param_key not in _GEOM_KEYS.values()
-    ):
-        _fail("parametric.param", f"one of {sorted(_GEOM_KEYS)}")
-    param = _GEOM_KEYS.get(param_key, param_key)
+    param = blk.get("param")
+    if param not in _GEOM_KEYS.values():
+        _fail("parametric.param", f"one of {sorted(_GEOM_KEYS.values())}")
     values = blk.get("values_mm")
     if not isinstance(values, list):
         _fail("parametric.values_mm", "list of numbers (mm)")
     values = [
-        _value(v, "parametric.values_mm", "positive numbers (mm)", _positive) * MM for v in values
+        _value(v, "parametric.values_mm", "positive numbers (mm)", _positive, MM) for v in values
     ]
     inc = _parse_incidence_single(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
@@ -376,26 +381,16 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
     )
     with (outdir / "parametric.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "param",
-                "value_m",
-                "f_lower_hz",
-                "f_zero_hz",
-                "f_upper_hz",
-                "bw_lower",
-                "bw_upper",
-                "il_lower_db",
-                "il_upper_db",
-                "separation_hz",
-                "error",
-            ]
-        )
+        # BandReport's field order is the column order; frequencies are in Hz
+        columns = [
+            f"{f.name}_hz" if f.name.startswith("f_") or f.name == "separation" else f.name
+            for f in fields(BandReport)
+        ]
+        writer.writerow(["param", "value_m", *columns, "error"])
         for pt in points:
             if pt.report is None:
-                metrics = [""] * 8 + [pt.error]
+                metrics = [""] * len(columns) + [pt.error]
             else:
-                # BandReport's field order is the column order
                 metrics = [f"{x:.11e}" for x in astuple(pt.report)] + [""]
             writer.writerow([param, f"{pt.value:.11e}"] + metrics)
 
@@ -416,8 +411,8 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
     f_upper = _number(blk, "f_upper_GHz", "targets")
     f_zero = blk.get("f_zero_GHz")
     if f_zero is not None:
-        f_zero = GHZ * _value(
-            f_zero, "targets.f_zero_GHz", "positive number (GHz) or null", _positive
+        f_zero = _value(
+            f_zero, "targets.f_zero_GHz", "positive number (GHz) or null", _positive, GHZ
         )
     l_tank = _number(blk, "L_tank_nH", "targets", default=DEFAULT_TANK_L / NH)
     # Default period: one fifteenth of the free-space wavelength at the
@@ -469,9 +464,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     data_path = blk.get("data")
     if not isinstance(data_path, str) or not data_path:
         _fail("fit.data", "path to a response CSV or Touchstone file")
-    data_file = Path(data_path)
-    if not data_file.is_absolute():
-        data_file = Path(config_path).resolve().parent / data_file
+    data_file = Path(config_path).resolve().parent / data_path  # an absolute path stays as is
     if not data_file.exists():
         raise ConfigError(f"fit.data: file not found: {data_file}")
     template = blk.get("template", "first_order")

@@ -26,6 +26,14 @@ _FREQ_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _BLOCK_ROWS = 2048
 
 
+def _text(path) -> str:
+    """The file's text, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _data_row(path, row: str, parts) -> list:
     """Values of one data row; frequency, S11 and S21 (the first five) must
     be finite."""
@@ -166,8 +174,7 @@ def _imported_table(path, freqs, s11, s21) -> ResponseTable:
 
 
 def read_response_csv(path) -> ResponseTable:
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise InvalidParameterError(
             f"{path}: not a response CSV (expected header {CSV_HEADER!r})"
@@ -232,7 +239,15 @@ def read_touchstone(path) -> ResponseTable:
     scale = 1e9  # Touchstone v1 default unit is GHz
     rows = []
     started = False  # a line that is not blank or a comment has been read
-    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+
+    def to_complex(a: float, b: float) -> complex:
+        if fmt == "RI":
+            return complex(a, b)
+        if fmt == "MA":
+            return cmath.rect(a, math.radians(b))
+        return cmath.rect(10.0 ** (a / 20.0), math.radians(b))
+
+    for number, raw in enumerate(_text(path).splitlines(), start=1):
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
@@ -270,30 +285,26 @@ def read_touchstone(path) -> ResponseTable:
                     f"{path}: line {number}: MA magnitude must not be negative, "
                     f"got {negative[0]!r}"
                 )
-        rows.append(vals)
+        try:  # frequency (Hz), S11, S21
+            row = (vals[0] * scale, to_complex(*vals[1:3]), to_complex(*vals[3:5]))
+        except OverflowError:  # a DB magnitude beyond float range
+            row = None
+        if row is None or not all(map(cmath.isfinite, row)):
+            raise InvalidParameterError(
+                f"{path}: non-finite value after conversion in row {line!r}"
+            )
+        rows.append(row)
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows found")
-
-    def to_complex(a: float, b: float) -> complex:
-        if fmt == "RI":
-            return complex(a, b)
-        if fmt == "MA":
-            return cmath.rect(a, math.radians(b))
-        return cmath.rect(10.0 ** (a / 20.0), math.radians(b))
-
     rows.sort(key=lambda r: r[0])
-    return _imported_table(
-        path,
-        [r[0] * scale for r in rows],
-        [to_complex(r[1], r[2]) for r in rows],
-        [to_complex(r[3], r[4]) for r in rows],
-    )
+    return _imported_table(path, *zip(*rows))
 
 
 def load_response(path) -> ResponseTable:
     """Read either the package CSV schema or a Touchstone v1 file, sniffing
     by its first non-blank line."""
-    with Path(path).open() as fh:
+    # a file that is not UTF-8 is reported by the reader it is passed to
+    with Path(path).open(encoding="utf-8", errors="replace") as fh:
         # split as the readers split, at \v, \f and the like too
         first = next((s.strip() for line in fh for s in line.splitlines() if s.strip()), "")
     return read_response_csv(path) if first == CSV_HEADER else read_touchstone(path)

@@ -24,13 +24,6 @@ class Open:
     stays well defined: an open branch simply contributes zero admittance.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "OPEN"
 

@@ -300,16 +300,13 @@ def fit_circuit(
         diff = s21 - s21_data
         return np.concatenate([diff.real, diff.imag])
 
-    def rms_of(r):
-        return math.sqrt(float(np.dot(r, r)) / n_freq)
-
     theta = np.log(x0)
     # the residual of the values returned: x0 itself when no step is taken
     r = residual(x0 if max_iter == 0 else np.exp(theta))
     if r is None:
         raise InvalidParameterError("initial circuit values are not evaluable")
     cost = float(np.dot(r, r))
-    trace = [rms_of(r)]
+    trace = [math.sqrt(cost / n_freq)]
 
     if max_iter == 0:
         return FitResult(template, dict(zip(names, x0)), trace[0], 0, tuple(trace))
@@ -317,8 +314,6 @@ def fit_circuit(
     lam = 1e-2
     fd_step = 1e-6   # in log space = relative step on element values
     max_step = 0.7   # trust bound per iteration, log space
-    converged = False
-    iterations = 0
     for _ in range(max_iter):
         jac = np.empty((r.size, theta.size))
         for k in range(theta.size):
@@ -336,8 +331,7 @@ def fit_circuit(
         diag = np.diag(hess).copy()
         diag[diag <= 0.0] = 1.0
 
-        accepted = False
-        while True:
+        while lam <= 1e15:
             try:
                 step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
@@ -350,38 +344,29 @@ def fit_circuit(
                 if r_new is not None:
                     cost_new = float(np.dot(r_new, r_new))
                     if cost_new < cost:
-                        accepted = True
                         break
             lam *= 10.0
-            if lam > 1e15:
-                break
-        if not accepted:
-            converged = True  # no improving step at any damping: stationary point
-            break
+        else:
+            break  # no improving step at any damping: stationary point
         theta = theta + step
         r, cost = r_new, cost_new
         lam = max(lam / 10.0, 1e-12)
-        iterations += 1
-        trace.append(rms_of(r))
+        trace.append(math.sqrt(cost / n_freq))
         # Converged: negligible relative progress, negligible step, or an
         # rms at the numerical floor of unit-scale S-parameters.
         if trace[-2] - trace[-1] <= 1e-10 * max(trace[-2], 1e-300):
-            converged = True
             break
         if np.max(np.abs(step)) < 1e-13 or trace[-1] < 1e-10:
-            converged = True
             break
-
-    values = np.exp(theta)
-    params = dict(zip(names, values))
-    if not converged and iterations >= max_iter:
+    else:
         raise DivergedFitError(
             f"fit did not converge within {max_iter} iterations "
             f"(rms residual {trace[-1]:.3e})",
-            best=params,
+            best=dict(zip(names, np.exp(theta))),
             trace=tuple(trace),
         )
-    return FitResult(template, params, trace[-1], iterations, tuple(trace))
+    params = dict(zip(names, np.exp(theta)))
+    return FitResult(template, params, trace[-1], len(trace) - 1, tuple(trace))
 
 
 def _build_template(template, params, sub, inc, dielectric_loss):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -476,8 +477,14 @@ _ROW = " 0 0 0.5 0 0.5 0 0 0"
          "2000000000.0 Hz"),
         ("data.s2p", "# GHZ S MA R 50\n1 0 0 0.5 0 0.5 0 0 0\n2 0 0 -0.5 0 0.5 0 0 0\n",
          "line 3: MA magnitude must not be negative, got -0.5"),
+        # 7000 dB is a magnitude of 1e350 and 1e300 GHz is beyond float range in Hz
+        ("data.s2p", f"# HZ S DB R 50\n1e9 0 0 7000 0 0 0 0 0\n2e9{_ROW}\n",
+         "non-finite value after conversion in row '1e9 0 0 7000 0 0 0 0 0'"),
+        ("data.s2p", f"# GHZ S RI R 50\n1{_ROW}\n1e300{_ROW}\n",
+         f"non-finite value after conversion in row '1e300{_ROW}'"),
     ],
-    ids=["csv-decreasing", "touchstone-repeated", "touchstone-negative-magnitude"],
+    ids=["csv-decreasing", "touchstone-repeated", "touchstone-negative-magnitude",
+         "touchstone-db-overflow", "touchstone-ghz-overflow"],
 )
 def test_fit_names_the_data_file_and_the_bad_value(tmp_path, capsys, name, text, message):
     data = tmp_path / name
@@ -504,6 +511,49 @@ def test_fit_rejects_non_boolean_dielectric_loss(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config: design.dielectric_loss")
+
+
+def test_fit_data_path_is_read_next_to_the_config_unless_absolute(tmp_path, monkeypatch):
+    config_dir, data_dir, cwd = (tmp_path / d for d in ("config", "data", "cwd"))
+    for d in (config_dir, data_dir, cwd):
+        d.mkdir()
+    monkeypatch.chdir(cwd)
+    _write_fit_data(data_dir)
+    _write_fit_data(config_dir)
+    cfg = _config("fit")
+    for data, out in ((str(data_dir / "data.csv"), "abs"), ("data.csv", "rel")):
+        cfg["fit"]["data"] = data
+        assert main(["fit", str(_write(config_dir, cfg)), "--out", str(tmp_path / out)]) == 0
+    (data_dir / "data.csv").unlink()  # the absolute path is the only one tried
+    cfg["fit"]["data"] = str(data_dir / "data.csv")
+    with pytest.raises(ConfigError, match=f"file not found: {data_dir / 'data.csv'}$"):
+        run("fit", _write(config_dir, cfg), tmp_path / "o")
+
+
+@pytest.mark.parametrize("which", ["config", "data"])
+def test_files_that_are_not_utf8_are_reported(tmp_path, capsys, which):
+    _write_fit_data(tmp_path)
+    config = _write(tmp_path, _config("fit"))
+    target = config if which == "config" else tmp_path / "data.csv"
+    target.write_bytes(b"\xff\xfe" + target.read_bytes())  # a UTF-16 byte-order mark
+    code = main(["fit", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if which == "config":
+        assert code == 2
+        assert err.startswith(f"error: invalid-config: cannot read config {config}: "), err
+    else:
+        assert code == 1
+        assert err.startswith(f"error: invalid-parameter: {target}: not UTF-8 text"), err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+
+
+def test_parametric_param_takes_the_bare_field_name(tmp_path, capsys):
+    cfg = _load_config(_SWEEP)
+    cfg["parametric"]["param"] = "hat_length_mm"
+    assert main(["sweep", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: parametric.param: expected one of ["), err
+    assert "'hat_length'" in err and "_mm" not in err
 
 
 _FIT_CONFIG = {
@@ -607,6 +657,8 @@ ERROR_CONTRACT = [
      "parametric.param"),
     ("sweep", _SWEEP, "parametric.param", ["hat_length"], 2, "invalid-config",
      "parametric.param"),
+    ("sweep", _SWEEP, "parametric.param", "hat_length_mm", 2, "invalid-config",
+     "parametric.param"),
     ("sweep", _SWEEP, "sweep.spacing", "log", 2, "invalid-config", "sweep.spacing"),
     # a design given by its circuit has no geometry to sweep
     ("sweep", _FIRST, "design.dielectric_loss", True, 2, "invalid-config",
@@ -634,13 +686,28 @@ ERROR_CONTRACT = [
     ("fit", "fit", "fit.template", ["first_order"], 2, "invalid-config", "fit.template"),
     ("fit", "fit", "fit.initial.C_tank_pF", _DELETE, 1, "invalid-parameter",
      "initial guess is missing ['C_tank']"),
+    # JSON integers are unbounded: a number must convert to a finite float,
+    # and stay finite once scaled to SI units
+    ("analyze", _FIRST, "design.substrate.eps_r", 10**400, 2, "invalid-config",
+     "design.substrate.eps_r"),
+    ("analyze", _FIRST, "sweep.f_stop_GHz", 1e300, 2, "invalid-config", "sweep.f_stop_GHz"),
+    ("sweep", _SWEEP, "parametric.values_mm", [1.0, 10**400], 2, "invalid-config",
+     "parametric.values_mm"),
+    ("synth", _SYNTH, "targets.f_zero_GHz", 10**400, 2, "invalid-config",
+     "targets.f_zero_GHz"),
 ]
+
+
+def _case_id(row) -> str:
+    """command-leaf-value, with a long run of digits shortened to its length."""
+    value = re.sub(r"\d{21,}", lambda m: f"<{len(m.group())} digits>", repr(row[3]))
+    return f"{row[0]}-{row[2]}-{value}"
 
 
 @pytest.mark.parametrize(
     "command,base,path,value,code,category,where",
     ERROR_CONTRACT,
-    ids=[f"{r[0]}-{r[2]}-{r[3]!r}" for r in ERROR_CONTRACT],
+    ids=[_case_id(r) for r in ERROR_CONTRACT],
 )
 def test_error_contract(tmp_path, capsys, command, base, path, value, code, category, where):
     got = _main_with(tmp_path, command, base, path, value)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,20 @@ def test_importers_reject_bad_data_rows(tmp_path, cell):
     ts_path.write_text(f"# HZ S RI R 50\n1e9 0 0 0.5 {cell} 0.5 0 0 0\n2e9 0 0 0.5 0 0.5 0 0 0\n")
     with pytest.raises(InvalidParameterError, match=f"bad.s2p.*0.5 {cell}"):
         read_touchstone(ts_path)
+
+
+@pytest.mark.parametrize(
+    "option,row",
+    [("# HZ S DB R 50", "2e9 0 0 7000 0 0 0 0 0"),  # a magnitude of 1e350
+     ("# GHZ S RI R 50", "1e300 0 0 0.5 0 0.5 0 0 0")],  # beyond float range in Hz
+    ids=["db-magnitude", "ghz-frequency"],
+)
+def test_touchstone_values_must_be_finite_after_conversion(tmp_path, option, row):
+    path = tmp_path / "big.s2p"
+    path.write_text(f"{option}\n1 0 0 0.5 0 0.5 0 0 0\n{row}\n")
+    message = f"{path}: non-finite value after conversion in row {row!r}"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        load_response(path)
 
 
 def test_csv_accepts_infinite_db_columns(tmp_path):

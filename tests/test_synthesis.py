@@ -265,6 +265,33 @@ def test_fit_diverged_error_payload(ref_substrate):
     assert set(info.value.best) == set(WEAK_PARASITIC)
 
 
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_fit_capped_by_max_iter_carries_the_last_accepted_point(ref_substrate, max_iter):
+    data = _weak_parasitic_data(ref_substrate)
+    pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
+    initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
+    with pytest.raises(DivergedFitError) as info:
+        fit_circuit(data, "first_order", initial, ref_substrate, max_iter=max_iter)
+    trace, best = info.value.trace, info.value.best
+    assert len(trace) == max_iter + 1
+    assert all(b < a for a, b in zip(trace, trace[1:]))
+    # best is the point whose residual ends the trace, to the bit
+    at_best = fit_circuit(data, "first_order", best, ref_substrate, max_iter=0)
+    assert at_best.rms_residual == trace[-1]
+
+
+def test_fit_with_no_improving_step_returns_the_start(ref_circuit, ref_substrate):
+    # data generated at exp(log(x)) match the model there exactly, so no step
+    # can lower the zero cost and the start is returned after no iteration
+    start = {n: math.exp(math.log(getattr(ref_circuit, n))) for n in WEAK_PARASITIC}
+    stack = build_first_order(ExtractedCircuit(**start), ref_substrate)
+    data = sweep(stack, 1e9, 8e9, 801)
+    result = fit_circuit(data, "first_order", start, ref_substrate)
+    assert result.iterations == 0
+    assert result.trace == (result.rms_residual,) == (0.0,)
+    assert result.params == start
+
+
 def test_fit_input_validation(ref_substrate):
     data = _weak_parasitic_data(ref_substrate)
     with pytest.raises(InvalidParameterError):
