@@ -58,6 +58,9 @@ class ResponseTable:
             raise InvalidParameterError("frequency/S11/S21 lengths differ")
         if not np.all(f[1:] > f[:-1]):
             raise InvalidParameterError("frequencies must be strictly increasing")
+        # NaN fails the comparison above; only an end point can be infinite
+        if not (-math.inf < f[0] and f[-1] < math.inf):
+            raise InvalidParameterError("all frequencies must be finite")
 
     def __len__(self):
         return self.frequency.size

@@ -521,8 +521,8 @@ def run(command: str, config_path, output_dir, smooth_ghz=None) -> None:
     """Execute one command; raises FssError subclasses on failure."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {sorted(_COMMANDS)}")
-    if smooth_ghz is not None and not _positive(smooth_ghz):
-        _fail("--smooth-ghz", "finite positive number (GHz)")
+    if smooth_ghz is not None:
+        _value(smooth_ghz, "--smooth-ghz", "finite positive number (GHz)", _positive, GHZ)
     cfg = load_config(config_path)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -147,6 +147,36 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     raise InvalidParameterError(f"not a lumped branch: {b!r}")
 
 
+def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray | None:
+    """Vectorized susceptance (admittance / j) of a lossless branch over
+    angular frequencies w, or None if the branch has loss (R or G > 0).
+
+    Where ``_admittance_array`` is finite its imaginary part has these
+    bits: each expression repeats the real arithmetic numpy's complex
+    product and division do there.  Non-finite entries mark shorts.
+    """
+    if isinstance(b, SeriesLC):
+        if b.R != 0.0:
+            return None
+        with np.errstate(divide="ignore"):
+            return -1.0 / (w * b.L - 1.0 / (w * b.C))
+    if isinstance(b, Tank):
+        # the complex path adds 0.0 to this difference, which cannot be -0
+        return None if b.G != 0.0 else w * b.C - 1.0 / (w * b.L)
+    if isinstance(b, Inductor):
+        with np.errstate(divide="ignore"):
+            return -1.0 / (w * b.L)
+    if isinstance(b, Parallel):
+        x = np.zeros(w.shape)
+        for sub in b.branches:
+            x_sub = _susceptance_array(sub, w)
+            if x_sub is None:
+                return None
+            x += x_sub
+        return x
+    raise InvalidParameterError(f"not a lumped branch: {b!r}")
+
+
 @dataclass(frozen=True)
 class HybridCircuit:
     """Series connection of a tank (L_tank, C_tank) and a series L-C

@@ -19,7 +19,8 @@ import numpy as np
 from .constants import C0, ETA0
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
-from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _admittance_array
+from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank
+from .lumped import _admittance_array, _susceptance_array
 
 _POLARIZATIONS = ("TE", "TM")
 
@@ -266,6 +267,68 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     return A, B, C, D, shorted, s11_short
 
 
+def _line_terms(incidence: Incidence, line: Substrate, freqs: np.ndarray):
+    """cos(theta), B/j and C/j of a lossless line's chain matrix."""
+    _, line_z, theta_d = incidence_media(incidence, line, freqs)
+    sin_t = np.sin(theta_d)
+    # numpy divides (1j * sin_t) by line_z as sin_t * (1 / line_z)
+    return np.cos(theta_d), line_z * sin_t, sin_t * (1.0 / line_z)
+
+
+def _lossless_chain(stack: FssStack, freqs: np.ndarray):
+    """a = A, b = B/j, c = C/j and d = D of a lossless stack's chain matrix
+    over the grid ``freqs``, or None if a line or a node has loss or a node
+    shorts somewhere on the grid.
+
+    In a lossless chain A and D are real and B and C imaginary, so each
+    complex product and sum of ``_chain`` pairs every nonzero component
+    with zeros: it is one real product or sum, and these are the same ones
+    in the same order, so the four arrays hold ``_chain``'s bits.
+    """
+    lines = stack.layers[1::2]
+    if stack.dielectric_loss and any(line.tan_delta > 0.0 for line in lines):
+        return None
+    w = 2.0 * math.pi * freqs
+    susceptances = []
+    for node in stack.nodes:
+        x = _susceptance_array(node, w)
+        # the sum of finite values is finite unless it overflows
+        if x is None or not np.isfinite(x.sum()):
+            return None
+        susceptances.append(x)
+    # The first node and line, [1 0; jx 1] @ [cos_t j*b_line; j*c_line cos_t],
+    # without its products by one and its sums with zero: v*1 is v, and a
+    # nonzero v plus a signed zero is v.
+    x = susceptances[0]
+    a, b, c_line = _line_terms(stack.incidence, lines[0], freqs)
+    d = np.multiply(x, b)
+    np.subtract(a, d, out=d)
+    c = np.multiply(x, a, out=x)
+    c += c_line
+    t1 = np.empty(freqs.shape)
+    t2 = np.empty(freqs.shape)
+    for k, x in enumerate(susceptances[1:]):
+        if k:
+            cos_t, b_line, c_line = _line_terms(stack.incidence, lines[k], freqs)
+            # [a jb; jc d] @ [cos_t j*b_line; j*c_line cos_t]
+            np.multiply(a, cos_t, out=t1)
+            t1 -= np.multiply(b, c_line, out=t2)
+            np.multiply(b, cos_t, out=t2)
+            np.multiply(a, b_line, out=b)
+            b += t2
+            a, t1 = t1, a
+            np.multiply(c, cos_t, out=t1)
+            t1 += np.multiply(d, c_line, out=t2)
+            np.multiply(d, cos_t, out=t2)
+            np.multiply(c, b_line, out=d)
+            np.subtract(t2, d, out=d)
+            c, t1 = t1, c
+        # [a jb; jc d] @ [1 0; jx 1]
+        a -= np.multiply(b, x, out=t1)
+        c += np.multiply(d, x, out=t1)
+    return a, b, c, d
+
+
 def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
@@ -290,7 +353,40 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
 
 def _block_response(stack: FssStack, freqs, s11, s21, s22):
     """Write S11, S21 (and S22 unless it is None) of one block of the grid
-    into the given output slices."""
+    into the given output slices.
+
+    A lossless block is evaluated in real arithmetic, and complex numbers
+    are formed only for the final divisions; shorts, singular points and
+    lossy stacks take the complex path.  Both give the same bits.
+    """
+    port = port_impedance(stack.incidence)
+    chain = _lossless_chain(stack, freqs)
+    if chain is not None:
+        # the components of _complex_response's delta and numerators
+        a, b, c, d = chain
+        ap = np.multiply(a, port, out=a)
+        dp = np.multiply(d, port, out=d)
+        cpp = np.multiply(c, port, out=c)
+        cpp *= port
+        delta = np.empty(freqs.shape, dtype=complex)
+        np.add(ap, dp, out=delta.real)
+        np.add(b, cpp, out=delta.imag)
+        mag = np.abs(delta)
+        if mag.min() >= SINGULAR_DELTA and mag.max() < math.inf:
+            np.divide(2.0 * port, delta, out=s21)
+            num = np.empty(freqs.shape, dtype=complex)
+            np.subtract(ap, dp, out=num.real)
+            np.subtract(b, cpp, out=num.imag)
+            np.divide(num, delta, out=s11)
+            if s22 is not None:
+                np.subtract(dp, ap, out=num.real)
+                np.divide(num, delta, out=s22)
+            return
+    _complex_response(stack, freqs, s11, s21, s22)
+
+
+def _complex_response(stack: FssStack, freqs, s11, s21, s22):
+    """``_block_response`` in complex arithmetic, for any stack."""
     port = port_impedance(stack.incidence)
     A, B, C, D, shorted, s11_short = _chain(
         stack.layers, stack.incidence, stack.dielectric_loss, freqs

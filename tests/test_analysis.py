@@ -271,15 +271,38 @@ _INF, _NAN, _TINY = math.inf, math.nan, 5e-324  # _TINY: the smallest subnormal
 )
 def test_response_table_ordering_rule(pair, accepted):
     # outcomes recorded with the former rule, np.all(np.diff(f) > 0.0);
-    # comparing neighbours decides the same without a difference array
+    # comparing neighbours decides the same without a difference array.
+    # An ordered pair with an infinite end is then refused as not finite.
     zeros = np.zeros(2, dtype=complex)
+    finite = all(math.isfinite(f) for f in pair)
     try:
         ResponseTable(np.array(pair), zeros, zeros)
     except InvalidParameterError as exc:
-        assert str(exc) == "frequencies must be strictly increasing"
-        assert not accepted
+        if accepted:
+            assert str(exc) == "all frequencies must be finite"
+            assert not finite
+        else:
+            assert str(exc) == "frequencies must be strictly increasing"
     else:
-        assert accepted
+        assert accepted and finite
+
+
+@pytest.mark.parametrize(
+    "freqs, message",
+    [
+        ([1e9, 2e9, _INF], "all frequencies must be finite"),
+        ([-_INF, 1e9, 2e9], "all frequencies must be finite"),
+        ([1e9, _NAN, _INF], "frequencies must be strictly increasing"),
+        ([1e9, 2e9, _NAN], "frequencies must be strictly increasing"),
+    ],
+)
+def test_response_table_frequencies_must_be_finite(freqs, message):
+    # the engine's wording for an infinite grid; NaN keeps the ordering one
+    zeros = np.zeros(3, dtype=complex)
+    with pytest.raises(InvalidParameterError) as info:
+        ResponseTable(np.array(freqs), zeros, zeros)
+    assert str(info.value) == message
+    assert info.value.category == "invalid-parameter"
 
 
 def test_s21_db_bits(rng):

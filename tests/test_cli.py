@@ -607,11 +607,14 @@ def _set(cfg, path, value):
 
 
 def _main_with(tmp_path, command, base, path, value):
-    """Exit code of ``command`` on the base config with one leaf set."""
+    """Exit code of ``command`` on the base config with one leaf set, or
+    with one command-line option set when ``path`` starts with "--"."""
     _write_fit_data(tmp_path)
     cfg = _config(base)
-    _set(cfg, path, value)
-    return main([command, str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    option = [f"{path}={value}"] if path.startswith("--") else []
+    if not option:
+        _set(cfg, path, value)
+    return main([command, str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o"), *option])
 
 
 _FIRST = "sc_band_first_order.json"
@@ -620,9 +623,9 @@ _SWEEP = "parametric_hat_length.json"
 _ANGULAR = "angular_scan.json"
 _SYNTH = "synth_targets.json"
 
-# One malformed leaf per row: command, base config, the leaf and its bad
-# value, then the exit code, the error category and the key path the
-# one-line message must start with.
+# One malformed leaf (or "--" option) per row: command, base config, the
+# leaf and its bad value, then the exit code, the error category and the
+# key path the one-line message must start with.
 ERROR_CONTRACT = [
     ("analyze", _FIRST, "design.substrate.eps_r", True, 2, "invalid-config",
      "design.substrate.eps_r"),
@@ -695,6 +698,8 @@ ERROR_CONTRACT = [
      "parametric.values_mm"),
     ("synth", _SYNTH, "targets.f_zero_GHz", 10**400, 2, "invalid-config",
      "targets.f_zero_GHz"),
+    ("fit", "fit", "--smooth-ghz", 1e300, 2, "invalid-config", "--smooth-ghz"),
+    ("analyze", _FIRST, "--smooth-ghz", 1e300, 2, "invalid-config", "--smooth-ghz"),
 ]
 
 

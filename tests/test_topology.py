@@ -32,7 +32,7 @@ from fsskit import (
     surface_impedance,
     sweep_at,
 )
-from fsskit.lumped import OPEN
+from fsskit.lumped import OPEN, _admittance_array, _susceptance_array
 from fsskit import topology
 from fsskit.errors import InvalidParameterError, SingularNetworkError
 from fsskit.fileio import CSV_HEADER
@@ -595,6 +595,138 @@ def test_chain_matches_reference_from_any_first_layer():
                 assert _chain_outcome(_chain, *args) == _chain_outcome(_reference_chain, *args)
                 compared += 1
     assert compared == 24 * 8 * 2
+
+
+# --- The lossless real-arithmetic path -----------------------------------------
+#
+# Lossless blocks run in real arithmetic (``_lossless_chain``); the rest run
+# the complex ``_chain``.  Each test here compares bit for bit with the
+# reference above and checks which path ran by counting ``_chain`` calls.
+
+
+def _complex_chain_calls(monkeypatch):
+    """The grid sizes ``topology._chain`` is called on from now on."""
+    sizes = []
+    chain = topology._chain
+
+    def counted(layers, incidence, dielectric_loss, freqs):
+        sizes.append(freqs.size)
+        return chain(layers, incidence, dielectric_loss, freqs)
+
+    monkeypatch.setattr(topology, "_chain", counted)
+    return sizes
+
+
+_TANK = Tank(4.9e-9, 0.5e-12)
+_SERIES = SeriesLC(4e-9, 0.35e-12)
+_BOTTOM = Parallel((Inductor(0.8e-9), _SERIES))
+_TANGENT = Substrate(0.635e-3, 10.2, 0.0023)
+_NO_TANGENT = Substrate(0.635e-3, 10.2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "layers, dielectric_loss, real",
+    [
+        ((_TANK, _TANGENT, _BOTTOM), False, True),
+        ((_TANK, _NO_TANGENT, _BOTTOM), True, True),
+        ((_BOTTOM, _TANGENT, _TANK, _TANGENT, _BOTTOM), False, True),
+        ((_BOTTOM, _NO_TANGENT, _TANK, _NO_TANGENT, _BOTTOM), True, True),
+        ((_TANK, _TANGENT, _BOTTOM), True, False),
+        ((_BOTTOM, _NO_TANGENT, _TANK, _TANGENT, _BOTTOM), True, False),
+        ((Tank(4.9e-9, 0.5e-12, 1e-3), _NO_TANGENT, _BOTTOM), False, False),
+        ((_TANK, _NO_TANGENT, SeriesLC(4e-9, 0.35e-12, 2.0)), False, False),
+        ((_TANK, _NO_TANGENT, Parallel((Inductor(0.8e-9), SeriesLC(4e-9, 0.35e-12, 2.0)))),
+         False, False),
+    ],
+    ids=[
+        "tan_delta-loss_off", "no_tan_delta-loss_on", "second_order-loss_off",
+        "second_order-no_tan_delta", "lossy_line", "one_lossy_line", "tank_G",
+        "series_R", "parallel_one_lossy",
+    ],
+)
+def test_lossless_stacks_and_only_they_take_the_real_path(
+    monkeypatch, layers, dielectric_loss, real
+):
+    calls = _complex_chain_calls(monkeypatch)
+    freqs = np.linspace(0.5e9, 12e9, 1101)
+    for inc in (Incidence(), Incidence(0.7, "TE"), Incidence(0.7, "TM")):
+        stack = FssStack(layers, inc, dielectric_loss)
+        for want_s22 in (True, False):
+            want = _engine_outcome(_reference_response_arrays, stack, freqs, want_s22)
+            got = _engine_outcome(topology._response_arrays, stack, freqs, want_s22)
+            assert got == want, (inc, want_s22)
+    assert calls == ([] if real else [freqs.size] * 6)
+
+
+def test_lossless_grid_with_shorts_in_some_blocks_mixes_both_paths(monkeypatch):
+    """Blocks holding an exact short take the complex path, the others the
+    real one, within one call."""
+    rng = np.random.default_rng(19)
+    block = topology._BLOCK
+    n = 3 * block + 17
+    calls = _complex_chain_calls(monkeypatch)
+    for second_order, polarization in itertools.product((False, True), ("TE", "TM")):
+        stack, f_short = _shorting_stack(rng, second_order, polarization, False)
+        while second_order and any(b.R for b in stack.nodes[0].branches):
+            stack, f_short = _shorting_stack(rng, second_order, polarization, False)
+        freqs = np.linspace(0.5e9, 12e9, n)
+        freqs[[5, 2 * block + 9]] = f_short
+        for want_s22 in (True, False):
+            calls.clear()
+            want = _engine_outcome(_reference_response_arrays, stack, freqs, want_s22)
+            got = _engine_outcome(topology._response_arrays, stack, freqs, want_s22)
+            assert got == want, (second_order, polarization, want_s22)
+            # the forward chain of blocks 0 and 2, and for S22 the reversed
+            # chain at each block's short
+            assert calls == ([block, 1] * 2 if want_s22 else [block] * 2)
+
+
+def test_lossless_first_order_stack_never_calls_the_complex_chain(
+    monkeypatch, ref_circuit, ref_substrate
+):
+    def refuse(*args):
+        raise AssertionError("the complex chain ran for a lossless stack")
+
+    monkeypatch.setattr(topology, "_chain", refuse)
+    freqs = np.linspace(0.5e9, 12e9, 3 * topology._BLOCK + 17)
+    for inc in (Incidence(), Incidence(math.radians(40.0), "TM")):
+        stack = build_first_order(ref_circuit, ref_substrate, inc)
+        stack_response_full(stack, freqs)
+        stack_response(stack, freqs)
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [
+        SeriesLC(4.9e-9, 0.5e-12),
+        Tank(4.9e-9, 0.5e-12),
+        Inductor(0.8e-9),
+        Parallel((Inductor(0.8e-9), SeriesLC(4e-9, 0.5e-12))),
+        Parallel((SeriesLC(3e-9, 0.4e-12), Parallel((Tank(2.5e-9, 0.3e-12), Inductor(2e-9))))),
+    ],
+    ids=["series", "tank", "inductor", "parallel", "nested"],
+)
+def test_susceptance_is_the_admittance_imaginary_part(branch):
+    """Bit for bit where the admittance is finite, including 64 ulps around
+    every resonance; both non-finite at the exact shorts there."""
+
+    def leaves(b):
+        return [x for sub in b.branches for x in leaves(sub)] if isinstance(b, Parallel) else [b]
+
+    freqs = [np.random.default_rng(7).uniform(0.1e9, 40e9, 4000)]
+    shorts = 0
+    for leaf in leaves(branch):
+        if not isinstance(leaf, Inductor):
+            f0 = leaf.resonance()
+            freqs.append(f0 + np.arange(-32, 33) * np.spacing(f0))
+            shorts += isinstance(leaf, SeriesLC)
+    w = 2.0 * math.pi * np.concatenate(freqs)
+    y = _admittance_array(branch, w)
+    x = _susceptance_array(branch, w)
+    finite = np.isfinite(y)
+    assert np.array_equal(np.isfinite(x), finite)
+    assert x[finite].view(np.uint64).tolist() == y.imag[finite].view(np.uint64).tolist()
+    assert np.count_nonzero(~finite) >= shorts  # each series branch shorts here
 
 
 def _bits(*values) -> str:

@@ -156,14 +156,24 @@ def test_singular_network_detected(monkeypatch):
     stack = FssStack((OPEN_NODE, sub, OPEN_NODE))
     _, s21 = stack_response(stack, [F_UNIT])
     assert abs(s21[0]) == pytest.approx(1.0)
-    # a pathological all-zero chain matrix is reported, not divided by
+    # A pathological all-zero chain matrix is reported, not divided by.  A
+    # lossless stack runs the real chain, which hands a singular point to
+    # the complex chain: with only the real chain zeroed, the complex one
+    # recomputes the true response.
+    monkeypatch.setattr(
+        "fsskit.topology._lossless_chain", lambda *args: tuple(np.zeros(1) for _ in range(4))
+    )
+    assert stack_response(stack, [F_UNIT])[1][0] == s21[0]
+    # With both zeroed the error is raised, as it is for a lossy twin, which
+    # reaches the complex chain directly.
     zero = np.zeros(1, dtype=complex)
     monkeypatch.setattr(
         "fsskit.topology._chain",
         lambda *args: (zero, zero, zero, zero, np.zeros(1, dtype=bool), zero),
     )
-    with pytest.raises(SingularNetworkError):
-        stack_response(stack, [F_UNIT])
+    for network in (stack, FssStack((Tank(1.0, 1.0, 1e-3), sub, OPEN_NODE))):
+        with pytest.raises(SingularNetworkError, match="singular network at"):
+            stack_response(network, [F_UNIT])
 
 
 def _random_layers(rng, lossless):
