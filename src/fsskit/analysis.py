@@ -130,6 +130,10 @@ def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndar
         raise InvalidParameterError(
             f"need 0 < f_start < f_stop, got {f_start}, {f_stop}"
         )
+    if f_stop == math.inf:
+        raise InvalidParameterError(f"f_stop must be finite, got {f_stop}")
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
+        raise InvalidParameterError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
     if spacing == "linear":

@@ -150,6 +150,8 @@ def surface_impedance(c: ExtractedCircuit, f: float):
     """
     if not f > 0.0:
         raise InvalidParameterError(f"frequency must be positive, got {f!r}")
+    if f == math.inf:
+        raise InvalidParameterError(f"frequency must be finite, got {f!r}")
     w = 2.0 * math.pi * f
     x = w * w
     p = c.L_tank * c.C_tank

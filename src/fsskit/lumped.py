@@ -115,7 +115,10 @@ def branch_impedance(b: Branch, f: float):
     """
     if not f > 0.0:
         raise InvalidParameterError(f"frequency must be positive, got {f!r}")
-    y = complex(_admittance_array(b, np.array([2.0 * math.pi * f]))[0])
+    if f == math.inf:
+        raise InvalidParameterError(f"frequency must be finite, got {f!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = complex(_admittance_array(b, np.array([2.0 * math.pi * f]))[0])
     if y == 0:
         return OPEN
     if not cmath.isfinite(y):
@@ -127,12 +130,13 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     """Vectorized branch admittance over angular frequencies w.
 
     Non-finite entries mark frequencies where the branch is a perfect short.
+    There it divides by zero: callers turn off numpy's divide and invalid
+    warnings.
     """
     if isinstance(b, SeriesLC):
         z = b.R + 1j * (w * b.L - 1.0 / (w * b.C))
         # 1 / (0+0j) is inf+nanj: a zero impedance is already non-finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / z
+        return 1.0 / z
     if isinstance(b, Tank):
         return b.G + 1j * (w * b.C - 1.0 / (w * b.L))
     if isinstance(b, Inductor):
@@ -147,32 +151,37 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     raise InvalidParameterError(f"not a lumped branch: {b!r}")
 
 
-def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray | None:
+def _lossless_branch(b: Branch) -> bool:
+    """Whether no series R or parallel G anywhere in the branch is nonzero."""
+    if isinstance(b, SeriesLC):
+        return b.R == 0.0
+    if isinstance(b, Tank):
+        return b.G == 0.0
+    if isinstance(b, Parallel):
+        return all(_lossless_branch(sub) for sub in b.branches)
+    return True
+
+
+def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     """Vectorized susceptance (admittance / j) of a lossless branch over
-    angular frequencies w, or None if the branch has loss (R or G > 0).
+    angular frequencies w.
 
     Where ``_admittance_array`` is finite its imaginary part has these
     bits: each expression repeats the real arithmetic numpy's complex
-    product and division do there.  Non-finite entries mark shorts.
+    product and division do there.  Non-finite entries mark shorts, where
+    it divides by zero as ``_admittance_array`` does.
     """
     if isinstance(b, SeriesLC):
-        if b.R != 0.0:
-            return None
-        with np.errstate(divide="ignore"):
-            return -1.0 / (w * b.L - 1.0 / (w * b.C))
+        return -1.0 / (w * b.L - 1.0 / (w * b.C))
     if isinstance(b, Tank):
         # the complex path adds 0.0 to this difference, which cannot be -0
-        return None if b.G != 0.0 else w * b.C - 1.0 / (w * b.L)
+        return w * b.C - 1.0 / (w * b.L)
     if isinstance(b, Inductor):
-        with np.errstate(divide="ignore"):
-            return -1.0 / (w * b.L)
+        return -1.0 / (w * b.L)
     if isinstance(b, Parallel):
         x = np.zeros(w.shape)
         for sub in b.branches:
-            x_sub = _susceptance_array(sub, w)
-            if x_sub is None:
-                return None
-            x += x_sub
+            x += _susceptance_array(sub, w)
         return x
     raise InvalidParameterError(f"not a lumped branch: {b!r}")
 

@@ -11,6 +11,7 @@ the electrical length only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .constants import C0, ETA0
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
 from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank
-from .lumped import _admittance_array, _susceptance_array
+from .lumped import _admittance_array, _lossless_branch, _susceptance_array
 
 _POLARIZATIONS = ("TE", "TM")
 
@@ -193,140 +194,116 @@ def stack_response_full(stack: FssStack, freqs):
 
 
 def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
-    """Chain-matrix entries A, B, C, D of ``layers`` over the grid ``freqs``.
+    """Chain-matrix entries of ``layers`` over the grid ``freqs``.
+
+    If every node is lossless and no line is lossy, A and D are real and
+    B and C imaginary (Pozar, *Microwave Engineering*, ch. 4): the entries
+    are float64 arrays holding A, B/j, C/j and D.  Otherwise they are
+    complex128 arrays holding A, B, C and D.  Both run the same steps; the
+    sums that pair two imaginary factors become differences, as j*j = -1.
+    Each real product or sum is the one that the complex one pairs with
+    zeros, in the same order, so both dtypes give the same bits.
 
     Where a node is a perfect short (non-finite admittance), the first such
     node ends transmission: the reflection into the prefix chain terminated
     in that short, S11 = (B - D*Z)/(B + D*Z) with Z the port impedance, is
     recorded, and the node is then taken as Y = 0 so the product stays
     finite.  Returns (A, B, C, D, shorted, s11_short); ``s11_short`` is
-    meaningful only where ``shorted`` is set.
+    complex and meaningful only where ``shorted`` is set, and both are None
+    if no node shorts anywhere on the grid.
 
     A, B, C and D are updated in place through two scratch buffers; every
     product and sum keeps the operand order of the plain matrix product,
-    so the bits are those of evaluating it with fresh arrays.
+    so the bits are those of evaluating it with fresh arrays.  A short
+    divides by zero and absurd element values overflow: the caller turns
+    numpy's warnings off.
     """
+    real = all(
+        not (dielectric_loss and layer.tan_delta > 0.0)
+        if isinstance(layer, Substrate)
+        else _lossless_branch(layer)
+        for layer in layers
+    )
+    plus = np.subtract if real else np.add
     w = 2.0 * math.pi * freqs
-    port = port_impedance(incidence)
-    A = np.ones(freqs.shape, dtype=complex)
-    B = np.zeros(freqs.shape, dtype=complex)
-    D = np.ones(freqs.shape, dtype=complex)
-    t1 = np.empty(freqs.shape, dtype=complex)
-    t2 = np.empty(freqs.shape, dtype=complex)
-    shorted = np.zeros(freqs.shape, dtype=bool)
-    s11_short = np.zeros(freqs.shape, dtype=complex)
+    shorted = s11_short = None
 
-    def node_admittance(layer):
-        """The node's admittance, with its shorts recorded and zeroed."""
-        y = _admittance_array(layer, w)
+    def line_terms(line):
+        """cos(theta) and the line's B and C (B/j and C/j if real)."""
+        _, line_z, theta_d = incidence_media(incidence, line, freqs, dielectric_loss)
+        sin_t = np.sin(theta_d)
+        if real:
+            # numpy divides (1j * sin_t) by line_z as sin_t * (1 / line_z)
+            return np.cos(theta_d), line_z * sin_t, sin_t * (1.0 / line_z)
+        # cast once: each complex product would cast a real cos_t again
+        cos_t = np.cos(theta_d).astype(complex, copy=False)
+        return cos_t, 1j * line_z * sin_t, 1j * sin_t / line_z
+
+    def node_term(layer, B, D):
+        """The node's admittance (susceptance if real) behind the prefix
+        chain B, D, with its shorts recorded and zeroed."""
+        nonlocal shorted, s11_short
+        y = _susceptance_array(layer, w) if real else _admittance_array(layer, w)
         # the sum of finite values is finite unless it overflows, so the
         # mask is built only when some node shorts (or on such an overflow)
-        if not np.isfinite(y.sum()):
+        if not cmath.isfinite(y.sum()):
             bad = ~np.isfinite(y)
+            if shorted is None:
+                shorted = np.zeros(freqs.shape, dtype=bool)
+                s11_short = np.zeros(freqs.shape, dtype=complex)
             first = bad & ~shorted
-            s11_short[first] = (B[first] - D[first] * port) / (B[first] + D[first] * port)
+            b, d = (np.broadcast_to(m, freqs.shape)[first] for m in (B, D))
+            if real:
+                b, d = b * 1j, d + 0j
+            port = port_impedance(incidence)
+            s11_short[first] = (b - d * port) / (b + d * port)
             np.logical_or(shorted, bad, out=shorted)
             y[bad] = 0.0
         return y
 
-    if layers and not isinstance(layers[0], Substrate):
-        # The identity times the first node: A stays exactly 1 and
-        # C = 0 + 1*y is exactly y + 0, whose + 0 turns -0 into +0 as the
-        # sum of the full product does.
-        C = node_admittance(layers[0])
-        C += 0.0
-        layers = layers[1:]
+    if len(layers) > 1 and isinstance(layers[0], Branch) and isinstance(layers[1], Substrate):
+        # The first node and line, [1 0; y 1] @ [cos_t b_line; c_line cos_t],
+        # without its products by one and its sums with zero: v*1 is v, and
+        # a nonzero v plus a signed zero is v.  Only B = 1*b_line + 0*cos_t
+        # keeps its + 0, which turns the -0 real part of a lossless complex
+        # b_line into +0.  The node sits behind the identity, B = 0, D = 1.
+        y = node_term(layers[0], 0j, 1 + 0j)
+        A, B, c_line = line_terms(layers[1])
+        D = np.multiply(y, B)
+        plus(A, D, out=D)
+        if not real:
+            B += 0.0
+        C = np.multiply(y, A)
+        C += c_line
+        layers = layers[2:]
     else:
-        C = np.zeros(freqs.shape, dtype=complex)
+        dtype = float if real else complex
+        A, D = np.ones(freqs.shape, dtype), np.ones(freqs.shape, dtype)
+        B, C = np.zeros(freqs.shape, dtype), np.zeros(freqs.shape, dtype)
+    t1 = np.empty_like(A)
+    t2 = np.empty_like(A)
 
     for layer in layers:
         if isinstance(layer, Substrate):
-            _, line_z, theta_d = incidence_media(incidence, layer, freqs, dielectric_loss)
-            # cast once: each complex product would cast a real cos_t again
-            cos_t = np.cos(theta_d).astype(complex, copy=False)
-            sin_t = np.sin(theta_d)
-            b_line = 1j * line_z * sin_t
-            c_line = 1j * sin_t / line_z
+            cos_t, b_line, c_line = line_terms(layer)
             # [A B; C D] @ [cos_t b_line; c_line cos_t].  No product writes
             # over one of its own operands: numpy may round such an aliased
             # complex product differently (seen on one-point arrays).
             np.multiply(A, cos_t, out=t1)
-            t1 += np.multiply(B, c_line, out=t2)
+            plus(t1, np.multiply(B, c_line, out=t2), out=t1)
             np.multiply(A, b_line, out=t2)
             np.add(t2, np.multiply(B, cos_t, out=A), out=B)
             A, t1 = t1, A
             np.multiply(C, cos_t, out=t1)
             t1 += np.multiply(D, c_line, out=t2)
             np.multiply(C, b_line, out=t2)
-            np.add(t2, np.multiply(D, cos_t, out=C), out=D)
+            plus(np.multiply(D, cos_t, out=C), t2, out=D)
             C, t1 = t1, C
         else:
-            y = node_admittance(layer)
-            A += np.multiply(B, y, out=t1)
+            y = node_term(layer, B, D)
+            plus(A, np.multiply(B, y, out=t1), out=A)
             C += np.multiply(D, y, out=t1)
     return A, B, C, D, shorted, s11_short
-
-
-def _line_terms(incidence: Incidence, line: Substrate, freqs: np.ndarray):
-    """cos(theta), B/j and C/j of a lossless line's chain matrix."""
-    _, line_z, theta_d = incidence_media(incidence, line, freqs)
-    sin_t = np.sin(theta_d)
-    # numpy divides (1j * sin_t) by line_z as sin_t * (1 / line_z)
-    return np.cos(theta_d), line_z * sin_t, sin_t * (1.0 / line_z)
-
-
-def _lossless_chain(stack: FssStack, freqs: np.ndarray):
-    """a = A, b = B/j, c = C/j and d = D of a lossless stack's chain matrix
-    over the grid ``freqs``, or None if a line or a node has loss or a node
-    shorts somewhere on the grid.
-
-    In a lossless chain A and D are real and B and C imaginary, so each
-    complex product and sum of ``_chain`` pairs every nonzero component
-    with zeros: it is one real product or sum, and these are the same ones
-    in the same order, so the four arrays hold ``_chain``'s bits.
-    """
-    lines = stack.layers[1::2]
-    if stack.dielectric_loss and any(line.tan_delta > 0.0 for line in lines):
-        return None
-    w = 2.0 * math.pi * freqs
-    susceptances = []
-    for node in stack.nodes:
-        x = _susceptance_array(node, w)
-        # the sum of finite values is finite unless it overflows
-        if x is None or not np.isfinite(x.sum()):
-            return None
-        susceptances.append(x)
-    # The first node and line, [1 0; jx 1] @ [cos_t j*b_line; j*c_line cos_t],
-    # without its products by one and its sums with zero: v*1 is v, and a
-    # nonzero v plus a signed zero is v.
-    x = susceptances[0]
-    a, b, c_line = _line_terms(stack.incidence, lines[0], freqs)
-    d = np.multiply(x, b)
-    np.subtract(a, d, out=d)
-    c = np.multiply(x, a, out=x)
-    c += c_line
-    t1 = np.empty(freqs.shape)
-    t2 = np.empty(freqs.shape)
-    for k, x in enumerate(susceptances[1:]):
-        if k:
-            cos_t, b_line, c_line = _line_terms(stack.incidence, lines[k], freqs)
-            # [a jb; jc d] @ [cos_t j*b_line; j*c_line cos_t]
-            np.multiply(a, cos_t, out=t1)
-            t1 -= np.multiply(b, c_line, out=t2)
-            np.multiply(b, cos_t, out=t2)
-            np.multiply(a, b_line, out=b)
-            b += t2
-            a, t1 = t1, a
-            np.multiply(c, cos_t, out=t1)
-            t1 += np.multiply(d, c_line, out=t2)
-            np.multiply(d, cos_t, out=t2)
-            np.multiply(c, b_line, out=d)
-            np.subtract(t2, d, out=d)
-            c, t1 = t1, c
-        # [a jb; jc d] @ [1 0; jx 1]
-        a -= np.multiply(b, x, out=t1)
-        c += np.multiply(d, x, out=t1)
-    return a, b, c, d
 
 
 def _response_arrays(stack: FssStack, freqs, want_s22: bool):
@@ -343,86 +320,73 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     s11 = np.empty(freqs.shape, dtype=complex)
     s21 = np.empty(freqs.shape, dtype=complex)
     s22 = np.empty(freqs.shape, dtype=complex) if want_s22 else None
-    for start in range(0, freqs.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _block_response(
-            stack, freqs[block], s11[block], s21[block], None if s22 is None else s22[block]
-        )
+    # shorts divide by zero and _block_response reports overflow: no warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, freqs.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            _block_response(
+                stack, freqs[block], s11[block], s21[block], None if s22 is None else s22[block]
+            )
     return s11, s21, s22
 
 
 def _block_response(stack: FssStack, freqs, s11, s21, s22):
     """Write S11, S21 (and S22 unless it is None) of one block of the grid
-    into the given output slices.
-
-    A lossless block is evaluated in real arithmetic, and complex numbers
-    are formed only for the final divisions; shorts, singular points and
-    lossy stacks take the complex path.  Both give the same bits.
-    """
-    port = port_impedance(stack.incidence)
-    chain = _lossless_chain(stack, freqs)
-    if chain is not None:
-        # the components of _complex_response's delta and numerators
-        a, b, c, d = chain
-        ap = np.multiply(a, port, out=a)
-        dp = np.multiply(d, port, out=d)
-        cpp = np.multiply(c, port, out=c)
-        cpp *= port
-        delta = np.empty(freqs.shape, dtype=complex)
-        np.add(ap, dp, out=delta.real)
-        np.add(b, cpp, out=delta.imag)
-        mag = np.abs(delta)
-        if mag.min() >= SINGULAR_DELTA and mag.max() < math.inf:
-            np.divide(2.0 * port, delta, out=s21)
-            num = np.empty(freqs.shape, dtype=complex)
-            np.subtract(ap, dp, out=num.real)
-            np.subtract(b, cpp, out=num.imag)
-            np.divide(num, delta, out=s11)
-            if s22 is not None:
-                np.subtract(dp, ap, out=num.real)
-                np.divide(num, delta, out=s22)
-            return
-    _complex_response(stack, freqs, s11, s21, s22)
-
-
-def _complex_response(stack: FssStack, freqs, s11, s21, s22):
-    """``_block_response`` in complex arithmetic, for any stack."""
+    into the given output slices."""
     port = port_impedance(stack.incidence)
     A, B, C, D, shorted, s11_short = _chain(
         stack.layers, stack.incidence, stack.dielectric_loss, freqs
     )
     # A*port, D*port and C*port*port are each formed once and shared by
-    # delta, S11 and S22; the sums keep the left-to-right order of
     #   delta = A*port + B + C*port*port + D*port
     #   S11 = (A*port + B - C*port*port - D*port) / delta
     #   S22 = (-A*port + B - C*port*port + D*port) / delta
-    num11 = A * port
-    if s22 is not None:
-        num22 = np.multiply(-A, port, out=A)
-        num22 += B
-    num11 += B
     t = C * port
     Cpp = np.multiply(t, port, out=C)
     Dp = np.multiply(D, port, out=t)
-    delta = num11 + Cpp
-    delta += Dp
+    if A.dtype == float:
+        # a real chain holds B/j and C/j: each complex number is assembled
+        # from its real and imaginary parts
+        Ap = np.multiply(A, port, out=A)
+        delta = np.empty(freqs.shape, dtype=complex)
+        np.add(Ap, Dp, out=delta.real)
+        np.add(B, Cpp, out=delta.imag)
+        num11 = np.empty(freqs.shape, dtype=complex)
+        np.subtract(Ap, Dp, out=num11.real)
+        np.subtract(B, Cpp, out=num11.imag)
+        if s22 is not None:
+            num22 = num11.copy()
+            np.subtract(Dp, Ap, out=num22.real)
+    else:
+        # the sums keep the left-to-right order of the expressions above
+        num11 = A * port
+        num11 += B
+        delta = num11 + Cpp
+        delta += Dp
+        num11 -= Cpp
+        num11 -= Dp
+        if s22 is not None:
+            num22 = np.multiply(-A, port, out=A)
+            num22 += B
+            num22 -= Cpp
+            num22 += Dp
 
-    singular = np.abs(delta) < SINGULAR_DELTA
-    if singular.any():
-        singular &= ~shorted
-        if singular.any():
-            idx = np.flatnonzero(singular)[0]
-            raise SingularNetworkError(f"singular network at {freqs[idx]} Hz")
+    # min and max are NaN if any |delta| is; NaN fails every comparison
+    mag = np.abs(delta)
+    if not (mag.min() >= SINGULAR_DELTA and mag.max() < math.inf):
+        bad = ~((mag >= SINGULAR_DELTA) & (mag < math.inf))
+        if shorted is not None:
+            bad &= ~shorted
+        if bad.any():
+            idx = np.flatnonzero(bad)[0]
+            what = "singular network" if mag[idx] < SINGULAR_DELTA else "network overflows"
+            raise SingularNetworkError(f"{what} at {freqs[idx]} Hz")
     np.divide(2.0 * port, delta, out=s21)
-    num11 -= Cpp
-    num11 -= Dp
     np.divide(num11, delta, out=s11)
     if s22 is not None:
-        num22 -= Cpp
-        num22 += Dp
         np.divide(num22, delta, out=s22)
 
-    if shorted.any():
+    if shorted is not None:
         # No transmission past a short; each side sees its own shorted prefix.
         s11[shorted] = s11_short[shorted]
         s21[shorted] = 0j

@@ -10,6 +10,22 @@ import numpy as np
 import pytest
 
 from fsskit import ExtractedCircuit, FirstOrderGeometry, Substrate
+from fsskit.topology import _chain
+
+
+def complex_chain(layers, incidence, dielectric_loss, freqs):
+    """``topology._chain`` as complex A, B, C, D and the shorted mask.
+
+    A real (lossless) chain holds B/j and C/j; they are multiplied back by
+    j, so every caller sees the plain chain matrix whatever the dtype.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # at shorts
+        A, B, C, D, shorted, _ = _chain(layers, incidence, dielectric_loss, freqs)
+    if A.dtype == float:
+        A, B, C, D = A + 0j, 1j * B, 1j * C, D + 0j
+    if shorted is None:
+        shorted = np.zeros(freqs.shape, dtype=bool)
+    return A, B, C, D, shorted
 
 
 @pytest.fixture

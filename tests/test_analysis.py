@@ -65,6 +65,41 @@ def test_sweep_validation(ref_circuit, ref_substrate):
         sweep(stack, 1e9, 8e9, 100, spacing="cubic")
 
 
+@pytest.mark.parametrize(
+    "f_stop, n_points, message",
+    [
+        (math.inf, 100, "f_stop must be finite, got inf"),
+        (8e9, 2.5, "n_points must be an integer, got 2.5"),
+        (8e9, True, "n_points must be an integer, got True"),
+        (8e9, "100", "n_points must be an integer, got '100'"),
+    ],
+)
+def test_sweep_grid_rejects_bad_stop_and_count(
+    ref_circuit, ref_substrate, nominal_geometry, monkeypatch, f_stop, n_points, message
+):
+    # an infinite stop once reached the engine and failed at every point of a
+    # parametric sweep; a fractional count was a TypeError traceback
+    evaluated = []
+    monkeypatch.setattr(
+        "fsskit.analysis.extract_circuit", lambda geom: evaluated.append(geom)
+    )
+    stack = _ref_stack(ref_circuit, ref_substrate)
+    for run in (
+        lambda: sweep(stack, 1e9, f_stop, n_points),
+        lambda: sweep(stack, 1e9, f_stop, n_points, spacing="log"),
+        lambda: parametric_sweep(
+            nominal_geometry, "cross_slot", [0.15e-3, 0.3e-3], 1e9, f_stop, n_points
+        ),
+    ):
+        with pytest.raises(InvalidParameterError) as info:
+            run()
+        assert str(info.value) == message
+        assert info.value.category == "invalid-parameter"
+    assert evaluated == []  # rejected before any point is evaluated
+    # an integer of numpy's own types is a count like any other
+    assert len(sweep(stack, 1e9, 8e9, np.int64(3))) == 3
+
+
 def test_response_table_validation():
     with pytest.raises(InvalidParameterError):
         ResponseTable(np.array([1e9]), np.array([0j]), np.array([0j]))

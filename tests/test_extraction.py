@@ -95,6 +95,15 @@ def test_surface_impedance_is_parallel_combination(ref_circuit, rng):
         assert z == pytest.approx(z_par, rel=1e-10)
 
 
+@pytest.mark.parametrize("f", [math.inf, 0.0, -1e9, math.nan])
+def test_surface_impedance_needs_a_finite_positive_frequency(ref_circuit, f):
+    # at f = inf the expression was nan+nanj
+    message = "finite" if f == math.inf else "positive"
+    with pytest.raises(InvalidParameterError) as info:
+        surface_impedance(ref_circuit, f)
+    assert str(info.value) == f"frequency must be {message}, got {f!r}"
+
+
 def test_surface_impedance_vanishes_at_zero(ref_circuit):
     f0 = predict_resonances(ref_circuit).f_zero
     z = surface_impedance(ref_circuit, f0)

@@ -181,3 +181,17 @@ def test_series_short_forces_transmission_zero(rng):
         stack = FssStack((other, sub, node))
         _, s21 = stack_response(stack, [series.resonance()])
         assert abs(s21[0]) < 1e-8
+
+
+@pytest.mark.parametrize("f", [math.inf, 0.0, -1e9, math.nan])
+def test_scalar_impedances_need_a_finite_positive_frequency(f):
+    # at f = inf a tank gave 0j (a short) and the hybrid network nan+infj
+    message = "finite" if f == math.inf else "positive"
+    for impedance, network in (
+        (branch_impedance, Tank(1e-9, 1e-12)),
+        (branch_impedance, SeriesLC(1e-9, 1e-12)),
+        (hybrid_impedance, HybridCircuit(1e-9, 1e-12, 2e-9, 1e-12)),
+    ):
+        with pytest.raises(InvalidParameterError) as info:
+            impedance(network, f)
+        assert str(info.value) == f"frequency must be {message}, got {f!r}"

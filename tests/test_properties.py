@@ -22,7 +22,7 @@ from fsskit import (
     predict_resonances,
     stack_response,
 )
-from fsskit.topology import _chain
+from conftest import complex_chain
 
 N = 1000
 
@@ -61,7 +61,7 @@ def test_reciprocity_1000(rng):
     for _ in range(N):
         stack = _random_stack(rng)
         f = 10 ** rng.uniform(8.5, 10.5)
-        A, B, C, D, shorted, _ = _chain(
+        A, B, C, D, shorted = complex_chain(
             stack.layers, stack.incidence, stack.dielectric_loss, np.array([f])
         )
         if shorted[0]:

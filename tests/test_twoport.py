@@ -24,9 +24,10 @@ from fsskit import (
     incidence_media,
     stack_response,
 )
+from fsskit import topology
 from fsskit.errors import SingularNetworkError
 from fsskit.lumped import _admittance_array
-from fsskit.topology import _chain
+from conftest import complex_chain
 
 F = 1e9
 F_UNIT = 1.0 / (2.0 * math.pi)  # w = 1: Tank(1, 1) is exactly open here
@@ -34,7 +35,7 @@ OPEN_NODE = Tank(1.0, 1.0)
 
 
 def _abcd(layers, f, incidence=Incidence(), dielectric_loss=False):
-    A, B, C, D, shorted, _ = _chain(layers, incidence, dielectric_loss, np.array([f]))
+    A, B, C, D, shorted = complex_chain(layers, incidence, dielectric_loss, np.array([f]))
     assert not shorted[0]
     return A[0], B[0], C[0], D[0]
 
@@ -156,22 +157,18 @@ def test_singular_network_detected(monkeypatch):
     stack = FssStack((OPEN_NODE, sub, OPEN_NODE))
     _, s21 = stack_response(stack, [F_UNIT])
     assert abs(s21[0]) == pytest.approx(1.0)
-    # A pathological all-zero chain matrix is reported, not divided by.  A
-    # lossless stack runs the real chain, which hands a singular point to
-    # the complex chain: with only the real chain zeroed, the complex one
-    # recomputes the true response.
-    monkeypatch.setattr(
-        "fsskit.topology._lossless_chain", lambda *args: tuple(np.zeros(1) for _ in range(4))
-    )
-    assert stack_response(stack, [F_UNIT])[1][0] == s21[0]
-    # With both zeroed the error is raised, as it is for a lossy twin, which
-    # reaches the complex chain directly.
-    zero = np.zeros(1, dtype=complex)
-    monkeypatch.setattr(
-        "fsskit.topology._chain",
-        lambda *args: (zero, zero, zero, zero, np.zeros(1, dtype=bool), zero),
-    )
-    for network in (stack, FssStack((Tank(1.0, 1.0, 1e-3), sub, OPEN_NODE))):
+    # A pathological all-zero chain matrix is reported, not divided by, for
+    # the lossless stack (a float64 chain) and its lossy twin (complex128).
+    chain = topology._chain
+
+    def zeroed(*args):
+        *abcd, shorted, s11_short = chain(*args)
+        return (*(np.zeros_like(m) for m in abcd), shorted, s11_short)
+
+    monkeypatch.setattr(topology, "_chain", zeroed)
+    twin = FssStack((Tank(1.0, 1.0, 1e-3), sub, OPEN_NODE))
+    for network, dtype in ((stack, float), (twin, complex)):
+        assert zeroed(network.layers, network.incidence, False, np.ones(1))[0].dtype == dtype
         with pytest.raises(SingularNetworkError, match="singular network at"):
             stack_response(network, [F_UNIT])
 
