@@ -163,7 +163,11 @@ def band_report(table: ResponseTable) -> BandReport:
     # Local maxima: strictly above the left neighbor, not below the right
     # one, and finite (NaN and -inf samples never qualify).
     m = db[1:-1]
-    peaks = 1 + np.flatnonzero((m > db[:-2]) & (m >= db[2:]) & np.isfinite(m))
+    mask = np.greater(m, db[:-2])
+    scratch = np.greater_equal(m, db[2:])
+    mask &= scratch
+    mask &= np.isfinite(m, out=scratch)
+    peaks = 1 + np.flatnonzero(mask)
     qualified = peaks[db[peaks] > BAND_THRESHOLD_DB].tolist()
     bands: list[list[int]] = []
     for i in qualified:
@@ -260,14 +264,16 @@ def _crossing(f, db, start, target, which, side) -> float:
     ``start`` (side "low") or above it (side "high"), interpolated toward
     the sample next to it on the ``start`` side."""
     low = side == "low"
-    below = np.flatnonzero(db[:start] < target if low else db[start + 1 :] < target)
-    if not below.size:
+    # samples under the target, nearest to start first (start >= 1: a peak)
+    under = db[start - 1 :: -1] < target if low else db[start + 1 :] < target
+    k = int(np.argmax(under))
+    if not under[k]:
         raise TruncatedBandError(
             f"{side}-side 3 dB crossing of the {which} band lies "
             f"{'below' if low else 'above'} the swept range",
             side=f"{which}-{side}",
         )
-    i, step = (int(below[-1]), 1) if low else (start + 1 + int(below[0]), -1)
+    i, step = (start - 1 - k, 1) if low else (start + 1 + k, -1)
     if not np.isfinite(db[i]):
         return float(f[i])
     frac = (target - db[i]) / (db[i + step] - db[i])

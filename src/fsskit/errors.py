@@ -36,10 +36,6 @@ class InvalidGeometryError(FssError):
     category = "invalid-geometry"
 
 
-class NoRealPolesError(FssError):
-    category = "no-real-poles"
-
-
 class BandStructureError(FssError):
     """Swept response does not contain exactly two passbands."""
 

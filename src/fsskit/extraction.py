@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import EPS0, MU0
-from .errors import InvalidGeometryError, InvalidParameterError, NoRealPolesError
+from .errors import InvalidGeometryError, InvalidParameterError
 from .lumped import OPEN, _resonance
 
 
@@ -179,19 +179,16 @@ def exact_poles(c: ExtractedCircuit) -> tuple[float, float]:
     """The two positive pole frequencies of the sheet impedance, ascending.
 
     Solves the quadratic in x = w^2 from the impedance denominator with the
-    numerically stable form of the quadratic formula.
+    numerically stable form of the quadratic formula.  Its discriminant
+    (p+q+r)^2 - 4pq is summed as (p-q)^2 + r(r + 2(p+q)), whose terms are
+    all non-negative for positive elements, so both poles are always real.
     """
     p = c.L_tank * c.C_tank
     q = c.L_series * c.C_series
     r = c.L_tank * c.C_series
     b = p + q + r
     a2 = p * q
-    disc = b * b - 4.0 * a2
-    if disc < 0.0:
-        raise NoRealPolesError(
-            f"impedance denominator has no real roots (discriminant {disc:.3e})"
-        )
-    root = math.sqrt(disc)
+    root = math.sqrt((p - q) ** 2 + r * (r + 2.0 * (p + q)))
     x_hi = (b + root) / (2.0 * a2)
     x_lo = 2.0 / (b + root)
     f_lo = math.sqrt(x_lo) / (2.0 * math.pi)

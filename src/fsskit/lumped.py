@@ -164,7 +164,8 @@ def _lossless_branch(b: Branch) -> bool:
 
 def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     """Vectorized susceptance (admittance / j) of a lossless branch over
-    angular frequencies w.
+    angular frequencies w.  Only the engine calls it, on the nodes of a
+    validated stack, so ``b`` is a branch.
 
     Where ``_admittance_array`` is finite its imaginary part has these
     bits: each expression repeats the real arithmetic numpy's complex
@@ -178,12 +179,10 @@ def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray:
         return w * b.C - 1.0 / (w * b.L)
     if isinstance(b, Inductor):
         return -1.0 / (w * b.L)
-    if isinstance(b, Parallel):
-        x = np.zeros(w.shape)
-        for sub in b.branches:
-            x += _susceptance_array(sub, w)
-        return x
-    raise InvalidParameterError(f"not a lumped branch: {b!r}")
+    x = np.zeros(w.shape)  # a Parallel
+    for sub in b.branches:
+        x += _susceptance_array(sub, w)
+    return x
 
 
 @dataclass(frozen=True)

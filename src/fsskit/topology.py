@@ -194,7 +194,9 @@ def stack_response_full(stack: FssStack, freqs):
 
 
 def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
-    """Chain-matrix entries of ``layers`` over the grid ``freqs``.
+    """Chain-matrix entries of ``layers`` over the grid ``freqs``.  The
+    layers are those of an ``FssStack`` or their reverse, so they start
+    with a node followed by a line.
 
     If every node is lossless and no line is lossy, A and D are real and
     B and C imaginary (Pozar, *Microwave Engineering*, ch. 4): the entries
@@ -261,29 +263,23 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
             y[bad] = 0.0
         return y
 
-    if len(layers) > 1 and isinstance(layers[0], Branch) and isinstance(layers[1], Substrate):
-        # The first node and line, [1 0; y 1] @ [cos_t b_line; c_line cos_t],
-        # without its products by one and its sums with zero: v*1 is v, and
-        # a nonzero v plus a signed zero is v.  Only B = 1*b_line + 0*cos_t
-        # keeps its + 0, which turns the -0 real part of a lossless complex
-        # b_line into +0.  The node sits behind the identity, B = 0, D = 1.
-        y = node_term(layers[0], 0j, 1 + 0j)
-        A, B, c_line = line_terms(layers[1])
-        D = np.multiply(y, B)
-        plus(A, D, out=D)
-        if not real:
-            B += 0.0
-        C = np.multiply(y, A)
-        C += c_line
-        layers = layers[2:]
-    else:
-        dtype = float if real else complex
-        A, D = np.ones(freqs.shape, dtype), np.ones(freqs.shape, dtype)
-        B, C = np.zeros(freqs.shape, dtype), np.zeros(freqs.shape, dtype)
+    # The first node and line, [1 0; y 1] @ [cos_t b_line; c_line cos_t],
+    # without its products by one and its sums with zero: v*1 is v, and a
+    # nonzero v plus a signed zero is v.  Only B = 1*b_line + 0*cos_t keeps
+    # its + 0, which turns the -0 real part of a lossless complex b_line
+    # into +0.  The node sits behind the identity, B = 0, D = 1.
+    y = node_term(layers[0], 0j, 1 + 0j)
+    A, B, c_line = line_terms(layers[1])
+    D = np.multiply(y, B)
+    plus(A, D, out=D)
+    if not real:
+        B += 0.0
+    C = np.multiply(y, A)
+    C += c_line
     t1 = np.empty_like(A)
     t2 = np.empty_like(A)
 
-    for layer in layers:
+    for layer in layers[2:]:
         if isinstance(layer, Substrate):
             cos_t, b_line, c_line = line_terms(layer)
             # [A B; C D] @ [cos_t b_line; c_line cos_t].  No product writes

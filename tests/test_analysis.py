@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -103,6 +104,8 @@ def test_sweep_grid_rejects_bad_stop_and_count(
 def test_response_table_validation():
     with pytest.raises(InvalidParameterError):
         ResponseTable(np.array([1e9]), np.array([0j]), np.array([0j]))
+    with pytest.raises(InvalidParameterError, match="lengths differ"):
+        ResponseTable(np.array([1e9, 2e9, 3e9]), np.zeros(3, complex), np.zeros(2, complex))
     with pytest.raises(InvalidParameterError):
         ResponseTable(
             np.array([2e9, 1e9]), np.array([0j, 0j]), np.array([0j, 0j])
@@ -232,6 +235,38 @@ def test_band_report_accepts_a_width_beyond_the_peak_frequency():
     for bad in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(InvalidParameterError, match="bw_upper must be finite and positive"):
             replace(rep, bw_upper=bad)
+    with pytest.raises(InvalidParameterError, match="band ordering violated"):
+        replace(rep, f_zero=rep.f_upper)
+    with pytest.raises(InvalidParameterError, match="insertion loss cannot be negative"):
+        replace(rep, il_lower_db=-0.1)
+
+
+def test_band_report_keeps_the_sample_where_the_curvature_underflows():
+    # The same samples refine to off-grid peaks and null on a GHz grid; 1e307
+    # Hz apart, the parabola's curvature underflows to 0 and band_report
+    # keeps each sample as it is.
+    db = np.array([-20.0, -12, -1, -6, -20, -30, -25, -10, -2, -7, -20])
+    ghz = band_report(_db_table(np.arange(1.0, 12.0) * 1e9, db))
+    assert ghz.f_lower != 3e9 and ghz.f_zero != 6e9 and ghz.f_upper != 9e9
+    f = np.arange(1.0, 12.0) * 1e307
+    table = _db_table(f, db)
+    rep = band_report(table)
+    assert (rep.f_lower, rep.f_zero, rep.f_upper) == (f[2], f[5], f[8])
+    assert (rep.il_lower_db, rep.il_upper_db) == (-table.s21_db[2], -table.s21_db[8])
+
+
+def test_band_report_peak_memory_is_bounded(ref_circuit, ref_substrate):
+    # past its dB trace (8 bytes a sample) a warm band_report holds boolean
+    # masks, not index arrays: a 100,000-point report peaks below 1.5x it
+    table = sweep(_ref_stack(ref_circuit, ref_substrate), 1e9, 12e9, 100_000)
+    band_report(table)
+    tracemalloc.start()
+    try:
+        band_report(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * len(table), peak
 
 
 def test_band_report_grid_independence(ref_circuit, ref_substrate):

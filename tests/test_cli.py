@@ -429,6 +429,37 @@ def test_config_rejects_both_geometry_and_circuit(tmp_path):
         run("analyze", _write(tmp_path, cfg), tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "not valid JSON"), ("[1, 2]", "top level must be a JSON object")],
+    ids=["not-json", "not-an-object"],
+)
+def test_config_text_must_be_a_json_object(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["analyze", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid-config: {config}: {message}")
+
+
+def test_output_path_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["analyze", str(CONFIGS / _FIRST), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: io-error: ")
+
+
+def test_unsmoothed_band_report_failure_is_reported_as_is(tmp_path, capsys):
+    # 1.5-4 GHz holds only the lower band; without a window there is no
+    # --smooth-ghz note to add, and the data files are still written
+    cfg = _load_config(_FIRST)
+    cfg["sweep"].update({"f_start_GHz": 1.5, "f_stop_GHz": 4.0})
+    out = tmp_path / "o"
+    assert main(["analyze", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: band-structure: expected exactly 2 passbands, found 1\n"
+    assert (out / "response.csv").exists() and not (out / "band_report.txt").exists()
+
+
 def test_unknown_command():
     with pytest.raises(ConfigError):
         run("paint", CONFIGS / "sc_band_first_order.json", "out")
@@ -640,6 +671,12 @@ ERROR_CONTRACT = [
      "invalid-config", "design.outer"),
     ("analyze", _SECOND, "design.middle.C_tank_pF", 0, 2, "invalid-config",
      "design.middle.C_tank_pF"),
+    ("analyze", _SECOND, "design.middle", _DELETE, 2, "invalid-config",
+     "design: second-order designs need 'outer' and 'middle' blocks"),
+    ("analyze", _SECOND, "design.outer", [4.9, {"L_nH": 2.0, "C_pF": 0.5}], 2,
+     "invalid-config", "design.outer[0]: expected object"),
+    ("analyze", _FIRST, "design.substrate", [0.635, 10.2], 2, "invalid-config",
+     "design.substrate: expected object"),
     ("analyze", _FIRST, "sweep.n_points", 1, 2, "invalid-config", "sweep.n_points"),
     ("analyze", _FIRST, "sweep.n_points", 2.0, 2, "invalid-config", "sweep.n_points"),
     ("analyze", _FIRST, "sweep.f_stop_GHz", 0.5, 2, "invalid-config", "sweep.f_stop_GHz"),
@@ -656,6 +693,8 @@ ERROR_CONTRACT = [
      "parametric.values_mm"),
     ("sweep", _SWEEP, "parametric.values_mm", [1.0, -2.0], 2, "invalid-config",
      "parametric.values_mm"),
+    ("sweep", _SWEEP, "parametric.values_mm", 1.0, 2, "invalid-config",
+     "parametric.values_mm: expected list"),
     ("sweep", _SWEEP, "parametric.param", "bogus", 2, "invalid-config",
      "parametric.param"),
     ("sweep", _SWEEP, "parametric.param", ["hat_length"], 2, "invalid-config",
@@ -677,6 +716,7 @@ ERROR_CONTRACT = [
      "targets.f_zero_GHz"),
     ("synth", _SYNTH, "targets.period_mm", 0, 2, "invalid-config", "targets.period_mm"),
     ("fit", "fit", "fit.max_iter", -1, 2, "invalid-config", "fit.max_iter"),
+    ("fit", "fit", "fit.data", "", 2, "invalid-config", "fit.data: expected path"),
     ("fit", "fit", "fit.max_iter", True, 2, "invalid-config", "fit.max_iter"),
     ("fit", "fit", "fit.initial.L_tank_nH", True, 2, "invalid-config",
      "fit.initial.L_tank_nH"),

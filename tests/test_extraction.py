@@ -16,6 +16,7 @@ from fsskit import (
     predict_resonances,
     surface_impedance,
 )
+from fsskit.extraction import ResonancePrediction
 from fsskit.lumped import OPEN
 from fsskit.errors import InvalidGeometryError, InvalidParameterError
 
@@ -104,6 +105,16 @@ def test_surface_impedance_needs_a_finite_positive_frequency(ref_circuit, f):
     assert str(info.value) == f"frequency must be {message}, got {f!r}"
 
 
+def test_surface_impedance_is_open_at_an_exact_pole():
+    # p = q = 2 and r = 1: the denominator 1 - 5x + 4x^2 is exactly 0 at
+    # x = w^2 = 1, and 2*pi*f rounds to exactly 1.0 rad/s at this f
+    c = ExtractedCircuit(L_series=2.0, C_series=1.0, L_tank=1.0, C_tank=2.0)
+    f_unit = 1.0 / (2.0 * math.pi)
+    assert surface_impedance(c, f_unit) is OPEN
+    assert exact_poles(c)[1] == f_unit
+    assert abs(surface_impedance(c, math.nextafter(f_unit, 0.0))) > 1e15
+
+
 def test_surface_impedance_vanishes_at_zero(ref_circuit):
     f0 = predict_resonances(ref_circuit).f_zero
     z = surface_impedance(ref_circuit, f0)
@@ -172,6 +183,21 @@ def test_exact_poles_decoupling_limit():
     tank_f = 1 / (2 * math.pi * math.sqrt(4e-9 * 0.35e-12))
     assert lo < 1e7
     assert hi == pytest.approx(tank_f, rel=1e-3)
+
+
+def test_exact_poles_are_real_where_the_textbook_discriminant_cancels():
+    # (p + q + r)^2 - 4pq rounds to -8.9e-16 here; the poles must still be
+    # real and bracket the series resonance (the upper one rounds to it)
+    c = ExtractedCircuit((1 + 2**-52) * 1e40, 1e-40, 1.0, 1.0)
+    lo, hi = exact_poles(c)
+    f_zero = SeriesLC(c.L_series, c.C_series).resonance()
+    assert lo < hi
+    assert lo <= f_zero <= hi
+
+
+def test_resonance_prediction_needs_the_lower_band_below_the_zero():
+    with pytest.raises(InvalidParameterError, match="expected f_lower < f_zero"):
+        ResonancePrediction(f_lower=3e9, f_zero=2e9, f_upper=5e9)
 
 
 def test_pole_interlacing_random_circuits(rng):

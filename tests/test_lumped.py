@@ -90,8 +90,21 @@ def test_branch_validation():
         Inductor(-1e-9)
     with pytest.raises(InvalidParameterError):
         Parallel(())
+    with pytest.raises(InvalidParameterError, match="not a lumped branch: 'L'"):
+        Parallel((Tank(1e-9, 1e-12), "L"))
     with pytest.raises(InvalidParameterError):
         branch_impedance(SeriesLC(1e-9, 1e-12), 0.0)
+    with pytest.raises(InvalidParameterError, match="not a lumped branch: 1e-09"):
+        branch_impedance(1e-9, 1e9)
+
+
+def test_zero_inductance_is_a_short_at_every_frequency():
+    for f in (F_UNIT, 1e9):
+        assert branch_impedance(Inductor(0.0), f) == 0j
+
+
+def test_open_marker_repr():
+    assert repr(OPEN) == "OPEN"
 
 
 def test_foster_transform_boundary_identities():
@@ -148,6 +161,13 @@ def test_foster_transform_rejects_equal_resonances():
     # scaled L/C with the same product also degenerates
     with pytest.raises(DegenerateTransformError):
         foster_transform(4.9e-9, 0.5e-12, 9.8e-9, 0.25e-12)
+
+
+def test_foster_transform_that_fails_its_check_is_refused():
+    # C1*C2*(L1 + L2) = 9e-320 keeps only ~4 significant digits as a
+    # subnormal, so the pole of the hybrid form is off by ~1e-5 relative
+    with pytest.raises(DegenerateTransformError, match="failed verification"):
+        foster_transform(1.0, 1e-160, 2.0, 3e-160)
 
 
 def test_equal_branch_parallel_limit_is_single_series_lc():

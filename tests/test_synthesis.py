@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fsskit import (
     foster_transform,
     geometry_from_circuit,
     predict_resonances,
+    stack_response,
     surface_impedance,
     sweep,
 )
@@ -29,6 +31,7 @@ from fsskit.errors import (
     InfeasibleTargetsError,
     InvalidGeometryError,
     InvalidParameterError,
+    SingularNetworkError,
     UnattainableDimensionError,
 )
 from fsskit.synthesis import _bisect_decreasing
@@ -59,6 +62,14 @@ def test_circuit_from_targets_default_zero_is_geometric_mean():
     c = circuit_from_targets(DesignTargets(2.4e9, 5.8e9))
     f0 = predict_resonances(c).f_zero
     assert f0 == pytest.approx(math.sqrt(2.4e9 * 5.8e9), rel=1e-12)
+
+
+def test_circuit_from_targets_refuses_a_zero_that_underflows():
+    # the default zero sqrt(1e-200 * 2e-200) underflows to 0.0, below f_lower
+    targets = DesignTargets(1e-200, 2e-200)
+    with pytest.raises(InfeasibleTargetsError, match="transmission zero 0.0 outside") as info:
+        circuit_from_targets(targets)
+    assert info.value.attainable == (1e-200, 2e-200)
 
 
 def test_circuit_from_targets_roundtrip_random(rng):
@@ -127,6 +138,26 @@ def test_geometry_from_circuit_unattainable_hat(ref_substrate):
     with pytest.raises(UnattainableDimensionError) as info:
         geometry_from_circuit(c, 8.5e-3, ref_substrate)
     assert info.value.parameter == "hat_length"
+
+
+def test_geometry_from_circuit_re_extraction_miss(ref_substrate):
+    # an 85 nm cell: the bisection stops within 1e-12 m, a relative error
+    # of ~1e-5 on a 3 nm slot, which the 1e-6 re-extraction check refuses
+    s = 1e-8
+    geom = FirstOrderGeometry(
+        period=8.5 * s, hat_length=6.8 * s, jc_slot=0.3 * s, cross_slot=0.2 * s,
+        jc_gap=0.5 * s, thickness=0.635e-3, eps_r=10.2,
+    )
+    with pytest.raises(UnattainableDimensionError, match="re-extraction of L_series") as info:
+        geometry_from_circuit(extract_circuit(geom), geom.period, ref_substrate)
+    assert info.value.parameter == "L_series"
+    assert info.value.attainable is None
+
+
+def test_geometry_from_circuit_period_too_small_for_the_grid_formulas(ref_circuit, ref_substrate):
+    # the narrowest trial slot, period * 1e-9, underflows to 0 on a 5e-324 m period
+    with pytest.raises(InvalidGeometryError, match=r"must lie in \(0, pi\), got 0.0"):
+        geometry_from_circuit(ref_circuit, 5e-324, ref_substrate)
 
 
 def test_hat_length_closed_form(ref_geometry, ref_substrate):
@@ -303,6 +334,68 @@ def test_fit_input_validation(ref_substrate):
     bad = dict(WEAK_PARASITIC, L_series=-1e-9)
     with pytest.raises(InvalidParameterError):
         fit_circuit(data, "first_order", bad, ref_substrate)
+    with pytest.raises(InvalidParameterError, match="max_iter must be >= 0, got -1"):
+        fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate, max_iter=-1)
+
+
+def _overflow_threshold(ref_circuit, ref_substrate, freqs):
+    """The smallest C_tank (to ~1e-11 relative) at which the reference
+    stack overflows on ``freqs``: the tank's admittance is still finite
+    there, but the chain product is not."""
+    def overflows(c_tank):
+        stack = build_first_order(replace(ref_circuit, C_tank=c_tank), ref_substrate)
+        try:
+            stack_response(stack, freqs)
+        except SingularNetworkError:
+            return True
+        return False
+
+    lo, hi = 1e290, 1e292
+    assert not overflows(lo) and overflows(hi)
+    for _ in range(40):
+        mid = lo * math.sqrt(hi / lo)
+        lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("c_tank", [math.inf, math.nan, 1e295], ids=["inf", "nan", "overflowing"])
+def test_fit_refuses_a_start_it_cannot_evaluate(ref_circuit, ref_substrate, c_tank):
+    # inf and NaN pass the positivity check but are not values; at 1e295 F
+    # the chain overflows, so the network cannot be evaluated either
+    data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 12e9, 41)
+    start = dict(asdict(ref_circuit), C_tank=c_tank)
+    for max_iter in (0, 10):
+        with pytest.raises(InvalidParameterError, match="initial circuit values are not evaluable"):
+            fit_circuit(data, "first_order", start, ref_substrate, max_iter=max_iter)
+
+
+def test_fit_survives_an_exactly_singular_damped_normal_matrix(ref_circuit, ref_substrate):
+    # With C_tank ~1e150 F, S21 ~ 1e-160 and the Jacobian's squares are
+    # subnormal: the first damped normal matrix holds an exactly singular
+    # block [[u, u], [u, u]], u = 5e-324, as the damping 1e-2 * u rounds to
+    # 0.  A LAPACK that divides by such a pivot reports it singular
+    # (LinAlgError); OpenBLAS returns an infinite step.  Either way the step
+    # is rejected, and no other step can lower a cost that underflows to 0.
+    data = sweep(build_first_order(replace(ref_circuit, C_tank=1.5e150), ref_substrate),
+                 1e9, 12e9, 41)
+    start = dict(asdict(ref_circuit), C_tank=1e150)
+    result = fit_circuit(data, "first_order", start, ref_substrate)
+    assert result.iterations == 0
+    assert result.trace == (0.0,)
+
+
+def test_fit_differences_backward_where_the_forward_bump_overflows(ref_circuit, ref_substrate):
+    # Half a finite-difference step under the overflow threshold, the start
+    # evaluates but its forward C_tank bump does not: that Jacobian column
+    # is taken backward.  The tank shorts the sheet (S21 ~ 1e-290), so no
+    # step can move the model and the fit returns its start.
+    data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 12e9, 41)
+    threshold = _overflow_threshold(ref_circuit, ref_substrate, data.frequency)
+    start = dict(asdict(ref_circuit), C_tank=threshold / (1.0 + 5e-7))
+    result = fit_circuit(data, "first_order", start, ref_substrate)
+    assert result.iterations == 0
+    assert result.params["C_tank"] == pytest.approx(start["C_tank"], rel=1e-12)
+    assert result.rms_residual == pytest.approx(math.sqrt(np.mean(np.abs(data.s21) ** 2)))
 
 
 @pytest.mark.parametrize("magnitude_only", [False, True])
@@ -341,6 +434,9 @@ def test_fit_result_circuit_helper(ref_substrate):
     circuit = result.circuit()
     assert isinstance(circuit, ExtractedCircuit)
     assert circuit.L_series == pytest.approx(WEAK_PARASITIC["L_series"], rel=1e-3)
+    second = replace(result, template="second_order")
+    with pytest.raises(InvalidParameterError, match="only defined for first_order fits"):
+        second.circuit()
 
 
 def _outcome(fn, *args) -> str:
@@ -380,7 +476,7 @@ def test_model_outputs_golden():
             continue
         c = extract_circuit(geom)
         lines.append(repr(c))
-        # perturbed circuits reach the unattainable and re-extraction branches
+        # perturbed circuits reach the unattainable-dimension branches
         scaled = ExtractedCircuit(
             *(getattr(c, n) * _log_uniform(rng, -0.5, 0.5)
               for n in ("L_series", "C_series", "L_tank", "C_tank"))
@@ -419,4 +515,4 @@ def test_model_outputs_golden():
             l2 = -l2
         lines.append(_outcome(foster_transform, l1, c1, l2, c2))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "94951084aa8c9d90f50bfc2278fbbd646c505ccc56b9748b7ae42271aa40a7a9", digest
+    assert digest == "4e887eb54113eb3473fff0dcd05302ee3b06be3356a25dadf1517b0d720801aa", digest

@@ -141,6 +141,8 @@ def test_stack_validation(ref_substrate):
         FssStack((tank, ref_substrate))  # must end on a shunt node
     with pytest.raises(InvalidParameterError):
         FssStack((tank, series, tank))  # missing line section
+    with pytest.raises(InvalidParameterError, match="layer 0 must be a shunt lumped branch"):
+        FssStack((ref_substrate, ref_substrate, series))
     with pytest.raises(InvalidParameterError):
         # asymmetric three-node stacks are rejected
         FssStack((tank, ref_substrate, series, ref_substrate, Tank(5e-9, 0.3e-12)))
@@ -325,6 +327,14 @@ def test_grid_must_be_finite_and_positive(ref_circuit, ref_substrate, bad, messa
     # a value <= 0 is named as such whatever else the grid holds
     with pytest.raises(InvalidParameterError, match="must be positive"):
         stack_response(stack, [math.nan, 1e9, -1e9])
+
+
+@pytest.mark.parametrize("grid", [[], [[1e9, 2e9]], 1e9], ids=["empty", "2-D", "scalar"])
+def test_grid_must_be_a_non_empty_1d_array(ref_circuit, ref_substrate, grid):
+    stack = build_first_order(ref_circuit, ref_substrate)
+    for evaluate in (stack_response, stack_response_full):
+        with pytest.raises(InvalidParameterError, match="non-empty 1-D array"):
+            evaluate(stack, grid)
 
 
 @pytest.mark.parametrize("G, dtype", [(0.0, float), (1e-3, complex)], ids=["lossless", "lossy"])
@@ -596,8 +606,8 @@ def test_chain_matches_reference_from_any_first_layer():
     reference's bits for A, B, C, D, shorts and short reflections; a real
     one holds the reference's A.real, B.imag, C.imag and D.real bit for
     bit, and the parts it drops are zero away from the shorts.  This holds
-    for layer lists that start with a line, that start with a node
-    shorting at grid points, and that hold a single node."""
+    for a stack's layers, forward or reversed, whose first node shorts at
+    grid points, and for a stack with a long line."""
     rng = np.random.default_rng(16)
     compared = reals = 0
     for second_order, polarization, loss, n in itertools.product(
@@ -612,11 +622,9 @@ def test_chain_matches_reference_from_any_first_layer():
         shorts[[0, n // 2]] = f_short
         first = _reference_chain(layers[:1], stack.incidence, loss, shorts)[4]
         assert np.flatnonzero(first).tolist() == sorted({0, n // 2})
-        inductor = Inductor(1e-9 * rng.uniform(0.5, 2.0))
-        single = [(layers[0],), (layers[2],), (inductor,), (Inductor(0.0),)]
         # a line long enough that sin(theta) < 0 on part of the grid
         long = (layers[0], Substrate(30e-3, 10.2, 0.0023), layers[2])
-        for chain_layers in [layers, layers[1:], layers[1:2], layers[1:3], long, *single]:
+        for chain_layers in (layers, long):
             for freqs in (plain, shorts):
                 args = (chain_layers, stack.incidence, loss, freqs)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -631,7 +639,7 @@ def test_chain_matches_reference_from_any_first_layer():
                     reals += 1
                 assert _raw_bits(got) == _raw_bits((A, B, C, D, shorted, s11_short))
                 compared += 1
-    assert compared == 24 * 9 * 2
+    assert compared == 24 * 2 * 2
     assert 0 < reals < compared
 
 

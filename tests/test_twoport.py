@@ -1,8 +1,8 @@
 """Chain-matrix algebra of the array network engine.
 
-``_chain`` multiplies the ABCD matrices of any sequence of shunt nodes and
-line sections over a frequency grid; ``stack_response`` turns a stack's
-chain matrix into S-parameters between its free-space ports.
+``_chain`` multiplies the ABCD matrices of a stack's shunt nodes and line
+sections over a frequency grid; ``stack_response`` turns a stack's chain
+matrix into S-parameters between its free-space ports.
 """
 
 import cmath
@@ -34,7 +34,36 @@ F_UNIT = 1.0 / (2.0 * math.pi)  # w = 1: Tank(1, 1) is exactly open here
 OPEN_NODE = Tank(1.0, 1.0)
 
 
+def _identity_prefix(f):
+    """A lossless node and a line whose chain matrices are exactly the
+    identity at f.  ``_chain`` takes the layers of a stack, which start with
+    a node and a line; behind this pair it multiplies any sequence.
+
+    The tank is exactly open where w*C equals 1/(w*L) in floating point,
+    searched for among the floats next to L = 1 and C = 1/w^2; the line is
+    so thin that its electrical length underflows to 0."""
+    w = 2.0 * math.pi * f
+
+    def near(x):
+        below, above = [x], [x]
+        for _ in range(8):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        return below + above[1:]
+
+    by_value = {w * C: C for C in near(1.0 / (w * w))}
+    for L in near(1.0):
+        C = by_value.get(1.0 / (w * L))
+        if C is not None:
+            return Tank(L, C), Substrate(5e-324, 1.0)
+    raise AssertionError(f"no exactly open tank found at {f} Hz")
+
+
 def _abcd(layers, f, incidence=Incidence(), dielectric_loss=False):
+    prefix = _identity_prefix(f)
+    identity = complex_chain(prefix, incidence, dielectric_loss, np.array([f]))[:4]
+    assert [m[0] for m in identity] == [1, 0, 0, 1]
+    layers = (*prefix, *layers)
     A, B, C, D, shorted = complex_chain(layers, incidence, dielectric_loss, np.array([f]))
     assert not shorted[0]
     return A[0], B[0], C[0], D[0]
