@@ -21,11 +21,10 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    SWEEP_POINTS, BandReport, ResponseTable, _grid, band_report, parametric_sweep,
-    smooth_response, sweep,
+    SWEEP_POINTS, BandReport, ResponseTable, _grid, band_report, parametric_sweep, sweep,
 )
 from .constants import C0
-from .errors import BandStructureError, ConfigError, EmptySweepError, FssError, TruncatedBandError
+from .errors import ConfigError, EmptySweepError, FssError
 from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
 from .fileio import load_response, write_response_csv, write_touchstone
 from .synthesis import (
@@ -134,6 +133,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    # every command's blocks, not the running one's: one file may hold them all
+    _check_keys(cfg, ("design", "sweep", "incidence", "parametric", "targets", "fit"), str(path))
     return cfg
 
 
@@ -310,8 +311,6 @@ def _band_report_text(rep) -> str:
 
 
 def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
-    """Response files carry the raw model data; smoothing (if any) applies
-    only to the band report, mirroring how measured traces are treated."""
     builder, _, _ = _parse_design(cfg)
     inc = _parse_incidence_single(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
@@ -334,18 +333,7 @@ def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
             f"polarization = {inc.polarization}",
         ),
     )
-    try:
-        rep = band_report(table if smooth_ghz is None else smooth_response(table, smooth_ghz * GHZ))
-    except (BandStructureError, TruncatedBandError) as exc:
-        if smooth_ghz is None:
-            raise
-        # a window as wide as a band flattens it, so say which window ran
-        raise type(exc)(
-            f"{exc} (after the {smooth_ghz:g} GHz --smooth-ghz moving average; the "
-            "window must sit well below the narrowest 3 dB bandwidth)",
-            **{name: getattr(exc, name) for name in exc.payload},
-        ) from exc
-    (outdir / "band_report.txt").write_text(_band_report_text(rep))
+    (outdir / "band_report.txt").write_text(_band_report_text(band_report(table)))
 
 
 def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
@@ -515,6 +503,10 @@ _COMMANDS = {
     "synth": (_cmd_synth, "band targets to circuit values and unit-cell dimensions"),
     "fit": (_cmd_fit, "least-squares fit of circuit values to imported data"),
 }
+# The one command that takes a --smooth-ghz window: fit averages the data
+# and every model trace alike, while on the noiseless model output of the
+# other commands a window could only add bias.
+_SMOOTHED = "fit"
 
 
 def run(command: str, config_path, output_dir, smooth_ghz=None) -> None:
@@ -522,6 +514,8 @@ def run(command: str, config_path, output_dir, smooth_ghz=None) -> None:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {sorted(_COMMANDS)}")
     if smooth_ghz is not None:
+        if command != _SMOOTHED:
+            raise ConfigError(f"--smooth-ghz: only {_SMOOTHED!r} takes a window, not {command!r}")
         _value(smooth_ghz, "--smooth-ghz", "finite positive number (GHz)", _positive, GHZ)
     cfg = load_config(config_path)
     outdir = Path(output_dir)
@@ -542,12 +536,12 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
-        if name in ("analyze", "fit"):
+        if name == _SMOOTHED:
             cmd.add_argument(
                 "--smooth-ghz",
                 type=float,
                 default=None,
-                help="moving-average window (GHz) applied before reporting/fitting",
+                help="moving-average window (GHz) applied to the data and the model",
             )
     args = parser.parse_args(argv)
     try:

@@ -87,11 +87,13 @@ class ResonancePrediction:
     f_upper: float
 
     def __post_init__(self):
-        # f_lower < f_zero holds structurally; f_zero < f_upper only in the
-        # intended dual-band regime (tank resonance above the series one).
-        if not self.f_lower < self.f_zero:
+        # f_lower < f_zero holds exactly, and monotone rounding keeps
+        # f_lower <= f_zero (equal when L_tank vanishes against L_series);
+        # f_zero < f_upper only in the intended dual-band regime (tank
+        # resonance above the series one).
+        if not self.f_lower <= self.f_zero:
             raise InvalidParameterError(
-                f"expected f_lower < f_zero, got {self.f_lower} >= {self.f_zero}"
+                f"expected f_lower < f_zero up to rounding, got {self.f_lower} > {self.f_zero}"
             )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ from .errors import DegenerateTransformError, InvalidParameterError
 class Open:
     """Marker for an infinite impedance (e.g. a lossless tank at resonance).
 
-    Kept distinct from floating-point infinity so that parallel combination
-    stays well defined: an open branch simply contributes zero admittance.
+    The impedance functions return it instead of a complex infinity, whose
+    phase is undefined; callers test for it with ``is OPEN``.
     """
 
     def __repr__(self):
@@ -238,6 +239,8 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
     c_series = C1 + C2
     l_series = L1 * L2 / (L1 + L2)
     a = C1 * C2 * (L1 + L2)
+    if a < sys.float_info.min:
+        raise InvalidParameterError(f"C1*C2*(L1+L2) underflows to {a}; rescale the elements")
     wp_sq = (C1 + C2) / a
     residue_num = (1.0 - wp_sq * L1 * C1) * (1.0 - wp_sq * L2 * C2)  # < 0 by interlacing
     c_tank = -(a * wp_sq) / residue_num

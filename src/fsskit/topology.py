@@ -76,8 +76,7 @@ class Substrate:
 @dataclass(frozen=True)
 class FssStack:
     """Alternating sequence of shunt branch nodes and substrate line
-    sections, outermost nodes first and last.  Immutable; safe to share
-    across parallel frequency evaluations."""
+    sections, outermost nodes first and last.  Immutable."""
 
     layers: tuple
     incidence: Incidence = Incidence()
@@ -101,11 +100,6 @@ class FssStack:
                 raise InvalidParameterError(
                     f"layer {i} must be a Substrate line section, got {layer!r}"
                 )
-        nodes = layers[::2]
-        if len(nodes) == 3 and nodes[0] != nodes[2]:
-            raise InvalidParameterError(
-                "three-node stacks must be symmetric (identical outer layers)"
-            )
 
     @property
     def nodes(self) -> tuple:

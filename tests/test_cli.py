@@ -449,8 +449,8 @@ def test_output_path_that_is_a_file_is_an_io_error(tmp_path, capsys):
 
 
 def test_unsmoothed_band_report_failure_is_reported_as_is(tmp_path, capsys):
-    # 1.5-4 GHz holds only the lower band; without a window there is no
-    # --smooth-ghz note to add, and the data files are still written
+    # 1.5-4 GHz holds only the lower band; the error is reported as the
+    # band report raised it, and the data files are still written
     cfg = _load_config(_FIRST)
     cfg["sweep"].update({"f_start_GHz": 1.5, "f_stop_GHz": 4.0})
     out = tmp_path / "o"
@@ -739,7 +739,6 @@ ERROR_CONTRACT = [
     ("synth", _SYNTH, "targets.f_zero_GHz", 10**400, 2, "invalid-config",
      "targets.f_zero_GHz"),
     ("fit", "fit", "--smooth-ghz", 1e300, 2, "invalid-config", "--smooth-ghz"),
-    ("analyze", _FIRST, "--smooth-ghz", 1e300, 2, "invalid-config", "--smooth-ghz"),
 ]
 
 
@@ -811,21 +810,48 @@ def test_misspelled_design_key_is_a_config_error(tmp_path, capsys, command, base
     assert err.startswith("error: invalid-config: design: unknown key(s) ['dielectric_los']")
 
 
-@pytest.mark.parametrize("command,config", [("sweep", _SWEEP), ("angular", _ANGULAR),
-                                            ("synth", _SYNTH)])
+def test_misspelled_top_level_block_is_a_config_error(tmp_path, capsys):
+    # one file may hold every command's blocks, so only an unknown name fails
+    cfg = _load_config(_FIRST)
+    del cfg["incidence"]
+    cfg.update(incidance={"theta_deg": 40.0, "polarization": "TM"},
+               parametric={}, targets={}, fit={})
+    config = _write(tmp_path, cfg)
+    assert main(["analyze", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid-config: {config}: unknown key(s) ['incidance']"), err
+    assert not (tmp_path / "o").exists()
+    cfg["incidence"] = cfg.pop("incidance")
+    assert main(["analyze", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command,config", [("analyze", _FIRST), ("sweep", _SWEEP),
+                                            ("angular", _ANGULAR), ("synth", _SYNTH)])
 def test_smooth_flag_is_rejected_where_it_does_nothing(tmp_path, capsys, command, config):
-    argv = [command, str(CONFIGS / config), "--out", str(tmp_path / "o"), "--smooth-ghz", "0.1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "--smooth-ghz" in capsys.readouterr().err
+    # a window that fit would take, and ones it would refuse, alike
+    for window in ("0.1", "1e300", "inf", "nan"):
+        argv = [command, str(CONFIGS / config), "--out", str(tmp_path / "o"),
+                f"--smooth-ghz={window}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--smooth-ghz" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,config", [("analyze", _FIRST), ("sweep", _SWEEP),
+                                            ("angular", _ANGULAR), ("synth", _SYNTH)])
+def test_run_refuses_a_window_for_every_command_but_fit(tmp_path, command, config):
+    # run() takes the window as an argument, past argparse; none of these
+    # commands would apply it, so none may record it in run_meta.json
+    with pytest.raises(ConfigError, match=r"^--smooth-ghz: only 'fit' takes a window"):
+        run(command, CONFIGS / config, tmp_path / "o", smooth_ghz=0.05)
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
     "command,base,window",
-    [("analyze", _FIRST, "inf"), ("analyze", _FIRST, "nan"), ("fit", "fit", "inf"),
-     ("fit", "fit", "-1")],
+    [("fit", "fit", "inf"), ("fit", "fit", "-1")],
 )
 def test_smooth_window_must_be_finite_and_positive(tmp_path, capsys, command, base, window):
     _write_fit_data(tmp_path)
@@ -850,36 +876,6 @@ def test_smooth_window_wider_than_the_data_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sweep,window,category,payload",
-    [
-        ({}, 0.1, "band-structure", {"band_count": 1}),
-        ({"f_stop_GHz": 8.57, "n_points": 1501}, 0.02, "truncated-band", {"side": "upper-high"}),
-    ],
-    ids=["lower-band-flattened", "upper-edge-lifted"],
-)
-def test_smoothing_that_spoils_a_band_names_the_window(
-    tmp_path, capsys, sweep, window, category, payload
-):
-    # the demo's lower band is 27 MHz wide; a 0.1 GHz average flattens it, and
-    # near the sweep's end the one-sided average lifts the upper band's edge
-    cfg = _load_config(_FIRST)
-    cfg["sweep"].update(sweep)
-    config = _write(tmp_path, cfg)
-    assert main(["analyze", str(config), "--out", str(tmp_path / "raw")]) == 0
-    argv = ["analyze", str(config), "--out", str(tmp_path / "o"), f"--smooth-ghz={window}"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {category}: "), err
-    assert err.count("\n") == 1
-    assert f"after the {window:g} GHz --smooth-ghz moving average" in err
-    assert "well below the narrowest 3 dB bandwidth" in err
-    with pytest.raises(FssError) as exc:
-        run("analyze", config, tmp_path / "o2", smooth_ghz=window)
-    assert exc.value.category == category
-    assert {name: getattr(exc.value, name) for name in payload} == payload
-
-
-@pytest.mark.parametrize(
     "command,theta", [("analyze", 90.0), ("analyze", 120), ("angular", [0.0, 90.0])]
 )
 def test_incidence_angle_of_90_degrees_or_more_is_a_config_error(
@@ -891,14 +887,6 @@ def test_incidence_angle_of_90_degrees_or_more_is_a_config_error(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config: incidence.theta_deg")
-
-
-def test_smoothing_flag(tmp_path):
-    # the report of the smoothed trace, pinned like the unsmoothed goldens
-    out = tmp_path / "out"
-    run("analyze", CONFIGS / "sc_band_geometry.json", out, smooth_ghz=0.05)
-    digest = hashlib.sha256((out / "band_report.txt").read_bytes()).hexdigest()
-    assert digest == "668b805c6a519fc45c3ec65785a792e45a55c907712759a48ad3504fb5fcfe3c"
 
 
 def test_smoothed_fit_golden_bytes(tmp_path):
@@ -950,8 +938,7 @@ def test_smoothed_fit_recovers_a_noisy_trace(tmp_path):
         assert params[name] == pytest.approx(value, rel=0.01), name
 
 
-@pytest.mark.parametrize("command", ["analyze", "fit"])
-@pytest.mark.parametrize("window", [None, 0.05])
+@pytest.mark.parametrize("window,command", [(None, "analyze"), (None, "fit"), (0.05, "fit")])
 def test_run_meta_records_the_smoothing_window(tmp_path, command, window):
     # rms_residual of fit_result.json compares smoothed traces when a window ran
     if command == "fit":
@@ -1004,15 +991,17 @@ def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "argv,code,category",
+    "command,sweep,code,category",
     [
-        (["analyze", CONFIGS / _FIRST, "--smooth-ghz", "0.1"], 1, "band-structure"),
-        (["sweep", CONFIGS / _FIRST], 2, "invalid-config"),  # no geometry to sweep
+        ("analyze", {"f_start_GHz": 1.5, "f_stop_GHz": 4.0}, 1, "band-structure"),  # one band
+        ("sweep", {}, 2, "invalid-config"),  # no geometry to sweep
     ],
     ids=["band-structure", "invalid-config"],
 )
-def test_console_entry_delivers_the_error_line(tmp_path, capsys, argv, code, category):
-    argv = [str(a) for a in argv] + ["--out", str(tmp_path / "o")]
+def test_console_entry_delivers_the_error_line(tmp_path, capsys, command, sweep, code, category):
+    cfg = _load_config(_FIRST)
+    cfg["sweep"].update(sweep)
+    argv = [command, str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
@@ -1122,4 +1111,4 @@ def test_help_lists_the_commands_in_order(capsys):
     assert list(listed) == list(_HELP)
     for command in _HELP:
         has_smoothing = "--smooth-ghz" in _help_text(capsys, [command, "--help"])
-        assert has_smoothing == (command in ("analyze", "fit")), command
+        assert has_smoothing == (command == "fit"), command

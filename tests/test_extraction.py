@@ -195,6 +195,13 @@ def test_exact_poles_are_real_where_the_textbook_discriminant_cancels():
     assert lo <= f_zero <= hi
 
 
+def test_prediction_where_the_tank_inductance_vanishes_against_the_series_one():
+    # L_tank + L_series rounds to L_series, so f_lower rounds to f_zero
+    c = ExtractedCircuit((1 + 2**-52) * 1e40, 1e-40, 1.0, 1.0)
+    pred = predict_resonances(c)
+    assert pred.f_lower == pred.f_zero == SeriesLC(c.L_series, c.C_series).resonance()
+
+
 def test_resonance_prediction_needs_the_lower_band_below_the_zero():
     with pytest.raises(InvalidParameterError, match="expected f_lower < f_zero"):
         ResonancePrediction(f_lower=3e9, f_zero=2e9, f_upper=5e9)

@@ -164,10 +164,20 @@ def test_foster_transform_rejects_equal_resonances():
 
 
 def test_foster_transform_that_fails_its_check_is_refused():
-    # C1*C2*(L1 + L2) = 9e-320 keeps only ~4 significant digits as a
-    # subnormal, so the pole of the hybrid form is off by ~1e-5 relative
+    # C1*C2 = 2e-315 keeps only ~4 significant digits as a subnormal before
+    # L1 + L2 scales the product back to 2e-305, so the hybrid form is off
     with pytest.raises(DegenerateTransformError, match="failed verification"):
-        foster_transform(1.0, 1e-160, 2.0, 3e-160)
+        foster_transform(1e10, 1e-165, 1e-5, 2e-150)
+
+
+@pytest.mark.parametrize(
+    "l1,c1,l2,c2",
+    [(1e-9, 1e-160, 2e-9, 3e-160),  # C1*C2*(L1 + L2) underflows to 0
+     (1.0, 1e-160, 2.0, 3e-160)],  # ... to the subnormal 9e-320
+)
+def test_foster_transform_refuses_an_underflowing_product(l1, c1, l2, c2):
+    with pytest.raises(InvalidParameterError, match=r"^C1\*C2\*\(L1\+L2\) underflows"):
+        foster_transform(l1, c1, l2, c2)
 
 
 def test_equal_branch_parallel_limit_is_single_series_lc():

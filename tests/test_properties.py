@@ -47,7 +47,7 @@ def _random_stack(rng, lossless=True):
     n_nodes = int(rng.integers(2, 4))
     nodes = [_random_branch(rng) for _ in range(n_nodes)]
     if n_nodes == 3:
-        nodes[2] = nodes[0]  # three-node stacks must be symmetric
+        nodes[2] = nodes[0]  # symmetric, like second-order builds (any stack is valid)
     layers = []
     for i, node in enumerate(nodes):
         layers.append(node)

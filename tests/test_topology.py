@@ -143,9 +143,33 @@ def test_stack_validation(ref_substrate):
         FssStack((tank, series, tank))  # missing line section
     with pytest.raises(InvalidParameterError, match="layer 0 must be a shunt lumped branch"):
         FssStack((ref_substrate, ref_substrate, series))
-    with pytest.raises(InvalidParameterError):
-        # asymmetric three-node stacks are rejected
-        FssStack((tank, ref_substrate, series, ref_substrate, Tank(5e-9, 0.3e-12)))
+
+
+def test_asymmetric_three_node_stacks_match_their_reversal(rng):
+    # S22 is S11 of the reversed stack, S21 its S21, and a lossless stack is
+    # unitary, also at an exact short of a series node
+    worst = np.zeros(3)
+    for k in range(300):
+        l, c = 10 ** rng.uniform(-9.5, -8.0, 4), 10 ** rng.uniform(-13.5, -12.0, 4)
+        series = SeriesLC(l[0], c[0])
+        nodes = [Tank(l[1], c[1]), Parallel((SeriesLC(l[2], c[2]), Inductor(l[3]))), series]
+        nodes = [nodes[i] for i in rng.permutation(3)]
+        sub = Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0))
+        inc = Incidence(rng.uniform(0.0, math.radians(80)), ("TE", "TM")[k % 2])
+        freqs = 10 ** rng.uniform(8.5, 10.5, 8)
+        f_short = _exact_short(series)
+        if f_short is not None:
+            freqs[0] = f_short
+        s11, s21, s22 = stack_response_full(
+            FssStack((nodes[0], sub, nodes[1], sub, nodes[2]), inc), freqs
+        )
+        assert f_short is None or s21[0] == 0.0
+        r11, r21, _ = stack_response_full(
+            FssStack((nodes[2], sub, nodes[1], sub, nodes[0]), inc), freqs
+        )
+        errors = [s22 - r11, s21 - r21, np.abs(s11) ** 2 + np.abs(s21) ** 2 - 1.0]
+        worst = np.maximum(worst, [np.max(np.abs(e)) for e in errors])
+    assert np.all(worst < 1e-12), worst
 
 
 def test_build_first_order_layout(ref_circuit, ref_substrate):
@@ -259,7 +283,7 @@ def test_stack_response_matches_nodal_oracle_1000(rng):
         )
         nodes = [_random_branch(rng) for _ in range(int(rng.integers(2, 4)))]
         if len(nodes) == 3:
-            nodes[2] = nodes[0]  # three-node stacks must be symmetric
+            nodes[2] = nodes[0]  # symmetric, like second-order builds (any stack is valid)
         layers = [nodes[0], sub, nodes[1]] + ([sub, nodes[2]] if len(nodes) == 3 else [])
         inc = Incidence(rng.uniform(0.0, math.radians(80)), rng.choice(["TE", "TM"]))
         stack = FssStack(tuple(layers), inc, bool(rng.integers(0, 2)))
