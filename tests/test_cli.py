@@ -851,15 +851,22 @@ def test_run_refuses_a_window_for_every_command_but_fit(tmp_path, command, confi
 
 @pytest.mark.parametrize(
     "command,base,window",
-    [("fit", "fit", "inf"), ("fit", "fit", "-1")],
+    [("analyze", _FIRST, "inf"), ("analyze", _FIRST, "nan"), ("fit", "fit", "inf"),
+     ("fit", "fit", "-1")],
 )
 def test_smooth_window_must_be_finite_and_positive(tmp_path, capsys, command, base, window):
+    # fit checks the value; analyze has no flag, and run() refuses a
+    # non-finite window there as it refuses any window
     _write_fit_data(tmp_path)
     config = _write(tmp_path, _config(base))
     out = tmp_path / "o"
-    assert main([command, str(config), "--out", str(out), f"--smooth-ghz={window}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid-config: --smooth-ghz: expected finite positive"), err
+    if command == "fit":
+        assert main([command, str(config), "--out", str(out), f"--smooth-ghz={window}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-config: --smooth-ghz: expected finite positive"), err
+    else:
+        with pytest.raises(ConfigError, match=r"^--smooth-ghz: only 'fit' takes a window"):
+            run(command, config, out, smooth_ghz=float(window))
     assert not out.exists()
 
 
