@@ -141,8 +141,6 @@ def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     if isinstance(b, Tank):
         return b.G + 1j * (w * b.C - 1.0 / (w * b.L))
     if isinstance(b, Inductor):
-        if b.L == 0.0:
-            return np.full(w.shape, np.inf, dtype=complex)
         return -1j / (w * b.L)
     if isinstance(b, Parallel):
         y = np.zeros(w.shape, dtype=complex)
@@ -225,6 +223,11 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
     for name, v in (("L1", L1), ("C1", C1), ("L2", L2), ("C2", C2)):
         if not 0.0 < v < math.inf:
             raise InvalidParameterError(f"{name} must be positive, got {v}")
+    for name, lc in (("L1*C1", L1 * C1), ("L2*C2", L2 * C2)):
+        if not (0.0 < lc < math.inf and 1.0 / lc < math.inf):
+            raise InvalidParameterError(
+                f"{name} = {lc} puts the branch resonance 1/({name}) out of float range"
+            )
     w1_sq = 1.0 / (L1 * C1)
     w2_sq = 1.0 / (L2 * C2)
     if abs(w1_sq - w2_sq) <= 1e-6 * max(w1_sq, w2_sq):
@@ -242,9 +245,17 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
     if a < sys.float_info.min:
         raise InvalidParameterError(f"C1*C2*(L1+L2) underflows to {a}; rescale the elements")
     wp_sq = (C1 + C2) / a
-    residue_num = (1.0 - wp_sq * L1 * C1) * (1.0 - wp_sq * L2 * C2)  # < 0 by interlacing
+    residue_num = (1.0 - wp_sq * L1 * C1) * (1.0 - wp_sq * L2 * C2)
+    if not residue_num < 0.0:  # as interlacing demands
+        raise DegenerateTransformError(
+            f"the tank residue rounds to {residue_num}, not below zero as the "
+            "interlacing resonances require; the elements are too ill-conditioned"
+        )
     c_tank = -(a * wp_sq) / residue_num
-    l_tank = 1.0 / (wp_sq * c_tank)
+    wc = wp_sq * c_tank
+    if wc == 0.0:
+        raise InvalidParameterError("wp^2*C_tank underflows to 0; L_tank would overflow")
+    l_tank = 1.0 / wc
     hybrid = HybridCircuit(l_tank, c_tank, l_series, c_series)
     _verify_hybrid(hybrid, L1, C1, L2, C2)
     return hybrid

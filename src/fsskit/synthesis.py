@@ -103,11 +103,18 @@ def circuit_from_targets(t: DesignTargets) -> ExtractedCircuit:
             f"({t.f_lower}, {t.f_upper}) for L_tank={t.L_tank}",
             attainable=(t.f_lower, t.f_upper),
         )
-    c_tank = 1.0 / ((2.0 * math.pi * t.f_upper) ** 2 * t.L_tank)
-    q_zero = 1.0 / (2.0 * math.pi * f_zero) ** 2    # L_series * C_series
-    q_lower = 1.0 / (2.0 * math.pi * t.f_lower) ** 2  # (L_tank + L_series) * C_series
-    l_series = t.L_tank * q_zero / (q_lower - q_zero)
-    c_series = q_zero / l_series
+    try:
+        c_tank = 1.0 / ((2.0 * math.pi * t.f_upper) ** 2 * t.L_tank)
+        q_zero = 1.0 / (2.0 * math.pi * f_zero) ** 2    # L_series * C_series
+        q_lower = 1.0 / (2.0 * math.pi * t.f_lower) ** 2  # (L_tank + L_series) * C_series
+        l_series = t.L_tank * q_zero / (q_lower - q_zero)
+        c_series = q_zero / l_series
+    except ArithmeticError:  # a square overflowed or a divisor rounded to zero
+        raise InvalidParameterError(
+            f"targets f_lower={t.f_lower}, f_zero={f_zero}, f_upper={t.f_upper} Hz and "
+            f"L_tank={t.L_tank} H leave the float range of the resonance relations"
+        ) from None
+    # an element that overflowed or underflowed is refused here by name
     return ExtractedCircuit(l_series, c_series, t.L_tank, c_tank, 0.0)
 
 
@@ -142,6 +149,12 @@ def geometry_from_circuit(
         for parameter, target_name in (("jc_slot", "L_series"), ("jc_gap", "L_tank"))
     )
     gap_factor = 2.0 * EPS0 * er_eff * _ln_csc(math.pi * jc_gap / (2.0 * a))
+    if not gap_factor > 0.0:  # sin rounds to 1 this close to the period
+        raise UnattainableDimensionError(
+            f"L_tank={c.L_tank:.4e} needs jc_gap={jc_gap:.4e} m, so close to the period "
+            "that no hat_length attains C_series",
+            parameter="hat_length",
+        )
     hat_length = c.C_series * math.pi / gap_factor
     if not hat_length < a:
         raise UnattainableDimensionError(

@@ -25,10 +25,6 @@ from .lumped import _admittance_array, _lossless_branch, _susceptance_array
 
 _POLARIZATIONS = ("TE", "TM")
 
-# |denominator| below this is reported as a singular network instead of
-# silently turning into infinities.
-SINGULAR_DELTA = 1e-30
-
 # The engine runs over the grid in blocks of this many points, so that its
 # temporaries stay in cache; every operation is element-wise, so the bits
 # do not depend on it.
@@ -127,6 +123,12 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     """
     if dielectric_loss and sub.tan_delta > 0.0:
         eps = sub.eps_r * (1.0 - 1j * sub.tan_delta)
+        # eps ** 0.5 takes the modulus, which must stay finite too
+        if not math.hypot(eps.real, eps.imag) < math.inf:
+            raise InvalidParameterError(
+                f"complex permittivity eps_r*(1 - j*tan_delta) overflows for "
+                f"eps_r={sub.eps_r}, tan_delta={sub.tan_delta}"
+            )
     else:
         eps = sub.eps_r
     sin_i = math.sin(inc.theta)
@@ -361,16 +363,12 @@ def _block_response(stack: FssStack, freqs, s11, s21, s22):
             num22 -= Cpp
             num22 += Dp
 
-    # min and max are NaN if any |delta| is; NaN fails every comparison
-    mag = np.abs(delta)
-    if not (mag.min() >= SINGULAR_DELTA and mag.max() < math.inf):
-        bad = ~((mag >= SINGULAR_DELTA) & (mag < math.inf))
-        if shorted is not None:
-            bad &= ~shorted
+    # |S21| = |2*port/delta| <= 1 in a passive stack: overflow is the one way
+    # delta fails.  As in node_term, the mask is built only if the sum is not finite.
+    if not cmath.isfinite(delta.sum()):
+        bad = ~np.isfinite(delta)
         if bad.any():
-            idx = np.flatnonzero(bad)[0]
-            what = "singular network" if mag[idx] < SINGULAR_DELTA else "network overflows"
-            raise SingularNetworkError(f"{what} at {freqs[idx]} Hz")
+            raise SingularNetworkError(f"network overflows at {freqs[np.argmax(bad)]} Hz")
     np.divide(2.0 * port, delta, out=s21)
     np.divide(num11, delta, out=s11)
     if s22 is not None:

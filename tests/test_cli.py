@@ -653,6 +653,7 @@ _SECOND = "second_order.json"
 _SWEEP = "parametric_hat_length.json"
 _ANGULAR = "angular_scan.json"
 _SYNTH = "synth_targets.json"
+_TARGETS_OUT_OF_RANGE = "targets f_lower="
 
 # One malformed leaf (or "--" option) per row: command, base config, the
 # leaf and its bad value, then the exit code, the error category and the
@@ -739,6 +740,19 @@ ERROR_CONTRACT = [
     ("synth", _SYNTH, "targets.f_zero_GHz", 10**400, 2, "invalid-config",
      "targets.f_zero_GHz"),
     ("fit", "fit", "--smooth-ghz", 1e300, 2, "invalid-config", "--smooth-ghz"),
+    # numbers the parser accepts that leave the float range on the way
+    # (each ended in a traceback): (2*pi*f_upper)**2 overflows,
+    # (2*pi*f_lower)**2 underflows to 0 and is divided by, L_series
+    # underflows to 0, and jc_gap lies so close to the period that the
+    # capacitance factor of the hat length rounds to -0.0
+    ("synth", _SYNTH, "targets.f_upper_GHz", 1e160, 1, "invalid-parameter",
+     _TARGETS_OUT_OF_RANGE),
+    ("synth", _SYNTH, "targets.f_lower_GHz", 1e-200, 1, "invalid-parameter",
+     _TARGETS_OUT_OF_RANGE),
+    ("synth", _SYNTH, "targets.L_tank_nH", 1e-300, 1, "invalid-parameter",
+     _TARGETS_OUT_OF_RANGE),
+    ("synth", _SYNTH, "targets.period_mm", 1e250, 1, "unattainable-dimension",
+     "L_tank=4.0000e-09 needs jc_gap=1.0000e+247 m"),
 ]
 
 
@@ -759,6 +773,85 @@ def test_error_contract(tmp_path, capsys, command, base, path, value, code, cate
     assert got == code, err
     assert err.startswith(f"error: {category}: {where}"), err
     assert "\n" not in err.strip()
+
+
+_LOSSY_OVERFLOW = {
+    "design.substrate.eps_r": 1e200,
+    "design.substrate.tan_delta": 1e200,
+    "design.dielectric_loss": True,
+}
+
+# Leaves the parser accepts, set together, whose values leave the float
+# range on the way (each ended in a traceback): command, base config, the
+# leaves, then the error category and the start of its message.
+OUT_OF_RANGE = [
+    ("analyze", _FIRST, _LOSSY_OVERFLOW, "invalid-parameter", "complex permittivity"),
+    ("angular", _ANGULAR, _LOSSY_OVERFLOW, "invalid-parameter", "complex permittivity"),
+    # (2*pi*f_zero)**2 underflows to 0 and is divided by
+    ("synth", _SYNTH, {"targets.f_lower_GHz": 1e-201, "targets.f_zero_GHz": 1e-200},
+     "invalid-parameter", _TARGETS_OUT_OF_RANGE),
+]
+
+
+@pytest.mark.parametrize(
+    "command,base,leaves,category,start",
+    OUT_OF_RANGE,
+    ids=[f"{r[0]}-{'-'.join(f'{k}={v}' for k, v in r[2].items())}" for r in OUT_OF_RANGE],
+)
+def test_values_out_of_float_range_end_in_one_error_line(
+    tmp_path, capsys, command, base, leaves, category, start
+):
+    cfg = _config(base)
+    for path, value in leaves.items():
+        _set(cfg, path, value)
+    assert main([command, str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}: {start}") and err.count("\n") == 1, err
+
+
+def test_sweep_records_an_overflowing_permittivity_at_each_point(tmp_path):
+    # as any per-point error: the run completes and each row names it
+    cfg = _config(_SWEEP)
+    for path, value in _LOSSY_OVERFLOW.items():
+        _set(cfg, path, value)
+    run("sweep", _write(tmp_path, cfg), tmp_path / "o")
+    rows = (tmp_path / "o" / "parametric.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(cfg["parametric"]["values_mm"])
+    assert all(',"invalid-parameter: complex permittivity ' in row for row in rows)
+
+
+def _scramble(node, rng):
+    """``node`` with each numeric leaf replaced, with probability 1/2, by
+    10**U(-300, 300)."""
+    if isinstance(node, dict):
+        return {key: _scramble(value, rng) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_scramble(value, rng) for value in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool) and rng.random() < 0.5:
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+    return node
+
+
+def test_scrambled_demo_configs_never_end_in_a_traceback(tmp_path):
+    # every run either completes or raises FssError, whose one-line form
+    # main prints; half the draws evaluate the substrate as lossy
+    rng = np.random.default_rng(2023)
+    cases = [("analyze", _FIRST), ("angular", _ANGULAR), ("sweep", _SWEEP), ("synth", _SYNTH)]
+    past_parsing = set()
+    for i in range(120):
+        command, base = cases[i % len(cases)]
+        cfg = _scramble(_config(base), rng)
+        if rng.random() < 0.5:
+            cfg["design"]["dielectric_loss"] = True
+        try:
+            run(command, _write(tmp_path, cfg), tmp_path / f"o{i}")
+            past_parsing.add(command)
+        except ConfigError:
+            pass
+        except FssError:
+            past_parsing.add(command)
+    # no command is refused by the parser on every draw
+    assert past_parsing == {command for command, _ in cases}
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,38 @@ def test_foster_transform_refuses_an_underflowing_product(l1, c1, l2, c2):
         foster_transform(l1, c1, l2, c2)
 
 
+@pytest.mark.parametrize(
+    "l1,c1,l2,c2,rounds_to",
+    [(1.0, 1e-17, 2e-17, 1.0, "-0.0"),  # was divided by: ZeroDivisionError
+     # a positive residue gave a negative L_tank, refused as if it were an input
+     (6.608067617430691e28, 1.2281363103860731e-26, 1.3016331937893131e-06,
+      2.2198604798983137e22, "0.007905575130973326")],
+)
+def test_foster_transform_refuses_a_residue_that_is_not_negative(l1, c1, l2, c2, rounds_to):
+    message = rf"^the tank residue rounds to {rounds_to},"
+    with pytest.raises(DegenerateTransformError, match=message):
+        foster_transform(l1, c1, l2, c2)
+
+
+@pytest.mark.parametrize(
+    "l1,c1,l2,c2,product",
+    [(1.15e-109, 3.08e-186, 2.49e292, 4.07e71, r"L2\*C2 = inf"),  # 0 Hz: np.geomspace raised
+     (7.55e222, 7.0e89, 1.7e-157, 1.67e-144, r"L1\*C1 = inf"),
+     (1e-200, 1e-200, 1.0, 1.0, r"L1\*C1 = 0.0"),  # 1/(L1*C1): ZeroDivisionError
+     (1.0, 1.0, 1e-160, 1e-160, r"L2\*C2 = 1e-320")],  # w2^2 = inf: "resonances coincide"
+)
+def test_foster_transform_refuses_a_resonance_out_of_float_range(l1, c1, l2, c2, product):
+    with pytest.raises(InvalidParameterError, match=rf"^{product} "):
+        foster_transform(l1, c1, l2, c2)
+
+
+def test_foster_transform_refuses_an_infinite_tank_inductance():
+    # wp^2*C_tank underflows to 0: L_tank = 1/(wp^2*C_tank) raised ZeroDivisionError
+    with pytest.raises(InvalidParameterError, match=r"^wp\^2\*C_tank underflows to 0"):
+        foster_transform(6.264717382399403e84, 3.799295632561313e211,
+                         5.815818740581808e55, 1.1441122677019981e-144)
+
+
 def test_equal_branch_parallel_limit_is_single_series_lc():
     # the degenerate case the transform rejects: two identical branches in
     # parallel equal one series L-C with L/2, 2C

@@ -36,7 +36,7 @@ from fsskit.lumped import OPEN, _admittance_array, _susceptance_array
 from fsskit import topology
 from fsskit.errors import InvalidParameterError, SingularNetworkError
 from fsskit.fileio import CSV_HEADER
-from fsskit.topology import SINGULAR_DELTA, _chain
+from fsskit.topology import _chain
 
 
 def _nodal_sparams(stack, freqs):
@@ -129,6 +129,19 @@ def test_lossy_media_are_complex(ref_substrate):
     )
     assert isinstance(line_z, complex) and line_z.imag != 0.0
     assert isinstance(theta_d, complex) and theta_d.imag != 0.0
+
+
+@pytest.mark.parametrize(
+    "eps_r, tan_delta",
+    [(1e200, 1e200),  # eps_r*tan_delta overflows
+     (1.7e308, 1.0)],  # both parts finite, the modulus eps ** 0.5 takes is not
+)
+def test_lossy_permittivity_that_overflows_is_refused(eps_r, tan_delta):
+    # eps ** 0.5 raised a bare OverflowError: complex exponentiation
+    sub = Substrate(1e-3, eps_r, tan_delta)
+    with pytest.raises(InvalidParameterError, match=r"^complex permittivity .* overflows"):
+        incidence_media(Incidence(), sub, 1e9, dielectric_loss=True)
+    incidence_media(Incidence(), sub, 1e9)  # lossless, the permittivity is eps_r
 
 
 def test_stack_validation(ref_substrate):
@@ -384,6 +397,17 @@ def test_overflowing_chain_is_reported_not_returned_as_nan(G, dtype):
     assert np.isfinite(s11[0]) and np.isfinite(s21[0])
 
 
+def test_short_beside_an_overflowing_chain_is_reported_not_returned_as_nan():
+    # A short ends transmission, but the reflection on the side of the
+    # overflowing tanks still comes from their chain: S22 (short first) and
+    # S11 (short last) were nan+nanj, silently, beside a clean S21 = 0
+    big, sub = Tank(1e-9, 1e150), Substrate(1e-3, 4.0)
+    for layers in ((Inductor(0.0), sub, big, sub, big), (big, sub, big, sub, Inductor(0.0))):
+        with pytest.raises(SingularNetworkError) as info:
+            stack_response_full(FssStack(layers), [1e9, 2e9])
+        assert str(info.value) == "network overflows at 1000000000.0 Hz"
+
+
 def test_lossless_unitarity_oblique(ref_circuit, rng):
     sub = Substrate(0.635e-3, 10.2)  # tan_delta = 0
     for _ in range(200):
@@ -482,7 +506,7 @@ def _reference_chain(layers, incidence, dielectric_loss, freqs):
     return A, B, C, D, shorted, s11_short
 
 
-def _reference_response_arrays(stack, freqs, want_s22, _chain=_reference_chain):
+def _reference_response_arrays(stack, freqs, want_s22):
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
@@ -490,15 +514,13 @@ def _reference_response_arrays(stack, freqs, want_s22, _chain=_reference_chain):
         raise InvalidParameterError("all frequencies must be positive")
 
     port = port_impedance(stack.incidence)
-    A, B, C, D, shorted, s11_short = _chain(
+    A, B, C, D, shorted, s11_short = _reference_chain(
         stack.layers, stack.incidence, stack.dielectric_loss, freqs
     )
 
     delta = A * port + B + C * port * port + D * port
-    ok = ~shorted
-    if np.any(np.abs(delta[ok]) < SINGULAR_DELTA):
-        idx = np.nonzero(ok & (np.abs(delta) < SINGULAR_DELTA))[0][0]
-        raise SingularNetworkError(f"singular network at {freqs[idx]} Hz")
+    if not np.all(np.isfinite(delta)):
+        raise SingularNetworkError(f"network overflows at {freqs[~np.isfinite(delta)][0]} Hz")
     s21 = 2.0 * port / delta
     s11 = (A * port + B - C * port * port - D * port) / delta
     s22 = None
@@ -510,7 +532,7 @@ def _reference_response_arrays(stack, freqs, want_s22, _chain=_reference_chain):
         s11[shorted] = s11_short[shorted]
         s21[shorted] = 0j
         if want_s22:
-            s22[shorted] = _chain(
+            s22[shorted] = _reference_chain(
                 stack.layers[::-1], stack.incidence, stack.dielectric_loss, freqs[shorted]
             )[5]
     return s11, s21, s22
@@ -560,7 +582,7 @@ def _shorting_stack(rng, second_order, polarization, loss):
             return stack, f_short
 
 
-def test_blocked_engine_matches_unblocked_reference(monkeypatch):
+def test_blocked_engine_matches_unblocked_reference():
     rng = np.random.default_rng(20261018)
     block = topology._BLOCK
     compared = 0
@@ -588,35 +610,20 @@ def test_blocked_engine_matches_unblocked_reference(monkeypatch):
                 compared += 1
     assert compared == 4 * 8 * (30 + 4)
 
-    # a network singular from the third block on, and at an exact short of
-    # the first block (which does not count): the error names the first
-    # singular frequency of the whole grid
-    n = 3 * block + 17
-    stack, f_short = _shorting_stack(rng, False, "TE", True)
-    freqs = np.linspace(0.5e9, 12e9, n)
-    freqs[3] = f_short
-    f_bad = freqs[[3, 2 * block + 5, 3 * block + 3]]
-
-    def zeroed(chain):
-        def wrapped(layers, incidence, dielectric_loss, f):
-            A, B, C, D, short, s11_short = chain(layers, incidence, dielectric_loss, f)
-            hit = np.isin(f, f_bad)
-            for m in (A, B, C, D):
-                m[hit] = 0.0
-            return A, B, C, D, short, s11_short
-
-        return wrapped
-
-    # zeroed A-D divide 0 by 0 at the exact short, which real stacks never
-    # reach; the engine's own divisions are not wrapped in errstate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = _engine_outcome(
-            _reference_response_arrays, stack, freqs, True, zeroed(_reference_chain)
-        )
-        monkeypatch.setattr(topology, "_chain", zeroed(topology._chain))
-        got = _engine_outcome(topology._response_arrays, stack, freqs, True)
-    assert want == (SingularNetworkError, f"singular network at {freqs[2 * block + 5]} Hz")
-    assert got == want
+    # a lossless (float64 chain) and a lossy (complex128) stack that
+    # overflow from the third block on: the error names the first frequency
+    # at which the whole-array reference chain's delta is not finite
+    freqs = np.linspace(0.5e9, 12e9, 3 * block + 17)
+    for G, dtype in ((0.0, float), (1e-3, complex)):
+        node = Tank(1e-9, 7e139, G)
+        stack = FssStack((node, Substrate(1e-3, 4.0), node))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _chain(stack.layers, stack.incidence, False, freqs[:1])[0].dtype == dtype
+            want = _engine_outcome(_reference_response_arrays, stack, freqs, True)
+        assert want == (SingularNetworkError, f"network overflows at {freqs[9607]} Hz")
+        assert 2 * block < 9607 < 3 * block
+        for want_s22 in (True, False):
+            assert _engine_outcome(topology._response_arrays, stack, freqs, want_s22) == want
 
 
 def _raw_bits(arrays):
