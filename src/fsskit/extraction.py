@@ -9,6 +9,7 @@ electrically small cells; all lengths are meters.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -144,26 +145,54 @@ def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     return ExtractedCircuit(l_series, c_series, l_tank, c_tank, 0.0)
 
 
+def _products(c: ExtractedCircuit) -> tuple[float, float, float]:
+    """The products p = L_tank*C_tank, q = L_series*C_series and
+    r = L_tank*C_series in which the collapsed-sheet closed forms below
+    are polynomials.
+
+    Each must lie in [1e-100, 1e100] s^2, about the cube root of the float
+    range: there every term those forms build, the squares, p*q and the
+    upper pole x = (p + q + r + root)/(2pq) included, is finite, and no
+    divisor underflows.  A product outside it is refused by name.
+    """
+    products = (
+        ("L_tank*C_tank", c.L_tank * c.C_tank),
+        ("L_series*C_series", c.L_series * c.C_series),
+        ("L_tank*C_series", c.L_tank * c.C_series),
+    )
+    for name, value in products:
+        if not 1e-100 <= value <= 1e100:
+            raise InvalidParameterError(
+                f"{name} = {value} lies outside [1e-100, 1e100] s^2, the float "
+                "range of the collapsed-sheet closed forms"
+            )
+    return tuple(value for _, value in products)
+
+
 def surface_impedance(c: ExtractedCircuit, f: float):
     """Sheet impedance of the collapsed model (tank in parallel with the
     series branch, substrate and parasitic inductor ignored).
 
-    Returns OPEN exactly at a pole of the expression.
+    Returns OPEN exactly at a pole of the expression, and refuses a
+    frequency at which the polynomials leave the float range.
     """
     if not f > 0.0:
         raise InvalidParameterError(f"frequency must be positive, got {f!r}")
     if f == math.inf:
         raise InvalidParameterError(f"frequency must be finite, got {f!r}")
+    p, q, r = _products(c)
     w = 2.0 * math.pi * f
     x = w * w
-    p = c.L_tank * c.C_tank
-    q = c.L_series * c.C_series
-    r = c.L_tank * c.C_series
     num = 1j * w * c.L_tank * (1.0 - x * q)
     den = 1.0 - x * (p + q + r) + x * x * (p * q)
     if den == 0.0:
         return OPEN
-    return num / den
+    z = num / den
+    if not (math.isfinite(den) and cmath.isfinite(z)):
+        raise InvalidParameterError(
+            f"the sheet impedance leaves the float range at f = {f!r} Hz"
+        )
+    return z
 
 
 def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
@@ -171,6 +200,7 @@ def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
     upper passband from the tank alone, lower passband from the loaded
     series branch.  The parasitic inductor and the substrate are ignored,
     so the upper value in particular underestimates the swept peak."""
+    _products(c)  # the range rule; each resonance forms its own product
     f_zero = _resonance(c.L_series, c.C_series)
     f_upper = _resonance(c.L_tank, c.C_tank)
     f_lower = _resonance(c.L_tank + c.L_series, c.C_series)
@@ -185,9 +215,7 @@ def exact_poles(c: ExtractedCircuit) -> tuple[float, float]:
     (p+q+r)^2 - 4pq is summed as (p-q)^2 + r(r + 2(p+q)), whose terms are
     all non-negative for positive elements, so both poles are always real.
     """
-    p = c.L_tank * c.C_tank
-    q = c.L_series * c.C_series
-    r = c.L_tank * c.C_series
+    p, q, r = _products(c)
     b = p + q + r
     a2 = p * q
     root = math.sqrt((p - q) ** 2 + r * (r + 2.0 * (p + q)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,26 +236,18 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
         )
 
     # Partial-fraction expansion of Z1*Z2/(Z1+Z2) in s = jw:
-    #   Z_par = s*L_series + 1/(s*C_series) + k*s/(s^2 + wp^2)
-    # with the pole wp^2 interlacing the two branch resonances.
-    c_series = C1 + C2
-    l_series = L1 * L2 / (L1 + L2)
-    a = C1 * C2 * (L1 + L2)
-    if a < sys.float_info.min:
-        raise InvalidParameterError(f"C1*C2*(L1+L2) underflows to {a}; rescale the elements")
-    wp_sq = (C1 + C2) / a
-    residue_num = (1.0 - wp_sq * L1 * C1) * (1.0 - wp_sq * L2 * C2)
-    if not residue_num < 0.0:  # as interlacing demands
-        raise DegenerateTransformError(
-            f"the tank residue rounds to {residue_num}, not below zero as the "
-            "interlacing resonances require; the elements are too ill-conditioned"
-        )
-    c_tank = -(a * wp_sq) / residue_num
-    wc = wp_sq * c_tank
-    if wc == 0.0:
-        raise InvalidParameterError("wp^2*C_tank underflows to 0; L_tank would overflow")
-    l_tank = 1.0 / wc
-    hybrid = HybridCircuit(l_tank, c_tank, l_series, c_series)
+    #   Z_par = s*L_series + 1/(s*C_series) + (s/C_tank)/(s^2 + wp^2)
+    # with wp^2 = 1/(L_tank*C_tank) interlacing the branch resonances.  The
+    # elements are formed exactly and each rounded once; one that rounds
+    # past the float range becomes inf, which HybridCircuit refuses by name.
+    from fractions import Fraction  # here, not at import: it loads decimal
+
+    l1, c1, l2, c2 = map(Fraction, (L1, C1, L2, C2))
+    d_sq = (l2 * c2 - l1 * c1) ** 2  # nonzero: the resonances differ
+    c_sum, l_sum = c1 + c2, l1 + l2
+    exact = (d_sq / (c_sum**2 * l_sum), c1 * c2 * c_sum * l_sum**2 / d_sq, l1 * l2 / l_sum, c_sum)
+    # 2**1024 - 2**970, halfway from the largest float to 2**1024, rounds up
+    hybrid = HybridCircuit(*(float(x) if x < 2**1024 - 2**970 else math.inf for x in exact))
     _verify_hybrid(hybrid, L1, C1, L2, C2)
     return hybrid
 
@@ -267,19 +258,25 @@ def _verify_hybrid(h: HybridCircuit, L1, C1, L2, C2, tol=1e-9):
     exact poles and zeros."""
     b1, b2 = SeriesLC(L1, C1), SeriesLC(L2, C2)
     f1, f2 = b1.resonance(), b2.resonance()
-    fp = math.sqrt((C1 + C2) / (C1 * C2 * (L1 + L2))) / (2.0 * math.pi)
+    fp = 1.0 / (2.0 * math.pi * math.sqrt(h.L_tank) * math.sqrt(h.C_tank))
     freqs = np.geomspace(0.1 * min(f1, f2), 10.0 * max(f1, f2), 200)
     special = np.array([f1, f2, fp])
     keep = np.all(np.abs(freqs[:, None] - special[None, :]) > 1e-3 * special[None, :], axis=1)
     w = 2.0 * math.pi * freqs[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z_par = 1.0 / _admittance_array(Parallel((b1, b2)), w)
         z_tank = 1.0 / _admittance_array(Tank(h.L_tank, h.C_tank), w)
         z_hyb = 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + z_tank
         mismatch = np.abs(z_hyb - z_par) / np.abs(z_par)
-    worst = float(np.max(mismatch[np.isfinite(mismatch)], initial=0.0))
+    compared = mismatch[np.isfinite(mismatch)]
+    if compared.size == 0:
+        raise DegenerateTransformError(
+            "hybrid transform cannot be verified: the impedances leave the float "
+            "range at every check frequency"
+        )
+    worst = float(np.max(compared))
     if worst > tol:
         raise DegenerateTransformError(
             f"hybrid transform failed verification (relative mismatch {worst:.3e}); "
-            "branch resonances are too close"
+            "the rounded elements do not reproduce the branches"
         )

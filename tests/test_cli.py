@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -339,6 +340,20 @@ def test_synth_command(tmp_path):
     assert pred.f_lower == pytest.approx(2.4e9, rel=1e-6)
     assert pred.f_upper == pytest.approx(5.8e9, rel=1e-6)
     assert (out / "design_report.txt").read_text().startswith("synthesized")
+
+
+def test_synth_without_a_zero_target_places_it_at_the_geometric_mean(tmp_path):
+    # an omitted targets.f_zero_GHz defaults to sqrt(f_lower * f_upper)
+    cfg = _config(_SYNTH)
+    _set(cfg, "targets.f_zero_GHz", _DELETE)
+    _set(cfg, "targets.L_tank_nH", 6.0)  # at 4 nH the hat outgrows the period
+    run("synth", _write(tmp_path, cfg), tmp_path / "out")
+    design = json.loads((tmp_path / "out" / "design.json").read_text())
+    f_lower, f_upper = (cfg["targets"][key] * 1e9 for key in ("f_lower_GHz", "f_upper_GHz"))
+    assert design["predicted"]["f_zero_Hz"] == pytest.approx(
+        math.sqrt(f_lower * f_upper), rel=1e-12
+    )
+    assert design["predicted"]["f_lower_Hz"] == pytest.approx(f_lower, rel=1e-12)
 
 
 def test_fit_command(tmp_path):
@@ -683,6 +698,8 @@ ERROR_CONTRACT = [
     ("analyze", _FIRST, "sweep.f_stop_GHz", 0.5, 2, "invalid-config", "sweep.f_stop_GHz"),
     ("analyze", _FIRST, "sweep.spacing", "cubic", 2, "invalid-config", "sweep.spacing"),
     ("analyze", _FIRST, "incidence.theta_deg", 95, 2, "invalid-config",
+     "incidence.theta_deg"),
+    ("analyze", _FIRST, "incidence.theta_deg", -5, 2, "invalid-config",
      "incidence.theta_deg"),
     ("analyze", _FIRST, "incidence.theta_deg", True, 2, "invalid-config",
      "incidence.theta_deg"),

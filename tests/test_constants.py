@@ -1,5 +1,5 @@
 """The pinned physical constants against scipy, and an import that loads
-no scipy at all."""
+no scipy, fractions or decimal module at all."""
 
 import math
 import os
@@ -24,13 +24,16 @@ def test_eta0_is_sqrt_mu0_over_eps0_to_its_printed_digits():
 
 
 def test_import_loads_no_scipy_module():
-    # the child imports the same fsskit as this test, installed or not
+    # nor fractions, which foster_transform imports when it runs: it loads
+    # decimal, about 2 ms on every CLI start.  The child imports the same
+    # fsskit as this test, installed or not.
     src = str(Path(fsskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, fsskit, fsskit.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -200,6 +202,41 @@ def test_prediction_where_the_tank_inductance_vanishes_against_the_series_one():
     c = ExtractedCircuit((1 + 2**-52) * 1e40, 1e-40, 1.0, 1.0)
     pred = predict_resonances(c)
     assert pred.f_lower == pred.f_zero == SeriesLC(c.L_series, c.C_series).resonance()
+
+
+_CLOSED_FORMS = (predict_resonances, exact_poles, lambda c: surface_impedance(c, 1e9))
+
+
+@pytest.mark.parametrize(
+    "circuit,product",
+    [(ExtractedCircuit(2.14e276, 1.23e26, 4.5e107, 9e112),  # (p - q)**2: OverflowError,
+      r"L_tank\*C_tank = 4.05e\+220"),                     # and NaN impedance at 1 GHz
+     (ExtractedCircuit(1e-200, 1e-200, 1e-200, 1e-200),  # 1/sqrt(0): ZeroDivisionError
+      r"L_tank\*C_tank = 0.0"),
+     (ExtractedCircuit(1e60, 1e50, 1e-9, 1e-12), r"L_series\*C_series = 1e\+110"),
+     (ExtractedCircuit(1e-60, 1e50, 1e60, 1e-80), r"L_tank\*C_series = 1e\+110")],
+)
+def test_collapsed_sheet_closed_forms_refuse_a_product_out_of_range(circuit, product):
+    for closed_form in _CLOSED_FORMS:
+        with pytest.raises(InvalidParameterError, match=rf"^{product} lies outside "):
+            closed_form(circuit)
+
+
+def test_resonance_closed_forms_are_finite_across_the_product_window():
+    # the corners of [1e-99, 1e99]^3 for p, q and r, with L_tank = 1 H
+    for p, q, r in itertools.product((1e-99, 1.0, 1e99), repeat=3):
+        c = ExtractedCircuit(q / r, r, 1.0, p)
+        pred = predict_resonances(c)
+        lo, hi = exact_poles(c)
+        assert all(0.0 < v < math.inf for v in (*astuple(pred), lo, hi))
+        assert lo <= hi  # equal where r vanishes against p = q
+
+
+def test_surface_impedance_refuses_a_frequency_out_of_float_range(ref_circuit):
+    # (w^2)^2 overflows: the polynomial gave nan+nanj
+    with pytest.raises(InvalidParameterError) as info:
+        surface_impedance(ref_circuit, 1e150)
+    assert str(info.value) == "the sheet impedance leaves the float range at f = 1e+150 Hz"
 
 
 def test_resonance_prediction_needs_the_lower_band_below_the_zero():

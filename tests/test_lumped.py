@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from fsskit import (
     foster_transform,
     hybrid_impedance,
 )
-from fsskit.errors import DegenerateTransformError, InvalidParameterError
+from fsskit.errors import DegenerateTransformError, FssError, InvalidParameterError
 
 # At this frequency 2*pi*f rounds to exactly 1.0 rad/s, so a 1 H / 1 F tank
 # is exactly open and a 1 H / 1 F series branch is exactly short.
@@ -163,34 +165,119 @@ def test_foster_transform_rejects_equal_resonances():
         foster_transform(4.9e-9, 0.5e-12, 9.8e-9, 0.25e-12)
 
 
-def test_foster_transform_that_fails_its_check_is_refused():
-    # C1*C2 = 2e-315 keeps only ~4 significant digits as a subnormal before
-    # L1 + L2 scales the product back to 2e-305, so the hybrid form is off
-    with pytest.raises(DegenerateTransformError, match="failed verification"):
-        foster_transform(1e10, 1e-165, 1e-5, 2e-150)
+def _hybrid_ratios(L1, C1, L2, C2):
+    """The hybrid elements L_tank, C_tank, L_series, C_series of two series
+    L-C branches as exact integer ratios (p, q), for float or Fraction
+    inputs.  With L1 = l1/u, C1 = c1/v, L2 = l2/x and C2 = c2/y the closed
+    forms L_tank = d^2/((C1+C2)^2 (L1+L2)), d = L2*C2 - L1*C1,
+    C_tank = C1*C2*(C1+C2)*(L1+L2)^2/d^2, L_series = L1*L2/(L1+L2) and
+    C_series = C1+C2 shed most of the denominators u, v, x, y."""
+    (l1, u), (c1, v), (l2, x), (c2, y) = (t.as_integer_ratio() for t in (L1, C1, L2, C2))
+    d_sq = (l2 * c2 * u * v - l1 * c1 * x * y) ** 2  # (d*u*v*x*y)^2
+    c_sum, l_sum = c1 * y + c2 * v, l1 * x + l2 * u  # (C1+C2)*v*y, (L1+L2)*u*x
+    return ((d_sq, u * x * c_sum**2 * l_sum), (c1 * c2 * c_sum * l_sum**2, d_sq),
+            (l1 * l2, l_sum), (c_sum, v * y))
+
+
+def _exact_hybrid(L1, C1, L2, C2) -> HybridCircuit:
+    """The exact hybrid elements, each rounded once (int / int rounds)."""
+    return HybridCircuit(*(p / q for p, q in _hybrid_ratios(L1, C1, L2, C2)))
+
+
+def test_foster_closed_form_matches_the_parallel_branches_exactly(rng):
+    # X_par = X1*X2/(X1 + X2) against X_hyb = wLs - 1/(wCs) - 1/(wCt - 1/(wLt))
+    # in exact rationals: the closed form that the sweep below holds
+    # foster_transform to is proved without its own algebra
+    def rational():
+        return Fraction(int(rng.integers(1, 10**6)), int(rng.integers(1, 10**6)))
+
+    for _ in range(50):
+        l1, c1, l2, c2 = (rational() for _ in range(4))
+        if l1 * c1 == l2 * c2:
+            continue
+        lt, ct, ls, cs = (Fraction(p, q) for p, q in _hybrid_ratios(l1, c1, l2, c2))
+        for _ in range(4):
+            w = rational()
+            x1, x2 = w * l1 - 1 / (w * c1), w * l2 - 1 / (w * c2)
+            x_hyb = w * ls - 1 / (w * cs) - 1 / (w * ct - 1 / (w * lt))
+            assert x_hyb == x1 * x2 / (x1 + x2)
+
+
+def test_foster_transform_sweep_returns_exact_elements_or_refuses():
+    # log-uniform elements over most of the float range: each call returns
+    # the exact hybrid rounded once or raises FssError, and leaks no warning
+    draws = 10.0 ** np.random.default_rng(2023).uniform(-300.0, 300.0, (10_000, 4))
+    answered = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in draws.tolist():
+            try:
+                h = foster_transform(*args)
+            except FssError:
+                continue
+            assert h == _exact_hybrid(*args), args
+            answered += 1
+    assert answered > 4_000
 
 
 @pytest.mark.parametrize(
-    "l1,c1,l2,c2",
-    [(1e-9, 1e-160, 2e-9, 3e-160),  # C1*C2*(L1 + L2) underflows to 0
-     (1.0, 1e-160, 2.0, 3e-160)],  # ... to the subnormal 9e-320
-)
-def test_foster_transform_refuses_an_underflowing_product(l1, c1, l2, c2):
-    with pytest.raises(InvalidParameterError, match=r"^C1\*C2\*\(L1\+L2\) underflows"):
-        foster_transform(l1, c1, l2, c2)
-
-
-@pytest.mark.parametrize(
-    "l1,c1,l2,c2,rounds_to",
-    [(1.0, 1e-17, 2e-17, 1.0, "-0.0"),  # was divided by: ZeroDivisionError
-     # a positive residue gave a negative L_tank, refused as if it were an input
+    "args",
+    [(1e10, 1e-165, 1e-5, 2e-150),
+     (1e-9, 1e-160, 2e-9, 3e-160),
+     (1.0, 1e-160, 2.0, 3e-160),
+     (1.0, 1e-17, 2e-17, 1.0),
      (6.608067617430691e28, 1.2281363103860731e-26, 1.3016331937893131e-06,
-      2.2198604798983137e22, "0.007905575130973326")],
+      2.2198604798983137e22),
+     (6.264717382399403e84, 3.799295632561313e211, 5.815818740581808e55,
+      1.1441122677019981e-144),
+     (1.3380133796020552e-31, 2.3104393781318365e179, 2.0411474732663285e-159,
+      7.426643738133456e-109),
+     (6.922337638843915e22, 3.387908790475318e-263, 1.2770561300989357e263,
+      7.406697804255965e-29)],
+    ids=[
+        "subnormal-C1C2-failed-the-check",
+        "product-underflowed-to-0",
+        "product-underflowed-to-subnormal",
+        "residue-rounded-to-0",
+        "residue-rounded-positive",
+        "tank-term-underflowed",
+        "check-overflowed-in-multiply",
+        "check-overflowed-in-divide",
+    ],
 )
-def test_foster_transform_refuses_a_residue_that_is_not_negative(l1, c1, l2, c2, rounds_to):
-    message = rf"^the tank residue rounds to {rounds_to},"
-    with pytest.raises(DegenerateTransformError, match=message):
-        foster_transform(l1, c1, l2, c2)
+def test_foster_transform_returns_the_exact_hybrid_where_floats_failed(args):
+    # the residue arithmetic refused or broke on each of these; the check
+    # leaked numpy overflow warnings on the last two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert foster_transform(*args) == _exact_hybrid(*args)
+
+
+def test_foster_transform_that_fails_its_check_is_refused():
+    # L_tank = 1.3e-316 and L_series = 1.4e-314 are subnormal: rounded once,
+    # they keep about 6 and 8 digits, and the hybrid misses the branches
+    with pytest.raises(DegenerateTransformError, match="failed verification"):
+        foster_transform(4.9e-314, 5e292, 2e-314, 1e293)
+
+
+@pytest.mark.parametrize(
+    "args,element",
+    [((1.0, 1e297, 1.0, 1.000005e297), "C_tank=inf"),
+     ((4.84e-322, 5e300, 2e-322, 1e301), "L_tank=0.0")],
+    ids=["overflow", "underflow"],
+)
+def test_foster_transform_refuses_an_element_beyond_the_float_range(args, element):
+    with pytest.raises(InvalidParameterError) as info:
+        foster_transform(*args)
+    assert str(info.value) == f"hybrid circuit requires positive elements, got {element}"
+
+
+def test_foster_transform_refuses_a_check_that_compares_nothing():
+    # the impedances overflow at every check frequency, so nothing verifies
+    # the (exact) hybrid; it was refused as a residue failure before
+    with pytest.raises(DegenerateTransformError, match="^hybrid transform cannot be verified"):
+        foster_transform(5.387776053536562e-65, 3.6445912241698935e196,
+                         3.411225185245806e194, 8.929361209299575e-218)
 
 
 @pytest.mark.parametrize(
@@ -203,13 +290,6 @@ def test_foster_transform_refuses_a_residue_that_is_not_negative(l1, c1, l2, c2,
 def test_foster_transform_refuses_a_resonance_out_of_float_range(l1, c1, l2, c2, product):
     with pytest.raises(InvalidParameterError, match=rf"^{product} "):
         foster_transform(l1, c1, l2, c2)
-
-
-def test_foster_transform_refuses_an_infinite_tank_inductance():
-    # wp^2*C_tank underflows to 0: L_tank = 1/(wp^2*C_tank) raised ZeroDivisionError
-    with pytest.raises(InvalidParameterError, match=r"^wp\^2\*C_tank underflows to 0"):
-        foster_transform(6.264717382399403e84, 3.799295632561313e211,
-                         5.815818740581808e55, 1.1441122677019981e-144)
 
 
 def test_equal_branch_parallel_limit_is_single_series_lc():

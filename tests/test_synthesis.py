@@ -338,10 +338,10 @@ def test_fit_input_validation(ref_substrate):
         fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate, max_iter=-1)
 
 
-def _overflow_threshold(ref_circuit, ref_substrate, freqs):
-    """The smallest C_tank (to ~1e-11 relative) at which the reference
-    stack overflows on ``freqs``: the tank's admittance is still finite
-    there, but the chain product is not."""
+def _overflow_threshold(ref_circuit, ref_substrate, freqs, lo=1e290, hi=1e292):
+    """The smallest C_tank in [lo, hi] (to ~1e-11 relative) at which the
+    reference stack overflows on ``freqs``: the tank's admittance is still
+    finite there, but the chain product is not."""
     def overflows(c_tank):
         stack = build_first_order(replace(ref_circuit, C_tank=c_tank), ref_substrate)
         try:
@@ -350,7 +350,6 @@ def _overflow_threshold(ref_circuit, ref_substrate, freqs):
             return True
         return False
 
-    lo, hi = 1e290, 1e292
     assert not overflows(lo) and overflows(hi)
     for _ in range(40):
         mid = lo * math.sqrt(hi / lo)
@@ -373,9 +372,10 @@ def test_fit_survives_an_exactly_singular_damped_normal_matrix(ref_circuit, ref_
     # With C_tank ~1e150 F, S21 ~ 1e-160 and the Jacobian's squares are
     # subnormal: the first damped normal matrix holds an exactly singular
     # block [[u, u], [u, u]], u = 5e-324, as the damping 1e-2 * u rounds to
-    # 0.  A LAPACK that divides by such a pivot reports it singular
-    # (LinAlgError); OpenBLAS returns an infinite step.  Either way the step
-    # is rejected, and no other step can lower a cost that underflows to 0.
+    # 0.  The cost underflows to 0, so -grad is exactly 0 and numpy 2.4's
+    # solve returns a zero step at every damping from 1e-2 to 1e15; a LAPACK
+    # that divides by the zero pivot would raise LinAlgError instead.  No
+    # step can lower a cost of 0, so the start is returned either way.
     data = sweep(build_first_order(replace(ref_circuit, C_tank=1.5e150), ref_substrate),
                  1e9, 12e9, 41)
     start = dict(asdict(ref_circuit), C_tank=1e150)
@@ -396,6 +396,27 @@ def test_fit_differences_backward_where_the_forward_bump_overflows(ref_circuit, 
     assert result.iterations == 0
     assert result.params["C_tank"] == pytest.approx(start["C_tank"], rel=1e-12)
     assert result.rms_residual == pytest.approx(math.sqrt(np.mean(np.abs(data.s21) ** 2)))
+
+
+def test_fit_damps_a_trial_step_that_overflows_the_network(ref_circuit, ref_substrate):
+    # At 1e307 Hz the network overflows once C_tank passes ~6.5e-5 F, while
+    # S21 at 1-8 GHz still follows C_tank.  Data from twice that C_tank pull
+    # the fit across the threshold: each trial step past it cannot be
+    # evaluated and is rejected, and the damping grows until a step stays
+    # under it.
+    low = np.linspace(1e9, 8e9, 15)
+    freqs = np.append(low, 1e307)
+    threshold = _overflow_threshold(ref_circuit, ref_substrate, freqs, 1e-6, 1e-4)
+    start = replace(ref_circuit, C_tank=threshold / (1.0 + 5e-7))
+    s11, s21 = stack_response(build_first_order(start, ref_substrate), freqs)
+    pulling = build_first_order(replace(ref_circuit, C_tank=2.0 * threshold), ref_substrate)
+    s21[:-1] = stack_response(pulling, low)[1]
+    result = fit_circuit(ResponseTable(freqs, s11, s21), "first_order", asdict(start),
+                         ref_substrate)
+    assert result.iterations > 0
+    assert all(math.isfinite(v) for v in result.trace)
+    assert all(b < a for a, b in zip(result.trace, result.trace[1:]))
+    assert start.C_tank < result.params["C_tank"] < threshold
 
 
 @pytest.mark.parametrize("magnitude_only", [False, True])
@@ -515,4 +536,4 @@ def test_model_outputs_golden():
             l2 = -l2
         lines.append(_outcome(foster_transform, l1, c1, l2, c2))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "4e887eb54113eb3473fff0dcd05302ee3b06be3356a25dadf1517b0d720801aa", digest
+    assert digest == "a9aafb96a8ddb260c1f1aeb6e99bc72c9b1ad19eb81469d31106ddf93c729a8f", digest
