@@ -245,7 +245,7 @@ def test_foster_transform_sweep_returns_exact_elements_or_refuses():
         "check-overflowed-in-divide",
     ],
 )
-def test_foster_transform_returns_the_exact_hybrid_where_floats_failed(args):
+def test_foster_hybrid_is_exact_where_floats_failed(args):
     # the residue arithmetic refused or broke on each of these; the check
     # leaked numpy overflow warnings on the last two
     with warnings.catch_warnings():
