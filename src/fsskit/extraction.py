@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .constants import EPS0, MU0
 from .errors import InvalidGeometryError, InvalidParameterError
-from .lumped import OPEN, _resonance
+from .lumped import OPEN, _check_frequency, _resonance
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,7 @@ def surface_impedance(c: ExtractedCircuit, f: float):
     Returns OPEN exactly at a pole of the expression, and refuses a
     frequency at which the polynomials leave the float range.
     """
-    if not f > 0.0:
-        raise InvalidParameterError(f"frequency must be positive, got {f!r}")
-    if f == math.inf:
-        raise InvalidParameterError(f"frequency must be finite, got {f!r}")
+    _check_frequency(f)
     p, q, r = _products(c)
     w = 2.0 * math.pi * f
     x = w * w

@@ -159,10 +159,14 @@ def write_response_csv(table: ResponseTable, path) -> None:
             fh.write(_format_rows(columns, ","))
 
 
-def _imported_table(path, freqs, s11, s21) -> ResponseTable:
-    """The table of an imported file, whose frequencies (Hz) must be
-    strictly increasing; the error names the file and the first frequency
-    that is not."""
+def _imported_table(path, rows) -> ResponseTable:
+    """The table of an imported file's (frequency in Hz, S11, S21) rows, at
+    least 2, whose frequencies must be strictly increasing; the errors name
+    the file and the first frequency that is not."""
+    if len(rows) < 2:
+        found = "1 data row found; a response needs at least 2" if rows else "no data rows found"
+        raise InvalidParameterError(f"{path}: {found}")
+    freqs, s11, s21 = zip(*rows)
     f = np.array(freqs, dtype=float)
     bad = np.flatnonzero(np.diff(f) <= 0.0)
     if bad.size:
@@ -179,16 +183,14 @@ def read_response_csv(path) -> ResponseTable:
         raise InvalidParameterError(
             f"{path}: not a response CSV (expected header {CSV_HEADER!r})"
         )
-    freqs, s11, s21 = [], [], []
+    rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 7:
             raise InvalidParameterError(f"{path}: malformed CSV row {ln!r}")
         vals = _data_row(path, ln, parts)
-        freqs.append(vals[0])
-        s11.append(complex(vals[1], vals[2]))
-        s21.append(complex(vals[3], vals[4]))
-    return _imported_table(path, freqs, s11, s21)
+        rows.append((vals[0], complex(vals[1], vals[2]), complex(vals[3], vals[4])))
+    return _imported_table(path, rows)
 
 
 def write_touchstone(
@@ -294,10 +296,8 @@ def read_touchstone(path) -> ResponseTable:
                 f"{path}: non-finite value after conversion in row {line!r}"
             )
         rows.append(row)
-    if not rows:
-        raise InvalidParameterError(f"{path}: no data rows found")
     rows.sort(key=lambda r: r[0])
-    return _imported_table(path, *zip(*rows))
+    return _imported_table(path, rows)
 
 
 def load_response(path) -> ResponseTable:

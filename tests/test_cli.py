@@ -528,9 +528,11 @@ _ROW = " 0 0 0.5 0 0.5 0 0 0"
          "non-finite value after conversion in row '1e9 0 0 7000 0 0 0 0 0'"),
         ("data.s2p", f"# GHZ S RI R 50\n1{_ROW}\n1e300{_ROW}\n",
          f"non-finite value after conversion in row '1e300{_ROW}'"),
+        ("data.csv", "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n1e9,0,0,0.5,0,0,-6\n",
+         "1 data row found; a response needs at least 2"),
     ],
     ids=["csv-decreasing", "touchstone-repeated", "touchstone-negative-magnitude",
-         "touchstone-db-overflow", "touchstone-ghz-overflow"],
+         "touchstone-db-overflow", "touchstone-ghz-overflow", "csv-one-row"],
 )
 def test_fit_names_the_data_file_and_the_bad_value(tmp_path, capsys, name, text, message):
     data = tmp_path / name

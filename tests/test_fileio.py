@@ -163,6 +163,26 @@ def test_touchstone_rejects_malformed(tmp_path):
         read_touchstone(odd)
 
 
+_ONE_ROW = "1 data row found; a response needs at least 2"
+
+
+@pytest.mark.parametrize(
+    "name,text,found",
+    [("header.csv", CSV_HEADER + "\n", "no data rows found"),
+     ("one.csv", CSV_HEADER + "\n1e9,0,0,0.5,0,0,-6\n", _ONE_ROW),
+     ("one.s2p", "# HZ S RI R 50\n1e9 0 0 0.5 0 0.5 0 0 0\n", _ONE_ROW),
+     ("none.s2p", "! no data\n# HZ S RI R 50\n", "no data rows found")],
+    ids=["csv-header-only", "csv-one-row", "touchstone-one-row", "touchstone-no-rows"],
+)
+def test_importers_name_the_file_with_too_few_rows(tmp_path, name, text, found):
+    # ResponseTable's own 2-row check cannot name the file
+    path = tmp_path / name
+    path.write_text(text)
+    message = f"{path}: {found}"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        load_response(path)
+
+
 @pytest.mark.parametrize(
     "lines,number",
     [

@@ -149,7 +149,7 @@ def test_foster_transform_random_pairs(rng):
         ratio = 10 ** rng.uniform(0.1, 1.0)  # keep resonances apart
         l2 = 10 ** rng.uniform(-9.5, -7.5)
         c2 = 1.0 / (l2 * (ratio / math.sqrt(l1 * c1)) ** 2)
-        h = foster_transform(l1, c1, l2, c2)  # verifies itself on construction
+        h = foster_transform(l1, c1, l2, c2)
         f = math.sqrt(SeriesLC(l1, c1).resonance() * SeriesLC(l2, c2).resonance())
         za = branch_impedance(SeriesLC(l1, c1), f)
         zb = branch_impedance(SeriesLC(l2, c2), f)
@@ -205,7 +205,8 @@ def test_foster_closed_form_matches_the_parallel_branches_exactly(rng):
 
 def test_foster_transform_sweep_returns_exact_elements_or_refuses():
     # log-uniform elements over most of the float range: each call returns
-    # the exact hybrid rounded once or raises FssError, and leaks no warning
+    # the exact hybrid rounded once, every element a normal float, or raises
+    # FssError, and leaks no warning
     draws = 10.0 ** np.random.default_rng(2023).uniform(-300.0, 300.0, (10_000, 4))
     answered = 0
     with warnings.catch_warnings():
@@ -216,6 +217,7 @@ def test_foster_transform_sweep_returns_exact_elements_or_refuses():
             except FssError:
                 continue
             assert h == _exact_hybrid(*args), args
+            assert min(vars(h).values()) >= 2.0**-1022, args
             answered += 1
     assert answered > 4_000
 
@@ -256,8 +258,27 @@ def test_foster_hybrid_is_exact_where_floats_failed(args):
 def test_foster_transform_that_fails_its_check_is_refused():
     # L_tank = 1.3e-316 and L_series = 1.4e-314 are subnormal: rounded once,
     # they keep about 6 and 8 digits, and the hybrid misses the branches
-    with pytest.raises(DegenerateTransformError, match="failed verification"):
+    with pytest.raises(DegenerateTransformError, match=r"^L_tank = 1\.3\d*e-316 is subnormal: "):
         foster_transform(4.9e-314, 5e292, 2e-314, 1e293)
+
+
+@pytest.mark.parametrize(
+    "args,value",
+    [((414349281630085.4, 2.1522847175857887e-199, 3.3555748620479774e-155,
+       1.0257162705091919e126), "5e-324"),
+     ((3.6201564097965544e-85, 2.1948773861513635e-212, 7.05241348058467e-204,
+       1.3821975586412308e144), "1.4e-322")],
+    ids=["82-percent-off", "0.69-percent-off"],
+)
+def test_foster_transform_refuses_a_subnormal_element(args, value):
+    # an impedance check on frequencies between 0.1x and 10x the branch
+    # resonances misses these: the tank's pole lies far outside that span
+    with pytest.raises(DegenerateTransformError) as info:
+        foster_transform(*args)
+    assert str(info.value) == (
+        f"L_tank = {value} is subnormal: it keeps fewer than 53 significant bits "
+        "of its exact value"
+    )
 
 
 @pytest.mark.parametrize(
@@ -273,9 +294,9 @@ def test_foster_transform_refuses_an_element_beyond_the_float_range(args, elemen
 
 
 def test_foster_transform_refuses_a_check_that_compares_nothing():
-    # the impedances overflow at every check frequency, so nothing verifies
-    # the (exact) hybrid; it was refused as a residue failure before
-    with pytest.raises(DegenerateTransformError, match="^hybrid transform cannot be verified"):
+    # the branch impedances overflow at every frequency an impedance check
+    # could compare; the hybrid's L_tank = 1e-323 is subnormal
+    with pytest.raises(DegenerateTransformError, match="^L_tank = 1e-323 is subnormal: "):
         foster_transform(5.387776053536562e-65, 3.6445912241698935e196,
                          3.411225185245806e194, 8.929361209299575e-218)
 
