@@ -25,8 +25,9 @@ from .analysis import (
 )
 from .constants import C0
 from .errors import ConfigError, EmptySweepError, FssError
-from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
+from .extraction import FirstOrderGeometry, exact_poles, extract_circuit
 from .fileio import load_response, write_response_csv, write_touchstone
+from .lumped import _resonance
 from .synthesis import (
     DEFAULT_TANK_L,
     FIRST_ORDER_PARAMS,
@@ -56,6 +57,16 @@ _GEOM_KEYS = {
 def _element_keys(names, inductance: str, capacitance: str) -> dict:
     """Key -> element name: the name plus the unit of an inductance (L...) or a capacitance."""
     return {f"{n}_{inductance if n.startswith('L') else capacitance}": n for n in names}
+
+
+_CIRCUIT_KEYS = _element_keys(FIRST_ORDER_PARAMS, "nH", "pF")
+_OUTER_KEYS = [{"L_nH": f"L_outer_{b}", "C_pF": f"C_outer_{b}"} for b in "ab"]
+_MIDDLE_KEYS = _element_keys(("L_tank", "C_tank"), "nH", "pF")
+
+
+def _in_units(keys: dict, values) -> dict:
+    """A config block: each key's SI value ``values[keys[key]]`` over the key's unit."""
+    return {key: values[name] / _UNITS[key.rsplit("_", 1)[-1]] for key, name in keys.items()}
 
 
 def _fail(key: str, expected: str):
@@ -157,13 +168,12 @@ def _parse_geometry(design: dict, sub: Substrate) -> FirstOrderGeometry:
 
 def _parse_circuit(design: dict) -> dict:
     """First-order template params (SI) from the design's circuit block."""
-    keys = _element_keys(FIRST_ORDER_PARAMS, "nH", "pF")
-    block = _block(design, "circuit", keys, "design")
+    block = _block(design, "circuit", _CIRCUIT_KEYS, "design")
     return {
         name: _number(block, key, "design.circuit", minimum=0, default=0.0)
         if name == "L_parasitic"
         else _number(block, key, "design.circuit")
-        for key, name in keys.items()
+        for key, name in _CIRCUIT_KEYS.items()
     }
 
 
@@ -207,16 +217,14 @@ def _parse_design(cfg: dict):
         if not isinstance(outer, list) or len(outer) != 2:
             _fail("design.outer", "list of two {L_nH, C_pF} objects")
         params = {}
-        for i, (branch, entry) in enumerate(zip("ab", outer)):
+        for i, (keys, entry) in enumerate(zip(_OUTER_KEYS, outer)):
             where = f"design.outer[{i}]"
             if not isinstance(entry, dict):
                 _fail(where, "object with L_nH and C_pF")
-            _check_keys(entry, ("L_nH", "C_pF"), where)
-            params[f"L_outer_{branch}"] = _number(entry, "L_nH", where)
-            params[f"C_outer_{branch}"] = _number(entry, "C_pF", where)
-        keys = _element_keys(("L_tank", "C_tank"), "nH", "pF")
-        middle = _block(design, "middle", keys, "design")
-        params.update({name: _number(middle, key, "design.middle") for key, name in keys.items()})
+            _check_keys(entry, keys, where)
+            params.update({name: _number(entry, key, where) for key, name in keys.items()})
+        middle = _block(design, "middle", _MIDDLE_KEYS, "design")
+        params.update({n: _number(middle, k, "design.middle") for k, n in _MIDDLE_KEYS.items()})
 
     def builder(inc: Incidence) -> FssStack:
         return _build_template(template, params, sub, inc, loss)
@@ -247,13 +255,13 @@ def _parse_incidence_single(cfg: dict) -> Incidence:
             "incidence: this command takes a single theta_deg/polarization "
             "(lists are for the 'angular' command)"
         )
-    ((_, inc),) = _parse_incidence_lists({"incidence": blk}, ("TE",))
+    ((_, inc),) = _parse_incidence_lists(cfg, ("TE",))
     return inc
 
 
 def _parse_incidence_lists(cfg: dict, polarizations=("TE", "TM")):
-    """(output file name, Incidence) for each theta_deg/polarization pair."""
-    blk = _block(cfg, "incidence", ("theta_deg", "polarization"))
+    """(output file name, Incidence) per theta_deg/polarization pair; no block reads as {}."""
+    blk = _block({"incidence": {}, **cfg}, "incidence", ("theta_deg", "polarization"))
     thetas = blk.get("theta_deg", [0.0])
     pols = blk.get("polarization", list(polarizations))
     if not isinstance(thetas, list):
@@ -282,6 +290,18 @@ def _parse_incidence_lists(cfg: dict, polarizations=("TE", "TM")):
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_design(outdir: Path, cfg: dict, design: dict, span, n_points: int, copied=()):
+    """design.json, a config that analyze and angular run as is: ``design``, the input's
+    substrate, dielectric_loss and ``copied`` blocks, and a linear sweep over ``span`` (Hz)."""
+    kept = {k: v for k, v in cfg["design"].items() if k in ("substrate", "dielectric_loss")}
+    sweep_block = _in_units({"f_start_GHz": 0, "f_stop_GHz": 1}, span)
+    _write_json(outdir / "design.json", {
+        "design": {**design, **kept},
+        "sweep": {**sweep_block, "n_points": n_points, "spacing": "linear"},
+        **{key: cfg[key] for key in copied if key in cfg},
+    })
 
 
 def _write_meta(outdir: Path, command: str, config_path, smooth_ghz):
@@ -411,28 +431,21 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
     targets = DesignTargets(f_lower, f_upper, f_zero, l_tank)
     circuit = circuit_from_targets(targets)
     geom = geometry_from_circuit(circuit, period, sub)
-    pred = predict_resonances(circuit)
-
-    payload = {
-        "circuit": {
-            key: getattr(circuit, name)
-            for key, name in _element_keys(FIRST_ORDER_PARAMS, "H", "F").items()
-        },
-        "geometry": {
-            **{f"{name}_m": getattr(geom, name) for name in (*_GEOM_KEYS.values(), "thickness")},
-            "eps_r": geom.eps_r,
-            "tan_delta": geom.tan_delta,
-        },
-        "predicted": {
-            "f_lower_Hz": pred.f_lower,
-            "f_zero_Hz": pred.f_zero,
-            "f_upper_Hz": pred.f_upper,
-        },
+    design = {"order": "first", "geometry": _in_units(_GEOM_KEYS, asdict(geom))}
+    _write_design(outdir, cfg, design, (f_lower / 2, 2 * f_upper), SWEEP_POINTS)
+    # the swept bands of the design as written, read back the way analyze reads it
+    written = load_config(outdir / "design.json")
+    builder, _, _ = _parse_design(written)
+    swept = band_report(sweep(builder(Incidence()), *_parse_sweep(written)))
+    lower, upper = exact_poles(circuit)
+    bands = {
+        "f_lower": (f_lower, lower, swept.f_lower),
+        "f_zero": (f_zero or math.sqrt(f_lower * f_upper),
+                   _resonance(circuit.L_series, circuit.C_series), swept.f_zero),
+        "f_upper": (f_upper, upper, swept.f_upper),
     }
-    _write_json(outdir / "design.json", payload)
     lines = [
         "synthesized first-order design",
-        f"targets    : f_lower = {f_lower / GHZ:.4f} GHz, f_upper = {f_upper / GHZ:.4f} GHz",
         f"circuit    : L_series = {circuit.L_series / NH:.4f} nH, "
         f"C_series = {circuit.C_series / PF:.4f} pF",
         f"             L_tank = {circuit.L_tank / NH:.4f} nH, "
@@ -440,8 +453,8 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
         f"geometry   : period = {geom.period / MM:.4f} mm, hat_length = {geom.hat_length / MM:.4f} mm",
         f"             jc_slot = {geom.jc_slot / MM:.4f} mm, jc_gap = {geom.jc_gap / MM:.4f} mm, "
         f"cross_slot = {geom.cross_slot / MM:.4f} mm",
-        f"predicted  : f_lower = {pred.f_lower / GHZ:.4f} GHz, f_zero = {pred.f_zero / GHZ:.4f} GHz, "
-        f"f_upper = {pred.f_upper / GHZ:.4f} GHz",
+        "band (GHz) :    target    sheet    swept",
+        *(f"{name:<10} : " + "".join(f"{f / GHZ:9.4f}" for f in fs) for name, fs in bands.items()),
         "",
     ]
     (outdir / "design_report.txt").write_text("\n".join(lines))
@@ -470,8 +483,9 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     _, sub, loss = _read_design(cfg)
     inc = _parse_incidence_single(cfg)
 
+    data = load_response(data_file)
     result = fit_circuit(
-        load_response(data_file),
+        data,
         template,
         initial,
         sub,
@@ -481,13 +495,15 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
         max_iter=max_iter,
         smooth_hz=None if smooth_ghz is None else smooth_ghz * GHZ,
     )
-    payload = {
-        "template": result.template,
-        "params_SI": dict(sorted(result.params.items())),
-        "rms_residual": result.rms_residual,
-        "iterations": result.iterations,
-    }
-    _write_json(outdir / "fit_result.json", payload)
+    kept = ("template", "rms_residual", "iterations")
+    _write_json(outdir / "fit_result.json", {key: getattr(result, key) for key in kept})
+    if template == "first_order":
+        design = {"order": "first", "circuit": _in_units(_CIRCUIT_KEYS, result.params)}
+    else:
+        outer = [_in_units(keys, result.params) for keys in _OUTER_KEYS]
+        middle = _in_units(_MIDDLE_KEYS, result.params)
+        design = {"order": "second", "outer": outer, "middle": middle}
+    _write_design(outdir, cfg, design, data.frequency[[0, -1]], len(data), ("incidence",))
     with (outdir / "residual_trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "rms_residual"])

@@ -111,7 +111,7 @@ def _ln_csc(x: float) -> float:
         raise InvalidGeometryError(
             f"grid-formula argument must lie in (0, pi), got {x}"
         )
-    return -math.log(math.sin(x))
+    return 0.0 - math.log(math.sin(x))  # +0.0 where sin rounds to 1, not -0.0
 
 
 def _strip_inductance(a: float, mu_reff: float, width: float) -> float:

@@ -6,16 +6,29 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fsskit
-from fsskit import band_report, extract_circuit, load_response, predict_resonances, topology
+from fsskit import (
+    DesignTargets,
+    band_report,
+    circuit_from_targets,
+    exact_poles,
+    extract_circuit,
+    geometry_from_circuit,
+    load_response,
+    predict_resonances,
+    topology,
+)
 from fsskit import cli
+from fsskit.analysis import SWEEP_POINTS, sweep_at
 from fsskit.cli import main, run
-from fsskit.errors import ConfigError, FssError
+from fsskit.constants import C0
+from fsskit.errors import ConfigError, FssError, UnattainableDimensionError
 from fsskit.extraction import ExtractedCircuit
 from fsskit.fileio import write_touchstone
 from fsskit.lumped import SeriesLC, Tank
@@ -86,7 +99,8 @@ COMMAND_GOLDEN_SHA256 = {
         "initial": {"L_series_nH": 5.1, "C_series_pF": 0.48, "L_tank_nH": 4.2,
                     "C_tank_pF": 0.34, "L_parasitic_nH": 0.9},
     }}, {
-        "fit_result.json": "ce833dcc43c8c6accf060bce7c0a3ff43eb61e5fbd6c95cc297d2a63027535db",
+        "design.json": "23ae6bd807d11f3606ebb94217ec24c51dfdf0c2c96d128412afdb584f1d3f6b",
+        "fit_result.json": "5494351aa5f6a35804b3cb21084ceb3b4101d148aa9389e3307cd9739bec5a1b",
         "residual_trace.csv": "a2f668393fe0d452990b1a17925e81d412da6212d723115c6f221a188c2f3592",
     }),
     "fit-second-order": ("fit", "second_order.json", {"fit": {
@@ -95,7 +109,8 @@ COMMAND_GOLDEN_SHA256 = {
         "initial": {"L_outer_a_nH": 5.0, "C_outer_a_pF": 0.49, "L_outer_b_nH": 2.1,
                     "C_outer_b_pF": 0.48, "L_tank_nH": 2.6, "C_tank_pF": 0.29},
     }}, {
-        "fit_result.json": "b3da3e7def2da564b89ee80d238600d115313cedf30fc26bdd9b185e0bdca880",
+        "design.json": "3f12678a57c0d6c8bb4dbe42b7ada9968959a3fed73f4159a2f2c6d72229cb66",
+        "fit_result.json": "6672fc20bc9f81b2ab2115c6add3ca93ea77cc0049802f2a8eeaa1e0108bdc4c",
         "residual_trace.csv": "fdcd668396430b10ab9c36a19f535d913d2b143d3d4df1cf212c293998105569",
     }),
     "analyze-geometry": ("analyze", "sc_band_geometry.json", {}, {
@@ -128,8 +143,8 @@ COMMAND_GOLDEN_SHA256 = {
         "response_tm_45deg.csv": "181d595cc84f8835f211bf39a3a608a46b2363e049bf55edc4b3f5f9cfe28cad",
     }),
     "synth": ("synth", "synth_targets.json", {}, {
-        "design.json": "36b30c743cc33eafc76bde3a9fed477758f02c17f7b0e994b820559927eec4c7",
-        "design_report.txt": "f21aaa2bfa4f6767d8d44692d0bdc10c91e2327c330475d4155fc81d1472eda4",
+        "design.json": "a2cc0ffe05c6a35dcf53a0fb59dab13d75c56d1b7fcc0e3f0aed1f1eb192839b",
+        "design_report.txt": "e905a6cd9e7bce37c0fd1f9ab2e244836f9687981a3c30cff864bdafb06c2b71",
     }),
 }
 
@@ -317,43 +332,87 @@ def test_sweep_empty_values_exit_code(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
-def test_synth_command(tmp_path):
-    out = tmp_path / "out"
-    run("synth", CONFIGS / "synth_targets.json", out)
-    design = json.loads((out / "design.json").read_text())
-    assert design["circuit"]["L_tank_H"] == pytest.approx(4e-9)
-    # synthesized geometry reproduces the requested circuit
-    from fsskit import FirstOrderGeometry
+def _evaluated(monkeypatch):
+    """Records each (stack, grid) that the CLI hands to stack_response_full."""
+    seen = []
+    engine = cli.stack_response_full
 
-    geom = FirstOrderGeometry(
-        period=design["geometry"]["period_m"],
-        hat_length=design["geometry"]["hat_length_m"],
-        jc_slot=design["geometry"]["jc_slot_m"],
-        cross_slot=design["geometry"]["cross_slot_m"],
-        jc_gap=design["geometry"]["jc_gap_m"],
-        thickness=design["geometry"]["thickness_m"],
-        eps_r=design["geometry"]["eps_r"],
-    )
-    circuit = extract_circuit(geom)
-    assert circuit.L_series == pytest.approx(design["circuit"]["L_series_H"], rel=1e-6)
-    pred = predict_resonances(circuit)
+    def recorded(stack, freqs):
+        seen.append((stack, freqs))
+        return engine(stack, freqs)
+
+    monkeypatch.setattr(cli, "stack_response_full", recorded)
+    return seen
+
+
+def _substrate(cfg):
+    """The config's substrate in SI units, scaled as the parser scales it."""
+    sub = cfg["design"]["substrate"]
+    return topology.Substrate(sub["thickness_mm"] * 1e-3, sub["eps_r"], sub["tan_delta"])
+
+
+def _report_rows(path):
+    """design_report.txt's band table: name -> [target, sheet, swept] as printed."""
+    lines = path.read_text().splitlines()
+    start = lines.index("band (GHz) :    target    sheet    swept") + 1
+    return {line.split()[0]: line.split()[2:] for line in lines[start:start + 3]}
+
+
+def test_synth_command(tmp_path, monkeypatch):
+    # analyze runs synth's design.json as is and builds the stack of the
+    # synthesized geometry bit for bit (== on nonzero floats), on a linear
+    # grid from f_lower/2 to 2 f_upper
+    cfg = _load_config(_SYNTH)
+    t = cfg["targets"]
+    f_lower, f_zero, f_upper = (t[f"{k}_GHz"] * 1e9 for k in ("f_lower", "f_zero", "f_upper"))
+    circuit = circuit_from_targets(DesignTargets(f_lower, f_upper, f_zero, t["L_tank_nH"] * 1e-9))
+    geom = geometry_from_circuit(circuit, t["period_mm"] * 1e-3, _substrate(cfg))
+    run("synth", CONFIGS / _SYNTH, tmp_path / "a")
+    seen = _evaluated(monkeypatch)
+    run("analyze", tmp_path / "a" / "design.json", tmp_path / "b")
+    ((stack, freqs),) = seen
+    assert stack == topology.build_first_order(extract_circuit(geom), _substrate(cfg))
+    assert np.array_equal(freqs, np.linspace(f_lower / 2, 2 * f_upper, SWEEP_POINTS))
+    assert circuit.L_tank == pytest.approx(4e-9)
+    pred = predict_resonances(extract_circuit(geom))
     assert pred.f_lower == pytest.approx(2.4e9, rel=1e-6)
+    assert pred.f_zero == pytest.approx(3.2154e9, rel=1e-6)
     assert pred.f_upper == pytest.approx(5.8e9, rel=1e-6)
-    assert (out / "design_report.txt").read_text().startswith("synthesized")
+    # the report: each band's target, the collapsed sheet's pole (the series
+    # resonance for the null) and the swept band of the design as written
+    swept = band_report(sweep_at(stack, freqs))
+    lower, upper = exact_poles(circuit)
+    sheet_zero = 1 / (2 * math.pi * math.sqrt(circuit.L_series * circuit.C_series))
+    expected = {
+        "f_lower": (f_lower, lower, swept.f_lower),
+        "f_zero": (f_zero, sheet_zero, swept.f_zero),
+        "f_upper": (f_upper, upper, swept.f_upper),
+    }
+    assert (tmp_path / "a" / "design_report.txt").read_text().startswith("synthesized")
+    assert _report_rows(tmp_path / "a" / "design_report.txt") == {
+        name: [f"{f / 1e9:.4f}" for f in row] for name, row in expected.items()
+    }
 
 
 def test_synth_without_a_zero_target_places_it_at_the_geometric_mean(tmp_path):
-    # an omitted targets.f_zero_GHz defaults to sqrt(f_lower * f_upper)
+    # an omitted targets.f_zero_GHz defaults to sqrt(f_lower * f_upper), and
+    # an omitted period_mm to a fifteenth of the lower-band wavelength
     cfg = _config(_SYNTH)
     _set(cfg, "targets.f_zero_GHz", _DELETE)
+    _set(cfg, "targets.period_mm", _DELETE)
     _set(cfg, "targets.L_tank_nH", 6.0)  # at 4 nH the hat outgrows the period
     run("synth", _write(tmp_path, cfg), tmp_path / "out")
-    design = json.loads((tmp_path / "out" / "design.json").read_text())
     f_lower, f_upper = (cfg["targets"][key] * 1e9 for key in ("f_lower_GHz", "f_upper_GHz"))
-    assert design["predicted"]["f_zero_Hz"] == pytest.approx(
-        math.sqrt(f_lower * f_upper), rel=1e-12
-    )
-    assert design["predicted"]["f_lower_Hz"] == pytest.approx(f_lower, rel=1e-12)
+    circuit = circuit_from_targets(DesignTargets(f_lower, f_upper, None, 6.0 * 1e-9))
+    period = (C0 / f_lower) / 15.0 / 1e-3 * 1e-3
+    written = cli.load_config(tmp_path / "out" / "design.json")
+    _, geom, _ = cli._parse_design(written)
+    assert geom == geometry_from_circuit(circuit, period, _substrate(cfg))
+    pred = predict_resonances(circuit)
+    assert pred.f_zero == pytest.approx(math.sqrt(f_lower * f_upper), rel=1e-12)
+    assert pred.f_lower == pytest.approx(f_lower, rel=1e-12)
+    rows = _report_rows(tmp_path / "out" / "design_report.txt")
+    assert rows["f_zero"][:2] == [f"{math.sqrt(f_lower * f_upper) / 1e9:.4f}"] * 2
 
 
 def test_fit_command(tmp_path):
@@ -390,18 +449,138 @@ def test_fit_command(tmp_path):
     out2 = tmp_path / "fit"
     run("fit", _write(tmp_path, fit_cfg), out2)
     result = json.loads((out2 / "fit_result.json").read_text())
-    params = result["params_SI"]
+    assert sorted(result) == ["iterations", "rms_residual", "template"]
+    written = json.loads((out2 / "design.json").read_text())
+    circuit = written["design"]["circuit"]
     # the data came from the geometry-extracted circuit with no parasitic
-    assert params["L_series"] == pytest.approx(4.918046582e-9, rel=1e-3)
-    assert params["C_series"] == pytest.approx(5.115165337e-13, rel=1e-3)
-    assert params["L_tank"] == pytest.approx(4.051191795e-9, rel=1e-3)
-    assert params["C_tank"] == pytest.approx(3.102180876e-13, rel=1e-3)
+    assert circuit["L_series_nH"] == pytest.approx(4.918046582, rel=1e-3)
+    assert circuit["C_series_pF"] == pytest.approx(0.5115165337, rel=1e-3)
+    assert circuit["L_tank_nH"] == pytest.approx(4.051191795, rel=1e-3)
+    assert circuit["C_tank_pF"] == pytest.approx(0.3102180876, rel=1e-3)
+    assert written["design"]["substrate"] == fit_cfg["design"]["substrate"]
+    assert written["incidence"] == fit_cfg["incidence"]
+    # the data's grid: 1-9 GHz at 1,601 points
+    assert written["sweep"] == {"f_start_GHz": 1.0, "f_stop_GHz": 9.0, "n_points": 1601,
+                                "spacing": "linear"}
     assert result["rms_residual"] < 1e-6
     trace_rows = (out2 / "residual_trace.csv").read_text().splitlines()
     assert trace_rows[0] == "iteration,rms_residual"
     assert len(trace_rows) >= 3
     rms_values = [float(r.split(",")[1]) for r in trace_rows[1:]]
     assert all(b <= a for a, b in zip(rms_values, rms_values[1:]))
+
+
+def test_synth_writes_its_design_before_the_band_report(tmp_path, capsys):
+    # a 20 mm substrate gives the swept design a third passband: synth fails
+    # as analyze does on its design.json, which it leaves behind
+    cfg = _config(_SYNTH)
+    _set(cfg, "design.substrate.thickness_mm", 20.0)
+    cfg["targets"] = {"f_lower_GHz": 2.4, "f_upper_GHz": 4.0, "L_tank_nH": 6.0}
+    out = tmp_path / "o"
+    assert main(["synth", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: band-structure: expected exactly 2 passbands, found 3"), err
+    assert not (out / "design_report.txt").exists()
+    assert main(["analyze", str(out / "design.json"), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_unattainable_range_from_zero_prints_a_positive_zero(tmp_path):
+    # ln(csc x) where sin(x) rounds to 1 is +0.0, so the range reads [0.0000e+00, ...]
+    cfg = _config(_SYNTH)
+    cfg["targets"] = {"f_lower_GHz": 2.4, "f_upper_GHz": 2.6, "L_tank_nH": 4.0}
+    with pytest.raises(UnattainableDimensionError) as exc:
+        run("synth", _write(tmp_path, cfg), tmp_path / "o")
+    assert "attainable range [0.0000e+00, 3.3763e-08] for dimension 'jc_slot'" in str(exc.value)
+    assert math.copysign(1, exc.value.attainable[0]) == 1
+
+
+@pytest.mark.parametrize("case", ["fit-first-order", "fit-second-order"])
+def test_analyze_runs_the_fitted_design_on_the_data_grid(tmp_path, monkeypatch, case):
+    _, config, overrides, _ = COMMAND_GOLDEN_SHA256[case]
+    cfg = dict(_load_config(config), **overrides)
+    data_file = tmp_path / cfg["fit"]["data"]
+    _write_fit_s2p(data_file, cfg["fit"]["template"])
+    fits = []
+    fit = cli.fit_circuit
+    monkeypatch.setattr(cli, "fit_circuit", lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+    run("fit", _write(tmp_path, cfg), tmp_path / "fit")
+    seen = _evaluated(monkeypatch)
+    run("analyze", tmp_path / "fit" / "design.json", tmp_path / "analyze")
+    ((stack, freqs),) = seen
+    ((template, p),) = [(result.template, result.params) for result in fits]
+    sub = _substrate(cfg)
+    if template == "first_order":
+        fitted = topology.build_first_order(ExtractedCircuit(**p), sub)
+    else:
+        outer = (SeriesLC(p["L_outer_a"], p["C_outer_a"]), SeriesLC(p["L_outer_b"], p["C_outer_b"]))
+        fitted = topology.build_second_order(outer, Tank(p["L_tank"], p["C_tank"]), sub)
+    assert stack == fitted  # == on nonzero floats: bit for bit
+    data = load_response(data_file)
+    assert np.array_equal(freqs, data.frequency)
+    _, s21 = topology.stack_response(fitted, data.frequency)
+    table = load_response(tmp_path / "analyze" / "response.csv")
+    np.testing.assert_allclose(table.s21, s21, rtol=0, atol=1e-11)
+    # angular runs it too, at the incidence the fit used
+    run("angular", tmp_path / "fit" / "design.json", tmp_path / "angular")
+    assert sorted(p.name for p in (tmp_path / "angular").iterdir()) == [
+        "response_te_0deg.csv", "run_meta.json"]
+
+
+def test_angular_reads_a_design_without_incidence_as_normal_incidence(tmp_path):
+    run("synth", CONFIGS / _SYNTH, tmp_path / "synth")
+    run("angular", tmp_path / "synth" / "design.json", tmp_path / "angular")
+    written = {p.name: p.read_bytes() for p in (tmp_path / "angular").iterdir()}
+    assert sorted(written) == ["response_te_0deg.csv", "response_tm_0deg.csv", "run_meta.json"]
+    assert written["response_te_0deg.csv"] == written["response_tm_0deg.csv"]
+
+
+def _parsed_params(cfg, monkeypatch):
+    """The template params (SI) and the geometry that _parse_design reads."""
+    seen = []
+    monkeypatch.setattr(cli, "_build_template", lambda template, params, *_: seen.append(params))
+    builder, geometry, _ = cli._parse_design(cfg)
+    builder(topology.Incidence())
+    return seen[0], geometry
+
+
+@pytest.mark.parametrize("name", ["sc_band_first_order.json", "sc_band_geometry.json",
+                                  "second_order.json", "parametric_hat_length.json"])
+def test_demo_designs_parse_back_from_what_the_writer_writes(monkeypatch, name):
+    # config -> SI -> config -> SI, bit for bit (dict == compares floats by ==)
+    cfg = _load_config(name)
+    params, geometry = _parsed_params(cfg, monkeypatch)
+    design = dict(cfg["design"])
+    if geometry is not None:
+        design["geometry"] = cli._in_units(cli._GEOM_KEYS, asdict(geometry))
+    elif "circuit" in design:
+        design["circuit"] = cli._in_units(cli._CIRCUIT_KEYS, params)
+    else:
+        design["outer"] = [cli._in_units(keys, params) for keys in cli._OUTER_KEYS]
+        design["middle"] = cli._in_units(cli._MIDDLE_KEYS, params)
+    assert _parsed_params({"design": design}, monkeypatch) == (params, geometry)
+
+
+@pytest.mark.parametrize("key", ["f_start_GHz", "L_nH", "C_pF", "period_mm"])
+def test_unit_round_trip(key):
+    # A value that a config number gives comes back bit for bit.  Some SI
+    # values lie between the products of two adjacent config floats and the
+    # unit: no config number gives them, and they come back one ulp off.
+    rng = np.random.default_rng(26)
+    unit = cli._UNITS[key.rsplit("_", 1)[-1]]
+
+    def round_trip(si):
+        return cli._number(cli._in_units({key: 0}, [si]), key, "t")
+
+    for value in 10.0 ** rng.uniform(-6.0, 6.0, 5000):
+        si = cli._number({key: float(value)}, key, "t")
+        assert round_trip(si) == si
+    off = 0
+    for si in unit * 10.0 ** rng.uniform(-6.0, 6.0, 5000) * (1 + rng.uniform(0, 1e-9, 5000)):
+        si = float(si)
+        off += round_trip(si) != si
+        assert abs(round_trip(si) - si) <= math.ulp(si)
+    assert 0 < off < 0.1 * 5000
 
 
 def test_second_order_analyze(tmp_path):
@@ -1017,7 +1196,8 @@ def test_smoothed_fit_golden_bytes(tmp_path):
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
     digests = {
-        "fit_result.json": "36c61cb659c96cc7263acc6f2573ab6e5049ce8c64ba97c76783e921ac2fb4f3",
+        "design.json": "486c5d20189c5e7e900d58af5db80860c6e7bff1847bdf11d327a28d8665dbb2",
+        "fit_result.json": "2df477e84931eeb273a3dbd2d425cc4d5ee3e5a69ed1b54570ac9dde79714241",
         "residual_trace.csv": "58305a0b61472e16d3475b8f85a577b492c80ff666446dfab51bef61b903c552",
     }
     for name, digest in digests.items():
@@ -1052,9 +1232,10 @@ def test_smoothed_fit_recovers_a_noisy_trace(tmp_path):
     }
     out = tmp_path / "out"
     assert main(["fit", str(_write(tmp_path, cfg)), "--out", str(out), "--smooth-ghz", "0.1"]) == 0
-    params = json.loads((out / "fit_result.json").read_text())["params_SI"]
+    circuit = json.loads((out / "design.json").read_text())["design"]["circuit"]
     for name, value in truth.items():
-        assert params[name] == pytest.approx(value, rel=0.01), name
+        key, unit = (f"{name}_nH", 1e-9) if name[0] == "L" else (f"{name}_pF", 1e-12)
+        assert circuit[key] * unit == pytest.approx(value, rel=0.01), name
 
 
 @pytest.mark.parametrize("window,command", [(None, "analyze"), (None, "fit"), (0.05, "fit")])
