@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .domain import check, check_frequencies
 from .errors import (
     BandStructureError,
     EmptySweepError,
@@ -58,9 +59,7 @@ class ResponseTable:
             raise InvalidParameterError("frequency/S11/S21 lengths differ")
         if not np.all(f[1:] > f[:-1]):
             raise InvalidParameterError("frequencies must be strictly increasing")
-        # NaN fails the comparison above; only an end point can be infinite
-        if not (-math.inf < f[0] and f[-1] < math.inf):
-            raise InvalidParameterError("all frequencies must be finite")
+        check_frequencies(f)
 
     def __len__(self):
         return self.frequency.size
@@ -126,12 +125,10 @@ def sweep(
 
 def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndarray:
     """The linear or logarithmic frequency grid of a sweep."""
-    if not 0.0 < f_start < f_stop:
-        raise InvalidParameterError(
-            f"need 0 < f_start < f_stop, got {f_start}, {f_stop}"
-        )
-    if f_stop == math.inf:
-        raise InvalidParameterError(f"f_stop must be finite, got {f_stop}")
+    check("frequency", "f_start", f_start)
+    check("frequency", "f_stop", f_stop)
+    if not f_start < f_stop:
+        raise InvalidParameterError(f"need f_start < f_stop, got {f_start}, {f_stop}")
     if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
         raise InvalidParameterError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
@@ -216,8 +213,9 @@ def _band_peak(f, db, band) -> tuple[float, float]:
 
 def _refine_quadratic(f, db, i) -> tuple[float, float]:
     """Vertex of the parabola through samples i-1, i, i+1, clamped to the
-    bracketing grid interval.  Falls back to the grid point for flat or
-    non-finite neighborhoods."""
+    bracketing grid interval; the grid point for non-finite neighborhoods.
+    At a peak or null the slopes have opposite signs, and below 1e15 Hz no
+    quotient underflows (dB steps exceed 1e-31), so the curvature is nonzero."""
     # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
     x1, x2, x3 = f[i - 1 : i + 2].tolist()
     y1, y2, y3 = db[i - 1 : i + 2].tolist()
@@ -226,8 +224,6 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
     d1 = (y2 - y1) / (x2 - x1)
     d2 = (y3 - y2) / (x3 - x2)
     curv = (d2 - d1) / (x3 - x1)
-    if curv == 0.0:
-        return x2, y2
     x_star = 0.5 * (x1 + x2) - d1 / (2.0 * curv)
     x_star = min(max(x_star, x1), x3)
     y_star = y1 + d1 * (x_star - x1) + curv * (x_star - x1) * (x_star - x2)

@@ -135,7 +135,7 @@ def _check_keys(block: dict, allowed, context: str):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:

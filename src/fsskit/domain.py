@@ -1,0 +1,74 @@
+"""The input domain: one range per quantity, checked where values enter
+(element, substrate, geometry and target constructors, ``foster_transform``
+and ``geometry_from_circuit`` arguments, every frequency) with one message,
+``<name> must lie in [lo, hi] <unit>, got <value>``.  The ranges reach far
+beyond printed cells, and inside them no stage leaves the float range:
+
+* Sheet: p, q, r = L_tank*C_tank, L_series*C_series, L_tank*C_series lie in
+  [1e-39, 1e9] s^2 and x = (2*pi*f)^2 in [3.9e7, 3.9e31] s^-2.  The pole
+  terms lie in [1e-78, 1e18] and the upper pole's x below 1e88; |Z|'s
+  numerator stays below 3e62 and its denominator's terms above 1e-63, so a
+  nonzero denominator exceeds 1e-79 and |Z| < 1e142.
+* Foster: each L*C and 1/(L*C) is finite and nonzero.  The coincidence
+  rule keeps |L2*C2 - L1*C1| > 1e-6*max(L1*C1, L2*C2), so the exact hybrid
+  elements lie in [1e-55, 1e40] and each rounds once to a normal float.
+* Lossy substrate: |eps_r*(1 - j*tan_delta)| <= 1e4*sqrt(101).
+* Targets: C_tank, 1/(2*pi*f)^2 and the series elements stay in
+  [1e-54, 1e46]; only q_lower - q_zero can round to 0 (f_zero next to
+  f_lower), which is refused by name.
+* Dimensions: L_tank >= 1e-18 H and period * mu_reff <= 1e3 m keep the
+  bisected pi*jc_gap/(2*period) more than 5e-8 rad below pi/2, where sin
+  rounds below 1, so the hat-length factor is positive; every grid-formula
+  argument is a ratio of in-range lengths, in (0, pi/2).
+* Engine: lossless nodes and lines are finite, but a lossy line's
+  |Im theta| grows with thickness * f * tan_delta up to 4.5e10 rad, so
+  the chain keeps its overflow check.  A fit's trial step may leave the
+  domain: the constructors refuse it and the fit damps the step.  Exact
+  shorts are no overflow and keep their path; the CLI's and the importers'
+  finiteness checks guard outside text, where JSON integers are unbounded.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import InvalidParameterError
+
+# quantity: (low, high, unit)
+_TABLE = {
+    "frequency": ("1e3", "1e15", "Hz"),
+    "inductance": ("1e-18", "1e6", "H"),
+    "capacitance": ("1e-21", "1e3", "F"),
+    "resistance": ("0", "1e6", "ohm"),
+    "conductance": ("0", "1e6", "S"),
+    "length": ("1e-15", "10", "m"),
+    "eps_r": ("1", "1e4", ""),
+    "tan_delta": ("0", "10", ""),
+    "mu_reff": ("1e-2", "1e2", ""),
+}
+RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) in _TABLE.items()}
+
+# an element's quantity by the initial of its name
+_ELEMENTS = {"L": "inductance", "C": "capacitance", "R": "resistance", "G": "conductance"}
+
+
+def check(quantity: str, name: str, value, error=InvalidParameterError):
+    """Raise ``error`` unless ``value`` lies in the range of ``quantity``."""
+    lo, hi, span = RANGES[quantity]
+    if not lo <= value <= hi:  # NaN fails too
+        raise error(f"{name} must lie in {span}, got {value}")
+
+
+def check_elements(circuit, shorted: str = "") -> None:
+    """Check every element of a circuit dataclass by its name's initial;
+    the element named ``shorted`` may also be 0."""
+    for name, value in vars(circuit).items():
+        if not (name == shorted and value == 0.0):
+            check(_ELEMENTS[name[0]], name, value)
+
+
+def check_frequencies(f: np.ndarray, name: str = "frequency") -> None:
+    """Check a 1-D frequency array, naming its first value out of range."""
+    lo, hi, _ = RANGES["frequency"]
+    if not (lo <= f.min() and f.max() <= hi):
+        check("frequency", name, f[~((f >= lo) & (f <= hi))][0])

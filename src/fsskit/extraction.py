@@ -9,13 +9,17 @@ electrically small cells; all lengths are meters.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .constants import EPS0, MU0
+from .domain import check, check_elements
 from .errors import InvalidGeometryError, InvalidParameterError
-from .lumped import OPEN, _check_frequency, _resonance
+from .lumped import OPEN, _resonance
+
+
+# the geometry fields that are lengths; the others are named after their quantity
+_LENGTHS = ("period", "hat_length", "jc_slot", "cross_slot", "jc_gap", "thickness")
 
 
 @dataclass(frozen=True)
@@ -33,27 +37,19 @@ class FirstOrderGeometry:
     mu_reff: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            check("length" if name in _LENGTHS else name, name, value, InvalidGeometryError)
         a = self.period
-        if not 0.0 < a < math.inf:
-            raise InvalidGeometryError(f"period must be positive, got {a}")
         for name in ("jc_slot", "jc_gap", "hat_length"):
             value = getattr(self, name)
-            if not 0.0 < value < a:
+            if not value < a:
                 raise InvalidGeometryError(f"{name} must lie in (0, period), got {value}")
         d = a - self.jc_gap - self.cross_slot
-        if not (self.cross_slot > 0.0 and self.cross_slot < d):
+        if not self.cross_slot < d:
             raise InvalidGeometryError(
                 "cross_slot must satisfy 0 < cross_slot < period - jc_gap - cross_slot, "
                 f"got cross_slot={self.cross_slot}, period={a}, jc_gap={self.jc_gap}"
             )
-        if not 0.0 < self.thickness < math.inf:
-            raise InvalidGeometryError(f"thickness must be positive, got {self.thickness}")
-        if not 1.0 <= self.eps_r < math.inf:
-            raise InvalidGeometryError(f"eps_r must be >= 1, got {self.eps_r}")
-        if not 0.0 <= self.tan_delta < math.inf:
-            raise InvalidGeometryError(f"tan_delta must be >= 0, got {self.tan_delta}")
-        if not 0.0 < self.mu_reff < math.inf:
-            raise InvalidGeometryError(f"mu_reff must be positive, got {self.mu_reff}")
 
 
 @dataclass(frozen=True)
@@ -68,15 +64,7 @@ class ExtractedCircuit:
     L_parasitic: float = 0.0
 
     def __post_init__(self):
-        for name in ("L_series", "C_series", "L_tank", "C_tank"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InvalidParameterError(
-                    f"circuit element {name} must be positive, got {getattr(self, name)}"
-                )
-        if not 0.0 <= self.L_parasitic < math.inf:
-            raise InvalidParameterError(
-                f"L_parasitic must be >= 0, got {self.L_parasitic}"
-            )
+        check_elements(self, shorted="L_parasitic")  # 0 omits the parasitic
 
 
 @dataclass(frozen=True)
@@ -100,17 +88,12 @@ class ResonancePrediction:
 
 def effective_permittivity(eps_r: float) -> float:
     """Effective permittivity of a thin substrate with air on one side."""
-    if not eps_r >= 1.0:
-        raise InvalidParameterError(f"eps_r must be >= 1, got {eps_r}")
+    check("eps_r", "eps_r", eps_r)
     return (eps_r + 1.0) / 2.0
 
 
 def _ln_csc(x: float) -> float:
     """ln(1/sin(x)) for x in (0, pi); nonnegative everywhere on that range."""
-    if not 0.0 < x < math.pi:
-        raise InvalidGeometryError(
-            f"grid-formula argument must lie in (0, pi), got {x}"
-        )
     return 0.0 - math.log(math.sin(x))  # +0.0 where sin rounds to 1, not -0.0
 
 
@@ -145,51 +128,21 @@ def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     return ExtractedCircuit(l_series, c_series, l_tank, c_tank, 0.0)
 
 
-def _products(c: ExtractedCircuit) -> tuple[float, float, float]:
-    """The products p = L_tank*C_tank, q = L_series*C_series and
-    r = L_tank*C_series in which the collapsed-sheet closed forms below
-    are polynomials.
-
-    Each must lie in [1e-100, 1e100] s^2, about the cube root of the float
-    range: there every term those forms build, the squares, p*q and the
-    upper pole x = (p + q + r + root)/(2pq) included, is finite, and no
-    divisor underflows.  A product outside it is refused by name.
-    """
-    products = (
-        ("L_tank*C_tank", c.L_tank * c.C_tank),
-        ("L_series*C_series", c.L_series * c.C_series),
-        ("L_tank*C_series", c.L_tank * c.C_series),
-    )
-    for name, value in products:
-        if not 1e-100 <= value <= 1e100:
-            raise InvalidParameterError(
-                f"{name} = {value} lies outside [1e-100, 1e100] s^2, the float "
-                "range of the collapsed-sheet closed forms"
-            )
-    return tuple(value for _, value in products)
-
-
 def surface_impedance(c: ExtractedCircuit, f: float):
     """Sheet impedance of the collapsed model (tank in parallel with the
     series branch, substrate and parasitic inductor ignored).
 
-    Returns OPEN exactly at a pole of the expression, and refuses a
-    frequency at which the polynomials leave the float range.
+    Returns OPEN exactly at a pole of the expression.
     """
-    _check_frequency(f)
-    p, q, r = _products(c)
+    check("frequency", "frequency", f)
+    p, q, r = c.L_tank * c.C_tank, c.L_series * c.C_series, c.L_tank * c.C_series
     w = 2.0 * math.pi * f
     x = w * w
     num = 1j * w * c.L_tank * (1.0 - x * q)
     den = 1.0 - x * (p + q + r) + x * x * (p * q)
     if den == 0.0:
         return OPEN
-    z = num / den
-    if not (math.isfinite(den) and cmath.isfinite(z)):
-        raise InvalidParameterError(
-            f"the sheet impedance leaves the float range at f = {f!r} Hz"
-        )
-    return z
+    return num / den
 
 
 def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
@@ -197,7 +150,6 @@ def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
     upper passband from the tank alone, lower passband from the loaded
     series branch.  The parasitic inductor and the substrate are ignored,
     so the upper value in particular underestimates the swept peak."""
-    _products(c)  # the range rule; each resonance forms its own product
     f_zero = _resonance(c.L_series, c.C_series)
     f_upper = _resonance(c.L_tank, c.C_tank)
     f_lower = _resonance(c.L_tank + c.L_series, c.C_series)
@@ -207,12 +159,13 @@ def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
 def exact_poles(c: ExtractedCircuit) -> tuple[float, float]:
     """The two positive pole frequencies of the sheet impedance, ascending.
 
-    Solves the quadratic in x = w^2 from the impedance denominator with the
-    numerically stable form of the quadratic formula.  Its discriminant
-    (p+q+r)^2 - 4pq is summed as (p-q)^2 + r(r + 2(p+q)), whose terms are
-    all non-negative for positive elements, so both poles are always real.
+    Solves the impedance denominator 1 - (p+q+r)x + pqx^2 = 0 in x = w^2
+    (p = L_tank*C_tank, q = L_series*C_series, r = L_tank*C_series) by the
+    numerically stable quadratic formula.  Its discriminant (p+q+r)^2 - 4pq
+    is summed as (p-q)^2 + r(r + 2(p+q)), whose terms are all non-negative
+    for positive elements, so both poles are always real.
     """
-    p, q, r = _products(c)
+    p, q, r = c.L_tank * c.C_tank, c.L_series * c.C_series, c.L_tank * c.C_series
     b = p + q + r
     a2 = p * q
     root = math.sqrt((p - q) ** 2 + r * (r + 2.0 * (p + q)))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ResponseTable
+from .domain import check_frequencies
 from .errors import InvalidParameterError
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
@@ -27,9 +28,10 @@ _BLOCK_ROWS = 2048
 
 
 def _text(path) -> str:
-    """The file's text, which must be UTF-8."""
+    """The file's text, which must be UTF-8 (a leading byte-order mark, as
+    spreadsheet exports write, is dropped)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InvalidParameterError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -161,8 +163,8 @@ def write_response_csv(table: ResponseTable, path) -> None:
 
 def _imported_table(path, rows) -> ResponseTable:
     """The table of an imported file's (frequency in Hz, S11, S21) rows, at
-    least 2, whose frequencies must be strictly increasing; the errors name
-    the file and the first frequency that is not."""
+    least 2, whose frequencies must be strictly increasing and in range; the
+    errors name the file and the first frequency that is not."""
     if len(rows) < 2:
         found = "1 data row found; a response needs at least 2" if rows else "no data rows found"
         raise InvalidParameterError(f"{path}: {found}")
@@ -174,6 +176,7 @@ def _imported_table(path, rows) -> ResponseTable:
         raise InvalidParameterError(
             f"{path}: frequencies must be strictly increasing, but {freq!r} Hz follows {prev!r} Hz"
         )
+    check_frequencies(f, f"{path}: frequency")
     return ResponseTable(f, np.array(s11), np.array(s21))
 
 
@@ -304,7 +307,7 @@ def load_response(path) -> ResponseTable:
     """Read either the package CSV schema or a Touchstone v1 file, sniffing
     by its first non-blank line."""
     # a file that is not UTF-8 is reported by the reader it is passed to
-    with Path(path).open(encoding="utf-8", errors="replace") as fh:
+    with Path(path).open(encoding="utf-8-sig", errors="replace") as fh:
         # split as the readers split, at \v, \f and the like too
         first = next((s.strip() for line in fh for s in line.splitlines() if s.strip()), "")
     return read_response_csv(path) if first == CSV_HEADER else read_touchstone(path)

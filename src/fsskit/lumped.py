@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check, check_elements
 from .errors import DegenerateTransformError, InvalidParameterError
 
 
@@ -46,12 +47,7 @@ class SeriesLC:
     R: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.L < math.inf and 0.0 < self.C < math.inf):
-            raise InvalidParameterError(
-                f"series L-C branch requires L > 0 and C > 0, got L={self.L}, C={self.C}"
-            )
-        if not 0.0 <= self.R < math.inf:
-            raise InvalidParameterError(f"series resistance must be >= 0, got {self.R}")
+        check_elements(self)
 
     def resonance(self) -> float:
         """Series-resonance frequency in Hz (the branch is a short there)."""
@@ -67,12 +63,7 @@ class Tank:
     G: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.L < math.inf and 0.0 < self.C < math.inf):
-            raise InvalidParameterError(
-                f"tank requires L > 0 and C > 0, got L={self.L}, C={self.C}"
-            )
-        if not 0.0 <= self.G < math.inf:
-            raise InvalidParameterError(f"tank conductance must be >= 0, got {self.G}")
+        check_elements(self)
 
     def resonance(self) -> float:
         return _resonance(self.L, self.C)
@@ -85,8 +76,7 @@ class Inductor:
     L: float
 
     def __post_init__(self):
-        if not 0.0 <= self.L < math.inf:
-            raise InvalidParameterError(f"inductance must be >= 0, got {self.L}")
+        check_elements(self, shorted="L")
 
 
 @dataclass(frozen=True)
@@ -107,21 +97,13 @@ class Parallel:
 Branch = SeriesLC | Tank | Inductor | Parallel
 
 
-def _check_frequency(f: float) -> None:
-    """Refuse a frequency (Hz) that is not positive and finite."""
-    if not f > 0.0:
-        raise InvalidParameterError(f"frequency must be positive, got {f!r}")
-    if f == math.inf:
-        raise InvalidParameterError(f"frequency must be finite, got {f!r}")
-
-
 def branch_impedance(b: Branch, f: float):
     """Complex impedance of a branch at frequency f (Hz).
 
     Returns OPEN for an exactly infinite impedance; 0j (a perfect short)
     is an ordinary return value.
     """
-    _check_frequency(f)
+    check("frequency", "frequency", f)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = complex(_admittance_array(b, np.array([2.0 * math.pi * f]))[0])
     if y == 0:
@@ -199,6 +181,8 @@ class HybridCircuit:
     C_series: float
 
     def __post_init__(self):
+        # the elements foster_transform derives from branches in the domain
+        # span [1e-55, 1e40] (see fsskit.domain): only their sign is checked
         for name in ("L_tank", "C_tank", "L_series", "C_series"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidParameterError(
@@ -207,12 +191,14 @@ class HybridCircuit:
 
 
 def hybrid_impedance(h: HybridCircuit, f: float):
-    """Impedance of the hybrid network: jwL_series + 1/(jwC_series) + tank."""
-    z_tank = branch_impedance(Tank(h.L_tank, h.C_tank), f)
-    if z_tank is OPEN:
-        return OPEN
+    """Impedance of the hybrid network, jwL_series + 1/(jwC_series) + tank;
+    the tank term has a ``Tank``'s bits but not a ``Tank``'s ranges."""
+    check("frequency", "frequency", f)
     w = 2.0 * math.pi * f
-    return 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + z_tank
+    b_tank = w * h.C_tank - 1.0 / (w * h.L_tank)  # the tank's susceptance
+    if b_tank == 0.0:
+        return OPEN
+    return 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + 1.0 / complex(0.0, b_tank)
 
 
 def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircuit:
@@ -221,18 +207,11 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
 
     The two branch resonances must be distinct; the parallel combination of
     equal-resonance branches collapses to a single series L-C and has no
-    hybrid form.  Each element is its exact value rounded once, so within
-    a relative 2**-53 of it where it is a normal float; a subnormal
-    element, which keeps fewer bits, is refused.
+    hybrid form.  Each element is its exact value rounded once to a normal
+    float (``fsskit.domain`` shows why), so within a relative 2**-53 of it.
     """
-    for name, v in (("L1", L1), ("C1", C1), ("L2", L2), ("C2", C2)):
-        if not 0.0 < v < math.inf:
-            raise InvalidParameterError(f"{name} must be positive, got {v}")
-    for name, lc in (("L1*C1", L1 * C1), ("L2*C2", L2 * C2)):
-        if not (0.0 < lc < math.inf and 1.0 / lc < math.inf):
-            raise InvalidParameterError(
-                f"{name} = {lc} puts the branch resonance 1/({name}) out of float range"
-            )
+    for name, value in (("L1", L1), ("C1", C1), ("L2", L2), ("C2", C2)):
+        check("inductance" if name[0] == "L" else "capacitance", name, value)
     w1_sq = 1.0 / (L1 * C1)
     w2_sq = 1.0 / (L2 * C2)
     if abs(w1_sq - w2_sq) <= 1e-6 * max(w1_sq, w2_sq):
@@ -244,20 +223,11 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
     # Partial-fraction expansion of Z1*Z2/(Z1+Z2) in s = jw:
     #   Z_par = s*L_series + 1/(s*C_series) + (s/C_tank)/(s^2 + wp^2)
     # with wp^2 = 1/(L_tank*C_tank) interlacing the branch resonances.  The
-    # elements are formed exactly and each rounded once; one that rounds
-    # past the float range becomes inf, which HybridCircuit refuses by name.
+    # elements are formed exactly and each rounded once.
     from fractions import Fraction  # here, not at import: it loads decimal
 
     l1, c1, l2, c2 = map(Fraction, (L1, C1, L2, C2))
     d_sq = (l2 * c2 - l1 * c1) ** 2  # nonzero: the resonances differ
     c_sum, l_sum = c1 + c2, l1 + l2
     exact = (d_sq / (c_sum**2 * l_sum), c1 * c2 * c_sum * l_sum**2 / d_sq, l1 * l2 / l_sum, c_sum)
-    # 2**1024 - 2**970, halfway from the largest float to 2**1024, rounds up
-    hybrid = HybridCircuit(*(float(x) if x < 2**1024 - 2**970 else math.inf for x in exact))
-    for name, v in vars(hybrid).items():
-        if v < 2.0**-1022:
-            raise DegenerateTransformError(
-                f"{name} = {v!r} is subnormal: it keeps fewer than 53 significant bits "
-                "of its exact value"
-            )
-    return hybrid
+    return HybridCircuit(*map(float, exact))

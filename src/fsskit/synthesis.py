@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import EPS0
+from .domain import check
 from .errors import (
     DivergedFitError,
     FssError,
@@ -75,12 +76,13 @@ class DesignTargets:
     L_tank: float = DEFAULT_TANK_L
 
     def __post_init__(self):
-        if not 0.0 < self.f_lower < self.f_upper < math.inf:
+        for name in ("f_lower", "f_upper") + (("f_zero",) if self.f_zero is not None else ()):
+            check("frequency", name, getattr(self, name))
+        check("inductance", "L_tank", self.L_tank)
+        if not self.f_lower < self.f_upper:
             raise InvalidParameterError(
-                f"need 0 < f_lower < f_upper, got {self.f_lower}, {self.f_upper}"
+                f"need f_lower < f_upper, got {self.f_lower}, {self.f_upper}"
             )
-        if not 0.0 < self.L_tank < math.inf:
-            raise InvalidParameterError(f"L_tank must be positive, got {self.L_tank}")
         if self.f_zero is not None and not self.f_lower < self.f_zero < self.f_upper:
             raise InfeasibleTargetsError(
                 f"transmission zero {self.f_zero} must lie strictly between the band "
@@ -103,19 +105,16 @@ def circuit_from_targets(t: DesignTargets) -> ExtractedCircuit:
             f"({t.f_lower}, {t.f_upper}) for L_tank={t.L_tank}",
             attainable=(t.f_lower, t.f_upper),
         )
-    try:
-        c_tank = 1.0 / ((2.0 * math.pi * t.f_upper) ** 2 * t.L_tank)
-        q_zero = 1.0 / (2.0 * math.pi * f_zero) ** 2    # L_series * C_series
-        q_lower = 1.0 / (2.0 * math.pi * t.f_lower) ** 2  # (L_tank + L_series) * C_series
-        l_series = t.L_tank * q_zero / (q_lower - q_zero)
-        c_series = q_zero / l_series
-    except ArithmeticError:  # a square overflowed or a divisor rounded to zero
+    c_tank = 1.0 / ((2.0 * math.pi * t.f_upper) ** 2 * t.L_tank)
+    q_zero = 1.0 / (2.0 * math.pi * f_zero) ** 2    # L_series * C_series
+    q_lower = 1.0 / (2.0 * math.pi * t.f_lower) ** 2  # (L_tank + L_series) * C_series
+    if not q_lower > q_zero:  # rounding can merge them when f_zero is next to f_lower
         raise InvalidParameterError(
-            f"targets f_lower={t.f_lower}, f_zero={f_zero}, f_upper={t.f_upper} Hz and "
-            f"L_tank={t.L_tank} H leave the float range of the resonance relations"
-        ) from None
-    # an element that overflowed or underflowed is refused here by name
-    return ExtractedCircuit(l_series, c_series, t.L_tank, c_tank, 0.0)
+            f"transmission zero {f_zero} Hz lies within rounding of f_lower = {t.f_lower} Hz"
+        )
+    l_series = t.L_tank * q_zero / (q_lower - q_zero)
+    # an element outside its range is refused here by name
+    return ExtractedCircuit(l_series, q_zero / l_series, t.L_tank, c_tank, 0.0)
 
 
 def geometry_from_circuit(
@@ -131,9 +130,8 @@ def geometry_from_circuit(
     bisects the decreasing branch of its capacitance formula.  The result
     is verified by re-extraction to 1e-6 relative.
     """
-    for name, v in (("period", period), ("mu_reff", mu_reff)):
-        if not 0.0 < v < math.inf:
-            raise InvalidParameterError(f"{name} must be positive, got {v}")
+    check("length", "period", period)
+    check("mu_reff", "mu_reff", mu_reff)
     a = period
     er_eff = effective_permittivity(sub.eps_r)
 
@@ -149,12 +147,6 @@ def geometry_from_circuit(
         for parameter, target_name in (("jc_slot", "L_series"), ("jc_gap", "L_tank"))
     )
     gap_factor = 2.0 * EPS0 * er_eff * _ln_csc(math.pi * jc_gap / (2.0 * a))
-    if not gap_factor > 0.0:  # sin rounds to 1 this close to the period
-        raise UnattainableDimensionError(
-            f"L_tank={c.L_tank:.4e} needs jc_gap={jc_gap:.4e} m, so close to the period "
-            "that no hat_length attains C_series",
-            parameter="hat_length",
-        )
     hat_length = c.C_series * math.pi / gap_factor
     if not hat_length < a:
         raise UnattainableDimensionError(
@@ -187,9 +179,9 @@ def geometry_from_circuit(
         tan_delta=sub.tan_delta,
         mu_reff=mu_reff,
     )
-    check = extract_circuit(geom)
+    back = extract_circuit(geom)
     for name in ("L_series", "C_series", "L_tank", "C_tank"):
-        want, got = getattr(c, name), getattr(check, name)
+        want, got = getattr(c, name), getattr(back, name)
         if abs(got - want) > 1e-6 * abs(want):
             raise UnattainableDimensionError(
                 f"re-extraction of {name} missed the target by "
@@ -296,16 +288,11 @@ def fit_circuit(
     s21_data = data.s21
     mag_data = np.abs(s21_data)
 
-    def residual(values):
-        """Residual vector at the element values, or None if they are not
-        evaluable (overflowed); callers treat None as a rejected step."""
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            return None
-        try:
-            stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
-            _, s21 = stack_response(stack, freqs)
-        except FssError:
-            return None
+    def model_residual(values):
+        """Residual vector at the element values; raises FssError where they
+        leave the domain or the network overflows."""
+        stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
+        _, s21 = stack_response(stack, freqs)
         if average is not None:
             s21 = average(s21)
         if magnitude_only:
@@ -313,11 +300,18 @@ def fit_circuit(
         diff = s21 - s21_data
         return np.concatenate([diff.real, diff.imag])
 
+    def residual(values):
+        """The residual, or None where a trial step leaves the domain or
+        overflows the network; callers treat None as a rejected step."""
+        try:
+            return model_residual(values)
+        except FssError:
+            return None
+
     theta = np.log(x0)
-    # the residual of the values returned: x0 itself when no step is taken
-    r = residual(x0 if max_iter == 0 else np.exp(theta))
-    if r is None:
-        raise InvalidParameterError("initial circuit values are not evaluable")
+    # the residual of the values returned: x0 itself when no step is taken.
+    # A start that cannot be evaluated is refused with the error that names why.
+    r = model_residual(x0 if max_iter == 0 else np.exp(theta))
     cost = float(np.dot(r, r))
     trace = [math.sqrt(cost / n_freq)]
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0
+from .domain import check, check_frequencies
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
 from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank
@@ -59,14 +60,9 @@ class Substrate:
     tan_delta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.thickness < math.inf:
-            raise InvalidParameterError(
-                f"substrate thickness must be positive, got {self.thickness}"
-            )
-        if not 1.0 <= self.eps_r < math.inf:
-            raise InvalidParameterError(f"eps_r must be >= 1, got {self.eps_r}")
-        if not 0.0 <= self.tan_delta < math.inf:
-            raise InvalidParameterError(f"tan_delta must be >= 0, got {self.tan_delta}")
+        check("length", "thickness", self.thickness)
+        check("eps_r", "eps_r", self.eps_r)
+        check("tan_delta", "tan_delta", self.tan_delta)
 
 
 @dataclass(frozen=True)
@@ -121,16 +117,8 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     so do the line impedance and electrical length.  ``f`` may be a scalar
     or an array (the electrical length scales linearly with it).
     """
-    if dielectric_loss and sub.tan_delta > 0.0:
-        eps = sub.eps_r * (1.0 - 1j * sub.tan_delta)
-        # eps ** 0.5 takes the modulus, which must stay finite too
-        if not math.hypot(eps.real, eps.imag) < math.inf:
-            raise InvalidParameterError(
-                f"complex permittivity eps_r*(1 - j*tan_delta) overflows for "
-                f"eps_r={sub.eps_r}, tan_delta={sub.tan_delta}"
-            )
-    else:
-        eps = sub.eps_r
+    lossy = dielectric_loss and sub.tan_delta > 0.0
+    eps = sub.eps_r * (1.0 - 1j * sub.tan_delta) if lossy else sub.eps_r
     sin_i = math.sin(inc.theta)
     # cos of the refraction angle; evaluates to exactly 1.0 at normal
     # incidence so TE and TM outputs are bit-identical there.
@@ -213,7 +201,7 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     A, B, C and D are updated in place through two scratch buffers; every
     product and sum keeps the operand order of the plain matrix product,
     so the bits are those of evaluating it with fresh arrays.  A short
-    divides by zero and absurd element values overflow: the caller turns
+    divides by zero and a thick lossy line overflows: the caller turns
     numpy's warnings off.
     """
     real = all(
@@ -302,12 +290,7 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
-    # min and max are NaN if any frequency is; NaN fails every comparison
-    lo, hi = freqs.min(), freqs.max()
-    if not (lo > 0.0 and hi < math.inf):
-        if np.any(freqs <= 0.0):
-            raise InvalidParameterError("all frequencies must be positive")
-        raise InvalidParameterError("all frequencies must be finite")
+    check_frequencies(freqs)
 
     s11 = np.empty(freqs.shape, dtype=complex)
     s21 = np.empty(freqs.shape, dtype=complex)
@@ -364,7 +347,9 @@ def _block_response(stack: FssStack, freqs, s11, s21, s22):
             num22 += Dp
 
     # |S21| = |2*port/delta| <= 1 in a passive stack: overflow is the one way
-    # delta fails.  As in node_term, the mask is built only if the sum is not finite.
+    # delta fails, through a lossy line whose |Im theta| grows with thickness,
+    # frequency and tan_delta.  As in node_term, the mask is built only if the
+    # sum is not finite.
     if not cmath.isfinite(delta.sum()):
         bad = ~np.isfinite(delta)
         if bad.any():

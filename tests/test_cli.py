@@ -28,7 +28,7 @@ from fsskit import cli
 from fsskit.analysis import SWEEP_POINTS, sweep_at
 from fsskit.cli import main, run
 from fsskit.constants import C0
-from fsskit.errors import ConfigError, FssError, UnattainableDimensionError
+from fsskit.errors import ConfigError, FssError, InvalidParameterError, UnattainableDimensionError
 from fsskit.extraction import ExtractedCircuit
 from fsskit.fileio import write_touchstone
 from fsskit.lumped import SeriesLC, Tank
@@ -709,9 +709,17 @@ _ROW = " 0 0 0.5 0 0.5 0 0 0"
          f"non-finite value after conversion in row '1e300{_ROW}'"),
         ("data.csv", "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n1e9,0,0,0.5,0,0,-6\n",
          "1 data row found; a response needs at least 2"),
+        # the fit once blamed its start: "initial circuit values are not evaluable"
+        ("data.csv",
+         "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n"
+         "0,0,0,0.5,0,0,-6\n1e9,0,0,0.5,0,0,-6\n2e9,0,0,0.5,0,0,-6\n",
+         "frequency must lie in [1e3, 1e15] Hz, got 0.0"),
+        ("data.s2p", f"# GHZ S RI R 50\n-1{_ROW}\n-2{_ROW}\n1{_ROW}\n",
+         "frequency must lie in [1e3, 1e15] Hz, got -2000000000.0"),
     ],
     ids=["csv-decreasing", "touchstone-repeated", "touchstone-negative-magnitude",
-         "touchstone-db-overflow", "touchstone-ghz-overflow", "csv-one-row"],
+         "touchstone-db-overflow", "touchstone-ghz-overflow", "csv-one-row", "csv-zero-hz",
+         "touchstone-negative-frequency"],
 )
 def test_fit_names_the_data_file_and_the_bad_value(tmp_path, capsys, name, text, message):
     data = tmp_path / name
@@ -772,6 +780,25 @@ def test_files_that_are_not_utf8_are_reported(tmp_path, capsys, which):
         assert code == 1
         assert err.startswith(f"error: invalid-parameter: {target}: not UTF-8 text"), err
     assert err.count("error:") == 1 and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["config", "csv", "touchstone"])
+def test_files_with_a_utf8_byte_order_mark_are_read(tmp_path, which):
+    # spreadsheet "CSV UTF-8" exports start with one: the CSV was sniffed as
+    # Touchstone and refused, and the config was invalid JSON
+    cfg = _config("fit")
+    if which == "touchstone":
+        cfg["fit"]["data"] = "data.s2p"
+        (tmp_path / "data.s2p").write_text(f"# GHZ S RI R 50\n1{_ROW}\n2{_ROW}\n3{_ROW}\n")
+    else:
+        _write_fit_data(tmp_path)
+    config = _write(tmp_path, cfg)
+    target = {"config": config, "csv": tmp_path / "data.csv"}.get(which, tmp_path / "data.s2p")
+    run("fit", config, tmp_path / "plain")
+    target.write_bytes("\ufeff".encode() + target.read_bytes())
+    run("fit", config, tmp_path / "bom")
+    design = [(tmp_path / out / "design.json").read_text() for out in ("plain", "bom")]
+    assert design[0] == design[1]
 
 
 def test_parametric_param_takes_the_bare_field_name(tmp_path, capsys):
@@ -849,8 +876,6 @@ _SECOND = "second_order.json"
 _SWEEP = "parametric_hat_length.json"
 _ANGULAR = "angular_scan.json"
 _SYNTH = "synth_targets.json"
-_TARGETS_OUT_OF_RANGE = "targets f_lower="
-
 # One malformed leaf (or "--" option) per row: command, base config, the
 # leaf and its bad value, then the exit code, the error category and the
 # key path the one-line message must start with.
@@ -938,19 +963,19 @@ ERROR_CONTRACT = [
     ("synth", _SYNTH, "targets.f_zero_GHz", 10**400, 2, "invalid-config",
      "targets.f_zero_GHz"),
     ("fit", "fit", "--smooth-ghz", 1e300, 2, "invalid-config", "--smooth-ghz"),
-    # numbers the parser accepts that leave the float range on the way
-    # (each ended in a traceback): (2*pi*f_upper)**2 overflows,
-    # (2*pi*f_lower)**2 underflows to 0 and is divided by, L_series
-    # underflows to 0, and jc_gap lies so close to the period that the
-    # capacitance factor of the hat length rounds to -0.0
+    # numbers the parser accepts that left the float range on the way (each
+    # ended in a traceback): (2*pi*f_upper)**2 overflowed, (2*pi*f_lower)**2
+    # underflowed to 0 and was divided by, L_series underflowed to 0, and
+    # jc_gap lay so close to the period that the capacitance factor of the
+    # hat length rounded to -0.0.  The library's ranges refuse each.
     ("synth", _SYNTH, "targets.f_upper_GHz", 1e160, 1, "invalid-parameter",
-     _TARGETS_OUT_OF_RANGE),
+     "f_upper must lie in [1e3, 1e15] Hz, got 1e+169"),
     ("synth", _SYNTH, "targets.f_lower_GHz", 1e-200, 1, "invalid-parameter",
-     _TARGETS_OUT_OF_RANGE),
+     "f_lower must lie in [1e3, 1e15] Hz, got 1e-191"),
     ("synth", _SYNTH, "targets.L_tank_nH", 1e-300, 1, "invalid-parameter",
-     _TARGETS_OUT_OF_RANGE),
-    ("synth", _SYNTH, "targets.period_mm", 1e250, 1, "unattainable-dimension",
-     "L_tank=4.0000e-09 needs jc_gap=1.0000e+247 m"),
+     "L_tank must lie in [1e-18, 1e6] H, got 1e-309"),
+    ("synth", _SYNTH, "targets.period_mm", 1e250, 1, "invalid-parameter",
+     "period must lie in [1e-15, 10] m, got 1e+247"),
 ]
 
 
@@ -979,15 +1004,16 @@ _LOSSY_OVERFLOW = {
     "design.dielectric_loss": True,
 }
 
-# Leaves the parser accepts, set together, whose values leave the float
-# range on the way (each ended in a traceback): command, base config, the
-# leaves, then the error category and the start of its message.
+# Leaves the parser accepts, set together, whose values left the float
+# range on the way (each ended in a traceback) and now lie outside the
+# library's ranges: command, base config, the leaves, then the error
+# category and the start of its message.
 OUT_OF_RANGE = [
-    ("analyze", _FIRST, _LOSSY_OVERFLOW, "invalid-parameter", "complex permittivity"),
-    ("angular", _ANGULAR, _LOSSY_OVERFLOW, "invalid-parameter", "complex permittivity"),
-    # (2*pi*f_zero)**2 underflows to 0 and is divided by
+    ("analyze", _FIRST, _LOSSY_OVERFLOW, "invalid-parameter", "eps_r must lie in [1, 1e4]"),
+    ("angular", _ANGULAR, _LOSSY_OVERFLOW, "invalid-parameter", "eps_r must lie in [1, 1e4]"),
+    # (2*pi*f_zero)**2 underflowed to 0 and was divided by
     ("synth", _SYNTH, {"targets.f_lower_GHz": 1e-201, "targets.f_zero_GHz": 1e-200},
-     "invalid-parameter", _TARGETS_OUT_OF_RANGE),
+     "invalid-parameter", "f_lower must lie in [1e3, 1e15] Hz"),
 ]
 
 
@@ -1007,15 +1033,16 @@ def test_values_out_of_float_range_end_in_one_error_line(
     assert err.startswith(f"error: {category}: {start}") and err.count("\n") == 1, err
 
 
-def test_sweep_records_an_overflowing_permittivity_at_each_point(tmp_path):
-    # as any per-point error: the run completes and each row names it
+def test_sweep_refuses_an_out_of_range_permittivity_before_any_point(tmp_path):
+    # the overflowing permittivity was recorded at every point of the sweep;
+    # the substrate is now refused as the design is read
     cfg = _config(_SWEEP)
     for path, value in _LOSSY_OVERFLOW.items():
         _set(cfg, path, value)
-    run("sweep", _write(tmp_path, cfg), tmp_path / "o")
-    rows = (tmp_path / "o" / "parametric.csv").read_text().splitlines()[1:]
-    assert len(rows) == len(cfg["parametric"]["values_mm"])
-    assert all(',"invalid-parameter: complex permittivity ' in row for row in rows)
+    with pytest.raises(InvalidParameterError) as info:
+        run("sweep", _write(tmp_path, cfg), tmp_path / "o")
+    assert str(info.value) == "eps_r must lie in [1, 1e4], got 1e+200"
+    assert not (tmp_path / "o" / "parametric.csv").exists()
 
 
 def _scramble(node, rng):

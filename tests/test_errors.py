@@ -19,6 +19,7 @@ from fsskit import (
     foster_transform,
     geometry_from_circuit,
 )
+from fsskit.domain import RANGES
 from fsskit.errors import (
     BandStructureError,
     FssError,
@@ -134,4 +135,5 @@ def test_inverse_design_names_a_bad_argument(argument, value):
     with pytest.raises(InvalidParameterError) as info:
         _inverse_design(argument, value)
     assert type(info.value) is InvalidParameterError
-    assert str(info.value) == f"{argument} must be positive, got {value}"
+    quantity = {"L": "inductance", "C": "capacitance", "p": "length"}.get(argument[0], argument)
+    assert str(info.value) == f"{argument} must lie in {RANGES[quantity][2]}, got {value}"

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -9,18 +11,25 @@ from scipy.constants import epsilon_0, mu_0
 from fsskit import (
     ExtractedCircuit,
     FirstOrderGeometry,
+    FssStack,
+    Incidence,
+    Inductor,
+    Parallel,
     SeriesLC,
+    Substrate,
     Tank,
     branch_impedance,
     effective_permittivity,
     exact_poles,
     extract_circuit,
     predict_resonances,
+    stack_response_full,
     surface_impedance,
 )
+from fsskit.domain import RANGES
 from fsskit.extraction import ResonancePrediction
 from fsskit.lumped import OPEN
-from fsskit.errors import InvalidGeometryError, InvalidParameterError
+from fsskit.errors import InvalidGeometryError, InvalidParameterError, SingularNetworkError
 
 
 def test_effective_permittivity():
@@ -101,20 +110,20 @@ def test_surface_impedance_is_parallel_combination(ref_circuit, rng):
 @pytest.mark.parametrize("f", [math.inf, 0.0, -1e9, math.nan])
 def test_surface_impedance_needs_a_finite_positive_frequency(ref_circuit, f):
     # at f = inf the expression was nan+nanj
-    message = "finite" if f == math.inf else "positive"
     with pytest.raises(InvalidParameterError) as info:
         surface_impedance(ref_circuit, f)
-    assert str(info.value) == f"frequency must be {message}, got {f!r}"
+    assert str(info.value) == f"frequency must lie in [1e3, 1e15] Hz, got {f!r}"
 
 
 def test_surface_impedance_is_open_at_an_exact_pole():
-    # p = q = 2 and r = 1: the denominator 1 - 5x + 4x^2 is exactly 0 at
-    # x = w^2 = 1, and 2*pi*f rounds to exactly 1.0 rad/s at this f
-    c = ExtractedCircuit(L_series=2.0, C_series=1.0, L_tank=1.0, C_tank=2.0)
-    f_unit = 1.0 / (2.0 * math.pi)
-    assert surface_impedance(c, f_unit) is OPEN
-    assert exact_poles(c)[1] == f_unit
-    assert abs(surface_impedance(c, math.nextafter(f_unit, 0.0))) > 1e15
+    # p = q = 2s and r = s with s = 2**-26: the denominator 1 - 5x/x0 +
+    # 4(x/x0)^2 is exactly 0 at x = w^2 = x0 = 2**26, and 2*pi*f rounds to
+    # exactly 2**13 rad/s at this f
+    c = ExtractedCircuit(L_series=2.0**-12, C_series=2.0**-13, L_tank=2.0**-13, C_tank=2.0**-12)
+    f_pole = 2.0**13 / (2.0 * math.pi)
+    assert surface_impedance(c, f_pole) is OPEN
+    assert exact_poles(c)[1] == f_pole
+    assert abs(surface_impedance(c, math.nextafter(f_pole, 0.0))) > 1e15
 
 
 def test_surface_impedance_vanishes_at_zero(ref_circuit):
@@ -187,10 +196,15 @@ def test_exact_poles_decoupling_limit():
     assert hi == pytest.approx(tank_f, rel=1e-3)
 
 
+# L_tank vanishes against L_series and C_series against C_tank, so r is
+# negligible beside p and q, which differ in their last bit
+_NEAR_COINCIDENT = (1e3, (1 + 2**-52) * 1e-18, 1e-18, 1e3)
+
+
 def test_exact_poles_are_real_where_the_textbook_discriminant_cancels():
-    # (p + q + r)^2 - 4pq rounds to -8.9e-16 here; the poles must still be
-    # real and bracket the series resonance (the upper one rounds to it)
-    c = ExtractedCircuit((1 + 2**-52) * 1e40, 1e-40, 1.0, 1.0)
+    # (p + q + r)^2 - 4pq rounds to -1.4e-45 here; the poles must still be
+    # real and bracket the series resonance
+    c = ExtractedCircuit(*_NEAR_COINCIDENT)
     lo, hi = exact_poles(c)
     f_zero = SeriesLC(c.L_series, c.C_series).resonance()
     assert lo < hi
@@ -199,44 +213,79 @@ def test_exact_poles_are_real_where_the_textbook_discriminant_cancels():
 
 def test_prediction_where_the_tank_inductance_vanishes_against_the_series_one():
     # L_tank + L_series rounds to L_series, so f_lower rounds to f_zero
-    c = ExtractedCircuit((1 + 2**-52) * 1e40, 1e-40, 1.0, 1.0)
+    c = ExtractedCircuit(*_NEAR_COINCIDENT)
     pred = predict_resonances(c)
     assert pred.f_lower == pred.f_zero == SeriesLC(c.L_series, c.C_series).resonance()
 
 
-_CLOSED_FORMS = (predict_resonances, exact_poles, lambda c: surface_impedance(c, 1e9))
-
-
 @pytest.mark.parametrize(
-    "circuit,product",
-    [(ExtractedCircuit(2.14e276, 1.23e26, 4.5e107, 9e112),  # (p - q)**2: OverflowError,
-      r"L_tank\*C_tank = 4.05e\+220"),                     # and NaN impedance at 1 GHz
-     (ExtractedCircuit(1e-200, 1e-200, 1e-200, 1e-200),  # 1/sqrt(0): ZeroDivisionError
-      r"L_tank\*C_tank = 0.0"),
-     (ExtractedCircuit(1e60, 1e50, 1e-9, 1e-12), r"L_series\*C_series = 1e\+110"),
-     (ExtractedCircuit(1e-60, 1e50, 1e60, 1e-80), r"L_tank\*C_series = 1e\+110")],
+    "elements,value",
+    [((2.14e276, 1.23e26, 4.5e107, 9e112), "2.14e+276"),  # (p - q)**2: OverflowError
+     ((1e-200, 1e-200, 1e-200, 1e-200), "1e-200"),  # 1/sqrt(0): ZeroDivisionError
+     ((1e60, 1e50, 1e-9, 1e-12), "1e+60"),
+     ((1e-60, 1e50, 1e60, 1e-80), "1e-60")],
+    ids=["p-overflowed", "p-underflowed", "q-above-1e100", "r-above-1e100"],
 )
-def test_collapsed_sheet_closed_forms_refuse_a_product_out_of_range(circuit, product):
-    for closed_form in _CLOSED_FORMS:
-        with pytest.raises(InvalidParameterError, match=rf"^{product} lies outside "):
-            closed_form(circuit)
+def test_circuits_beyond_the_closed_forms_float_range_leave_the_domain(elements, value):
+    # the collapsed-sheet closed forms once failed, or refused a product
+    # outside [1e-100, 1e100] s^2, on each of these
+    with pytest.raises(InvalidParameterError) as info:
+        ExtractedCircuit(*elements)
+    assert str(info.value) == f"L_series must lie in [1e-18, 1e6] H, got {value}"
+
+
+_ENDS = {quantity: RANGES[quantity][:2] for quantity in RANGES}
+_CORNER_CIRCUITS = list(itertools.product(*[_ENDS["inductance"], _ENDS["capacitance"]] * 2))
 
 
 def test_resonance_closed_forms_are_finite_across_the_product_window():
-    # the corners of [1e-99, 1e99]^3 for p, q and r, with L_tank = 1 H
-    for p, q, r in itertools.product((1e-99, 1.0, 1e99), repeat=3):
-        c = ExtractedCircuit(q / r, r, 1.0, p)
-        pred = predict_resonances(c)
-        lo, hi = exact_poles(c)
-        assert all(0.0 < v < math.inf for v in (*astuple(pred), lo, hi))
-        assert lo <= hi  # equal where r vanishes against p = q
+    # the products of in-range elements span [1e-39, 1e9] s^2: at every
+    # corner of the element and frequency ranges each closed form is finite
+    # (or OPEN), without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for elements in _CORNER_CIRCUITS:
+            c = ExtractedCircuit(*elements)
+            values = (*astuple(predict_resonances(c)), *exact_poles(c))
+            assert all(0.0 < v < math.inf for v in values)
+            for f in _ENDS["frequency"]:
+                z = surface_impedance(c, f)
+                assert z is OPEN or cmath.isfinite(z)
+
+
+def test_engine_is_finite_at_the_corners_of_the_domain():
+    # every corner of the element, loss, substrate and frequency ranges:
+    # every output is finite unless a lossy line overflows the chain, all
+    # without a numpy warning
+    freqs = np.array(_ENDS["frequency"])
+    overflowed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (l_s, c_s, l_t, c_t), l_p, r, g, thickness, eps_r, tan_delta, loss, inc in (
+            itertools.product(
+                _CORNER_CIRCUITS, (0.0, *_ENDS["inductance"]), _ENDS["resistance"],
+                _ENDS["conductance"], _ENDS["length"], _ENDS["eps_r"], _ENDS["tan_delta"],
+                (False, True), (Incidence(), Incidence(math.radians(80.0), "TM")),
+            )
+        ):
+            bottom = Parallel((Inductor(l_p), SeriesLC(l_s, c_s, r)))
+            sub = Substrate(thickness, eps_r, tan_delta)
+            stack = FssStack((Tank(l_t, c_t, g), sub, bottom), inc, loss)
+            try:
+                out = stack_response_full(stack, freqs)
+            except SingularNetworkError:
+                assert loss and tan_delta > 0.0
+                overflowed += 1
+                continue
+            assert all(np.all(np.isfinite(s)) for s in out)
+    assert overflowed > 0
 
 
 def test_surface_impedance_refuses_a_frequency_out_of_float_range(ref_circuit):
     # (w^2)^2 overflows: the polynomial gave nan+nanj
     with pytest.raises(InvalidParameterError) as info:
         surface_impedance(ref_circuit, 1e150)
-    assert str(info.value) == "the sheet impedance leaves the float range at f = 1e+150 Hz"
+    assert str(info.value) == "frequency must lie in [1e3, 1e15] Hz, got 1e+150"
 
 
 def test_resonance_prediction_needs_the_lower_band_below_the_zero():

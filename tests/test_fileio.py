@@ -333,7 +333,9 @@ def _awkward_response(rng, n):
 def test_writers_match_per_cell_reference(tmp_path, n):
     rng = np.random.default_rng(n)
     freqs, (s11, s21, s12, s22) = _awkward_response(rng, n)
-    table = ResponseTable(freqs, s11, s21)
+    # a table's frequencies lie in [1e3, 1e15] Hz; the loose-array
+    # Touchstone writer still prints the subnormal one
+    table = ResponseTable(np.concatenate([[1e3], freqs[1:]]), s11, s21)
     csv_path = tmp_path / "response.csv"
     write_response_csv(table, csv_path)
     assert csv_path.read_bytes() == _ref_csv_text(table).encode()
@@ -425,7 +427,7 @@ def test_db_columns_match_per_value_reference(tmp_path):
     near = 10.0 ** (db / 20.0) * np.exp(2j * np.pi * rng.random(m.size))
     s = np.concatenate([exact, near])
     s[rng.random(s.size) < 0.5] *= -1.0
-    table = ResponseTable(np.arange(1.0, s.size + 1), s, s[::-1].copy())
+    table = ResponseTable(1e3 * np.arange(1.0, s.size + 1), s, s[::-1].copy())
     path = tmp_path / "db.csv"
     write_response_csv(table, path)
     assert path.read_bytes() == _ref_csv_text(table).encode()

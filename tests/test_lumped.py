@@ -16,11 +16,14 @@ from fsskit import (
     foster_transform,
     hybrid_impedance,
 )
+from fsskit.domain import RANGES
 from fsskit.errors import DegenerateTransformError, FssError, InvalidParameterError
 
-# At this frequency 2*pi*f rounds to exactly 1.0 rad/s, so a 1 H / 1 F tank
-# is exactly open and a 1 H / 1 F series branch is exactly short.
-F_UNIT = 1.0 / (2.0 * math.pi)
+# At this frequency 2*pi*f rounds to exactly 2**13 rad/s, so a tank of U
+# henry and U farad, U = 2**-13, is exactly open and a series branch of U
+# henry and U farad exactly short.
+F_UNIT = 2.0**13 / (2.0 * math.pi)
+U = 2.0**-13
 
 
 def test_series_lc_short_at_resonance():
@@ -30,7 +33,7 @@ def test_series_lc_short_at_resonance():
 
 
 def test_series_lc_exact_short_handled():
-    z = branch_impedance(SeriesLC(1.0, 1.0), F_UNIT)
+    z = branch_impedance(SeriesLC(U, U), F_UNIT)
     assert z == 0j
 
 
@@ -49,22 +52,22 @@ def test_inductor_impedance():
 
 
 def test_tank_open_at_exact_resonance():
-    assert branch_impedance(Tank(1.0, 1.0), F_UNIT) is OPEN
+    assert branch_impedance(Tank(U, U), F_UNIT) is OPEN
 
 
 def test_tank_with_conductance_is_finite_at_resonance():
-    z = branch_impedance(Tank(1.0, 1.0, G=0.01), F_UNIT)
+    z = branch_impedance(Tank(U, U, G=0.01), F_UNIT)
     assert z == pytest.approx(100.0)
 
 
 def test_parallel_with_open_branch_is_identity():
-    lone = SeriesLC(2.0, 3.0)
-    combo = Parallel((lone, Tank(1.0, 1.0)))
+    lone = SeriesLC(2.0 * U, 3.0 * U)
+    combo = Parallel((lone, Tank(U, U)))
     assert branch_impedance(combo, F_UNIT) == branch_impedance(lone, F_UNIT)
 
 
 def test_parallel_with_short_branch_is_short():
-    combo = Parallel((Tank(2.0, 3.0), SeriesLC(1.0, 1.0)))
+    combo = Parallel((Tank(2.0 * U, 3.0 * U), SeriesLC(U, U)))
     assert branch_impedance(combo, F_UNIT) == 0j
 
 
@@ -122,24 +125,27 @@ def test_foster_transform_boundary_identities():
 
 
 def test_foster_transform_impedance_equality_oracle():
-    l1, c1, l2, c2 = 4.9e-9, 0.5e-12, 2e-9, 1e-12
-    h = foster_transform(l1, c1, l2, c2)
-    f1 = SeriesLC(l1, c1).resonance()
-    f2 = SeriesLC(l2, c2).resonance()
-    fp = math.sqrt((c1 + c2) / (c1 * c2 * (l1 + l2))) / (2 * math.pi)
-    freqs = np.geomspace(0.1 * min(f1, f2), 10 * max(f1, f2), 200)
-    special = np.array([f1, f2, fp])
-    keep = np.all(
-        np.abs(freqs[:, None] - special[None, :]) > 1e-3 * special[None, :], axis=1
-    )
-    worst = 0.0
-    for f in freqs[keep]:
-        za = branch_impedance(SeriesLC(l1, c1), f)
-        zb = branch_impedance(SeriesLC(l2, c2), f)
-        z_par = za * zb / (za + zb)
-        z_hyb = hybrid_impedance(h, f)
-        worst = max(worst, abs(z_hyb - z_par) / abs(z_par))
-    assert worst < 1e-9
+    # the second pair's resonances lie 1e-5 apart: its hybrid's L_tank of
+    # 2.9e-20 H lies below the inductance range, which only inputs obey
+    l1, c1, l2 = 4.9e-9, 0.5e-12, 2e-9
+    for c2 in (1e-12, l1 * c1 * (1 + 1e-5) / l2):
+        h = foster_transform(l1, c1, l2, c2)
+        f1 = SeriesLC(l1, c1).resonance()
+        f2 = SeriesLC(l2, c2).resonance()
+        fp = math.sqrt((c1 + c2) / (c1 * c2 * (l1 + l2))) / (2 * math.pi)
+        freqs = np.geomspace(0.1 * min(f1, f2), 10 * max(f1, f2), 200)
+        special = np.array([f1, f2, fp])
+        keep = np.all(
+            np.abs(freqs[:, None] - special[None, :]) > 1e-3 * special[None, :], axis=1
+        )
+        worst = 0.0
+        for f in freqs[keep]:
+            za = branch_impedance(SeriesLC(l1, c1), f)
+            zb = branch_impedance(SeriesLC(l2, c2), f)
+            z_par = za * zb / (za + zb)
+            z_hyb = hybrid_impedance(h, f)
+            worst = max(worst, abs(z_hyb - z_par) / abs(z_par))
+        assert worst < 1e-9
 
 
 def test_foster_transform_random_pairs(rng):
@@ -179,9 +185,31 @@ def _hybrid_ratios(L1, C1, L2, C2):
             (l1 * l2, l_sum), (c_sum, v * y))
 
 
-def _exact_hybrid(L1, C1, L2, C2) -> HybridCircuit:
-    """The exact hybrid elements, each rounded once (int / int rounds)."""
-    return HybridCircuit(*(p / q for p, q in _hybrid_ratios(L1, C1, L2, C2)))
+def _exact_elements(L1, C1, L2, C2) -> tuple:
+    """The exact hybrid elements L_tank, C_tank, L_series, C_series, each
+    rounded once (int / int rounds)."""
+    return tuple(p / q for p, q in _hybrid_ratios(L1, C1, L2, C2))
+
+
+def _in_range(name, value) -> bool:
+    lo, hi, _ = RANGES["inductance" if name[0] == "L" else "capacitance"]
+    return lo <= value <= hi
+
+
+def _answers_exactly_or_names_why(args) -> bool:
+    """Whether foster_transform answers ``args`` (L1, C1, L2, C2).  An
+    answer holds each exact element rounded once; a refusal names the first
+    argument out of its range, or else the coincident resonances."""
+    try:
+        h = foster_transform(*args)
+    except FssError as exc:
+        outside = [n for n, v in zip(("L1", "C1", "L2", "C2"), args) if not _in_range(n, v)]
+        reason = f"{outside[0]} must lie in " if outside else "branch resonances coincide"
+        assert str(exc).startswith(reason), (args, str(exc))
+        return False
+    assert tuple(vars(h).values()) == _exact_elements(*args), args
+    assert min(vars(h).values()) >= 2.0**-1022, args  # a normal float
+    return True
 
 
 def test_foster_closed_form_matches_the_parallel_branches_exactly(rng):
@@ -204,22 +232,19 @@ def test_foster_closed_form_matches_the_parallel_branches_exactly(rng):
 
 
 def test_foster_transform_sweep_returns_exact_elements_or_refuses():
-    # log-uniform elements over most of the float range: each call returns
-    # the exact hybrid rounded once, every element a normal float, or raises
-    # FssError, and leaks no warning
-    draws = 10.0 ** np.random.default_rng(2023).uniform(-300.0, 300.0, (10_000, 4))
-    answered = 0
+    # log-uniform elements over most of the float range, and over the
+    # domain: each call returns the exact hybrid rounded once, or refuses by
+    # name, and leaks no warning.  Inside the domain only coincident
+    # resonances are refused.
+    wide = 10.0 ** np.random.default_rng(2023).uniform(-300.0, 300.0, (10_000, 4))
+    rng = np.random.default_rng(2024)
+    exponents = [np.log10(RANGES[q][:2]) for q in ("inductance", "capacitance") * 2]
+    inside = 10.0 ** np.column_stack([rng.uniform(lo, hi, 10_000) for lo, hi in exponents])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for args in draws.tolist():
-            try:
-                h = foster_transform(*args)
-            except FssError:
-                continue
-            assert h == _exact_hybrid(*args), args
-            assert min(vars(h).values()) >= 2.0**-1022, args
-            answered += 1
-    assert answered > 4_000
+        for args in wide.tolist():
+            _answers_exactly_or_names_why(args)
+        assert all(_answers_exactly_or_names_why(args) for args in inside.tolist())
 
 
 @pytest.mark.parametrize(
@@ -248,69 +273,71 @@ def test_foster_transform_sweep_returns_exact_elements_or_refuses():
     ],
 )
 def test_foster_hybrid_is_exact_where_floats_failed(args):
-    # the residue arithmetic refused or broke on each of these; the check
-    # leaked numpy overflow warnings on the last two
+    # the residue arithmetic refused or broke on each of these, and the
+    # check leaked numpy overflow warnings on the last two: the one inside
+    # the domain is answered exactly, each other names an argument
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert foster_transform(*args) == _exact_hybrid(*args)
+        in_domain = all(map(_in_range, ("L1", "C1", "L2", "C2"), args))
+        assert _answers_exactly_or_names_why(args) == in_domain
+
+
+def _refusal(*args) -> str:
+    with pytest.raises(InvalidParameterError) as info:
+        foster_transform(*args)
+    return str(info.value)
 
 
 def test_foster_transform_that_fails_its_check_is_refused():
-    # L_tank = 1.3e-316 and L_series = 1.4e-314 are subnormal: rounded once,
-    # they keep about 6 and 8 digits, and the hybrid misses the branches
-    with pytest.raises(DegenerateTransformError, match=r"^L_tank = 1\.3\d*e-316 is subnormal: "):
-        foster_transform(4.9e-314, 5e292, 2e-314, 1e293)
-
-
-@pytest.mark.parametrize(
-    "args,value",
-    [((414349281630085.4, 2.1522847175857887e-199, 3.3555748620479774e-155,
-       1.0257162705091919e126), "5e-324"),
-     ((3.6201564097965544e-85, 2.1948773861513635e-212, 7.05241348058467e-204,
-       1.3821975586412308e144), "1.4e-322")],
-    ids=["82-percent-off", "0.69-percent-off"],
-)
-def test_foster_transform_refuses_a_subnormal_element(args, value):
-    # an impedance check on frequencies between 0.1x and 10x the branch
-    # resonances misses these: the tank's pole lies far outside that span
-    with pytest.raises(DegenerateTransformError) as info:
-        foster_transform(*args)
-    assert str(info.value) == (
-        f"L_tank = {value} is subnormal: it keeps fewer than 53 significant bits "
-        "of its exact value"
+    # its subnormal L_tank = 1.3e-316 and L_series = 1.4e-314 kept about 6
+    # and 8 digits, and the hybrid missed the branches
+    assert _refusal(4.9e-314, 5e292, 2e-314, 1e293) == (
+        "L1 must lie in [1e-18, 1e6] H, got 4.9e-314"
     )
 
 
 @pytest.mark.parametrize(
-    "args,element",
-    [((1.0, 1e297, 1.0, 1.000005e297), "C_tank=inf"),
-     ((4.84e-322, 5e300, 2e-322, 1e301), "L_tank=0.0")],
-    ids=["overflow", "underflow"],
+    "args,refusal",
+    [((414349281630085.4, 2.1522847175857887e-199, 3.3555748620479774e-155,
+       1.0257162705091919e126), "L1 must lie in [1e-18, 1e6] H, got 414349281630085.4"),
+     ((3.6201564097965544e-85, 2.1948773861513635e-212, 7.05241348058467e-204,
+       1.3821975586412308e144), "L1 must lie in [1e-18, 1e6] H, got 3.6201564097965544e-85")],
+    ids=["82-percent-off", "0.69-percent-off"],
 )
-def test_foster_transform_refuses_an_element_beyond_the_float_range(args, element):
-    with pytest.raises(InvalidParameterError) as info:
-        foster_transform(*args)
-    assert str(info.value) == f"hybrid circuit requires positive elements, got {element}"
-
-
-def test_foster_transform_refuses_a_check_that_compares_nothing():
-    # the branch impedances overflow at every frequency an impedance check
-    # could compare; the hybrid's L_tank = 1e-323 is subnormal
-    with pytest.raises(DegenerateTransformError, match="^L_tank = 1e-323 is subnormal: "):
-        foster_transform(5.387776053536562e-65, 3.6445912241698935e196,
-                         3.411225185245806e194, 8.929361209299575e-218)
+def test_foster_transform_refuses_a_subnormal_element(args, refusal):
+    # their hybrids' L_tank were subnormal, 82% and 0.69% off the exact value
+    assert _refusal(*args) == refusal
 
 
 @pytest.mark.parametrize(
-    "l1,c1,l2,c2,product",
-    [(1.15e-109, 3.08e-186, 2.49e292, 4.07e71, r"L2\*C2 = inf"),  # 0 Hz: np.geomspace raised
-     (7.55e222, 7.0e89, 1.7e-157, 1.67e-144, r"L1\*C1 = inf"),
-     (1e-200, 1e-200, 1.0, 1.0, r"L1\*C1 = 0.0"),  # 1/(L1*C1): ZeroDivisionError
-     (1.0, 1.0, 1e-160, 1e-160, r"L2\*C2 = 1e-320")],  # w2^2 = inf: "resonances coincide"
+    "args,refusal",
+    [((1.0, 1e297, 1.0, 1.000005e297), "C1 must lie in [1e-21, 1e3] F, got 1e+297"),
+     ((4.84e-322, 5e300, 2e-322, 1e301), "L1 must lie in [1e-18, 1e6] H, got 4.84e-322")],
+    ids=["overflow", "underflow"],
 )
-def test_foster_transform_refuses_a_resonance_out_of_float_range(l1, c1, l2, c2, product):
-    with pytest.raises(InvalidParameterError, match=rf"^{product} "):
-        foster_transform(l1, c1, l2, c2)
+def test_foster_transform_refuses_an_element_beyond_the_float_range(args, refusal):
+    # their hybrids held C_tank = inf and L_tank = 0.0
+    assert _refusal(*args) == refusal
+
+
+def test_foster_transform_refuses_a_check_that_compares_nothing():
+    # the branch impedances overflowed at every frequency an impedance check
+    # could compare, and the hybrid's L_tank = 1e-323 was subnormal
+    assert _refusal(5.387776053536562e-65, 3.6445912241698935e196,
+                    3.411225185245806e194, 8.929361209299575e-218) == (
+        "L1 must lie in [1e-18, 1e6] H, got 5.387776053536562e-65"
+    )
+
+
+@pytest.mark.parametrize(
+    "l1,c1,l2,c2",
+    [(1.15e-109, 3.08e-186, 2.49e292, 4.07e71),  # L2*C2 = inf: np.geomspace raised
+     (7.55e222, 7.0e89, 1.7e-157, 1.67e-144),  # L1*C1 = inf
+     (1e-200, 1e-200, 1.0, 1.0),  # L1*C1 = 0.0, 1/(L1*C1): ZeroDivisionError
+     (1.0, 1.0, 1e-160, 1e-160)],  # L2*C2 = 1e-320, w2^2 = inf: "resonances coincide"
+)
+def test_foster_transform_refuses_a_resonance_out_of_float_range(l1, c1, l2, c2):
+    assert not _answers_exactly_or_names_why((l1, c1, l2, c2))
 
 
 def test_equal_branch_parallel_limit_is_single_series_lc():
@@ -349,7 +376,6 @@ def test_series_short_forces_transmission_zero(rng):
 @pytest.mark.parametrize("f", [math.inf, 0.0, -1e9, math.nan])
 def test_scalar_impedances_need_a_finite_positive_frequency(f):
     # at f = inf a tank gave 0j (a short) and the hybrid network nan+infj
-    message = "finite" if f == math.inf else "positive"
     for impedance, network in (
         (branch_impedance, Tank(1e-9, 1e-12)),
         (branch_impedance, SeriesLC(1e-9, 1e-12)),
@@ -357,4 +383,4 @@ def test_scalar_impedances_need_a_finite_positive_frequency(f):
     ):
         with pytest.raises(InvalidParameterError) as info:
             impedance(network, f)
-        assert str(info.value) == f"frequency must be {message}, got {f!r}"
+        assert str(info.value) == f"frequency must lie in [1e3, 1e15] Hz, got {f!r}"

@@ -34,6 +34,7 @@ from fsskit.errors import (
     SingularNetworkError,
     UnattainableDimensionError,
 )
+from fsskit.domain import RANGES
 from fsskit.synthesis import _bisect_decreasing
 
 
@@ -65,11 +66,29 @@ def test_circuit_from_targets_default_zero_is_geometric_mean():
 
 
 def test_circuit_from_targets_refuses_a_zero_that_underflows():
-    # the default zero sqrt(1e-200 * 2e-200) underflows to 0.0, below f_lower
-    targets = DesignTargets(1e-200, 2e-200)
-    with pytest.raises(InfeasibleTargetsError, match="transmission zero 0.0 outside") as info:
-        circuit_from_targets(targets)
-    assert info.value.attainable == (1e-200, 2e-200)
+    # the default zero sqrt(1e-200 * 2e-200) underflowed to 0.0, below
+    # f_lower; the frequency range now refuses such targets
+    with pytest.raises(InvalidParameterError) as info:
+        DesignTargets(1e-200, 2e-200)
+    assert str(info.value) == "f_lower must lie in [1e3, 1e15] Hz, got 1e-200"
+    # inside the range the default zero of adjacent band centres rounds
+    # onto the upper one
+    f_upper = math.nextafter(1e9, math.inf)
+    with pytest.raises(InfeasibleTargetsError, match=f"zero {f_upper} outside") as info:
+        circuit_from_targets(DesignTargets(1e9, f_upper))
+    assert info.value.attainable == (1e9, f_upper)
+
+
+def test_circuit_from_targets_refuses_a_zero_within_rounding_of_the_lower_band():
+    # 1/(2*pi*f)**2 rounds to one value at f_lower and at the next float up,
+    # which left L_series = L_tank*q_zero/0
+    f_lower = 2400000000.000043
+    f_zero = math.nextafter(f_lower, math.inf)
+    with pytest.raises(InvalidParameterError) as info:
+        circuit_from_targets(DesignTargets(f_lower, 5.8e9, f_zero))
+    assert str(info.value) == (
+        f"transmission zero {f_zero} Hz lies within rounding of f_lower = {f_lower} Hz"
+    )
 
 
 def test_circuit_from_targets_roundtrip_random(rng):
@@ -155,9 +174,11 @@ def test_geometry_from_circuit_re_extraction_miss(ref_substrate):
 
 
 def test_geometry_from_circuit_period_too_small_for_the_grid_formulas(ref_circuit, ref_substrate):
-    # the narrowest trial slot, period * 1e-9, underflows to 0 on a 5e-324 m period
-    with pytest.raises(InvalidGeometryError, match=r"must lie in \(0, pi\), got 0.0"):
+    # the narrowest trial slot, period * 1e-9, underflowed to 0 on a 5e-324 m
+    # period; the length range refuses the period first
+    with pytest.raises(InvalidParameterError) as info:
         geometry_from_circuit(ref_circuit, 5e-324, ref_substrate)
+    assert str(info.value) == "period must lie in [1e-15, 10] m, got 5e-324"
 
 
 def test_hat_length_closed_form(ref_geometry, ref_substrate):
@@ -338,12 +359,12 @@ def test_fit_input_validation(ref_substrate):
         fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate, max_iter=-1)
 
 
-def _overflow_threshold(ref_circuit, ref_substrate, freqs, lo=1e290, hi=1e292):
+def _overflow_threshold(ref_circuit, sub, freqs, lo, hi):
     """The smallest C_tank in [lo, hi] (to ~1e-11 relative) at which the
-    reference stack overflows on ``freqs``: the tank's admittance is still
-    finite there, but the chain product is not."""
+    reference stack on the lossy line ``sub`` overflows on ``freqs``: the
+    tank's admittance is finite there, but the chain product is not."""
     def overflows(c_tank):
-        stack = build_first_order(replace(ref_circuit, C_tank=c_tank), ref_substrate)
+        stack = build_first_order(replace(ref_circuit, C_tank=c_tank), sub, dielectric_loss=True)
         try:
             stack_response(stack, freqs)
         except SingularNetworkError:
@@ -359,60 +380,74 @@ def _overflow_threshold(ref_circuit, ref_substrate, freqs, lo=1e290, hi=1e292):
 
 @pytest.mark.parametrize("c_tank", [math.inf, math.nan, 1e295], ids=["inf", "nan", "overflowing"])
 def test_fit_refuses_a_start_it_cannot_evaluate(ref_circuit, ref_substrate, c_tank):
-    # inf and NaN pass the positivity check but are not values; at 1e295 F
-    # the chain overflows, so the network cannot be evaluated either
+    # inf and NaN pass the positivity check but are not values, and at
+    # 1e295 F the chain overflowed: the capacitance range refuses each, and
+    # the fit reports that refusal
     data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 12e9, 41)
     start = dict(asdict(ref_circuit), C_tank=c_tank)
     for max_iter in (0, 10):
-        with pytest.raises(InvalidParameterError, match="initial circuit values are not evaluable"):
+        with pytest.raises(InvalidParameterError, match=r"^C_tank must lie in \[1e-21, 1e3\] F"):
             fit_circuit(data, "first_order", start, ref_substrate, max_iter=max_iter)
 
 
-def test_fit_survives_an_exactly_singular_damped_normal_matrix(ref_circuit, ref_substrate):
-    # With C_tank ~1e150 F, S21 ~ 1e-160 and the Jacobian's squares are
-    # subnormal: the first damped normal matrix holds an exactly singular
-    # block [[u, u], [u, u]], u = 5e-324, as the damping 1e-2 * u rounds to
-    # 0.  The cost underflows to 0, so -grad is exactly 0 and numpy 2.4's
-    # solve returns a zero step at every damping from 1e-2 to 1e15; a LAPACK
-    # that divides by the zero pivot would raise LinAlgError instead.  No
-    # step can lower a cost of 0, so the start is returned either way.
-    data = sweep(build_first_order(replace(ref_circuit, C_tank=1.5e150), ref_substrate),
-                 1e9, 12e9, 41)
-    start = dict(asdict(ref_circuit), C_tank=1e150)
-    result = fit_circuit(data, "first_order", start, ref_substrate)
+def test_fit_refuses_a_start_that_overflows_the_network(ref_circuit, ref_substrate):
+    # a start inside the domain on a line too thick and lossy to evaluate:
+    # the engine's error, naming the frequency, reaches the caller
+    data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 12e9, 41)
+    with pytest.raises(SingularNetworkError) as info:
+        fit_circuit(data, "first_order", asdict(ref_circuit), Substrate(1.0, 1e4, 10.0),
+                    dielectric_loss=True)
+    assert str(info.value) == "network overflows at 1000000000.0 Hz"
+
+
+def test_fit_survives_an_exactly_singular_damped_normal_matrix(ref_circuit):
+    # A 1.21 m line with tan_delta = 1 passes S21 ~ 1e-162 at 10-12 GHz, so
+    # the Jacobian's squares are subnormal: the first damped normal matrix
+    # is exactly singular, as the damping 1e-2 * u of its subnormal
+    # diagonal u rounds to 0.  The cost underflows to 0, so -grad is exactly
+    # 0 and numpy 2.4's solve returns a zero step at every damping from 1e-2
+    # to 1e15; a LAPACK that divides by the zero pivot would raise
+    # LinAlgError instead.  No step can lower a cost of 0, so the start is
+    # returned either way.
+    sub = Substrate(1.21, 10.2, 1.0)
+    pulling = build_first_order(replace(ref_circuit, C_tank=0.36e-12), sub, dielectric_loss=True)
+    data = sweep(pulling, 10e9, 12e9, 41)
+    result = fit_circuit(data, "first_order", asdict(ref_circuit), sub, dielectric_loss=True)
     assert result.iterations == 0
     assert result.trace == (0.0,)
 
 
 def test_fit_differences_backward_where_the_forward_bump_overflows(ref_circuit, ref_substrate):
-    # Half a finite-difference step under the overflow threshold, the start
-    # evaluates but its forward C_tank bump does not: that Jacobian column
-    # is taken backward.  The tank shorts the sheet (S21 ~ 1e-290), so no
-    # step can move the model and the fit returns its start.
+    # A start at the top of the capacitance range evaluates, but its forward
+    # C_tank bump leaves the range: that Jacobian column is taken backward.
+    # The 1 kF tank shorts the sheet (S21 ~ 1e-24), so no step can move the
+    # model and the fit returns its start.
     data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 12e9, 41)
-    threshold = _overflow_threshold(ref_circuit, ref_substrate, data.frequency)
-    start = dict(asdict(ref_circuit), C_tank=threshold / (1.0 + 5e-7))
+    start = dict(asdict(ref_circuit), C_tank=RANGES["capacitance"][1])
     result = fit_circuit(data, "first_order", start, ref_substrate)
     assert result.iterations == 0
     assert result.params["C_tank"] == pytest.approx(start["C_tank"], rel=1e-12)
     assert result.rms_residual == pytest.approx(math.sqrt(np.mean(np.abs(data.s21) ** 2)))
 
 
-def test_fit_damps_a_trial_step_that_overflows_the_network(ref_circuit, ref_substrate):
-    # At 1e307 Hz the network overflows once C_tank passes ~6.5e-5 F, while
-    # S21 at 1-8 GHz still follows C_tank.  Data from twice that C_tank pull
-    # the fit across the threshold: each trial step past it cannot be
-    # evaluated and is rejected, and the damping grows until a step stays
-    # under it.
+def test_fit_damps_a_trial_step_that_overflows_the_network(ref_circuit):
+    # A 22 um line with tan_delta = 1 is nearly lossless at 1-8 GHz, but at
+    # 1e15 Hz the network overflows once C_tank passes a threshold near
+    # 1e-4 F, while S21 at 1-8 GHz still follows C_tank.  Data from twice
+    # that C_tank pull the fit across the threshold: each trial step past it
+    # cannot be evaluated and is rejected, and the damping grows until a
+    # step stays under it.
+    sub = Substrate(2.2e-5, 10.2, 1.0)
     low = np.linspace(1e9, 8e9, 15)
-    freqs = np.append(low, 1e307)
-    threshold = _overflow_threshold(ref_circuit, ref_substrate, freqs, 1e-6, 1e-4)
+    freqs = np.append(low, 1e15)
+    threshold = _overflow_threshold(ref_circuit, sub, freqs, 1e-6, 1e-3)
     start = replace(ref_circuit, C_tank=threshold / (1.0 + 5e-7))
-    s11, s21 = stack_response(build_first_order(start, ref_substrate), freqs)
-    pulling = build_first_order(replace(ref_circuit, C_tank=2.0 * threshold), ref_substrate)
+    s11, s21 = stack_response(build_first_order(start, sub, dielectric_loss=True), freqs)
+    pulling = build_first_order(replace(ref_circuit, C_tank=2.0 * threshold), sub,
+                                dielectric_loss=True)
     s21[:-1] = stack_response(pulling, low)[1]
-    result = fit_circuit(ResponseTable(freqs, s11, s21), "first_order", asdict(start),
-                         ref_substrate)
+    result = fit_circuit(ResponseTable(freqs, s11, s21), "first_order", asdict(start), sub,
+                         dielectric_loss=True)
     assert result.iterations > 0
     assert all(math.isfinite(v) for v in result.trace)
     assert all(b < a for a, b in zip(result.trace, result.trace[1:]))
@@ -536,4 +571,4 @@ def test_model_outputs_golden():
             l2 = -l2
         lines.append(_outcome(foster_transform, l1, c1, l2, c2))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "a9aafb96a8ddb260c1f1aeb6e99bc72c9b1ad19eb81469d31106ddf93c729a8f", digest
+    assert digest == "fb64a1f2cc3f97460c10dfdad7eddbdbfd64b4c8198741706564e7f9064aac48", digest

@@ -28,8 +28,19 @@ from fsskit.lumped import _admittance_array
 from conftest import complex_chain
 
 F = 1e9
-F_UNIT = 1.0 / (2.0 * math.pi)  # w = 1: Tank(1, 1) is exactly open here
-OPEN_NODE = Tank(1.0, 1.0)
+F_UNIT = 2.0**27 / (2.0 * math.pi)  # w = 2**27 rad/s: Tank(U, U) is exactly open here
+U = 2.0**-27
+OPEN_NODE = Tank(U, U)
+
+
+def _thin_line(thickness):
+    """A free-space line thinner than ``Substrate`` accepts as input: the
+    chain algebra holds for any thickness, and these tests need lines whose
+    electrical length underflows to 0 or nearly so."""
+    line = object.__new__(Substrate)
+    for name, value in (("thickness", thickness), ("eps_r", 1.0), ("tan_delta", 0.0)):
+        object.__setattr__(line, name, value)
+    return line
 
 
 def _identity_prefix(f):
@@ -38,8 +49,8 @@ def _identity_prefix(f):
     a node and a line; behind this pair it multiplies any sequence.
 
     The tank is exactly open where w*C equals 1/(w*L) in floating point,
-    searched for among the floats next to L = 1 and C = 1/w^2; the line is
-    so thin that its electrical length underflows to 0."""
+    searched for among the floats next to L = C = 1/w; the line is so
+    thin that its electrical length underflows to 0."""
     w = 2.0 * math.pi * f
 
     def near(x):
@@ -49,11 +60,11 @@ def _identity_prefix(f):
             above.append(math.nextafter(above[-1], math.inf))
         return below + above[1:]
 
-    by_value = {w * C: C for C in near(1.0 / (w * w))}
-    for L in near(1.0):
+    by_value = {w * C: C for C in near(1.0 / w)}
+    for L in near(1.0 / w):
         C = by_value.get(1.0 / (w * L))
         if C is not None:
-            return Tank(L, C), Substrate(5e-324, 1.0)
+            return Tank(L, C), _thin_line(5e-324)
     raise AssertionError(f"no exactly open tank found at {f} Hz")
 
 
@@ -79,7 +90,7 @@ def test_shunt_open_branch_is_identity():
 
 
 def test_shunt_stores_admittance():
-    node = Tank(1.0, 1.0, G=1 / 377)  # admittance exactly G at w = 1
+    node = Tank(U, U, G=1 / 377)  # admittance exactly G at w = 1 / U
     A, B, C, D = _abcd((node,), F_UNIT)
     assert C == 1 / 377 + 0j
     assert A == 1 and D == 1 and B == 0
@@ -93,7 +104,7 @@ def test_shunt_capacitor_admittance():
 
 
 def test_line_zero_length_is_identity():
-    A, B, C, D = _abcd((_free_space_line(1e-15, F),), F)
+    A, B, C, D = _abcd((_thin_line(1e-15 * C0 / (2.0 * math.pi * F)),), F)
     assert A == pytest.approx(1, abs=1e-15) and D == pytest.approx(1, abs=1e-15)
     assert B == pytest.approx(0, abs=1e-12) and C == pytest.approx(0, abs=1e-15)
 
@@ -164,7 +175,7 @@ def test_to_sparams_identity_network():
 def test_to_sparams_matched_shunt():
     # shunt conductance 1/eta0 at port 1, then a matched line to an open
     # node: S11 = -1/3, |S21| = 2/3
-    node = Tank(1.0, 1.0, G=1 / ETA0)
+    node = Tank(U, U, G=1 / ETA0)
     sub = _free_space_line(0.7, F_UNIT)
     s11, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
     assert abs(s21[0]) == pytest.approx(2 / 3)
@@ -172,7 +183,7 @@ def test_to_sparams_matched_shunt():
 
 
 def test_to_sparams_shunt_short_blocks_transmission():
-    node = Tank(1.0, 1.0, G=1e14)
+    node = Tank(U, U, G=1e6)
     sub = _free_space_line(0.7, F_UNIT)
     _, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
     assert abs(s21[0]) < 1e-8
