@@ -245,25 +245,17 @@ def _parse_sweep(cfg: dict):
     return f_start, f_stop, n_points, spacing
 
 
-def _parse_incidence_single(cfg: dict) -> Incidence:
-    """The one-entry case of the incidence lists, normal TE by default."""
-    blk = cfg.get("incidence", {})
-    if isinstance(blk, dict) and (
-        isinstance(blk.get("theta_deg"), list) or isinstance(blk.get("polarization"), list)
-    ):
+def _parse_incidence(cfg: dict, single: bool = False):
+    """(output file name, Incidence) per theta_deg/polarization pair; no block
+    reads as {}.  A ``single`` command takes one pair, normal TE by default."""
+    blk = _block({"incidence": {}, **cfg}, "incidence", ("theta_deg", "polarization"))
+    if single and any(isinstance(v, list) for v in blk.values()):
         raise ConfigError(
             "incidence: this command takes a single theta_deg/polarization "
             "(lists are for the 'angular' command)"
         )
-    ((_, inc),) = _parse_incidence_lists(cfg, ("TE",))
-    return inc
-
-
-def _parse_incidence_lists(cfg: dict, polarizations=("TE", "TM")):
-    """(output file name, Incidence) per theta_deg/polarization pair; no block reads as {}."""
-    blk = _block({"incidence": {}, **cfg}, "incidence", ("theta_deg", "polarization"))
     thetas = blk.get("theta_deg", [0.0])
-    pols = blk.get("polarization", list(polarizations))
+    pols = blk.get("polarization", ["TE"] if single else ["TE", "TM"])
     if not isinstance(thetas, list):
         thetas = [thetas]
     if not isinstance(pols, list):
@@ -332,7 +324,7 @@ def _band_report_text(rep) -> str:
 
 def _cmd_analyze(cfg, outdir: Path, config_path, smooth_ghz):
     builder, _, _ = _parse_design(cfg)
-    inc = _parse_incidence_single(cfg)
+    [(_, inc)] = _parse_incidence(cfg, single=True)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
     freqs = _grid(f_start, f_stop, n_points, spacing)
     s11, s21, s22 = stack_response_full(builder(inc), freqs)
@@ -372,7 +364,7 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
     values = [
         _value(v, "parametric.values_mm", "positive numbers (mm)", _positive, MM) for v in values
     ]
-    inc = _parse_incidence_single(cfg)
+    [(_, inc)] = _parse_incidence(cfg, single=True)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
     if spacing != "linear":
         _fail("sweep.spacing", "'linear' (parametric sweeps run on a linear grid)")
@@ -406,7 +398,7 @@ def _cmd_sweep(cfg, outdir: Path, config_path, smooth_ghz):
 def _cmd_angular(cfg, outdir: Path, config_path, smooth_ghz):
     builder, _, _ = _parse_design(cfg)
     f_start, f_stop, n_points, spacing = _parse_sweep(cfg)
-    for name, inc in _parse_incidence_lists(cfg):
+    for name, inc in _parse_incidence(cfg):
         table = sweep(builder(inc), f_start, f_stop, n_points, spacing)
         write_response_csv(table, outdir / name)
 
@@ -481,7 +473,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     max_iter = _integer(blk, "max_iter", "fit", FIT_MAX_ITER, 0)
 
     _, sub, loss = _read_design(cfg)
-    inc = _parse_incidence_single(cfg)
+    [(_, inc)] = _parse_incidence(cfg, single=True)
 
     data = load_response(data_file)
     result = fit_circuit(

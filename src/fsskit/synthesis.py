@@ -47,8 +47,6 @@ from .topology import (
 #: bandwidth split when the caller does not choose one.
 DEFAULT_TANK_L = 4e-9
 
-BISECT_TOL_M = 1e-12
-BISECT_MAX_ITER = 60
 FIT_MAX_ITER = 200  # default cap on accepted fitter iterations
 
 FIRST_ORDER_PARAMS = tuple(f.name for f in fields(ExtractedCircuit))
@@ -192,8 +190,9 @@ def geometry_from_circuit(
 
 
 def _bisect_decreasing(func, target, lo, hi, *, parameter, target_name):
-    """Bisection for a strictly decreasing function; converges to
-    BISECT_TOL_M within BISECT_MAX_ITER halvings."""
+    """Bisection for a strictly decreasing function, halving until ``lo``
+    and ``hi`` are adjacent floats; returns the midpoint, which rounds onto
+    one of them."""
     f_lo = func(lo)
     f_hi = func(hi)
     if not (f_hi <= target <= f_lo):
@@ -203,15 +202,12 @@ def _bisect_decreasing(func, target, lo, hi, *, parameter, target_name):
             parameter=parameter,
             attainable=(f_hi, f_lo),
         )
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if func(mid) >= target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= BISECT_TOL_M:
-            break
-    return 0.5 * (lo + hi)
+    return mid
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,19 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class Incidence:
-    """Plane-wave illumination: angle from normal (radians) and polarization."""
+    """Plane-wave illumination: angle from normal (radians) and polarization.
+
+    The angle lies in [0, pi/2) where sin(theta) rounds below 1, so the
+    refracted cosine is nonzero in every substrate, air included: up to
+    1.5707963162581844 rad (89.99999939629086 deg)."""
 
     theta: float = 0.0
     polarization: str = "TE"
 
     def __post_init__(self):
-        if not 0.0 <= self.theta < math.pi / 2.0:
+        if not (0.0 <= self.theta < math.pi / 2.0 and math.sin(self.theta) < 1.0):
             raise InvalidParameterError(
-                f"incidence angle must lie in [0, pi/2), got {self.theta}"
+                f"incidence angle must lie in [0, pi/2) with sin(theta) < 1, got {self.theta}"
             )
         if self.polarization not in _POLARIZATIONS:
             raise InvalidParameterError(

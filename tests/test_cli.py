@@ -143,7 +143,7 @@ COMMAND_GOLDEN_SHA256 = {
         "response_tm_45deg.csv": "181d595cc84f8835f211bf39a3a608a46b2363e049bf55edc4b3f5f9cfe28cad",
     }),
     "synth": ("synth", "synth_targets.json", {}, {
-        "design.json": "a2cc0ffe05c6a35dcf53a0fb59dab13d75c56d1b7fcc0e3f0aed1f1eb192839b",
+        "design.json": "775d8b61872bb04d9ece576c8173992f24f198d2b49a5556ad4c68c3752c4826",
         "design_report.txt": "e905a6cd9e7bce37c0fd1f9ab2e244836f9687981a3c30cff864bdafb06c2b71",
     }),
 }
@@ -1014,6 +1014,14 @@ OUT_OF_RANGE = [
     # (2*pi*f_zero)**2 underflowed to 0 and was divided by
     ("synth", _SYNTH, {"targets.f_lower_GHz": 1e-201, "targets.f_zero_GHz": 1e-200},
      "invalid-parameter", "f_lower must lie in [1e3, 1e15] Hz"),
+    # an angle below 90 degrees whose sine rounds to 1 left a refracted
+    # cosine of 0 in air, which the oblique line impedance divided by
+    ("analyze", _FIRST, {"design.substrate.eps_r": 1.0, "incidence.theta_deg": 89.99999999999999},
+     "invalid-parameter",
+     "incidence angle must lie in [0, pi/2) with sin(theta) < 1, got 1.5707963267948963"),
+    ("angular", _ANGULAR, {"design.substrate.eps_r": 1.0,
+                           "incidence.theta_deg": [0.0, 89.99999999999999]},
+     "invalid-parameter", "incidence angle must lie in [0, pi/2) with sin(theta) < 1"),
 ]
 
 

@@ -159,16 +159,44 @@ def test_geometry_from_circuit_unattainable_hat(ref_substrate):
     assert info.value.parameter == "hat_length"
 
 
+@pytest.mark.parametrize("period", [1e-9, 8.5e-8, 1e-6, 3e-6, 1e-5, 1e-4, 8.5e-3, 1.0])
+def test_geometry_roundtrip_across_scales(period):
+    # the bisection ends at adjacent floats, so the inverse is exact to the
+    # float format at every period; the first cell is the reference cell
+    # scaled to the period
+    rng = np.random.default_rng(2718)
+    a = period
+    cells = [FirstOrderGeometry(a, 0.8 * a, a * 0.3 / 8.5, a * 0.2 / 8.5, a * 0.5 / 8.5,
+                                0.635e-3, 10.2)]
+    for _ in range(200):
+        cells.append(FirstOrderGeometry(
+            period=a,
+            hat_length=rng.uniform(0.2, 0.9) * a,
+            jc_slot=rng.uniform(0.01, 0.3) * a,
+            cross_slot=rng.uniform(0.01, 0.15) * a,
+            jc_gap=rng.uniform(0.02, 0.3) * a,
+            thickness=1e-3,
+            eps_r=rng.uniform(2.0, 12.0),
+        ))
+    for geom in cells:
+        back = geometry_from_circuit(
+            extract_circuit(geom), a, Substrate(geom.thickness, geom.eps_r)
+        )
+        for name in ("hat_length", "jc_slot", "cross_slot", "jc_gap"):
+            assert getattr(back, name) == pytest.approx(getattr(geom, name), rel=1e-14)
+
+
 def test_geometry_from_circuit_re_extraction_miss(ref_substrate):
-    # an 85 nm cell: the bisection stops within 1e-12 m, a relative error
-    # of ~1e-5 on a 3 nm slot, which the 1e-6 re-extraction check refuses
-    s = 1e-8
-    geom = FirstOrderGeometry(
-        period=8.5 * s, hat_length=6.8 * s, jc_slot=0.3 * s, cross_slot=0.2 * s,
-        jc_gap=0.5 * s, thickness=0.635e-3, eps_r=10.2,
+    # ln(1/sin x) loses precision as x nears pi/2: on this 1.83 m cell the
+    # slot that brackets L_series to adjacent floats re-extracts 7.5e-6 off,
+    # which the 1e-6 re-extraction check refuses
+    c = ExtractedCircuit(
+        3.794784692314804e-18, 2.39159903809271e-19, 4.3192052583984786e-11,
+        2.9251077441075754e-12,
     )
-    with pytest.raises(UnattainableDimensionError, match="re-extraction of L_series") as info:
-        geometry_from_circuit(extract_circuit(geom), geom.period, ref_substrate)
+    with pytest.raises(UnattainableDimensionError) as info:
+        geometry_from_circuit(c, 1.8327341749591244, ref_substrate)
+    assert str(info.value) == "re-extraction of L_series missed the target by 7.49e-06 relative"
     assert info.value.parameter == "L_series"
     assert info.value.attainable is None
 
@@ -200,11 +228,12 @@ def test_bisection_iteration_budget():
         calls += 1
         return 1.0 / x
 
-    root = _bisect_decreasing(
-        func, 2.0, 1e-3, 1.0, parameter="x", target_name="f"
-    )
-    assert root == pytest.approx(0.5, abs=1e-12)
-    assert calls <= 62  # two bracket evaluations + at most 60 halvings
+    lo, hi = 1e-3, 1.0
+    root = _bisect_decreasing(func, 2.0, lo, hi, parameter="x", target_name="f")
+    assert abs(root - 0.5) <= math.ulp(0.5)
+    # two bracket evaluations, one halving per bit between the bracket width
+    # and the root's ulp, and one more where the midpoint rounds
+    assert calls <= 2 + math.ceil(math.log2((hi - lo) / math.ulp(0.5))) + 1
 
 
 WEAK_PARASITIC = {
@@ -571,4 +600,4 @@ def test_model_outputs_golden():
             l2 = -l2
         lines.append(_outcome(foster_transform, l1, c1, l2, c2))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "fb64a1f2cc3f97460c10dfdad7eddbdbfd64b4c8198741706564e7f9064aac48", digest
+    assert digest == "475c4c5121dc68d7320f3b46aa503394be7c2e26c673b7fd5b1ffbdb6e86d3b8", digest

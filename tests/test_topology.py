@@ -98,6 +98,16 @@ def test_incidence_validation():
         Incidence(0.0, "te")
 
 
+def test_incidence_ends_where_the_sine_rounds_to_one():
+    last = 1.5707963162581844
+    with pytest.raises(InvalidParameterError, match="with sin\\(theta\\) < 1"):
+        Incidence(math.nextafter(last, math.inf))
+    air = Substrate(1e-3, 1.0)
+    for pol in ("TE", "TM"):
+        port, line_z, theta_d = incidence_media(Incidence(last, pol), air, 2.4e9)
+        assert all(math.isfinite(v) and v > 0.0 for v in (port, line_z, theta_d))
+
+
 def test_normal_incidence_media(ref_substrate):
     port, line_z, theta_d = incidence_media(Incidence(), ref_substrate, 2.4e9)
     assert port == ETA0 == 376.730313
