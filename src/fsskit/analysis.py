@@ -41,7 +41,12 @@ SWEEP_POINTS = 1401
 
 @dataclass(frozen=True)
 class ResponseTable:
-    """Swept two-port response: strictly increasing frequencies with S11/S21."""
+    """Swept two-port response: strictly increasing frequencies with S11/S21.
+
+    The columns are read-only arrays.  An input that is a plain ndarray of
+    the column's dtype, owns its memory and is already read-only (as the
+    engine's outputs are) is shared; any other input is copied, so no
+    write to the caller's arrays reaches the table."""
 
     frequency: np.ndarray
     s11: np.ndarray
@@ -49,9 +54,16 @@ class ResponseTable:
 
     def __post_init__(self):
         for name, dtype in (("frequency", float), ("s11", complex), ("s21", complex)):
-            arr = np.array(getattr(self, name), dtype=dtype)  # a copy the table owns
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not (
+                type(arr) is np.ndarray
+                and arr.dtype == dtype
+                and arr.flags.owndata
+                and not arr.flags.writeable
+            ):
+                arr = np.array(arr, dtype=dtype)  # a copy the table owns
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         f = self.frequency
         if f.ndim != 1 or f.size < 2:
             raise InvalidParameterError("response table needs at least 2 rows")
@@ -134,14 +146,23 @@ def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndar
     if n_points < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
     if spacing == "linear":
-        return np.linspace(f_start, f_stop, n_points)
-    if spacing == "log":
-        return np.geomspace(f_start, f_stop, n_points)
-    raise InvalidParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+        grid = np.linspace(f_start, f_stop, n_points)
+    elif spacing == "log":
+        grid = np.geomspace(f_start, f_stop, n_points)
+    else:
+        raise InvalidParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    # read-only and owning its memory, so every ResponseTable on it shares
+    # it; linspace returns a view, copied once here rather than per table
+    if not grid.flags.owndata:
+        grid = grid.copy()
+    grid.setflags(write=False)
+    return grid
 
 
 def sweep_at(stack: FssStack, freqs) -> ResponseTable:
-    """Evaluate the stack on an explicit frequency grid."""
+    """Evaluate the stack on an explicit frequency grid.  The table shares
+    the engine's read-only S11 and S21, and copies a grid that is not
+    itself a read-only array owning its memory."""
     freqs = np.asarray(freqs, dtype=float)
     s11, s21 = stack_response(stack, freqs)
     return ResponseTable(freqs, s11, s21)
@@ -313,6 +334,7 @@ def parametric_sweep(
                 k = int(np.searchsorted(grid, f_zero))
                 if grid[k] != f_zero:
                     this_grid = np.insert(grid, k, f_zero)
+                    this_grid.setflags(write=False)
             report = band_report(sweep_at(stack, this_grid))
             points.append(SweepPoint(value=value, report=report))
         except FssError as exc:

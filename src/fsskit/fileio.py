@@ -177,7 +177,10 @@ def _imported_table(path, rows) -> ResponseTable:
             f"{path}: frequencies must be strictly increasing, but {freq!r} Hz follows {prev!r} Hz"
         )
     check_frequencies(f, f"{path}: frequency")
-    return ResponseTable(f, np.array(s11), np.array(s21))
+    columns = f, np.array(s11, dtype=complex), np.array(s21, dtype=complex)
+    for column in columns:
+        column.setflags(write=False)  # so the table shares it
+    return ResponseTable(*columns)
 
 
 def read_response_csv(path) -> ResponseTable:

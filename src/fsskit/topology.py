@@ -171,13 +171,15 @@ def build_second_order(
 
 
 def stack_response(stack: FssStack, freqs) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (S11, S21) over a frequency array."""
+    """Vectorized (S11, S21) over a frequency array.  The arrays are
+    read-only; ``np.array(s21)`` gives a writeable copy."""
     s11, s21, _ = _response_arrays(stack, freqs, want_s22=False)
     return s11, s21
 
 
 def stack_response_full(stack: FssStack, freqs):
-    """Vectorized (S11, S21, S22); S12 equals S21 for these reciprocal stacks."""
+    """Vectorized (S11, S21, S22); S12 equals S21 for these reciprocal stacks.
+    The arrays are read-only, as in ``stack_response``."""
     return _response_arrays(stack, freqs, want_s22=True)
 
 
@@ -306,6 +308,10 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
             _block_response(
                 stack, freqs[block], s11[block], s21[block], None if s22 is None else s22[block]
             )
+    # born read-only, so a ResponseTable shares them instead of copying
+    for out in (s11, s21, s22):
+        if out is not None:
+            out.setflags(write=False)
     return s11, s21, s22
 
 

@@ -19,7 +19,7 @@ from fsskit import (
     sweep,
     sweep_at,
 )
-from fsskit.analysis import BAND_THRESHOLD_DB, ZERO_FLOOR_DB, _refine_quadratic
+from fsskit.analysis import BAND_THRESHOLD_DB, ZERO_FLOOR_DB, _grid, _refine_quadratic
 from fsskit.errors import (
     BandStructureError,
     EmptySweepError,
@@ -127,6 +127,62 @@ def test_response_table_is_immutable():
     assert t.frequency.tolist() == [1e9, 2e9]
     assert t.s11.tolist() == [0j, 0j]
     assert t.s21.tolist() == [1 + 0j, 1 + 0j]
+
+
+def test_response_table_shares_read_only_arrays_that_own_their_memory(ref_circuit, ref_substrate):
+    f, s11, s21 = np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([1 + 0j, 1 + 0j])
+    for arr in (f, s11, s21):
+        arr.setflags(write=False)
+    t = ResponseTable(f, s11, s21)
+    assert t.frequency is f and t.s11 is s11 and t.s21 is s21
+    # the library's own grids and engine outputs are such arrays
+    stack = _ref_stack(ref_circuit, ref_substrate)
+    for spacing in ("linear", "log"):
+        grid = _grid(1e9, 8e9, 11, spacing)
+        assert sweep_at(stack, grid).frequency is grid
+        t = sweep(stack, 1e9, 8e9, 11, spacing)
+        for column in (t.frequency, t.s11, t.s21):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+            assert np.array(column).flags.writeable
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["writeable", "read-only view", "wrong dtype", "subclass"])
+def test_response_table_copies_an_input_it_cannot_share(kind):
+    # Each column is handed over as `kind`.  The table copies it, and a
+    # write to the caller's memory afterwards does not reach the table.
+    caller = {
+        "frequency": np.array([1e9, 2e9]),
+        "s11": np.array([0j, 0j]),
+        "s21": np.array([1 + 0j, 1 + 0j]),
+    }
+    given = {}
+    for name, base in caller.items():
+        if kind == "writeable":
+            arr = base
+        elif kind == "read-only view":
+            arr = base[:]
+        elif kind == "wrong dtype":
+            arr = base.astype(np.float32 if name == "frequency" else np.complex64)
+        else:
+            arr = np.array(base.view(_Subclass), subok=True)
+            assert arr.flags.owndata
+        if kind != "writeable":
+            arr.setflags(write=False)
+        given[name] = arr
+    t = ResponseTable(**given)
+    for name, base in caller.items():
+        column = getattr(t, name)
+        assert column is not given[name]
+        assert type(column) is np.ndarray and column.dtype == base.dtype
+        assert not column.flags.writeable
+        expected = base.tolist()
+        base[:] = 7.0
+        assert column.tolist() == expected
 
 
 def test_reference_stack_band_structure(ref_circuit, ref_substrate):

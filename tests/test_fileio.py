@@ -271,6 +271,24 @@ def test_load_response_sniffs_both_formats(tmp_path, ref_circuit, ref_substrate)
     np.testing.assert_allclose(got.s21, table.s21, atol=1e-11)
 
 
+def test_imported_columns_are_the_table_columns(tmp_path, ref_circuit, ref_substrate, monkeypatch):
+    # the importers hand read-only arrays to the table, which shares them
+    handed = []
+
+    def recording(*columns):
+        handed.append(columns)
+        return ResponseTable(*columns)
+
+    monkeypatch.setattr(fileio, "ResponseTable", recording)
+    table = _small_table(ref_circuit, ref_substrate)
+    write_response_csv(table, tmp_path / "data.csv")
+    write_touchstone(table.frequency, table.s11, table.s21, table.s21, table.s11,
+                     tmp_path / "data.s2p", ETA0)
+    for name in ("data.csv", "data.s2p"):
+        got = load_response(tmp_path / name)
+        assert all(a is b for a, b in zip(handed.pop(), (got.frequency, got.s11, got.s21)))
+
+
 # --- Byte identity of the writers against a per-cell reference ------------
 
 

@@ -278,6 +278,35 @@ def test_fit_noise_injection(ref_substrate, rng):
         assert result.params[name] == pytest.approx(truth, rel=0.05)
 
 
+@pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
+def test_fit_damps_a_step_whose_solve_fails(ref_substrate, monkeypatch, failure):
+    # The first damped normal system is refused by a stand-in solve, or
+    # answered with NaN: the trial is rejected like a step that raises the
+    # cost, the damping grows, and the fit converges as before.
+    solve = np.linalg.solve
+    calls = []
+
+    def failing_once(a, b):
+        calls.append(a)
+        if len(calls) > 1:
+            return solve(a, b)
+        if failure == "LinAlgError":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_once)
+    data = _weak_parasitic_data(ref_substrate)
+    pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
+    initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
+    result = fit_circuit(data, "first_order", initial, ref_substrate)
+    # the second solve ran at ten times the first damping
+    first, second = (np.diag(a) for a in calls[:2])
+    np.testing.assert_allclose(second, first / 1.01 * 1.1, rtol=1e-12)
+    assert result.rms_residual < 1e-8
+    for name, truth in WEAK_PARASITIC.items():
+        assert result.params[name] == pytest.approx(truth, rel=1e-2)
+
+
 def test_fit_zero_iteration_cap(ref_substrate):
     data = _weak_parasitic_data(ref_substrate)
     initial = {k: v * 1.05 for k, v in WEAK_PARASITIC.items()}
@@ -472,6 +501,7 @@ def test_fit_damps_a_trial_step_that_overflows_the_network(ref_circuit):
     threshold = _overflow_threshold(ref_circuit, sub, freqs, 1e-6, 1e-3)
     start = replace(ref_circuit, C_tank=threshold / (1.0 + 5e-7))
     s11, s21 = stack_response(build_first_order(start, sub, dielectric_loss=True), freqs)
+    s21 = np.array(s21)  # a writeable copy of the read-only output
     pulling = build_first_order(replace(ref_circuit, C_tank=2.0 * threshold), sub,
                                 dielectric_loss=True)
     s21[:-1] = stack_response(pulling, low)[1]

@@ -466,6 +466,26 @@ def test_engine_peak_memory_is_bounded(ref_circuit, ref_substrate):
         assert peak < 2 * outputs, (loss, peak)
 
 
+def test_engine_outputs_are_read_only_and_shared_by_a_table(ref_circuit, ref_substrate):
+    # a grid with an exact short in it takes the shorted-point writes too
+    stack = build_first_order(ref_circuit, ref_substrate)
+    f_zero = 1.0 / (2.0 * math.pi * math.sqrt(ref_circuit.L_series * ref_circuit.C_series))
+    freqs = np.array([1e9, f_zero, 8e9])
+    s11, s21 = stack_response(stack, freqs)
+    assert s21[1] == 0j
+    outputs = (s11, s21, *stack_response_full(stack, freqs))
+    for out in outputs:
+        assert out.flags.owndata
+        with pytest.raises(ValueError):
+            out[0] = 0.5
+        copy = np.array(out)
+        copy[0] = 0.5  # np.array gives a writeable copy
+    table = ResponseTable(freqs, s11, s21)
+    assert table.s11 is s11 and table.s21 is s21
+    # the caller's writeable grid is copied, not frozen
+    assert table.frequency is not freqs and freqs.flags.writeable
+
+
 # --- Oracle: the whole-array engine ------------------------------------------
 #
 # A verbatim copy of the engine as it was before it ran over blocks with
