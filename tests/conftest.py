@@ -6,6 +6,9 @@ hat 6.8 mm, slots 0.3/0.2 mm, gap 0.5 mm on a 0.635 mm, eps_r 10.2,
 tan_delta 0.0023 substrate.
 """
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,42 @@ def complex_chain(layers, incidence, dielectric_loss, freqs):
     if shorted is None:
         shorted = np.zeros(freqs.shape, dtype=bool)
     return A, B, C, D, shorted
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def _ulps(x: float, y: float) -> int:
+    """Number of floats between x and y (0.0 and -0.0 coincide)."""
+    def key(v):
+        i = struct.unpack("<q", struct.pack("<d", v))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return abs(key(x) - key(y))
+
+
+def assert_lines_match(lines, path, shown: int = 5) -> None:
+    """Compare result lines byte for byte with the expected-lines file
+    ``path`` (the lines joined by newlines, no trailing newline).  A
+    mismatch names the number of moved lines, the first ``shown`` of them,
+    and the largest move in ulps among lines that differ only in numbers."""
+    text = "\n".join(lines)
+    expected = path.read_bytes().decode()
+    if text == expected:
+        return
+    old = expected.split("\n")
+    if len(old) != len(lines):
+        raise AssertionError(f"{path.name}: {len(lines)} lines, expected {len(old)}")
+    moved = [(i, a, b) for i, (a, b) in enumerate(zip(old, lines), 1) if a != b]
+    largest = 0
+    for _, a, b in moved:
+        if _NUMBER.sub("#", a) == _NUMBER.sub("#", b):
+            pairs = zip(_NUMBER.findall(a), _NUMBER.findall(b))
+            largest = max([largest, *(_ulps(float(x), float(y)) for x, y in pairs)])
+    report = [f"{path.name}: {len(moved)} of {len(old)} lines moved, "
+              f"the largest numeric move {largest} ulps"]
+    for i, a, b in moved[:shown]:
+        report += [f"line {i}:", f"- {a}", f"+ {b}"]
+    raise AssertionError("\n".join(report))
 
 
 @pytest.fixture

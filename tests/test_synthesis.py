@@ -1,5 +1,5 @@
-import hashlib
 import math
+import pathlib
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -36,6 +36,10 @@ from fsskit.errors import (
 )
 from fsskit.domain import RANGES
 from fsskit.synthesis import _bisect_decreasing
+
+from conftest import assert_lines_match
+
+MODEL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "model_outputs.txt"
 
 
 def test_targets_validation():
@@ -566,11 +570,9 @@ def _log_uniform(rng, lo, hi) -> float:
     return float(10.0 ** rng.uniform(lo, hi))
 
 
-def test_model_outputs_golden():
-    """SHA-256 over the reprs of seeded outcomes (value, or exception class
-    and message) of the closed-form model functions.  A refactor of the
-    grid formulas, the resonance relations or the hybrid transform must
-    leave every bit and every message unchanged."""
+def _model_output_lines() -> list[str]:
+    """The reprs of seeded outcomes (value, or exception class and message)
+    of the closed-form model functions, one per line."""
     rng = np.random.default_rng(70707)
     lines = []
     for _ in range(400):
@@ -629,5 +631,26 @@ def test_model_outputs_golden():
         if k % 50 == 7:
             l2 = -l2
         lines.append(_outcome(foster_transform, l1, c1, l2, c2))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "475c4c5121dc68d7320f3b46aa503394be7c2e26c673b7fd5b1ffbdb6e86d3b8", digest
+    return lines
+
+
+def test_model_outputs_golden():
+    """A refactor of the grid formulas, the resonance relations or the
+    hybrid transform must leave every bit and every message unchanged.
+    To pin a deliberate change, rewrite the file with
+    ``MODEL_GOLDEN.write_text("\\n".join(_model_output_lines()))``."""
+    assert_lines_match(_model_output_lines(), MODEL_GOLDEN)
+
+
+def test_golden_mismatch_names_the_moved_lines(tmp_path):
+    lines = _model_output_lines()[:3]
+    path = tmp_path / "expected.txt"
+    path.write_text("\n".join(lines))
+    value = float(lines[0].split("L_series=")[1].split(",")[0])
+    lines[0] = lines[0].replace(repr(value), repr(math.nextafter(value, 1.0)))
+    with pytest.raises(AssertionError) as info:
+        assert_lines_match(lines, path)
+    report = str(info.value).splitlines()
+    assert report[0] == "expected.txt: 1 of 3 lines moved, the largest numeric move 1 ulps"
+    assert report[1:3] == ["line 1:", f"- {path.read_text().splitlines()[0]}"]
+    assert report[3] == f"+ {lines[0]}"
