@@ -352,13 +352,12 @@ def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     span = f[-1] - f[0]
     if not window_hz < span:
         raise InvalidParameterError(f"window {window_hz} must be below the data span {span}")
-    s11, s21 = _moving_average(f, window_hz)(np.stack((table.s11, table.s21)))
-    return ResponseTable(f, s11, s21)
+    return ResponseTable(f, *map(_moving_average(f, window_hz), (table.s11, table.s21)))
 
 
 def _moving_average(f: np.ndarray, window_hz: float):
-    """The moving average over ``window_hz`` on grid ``f``, planned once:
-    returns a function that averages any array along its last axis."""
+    """The moving average over ``window_hz`` on grid ``f``, planned once: a
+    function that averages along the last axis into a new read-only array."""
     half = window_hz / 2.0
     lo = np.searchsorted(f, f - half, side="left")
     width = np.searchsorted(f, f + half, side="right") - lo
@@ -377,6 +376,7 @@ def _moving_average(f: np.ndarray, window_hz: float):
             if w not in views:
                 views[w] = sliding_window_view(s, w, axis=-1)
             out[..., a:b] = np.add.reduce(views[w][..., first : first + b - a, :], axis=-1) / w
+        out.setflags(write=False)
         return out
 
     return average

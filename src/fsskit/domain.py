@@ -16,10 +16,10 @@ beyond printed cells, and inside them no stage leaves the float range:
 * Targets: C_tank, 1/(2*pi*f)^2 and the series elements stay in
   [1e-54, 1e46]; only q_lower - q_zero can round to 0 (f_zero next to
   f_lower), which is refused by name.
-* Dimensions: L_tank >= 1e-18 H and period * mu_reff <= 1e3 m keep the
-  bisected pi*jc_gap/(2*period) more than 5e-8 rad below pi/2, where sin
-  rounds below 1, so the hat-length factor is positive; every grid-formula
-  argument is a ratio of in-range lengths, in (0, pi/2).
+* Dimensions: L >= 1e-18 H and period * mu_reff <= 1e3 m keep each strip
+  width at least 6e-8*period below the period, so the hat-length factor is
+  positive and re-extraction misses by < 4e-9; C_tank >= 1e-21 F is far
+  above the cross-slot bracket's floor, ~4e-31 F.  ln csc takes length pairs.
 * Engine: lossless nodes and lines are finite, but a lossy line's
   |Im theta| grows with thickness * f * tan_delta up to 4.5e10 rad, so
   the chain keeps its overflow check.  A fit's trial step may leave the

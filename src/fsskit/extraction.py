@@ -92,19 +92,33 @@ def effective_permittivity(eps_r: float) -> float:
     return (eps_r + 1.0) / 2.0
 
 
-def _ln_csc(x: float) -> float:
-    """ln(1/sin(x)) for x in (0, pi); nonnegative everywhere on that range."""
-    return 0.0 - math.log(math.sin(x))  # +0.0 where sin rounds to 1, not -0.0
+def _ln_csc(w: float, span: float) -> float:
+    """ln(1/sin(pi*w/span)) for 0 < w < span, to full precision."""
+    w = min(w, span - w)  # sin(x) = sin(pi - x); span - w is exact past span/2
+    if 4.0 * w <= span:
+        return -math.log(math.sin(math.pi * w / span))
+    # past pi/4 through cos(x) = sin(pi/2 - x), with span - 2w exact
+    return -0.5 * math.log1p(-math.sin(math.pi * (span - 2.0 * w) / (2.0 * span)) ** 2)
 
 
 def _strip_inductance(a: float, mu_reff: float, width: float) -> float:
     """Grid inductance of strips parted by slots of ``width``, period ``a``."""
-    return (a * MU0 * mu_reff / (2.0 * math.pi)) * _ln_csc(math.pi * width / (2.0 * a))
+    return (a * MU0 * mu_reff / (2.0 * math.pi)) * _ln_csc(width, 2.0 * a)
+
+
+def _strip_width(a: float, mu_reff: float, inductance: float) -> float:
+    """The slot width of ``_strip_inductance`` in closed form: sin x = e^-k
+    for x = pi*w/(2a), solved by atan2 for the smaller of x and pi/2 - x."""
+    k = 2.0 * math.pi * inductance / (a * MU0 * mu_reff)
+    sin_x, cos_x = math.exp(-k), math.sqrt(-math.expm1(-2.0 * k))
+    if sin_x < cos_x:
+        return (2.0 * a / math.pi) * math.atan2(sin_x, cos_x)
+    return a - (2.0 * a / math.pi) * math.atan2(cos_x, sin_x)
 
 
 def _slot_capacitance(opening: float, slot: float, er_eff: float) -> float:
     """Grid capacitance across a ``slot`` in an ``opening`` (period - gap - slot)."""
-    return (opening / math.pi) * EPS0 * er_eff * _ln_csc(math.pi * slot / opening)
+    return (opening / math.pi) * EPS0 * er_eff * _ln_csc(slot, opening)
 
 
 def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
@@ -117,11 +131,7 @@ def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     er_eff = effective_permittivity(geom.eps_r)
 
     l_series = _strip_inductance(a, geom.mu_reff, geom.jc_slot)
-    c_series = (
-        (2.0 * geom.hat_length / math.pi)
-        * EPS0 * er_eff
-        * _ln_csc(math.pi * geom.jc_gap / (2.0 * a))
-    )
+    c_series = (2.0 * geom.hat_length / math.pi) * EPS0 * er_eff * _ln_csc(geom.jc_gap, 2.0 * a)
     l_tank = _strip_inductance(a, geom.mu_reff, geom.jc_gap)
     d = a - geom.jc_gap - geom.cross_slot
     c_tank = _slot_capacitance(d, geom.cross_slot, er_eff)

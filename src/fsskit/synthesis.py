@@ -3,7 +3,7 @@ dimensions, and least-squares fitting of circuit values to response data.
 
 The target inversion is exact (the three resonance relations solve in
 closed form once the tank inductance is chosen); the dimension inversion
-bisects the monotone grid formulas; the fitter is a damped least-squares
+is closed-form except for the cross slot; the fitter is a damped least-squares
 loop over log-parameterized element values, which keeps every iterate
 strictly positive and the accepted-step residual monotone non-increasing.
 """
@@ -30,8 +30,8 @@ from .extraction import (
     _ln_csc,
     _slot_capacitance,
     _strip_inductance,
+    _strip_width,
     effective_permittivity,
-    extract_circuit,
 )
 from .lumped import SeriesLC, Tank
 from .analysis import ResponseTable, _moving_average, smooth_response
@@ -123,28 +123,24 @@ def geometry_from_circuit(
 ) -> FirstOrderGeometry:
     """Invert the grid formulas for a chosen lattice period.
 
-    Slot and gap widths come from bisection on the monotone inductance
-    formulas, the hat length is linear in C_series, and the cross slot
-    bisects the decreasing branch of its capacitance formula.  The result
-    is verified by re-extraction to 1e-6 relative.
+    Slot and gap widths invert the strip inductance formula in closed
+    form, the hat length is linear in C_series, and the cross slot
+    bisects the decreasing branch of its capacitance formula.  The domain
+    argument in ``fsskit.domain`` bounds the re-extraction error by 4e-9.
     """
     check("length", "period", period)
     check("mu_reff", "mu_reff", mu_reff)
     a = period
     er_eff = effective_permittivity(sub.eps_r)
 
+    # the strip inductance falls as the slot widens: the widest slot gives the low end
+    strip_range = [_strip_inductance(a, mu_reff, a * w) for w in (1.0 - 1e-9, 1e-9)]
     jc_slot, jc_gap = (
-        _bisect_decreasing(
-            lambda w: _strip_inductance(a, mu_reff, w),
-            getattr(c, target_name),
-            a * 1e-9,
-            a * (1.0 - 1e-9),
-            parameter=parameter,
-            target_name=target_name,
-        )
-        for parameter, target_name in (("jc_slot", "L_series"), ("jc_gap", "L_tank"))
+        _strip_width(a, mu_reff, _attainable(getattr(c, name), *strip_range,
+                                             parameter=parameter, target_name=name))
+        for parameter, name in (("jc_slot", "L_series"), ("jc_gap", "L_tank"))
     )
-    gap_factor = 2.0 * EPS0 * er_eff * _ln_csc(math.pi * jc_gap / (2.0 * a))
+    gap_factor = 2.0 * EPS0 * er_eff * _ln_csc(jc_gap, 2.0 * a)
     hat_length = c.C_series * math.pi / gap_factor
     if not hat_length < a:
         raise UnattainableDimensionError(
@@ -166,7 +162,7 @@ def geometry_from_circuit(
         target_name="C_tank",
     )
 
-    geom = FirstOrderGeometry(
+    return FirstOrderGeometry(
         period=a,
         hat_length=hat_length,
         jc_slot=jc_slot,
@@ -177,31 +173,25 @@ def geometry_from_circuit(
         tan_delta=sub.tan_delta,
         mu_reff=mu_reff,
     )
-    back = extract_circuit(geom)
-    for name in ("L_series", "C_series", "L_tank", "C_tank"):
-        want, got = getattr(c, name), getattr(back, name)
-        if abs(got - want) > 1e-6 * abs(want):
-            raise UnattainableDimensionError(
-                f"re-extraction of {name} missed the target by "
-                f"{abs(got - want) / abs(want):.2e} relative",
-                parameter=name,
-            )
-    return geom
+
+
+def _attainable(target, low, high, *, parameter, target_name):
+    """``target``, checked to lie in [low, high], the range that ``parameter`` attains."""
+    if not (low <= target <= high):
+        raise UnattainableDimensionError(
+            f"{target_name}={target:.4e} is outside the attainable range "
+            f"[{low:.4e}, {high:.4e}] for dimension {parameter!r}",
+            parameter=parameter,
+            attainable=(low, high),
+        )
+    return target
 
 
 def _bisect_decreasing(func, target, lo, hi, *, parameter, target_name):
     """Bisection for a strictly decreasing function, halving until ``lo``
     and ``hi`` are adjacent floats; returns the midpoint, which rounds onto
     one of them."""
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if not (f_hi <= target <= f_lo):
-        raise UnattainableDimensionError(
-            f"{target_name}={target:.4e} is outside the attainable range "
-            f"[{f_hi:.4e}, {f_lo:.4e}] for dimension {parameter!r}",
-            parameter=parameter,
-            attainable=(f_hi, f_lo),
-        )
+    _attainable(target, func(hi), func(lo), parameter=parameter, target_name=target_name)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if func(mid) >= target:
             lo = mid

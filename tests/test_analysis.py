@@ -522,6 +522,27 @@ def test_smooth_response_constant_trace():
     np.testing.assert_allclose(t.s21, s)
 
 
+def test_smoothed_table_shares_its_averaged_columns(monkeypatch):
+    # each column is averaged into its own read-only array, which the
+    # table keeps as it is rather than copying
+    from fsskit import analysis
+
+    averaged = []
+    plan = analysis._moving_average
+
+    def recording(f, window_hz):
+        average = plan(f, window_hz)
+        return lambda s: averaged.append(average(s)) or averaged[-1]
+
+    monkeypatch.setattr(analysis, "_moving_average", recording)
+    f = np.linspace(1e9, 2e9, 101)
+    table = ResponseTable(f, np.full(101, 0.5j), np.full(101, 0.5 + 0.1j))
+    smoothed = smooth_response(table, 0.1e9)
+    assert smoothed.frequency is table.frequency
+    assert smoothed.s11 is averaged[0] and smoothed.s21 is averaged[1]
+    assert not smoothed.s21.flags.writeable
+
+
 def test_smooth_response_reduces_ripple(rng):
     f = np.linspace(1e9, 2e9, 501)
     base = np.exp(-1j * f / 1e9)

@@ -143,7 +143,7 @@ COMMAND_GOLDEN_SHA256 = {
         "response_tm_45deg.csv": "181d595cc84f8835f211bf39a3a608a46b2363e049bf55edc4b3f5f9cfe28cad",
     }),
     "synth": ("synth", "synth_targets.json", {}, {
-        "design.json": "775d8b61872bb04d9ece576c8173992f24f198d2b49a5556ad4c68c3752c4826",
+        "design.json": "893d32ded17376644a1c21ff4fc601d63cc5d5346e5e90f36ed10ae923df5189",
         "design_report.txt": "e905a6cd9e7bce37c0fd1f9ab2e244836f9687981a3c30cff864bdafb06c2b71",
     }),
 }
@@ -485,13 +485,14 @@ def test_synth_writes_its_design_before_the_band_report(tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
-def test_unattainable_range_from_zero_prints_a_positive_zero(tmp_path):
-    # ln(csc x) where sin(x) rounds to 1 is +0.0, so the range reads [0.0000e+00, ...]
+def test_unattainable_range_prints_the_widest_slots_positive_inductance(tmp_path):
+    # ln(csc x) of the widest slot is formed from the exact complement, so
+    # the range's lower end is a small positive inductance, not a rounded 0
     cfg = _config(_SYNTH)
     cfg["targets"] = {"f_lower_GHz": 2.4, "f_upper_GHz": 2.6, "L_tank_nH": 4.0}
     with pytest.raises(UnattainableDimensionError) as exc:
         run("synth", _write(tmp_path, cfg), tmp_path / "o")
-    assert "attainable range [0.0000e+00, 3.3763e-08] for dimension 'jc_slot'" in str(exc.value)
+    assert "attainable range [2.0547e-27, 3.3763e-08] for dimension 'jc_slot'" in str(exc.value)
     assert math.copysign(1, exc.value.attainable[0]) == 1
 
 

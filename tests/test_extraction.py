@@ -1,8 +1,10 @@
 import cmath
+import decimal
 import itertools
 import math
 import warnings
 from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from fsskit import (
     surface_impedance,
 )
 from fsskit.domain import RANGES
-from fsskit.extraction import ResonancePrediction
+from fsskit.constants import MU0
+from fsskit.extraction import ResonancePrediction, _ln_csc, _strip_inductance, _strip_width
 from fsskit.lumped import OPEN
 from fsskit.errors import InvalidGeometryError, InvalidParameterError, SingularNetworkError
 
@@ -64,6 +67,79 @@ def test_extract_circuit_reference_geometry(ref_geometry):
     assert c.C_series == pytest.approx(5.115165337e-13, rel=1e-9)
     assert c.L_tank == pytest.approx(4.051191795e-9, rel=1e-9)
     assert c.C_tank == pytest.approx(3.102180876e-13, rel=1e-9)
+
+
+# A 100-digit reference for the grid formulas, built from power series in
+# the decimal module rather than from the formulas under test.
+_PI = Decimal(
+    "3.14159265358979323846264338327950288419716939937510"
+    "58209749445923078164062862089986280348253421170679"
+)
+
+
+def _series(first, ratio):
+    """Sum of a series from its first term; ``ratio(n, term)`` gives term n
+    from term n - 1."""
+    total, term, n = first, first, 0
+    while abs(term) > Decimal(10) ** -95 * abs(total):
+        n += 1
+        term = ratio(n, term)
+        total += term
+    return total
+
+
+def _ln_csc_reference(w: float, span: float) -> Decimal:
+    """ln(1/sin(pi*w/span)) from the Taylor series of sin on (0, pi/2]."""
+    r = Decimal(w) / Decimal(span)
+    x = _PI * min(r, 1 - r)
+    return -_series(x, lambda n, t: -t * x * x / ((2 * n) * (2 * n + 1))).ln()
+
+
+def _asin_reference(z: Decimal) -> Decimal:
+    """asin z for 0 <= z <= 0.75 from its Taylor series."""
+    return _series(z, lambda n, t: t * z * z * (2 * n - 1) ** 2 / ((2 * n) * (2 * n + 1)))
+
+
+def _strip_width_reference(a: float, mu_reff: float, inductance: float) -> Decimal:
+    """The width whose sin(pi*w/(2a)) is e^-k, through asin of the smaller
+    angle: x itself, or pi/2 - x = 2 asin(sqrt((1 - e^-k)/2))."""
+    k = 2 * _PI * Decimal(inductance) / (Decimal(a) * Decimal(MU0) * Decimal(mu_reff))
+    t = (-k).exp()
+    if t * t < Decimal("0.5"):
+        x = _asin_reference(t)
+    else:
+        x = _PI / 2 - 2 * _asin_reference(((1 - t) / 2).sqrt())
+    return 2 * Decimal(a) * x / _PI
+
+
+def test_grid_formulas_match_a_high_precision_reference():
+    """_ln_csc and _strip_width against the series reference on seeded
+    draws of w/span in [1e-6, 1 - 1e-6] and periods from 1 um to 1 m.
+    Bounds, fixed from the rounding steps: _ln_csc within 16 eps relative
+    (a few roundings in the angle and in sin or cos, divided by a value
+    no smaller than ln csc(pi/4) where the absolute error peaks), and a
+    width within 8*(1 + k) eps relative, since k = ln csc x carries its
+    rounding into e^-k amplified by k.  Past pi/4 the width is the period
+    minus its complement, so it also lies within one rounding of the exact
+    width plus 8 eps of the complement."""
+    eps = 2.0 ** -52
+    rng = np.random.default_rng(1931)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        for _ in range(2000):
+            a = 10.0 ** rng.uniform(-6.0, 0.0)
+            w = float(rng.uniform(1e-6, 1.0 - 1e-6)) * 2.0 * a
+            exact = _ln_csc_reference(w, 2.0 * a)
+            assert abs(Decimal(_ln_csc(w, 2.0 * a)) - exact) <= 16 * Decimal(eps) * exact
+            mu_reff = 10.0 ** rng.uniform(-1.0, 1.0)
+            inductance = _strip_inductance(a, mu_reff, float(rng.uniform(1e-6, 1.0 - 1e-6)) * a)
+            exact = _strip_width_reference(a, mu_reff, inductance)
+            k = 2.0 * math.pi * inductance / (a * MU0 * mu_reff)
+            width = _strip_width(a, mu_reff, inductance)
+            assert abs(Decimal(width) - exact) <= Decimal(8 * (1.0 + k) * eps) * exact
+            if width > a / 2:
+                bound = math.ulp(a) / 2 + 8 * eps * float(Decimal(a) - exact)
+                assert abs(Decimal(width) - exact) <= Decimal(bound)
 
 
 def test_geometry_validation():
