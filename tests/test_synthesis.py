@@ -149,6 +149,11 @@ def test_geometry_from_circuit_reference_roundtrip(ref_geometry, ref_substrate):
     assert geom.hat_length == pytest.approx(6.8e-3, abs=1e-7)
     assert geom.cross_slot == pytest.approx(0.2e-3, abs=1e-7)
     _assert_re_extracts(c, geom)
+
+
+def test_geometry_from_circuit_re_extraction_miss(ref_substrate):
+    # the cell that once missed its re-extraction is answered, and its
+    # L_series comes back within the conditioning of a slot this wide
     wide = geometry_from_circuit(*WIDE_SLOT_CELL, ref_substrate)
     assert 2e-6 < 1.0 - wide.jc_slot / wide.period < 4e-6
     _assert_re_extracts(WIDE_SLOT_CELL[0], wide)
