@@ -346,18 +346,18 @@ def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     """Moving average of the complex S-parameters over a frequency window,
     used to knock ripple off imported measurement data.  The window must be
     narrower than the data's span, or the centre sample averages it all."""
-    if not 0.0 < window_hz < np.inf:
-        raise InvalidParameterError(f"window must be finite and positive, got {window_hz}")
     f = table.frequency
-    span = f[-1] - f[0]
-    if not window_hz < span:
-        raise InvalidParameterError(f"window {window_hz} must be below the data span {span}")
     return ResponseTable(f, *map(_moving_average(f, window_hz), (table.s11, table.s21)))
 
 
 def _moving_average(f: np.ndarray, window_hz: float):
     """The moving average over ``window_hz`` on grid ``f``, planned once: a
     function that averages along the last axis into a new read-only array."""
+    if not 0.0 < window_hz < np.inf:
+        raise InvalidParameterError(f"window must be finite and positive, got {window_hz}")
+    span = f[-1] - f[0]
+    if not window_hz < span:
+        raise InvalidParameterError(f"window {window_hz} must be below the data span {span}")
     half = window_hz / 2.0
     lo = np.searchsorted(f, f - half, side="left")
     width = np.searchsorted(f, f + half, side="right") - lo

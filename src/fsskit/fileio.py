@@ -213,10 +213,10 @@ def write_touchstone(
     every value as ``%.11e``, formatted like the CSV writer's.
 
     The option-line reference resistance is the real port impedance of the
-    run; extra context (angle, polarization) goes into comment lines.
+    run; each line of a comment (angle, polarization) gets its own ``! ``.
     """
     lines = [f"! reference impedance {port_z:.6f} ohm"]
-    lines.extend(f"! {c}" for c in comments)
+    lines.extend("! " + "\n! ".join(c.splitlines()) for c in comments)
     lines.append(f"# HZ S RI R {port_z:.6f}")
     columns = [np.asarray(freqs, dtype=float)]
     for s in (s11, s21, s12, s22):

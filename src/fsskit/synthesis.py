@@ -4,8 +4,9 @@ dimensions, and least-squares fitting of circuit values to response data.
 The target inversion is exact (the three resonance relations solve in
 closed form once the tank inductance is chosen); the dimension inversion
 is closed-form except for the cross slot; the fitter is a damped least-squares
-loop over log-parameterized element values, which keeps every iterate
-strictly positive and the accepted-step residual monotone non-increasing.
+loop over log-parameterized element values whose damping alone sizes each
+step; refusing trials that over- or underflow keeps every iterate strictly
+positive and the accepted-step residual monotone non-increasing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .extraction import (
     effective_permittivity,
 )
 from .lumped import SeriesLC, Tank
-from .analysis import ResponseTable, _moving_average, smooth_response
+from .analysis import ResponseTable, _moving_average
 from .topology import (
     Incidence,
     Substrate,
@@ -231,8 +232,11 @@ def fit_circuit(
     """Least-squares fit of circuit values to measured/simulated S21.
 
     Minimizes sum |S21_model - S21_data|^2 (or the magnitude-difference
-    analog) over log-parameterized element values, so every iterate stays
-    strictly positive and the residual is monotone non-increasing across
+    analog) over log-parameterized element values.  Marquardt's damping
+    lambda*diag(J^T J) alone sizes each step.  A trial that leaves the
+    domain, overflows the network or has an element over- or underflow
+    (to 0.0, which would omit it) is refused and damped further, so every
+    iterate stays strictly positive and the residual never rises across
     accepted steps.  Deterministic for identical inputs.
 
     This is a local refiner: responses with deep transmission zeros make
@@ -265,13 +269,13 @@ def fit_circuit(
     if max_iter < 0:
         raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
 
-    average = None
-    if smooth_hz is not None:
-        data = smooth_response(data, smooth_hz)
-        average = _moving_average(data.frequency, smooth_hz)
     freqs = data.frequency
     n_freq = freqs.size
     s21_data = data.s21
+    average = None
+    if smooth_hz is not None:
+        average = _moving_average(freqs, smooth_hz)
+        s21_data = average(s21_data)
     mag_data = np.abs(s21_data)
 
     def model_residual(values):
@@ -286,9 +290,12 @@ def fit_circuit(
         diff = s21 - s21_data
         return np.concatenate([diff.real, diff.imag])
 
-    def residual(values):
-        """The residual, or None where a trial step leaves the domain or
-        overflows the network; callers treat None as a rejected step."""
+    def residual(theta):
+        """The residual at log-values ``theta``, or None for a refused trial."""
+        with np.errstate(over="ignore"):  # an infinite element leaves the domain
+            values = np.exp(theta)
+        if not values.all():  # 0.0 would omit an element, not make it small
+            return None
         try:
             return model_residual(values)
         except FssError:
@@ -306,19 +313,14 @@ def fit_circuit(
 
     lam = 1e-2
     fd_step = 1e-6   # in log space = relative step on element values
-    max_step = 0.7   # trust bound per iteration, log space
     for _ in range(max_iter):
         jac = np.empty((r.size, theta.size))
-        for k in range(theta.size):
-            bumped = theta.copy()
-            bumped[k] += fd_step
-            r_bumped = residual(np.exp(bumped))
-            if r_bumped is None:
-                bumped[k] -= 2.0 * fd_step
-                r_bumped = residual(np.exp(bumped))
-                jac[:, k] = (r - r_bumped) / fd_step
-            else:
-                jac[:, k] = (r_bumped - r) / fd_step
+        for k, bump in enumerate(np.eye(theta.size) * fd_step):
+            r_bumped = residual(theta + bump)
+            if r_bumped is None:  # the forward point is refused: difference backward
+                bump = -bump
+                r_bumped = residual(theta + bump)
+            jac[:, k] = (r_bumped - r) / bump[k]
         grad = jac.T @ r
         hess = jac.T @ jac
         diag = np.diag(hess).copy()
@@ -328,16 +330,12 @@ def fit_circuit(
             try:
                 step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                biggest = np.max(np.abs(step))
-                if biggest > max_step:
-                    step = step * (max_step / biggest)
-                r_new = residual(np.exp(theta + step))
-                if r_new is not None:
-                    cost_new = float(np.dot(r_new, r_new))
-                    if cost_new < cost:
-                        break
+                step = np.full_like(grad, np.nan)
+            r_new = residual(theta + step)  # refuses a non-finite step
+            if r_new is not None:
+                cost_new = float(np.dot(r_new, r_new))
+                if cost_new < cost:
+                    break
             lam *= 10.0
         else:
             break  # no improving step at any damping: stationary point

@@ -33,6 +33,8 @@ from fsskit.extraction import ExtractedCircuit
 from fsskit.fileio import write_touchstone
 from fsskit.lumped import SeriesLC, Tank
 
+from conftest import assert_lines_match
+
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 F_ZERO = 3215415414.85  # transmission zero of the reference circuit
@@ -70,29 +72,45 @@ def test_analyze_outputs_are_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# SHA-256 of the analyze data files for sc_band_first_order.json; a change
-# to the network evaluator or the writers must leave them unchanged.
-GOLDEN_SHA256 = {
+# The analyze files for sc_band_first_order.json; a change to the network
+# evaluator or the writers must leave them unchanged.  The small text
+# outputs are compared byte for byte with their expected lines under
+# golden/cli/<case>/, so a mismatch names the lines that moved; the large
+# data files keep a SHA-256 digest.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+LINES = "expected lines"
+ANALYZE_GOLDEN = {
     "response.csv": "704854597a2e6f255985fe381c83b147ab7cdba014c368ff4d93080374dfbbdf",
     "response.s2p": "341004188cd46621912256e621c687f44760a88313e9624ad01bee7eb5e5a40c",
-    "band_report.txt": "7d0fbf92ed1b06a29c5b6758acbbedfa803055387a05ce2790b4810e9899074f",
+    "band_report.txt": LINES,
 }
+
+
+def _assert_golden(out, case, goldens):
+    """The files written to ``out``, run_meta.json aside (it carries the
+    timestamp), against ``goldens``: each is either ``LINES``, for the
+    expected-lines file golden/cli/<case>/<name>, or a SHA-256 digest."""
+    assert sorted(p.name for p in out.iterdir() if p.name != "run_meta.json") == sorted(goldens)
+    for name, golden in goldens.items():
+        data = (out / name).read_bytes()
+        if golden == LINES:
+            assert_lines_match(data.decode().split("\n"), GOLDEN / case / name)
+        else:
+            assert hashlib.sha256(data).hexdigest() == golden, name
 
 
 def test_analyze_golden_bytes(tmp_path):
     out = tmp_path / "out"
     run("analyze", CONFIGS / "sc_band_first_order.json", out)
-    for name, digest in GOLDEN_SHA256.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    _assert_golden(out, "analyze-first-order", ANALYZE_GOLDEN)
 
 
 # The same for every other command on its demo config, and for a sweep
 # whose points fail (an impossible geometry, a one-band response), so the
 # error rows of parametric.csv are pinned too.  The fit cases fit each
 # template to the Touchstone file that _write_fit_s2p makes from the demo
-# design, starting a few percent off.  run_meta.json is the only file left
-# out: it carries the timestamp.
-COMMAND_GOLDEN_SHA256 = {
+# design, starting a few percent off.
+COMMAND_GOLDEN = {
     "fit-first-order": ("fit", "sc_band_first_order.json", {"fit": {
         "data": "fit_data.s2p",
         "template": "first_order",
@@ -100,8 +118,8 @@ COMMAND_GOLDEN_SHA256 = {
                     "C_tank_pF": 0.34, "L_parasitic_nH": 0.9},
     }}, {
         "design.json": "23ae6bd807d11f3606ebb94217ec24c51dfdf0c2c96d128412afdb584f1d3f6b",
-        "fit_result.json": "5494351aa5f6a35804b3cb21084ceb3b4101d148aa9389e3307cd9739bec5a1b",
-        "residual_trace.csv": "a2f668393fe0d452990b1a17925e81d412da6212d723115c6f221a188c2f3592",
+        "fit_result.json": LINES,
+        "residual_trace.csv": LINES,
     }),
     "fit-second-order": ("fit", "second_order.json", {"fit": {
         "data": "fit_data.s2p",
@@ -110,16 +128,16 @@ COMMAND_GOLDEN_SHA256 = {
                     "C_outer_b_pF": 0.48, "L_tank_nH": 2.6, "C_tank_pF": 0.29},
     }}, {
         "design.json": "3f12678a57c0d6c8bb4dbe42b7ada9968959a3fed73f4159a2f2c6d72229cb66",
-        "fit_result.json": "6672fc20bc9f81b2ab2115c6add3ca93ea77cc0049802f2a8eeaa1e0108bdc4c",
-        "residual_trace.csv": "fdcd668396430b10ab9c36a19f535d913d2b143d3d4df1cf212c293998105569",
+        "fit_result.json": LINES,
+        "residual_trace.csv": LINES,
     }),
     "analyze-geometry": ("analyze", "sc_band_geometry.json", {}, {
-        "band_report.txt": "bb203bfde5b33584543d519605d6cba9b0bb6de0d277a9c6154cfd11db1a2980",
+        "band_report.txt": LINES,
         "response.csv": "9b4f6859c313a2707d6469394e7725dd3277d92d0b61d0c555b0d38789658b38",
         "response.s2p": "16ac56c568d92f659dcbaa05449874eac4d45d394a716039e61bde3ea46690ff",
     }),
     "analyze-second-order": ("analyze", "second_order.json", {}, {
-        "band_report.txt": "2355f2cf2058fa4a465af332215969129c60a2c888329b1241a7db1b2ef0832f",
+        "band_report.txt": LINES,
         "response.csv": "ffa16bc99fea5eea2055991aeea5211c146532afb3cc5276c1d87760c5383ee3",
         "response.s2p": "5f0600b9f23535693e61467b178b8f7968cfe7884543ae3cfb4337822b42fcc7",
     }),
@@ -144,7 +162,7 @@ COMMAND_GOLDEN_SHA256 = {
     }),
     "synth": ("synth", "synth_targets.json", {}, {
         "design.json": "893d32ded17376644a1c21ff4fc601d63cc5d5346e5e90f36ed10ae923df5189",
-        "design_report.txt": "e905a6cd9e7bce37c0fd1f9ab2e244836f9687981a3c30cff864bdafb06c2b71",
+        "design_report.txt": LINES,
     }),
 }
 
@@ -167,18 +185,15 @@ def _write_fit_s2p(path, template):
     write_touchstone(freqs, s11, s21, s21, s22, path, port)
 
 
-@pytest.mark.parametrize("case", sorted(COMMAND_GOLDEN_SHA256))
+@pytest.mark.parametrize("case", sorted(COMMAND_GOLDEN))
 def test_command_golden_bytes(tmp_path, case):
-    command, config, overrides, digests = COMMAND_GOLDEN_SHA256[case]
+    command, config, overrides, goldens = COMMAND_GOLDEN[case]
     cfg = dict(_load_config(config), **overrides)
     if command == "fit":
         _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out)
-    written = sorted(p.name for p in out.iterdir() if p.name != "run_meta.json")
-    assert written == sorted(digests)
-    for name, digest in digests.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    _assert_golden(out, case, goldens)
 
 
 def test_csv_roundtrips_through_importer(tmp_path):
@@ -463,6 +478,10 @@ def test_fit_command(tmp_path):
     assert written["sweep"] == {"f_start_GHz": 1.0, "f_stop_GHz": 9.0, "n_points": 1601,
                                 "spacing": "linear"}
     assert result["rms_residual"] < 1e-6
+    # the parasitic the data lack must not pace the fit, and it is never
+    # omitted: a trial whose L_parasitic underflows to 0.0 is refused
+    assert result["iterations"] <= 40
+    assert circuit["L_parasitic_nH"] > 0.0
     trace_rows = (out2 / "residual_trace.csv").read_text().splitlines()
     assert trace_rows[0] == "iteration,rms_residual"
     assert len(trace_rows) >= 3
@@ -498,7 +517,7 @@ def test_unattainable_range_prints_the_widest_slots_positive_inductance(tmp_path
 
 @pytest.mark.parametrize("case", ["fit-first-order", "fit-second-order"])
 def test_analyze_runs_the_fitted_design_on_the_data_grid(tmp_path, monkeypatch, case):
-    _, config, overrides, _ = COMMAND_GOLDEN_SHA256[case]
+    _, config, overrides, _ = COMMAND_GOLDEN[case]
     cfg = dict(_load_config(config), **overrides)
     data_file = tmp_path / cfg["fit"]["data"]
     _write_fit_s2p(data_file, cfg["fit"]["template"])
@@ -1226,18 +1245,16 @@ def test_incidence_angle_of_90_degrees_or_more_is_a_config_error(
 def test_smoothed_fit_golden_bytes(tmp_path):
     # the fit-first-order golden case, the smoothed model fitted to its 0.1 GHz
     # moving average
-    command, config, overrides, _ = COMMAND_GOLDEN_SHA256["fit-first-order"]
+    command, config, overrides, _ = COMMAND_GOLDEN["fit-first-order"]
     cfg = dict(_load_config(config), **overrides)
     _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
-    digests = {
+    _assert_golden(out, "fit-first-order-smoothed", {
         "design.json": "486c5d20189c5e7e900d58af5db80860c6e7bff1847bdf11d327a28d8665dbb2",
-        "fit_result.json": "2df477e84931eeb273a3dbd2d425cc4d5ee3e5a69ed1b54570ac9dde79714241",
-        "residual_trace.csv": "58305a0b61472e16d3475b8f85a577b492c80ff666446dfab51bef61b903c552",
-    }
-    for name, digest in digests.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        "fit_result.json": LINES,
+        "residual_trace.csv": LINES,
+    })
 
 
 def test_smoothed_fit_recovers_a_noisy_trace(tmp_path):
@@ -1278,7 +1295,7 @@ def test_smoothed_fit_recovers_a_noisy_trace(tmp_path):
 def test_run_meta_records_the_smoothing_window(tmp_path, command, window):
     # rms_residual of fit_result.json compares smoothed traces when a window ran
     if command == "fit":
-        cfg = dict(_load_config(_FIRST), **COMMAND_GOLDEN_SHA256["fit-first-order"][2])
+        cfg = dict(_load_config(_FIRST), **COMMAND_GOLDEN["fit-first-order"][2])
         _write_fit_s2p(tmp_path / "fit_data.s2p", "first_order")
     else:
         cfg = _load_config("sc_band_geometry.json")
@@ -1313,7 +1330,7 @@ def _digests(outdir):
 def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
     # the process ends without interpreter teardown: every file must be
     # complete by then
-    command, config, overrides, digests = COMMAND_GOLDEN_SHA256[case]
+    command, config, overrides, goldens = COMMAND_GOLDEN[case]
     cfg = dict(_load_config(config), **overrides)
     if command == "fit":
         _write_fit_s2p(tmp_path / cfg["fit"]["data"], cfg["fit"]["template"])
@@ -1322,7 +1339,7 @@ def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     run(command, config, tmp_path / "in_process")
     assert (tmp_path / "child" / "run_meta.json").exists()
-    assert _digests(tmp_path / "child") == digests
+    _assert_golden(tmp_path / "child", case, goldens)
     assert _digests(tmp_path / "child") == _digests(tmp_path / "in_process")
 
 

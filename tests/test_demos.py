@@ -18,12 +18,14 @@ def test_all_six_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_cleanly(demo, tmp_path):
-    # the child imports the same fsskit as this test, installed or not
+    # the child imports the same fsskit as this test, installed or not, and
+    # turns a RuntimeWarning into an error as the suite does in-process
     src = str(Path(fsskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -88,6 +88,22 @@ def test_touchstone_option_line_format(tmp_path, ref_circuit, ref_substrate):
         assert cols[3] == cols[5] and cols[4] == cols[6]
 
 
+def test_touchstone_comment_of_several_lines_round_trips(tmp_path, ref_circuit, ref_substrate):
+    # every line of a comment is a comment line, at each line break the
+    # readers split at; a bare line would read as a two-column data row
+    stack = build_first_order(ref_circuit, ref_substrate)
+    table = sweep(stack, 1e9, 2e9, 3)
+    s11, s21, s22 = stack_response_full(stack, table.frequency)
+    path = tmp_path / "resp.s2p"
+    write_touchstone(table.frequency, s11, s21, s21, s22, path, ETA0,
+                     comments=("a\nb", "c\r\nd\x0ce", "", "f"))
+    lines = path.read_text().split("\n")
+    assert lines[1:8] == ["! a", "! b", "! c", "! d", "! e", "! ", "! f"]
+    back = load_response(path)
+    np.testing.assert_array_equal(back.frequency, table.frequency)
+    np.testing.assert_allclose(back.s21, s21, rtol=0, atol=1e-11)
+
+
 def test_touchstone_ma_and_db_formats(tmp_path):
     freqs = np.array([1.0, 2.0])  # GHz, the v1 default unit
     s11 = np.array([0.5 + 0.0j, 0.0 + 0.5j])

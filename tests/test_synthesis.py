@@ -299,6 +299,30 @@ def test_fit_noise_injection(ref_substrate, rng):
         assert result.params[name] == pytest.approx(truth, rel=0.05)
 
 
+def test_fit_of_data_without_a_parasitic_is_not_paced_by_it(ref_substrate):
+    # demo 06's bench trace (a lossy sweep of the tuned design with no
+    # parasitic, 2e-3 ripple) fitted unsmoothed from the grid-formula
+    # extraction with a weak 50 nH parasitic.  The data do not determine
+    # L_parasitic; it must not slow the other four elements down.
+    truth = {"L_series": 4.9e-9, "C_series": 0.5e-12, "L_tank": 4e-9, "C_tank": 0.35e-12}
+    stack = build_first_order(ExtractedCircuit(**truth, L_parasitic=0.0), ref_substrate,
+                              dielectric_loss=True)
+    table = sweep(stack, 1e9, 8e9, 801)
+    rng = np.random.default_rng(3)
+    ripple = 2e-3 * (rng.standard_normal(len(table)) + 1j * rng.standard_normal(len(table)))
+    bench = ResponseTable(table.frequency, table.s11, table.s21 + ripple)
+    seed = extract_circuit(FirstOrderGeometry(
+        period=8.5e-3, hat_length=6.8e-3, jc_slot=0.3e-3, cross_slot=0.2e-3,
+        jc_gap=0.5e-3, thickness=0.635e-3, eps_r=10.2, tan_delta=0.0023,
+    ))
+    initial = dict(asdict(seed), L_parasitic=50e-9)
+    result = fit_circuit(bench, "first_order", initial, ref_substrate, dielectric_loss=True,
+                         max_iter=300)
+    assert result.iterations <= 75
+    for name, value in truth.items():
+        assert result.params[name] == pytest.approx(value, rel=1e-4), name
+
+
 @pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
 def test_fit_damps_a_step_whose_solve_fails(ref_substrate, monkeypatch, failure):
     # The first damped normal system is refused by a stand-in solve, or
