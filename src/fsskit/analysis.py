@@ -23,8 +23,7 @@ from .errors import (
     InvalidParameterError,
     TruncatedBandError,
 )
-from .extraction import FirstOrderGeometry, extract_circuit
-from .lumped import _resonance
+from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
 from .topology import FssStack, Incidence, Substrate, build_first_order, stack_response
 
 # Local maxima qualify as passband peaks above this absolute level, and a
@@ -42,6 +41,8 @@ SWEEP_POINTS = 1401
 @dataclass(frozen=True)
 class ResponseTable:
     """Swept two-port response: strictly increasing frequencies with S11/S21.
+    A refused frequency column is named by its first pair out of order, or
+    else by its first value out of range.
 
     The columns are read-only arrays.  An input that is a plain ndarray of
     the column's dtype, owns its memory and is already read-only (as the
@@ -69,8 +70,12 @@ class ResponseTable:
             raise InvalidParameterError("response table needs at least 2 rows")
         if self.s11.shape != f.shape or self.s21.shape != f.shape:
             raise InvalidParameterError("frequency/S11/S21 lengths differ")
-        if not np.all(f[1:] > f[:-1]):
-            raise InvalidParameterError("frequencies must be strictly increasing")
+        if not np.all(f[1:] > f[:-1]):  # NaN fails too
+            i = np.argmin(f[1:] > f[:-1])  # the first pair out of order
+            prev, freq = f[i : i + 2].tolist()
+            raise InvalidParameterError(
+                f"frequencies must be strictly increasing, but {freq!r} Hz follows {prev!r} Hz"
+            )
         check_frequencies(f)
 
     def __len__(self):
@@ -328,7 +333,7 @@ def parametric_sweep(
             circuit = extract_circuit(geom)
             sub = Substrate(geom.thickness, geom.eps_r, geom.tan_delta)
             stack = build_first_order(circuit, sub, inc, dielectric_loss)
-            f_zero = _resonance(circuit.L_series, circuit.C_series)
+            f_zero = predict_resonances(circuit).f_zero
             this_grid = grid
             if f_start < f_zero < f_stop:
                 k = int(np.searchsorted(grid, f_zero))

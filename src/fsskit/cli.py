@@ -25,9 +25,8 @@ from .analysis import (
 )
 from .constants import C0
 from .errors import ConfigError, EmptySweepError, FssError
-from .extraction import FirstOrderGeometry, exact_poles, extract_circuit
+from .extraction import FirstOrderGeometry, exact_poles, extract_circuit, predict_resonances
 from .fileio import load_response, write_response_csv, write_touchstone
-from .lumped import _resonance
 from .synthesis import (
     DEFAULT_TANK_L,
     FIRST_ORDER_PARAMS,
@@ -432,8 +431,7 @@ def _cmd_synth(cfg, outdir: Path, config_path, smooth_ghz):
     lower, upper = exact_poles(circuit)
     bands = {
         "f_lower": (f_lower, lower, swept.f_lower),
-        "f_zero": (f_zero or math.sqrt(f_lower * f_upper),
-                   _resonance(circuit.L_series, circuit.C_series), swept.f_zero),
+        "f_zero": (targets.f_zero, predict_resonances(circuit).f_zero, swept.f_zero),
         "f_upper": (f_upper, upper, swept.f_upper),
     }
     lines = [

@@ -16,9 +16,9 @@ beyond printed cells, and inside them no stage leaves the float range:
 * Targets: C_tank, 1/(2*pi*f)^2 and the series elements stay in
   [1e-54, 1e46]; only q_lower - q_zero can round to 0 (f_zero next to
   f_lower), which is refused by name.
-* Dimensions: L >= 1e-18 H and period * mu_reff <= 1e3 m keep each strip
-  width at least 6e-8*period below the period, so the hat-length factor is
-  positive and re-extraction misses by < 4e-9; C_tank >= 1e-21 F is far
+* Dimensions: L >= 1e-18 H and period <= 10 m keep each strip width at
+  least 6e-7*period below the period, so the hat-length factor is
+  positive and re-extraction misses by < 4e-10; C_tank >= 1e-21 F is far
   above the cross-slot bracket's floor, ~4e-31 F.  ln csc takes length pairs.
 * Engine: lossless nodes and lines are finite, but a lossy line's
   |Im theta| grows with thickness * f * tan_delta up to 4.5e10 rad, so
@@ -44,7 +44,6 @@ _TABLE = {
     "length": ("1e-15", "10", "m"),
     "eps_r": ("1", "1e4", ""),
     "tan_delta": ("0", "10", ""),
-    "mu_reff": ("1e-2", "1e2", ""),
 }
 RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) in _TABLE.items()}
 
@@ -67,8 +66,8 @@ def check_elements(circuit, shorted: str = "") -> None:
             check(_ELEMENTS[name[0]], name, value)
 
 
-def check_frequencies(f: np.ndarray, name: str = "frequency") -> None:
+def check_frequencies(f: np.ndarray) -> None:
     """Check a 1-D frequency array, naming its first value out of range."""
     lo, hi, _ = RANGES["frequency"]
     if not (lo <= f.min() and f.max() <= hi):
-        check("frequency", name, f[~((f >= lo) & (f <= hi))][0])
+        check("frequency", "frequency", f[~((f >= lo) & (f <= hi))][0])

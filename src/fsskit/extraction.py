@@ -34,7 +34,6 @@ class FirstOrderGeometry:
     thickness: float    # substrate thickness
     eps_r: float
     tan_delta: float = 0.0
-    mu_reff: float = 1.0
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -101,15 +100,15 @@ def _ln_csc(w: float, span: float) -> float:
     return -0.5 * math.log1p(-math.sin(math.pi * (span - 2.0 * w) / (2.0 * span)) ** 2)
 
 
-def _strip_inductance(a: float, mu_reff: float, width: float) -> float:
+def _strip_inductance(a: float, width: float) -> float:
     """Grid inductance of strips parted by slots of ``width``, period ``a``."""
-    return (a * MU0 * mu_reff / (2.0 * math.pi)) * _ln_csc(width, 2.0 * a)
+    return (a * MU0 / (2.0 * math.pi)) * _ln_csc(width, 2.0 * a)
 
 
-def _strip_width(a: float, mu_reff: float, inductance: float) -> float:
+def _strip_width(a: float, inductance: float) -> float:
     """The slot width of ``_strip_inductance`` in closed form: sin x = e^-k
     for x = pi*w/(2a), solved by atan2 for the smaller of x and pi/2 - x."""
-    k = 2.0 * math.pi * inductance / (a * MU0 * mu_reff)
+    k = 2.0 * math.pi * inductance / (a * MU0)
     sin_x, cos_x = math.exp(-k), math.sqrt(-math.expm1(-2.0 * k))
     if sin_x < cos_x:
         return (2.0 * a / math.pi) * math.atan2(sin_x, cos_x)
@@ -130,9 +129,9 @@ def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     a = geom.period
     er_eff = effective_permittivity(geom.eps_r)
 
-    l_series = _strip_inductance(a, geom.mu_reff, geom.jc_slot)
+    l_series = _strip_inductance(a, geom.jc_slot)
     c_series = (2.0 * geom.hat_length / math.pi) * EPS0 * er_eff * _ln_csc(geom.jc_gap, 2.0 * a)
-    l_tank = _strip_inductance(a, geom.mu_reff, geom.jc_gap)
+    l_tank = _strip_inductance(a, geom.jc_gap)
     d = a - geom.jc_gap - geom.cross_slot
     c_tank = _slot_capacitance(d, geom.cross_slot, er_eff)
     return ExtractedCircuit(l_series, c_series, l_tank, c_tank, 0.0)

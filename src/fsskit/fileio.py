@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ResponseTable
-from .domain import check_frequencies
 from .errors import InvalidParameterError
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
@@ -163,24 +162,19 @@ def write_response_csv(table: ResponseTable, path) -> None:
 
 def _imported_table(path, rows) -> ResponseTable:
     """The table of an imported file's (frequency in Hz, S11, S21) rows, at
-    least 2, whose frequencies must be strictly increasing and in range; the
-    errors name the file and the first frequency that is not."""
+    least 2; a table error (frequency ordering or range) names the file."""
     if len(rows) < 2:
         found = "1 data row found; a response needs at least 2" if rows else "no data rows found"
         raise InvalidParameterError(f"{path}: {found}")
     freqs, s11, s21 = zip(*rows)
     f = np.array(freqs, dtype=float)
-    bad = np.flatnonzero(np.diff(f) <= 0.0)
-    if bad.size:
-        prev, freq = f[bad[0] : bad[0] + 2].tolist()
-        raise InvalidParameterError(
-            f"{path}: frequencies must be strictly increasing, but {freq!r} Hz follows {prev!r} Hz"
-        )
-    check_frequencies(f, f"{path}: frequency")
     columns = f, np.array(s11, dtype=complex), np.array(s21, dtype=complex)
     for column in columns:
         column.setflags(write=False)  # so the table shares it
-    return ResponseTable(*columns)
+    try:
+        return ResponseTable(*columns)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def read_response_csv(path) -> ResponseTable:

@@ -65,9 +65,9 @@ TEMPLATES = {"first_order": FIRST_ORDER_PARAMS, "second_order": SECOND_ORDER_PAR
 
 @dataclass(frozen=True)
 class DesignTargets:
-    """Dual-band design goals.  The transmission zero defaults to the
-    geometric mean of the two band centers; the tank inductance is the free
-    knob of the underdetermined inversion."""
+    """Dual-band design goals.  A transmission zero left at None is set to
+    the geometric mean of the two band centers; the tank inductance is the
+    free knob of the underdetermined inversion."""
 
     f_lower: float
     f_upper: float
@@ -82,7 +82,9 @@ class DesignTargets:
             raise InvalidParameterError(
                 f"need f_lower < f_upper, got {self.f_lower}, {self.f_upper}"
             )
-        if self.f_zero is not None and not self.f_lower < self.f_zero < self.f_upper:
+        if self.f_zero is None:  # the mean of adjacent floats may round onto one of them
+            object.__setattr__(self, "f_zero", math.sqrt(self.f_lower * self.f_upper))
+        if not self.f_lower < self.f_zero < self.f_upper:
             raise InfeasibleTargetsError(
                 f"transmission zero {self.f_zero} must lie strictly between the band "
                 f"centers; attainable range is ({self.f_lower}, {self.f_upper})",
@@ -97,19 +99,12 @@ def circuit_from_targets(t: DesignTargets) -> ExtractedCircuit:
     the zero and lower-band relations simultaneously.  The parasitic
     inductance is left at zero.
     """
-    f_zero = t.f_zero if t.f_zero is not None else math.sqrt(t.f_lower * t.f_upper)
-    if not t.f_lower < f_zero < t.f_upper:
-        raise InfeasibleTargetsError(
-            f"transmission zero {f_zero} outside attainable range "
-            f"({t.f_lower}, {t.f_upper}) for L_tank={t.L_tank}",
-            attainable=(t.f_lower, t.f_upper),
-        )
     c_tank = 1.0 / ((2.0 * math.pi * t.f_upper) ** 2 * t.L_tank)
-    q_zero = 1.0 / (2.0 * math.pi * f_zero) ** 2    # L_series * C_series
+    q_zero = 1.0 / (2.0 * math.pi * t.f_zero) ** 2    # L_series * C_series
     q_lower = 1.0 / (2.0 * math.pi * t.f_lower) ** 2  # (L_tank + L_series) * C_series
     if not q_lower > q_zero:  # rounding can merge them when f_zero is next to f_lower
         raise InvalidParameterError(
-            f"transmission zero {f_zero} Hz lies within rounding of f_lower = {t.f_lower} Hz"
+            f"transmission zero {t.f_zero} Hz lies within rounding of f_lower = {t.f_lower} Hz"
         )
     l_series = t.L_tank * q_zero / (q_lower - q_zero)
     # an element outside its range is refused here by name
@@ -120,25 +115,23 @@ def geometry_from_circuit(
     c: ExtractedCircuit,
     period: float,
     sub: Substrate,
-    mu_reff: float = 1.0,
 ) -> FirstOrderGeometry:
     """Invert the grid formulas for a chosen lattice period.
 
     Slot and gap widths invert the strip inductance formula in closed
     form, the hat length is linear in C_series, and the cross slot
     bisects the decreasing branch of its capacitance formula.  The domain
-    argument in ``fsskit.domain`` bounds the re-extraction error by 4e-9.
+    argument in ``fsskit.domain`` bounds the re-extraction error by 4e-10.
     """
     check("length", "period", period)
-    check("mu_reff", "mu_reff", mu_reff)
     a = period
     er_eff = effective_permittivity(sub.eps_r)
 
     # the strip inductance falls as the slot widens: the widest slot gives the low end
-    strip_range = [_strip_inductance(a, mu_reff, a * w) for w in (1.0 - 1e-9, 1e-9)]
+    strip_range = [_strip_inductance(a, a * w) for w in (1.0 - 1e-9, 1e-9)]
     jc_slot, jc_gap = (
-        _strip_width(a, mu_reff, _attainable(getattr(c, name), *strip_range,
-                                             parameter=parameter, target_name=name))
+        _strip_width(a, _attainable(getattr(c, name), *strip_range,
+                                    parameter=parameter, target_name=name))
         for parameter, name in (("jc_slot", "L_series"), ("jc_gap", "L_tank"))
     )
     gap_factor = 2.0 * EPS0 * er_eff * _ln_csc(jc_gap, 2.0 * a)
@@ -172,7 +165,6 @@ def geometry_from_circuit(
         thickness=sub.thickness,
         eps_r=sub.eps_r,
         tan_delta=sub.tan_delta,
-        mu_reff=mu_reff,
     )
 
 

@@ -31,7 +31,22 @@ def complex_chain(layers, incidence, dielectric_loss, freqs):
     return A, B, C, D, shorted
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+# a whole decimal token, and a type name with the hex bytes of its
+# little-endian float64 values, as ``float:<hex>`` in the topology golden
+_NUMBER = re.compile(
+    r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan))(?!\w)"
+)
+_HEX = re.compile(r"\b([A-Za-z_]+:)((?:[0-9a-f]{16})+)\b")
+
+
+def _numbers(line: str) -> tuple[str, list]:
+    """The line with each number replaced by ``#``, and the numbers as
+    floats: every float64 of a hex token, then every decimal token."""
+    values = [
+        x for _, h in _HEX.findall(line) for x in struct.unpack(f"<{len(h) // 16}d", bytes.fromhex(h))
+    ]
+    line = _HEX.sub(r"\1#", line)
+    return _NUMBER.sub("#", line), values + [float(x) for x in _NUMBER.findall(line)]
 
 
 def _ulps(x: float, y: float) -> int:
@@ -57,9 +72,9 @@ def assert_lines_match(lines, path, shown: int = 5) -> None:
     moved = [(i, a, b) for i, (a, b) in enumerate(zip(old, lines), 1) if a != b]
     largest = 0
     for _, a, b in moved:
-        if _NUMBER.sub("#", a) == _NUMBER.sub("#", b):
-            pairs = zip(_NUMBER.findall(a), _NUMBER.findall(b))
-            largest = max([largest, *(_ulps(float(x), float(y)) for x, y in pairs)])
+        (shape_a, xs), (shape_b, ys) = _numbers(a), _numbers(b)
+        if shape_a == shape_b and len(xs) == len(ys):
+            largest = max([largest, *map(_ulps, xs, ys)])
     report = [f"{path.name}: {len(moved)} of {len(old)} lines moved, "
               f"the largest numeric move {largest} ulps"]
     for i, a, b in moved[:shown]:

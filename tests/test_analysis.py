@@ -398,8 +398,9 @@ _INF, _NAN, _TINY = math.inf, math.nan, 5e-324  # _TINY: the smallest subnormal
 def test_response_table_ordering_rule(pair, accepted):
     # outcomes recorded with the former rule, np.all(np.diff(f) > 0.0);
     # comparing neighbours decides the same without a difference array.
-    # An ordered pair is then refused by the frequency range, which names
-    # its first value outside it: no pair here lies inside.
+    # A refused pair is named; an ordered pair is then refused by the
+    # frequency range, which names its first value outside it: no pair
+    # here lies inside.
     zeros = np.zeros(2, dtype=complex)
     with pytest.raises(InvalidParameterError) as info:
         ResponseTable(np.array(pair), zeros, zeros)
@@ -407,7 +408,11 @@ def test_response_table_ordering_rule(pair, accepted):
         outside = next(f for f in pair if not 1e3 <= f <= 1e15)
         assert str(info.value) == f"frequency must lie in [1e3, 1e15] Hz, got {outside}"
     else:
-        assert str(info.value) == "frequencies must be strictly increasing"
+        assert str(info.value) == _ordering(*pair)
+
+
+def _ordering(prev: float, freq: float) -> str:
+    return f"frequencies must be strictly increasing, but {freq!r} Hz follows {prev!r} Hz"
 
 
 _ORDERING = "frequencies must be strictly increasing"
@@ -424,12 +429,13 @@ _ORDERING = "frequencies must be strictly increasing"
 )
 def test_response_table_frequencies_must_be_finite(freqs, rule):
     # the engine's frequency range for an infinite value; NaN keeps the
-    # ordering rule
+    # ordering rule, which names the first pair it breaks
     zeros = np.zeros(3, dtype=complex)
     with pytest.raises(InvalidParameterError) as info:
         ResponseTable(np.array(freqs), zeros, zeros)
     if rule == _ORDERING:
-        assert str(info.value) == _ORDERING
+        pair = next((a, b) for a, b in zip(freqs, freqs[1:]) if not b > a)
+        assert str(info.value) == _ordering(*pair)
     else:
         infinite = next(f for f in freqs if math.isinf(f))
         assert str(info.value) == f"frequency must lie in [1e3, 1e15] Hz, got {infinite}"
@@ -459,7 +465,7 @@ def test_parametric_sweep_grid_is_the_union_with_the_zero(nominal_geometry, monk
     from fsskit import analysis
 
     circuit = analysis.extract_circuit(nominal_geometry)
-    f_zero = analysis._resonance(circuit.L_series, circuit.C_series)
+    f_zero = analysis.predict_resonances(circuit).f_zero
     grids = []
     monkeypatch.setattr(
         analysis, "sweep_at", lambda stack, freqs: grids.append(freqs) or sweep_at(stack, freqs)

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -91,7 +92,6 @@ _VALID = {
         thickness=0.635e-3,
         eps_r=10.2,
         tan_delta=0.0023,
-        mu_reff=1.0,
     ),
     DesignTargets: dict(f_lower=2.4e9, f_upper=5.8e9, L_tank=4e-9),
 }
@@ -116,7 +116,7 @@ def test_model_constructors_reject_non_finite_values(cls, field, value):
 
 # Valid numeric arguments of the two inverse-design entry points.
 _FOSTER = dict(L1=4.9e-9, C1=0.5e-12, L2=2.0e-9, C2=0.5e-12)
-_GRID = dict(period=8.5e-3, mu_reff=1.0)
+_GRID = dict(period=8.5e-3)
 
 
 def _inverse_design(argument, value):
@@ -137,3 +137,19 @@ def test_inverse_design_names_a_bad_argument(argument, value):
     assert type(info.value) is InvalidParameterError
     quantity = {"L": "inductance", "C": "capacitance", "p": "length"}.get(argument[0], argument)
     assert str(info.value) == f"{argument} must lie in {RANGES[quantity][2]}, got {value}"
+
+
+def test_readme_lists_the_input_domain():
+    # README's table of ranges and fsskit.domain.RANGES name the same
+    # quantities with the same spans, so neither can drift from the other
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| quantity | range | checked in |\n")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[1:]:  # below the | --- | rule
+        names, span, _ = (cell.strip() for cell in row.strip().strip("|").split("|"))
+        lo, hi, units = re.fullmatch(r"(\S+) to (\S+) ?(.*)", span).groups()
+        names = [name.strip(" `") for name in names.split(",")]
+        units = units.split(" or ") if " or " in units else [units] * len(names)
+        for name, unit in zip(names, units, strict=True):
+            listed[name] = f"[{lo}, {hi}] {unit}".rstrip()
+    assert listed == {quantity: span for quantity, (_, _, span) in RANGES.items()}

@@ -100,10 +100,10 @@ def _asin_reference(z: Decimal) -> Decimal:
     return _series(z, lambda n, t: t * z * z * (2 * n - 1) ** 2 / ((2 * n) * (2 * n + 1)))
 
 
-def _strip_width_reference(a: float, mu_reff: float, inductance: float) -> Decimal:
+def _strip_width_reference(a: float, inductance: float) -> Decimal:
     """The width whose sin(pi*w/(2a)) is e^-k, through asin of the smaller
     angle: x itself, or pi/2 - x = 2 asin(sqrt((1 - e^-k)/2))."""
-    k = 2 * _PI * Decimal(inductance) / (Decimal(a) * Decimal(MU0) * Decimal(mu_reff))
+    k = 2 * _PI * Decimal(inductance) / (Decimal(a) * Decimal(MU0))
     t = (-k).exp()
     if t * t < Decimal("0.5"):
         x = _asin_reference(t)
@@ -131,11 +131,10 @@ def test_grid_formulas_match_a_high_precision_reference():
             w = float(rng.uniform(1e-6, 1.0 - 1e-6)) * 2.0 * a
             exact = _ln_csc_reference(w, 2.0 * a)
             assert abs(Decimal(_ln_csc(w, 2.0 * a)) - exact) <= 16 * Decimal(eps) * exact
-            mu_reff = 10.0 ** rng.uniform(-1.0, 1.0)
-            inductance = _strip_inductance(a, mu_reff, float(rng.uniform(1e-6, 1.0 - 1e-6)) * a)
-            exact = _strip_width_reference(a, mu_reff, inductance)
-            k = 2.0 * math.pi * inductance / (a * MU0 * mu_reff)
-            width = _strip_width(a, mu_reff, inductance)
+            inductance = _strip_inductance(a, float(rng.uniform(1e-6, 1.0 - 1e-6)) * a)
+            exact = _strip_width_reference(a, inductance)
+            k = 2.0 * math.pi * inductance / (a * MU0)
+            width = _strip_width(a, inductance)
             assert abs(Decimal(width) - exact) <= Decimal(8 * (1.0 + k) * eps) * exact
             if width > a / 2:
                 bound = math.ulp(a) / 2 + 8 * eps * float(Decimal(a) - exact)

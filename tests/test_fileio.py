@@ -305,6 +305,30 @@ def test_imported_columns_are_the_table_columns(tmp_path, ref_circuit, ref_subst
         assert all(a is b for a, b in zip(handed.pop(), (got.frequency, got.s11, got.s21)))
 
 
+@pytest.mark.parametrize(
+    "freqs, message",
+    [
+        ([1e9, 3e9, 2e9],
+         "frequencies must be strictly increasing, but 2000000000.0 Hz follows 3000000000.0 Hz"),
+        ([1e9, 2e9, 2e9],
+         "frequencies must be strictly increasing, but 2000000000.0 Hz follows 2000000000.0 Hz"),
+        ([-2e9, 1e9, 2e9], "frequency must lie in [1e3, 1e15] Hz, got -2000000000.0"),
+    ],
+)
+def test_importers_give_the_tables_frequency_message(tmp_path, freqs, message):
+    # ResponseTable owns the ordering and range rules; an importer only
+    # puts the file's name in front of the table's message
+    zeros = np.zeros(len(freqs), dtype=complex)
+    with pytest.raises(InvalidParameterError) as direct:
+        ResponseTable(np.array(freqs), zeros, zeros)
+    assert str(direct.value) == message
+    path = tmp_path / "data.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(f"{f!r},0,0,0.5,0,0,-6\n" for f in freqs))
+    with pytest.raises(InvalidParameterError) as imported:
+        load_response(path)
+    assert str(imported.value) == f"{path}: {message}"
+
+
 # --- Byte identity of the writers against a per-cell reference ------------
 
 

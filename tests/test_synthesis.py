@@ -76,11 +76,33 @@ def test_circuit_from_targets_refuses_a_zero_that_underflows():
         DesignTargets(1e-200, 2e-200)
     assert str(info.value) == "f_lower must lie in [1e3, 1e15] Hz, got 1e-200"
     # inside the range the default zero of adjacent band centres rounds
-    # onto the upper one
+    # onto the upper one, which the targets refuse as they are built
     f_upper = math.nextafter(1e9, math.inf)
-    with pytest.raises(InfeasibleTargetsError, match=f"zero {f_upper} outside") as info:
-        circuit_from_targets(DesignTargets(1e9, f_upper))
+    with pytest.raises(InfeasibleTargetsError) as info:
+        DesignTargets(1e9, f_upper)
+    assert str(info.value) == (
+        f"transmission zero {f_upper} must lie strictly between the band centers; "
+        f"attainable range is (1000000000.0, {f_upper})"
+    )
     assert info.value.attainable == (1e9, f_upper)
+
+
+def test_design_targets_set_the_default_zero(rng):
+    for f_lower, f_upper in [(2.4e9, 5.8e9), (1e3, 1e15)] + [
+        tuple(sorted((10.0 ** rng.uniform(3.0, 15.0, 2)).tolist())) for _ in range(200)
+    ]:
+        assert DesignTargets(f_lower, f_upper).f_zero.hex() == math.sqrt(f_lower * f_upper).hex()
+    assert DesignTargets(2.4e9, 5.8e9, 3e9).f_zero == 3e9
+
+
+def test_design_targets_on_adjacent_floats_have_no_default_zero(rng):
+    # no float lies strictly between the two, so the default zero cannot
+    for f_lower in (10.0 ** rng.uniform(3.0, 15.0, 200)).tolist():
+        f_upper = math.nextafter(f_lower, math.inf)
+        with pytest.raises(InfeasibleTargetsError) as info:
+            DesignTargets(f_lower, f_upper)
+        assert info.value.category == "infeasible-targets"
+        assert info.value.attainable == (f_lower, f_upper)
 
 
 def test_circuit_from_targets_refuses_a_zero_within_rounding_of_the_lower_band():
@@ -172,9 +194,7 @@ def test_geometry_roundtrip_random(rng):
             eps_r=rng.uniform(2.0, 12.0),
         )
         c = extract_circuit(geom)
-        back = geometry_from_circuit(
-            c, a, Substrate(geom.thickness, geom.eps_r), geom.mu_reff
-        )
+        back = geometry_from_circuit(c, a, Substrate(geom.thickness, geom.eps_r))
         for name in ("period", "hat_length", "jc_slot", "cross_slot", "jc_gap"):
             assert getattr(back, name) == pytest.approx(getattr(geom, name), rel=1e-6)
 
@@ -618,17 +638,18 @@ def _model_output_lines() -> list[str]:
     lines = []
     for _ in range(400):
         a = float(rng.uniform(2e-3, 15e-3))
+        dims = dict(
+            period=a,
+            hat_length=float(rng.uniform(0.05, 0.95)) * a,
+            jc_slot=float(rng.uniform(0.005, 0.6)) * a,
+            cross_slot=float(rng.uniform(0.005, 0.3)) * a,
+            jc_gap=float(rng.uniform(0.01, 0.5)) * a,
+            thickness=1e-3,
+            eps_r=float(rng.uniform(1.0, 12.0)),
+        )
+        rng.uniform(0.5, 2.0)  # a draw no line uses, kept so the seeded stream stays the same
         try:
-            geom = FirstOrderGeometry(
-                period=a,
-                hat_length=float(rng.uniform(0.05, 0.95)) * a,
-                jc_slot=float(rng.uniform(0.005, 0.6)) * a,
-                cross_slot=float(rng.uniform(0.005, 0.3)) * a,
-                jc_gap=float(rng.uniform(0.01, 0.5)) * a,
-                thickness=1e-3,
-                eps_r=float(rng.uniform(1.0, 12.0)),
-                mu_reff=float(rng.uniform(0.5, 2.0)),
-            )
+            geom = FirstOrderGeometry(**dims)
         except InvalidGeometryError as exc:
             lines.append(f"{type(exc).__name__}: {exc}")
             continue
@@ -640,8 +661,8 @@ def _model_output_lines() -> list[str]:
               for n in ("L_series", "C_series", "L_tank", "C_tank"))
         )
         sub = Substrate(1e-3, geom.eps_r)
-        lines.append(_outcome(geometry_from_circuit, c, a, sub, geom.mu_reff))
-        lines.append(_outcome(geometry_from_circuit, scaled, a, sub, geom.mu_reff))
+        lines.append(_outcome(geometry_from_circuit, c, a, sub))
+        lines.append(_outcome(geometry_from_circuit, scaled, a, sub))
     for _ in range(1500):
         c = ExtractedCircuit(
             _log_uniform(rng, -9.7, -7.7),

@@ -946,3 +946,24 @@ def test_media_resonance_and_reader_outputs_golden(tmp_path):
     deliberate change, rewrite the file with
     ``MEDIA_GOLDEN.write_text("\\n".join(_media_output_lines(tmp_path)))``."""
     assert_lines_match(_media_output_lines(tmp_path), MEDIA_GOLDEN)
+
+
+def test_golden_mismatch_reads_hex_tokens_as_floats(tmp_path):
+    # one letter changed inside a float's hex bytes moves that float; the
+    # digits around the letter are no decimal numbers of their own
+    lines = MEDIA_GOLDEN.read_text().split("\n")[:3]
+    path = tmp_path / "expected.txt"
+    path.write_text("\n".join(lines))
+    token = next(t for t in lines[1].split() if t.startswith("float:"))
+    old = token.removeprefix("float:")
+    i = next(i for i, ch in enumerate(old) if ch in "abcdef")
+    new = old[:i] + ("a" if old[i] != "a" else "b") + old[i + 1:]
+    lines[1] = lines[1].replace(token, f"float:{new}", 1)
+    moved = abs(int.from_bytes(bytes.fromhex(new), "little")
+                - int.from_bytes(bytes.fromhex(old), "little"))
+    assert moved > 0
+    with pytest.raises(AssertionError) as info:
+        assert_lines_match(lines, path)
+    assert str(info.value).splitlines()[0] == (
+        f"expected.txt: 1 of 3 lines moved, the largest numeric move {moved} ulps"
+    )
