@@ -17,7 +17,6 @@ from .analysis import (
     parametric_sweep,
     smooth_response,
     sweep,
-    sweep_at,
 )
 from .constants import C0, EPS0, ETA0, MU0
 from .extraction import (
@@ -32,8 +31,6 @@ from .extraction import (
 )
 from .fileio import (
     load_response,
-    read_response_csv,
-    read_touchstone,
     write_response_csv,
     write_touchstone,
 )

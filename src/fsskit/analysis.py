@@ -137,7 +137,8 @@ def sweep(
     spacing: str = "linear",
 ) -> ResponseTable:
     """Evaluate the stack on a linear or logarithmic frequency grid."""
-    return sweep_at(stack, _grid(f_start, f_stop, n_points, spacing))
+    grid = _grid(f_start, f_stop, n_points, spacing)
+    return ResponseTable(grid, *stack_response(stack, grid))
 
 
 def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndarray:
@@ -162,15 +163,6 @@ def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndar
         grid = grid.copy()
     grid.setflags(write=False)
     return grid
-
-
-def sweep_at(stack: FssStack, freqs) -> ResponseTable:
-    """Evaluate the stack on an explicit frequency grid.  The table shares
-    the engine's read-only S11 and S21, and copies a grid that is not
-    itself a read-only array owning its memory."""
-    freqs = np.asarray(freqs, dtype=float)
-    s11, s21 = stack_response(stack, freqs)
-    return ResponseTable(freqs, s11, s21)
 
 
 def band_report(table: ResponseTable) -> BandReport:
@@ -340,7 +332,7 @@ def parametric_sweep(
                 if grid[k] != f_zero:
                     this_grid = np.insert(grid, k, f_zero)
                     this_grid.setflags(write=False)
-            report = band_report(sweep_at(stack, this_grid))
+            report = band_report(ResponseTable(this_grid, *stack_response(stack, this_grid)))
             points.append(SweepPoint(value=value, report=report))
         except FssError as exc:
             points.append(SweepPoint(value=value, error=f"{exc.category}: {exc}"))

@@ -1,4 +1,4 @@
-"""Response-table readers and writers: the package CSV schema and
+"""Response-table importer and writers: the package CSV schema and
 two-port Touchstone v1.
 
 Data files carry no timestamps so identical runs produce identical bytes;
@@ -177,9 +177,10 @@ def _imported_table(path, rows) -> ResponseTable:
         raise InvalidParameterError(f"{path}: {exc}") from None
 
 
-def read_response_csv(path) -> ResponseTable:
-    lines = [ln.strip() for ln in _text(path).splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+def _csv_rows(path, lines) -> list:
+    """(frequency, S11, S21) rows of the package CSV schema."""
+    lines = [ln for ln in lines if ln]
+    if lines[0] != CSV_HEADER:
         raise InvalidParameterError(
             f"{path}: not a response CSV (expected header {CSV_HEADER!r})"
         )
@@ -190,7 +191,7 @@ def read_response_csv(path) -> ResponseTable:
             raise InvalidParameterError(f"{path}: malformed CSV row {ln!r}")
         vals = _data_row(path, ln, parts)
         rows.append((vals[0], complex(vals[1], vals[2]), complex(vals[3], vals[4])))
-    return _imported_table(path, rows)
+    return rows
 
 
 def write_touchstone(
@@ -234,9 +235,10 @@ def _check_reference_resistance(path, token) -> None:
         )
 
 
-def read_touchstone(path) -> ResponseTable:
-    """Parse a two-port Touchstone v1 file (RI, MA, or DB formats).  The one
-    option line, if any, is the first line that is not blank or a comment."""
+def _touchstone_rows(path, lines) -> list:
+    """(frequency in Hz, S11, S21) rows of a two-port Touchstone v1 file (RI,
+    MA, or DB formats), sorted by frequency.  The one option line, if any,
+    is the first line that is not blank or a comment."""
     fmt = "MA"
     scale = 1e9  # Touchstone v1 default unit is GHz
     rows = []
@@ -249,7 +251,7 @@ def read_touchstone(path) -> ResponseTable:
             return cmath.rect(a, math.radians(b))
         return cmath.rect(10.0 ** (a / 20.0), math.radians(b))
 
-    for number, raw in enumerate(_text(path).splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
@@ -297,14 +299,14 @@ def read_touchstone(path) -> ResponseTable:
             )
         rows.append(row)
     rows.sort(key=lambda r: r[0])
-    return _imported_table(path, rows)
+    return rows
 
 
 def load_response(path) -> ResponseTable:
-    """Read either the package CSV schema or a Touchstone v1 file, sniffing
-    by its first non-blank line."""
-    # a file that is not UTF-8 is reported by the reader it is passed to
-    with Path(path).open(encoding="utf-8-sig", errors="replace") as fh:
-        # split as the readers split, at \v, \f and the like too
-        first = next((s.strip() for line in fh for s in line.splitlines() if s.strip()), "")
-    return read_response_csv(path) if first == CSV_HEADER else read_touchstone(path)
+    """Read the package CSV schema or a Touchstone v1 file.  The file is a
+    CSV when its first line that is not blank holds a comma before any
+    ``!`` comment and is not a ``#`` option line."""
+    lines = [ln.strip() for ln in _text(path).splitlines()]
+    first = next((ln.split("!", 1)[0] for ln in lines if ln), "")
+    csv = "," in first and not first.startswith("#")
+    return _imported_table(path, (_csv_rows if csv else _touchstone_rows)(path, lines))

@@ -204,11 +204,6 @@ class FitResult:
     iterations: int
     trace: tuple
 
-    def circuit(self) -> ExtractedCircuit:
-        if self.template != "first_order":
-            raise InvalidParameterError("circuit() is only defined for first_order fits")
-        return ExtractedCircuit(**self.params)
-
 
 def fit_circuit(
     data: ResponseTable,

@@ -16,8 +16,8 @@ from fsskit import (
     parametric_sweep,
     predict_resonances,
     smooth_response,
+    stack_response,
     sweep,
-    sweep_at,
 )
 from fsskit.analysis import BAND_THRESHOLD_DB, ZERO_FLOOR_DB, _grid, _refine_quadratic
 from fsskit.errors import (
@@ -139,7 +139,9 @@ def test_response_table_shares_read_only_arrays_that_own_their_memory(ref_circui
     stack = _ref_stack(ref_circuit, ref_substrate)
     for spacing in ("linear", "log"):
         grid = _grid(1e9, 8e9, 11, spacing)
-        assert sweep_at(stack, grid).frequency is grid
+        s11, s21 = stack_response(stack, grid)
+        t = ResponseTable(grid, s11, s21)
+        assert t.frequency is grid and t.s11 is s11 and t.s21 is s21
         t = sweep(stack, 1e9, 8e9, 11, spacing)
         for column in (t.frequency, t.s11, t.s21):
             with pytest.raises(ValueError):
@@ -468,7 +470,8 @@ def test_parametric_sweep_grid_is_the_union_with_the_zero(nominal_geometry, monk
     f_zero = analysis.predict_resonances(circuit).f_zero
     grids = []
     monkeypatch.setattr(
-        analysis, "sweep_at", lambda stack, freqs: grids.append(freqs) or sweep_at(stack, freqs)
+        analysis, "stack_response",
+        lambda stack, freqs: grids.append(freqs) or stack_response(stack, freqs),
     )
     # f_zero (5.6 GHz) +- 2**28 Hz stays within [2**32, 2**33) Hz, so both
     # ends are exact, and the middle point of a 3-point grid is f_zero
@@ -764,7 +767,7 @@ def _oracle_stack_table(rng, ref_circuit):
     if rng.random() < 0.5 and f_start < pred.f_zero < f_stop:
         grid = np.union1d(grid, [pred.f_zero])
     stack = build_first_order(circuit, sub, inc, loss)
-    return sweep_at(stack, grid)
+    return ResponseTable(grid, *stack_response(stack, grid))
 
 
 def _oracle_lorentz_table(rng):

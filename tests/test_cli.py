@@ -15,6 +15,7 @@ import pytest
 import fsskit
 from fsskit import (
     DesignTargets,
+    ResponseTable,
     band_report,
     circuit_from_targets,
     exact_poles,
@@ -25,7 +26,7 @@ from fsskit import (
     topology,
 )
 from fsskit import cli
-from fsskit.analysis import SWEEP_POINTS, sweep_at
+from fsskit.analysis import SWEEP_POINTS
 from fsskit.cli import main, run
 from fsskit.constants import C0
 from fsskit.errors import ConfigError, FssError, InvalidParameterError, UnattainableDimensionError
@@ -395,7 +396,7 @@ def test_synth_command(tmp_path, monkeypatch):
     assert pred.f_upper == pytest.approx(5.8e9, rel=1e-6)
     # the report: each band's target, the collapsed sheet's pole (the series
     # resonance for the null) and the swept band of the design as written
-    swept = band_report(sweep_at(stack, freqs))
+    swept = band_report(ResponseTable(freqs, *topology.stack_response(stack, freqs)))
     lower, upper = exact_poles(circuit)
     sheet_zero = 1 / (2 * math.pi * math.sqrt(circuit.L_series * circuit.C_series))
     expected = {
@@ -662,6 +663,17 @@ def test_output_path_that_is_a_file_is_an_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: io-error: ")
 
 
+def test_fit_data_that_is_a_directory_is_an_io_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(_FIT_CONFIG))
+    cfg["fit"]["data"] = str(tmp_path / "data.csv")
+    (tmp_path / "data.csv").mkdir()
+    out = tmp_path / "o"
+    assert main(["fit", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io-error: ") and "data.csv" in err
+    assert not (out / "fit_result.json").exists()
+
+
 def test_unsmoothed_band_report_failure_is_reported_as_is(tmp_path, capsys):
     # 1.5-4 GHz holds only the lower band; the error is reported as the
     # band report raised it, and the data files are still written
@@ -736,10 +748,15 @@ _ROW = " 0 0 0.5 0 0.5 0 0 0"
          "frequency must lie in [1e3, 1e15] Hz, got 0.0"),
         ("data.s2p", f"# GHZ S RI R 50\n-1{_ROW}\n-2{_ROW}\n1{_ROW}\n",
          "frequency must lie in [1e3, 1e15] Hz, got -2000000000.0"),
+        # a spreadsheet export was once read as Touchstone: "expected 9-column
+        # two-port rows, got 1 columns"
+        ("export.csv", "freq,s21\n1e9,0.5\n2e9,0.5\n",
+         "not a response CSV (expected header "
+         "'freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db')"),
     ],
     ids=["csv-decreasing", "touchstone-repeated", "touchstone-negative-magnitude",
          "touchstone-db-overflow", "touchstone-ghz-overflow", "csv-one-row", "csv-zero-hz",
-         "touchstone-negative-frequency"],
+         "touchstone-negative-frequency", "csv-foreign-header"],
 )
 def test_fit_names_the_data_file_and_the_bad_value(tmp_path, capsys, name, text, message):
     data = tmp_path / name

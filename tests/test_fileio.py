@@ -1,4 +1,5 @@
 import math
+import pathlib
 import re
 import tracemalloc
 
@@ -10,8 +11,6 @@ from fsskit import (
     ResponseTable,
     build_first_order,
     load_response,
-    read_response_csv,
-    read_touchstone,
     stack_response_full,
     sweep,
     write_response_csv,
@@ -30,7 +29,7 @@ def test_csv_roundtrip(tmp_path, ref_circuit, ref_substrate):
     table = _small_table(ref_circuit, ref_substrate)
     path = tmp_path / "response.csv"
     write_response_csv(table, path)
-    back = read_response_csv(path)
+    back = load_response(path)
     np.testing.assert_allclose(back.frequency, table.frequency, rtol=1e-11)
     np.testing.assert_allclose(back.s11, table.s11, rtol=0, atol=1e-11)
     np.testing.assert_allclose(back.s21, table.s21, rtol=0, atol=1e-11)
@@ -51,12 +50,12 @@ def test_csv_header_and_precision(tmp_path, ref_circuit, ref_substrate):
 def test_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(InvalidParameterError):
-        read_response_csv(path)
+    with pytest.raises(InvalidParameterError, match="bogus.csv: not a response CSV"):
+        load_response(path)
     path2 = tmp_path / "short_row.csv"
     path2.write_text(CSV_HEADER + "\n1,2,3\n")
     with pytest.raises(InvalidParameterError):
-        read_response_csv(path2)
+        load_response(path2)
 
 
 def test_touchstone_roundtrip(tmp_path, ref_circuit, ref_substrate):
@@ -65,7 +64,7 @@ def test_touchstone_roundtrip(tmp_path, ref_circuit, ref_substrate):
     s11, s21, s22 = stack_response_full(stack, table.frequency)
     path = tmp_path / "response.s2p"
     write_touchstone(table.frequency, s11, s21, s21, s22, path, ETA0)
-    back = read_touchstone(path)
+    back = load_response(path)
     np.testing.assert_allclose(back.frequency, table.frequency, rtol=1e-11)
     np.testing.assert_allclose(back.s21, s21, rtol=0, atol=1e-11)
 
@@ -90,7 +89,7 @@ def test_touchstone_option_line_format(tmp_path, ref_circuit, ref_substrate):
 
 def test_touchstone_comment_of_several_lines_round_trips(tmp_path, ref_circuit, ref_substrate):
     # every line of a comment is a comment line, at each line break the
-    # readers split at; a bare line would read as a two-column data row
+    # importer splits at; a bare line would read as a two-column data row
     stack = build_first_order(ref_circuit, ref_substrate)
     table = sweep(stack, 1e9, 2e9, 3)
     s11, s21, s22 = stack_response_full(stack, table.frequency)
@@ -123,14 +122,14 @@ def test_touchstone_ma_and_db_formats(tmp_path):
 
     ma_path = tmp_path / "ma.s2p"
     ma_path.write_text("! comment\n# GHZ S MA R 50\n" + "\n".join(ma_rows) + "\n")
-    got = read_touchstone(ma_path)
+    got = load_response(ma_path)
     np.testing.assert_allclose(got.frequency, freqs * 1e9)
     np.testing.assert_allclose(got.s11, s11, atol=1e-12)
     np.testing.assert_allclose(got.s21, s21, atol=1e-12)
 
     db_path = tmp_path / "db.s2p"
     db_path.write_text("# GHZ S DB R 50\n" + "\n".join(db_rows) + "\n")
-    got = read_touchstone(db_path)
+    got = load_response(db_path)
     np.testing.assert_allclose(got.s21, s21, atol=1e-12)
 
 
@@ -149,7 +148,7 @@ def test_touchstone_rejects_negative_ma_magnitude(tmp_path, option, column):
     # in the other formats a negative value is an ordinary number
     for fmt in ("RI", "DB"):
         path.write_text(f"# GHZ S {fmt} R 50\n1 0.5 30 0.5 30 0.5 30 0.5 30\n{' '.join(row)}\n")
-        assert len(read_touchstone(path)) == 2
+        assert len(load_response(path)) == 2
 
 
 def test_touchstone_sorts_rows(tmp_path):
@@ -159,7 +158,7 @@ def test_touchstone_sorts_rows(tmp_path):
         "2e9 0 0 0.5 0 0.5 0 0 0\n"
         "1e9 0 0 0.25 0 0.25 0 0 0\n"
     )
-    got = read_touchstone(path)
+    got = load_response(path)
     assert got.frequency[0] == 1e9
     assert got.s21[0] == 0.25
 
@@ -168,15 +167,15 @@ def test_touchstone_rejects_malformed(tmp_path):
     path = tmp_path / "bad.s2p"
     path.write_text("# HZ S RI R 50\n1e9 0 0 1\n")
     with pytest.raises(InvalidParameterError):
-        read_touchstone(path)
+        load_response(path)
     empty = tmp_path / "empty.s2p"
     empty.write_text("# HZ S RI R 50\n")
     with pytest.raises(InvalidParameterError):
-        read_touchstone(empty)
+        load_response(empty)
     odd = tmp_path / "odd.s2p"
     odd.write_text("# HZ S XX R 50\n1e9 0 0 1 0 1 0 0 0\n")
     with pytest.raises(InvalidParameterError):
-        read_touchstone(odd)
+        load_response(odd)
 
 
 _ONE_ROW = "1 data row found; a response needs at least 2"
@@ -215,8 +214,6 @@ def test_touchstone_option_line_must_come_first(tmp_path, lines, number):
     path = tmp_path / "late.s2p"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidParameterError, match=f"late.s2p: line {number}: option line"):
-        read_touchstone(path)
-    with pytest.raises(InvalidParameterError, match=f"late.s2p: line {number}: option line"):
         load_response(path)
 
 
@@ -228,14 +225,14 @@ def test_touchstone_rejects_bad_reference_resistance(tmp_path, option):
     path.write_text(f"# GHZ S RI {option}\n1 0 0 1 0 1 0 0 0\n2 0 0 1 0 1 0 0 0\n")
     token = option.split()[1] if " " in option else None
     with pytest.raises(InvalidParameterError, match=f"bad_r.s2p.*got {token!r}"):
-        read_touchstone(path)
+        load_response(path)
 
 
 def test_touchstone_accepts_any_positive_reference_resistance(tmp_path):
     for option in ("R 50", "r 376.730313", "R 1e3", ""):
         path = tmp_path / "ok.s2p"
         path.write_text(f"# GHZ S RI {option}\n1 0 0 1 0 1 0 0 0\n2 0 0 1 0 1 0 0 0\n")
-        assert read_touchstone(path).s21[0] == 1
+        assert load_response(path).s21[0] == 1
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
@@ -244,11 +241,11 @@ def test_importers_reject_bad_data_rows(tmp_path, cell):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text(CSV_HEADER + f"\n1e9,0,0,0.5,{cell},0,-6\n2e9,0,0,0.5,0,0,-6\n")
     with pytest.raises(InvalidParameterError, match=f"bad.csv.*0.5,{cell}"):
-        read_response_csv(csv_path)
+        load_response(csv_path)
     ts_path = tmp_path / "bad.s2p"
     ts_path.write_text(f"# HZ S RI R 50\n1e9 0 0 0.5 {cell} 0.5 0 0 0\n2e9 0 0 0.5 0 0.5 0 0 0\n")
     with pytest.raises(InvalidParameterError, match=f"bad.s2p.*0.5 {cell}"):
-        read_touchstone(ts_path)
+        load_response(ts_path)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +267,7 @@ def test_csv_accepts_infinite_db_columns(tmp_path):
     # must be finite
     path = tmp_path / "null.csv"
     path.write_text(CSV_HEADER + "\n1e9,-1,0,0,0,0,-inf\n2e9,0,0,1,0,-inf,0\n")
-    assert read_response_csv(path).s21[0] == 0j
+    assert load_response(path).s21[0] == 0j
 
 
 def test_load_response_sniffs_both_formats(tmp_path, ref_circuit, ref_substrate):
@@ -285,6 +282,54 @@ def test_load_response_sniffs_both_formats(tmp_path, ref_circuit, ref_substrate)
     write_touchstone(table.frequency, s11, s21, s21, s22, ts_path, ETA0)
     got = load_response(ts_path)
     np.testing.assert_allclose(got.s21, table.s21, atol=1e-11)
+
+
+_TS_ROWS = "1e9 0 0 0.5 0 0.5 0 0 0\n2e9 0 0 0.25 0 0.25 0 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (CSV_HEADER + "\n1e9,0,0,0.5,0,0,-6\n2e9,0,0,0.25,0,0,-12\n", None),
+        ("\n  \n" + CSV_HEADER + "\n1e9,0,0,0.5,0,0,-6\n2e9,0,0,0.25,0,0,-12\n", None),
+        ("! exported by a, b\n# HZ S RI R 50\n" + _TS_ROWS, None),
+        ("1 0 0 0.5 0 0.5 0 0 0 ! GHz, MA\n2 0 0 0.25 0 0.25 0 0 0\n", None),
+        ("# HZ S RI R 50,\n" + _TS_ROWS,
+         "option-line R needs a finite positive reference resistance, got '50,'"),
+        ("1e9;0;0;0.5;0;0.5;0;0;0\n", "expected 9-column two-port rows, got 1 columns"),
+    ],
+    ids=["csv", "csv-after-blanks", "comment-with-comma", "row-comment-with-comma",
+         "option-line-with-comma", "no-comma"],
+)
+def test_load_response_tells_the_formats_apart_by_the_first_line(tmp_path, text, message):
+    # a comma before any comment, on a line that is not the option line,
+    # makes a CSV; every other file is Touchstone
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    if message is None:
+        assert load_response(path).s21.tolist() == [0.5, 0.25]
+    else:
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_response(path)
+
+
+def test_load_response_reads_each_file_once(tmp_path, ref_circuit, ref_substrate, monkeypatch):
+    opened = []
+    path_open = pathlib.Path.open
+
+    def recording(self, *args, **kwargs):
+        opened.append(self)
+        return path_open(self, *args, **kwargs)
+
+    table = _small_table(ref_circuit, ref_substrate)
+    write_response_csv(table, tmp_path / "data.csv")
+    write_touchstone(table.frequency, table.s11, table.s21, table.s21, table.s11,
+                     tmp_path / "data.s2p", ETA0)
+    monkeypatch.setattr(pathlib.Path, "open", recording)
+    for name in ("data.csv", "data.s2p"):
+        load_response(tmp_path / name)
+        assert opened == [tmp_path / name]
+        opened.clear()
 
 
 def test_imported_columns_are_the_table_columns(tmp_path, ref_circuit, ref_substrate, monkeypatch):

@@ -607,18 +607,6 @@ def test_zero_iteration_fit_reports_the_residual_of_the_values_it_returns(
     assert result.trace == (0.0,)
 
 
-def test_fit_result_circuit_helper(ref_substrate):
-    data = _weak_parasitic_data(ref_substrate)
-    initial = {k: v * 1.01 for k, v in WEAK_PARASITIC.items()}
-    result = fit_circuit(data, "first_order", initial, ref_substrate)
-    circuit = result.circuit()
-    assert isinstance(circuit, ExtractedCircuit)
-    assert circuit.L_series == pytest.approx(WEAK_PARASITIC["L_series"], rel=1e-3)
-    second = replace(result, template="second_order")
-    with pytest.raises(InvalidParameterError, match="only defined for first_order fits"):
-        second.circuit()
-
-
 def _outcome(fn, *args) -> str:
     """repr of fn(*args), or the exception class and message it raised."""
     try:

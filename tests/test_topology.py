@@ -31,7 +31,6 @@ from fsskit import (
     stack_response,
     stack_response_full,
     surface_impedance,
-    sweep_at,
 )
 from fsskit.lumped import OPEN, _admittance_array, _susceptance_array
 from fsskit import topology
@@ -382,7 +381,7 @@ def test_grid_must_be_finite_and_positive(ref_circuit, ref_substrate, bad, viola
     # frequency range refuses each, naming the value.
     stack = build_first_order(ref_circuit, ref_substrate)
     for grid in ([1e9, bad], [bad, 2e9, 3e9], [bad]):
-        for evaluate in (stack_response, stack_response_full, sweep_at):
+        for evaluate in (stack_response, stack_response_full):
             with pytest.raises(InvalidParameterError) as info:
                 evaluate(stack, grid)
             assert str(info.value) == f"frequency must lie in [1e3, 1e15] Hz, got {bad}", violated
@@ -414,7 +413,7 @@ def test_overflowing_chain_is_reported_not_returned_as_nan(G):
         return FssStack((node, sub, node), dielectric_loss=True)
 
     freqs = np.linspace(1e9, 12e9, 12)
-    for evaluate in (stack_response, stack_response_full, sweep_at):
+    for evaluate in (stack_response, stack_response_full):
         with pytest.raises(SingularNetworkError) as info:
             evaluate(stack(_OVERFLOWING), freqs)
         assert str(info.value) == "network overflows at 1000000000.0 Hz"
