@@ -20,7 +20,8 @@ beyond printed cells, and inside them no stage leaves the float range:
   least 6e-7*period below the period, so the hat-length factor is
   positive and re-extraction misses by < 4e-10; C_tank >= 1e-21 F is far
   above the cross-slot bracket's floor, ~4e-31 F.  ln csc takes length pairs.
-* Engine: lossless nodes and lines are finite, but a lossy line's
+* Engine: every node is lossless, so its admittance is j times a real
+  susceptance, and lossless lines are finite; but a lossy line's
   |Im theta| grows with thickness * f * tan_delta up to 4.5e10 rad, so
   the chain keeps its overflow check.  A fit's trial step may leave the
   domain: the constructors refuse it and the fit damps the step.  Exact
@@ -39,8 +40,6 @@ _TABLE = {
     "frequency": ("1e3", "1e15", "Hz"),
     "inductance": ("1e-18", "1e6", "H"),
     "capacitance": ("1e-21", "1e3", "F"),
-    "resistance": ("0", "1e6", "ohm"),
-    "conductance": ("0", "1e6", "S"),
     "length": ("1e-15", "10", "m"),
     "eps_r": ("1", "1e4", ""),
     "tan_delta": ("0", "10", ""),
@@ -48,7 +47,7 @@ _TABLE = {
 RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) in _TABLE.items()}
 
 # an element's quantity by the initial of its name
-_ELEMENTS = {"L": "inductance", "C": "capacitance", "R": "resistance", "G": "conductance"}
+_ELEMENTS = {"L": "inductance", "C": "capacitance"}
 
 
 def check(quantity: str, name: str, value, error=InvalidParameterError):

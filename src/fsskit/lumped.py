@@ -1,14 +1,14 @@
 """Lumped shunt branches of the layered-surface circuit model.
 
-A branch is one of: a series L-C resonator (with optional series loss R),
-a parallel L-C tank (with optional parallel conductance G), a bare
-inductor, or a parallel combination of branches.  Element values are SI
-(henry, farad, ohm, siemens).
+A branch is one of: a series L-C resonator, a parallel L-C tank, a bare
+inductor, or a parallel combination of branches.  Every branch is
+lossless, so its admittance is jB with B real (Foster's reactance
+theorem); loss enters a stack only through its substrate lines.  Element
+values are SI (henry, farad).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,11 +40,10 @@ def _resonance(L: float, C: float) -> float:
 @dataclass(frozen=True)
 class SeriesLC:
     """Series L-C branch; shunted it produces a transmission zero at
-    1/(2*pi*sqrt(L*C)).  R is an optional series loss resistance."""
+    1/(2*pi*sqrt(L*C))."""
 
     L: float
     C: float
-    R: float = 0.0
 
     def __post_init__(self):
         check_elements(self)
@@ -56,11 +55,10 @@ class SeriesLC:
 
 @dataclass(frozen=True)
 class Tank:
-    """Parallel L-C resonator; G is an optional parallel loss conductance."""
+    """Parallel L-C resonator; shunted it is an open at 1/(2*pi*sqrt(L*C))."""
 
     L: float
     C: float
-    G: float = 0.0
 
     def __post_init__(self):
         check_elements(self)
@@ -105,69 +103,34 @@ def branch_impedance(b: Branch, f: float):
     """
     check("frequency", "frequency", f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = complex(_admittance_array(b, np.array([2.0 * math.pi * f]))[0])
-    if y == 0:
+        x = float(_susceptance_array(b, np.array([2.0 * math.pi * f]))[0])
+    if x == 0.0:
         return OPEN
-    if not cmath.isfinite(y):
+    if not math.isfinite(x):
         return 0j
-    return 1.0 / y
-
-
-def _admittance_array(b: Branch, w: np.ndarray) -> np.ndarray:
-    """Vectorized branch admittance over angular frequencies w.
-
-    Non-finite entries mark frequencies where the branch is a perfect short.
-    There it divides by zero: callers turn off numpy's divide and invalid
-    warnings.
-    """
-    if isinstance(b, SeriesLC):
-        z = b.R + 1j * (w * b.L - 1.0 / (w * b.C))
-        # 1 / (0+0j) is inf+nanj: a zero impedance is already non-finite
-        return 1.0 / z
-    if isinstance(b, Tank):
-        return b.G + 1j * (w * b.C - 1.0 / (w * b.L))
-    if isinstance(b, Inductor):
-        return -1j / (w * b.L)
-    if isinstance(b, Parallel):
-        y = np.zeros(w.shape, dtype=complex)
-        for sub in b.branches:
-            y += _admittance_array(sub, w)
-        return y
-    raise InvalidParameterError(f"not a lumped branch: {b!r}")
-
-
-def _lossless_branch(b: Branch) -> bool:
-    """Whether no series R or parallel G anywhere in the branch is nonzero."""
-    if isinstance(b, SeriesLC):
-        return b.R == 0.0
-    if isinstance(b, Tank):
-        return b.G == 0.0
-    if isinstance(b, Parallel):
-        return all(_lossless_branch(sub) for sub in b.branches)
-    return True
+    return 1.0 / complex(0.0, x)
 
 
 def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray:
-    """Vectorized susceptance (admittance / j) of a lossless branch over
-    angular frequencies w.  Only the engine calls it, on the nodes of a
-    validated stack, so ``b`` is a branch.
+    """Vectorized susceptance (admittance / j) of a branch over angular
+    frequencies w; the engine and ``branch_impedance`` call it.
 
-    Where ``_admittance_array`` is finite its imaginary part has these
-    bits: each expression repeats the real arithmetic numpy's complex
-    product and division do there.  Non-finite entries mark shorts, where
-    it divides by zero as ``_admittance_array`` does.
+    Non-finite entries mark frequencies where the branch is a perfect
+    short.  There it divides by zero: callers turn off numpy's divide and
+    invalid warnings.
     """
     if isinstance(b, SeriesLC):
         return -1.0 / (w * b.L - 1.0 / (w * b.C))
     if isinstance(b, Tank):
-        # the complex path adds 0.0 to this difference, which cannot be -0
         return w * b.C - 1.0 / (w * b.L)
     if isinstance(b, Inductor):
         return -1.0 / (w * b.L)
-    x = np.zeros(w.shape)  # a Parallel
-    for sub in b.branches:
-        x += _susceptance_array(sub, w)
-    return x
+    if isinstance(b, Parallel):
+        x = np.zeros(w.shape)
+        for sub in b.branches:
+            x += _susceptance_array(sub, w)
+        return x
+    raise InvalidParameterError(f"not a lumped branch: {b!r}")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from .constants import C0, ETA0
 from .domain import check, check_frequencies
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
-from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank
-from .lumped import _admittance_array, _lossless_branch, _susceptance_array
+from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _susceptance_array
 
 _POLARIZATIONS = ("TE", "TM")
 
@@ -96,10 +95,6 @@ class FssStack:
                 raise InvalidParameterError(
                     f"layer {i} must be a Substrate line section, got {layer!r}"
                 )
-
-    @property
-    def nodes(self) -> tuple:
-        return self.layers[::2]
 
 
 def _oblique(z, cos, polarization: str):
@@ -188,10 +183,12 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     layers are those of an ``FssStack`` or their reverse, so they start
     with a node followed by a line.
 
-    If every node is lossless and no line is lossy, A and D are real and
-    B and C imaginary (Pozar, *Microwave Engineering*, ch. 4): the entries
-    are float64 arrays holding A, B/j, C/j and D.  Otherwise they are
-    complex128 arrays holding A, B, C and D.  Both run the same steps; the
+    Every node is lossless.  A line is lossy when ``dielectric_loss`` is
+    on and its ``tan_delta`` is above 0.  With no lossy line, A and D are
+    real and B and C imaginary (Pozar, *Microwave Engineering*, ch. 4):
+    the entries are float64 arrays holding A, B/j, C/j and D.  Otherwise
+    they are complex128 arrays holding A, B, C and D, and a node's
+    admittance is j times its susceptance.  Both run the same steps; the
     sums that pair two imaginary factors become differences, as j*j = -1.
     Each real product or sum is the one that the complex one pairs with
     zeros, in the same order, so both dtypes give the same bits.
@@ -210,11 +207,9 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     divides by zero and a thick lossy line overflows: the caller turns
     numpy's warnings off.
     """
-    real = all(
-        not (dielectric_loss and layer.tan_delta > 0.0)
-        if isinstance(layer, Substrate)
-        else _lossless_branch(layer)
-        for layer in layers
+    real = not (
+        dielectric_loss
+        and any(isinstance(layer, Substrate) and layer.tan_delta > 0.0 for layer in layers)
     )
     plus = np.subtract if real else np.add
     w = 2.0 * math.pi * freqs
@@ -232,13 +227,13 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
         return cos_t, 1j * line_z * sin_t, 1j * sin_t / line_z
 
     def node_term(layer, B, D):
-        """The node's admittance (susceptance if real) behind the prefix
-        chain B, D, with its shorts recorded and zeroed."""
+        """The node's susceptance (admittance if complex) behind the
+        prefix chain B, D, with its shorts recorded and zeroed."""
         nonlocal shorted, s11_short
-        y = _susceptance_array(layer, w) if real else _admittance_array(layer, w)
+        y = _susceptance_array(layer, w)
         # the sum of finite values is finite unless it overflows, so the
         # mask is built only when some node shorts (or on such an overflow)
-        if not cmath.isfinite(y.sum()):
+        if not math.isfinite(y.sum()):
             bad = ~np.isfinite(y)
             if shorted is None:
                 shorted = np.zeros(freqs.shape, dtype=bool)
@@ -251,7 +246,7 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
             s11_short[first] = (b - d * port) / (b + d * port)
             np.logical_or(shorted, bad, out=shorted)
             y[bad] = 0.0
-        return y
+        return y if real else 1j * y
 
     # The first node and line, [1 0; y 1] @ [cos_t b_line; c_line cos_t],
     # without its products by one and its sums with zero: v*1 is v, and a

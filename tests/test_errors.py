@@ -76,8 +76,8 @@ def test_payload_is_keyword_only_and_declared():
 # A valid value for every numeric field of each model constructor.
 _VALID = {
     Substrate: dict(thickness=0.635e-3, eps_r=10.2, tan_delta=0.0023),
-    SeriesLC: dict(L=4.9e-9, C=0.5e-12, R=0.1),
-    Tank: dict(L=4e-9, C=0.35e-12, G=1e-3),
+    SeriesLC: dict(L=4.9e-9, C=0.5e-12),
+    Tank: dict(L=4e-9, C=0.35e-12),
     Inductor: dict(L=0.8e-9),
     ExtractedCircuit: dict(
         L_series=4.9e-9, C_series=0.5e-12, L_tank=4e-9, C_tank=0.35e-12, L_parasitic=0.8e-9

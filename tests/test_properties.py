@@ -38,11 +38,13 @@ def _random_branch(rng):
     return Parallel((SeriesLC(l, c), Inductor(10 ** rng.uniform(-9.5, -8.0))))
 
 
-def _random_stack(rng, lossless=True):
+def _random_stack(rng, lossy=False):
+    """A 3- or 5-layer stack; a lossy one has a loss tangent and dielectric
+    loss on, so its chain runs in complex128."""
     sub = Substrate(
         rng.uniform(1e-4, 3e-3),
         rng.uniform(1.0, 12.0),
-        0.0 if lossless else rng.uniform(0.0, 0.01),
+        rng.uniform(1e-4, 0.01) if lossy else 0.0,
     )
     n_nodes = int(rng.integers(2, 4))
     nodes = [_random_branch(rng) for _ in range(n_nodes)]
@@ -54,16 +56,24 @@ def _random_stack(rng, lossless=True):
         if i < n_nodes - 1:
             layers.append(sub)
     inc = Incidence(rng.uniform(0.0, math.radians(60)), rng.choice(["TE", "TM"]))
-    return FssStack(tuple(layers), inc)
+    return FssStack(tuple(layers), inc, lossy)
+
+
+def _assert_passive(s11, s21):
+    # a lossy stack absorbs: |S11|^2 + |S21|^2 <= 1
+    assert abs(s11[0]) ** 2 + abs(s21[0]) ** 2 <= 1.0
 
 
 def test_reciprocity_1000(rng):
-    for _ in range(N):
-        stack = _random_stack(rng)
+    # every other stack is lossy
+    for i in range(N):
+        stack = _random_stack(rng, lossy=i % 2 == 1)
         f = 10 ** rng.uniform(8.5, 10.5)
         A, B, C, D, shorted = complex_chain(
             stack.layers, stack.incidence, stack.dielectric_loss, np.array([f])
         )
+        if stack.dielectric_loss:
+            _assert_passive(*stack_response(stack, [f]))
         if shorted[0]:
             continue  # exact shorts have no chain matrix
         assert abs(A[0] * D[0] - B[0] * C[0] - 1.0) < 1e-10
@@ -71,15 +81,16 @@ def test_reciprocity_1000(rng):
 
 def test_lossless_unitarity_1000(rng):
     for _ in range(N):
-        stack = _random_stack(rng, lossless=True)
+        stack = _random_stack(rng)
         f = 10 ** rng.uniform(8.5, 10.5)
         s11, s21 = stack_response(stack, [f])
         assert abs(abs(s11[0]) ** 2 + abs(s21[0]) ** 2 - 1.0) < 1e-10
 
 
 def test_normal_incidence_te_tm_equality_1000(rng):
-    for _ in range(N):
-        stack = _random_stack(rng)
+    # every other stack is lossy
+    for i in range(N):
+        stack = _random_stack(rng, lossy=i % 2 == 1)
         f = 10 ** rng.uniform(8.5, 10.5)
         te = stack_response(
             FssStack(stack.layers, Incidence(0.0, "TE"), stack.dielectric_loss), [f]
@@ -89,6 +100,8 @@ def test_normal_incidence_te_tm_equality_1000(rng):
         )
         # bit identical, not merely within tolerance
         assert te[0][0] == tm[0][0] and te[1][0] == tm[1][0]
+        if stack.dielectric_loss:
+            _assert_passive(*te)
 
 
 def test_target_roundtrip_1000(rng):

@@ -24,7 +24,6 @@ from fsskit import (
     incidence_media,
     stack_response,
 )
-from fsskit.lumped import _admittance_array
 from conftest import complex_chain
 
 F = 1e9
@@ -90,9 +89,9 @@ def test_shunt_open_branch_is_identity():
 
 
 def test_shunt_stores_admittance():
-    node = Tank(U, U, G=1 / 377)  # admittance exactly G at w = 1 / U
+    node = Tank(U, 2.0 * U)  # susceptance exactly w*C - 1/(w*L) = 2 - 1 at w = 1 / U
     A, B, C, D = _abcd((node,), F_UNIT)
-    assert C == 1 / 377 + 0j
+    assert C == 1j
     assert A == 1 and D == 1 and B == 0
 
 
@@ -139,28 +138,31 @@ def test_cascade_identities():
 
 
 def test_cascade_merges_adjacent_shunts():
-    n1, n2 = Tank(2e-9, 1e-12, 0.002), SeriesLC(3e-9, 2e-12, 1.0)
-    w = np.array([2 * math.pi * F])
+    n1, n2 = Tank(2e-9, 1e-12), SeriesLC(3e-9, 2e-12)
+    w = 2 * math.pi * F
     A, B, C, D = _abcd((n1, n2), F)
-    assert C == pytest.approx(complex(_admittance_array(n1, w)[0] + _admittance_array(n2, w)[0]))
+    # j(wC1 - 1/(wL1)) + 1/(j(wL2 - 1/(wC2))), in closed form
+    b_tank = w * 1e-12 - 1 / (w * 2e-9)
+    b_series = -1 / (w * 3e-9 - 1 / (w * 2e-12))
+    assert C == pytest.approx(1j * (b_tank + b_series))
     assert A == 1 and B == 0 and D == 1
     assert C == pytest.approx(_abcd((Parallel((n1, n2)),), F)[2])
 
 
 def test_cascade_associativity(rng):
     # the chain of a sequence is the matrix product of the chains of any
-    # split of it
+    # split of it, through a lossy line
     for _ in range(200):
         f = rng.uniform(1e8, 2e10)
         layers = (
-            Tank(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13, -12), rng.uniform(0, 0.01)),
-            Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0)),
-            SeriesLC(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13, -12), rng.uniform(0, 5)),
+            Tank(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13, -12)),
+            Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0), rng.uniform(0, 0.01)),
+            SeriesLC(10 ** rng.uniform(-9.5, -8), 10 ** rng.uniform(-13, -12)),
         )
-        whole = np.array(_abcd(layers, f)).reshape(2, 2)
+        whole = np.array(_abcd(layers, f, dielectric_loss=True)).reshape(2, 2)
         for k in (1, 2):
-            left = np.array(_abcd(layers[:k], f)).reshape(2, 2)
-            right = np.array(_abcd(layers[k:], f)).reshape(2, 2)
+            left = np.array(_abcd(layers[:k], f, dielectric_loss=True)).reshape(2, 2)
+            right = np.array(_abcd(layers[k:], f, dielectric_loss=True)).reshape(2, 2)
             np.testing.assert_allclose(left @ right, whole, rtol=1e-12, atol=1e-12)
 
 
@@ -173,20 +175,21 @@ def test_to_sparams_identity_network():
 
 
 def test_to_sparams_matched_shunt():
-    # shunt conductance 1/eta0 at port 1, then a matched line to an open
-    # node: S11 = -1/3, |S21| = 2/3
-    node = Tank(U, U, G=1 / ETA0)
+    # shunt susceptance B = 1 S at port 1, then a matched line of length
+    # theta to an open node: S21 = 2 e^(-j theta) / (2 + j B eta0) and
+    # S11 = -j B eta0 / (2 + j B eta0)
+    node = Tank(U, 2.0 * U)
     sub = _free_space_line(0.7, F_UNIT)
     s11, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
-    assert abs(s21[0]) == pytest.approx(2 / 3)
-    assert s11[0] == pytest.approx(-1 / 3)
+    assert s21[0] == pytest.approx(2 * cmath.exp(-0.7j) / (2 + 1j * ETA0))
+    assert s11[0] == pytest.approx(-1j * ETA0 / (2 + 1j * ETA0))
 
 
 def test_to_sparams_shunt_short_blocks_transmission():
-    node = Tank(U, U, G=1e6)
+    node = SeriesLC(U, U)  # w*L - 1/(w*C) is exactly 0 at w = 1 / U
     sub = _free_space_line(0.7, F_UNIT)
-    _, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
-    assert abs(s21[0]) < 1e-8
+    s11, s21 = stack_response(FssStack((node, sub, OPEN_NODE)), [F_UNIT])
+    assert s21[0] == 0 and s11[0] == -1
 
 
 def test_half_wave_line_transmits_fully():
@@ -196,18 +199,22 @@ def test_half_wave_line_transmits_fully():
     assert abs(s21[0]) == pytest.approx(1.0)
 
 
-def _random_layers(rng, lossless):
+def _random_lossy_layers(rng):
+    """Nodes and lines in any order; the lines have loss tangents, so with
+    dielectric loss on the chain runs in complex128."""
     layers = []
     for _ in range(rng.integers(1, 6)):
         l = 10 ** rng.uniform(-9.5, -8.0)
         c = 10 ** rng.uniform(-13.5, -12.0)
         kind = rng.integers(0, 4)
         if kind == 0:
-            layers.append(Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0)))
+            layers.append(
+                Substrate(rng.uniform(1e-4, 3e-3), rng.uniform(1.0, 12.0), rng.uniform(1e-4, 0.01))
+            )
         elif kind == 1:
-            layers.append(SeriesLC(l, c, 0.0 if lossless else rng.uniform(0, 5)))
+            layers.append(SeriesLC(l, c))
         elif kind == 2:
-            layers.append(Tank(l, c, 0.0 if lossless else rng.uniform(0, 0.01)))
+            layers.append(Tank(l, c))
         else:
             layers.append(Parallel((SeriesLC(l, c), Inductor(10 ** rng.uniform(-9.5, -8.0)))))
     return tuple(layers)
@@ -217,7 +224,7 @@ def test_reciprocity_of_assembled_networks(rng):
     # shunt/line primitives always produce AD - BC = 1
     for _ in range(100):
         f = rng.uniform(1e8, 2e10)
-        A, B, C, D = _abcd(_random_layers(rng, lossless=False), f)
+        A, B, C, D = _abcd(_random_lossy_layers(rng), f, dielectric_loss=True)
         assert abs(A * D - B * C - 1.0) < 1e-10
 
 
