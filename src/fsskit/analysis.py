@@ -44,10 +44,11 @@ class ResponseTable:
     A refused frequency column is named by its first pair out of order, or
     else by its first value out of range.
 
-    The columns are read-only arrays.  An input that is a plain ndarray of
-    the column's dtype, owns its memory and is already read-only (as the
-    engine's outputs are) is shared; any other input is copied, so no
-    write to the caller's arrays reaches the table."""
+    The columns are read-only arrays.  A read-only plain ndarray of the
+    column's dtype is shared when its memory belongs to a read-only plain
+    ndarray: itself, or the block whose row it is (as the engine's outputs
+    are).  Any other input is copied, a read-only view of a writeable array
+    included, so no write to the caller's arrays reaches the table."""
 
     frequency: np.ndarray
     s11: np.ndarray
@@ -59,8 +60,8 @@ class ResponseTable:
             if not (
                 type(arr) is np.ndarray
                 and arr.dtype == dtype
-                and arr.flags.owndata
                 and not arr.flags.writeable
+                and _read_only_owner(arr if arr.flags.owndata else arr.base)
             ):
                 arr = np.array(arr, dtype=dtype)  # a copy the table owns
                 arr.setflags(write=False)
@@ -88,6 +89,11 @@ class ResponseTable:
             np.log10(db, out=db)
         db *= 20.0
         return db
+
+
+def _read_only_owner(arr) -> bool:
+    """Whether ``arr`` is a read-only plain ndarray that owns its memory."""
+    return type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,7 @@ def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndar
         raise InvalidParameterError(f"need f_start < f_stop, got {f_start}, {f_stop}")
     if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
         raise InvalidParameterError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 2:
-        raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
+    check("n_points", "n_points", n_points)
     if spacing == "linear":
         grid = np.linspace(f_start, f_stop, n_points)
     elif spacing == "log":

@@ -27,6 +27,12 @@ beyond printed cells, and inside them no stage leaves the float range:
   domain: the constructors refuse it and the fit damps the step.  Exact
   shorts are no overflow and keep their path; the CLI's and the importers'
   finiteness checks guard outside text, where JSON integers are unbounded.
+* Sweeps: a sweep holds at most 64 bytes a point beside one-byte masks:
+  its float grid (8; a parametric sweep's copy with the zero inserted, 8
+  more), the engine's one block of two or three complex rows (32 or 48)
+  and ``band_report``'s dB array (8).  So 1e7 points hold under 0.7 GB,
+  and a larger count is a range error, not numpy's allocation error or
+  its size limit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ _TABLE = {
     "length": ("1e-15", "10", "m"),
     "eps_r": ("1", "1e4", ""),
     "tan_delta": ("0", "10", ""),
+    "n_points": ("2", "1e7", ""),
 }
 RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) in _TABLE.items()}
 

@@ -167,14 +167,16 @@ def build_second_order(
 
 def stack_response(stack: FssStack, freqs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (S11, S21) over a frequency array.  The arrays are
-    read-only; ``np.array(s21)`` gives a writeable copy."""
+    read-only rows of one (2, n) array, which each keeps alive;
+    ``np.array(s21)`` gives an independent, writeable copy."""
     s11, s21, _ = _response_arrays(stack, freqs, want_s22=False)
     return s11, s21
 
 
 def stack_response_full(stack: FssStack, freqs):
     """Vectorized (S11, S21, S22); S12 equals S21 for these reciprocal stacks.
-    The arrays are read-only, as in ``stack_response``."""
+    The arrays are read-only rows of one (3, n) array, as in
+    ``stack_response``."""
     return _response_arrays(stack, freqs, want_s22=True)
 
 
@@ -293,24 +295,22 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
     check_frequencies(freqs)
 
-    s11 = np.empty(freqs.shape, dtype=complex)
-    s21 = np.empty(freqs.shape, dtype=complex)
-    s22 = np.empty(freqs.shape, dtype=complex) if want_s22 else None
+    # The outputs are the rows S11, S21 (and S22) of one array: one
+    # allocation per call, not one per output.  glibc's malloc sizes its
+    # dynamic mmap and trim thresholds by the largest block freed, so a warm
+    # study then keeps its heap mapped instead of faulting it in every call.
+    out = np.empty((3 if want_s22 else 2, freqs.size), dtype=complex)
     # shorts divide by zero and _block_response reports overflow: no warnings
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, freqs.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            _block_response(
-                stack, freqs[block], s11[block], s21[block], None if s22 is None else s22[block]
-            )
-    # born read-only, so a ResponseTable shares them instead of copying
-    for out in (s11, s21, s22):
-        if out is not None:
-            out.setflags(write=False)
-    return s11, s21, s22
+            _block_response(stack, freqs[block], *out[:, block])
+    # born read-only, rows included, so a ResponseTable shares them
+    out.setflags(write=False)
+    return out[0], out[1], out[2] if want_s22 else None
 
 
-def _block_response(stack: FssStack, freqs, s11, s21, s22):
+def _block_response(stack: FssStack, freqs, s11, s21, s22=None):
     """Write S11, S21 (and S22 unless it is None) of one block of the grid
     into the given output slices."""
     port = port_impedance(stack.incidence)

@@ -74,6 +74,11 @@ def test_sweep_validation(ref_circuit, ref_substrate):
         (8e9, 2.5, "n_points must be an integer, got 2.5"),
         (8e9, True, "n_points must be an integer, got True"),
         (8e9, "100", "n_points must be an integer, got '100'"),
+        # counts no machine holds, refused before numpy is asked for them
+        (8e9, 10**7 + 1, "n_points must lie in [2, 1e7], got 10000001"),
+        (8e9, 10**18, f"n_points must lie in [2, 1e7], got {10**18}"),
+        (8e9, np.int64(10**18), f"n_points must lie in [2, 1e7], got {10**18}"),
+        (8e9, 10**30, f"n_points must lie in [2, 1e7], got {10**30}"),
     ],
 )
 def test_sweep_grid_rejects_bad_stop_and_count(
@@ -135,6 +140,13 @@ def test_response_table_shares_read_only_arrays_that_own_their_memory(ref_circui
         arr.setflags(write=False)
     t = ResponseTable(f, s11, s21)
     assert t.frequency is f and t.s11 is s11 and t.s21 is s21
+    # so are rows of read-only blocks that own their memory
+    blocks = np.array([[1e9, 2e9], [3e9, 4e9]]), np.array([[0j, 0j], [1 + 0j, 1 + 0j]])
+    for block in blocks:
+        block.setflags(write=False)
+    f, (s11, s21) = blocks[0][1], blocks[1]
+    t = ResponseTable(f, s11, s21)
+    assert t.frequency is f and t.s11 is s11 and t.s21 is s21
     # the library's own grids and engine outputs are such arrays
     stack = _ref_stack(ref_circuit, ref_substrate)
     for spacing in ("linear", "log"):
@@ -153,7 +165,9 @@ class _Subclass(np.ndarray):
     pass
 
 
-@pytest.mark.parametrize("kind", ["writeable", "read-only view", "wrong dtype", "subclass"])
+@pytest.mark.parametrize(
+    "kind", ["writeable", "read-only view", "wrong dtype", "subclass", "read-only row"]
+)
 def test_response_table_copies_an_input_it_cannot_share(kind):
     # Each column is handed over as `kind`.  The table copies it, and a
     # write to the caller's memory afterwards does not reach the table.
@@ -162,12 +176,17 @@ def test_response_table_copies_an_input_it_cannot_share(kind):
         "s11": np.array([0j, 0j]),
         "s21": np.array([1 + 0j, 1 + 0j]),
     }
+    if kind == "read-only row":
+        # each column the caller holds is a row of its own writeable 2-D block
+        caller = {name: np.stack([col, col])[1] for name, col in caller.items()}
     given = {}
     for name, base in caller.items():
         if kind == "writeable":
             arr = base
         elif kind == "read-only view":
             arr = base[:]
+        elif kind == "read-only row":
+            arr = base.base[1]
         elif kind == "wrong dtype":
             arr = base.astype(np.float32 if name == "frequency" else np.complex64)
         else:

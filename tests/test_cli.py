@@ -1078,6 +1078,25 @@ def test_values_out_of_float_range_end_in_one_error_line(
     assert err.startswith(f"error: {category}: {start}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("n_points", [10**18, 10**30], ids=["1e18", "1e30"])
+@pytest.mark.parametrize("command,base", [("analyze", _FIRST), ("sweep", _SWEEP),
+                                          ("angular", _ANGULAR)])
+def test_sweep_counts_past_the_domain_end_in_one_error_line(
+    tmp_path, capsys, command, base, n_points
+):
+    # a count no machine holds ended in numpy's _ArrayMemoryError (10**18)
+    # or its "Maximum allowed size exceeded" ValueError (10**30), a traceback
+    cfg = _config(base)
+    _set(cfg, "sweep.n_points", n_points)
+    path = _write(tmp_path, cfg)
+    message = f"n_points must lie in [2, 1e7], got {n_points}"
+    with pytest.raises(InvalidParameterError) as info:
+        run(command, path, tmp_path / "run")
+    assert str(info.value) == message
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: invalid-parameter: {message}\n"
+
+
 def test_sweep_refuses_an_out_of_range_permittivity_before_any_point(tmp_path):
     # the overflowing permittivity was recorded at every point of the sweep;
     # the substrate is now refused as the design is read

@@ -468,6 +468,28 @@ def test_engine_peak_memory_is_bounded(ref_circuit, ref_substrate):
         assert peak < 2 * outputs, (loss, peak)
 
 
+def test_engine_outputs_live_in_one_allocation(ref_circuit, ref_substrate):
+    # The outputs of a call are rows of one (k, n) block, not one array
+    # each: with the block as the largest allocation malloc frees, a warm
+    # study keeps its heap mapped instead of faulting it in every call.
+    n = 3 * topology._BLOCK + 17
+    freqs = np.linspace(1e9, 12e9, n)
+    stack = build_first_order(ref_circuit, ref_substrate)
+    row = n * np.dtype(complex).itemsize
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    for evaluate, k in ((stack_response, 2), (stack_response_full, 3)):
+        tracemalloc.start()
+        try:
+            outputs = evaluate(stack, freqs)
+            snapshot = tracemalloc.take_snapshot().filter_traces([domain])
+        finally:
+            tracemalloc.stop()
+        assert len(outputs) == k
+        # every temporary is a block of _BLOCK points, far below one row
+        live = [trace.size for trace in snapshot.traces if trace.size >= row]
+        assert live == [k * row], (k, live)
+
+
 def test_engine_outputs_are_read_only_and_shared_by_a_table(ref_circuit, ref_substrate):
     # a grid with an exact short in it takes the shorted-point writes too
     stack = build_first_order(ref_circuit, ref_substrate)
@@ -475,15 +497,25 @@ def test_engine_outputs_are_read_only_and_shared_by_a_table(ref_circuit, ref_sub
     freqs = np.array([1e9, f_zero, 8e9])
     s11, s21 = stack_response(stack, freqs)
     assert s21[1] == 0j
-    outputs = (s11, s21, *stack_response_full(stack, freqs))
-    for out in outputs:
-        assert out.flags.owndata
+    full = stack_response_full(stack, freqs)
+    for rows in ((s11, s21), full):
+        # the rows S11, S21 (and S22) of one read-only block that owns its
+        # memory, which a table shares
+        block = rows[0].base
+        assert type(block) is np.ndarray and block.flags.owndata
+        assert not block.flags.writeable and block.shape == (len(rows), freqs.size)
+        for i, out in enumerate(rows):
+            assert out.base is block
+            assert out.__array_interface__ == block[i].__array_interface__
+        table = ResponseTable(freqs, *rows[:2])
+        assert table.s11 is rows[0] and table.s21 is rows[1]
+    for out in (s11, s21, *full):
+        assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 0.5
         copy = np.array(out)
-        copy[0] = 0.5  # np.array gives a writeable copy
-    table = ResponseTable(freqs, s11, s21)
-    assert table.s11 is s11 and table.s21 is s21
+        copy[0] = 0.5  # np.array gives an independent, writeable copy
+        assert copy.flags.owndata
     # the caller's writeable grid is copied, not frozen
     assert table.frequency is not freqs and freqs.flags.writeable
 
