@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import check, check_frequencies
+from .domain import check, check_frequencies, frequency_array
 from .errors import (
     BandStructureError,
     EmptySweepError,
@@ -63,7 +63,8 @@ class ResponseTable:
                 and not arr.flags.writeable
                 and _read_only_owner(arr if arr.flags.owndata else arr.base)
             ):
-                arr = np.array(arr, dtype=dtype)  # a copy the table owns
+                # a copy the table owns
+                arr = np.array(frequency_array(arr) if dtype is float else arr, dtype=dtype)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
         f = self.frequency

@@ -72,6 +72,19 @@ def check_elements(circuit, shorted: str = "") -> None:
             check(_ELEMENTS[name[0]], name, value)
 
 
+def frequency_array(values) -> np.ndarray:
+    """``values`` as a float64 array.  A complex array, or an object array
+    holding a complex value, is refused: a cast would keep only the real
+    part, or fail with a bare TypeError."""
+    f = np.asarray(values)
+    if f.dtype.kind != "c":
+        try:
+            return f.astype(float, copy=False)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"frequencies must be real numbers, got a {f.dtype} array")
+
+
 def check_frequencies(f: np.ndarray) -> None:
     """Check a 1-D frequency array, naming its first value out of range."""
     lo, hi, _ = RANGES["frequency"]

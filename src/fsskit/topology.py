@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0
-from .domain import check, check_frequencies
+from .domain import check, check_frequencies, frequency_array
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
 from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _susceptance_array
@@ -203,11 +203,10 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     complex and meaningful only where ``shorted`` is set, and both are None
     if no node shorts anywhere on the grid.
 
-    A, B, C and D are updated in place through two scratch buffers; every
-    product and sum keeps the operand order of the plain matrix product,
-    so the bits are those of evaluating it with fresh arrays.  A short
-    divides by zero and a thick lossy line overflows: the caller turns
-    numpy's warnings off.
+    Each step is a plain expression in the operand order of the matrix
+    product, and writes only arrays made in this call: the line terms,
+    once multiplied in, are never written.  A short divides by zero and
+    a thick lossy line overflows: the caller turns numpy's warnings off.
     """
     real = not (
         dielectric_loss
@@ -257,40 +256,26 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     # into +0.  The node sits behind the identity, B = 0, D = 1.
     y = node_term(layers[0], 0j, 1 + 0j)
     A, B, c_line = line_terms(layers[1])
-    D = np.multiply(y, B)
-    plus(A, D, out=D)
+    D = plus(A, y * B)
+    C = y * A + c_line
     if not real:
-        B += 0.0
-    C = np.multiply(y, A)
-    C += c_line
-    t1 = np.empty_like(A)
-    t2 = np.empty_like(A)
+        B = B + 0.0
 
     for layer in layers[2:]:
         if isinstance(layer, Substrate):
             cos_t, b_line, c_line = line_terms(layer)
-            # [A B; C D] @ [cos_t b_line; c_line cos_t].  No product writes
-            # over one of its own operands: numpy may round such an aliased
-            # complex product differently (seen on one-point arrays).
-            np.multiply(A, cos_t, out=t1)
-            plus(t1, np.multiply(B, c_line, out=t2), out=t1)
-            np.multiply(A, b_line, out=t2)
-            np.add(t2, np.multiply(B, cos_t, out=A), out=B)
-            A, t1 = t1, A
-            np.multiply(C, cos_t, out=t1)
-            t1 += np.multiply(D, c_line, out=t2)
-            np.multiply(C, b_line, out=t2)
-            plus(np.multiply(D, cos_t, out=C), t2, out=D)
-            C, t1 = t1, C
+            # [A B; C D] @ [cos_t b_line; c_line cos_t]
+            A, B = plus(A * cos_t, B * c_line), A * b_line + B * cos_t
+            C, D = C * cos_t + D * c_line, plus(D * cos_t, C * b_line)
         else:
             y = node_term(layer, B, D)
-            plus(A, np.multiply(B, y, out=t1), out=A)
-            C += np.multiply(D, y, out=t1)
+            A = plus(A, B * y)
+            C = C + D * y
     return A, B, C, D, shorted, s11_short
 
 
 def _response_arrays(stack: FssStack, freqs, want_s22: bool):
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = frequency_array(freqs)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
     check_frequencies(freqs)
@@ -321,13 +306,12 @@ def _block_response(stack: FssStack, freqs, s11, s21, s22=None):
     #   delta = A*port + B + C*port*port + D*port
     #   S11 = (A*port + B - C*port*port - D*port) / delta
     #   S22 = (-A*port + B - C*port*port + D*port) / delta
-    t = C * port
-    Cpp = np.multiply(t, port, out=C)
-    Dp = np.multiply(D, port, out=t)
+    Cpp = C * port * port
+    Dp = D * port
     if A.dtype == float:
         # a real chain holds B/j and C/j: each complex number is assembled
         # from its real and imaginary parts
-        Ap = np.multiply(A, port, out=A)
+        Ap = A * port
         delta = np.empty(freqs.shape, dtype=complex)
         np.add(Ap, Dp, out=delta.real)
         np.add(B, Cpp, out=delta.imag)
@@ -338,18 +322,11 @@ def _block_response(stack: FssStack, freqs, s11, s21, s22=None):
             num22 = num11.copy()
             np.subtract(Dp, Ap, out=num22.real)
     else:
-        # the sums keep the left-to-right order of the expressions above
-        num11 = A * port
-        num11 += B
-        delta = num11 + Cpp
-        delta += Dp
-        num11 -= Cpp
-        num11 -= Dp
+        ApB = A * port + B
+        delta = ApB + Cpp + Dp
+        num11 = ApB - Cpp - Dp
         if s22 is not None:
-            num22 = np.multiply(-A, port, out=A)
-            num22 += B
-            num22 -= Cpp
-            num22 += Dp
+            num22 = -A * port + B - Cpp + Dp
 
     # |S21| = |2*port/delta| <= 1 in a passive stack: overflow is the one way
     # delta fails, through a lossy line whose |Im theta| grows with thickness,

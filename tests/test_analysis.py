@@ -463,6 +463,17 @@ def test_response_table_frequencies_must_be_finite(freqs, rule):
     assert info.value.category == "invalid-parameter"
 
 
+@pytest.mark.parametrize("dtype", [complex, object])
+def test_response_table_refuses_a_complex_frequency_column(dtype):
+    # a float cast kept 2 GHz of (2+0.5j) GHz with only a ComplexWarning,
+    # and failed with a bare TypeError on an object array
+    zeros = np.zeros(2, dtype=complex)
+    freqs = np.array([2e9 + 5e8j, 3e9], dtype=dtype)
+    with pytest.raises(InvalidParameterError) as info:
+        ResponseTable(freqs, zeros, zeros)
+    assert str(info.value) == f"frequencies must be real numbers, got a {freqs.dtype} array"
+    assert info.value.category == "invalid-parameter"
+
 def test_s21_db_bits(rng):
     s21 = np.concatenate(
         [

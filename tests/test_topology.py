@@ -398,6 +398,17 @@ def test_grid_must_be_a_non_empty_1d_array(ref_circuit, ref_substrate, grid):
             evaluate(stack, grid)
 
 
+@pytest.mark.parametrize("dtype", [complex, object])
+def test_complex_grid_is_refused_not_cut_to_its_real_part(ref_circuit, ref_substrate, dtype):
+    # a float cast returned the response at 2 GHz for (2+0.5j) GHz with only
+    # a ComplexWarning, and failed with a bare TypeError on an object array
+    stack = build_first_order(ref_circuit, ref_substrate)
+    freqs = np.array([2e9 + 5e8j, 3e9], dtype=dtype)
+    for evaluate in (stack_response, stack_response_full):
+        with pytest.raises(InvalidParameterError) as info:
+            evaluate(stack, freqs)
+        assert str(info.value) == f"frequencies must be real numbers, got a {freqs.dtype} array"
+
 # Thick lossy lines: a line's |Im theta| grows with thickness, frequency and
 # tan_delta, and its chain entries with exp(|Im theta|).  The first overflows
 # at every frequency from 1 GHz, the second above 1 GHz only.
@@ -703,6 +714,32 @@ def test_blocked_engine_matches_unblocked_reference():
     for want_s22 in (True, False):
         assert _engine_outcome(topology._response_arrays, stack, freqs, want_s22) == want
 
+
+@pytest.mark.parametrize("second_order", [False, True], ids=["first", "second"])
+def test_block_size_never_changes_a_bit(monkeypatch, second_order):
+    # README: the blocked outputs are bit-identical to evaluating the whole
+    # grid at once, at every block size, one-point blocks included
+    rng = np.random.default_rng(37)
+    n = 25
+    at = [5, 6]  # the last point of a block and the first of the next for 1, 2 and 3
+    sizes = (1, 2, 3, 4096, n)
+    for loss in (False, True):
+        stack, f_short = _shorting_stack(rng, second_order, "TE", loss)
+        plain = np.linspace(0.5e9, 12e9, n)
+        shorts = plain.copy()
+        shorts[at] = f_short
+        for polarization, degrees in itertools.product(("TE", "TM"), (0.0, 60.0)):
+            stack = replace(stack, incidence=Incidence(math.radians(degrees), polarization))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                short = _chain(stack.layers, stack.incidence, loss, shorts)[4]
+            assert np.flatnonzero(short).tolist() == at
+            for freqs in (plain, shorts):
+                outcomes = []
+                for size in sizes:
+                    monkeypatch.setattr(topology, "_BLOCK", size)
+                    outcomes.append(_engine_outcome(stack_response_full, stack, freqs))
+                assert all(isinstance(s, list) for s in outcomes[-1])
+                assert outcomes == [outcomes[-1]] * len(sizes), (loss, polarization, degrees)
 
 def _raw_bits(arrays):
     """The raw bits of every array (masks as booleans)."""
