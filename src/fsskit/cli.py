@@ -31,6 +31,7 @@ from .synthesis import (
     DEFAULT_TANK_L,
     FIRST_ORDER_PARAMS,
     FIT_MAX_ITER,
+    SECOND_ORDER_PARAMS,
     TEMPLATES,
     DesignTargets,
     _build_template,
@@ -59,8 +60,8 @@ def _element_keys(names, inductance: str, capacitance: str) -> dict:
 
 
 _CIRCUIT_KEYS = _element_keys(FIRST_ORDER_PARAMS, "nH", "pF")
-_OUTER_KEYS = [{"L_nH": f"L_outer_{b}", "C_pF": f"C_outer_{b}"} for b in "ab"]
-_MIDDLE_KEYS = _element_keys(("L_tank", "C_tank"), "nH", "pF")
+_OUTER_KEYS = [dict(zip(("L_nH", "C_pF"), SECOND_ORDER_PARAMS[i:i + 2])) for i in (0, 2)]
+_MIDDLE_KEYS = _element_keys(SECOND_ORDER_PARAMS[4:], "nH", "pF")
 
 
 def _in_units(keys: dict, values) -> dict:

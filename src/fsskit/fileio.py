@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ResponseTable
+from .domain import frequency_array
 from .errors import InvalidParameterError
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
@@ -209,13 +210,22 @@ def write_touchstone(
 
     The option-line reference resistance is the real port impedance of the
     run; each line of a comment (angle, polarization) gets its own ``! ``.
+    A complex frequency column, or columns that are not 1-D of one length,
+    are ``invalid-parameter`` and nothing is written.
     """
     lines = [f"! reference impedance {port_z:.6f} ohm"]
     lines.extend("! " + "\n! ".join(c.splitlines()) for c in comments)
     lines.append(f"# HZ S RI R {port_z:.6f}")
-    columns = [np.asarray(freqs, dtype=float)]
-    for s in (s11, s21, s12, s22):
-        s = np.asarray(s, dtype=complex)
+    f = frequency_array(freqs)
+    s_columns = [np.asarray(s, dtype=complex) for s in (s11, s21, s12, s22)]
+    if f.ndim != 1 or any(s.shape != f.shape for s in s_columns):
+        shapes = ", ".join(str(c.shape) for c in (f, *s_columns))
+        raise InvalidParameterError(
+            f"frequency, S11, S21, S12 and S22 must be 1-D columns of one length, "
+            f"got shapes {shapes}"
+        )
+    columns = [f]
+    for s in s_columns:
         columns += [s.real, s.imag]
     with Path(path).open("wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())

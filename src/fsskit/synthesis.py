@@ -122,8 +122,11 @@ def geometry_from_circuit(
     form, the hat length is linear in C_series, and the cross slot
     bisects the decreasing branch of its capacitance formula.  The domain
     argument in ``fsskit.domain`` bounds the re-extraction error by 4e-10.
+    The grid formulas extract no parasitic inductance, so only
+    ``L_parasitic = 0`` is attainable.
     """
     check("length", "period", period)
+    _attainable(c.L_parasitic, 0.0, 0.0, parameter="L_parasitic", target_name="L_parasitic")
     a = period
     er_eff = effective_permittivity(sub.eps_r)
 
@@ -218,8 +221,12 @@ def fit_circuit(
 ) -> FitResult:
     """Least-squares fit of circuit values to measured/simulated S21.
 
-    Minimizes sum |S21_model - S21_data|^2 (or the magnitude-difference
-    analog) over log-parameterized element values.  Marquardt's damping
+    Model and data are compared through one observation map: S21, moving
+    averaged when ``smooth_hz`` is given, then |S21| (``magnitude_only``)
+    or its real parts followed by its imaginary parts.  The fit minimizes
+    the sum of squares of the observed model minus the observed data over
+    log-parameterized element values, and the rms residual divides that
+    sum by the number of frequencies.  Marquardt's damping
     lambda*diag(J^T J) alone sizes each step.  A trial that leaves the
     domain, overflows the network or has an element over- or underflow
     (to 0.0, which would omit it) is refused and damped further, so every
@@ -231,16 +238,15 @@ def fit_circuit(
     the answer can settle in a wrong basin.  Seed it from the extraction
     chain (or any bench estimate of comparable quality).
 
-    With ``smooth_hz`` (a window in Hz) the smoothed model is fitted to the
-    smoothed data: the moving average of ``smooth_response`` is applied to
-    the data and to every model trace, to the complex S21 before any
-    magnitude is taken.  The window then averages noise without biasing
-    the answer, and the rms residual compares the two smoothed traces.
+    ``smooth_hz`` is a window in Hz for the moving average of
+    ``smooth_response``.  It applies to the data and to every model trace
+    alike, to the complex S21 before any magnitude is taken, so it averages
+    noise without biasing the answer.
 
     ``max_iter = 0`` returns the initial guess unchanged, with the residual
-    evaluated at exactly those values;
-    exhausting the cap without meeting the convergence tests raises
-    DivergedFitError carrying the best parameters and the residual trace.
+    evaluated at exactly those values; exhausting a positive cap without
+    meeting the convergence tests raises DivergedFitError carrying the best
+    parameters and the residual trace.
     """
     if not isinstance(template, str) or template not in TEMPLATES:
         raise InvalidParameterError(
@@ -257,25 +263,23 @@ def fit_circuit(
         raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
 
     freqs = data.frequency
-    n_freq = freqs.size
-    s21_data = data.s21
-    average = None
-    if smooth_hz is not None:
-        average = _moving_average(freqs, smooth_hz)
-        s21_data = average(s21_data)
-    mag_data = np.abs(s21_data)
+    average = None if smooth_hz is None else _moving_average(freqs, smooth_hz)
+
+    def observed(s21):
+        """S21 as the fit compares it: averaged if asked, then |S21| or (Re, Im)."""
+        if average is not None:
+            s21 = average(s21)
+        if magnitude_only:
+            return np.abs(s21)
+        return np.concatenate([s21.real, s21.imag])
+
+    target = observed(data.s21)
 
     def model_residual(values):
         """Residual vector at the element values; raises FssError where they
         leave the domain or the network overflows."""
         stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
-        _, s21 = stack_response(stack, freqs)
-        if average is not None:
-            s21 = average(s21)
-        if magnitude_only:
-            return np.abs(s21) - mag_data
-        diff = s21 - s21_data
-        return np.concatenate([diff.real, diff.imag])
+        return observed(stack_response(stack, freqs)[1]) - target
 
     def residual(theta):
         """The residual at log-values ``theta``, or None for a refused trial."""
@@ -293,10 +297,7 @@ def fit_circuit(
     # A start that cannot be evaluated is refused with the error that names why.
     r = model_residual(x0 if max_iter == 0 else np.exp(theta))
     cost = float(np.dot(r, r))
-    trace = [math.sqrt(cost / n_freq)]
-
-    if max_iter == 0:
-        return FitResult(template, dict(zip(names, x0)), trace[0], 0, tuple(trace))
+    trace = [math.sqrt(cost / freqs.size)]
 
     lam = 1e-2
     fd_step = 1e-6   # in log space = relative step on element values
@@ -329,7 +330,7 @@ def fit_circuit(
         theta = theta + step
         r, cost = r_new, cost_new
         lam = max(lam / 10.0, 1e-12)
-        trace.append(math.sqrt(cost / n_freq))
+        trace.append(math.sqrt(cost / freqs.size))
         # Converged: negligible relative progress, negligible step, or an
         # rms at the numerical floor of unit-scale S-parameters.
         if trace[-2] - trace[-1] <= 1e-10 * max(trace[-2], 1e-300):
@@ -337,13 +338,14 @@ def fit_circuit(
         if np.max(np.abs(step)) < 1e-13 or trace[-1] < 1e-10:
             break
     else:
-        raise DivergedFitError(
-            f"fit did not converge within {max_iter} iterations "
-            f"(rms residual {trace[-1]:.3e})",
-            best=dict(zip(names, np.exp(theta))),
-            trace=tuple(trace),
-        )
-    params = dict(zip(names, np.exp(theta)))
+        if max_iter > 0:
+            raise DivergedFitError(
+                f"fit did not converge within {max_iter} iterations "
+                f"(rms residual {trace[-1]:.3e})",
+                best=dict(zip(names, np.exp(theta))),
+                trace=tuple(trace),
+            )
+    params = dict(zip(names, x0 if max_iter == 0 else np.exp(theta)))
     return FitResult(template, params, trace[-1], len(trace) - 1, tuple(trace))
 
 
@@ -351,9 +353,6 @@ def _build_template(template, params, sub, inc, dielectric_loss):
     """The stack of a fit template from its element values (SI) by name."""
     if template == "first_order":
         return build_first_order(ExtractedCircuit(**params), sub, inc, dielectric_loss)
-    outer = (
-        SeriesLC(params["L_outer_a"], params["C_outer_a"]),
-        SeriesLC(params["L_outer_b"], params["C_outer_b"]),
-    )
-    middle = Tank(params["L_tank"], params["C_tank"])
-    return build_second_order(outer, middle, sub, inc, dielectric_loss)
+    l_a, c_a, l_b, c_b, l_tank, c_tank = (params[n] for n in SECOND_ORDER_PARAMS)
+    outer = (SeriesLC(l_a, c_a), SeriesLC(l_b, c_b))
+    return build_second_order(outer, Tank(l_tank, c_tank), sub, inc, dielectric_loss)

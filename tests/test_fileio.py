@@ -458,6 +458,42 @@ def test_touchstone_writer_with_no_rows(tmp_path):
     assert path.read_bytes() == want.encode()
 
 
+def test_touchstone_writer_refuses_a_complex_frequency_column(tmp_path):
+    # a float cast kept the real part only, with a ComplexWarning
+    path = tmp_path / "complex.s2p"
+    z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
+    with pytest.raises(InvalidParameterError) as info:
+        write_touchstone(np.array([2e9 + 5e8j, 3e9]), z, z, z, z, path, 50.0)
+    assert str(info.value) == "frequencies must be real numbers, got a complex128 array"
+    assert not path.exists()
+
+
+_F3 = np.array([2e9, 3e9, 4e9])
+_S3 = np.full(3, 0.5 + 0.1j)
+
+
+@pytest.mark.parametrize(
+    "columns, shapes",
+    [
+        ((_F3, _S3[:2], _S3, _S3, _S3), "(3,), (2,), (3,), (3,), (3,)"),
+        ((_F3, _S3, _S3, _S3, _S3[:2]), "(3,), (3,), (3,), (3,), (2,)"),
+        ((_F3[:2], _S3, _S3, _S3, _S3), "(2,), (3,), (3,), (3,), (3,)"),
+        ((2e9, 0.5, 0.5, 0.5, 0.5), "(), (), (), (), ()"),
+    ],
+    ids=["s11-short", "s22-short", "frequency-short", "scalars"],
+)
+def test_touchstone_writer_refuses_columns_of_different_lengths(tmp_path, columns, shapes):
+    # column_stack ended in a bare numpy ValueError; a scalar row in a TypeError
+    path = tmp_path / "ragged.s2p"
+    with pytest.raises(InvalidParameterError) as info:
+        write_touchstone(*columns, path, 50.0)
+    assert str(info.value) == (
+        "frequency, S11, S21, S12 and S22 must be 1-D columns of one length, "
+        f"got shapes {shapes}"
+    )
+    assert not path.exists()
+
+
 def _ref_rows_text(rows, sep) -> str:
     return "".join(sep.join(map(_ref_cell, row)) + "\n" for row in rows.tolist())
 

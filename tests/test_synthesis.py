@@ -215,6 +215,18 @@ def test_geometry_from_circuit_unattainable_hat(ref_substrate):
     assert info.value.parameter == "hat_length"
 
 
+def test_geometry_from_circuit_refuses_a_parasitic_inductance(ref_substrate):
+    # the grid formulas extract no parasitic: the cell inverted from this
+    # circuit re-extracted with L_parasitic = 0, and no error was raised
+    c = ExtractedCircuit(4.9e-9, 0.5e-12, 4e-9, 0.35e-12, L_parasitic=2e-9)
+    with pytest.raises(UnattainableDimensionError) as info:
+        geometry_from_circuit(c, 8.5e-3, ref_substrate)
+    assert info.value.parameter == "L_parasitic"
+    assert info.value.attainable == (0.0, 0.0)
+    assert str(info.value).startswith("L_parasitic=2.0000e-09 ")
+    assert geometry_from_circuit(replace(c, L_parasitic=0.0), 8.5e-3, ref_substrate)
+
+
 @pytest.mark.parametrize("period", [1e-9, 8.5e-8, 1e-6, 3e-6, 1e-5, 1e-4, 8.5e-3, 1.0])
 def test_geometry_roundtrip_across_scales(period):
     # the bisection ends at adjacent floats, so the inverse is exact to the
@@ -578,16 +590,30 @@ def test_fit_damps_a_trial_step_that_overflows_the_network(ref_circuit):
     assert start.C_tank < result.params["C_tank"] < threshold
 
 
-@pytest.mark.parametrize("magnitude_only", [False, True])
+@pytest.mark.parametrize(
+    "template, magnitude_only",
+    [("first_order", False), ("first_order", True),
+     ("second_order", False), ("second_order", True)],
+    ids=["False", "True", "second_order-False", "second_order-True"],
+)
 def test_smoothed_fit_of_noise_free_data_from_the_truth_has_zero_residual(
-    ref_circuit, ref_substrate, magnitude_only
+    ref_circuit, ref_substrate, template, magnitude_only
 ):
     # the model is smoothed like the data, so the truth matches it exactly
-    truth = {name: getattr(ref_circuit, name) for name in WEAK_PARASITIC}
-    stack = build_first_order(ref_circuit, ref_substrate, dielectric_loss=True)
-    data = sweep(stack, 1e9, 8e9, 801)
+    if template == "first_order":  # on a lossy line
+        truth = {name: getattr(ref_circuit, name) for name in WEAK_PARASITIC}
+        sub, loss, span = ref_substrate, True, (1e9, 8e9)
+        stack = build_first_order(ref_circuit, sub, dielectric_loss=loss)
+    else:  # the truth and grid of test_fit_second_order_template, on its lossless line
+        truth = {"L_outer_a": 4.9e-9, "C_outer_a": 0.5e-12, "L_outer_b": 2.0e-9,
+                 "C_outer_b": 0.5e-12, "L_tank": 2.5e-9, "C_tank": 0.30e-12}
+        sub, loss, span = Substrate(3.4e-3, 10.2), False, (1.5e9, 4.9e9)
+        values = list(truth.values())
+        stack = build_second_order((SeriesLC(*values[0:2]), SeriesLC(*values[2:4])),
+                                   Tank(*values[4:]), sub)
+    data = sweep(stack, *span, 801)
     result = fit_circuit(
-        data, "first_order", truth, ref_substrate, dielectric_loss=True,
+        data, template, truth, sub, dielectric_loss=loss,
         magnitude_only=magnitude_only, max_iter=0, smooth_hz=0.1e9,
     )
     assert result.rms_residual == 0.0
