@@ -54,14 +54,14 @@ _GEOM_KEYS = {
 }
 
 
-def _element_keys(names, inductance: str, capacitance: str) -> dict:
-    """Key -> element name: the name plus the unit of an inductance (L...) or a capacitance."""
-    return {f"{n}_{inductance if n.startswith('L') else capacitance}": n for n in names}
+def _element_keys(names) -> dict:
+    """Key -> element name: the name plus nH for an inductance (L...), pF for a capacitance."""
+    return {f"{n}_{'nH' if n.startswith('L') else 'pF'}": n for n in names}
 
 
-_CIRCUIT_KEYS = _element_keys(FIRST_ORDER_PARAMS, "nH", "pF")
+_CIRCUIT_KEYS = _element_keys(FIRST_ORDER_PARAMS)
 _OUTER_KEYS = [dict(zip(("L_nH", "C_pF"), SECOND_ORDER_PARAMS[i:i + 2])) for i in (0, 2)]
-_MIDDLE_KEYS = _element_keys(SECOND_ORDER_PARAMS[4:], "nH", "pF")
+_MIDDLE_KEYS = _element_keys(SECOND_ORDER_PARAMS[4:])
 
 
 def _in_units(keys: dict, values) -> dict:
@@ -463,7 +463,7 @@ def _cmd_fit(cfg, outdir: Path, config_path, smooth_ghz):
     if not isinstance(template, str) or template not in TEMPLATES:
         _fail("fit.template", "'first_order' or 'second_order'")
     # A key missing from the template is left to fit_circuit, which names it.
-    keys = _element_keys(TEMPLATES[template], "nH", "pF")
+    keys = _element_keys(TEMPLATES[template])
     initial_block = _block(blk, "initial", keys, "fit")
     initial = {keys[key]: _number(initial_block, key, "fit.initial") for key in initial_block}
     magnitude_only = blk.get("magnitude_only", False)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ResponseTable
-from .domain import frequency_array
+from .domain import check_frequencies, frequency_array
 from .errors import InvalidParameterError
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
@@ -210,9 +210,12 @@ def write_touchstone(
 
     The option-line reference resistance is the real port impedance of the
     run; each line of a comment (angle, polarization) gets its own ``! ``.
-    A complex frequency column, or columns that are not 1-D of one length,
-    are ``invalid-parameter`` and nothing is written.
+    A complex frequency column, columns that are not 1-D of one length, a
+    frequency out of range and a port impedance that is not finite and
+    positive are ``invalid-parameter`` and nothing is written, as
+    ``load_response`` would refuse the file.
     """
+    _check_reference_resistance(path, port_z)
     lines = [f"! reference impedance {port_z:.6f} ohm"]
     lines.extend("! " + "\n! ".join(c.splitlines()) for c in comments)
     lines.append(f"# HZ S RI R {port_z:.6f}")
@@ -224,6 +227,8 @@ def write_touchstone(
             f"frequency, S11, S21, S12 and S22 must be 1-D columns of one length, "
             f"got shapes {shapes}"
         )
+    if f.size:
+        check_frequencies(f)
     columns = [f]
     for s in s_columns:
         columns += [s.real, s.imag]

@@ -243,6 +243,10 @@ def fit_circuit(
     alike, to the complex S21 before any magnitude is taken, so it averages
     noise without biasing the answer.
 
+    Data whose S21 is not finite are refused as invalid-parameter, naming
+    the first such frequency, before any model is evaluated; so is
+    smoothed data whose running sum overflows.
+
     ``max_iter = 0`` returns the initial guess unchanged, with the residual
     evaluated at exactly those values; exhausting a positive cap without
     meeting the convergence tests raises DivergedFitError carrying the best
@@ -263,6 +267,10 @@ def fit_circuit(
         raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
 
     freqs = data.frequency
+    bad = np.flatnonzero(~np.isfinite(data.s21))
+    if bad.size:
+        k = bad[0]
+        raise InvalidParameterError(f"S21 must be finite, got {data.s21[k]} at {freqs[k]} Hz")
     average = None if smooth_hz is None else _moving_average(freqs, smooth_hz)
 
     def observed(s21):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from dataclasses import astuple, replace
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -612,18 +614,10 @@ def test_smooth_window_must_be_narrower_than_the_span(ref_circuit, ref_substrate
     assert f"span {span}" in str(info.value)
 
 
-def _loop_smooth(table, window_hz):
-    """The per-sample moving average that smooth_response replaced."""
-    f = table.frequency
-    half = window_hz / 2.0
-    lo = np.searchsorted(f, f - half, side="left")
-    hi = np.searchsorted(f, f + half, side="right")
-    s11 = np.empty_like(table.s11)
-    s21 = np.empty_like(table.s21)
-    for i in range(len(f)):
-        s11[i] = table.s11[lo[i] : hi[i]].mean()
-        s21[i] = table.s21[lo[i] : hi[i]].mean()
-    return s11, s21
+def _exact_running_sums(x):
+    """Exact running sums of a float column (0 first), in units of 2**-1074."""
+    return list(accumulate(((a * (2**1074 // b)) for a, b in map(float.as_integer_ratio, x)),
+                           initial=0))
 
 
 @pytest.mark.parametrize(
@@ -639,16 +633,60 @@ def _loop_smooth(table, window_hz):
     ],
 )
 def test_smooth_response_matches_per_sample_loop(n, spacing, window_ghz):
-    # bit for bit, on the 1-8 GHz grid
+    # each mean against the exact rational mean of its window, on the 1-8
+    # GHz grid, within the bound _moving_average states: 2u|m| + (n+1)^3 u^2 M
+    # per part, M the part's largest magnitude.  The pairwise sums of a
+    # per-window .mean() missed it by up to 84,000 ulps where samples cancel.
     rng = np.random.default_rng(n)
     grid = np.linspace if spacing == "linear" else np.geomspace
     f = grid(1e9, 8e9, n)
     parts = rng.standard_normal((2, 2, n)) * 10.0 ** rng.uniform(-3, 1, (2, 2, n))
     table = ResponseTable(f, parts[0, 0] + 1j * parts[0, 1], parts[1, 0] + 1j * parts[1, 1])
     got = smooth_response(table, window_ghz * 1e9)
-    want = _loop_smooth(table, window_ghz * 1e9)
-    for g, w in zip((got.s11, got.s21), want):
-        assert np.array_equal(g.view(float), w.view(float))
+    half = window_ghz * 1e9 / 2.0
+    lo = np.searchsorted(f, f - half, side="left")
+    hi = np.searchsorted(f, f + half, side="right")
+    # every window clipped at an edge, and an even spread of the others
+    clipped = np.flatnonzero((lo == 0) | (hi == n))
+    checked = np.union1d(clipped, np.arange(0, n, max(1, n // 800)))
+    u = Fraction(2**-53)
+    for g, s in ((got.s11, table.s11), (got.s21, table.s21)):
+        one = hi - lo == 1  # a one-sample window returns its sample bit for bit
+        assert np.array_equal(g[one].view(float), s[one].view(float))
+        for g_part, s_part in ((g.real, s.real), (g.imag, s.imag)):
+            sums = _exact_running_sums(s_part.tolist())
+            slack = (n + 1) ** 3 * u**2 * Fraction(float(np.abs(s_part).max()))
+            for i in checked.tolist():
+                m = Fraction(sums[hi[i]] - sums[lo[i]], 2**1074 * int(hi[i] - lo[i]))
+                assert abs(Fraction(float(g_part[i])) - m) <= 2 * u * abs(m) + slack, i
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cumsum_adds_left_to_right(dtype):
+    # the moving average's TwoSum reads each step's rounding error from
+    # total[k + 1] = fl(total[k] + s[k]), so np.cumsum must add in that order
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(100002) * 10.0 ** rng.uniform(-8, 8, 100002)
+    s = x[:50001] if dtype is float else x.view(complex)
+    total = np.concatenate([[0.0], np.cumsum(s)])
+    assert np.array_equal(total[1:].view(float), (total[:-1] + s).view(float))
+
+
+_BAD_SAMPLES = [math.nan, math.inf, -math.inf, complex(0.5, math.nan)]
+
+
+@pytest.mark.parametrize("bad", _BAD_SAMPLES + ["overflow"])
+def test_smooth_response_refuses_data_that_are_not_finite_or_overflow(bad):
+    # a NaN spread from the first bad sample to the end of the column
+    f = np.linspace(1e9, 8e9, 801)
+    s = np.full(801, 0.5 + 0.1j)
+    if bad == "overflow":  # finite, but the running sum leaves the float range
+        s = np.full(801, 1e306 + 0j)
+    else:
+        s[400] = bad
+    for table in (ResponseTable(f, s, np.full(801, 0.5j)), ResponseTable(f, np.full(801, 0.5j), s)):
+        with pytest.raises(InvalidParameterError, match="averaged data must be finite, with a sum"):
+            smooth_response(table, 0.1e9)
 
 
 # --- Oracle: the per-sample loop implementation of band_report ------------

@@ -1287,7 +1287,7 @@ def test_smoothed_fit_golden_bytes(tmp_path):
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
     _assert_golden(out, "fit-first-order-smoothed", {
-        "design.json": "486c5d20189c5e7e900d58af5db80860c6e7bff1847bdf11d327a28d8665dbb2",
+        "design.json": "8d7c6c8065027bce3c5e1c8ccbd2b34a180cad860b12de0180ff360c87ef426a",
         "fit_result.json": LINES,
         "residual_trace.csv": LINES,
     })

@@ -418,7 +418,7 @@ _AWKWARD = np.array(
 
 def _awkward_response(rng, n):
     freqs = np.sort(rng.uniform(1e6, 1e11, n))
-    freqs[0] = 5e-324  # smallest positive subnormal frequency
+    freqs[0] = 1e3  # the lowest frequency in range
     parts = rng.standard_normal((4, 2, n)) * 10.0 ** rng.uniform(-6, 1, (4, 2, n))
     for arr in parts.reshape(8, n):
         hit = rng.random(n) < 0.05
@@ -436,9 +436,7 @@ def _awkward_response(rng, n):
 def test_writers_match_per_cell_reference(tmp_path, n):
     rng = np.random.default_rng(n)
     freqs, (s11, s21, s12, s22) = _awkward_response(rng, n)
-    # a table's frequencies lie in [1e3, 1e15] Hz; the loose-array
-    # Touchstone writer still prints the subnormal one
-    table = ResponseTable(np.concatenate([[1e3], freqs[1:]]), s11, s21)
+    table = ResponseTable(freqs, s11, s21)
     csv_path = tmp_path / "response.csv"
     write_response_csv(table, csv_path)
     assert csv_path.read_bytes() == _ref_csv_text(table).encode()
@@ -494,6 +492,26 @@ def test_touchstone_writer_refuses_columns_of_different_lengths(tmp_path, column
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "freqs, port_z, message",
+    [
+        ([-1.0, 2e9], 50.0, "frequency must lie in [1e3, 1e15] Hz, got -1.0"),
+        ([math.nan, 2e9], 50.0, "frequency must lie in [1e3, 1e15] Hz, got nan"),
+        ([1e9, 2e9], math.nan, "needs a finite positive reference resistance, got nan"),
+        ([1e9, 2e9], -5.0, "needs a finite positive reference resistance, got -5.0"),
+    ],
+    ids=["negative-frequency", "nan-frequency", "nan-port", "negative-port"],
+)
+def test_touchstone_writer_refuses_what_the_reader_refuses(tmp_path, freqs, port_z, message):
+    # each file was written, and load_response then refused it
+    path = tmp_path / "refused.s2p"
+    z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
+    with pytest.raises(InvalidParameterError) as info:
+        write_touchstone(np.array(freqs), z, z, z, z, path, port_z)
+    assert str(info.value).endswith(message)
+    assert not path.exists()
+
+
 def _ref_rows_text(rows, sep) -> str:
     return "".join(sep.join(map(_ref_cell, row)) + "\n" for row in rows.tolist())
 
@@ -536,9 +554,11 @@ def _hard_values(rng, n):
 def test_writers_match_per_cell_reference_on_a_million_hard_values(tmp_path):
     # ties and their neighbours, mantissas that round up to the next decade,
     # powers of ten, subnormals, three-digit exponents, signed zeros,
-    # infinities, NaNs and arbitrary bit patterns, each printed as "%.11e"
+    # infinities, NaNs and arbitrary bit patterns, each printed as "%.11e";
+    # all in the S columns, as the writer refuses a frequency out of range
     rng = np.random.default_rng(11)
-    rows = _hard_values(rng, 1_000_008).reshape(-1, 9)
+    values = _hard_values(rng, 1_000_008).reshape(-1, 8)
+    rows = np.column_stack([np.geomspace(1e3, 1e15, len(values)), values])
     s = rows[:, 1:].copy().view(complex).T
     path = tmp_path / "hard.s2p"
     write_touchstone(rows[:, 0], *s, path, 50.0)

@@ -535,6 +535,27 @@ def test_fit_refuses_a_start_that_overflows_the_network(ref_circuit, ref_substra
     assert str(info.value) == "network overflows at 1000000000.0 Hz"
 
 
+@pytest.mark.parametrize("smooth_hz", [None, 0.1e9], ids=["raw", "smoothed"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+def test_fit_refuses_data_that_are_not_finite(ref_circuit, ref_substrate, bad, smooth_hz):
+    # one NaN S21 sample returned the start after 0 iterations, with rms nan
+    data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 8e9, 801)
+    s21 = data.s21.copy()
+    s21[[400, 600]] = bad
+    table = ResponseTable(data.frequency, data.s11, s21)
+    with pytest.raises(InvalidParameterError) as info:
+        fit_circuit(table, "first_order", asdict(ref_circuit), ref_substrate, smooth_hz=smooth_hz)
+    assert str(info.value) == f"S21 must be finite, got {s21[400]} at {data.frequency[400]} Hz"
+
+
+def test_smoothed_fit_refuses_data_whose_running_sum_overflows(ref_circuit, ref_substrate):
+    # finite data, but 801 samples of 1e306 sum past the float range
+    s = np.full(801, 1e306 + 0j)
+    table = ResponseTable(np.linspace(1e9, 8e9, 801), s, s)
+    with pytest.raises(InvalidParameterError, match="^averaged data must be finite, with a sum"):
+        fit_circuit(table, "first_order", asdict(ref_circuit), ref_substrate, smooth_hz=0.1e9)
+
+
 def test_fit_survives_an_exactly_singular_damped_normal_matrix(ref_circuit):
     # A 1.21 m line with tan_delta = 1 passes S21 ~ 1e-162 at 10-12 GHz, so
     # the Jacobian's squares are subnormal: the first damped normal matrix
