@@ -174,8 +174,8 @@ def band_report(table: ResponseTable) -> BandReport:
     """Extract dual-band metrics from a swept response.
 
     The table must contain exactly two passbands: groups of local |S21|
-    maxima above the half-power line, where a valley dropping below that
-    line separates groups (so a ripple band with two poles counts once).
+    maxima above the half-power line, where a valley not above that line
+    separates groups (so a ripple band with two poles counts once).
     """
     f = table.frequency
     db = table.s21_db
@@ -188,21 +188,17 @@ def band_report(table: ResponseTable) -> BandReport:
     mask &= scratch
     mask &= np.isfinite(m, out=scratch)
     peaks = 1 + np.flatnonzero(mask)
-    qualified = peaks[db[peaks] > BAND_THRESHOLD_DB].tolist()
-    bands: list[list[int]] = []
-    for i in qualified:
-        if bands and np.min(db[bands[-1][-1] : i + 1]) > BAND_THRESHOLD_DB:
-            bands[-1].append(i)
-        else:
-            bands.append([i])
-    if len(bands) != 2:
+    qualified = peaks[db[peaks] > BAND_THRESHOLD_DB]
+    # Neighbouring peaks share a band while the valley between them (its
+    # lowest sample) stays above the line, which a NaN valley does not.
+    joined = np.minimum.reduceat(db, qualified)[:-1] > BAND_THRESHOLD_DB
+    count = qualified.size - np.count_nonzero(joined)
+    if count != 2:
         raise BandStructureError(
-            f"expected exactly 2 passbands, found {len(bands)}", band_count=len(bands)
+            f"expected exactly 2 passbands, found {count}", band_count=count
         )
-    lower_band, upper_band = bands
-
-    f_lower, level_lower = _band_peak(f, db, lower_band)
-    f_upper, level_upper = _band_peak(f, db, upper_band)
+    split = 1 + int(np.argmin(joined))  # past the one valley no band spans
+    lower_band, upper_band = qualified[:split].tolist(), qualified[split:].tolist()
 
     # Null: deepest sample strictly between the two bands.  A floor-level
     # sample is an exact zero and is reported without interpolation.
@@ -213,8 +209,8 @@ def band_report(table: ResponseTable) -> BandReport:
     else:
         f_zero, _ = _refine_quadratic(f, db, j)
 
-    bw_lower = _bandwidth(f, db, lower_band, level_lower, f_lower, "lower", j)
-    bw_upper = _bandwidth(f, db, upper_band, level_upper, f_upper, "upper", j)
+    f_lower, level_lower, bw_lower = _band(f, db, lower_band, "lower", j)
+    f_upper, level_upper, bw_upper = _band(f, db, upper_band, "upper", j)
 
     return BandReport(
         f_lower=f_lower,
@@ -226,12 +222,6 @@ def band_report(table: ResponseTable) -> BandReport:
         il_upper_db=max(0.0, -level_upper),
         separation=f_upper - f_lower,
     )
-
-
-def _band_peak(f, db, band) -> tuple[float, float]:
-    """Refined frequency and level of the band's highest peak."""
-    top = band[int(np.argmax(db[band]))]
-    return _refine_quadratic(f, db, top)
 
 
 def _refine_quadratic(f, db, i) -> tuple[float, float]:
@@ -253,12 +243,14 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
     return x_star, y_star
 
 
-def _bandwidth(f, db, band, peak_level, f_peak, which, null) -> float:
-    """Fractional 3 dB width: crossings of (peak - 3 dB) found by linear
+def _band(f, db, band, which, null) -> tuple[float, float, float]:
+    """Refined frequency and level of the band's highest peak, and its
+    fractional 3 dB width: crossings of (peak - 3 dB) found by linear
     interpolation outward from the band's outermost peaks that reach the
     target level (a grouped peak under it would bracket no crossing).  A null
     not under the target merges the bands, and a band with no sample at the
     target level is not resolved by the grid."""
+    f_peak, peak_level = _refine_quadratic(f, db, band[int(np.argmax(db[band]))])
     target = peak_level - 3.0
     if not db[null] < target:
         raise BandStructureError(
@@ -275,7 +267,7 @@ def _bandwidth(f, db, band, peak_level, f_peak, which, null) -> float:
         )
     f_lo = _crossing(f, db, band[0], target, which, "low")
     f_hi = _crossing(f, db, band[-1], target, which, "high")
-    return (f_hi - f_lo) / f_peak
+    return f_peak, peak_level, (f_hi - f_lo) / f_peak
 
 
 def _crossing(f, db, start, target, which, side) -> float:

@@ -213,12 +213,17 @@ def write_touchstone(
     A complex frequency column, columns that are not 1-D of one length, a
     frequency out of range and a port impedance that is not finite and
     positive are ``invalid-parameter`` and nothing is written, as
-    ``load_response`` would refuse the file.
+    ``load_response`` would refuse the file.  The port impedance is checked
+    as written, with ``%.6f``: one that prints as 0.000000 is refused too.
     """
-    _check_reference_resistance(path, port_z)
-    lines = [f"! reference impedance {port_z:.6f} ohm"]
+    try:
+        r = "%.6f" % port_z
+    except TypeError:  # not a number: its repr is refused below
+        r = repr(port_z)
+    _check_reference_resistance(path, r)
+    lines = [f"! reference impedance {r} ohm"]
     lines.extend("! " + "\n! ".join(c.splitlines()) for c in comments)
-    lines.append(f"# HZ S RI R {port_z:.6f}")
+    lines.append(f"# HZ S RI R {r}")
     f = frequency_array(freqs)
     s_columns = [np.asarray(s, dtype=complex) for s in (s11, s21, s12, s22)]
     if f.ndim != 1 or any(s.shape != f.shape for s in s_columns):

@@ -302,6 +302,19 @@ def test_band_report_merged_bands_are_a_band_structure_error():
     assert "peak level of -2.000 dB" in str(info.value)
 
 
+def test_a_valley_at_the_band_line_or_nan_separates_two_bands():
+    # Only a valley that stays above -3 dB joins two peaks into one band.
+    # At exactly -3 dB the two peaks are two bands, with the null between
+    # them; past a NaN valley they are two bands too, which merge because
+    # the NaN null is under neither 3 dB target.
+    rep = band_report(_db_table(np.arange(1.0, 6.0) * 1e9, np.array([-20.0, 2, -3, 2, -20])))
+    assert rep.f_lower < rep.f_zero == 3e9 < rep.f_upper
+    db = np.array([-20.0, 2, 1, np.nan, 1, 2, -20])
+    with pytest.raises(BandStructureError, match="lower band merges") as info:
+        band_report(_db_table(np.arange(1.0, 8.0) * 1e9, db))
+    assert info.value.band_count == 2
+
+
 def test_band_report_accepts_a_width_beyond_the_peak_frequency():
     # A resolved upper band whose 3 dB width is 118% of its peak frequency:
     # a property of the data, not a bad parameter.

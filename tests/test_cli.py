@@ -1342,16 +1342,21 @@ def test_run_meta_records_the_smoothing_window(tmp_path, command, window):
 
 def _cli_process(*args):
     """``python -m fsskit.cli *args`` in a child process, stdout and stderr
-    piped; the child imports the same fsskit as this test, installed or not."""
-    src = str(Path(fsskit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    piped."""
     return subprocess.run(
         [sys.executable, "-m", "fsskit.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
+
+
+def _child_env(**variables):
+    """This process's environment plus ``variables``, with which a child
+    imports the same fsskit as this test, installed or not."""
+    src = str(Path(fsskit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **variables)
 
 
 def _digests(outdir):
@@ -1377,6 +1382,50 @@ def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
     assert (tmp_path / "child" / "run_meta.json").exists()
     _assert_golden(tmp_path / "child", case, goldens)
     assert _digests(tmp_path / "child") == _digests(tmp_path / "in_process")
+
+
+# Every command but fit on its demo config.  numpy picks its kernels for the
+# CPU at import, and their bits differ between levels (np.log10 and complex
+# products among them); the files these runs write must not follow that
+# choice.  The fit goldens stop at rounding level, and do.
+_DISPATCH_RUNS = [
+    ("analyze", "sc_band_first_order.json"),
+    ("analyze", "second_order.json"),
+    ("analyze", "sc_band_geometry.json"),
+    ("sweep", "parametric_hat_length.json"),
+    ("angular", "angular_scan.json"),
+    ("synth", "synth_targets.json"),
+]
+_DISPATCH_CHILD = """
+import sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from fsskit.cli import run
+assert not any(__cpu_features__[t] for t in __cpu_dispatch__), __cpu_features__
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for k, (command, config) in enumerate(zip(sys.argv[3::2], sys.argv[4::2])):
+    run(command, configs / config, out / str(k))
+"""
+
+
+def test_data_files_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    present = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not present:
+        pytest.skip("numpy reports none of its dispatch targets present: it runs its baseline kernels")
+    # what this process already turned off stays off: turning off X86_V3
+    # alone, say, leaves X86_V4 on
+    disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES"), *present]
+    env = _child_env(NPY_DISABLE_CPU_FEATURES=" ".join(filter(None, disabled)))
+    args = [str(CONFIGS), str(tmp_path / "child"), *(a for pair in _DISPATCH_RUNS for a in pair)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_CHILD, *args], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    for k, (command, config) in enumerate(_DISPATCH_RUNS):
+        run(command, CONFIGS / config, tmp_path / "here" / str(k))
+        assert _digests(tmp_path / "child" / str(k)) == _digests(tmp_path / "here" / str(k)), config
 
 
 @pytest.mark.parametrize(

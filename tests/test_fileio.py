@@ -497,13 +497,25 @@ def test_touchstone_writer_refuses_columns_of_different_lengths(tmp_path, column
     [
         ([-1.0, 2e9], 50.0, "frequency must lie in [1e3, 1e15] Hz, got -1.0"),
         ([math.nan, 2e9], 50.0, "frequency must lie in [1e3, 1e15] Hz, got nan"),
-        ([1e9, 2e9], math.nan, "needs a finite positive reference resistance, got nan"),
-        ([1e9, 2e9], -5.0, "needs a finite positive reference resistance, got -5.0"),
+        ([1e9, 2e9], math.nan, "needs a finite positive reference resistance, got 'nan'"),
+        ([1e9, 2e9], -5.0, "needs a finite positive reference resistance, got '-5.000000'"),
+        ([1e9, 2e9], 1e-7, "needs a finite positive reference resistance, got '0.000000'"),
+        ([1e9, 2e9], 4e-7, "needs a finite positive reference resistance, got '0.000000'"),
+        ([1e9, 2e9], "50", "needs a finite positive reference resistance, got \"'50'\""),
     ],
-    ids=["negative-frequency", "nan-frequency", "nan-port", "negative-port"],
+    ids=[
+        "negative-frequency",
+        "nan-frequency",
+        "nan-port",
+        "negative-port",
+        "port-1e-7",
+        "port-4e-7",
+        "text-port",
+    ],
 )
 def test_touchstone_writer_refuses_what_the_reader_refuses(tmp_path, freqs, port_z, message):
-    # each file was written, and load_response then refused it
+    # each file was written, and load_response then refused it; a text port
+    # impedance ended in a ValueError from the format
     path = tmp_path / "refused.s2p"
     z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
     with pytest.raises(InvalidParameterError) as info:
