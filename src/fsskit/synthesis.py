@@ -231,7 +231,9 @@ def fit_circuit(
     domain, overflows the network or has an element over- or underflow
     (to 0.0, which would omit it) is refused and damped further, so every
     iterate stays strictly positive and the residual never rises across
-    accepted steps.  Deterministic for identical inputs.
+    accepted steps.  Deterministic for identical inputs, with the same bits
+    on every CPU: the element values come from ``math`` and the damped
+    normal equations are formed and solved without BLAS or LAPACK.
 
     This is a local refiner: responses with deep transmission zeros make
     the landscape multi-modal, and starts more than roughly 10-15% from
@@ -289,54 +291,53 @@ def fit_circuit(
         stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
         return observed(stack_response(stack, freqs)[1]) - target
 
-    def residual(theta):
-        """The residual at log-values ``theta``, or None for a refused trial."""
-        with np.errstate(over="ignore"):  # an infinite element leaves the domain
-            values = np.exp(theta)
+    def evaluated(theta):
+        """Element values at log-values ``theta`` and their residual, or None."""
+        try:  # an element that overflows leaves the domain
+            values = np.array([math.exp(t) for t in theta])
+        except OverflowError:
+            return None
         if not values.all():  # 0.0 would omit an element, not make it small
             return None
         try:
-            return model_residual(values)
+            return values, model_residual(values)
         except FssError:
             return None
 
-    theta = np.log(x0)
-    # the residual of the values returned: x0 itself when no step is taken.
-    # A start that cannot be evaluated is refused with the error that names why.
-    r = model_residual(x0 if max_iter == 0 else np.exp(theta))
-    cost = float(np.dot(r, r))
+    theta = np.array([math.log(v) for v in x0])
+    # the accepted values travel with their residual.  A start that cannot
+    # be evaluated is refused with the error that names why.
+    values, r = x0, model_residual(x0)
+    cost = float(np.sum(r * r))
     trace = [math.sqrt(cost / freqs.size)]
 
     lam = 1e-2
     fd_step = 1e-6   # in log space = relative step on element values
     for _ in range(max_iter):
-        jac = np.empty((r.size, theta.size))
+        jac = np.empty((theta.size, r.size))  # one row per parameter
         for k, bump in enumerate(np.eye(theta.size) * fd_step):
-            r_bumped = residual(theta + bump)
-            if r_bumped is None:  # the forward point is refused: difference backward
+            bumped = evaluated(theta + bump)
+            if bumped is None:  # the forward point is refused: difference backward
                 bump = -bump
-                r_bumped = residual(theta + bump)
-            jac[:, k] = (r_bumped - r) / bump[k]
-        grad = jac.T @ r
-        hess = jac.T @ jac
+                bumped = evaluated(theta + bump)
+            jac[k] = (bumped[1] - r) / bump[k]
+        grad = (jac * r).sum(axis=1)
+        hess = (jac[:, None] * jac).sum(axis=2)
         diag = np.diag(hess).copy()
         diag[diag <= 0.0] = 1.0
 
         while lam <= 1e15:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                step = np.full_like(grad, np.nan)
-            r_new = residual(theta + step)  # refuses a non-finite step
-            if r_new is not None:
-                cost_new = float(np.dot(r_new, r_new))
+            step = _solve(hess + lam * np.diag(diag), -grad)
+            trial = evaluated(theta + step)  # refuses a non-finite step
+            if trial is not None:
+                cost_new = float(np.sum(trial[1] * trial[1]))
                 if cost_new < cost:
                     break
             lam *= 10.0
         else:
             break  # no improving step at any damping: stationary point
         theta = theta + step
-        r, cost = r_new, cost_new
+        (values, r), cost = trial, cost_new
         lam = max(lam / 10.0, 1e-12)
         trace.append(math.sqrt(cost / freqs.size))
         # Converged: negligible relative progress, negligible step, or an
@@ -350,11 +351,28 @@ def fit_circuit(
             raise DivergedFitError(
                 f"fit did not converge within {max_iter} iterations "
                 f"(rms residual {trace[-1]:.3e})",
-                best=dict(zip(names, np.exp(theta))),
+                best=dict(zip(names, values)),
                 trace=tuple(trace),
             )
-    params = dict(zip(names, x0 if max_iter == 0 else np.exp(theta)))
+    params = dict(zip(names, values))
     return FitResult(template, params, trace[-1], len(trace) - 1, tuple(trace))
+
+
+def _solve(a, b):
+    """The solution of ``a x = b`` for a symmetric positive definite ``a``:
+    Gaussian elimination without pivoting, in element-wise numpy rather than
+    LAPACK, so the same bits on every CPU.  All NaN where a pivot is not
+    positive, as for a matrix that is singular or not positive definite."""
+    n = b.size
+    ab = np.column_stack([a, b])
+    for k in range(n):
+        if not ab[k, k] > 0.0:
+            return np.full(n, np.nan)
+        ab[k + 1:] -= ab[k + 1:, k:k + 1] / ab[k, k] * ab[k]
+    x = np.zeros(n)
+    for k in reversed(range(n)):
+        x[k] = (ab[k, n] - np.sum(ab[k, k + 1:n] * x[k + 1:])) / ab[k, k]
+    return x
 
 
 def _build_template(template, params, sub, inc, dielectric_loss):

@@ -3,10 +3,11 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,7 @@ COMMAND_GOLDEN = {
         "initial": {"L_series_nH": 5.1, "C_series_pF": 0.48, "L_tank_nH": 4.2,
                     "C_tank_pF": 0.34, "L_parasitic_nH": 0.9},
     }}, {
-        "design.json": "23ae6bd807d11f3606ebb94217ec24c51dfdf0c2c96d128412afdb584f1d3f6b",
+        "design.json": "4c3451aecaacae755efd0c6c489c4d5773912f0e64efb96908ab9dfed2ed7985",
         "fit_result.json": LINES,
         "residual_trace.csv": LINES,
     }),
@@ -128,7 +129,7 @@ COMMAND_GOLDEN = {
         "initial": {"L_outer_a_nH": 5.0, "C_outer_a_pF": 0.49, "L_outer_b_nH": 2.1,
                     "C_outer_b_pF": 0.48, "L_tank_nH": 2.6, "C_tank_pF": 0.29},
     }}, {
-        "design.json": "3f12678a57c0d6c8bb4dbe42b7ada9968959a3fed73f4159a2f2c6d72229cb66",
+        "design.json": "e929eae03499a83452cd6a2ce3e9cacdb49ace60855935ac24b243312cae7b33",
         "fit_result.json": LINES,
         "residual_trace.csv": LINES,
     }),
@@ -516,36 +517,58 @@ def test_unattainable_range_prints_the_widest_slots_positive_inductance(tmp_path
     assert math.copysign(1, exc.value.attainable[0]) == 1
 
 
-@pytest.mark.parametrize("case", ["fit-first-order", "fit-second-order"])
+# No config number times 1e-9 gives this L_series (the fit's, with only
+# its exp and log taken from math), so design.json holds it one ulp off.
+_ONE_ULP_OFF = 4.900000000039708e-09
+
+
+@pytest.mark.parametrize("case", ["fit-first-order", "fit-second-order", "one-ulp-off"])
 def test_analyze_runs_the_fitted_design_on_the_data_grid(tmp_path, monkeypatch, case):
-    _, config, overrides, _ = COMMAND_GOLDEN[case]
+    # README's contract: analyze runs design.json as parsed, bit for bit, and
+    # each parsed element lies within one ulp of the fitted one
+    _, config, overrides, _ = COMMAND_GOLDEN["fit-first-order" if case == "one-ulp-off" else case]
     cfg = dict(_load_config(config), **overrides)
     data_file = tmp_path / cfg["fit"]["data"]
     _write_fit_s2p(data_file, cfg["fit"]["template"])
     fits = []
     fit = cli.fit_circuit
-    monkeypatch.setattr(cli, "fit_circuit", lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+
+    def recorded(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        if case == "one-ulp-off":
+            result = replace(result, params=dict(result.params, L_series=_ONE_ULP_OFF))
+        fits.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "fit_circuit", recorded)
     run("fit", _write(tmp_path, cfg), tmp_path / "fit")
     seen = _evaluated(monkeypatch)
     run("analyze", tmp_path / "fit" / "design.json", tmp_path / "analyze")
     ((stack, freqs),) = seen
-    ((template, p),) = [(result.template, result.params) for result in fits]
-    sub = _substrate(cfg)
-    if template == "first_order":
-        fitted = topology.build_first_order(ExtractedCircuit(**p), sub)
-    else:
-        outer = (SeriesLC(p["L_outer_a"], p["C_outer_a"]), SeriesLC(p["L_outer_b"], p["C_outer_b"]))
-        fitted = topology.build_second_order(outer, Tank(p["L_tank"], p["C_tank"]), sub)
-    assert stack == fitted  # == on nonzero floats: bit for bit
-    data = load_response(data_file)
-    assert np.array_equal(freqs, data.frequency)
-    _, s21 = topology.stack_response(fitted, data.frequency)
-    table = load_response(tmp_path / "analyze" / "response.csv")
-    np.testing.assert_allclose(table.s21, s21, rtol=0, atol=1e-11)
     # angular runs it too, at the incidence the fit used
     run("angular", tmp_path / "fit" / "design.json", tmp_path / "angular")
     assert sorted(p.name for p in (tmp_path / "angular").iterdir()) == [
         "response_te_0deg.csv", "run_meta.json"]
+    (fitted_params,) = [result.params for result in fits]
+    design = json.loads((tmp_path / "fit" / "design.json").read_text())
+    p, _ = _parsed_params(design, monkeypatch)
+    assert sorted(p) == sorted(fitted_params)
+    for name, value in fitted_params.items():
+        assert abs(p[name] - value) <= math.ulp(value), name
+    if case == "one-ulp-off":
+        assert p["L_series"] != _ONE_ULP_OFF
+    sub = _substrate(cfg)
+    if cfg["fit"]["template"] == "first_order":
+        parsed = topology.build_first_order(ExtractedCircuit(**p), sub)
+    else:
+        outer = (SeriesLC(p["L_outer_a"], p["C_outer_a"]), SeriesLC(p["L_outer_b"], p["C_outer_b"]))
+        parsed = topology.build_second_order(outer, Tank(p["L_tank"], p["C_tank"]), sub)
+    assert stack == parsed  # == on nonzero floats: bit for bit
+    data = load_response(data_file)
+    assert np.array_equal(freqs, data.frequency)
+    _, s21 = topology.stack_response(parsed, data.frequency)
+    table = load_response(tmp_path / "analyze" / "response.csv")
+    np.testing.assert_allclose(table.s21, s21, rtol=0, atol=1e-11)
 
 
 def test_angular_reads_a_design_without_incidence_as_normal_incidence(tmp_path):
@@ -1287,7 +1310,7 @@ def test_smoothed_fit_golden_bytes(tmp_path):
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
     _assert_golden(out, "fit-first-order-smoothed", {
-        "design.json": "8d7c6c8065027bce3c5e1c8ccbd2b34a180cad860b12de0180ff360c87ef426a",
+        "design.json": "1c90058881a22e4a3c69c14d517c733f1bdf51b50d4366c402da23411b666ccf",
         "fit_result.json": LINES,
         "residual_trace.csv": LINES,
     })
@@ -1384,10 +1407,10 @@ def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
     assert _digests(tmp_path / "child") == _digests(tmp_path / "in_process")
 
 
-# Every command but fit on its demo config.  numpy picks its kernels for the
-# CPU at import, and their bits differ between levels (np.log10 and complex
-# products among them); the files these runs write must not follow that
-# choice.  The fit goldens stop at rounding level, and do.
+# Every command on its demo config, and fit on its three golden cases.
+# numpy picks its kernels for the CPU at import, and OpenBLAS picks its own;
+# their bits differ between levels (np.log10 and complex products among
+# them).  The files these runs write must not follow either choice.
 _DISPATCH_RUNS = [
     ("analyze", "sc_band_first_order.json"),
     ("analyze", "second_order.json"),
@@ -1396,15 +1419,17 @@ _DISPATCH_RUNS = [
     ("angular", "angular_scan.json"),
     ("synth", "synth_targets.json"),
 ]
+_DISPATCH_FITS = [("fit-first-order", None), ("fit-second-order", None), ("fit-first-order", 0.1)]
 _DISPATCH_CHILD = """
+import json
 import sys
 from pathlib import Path
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from fsskit.cli import run
 assert not any(__cpu_features__[t] for t in __cpu_dispatch__), __cpu_features__
-configs, out = Path(sys.argv[1]), Path(sys.argv[2])
-for k, (command, config) in enumerate(zip(sys.argv[3::2], sys.argv[4::2])):
-    run(command, configs / config, out / str(k))
+out = Path(sys.argv[1])
+for k, (command, config, smooth_ghz) in enumerate(json.loads(sys.argv[2])):
+    run(command, config, out / str(k), smooth_ghz=smooth_ghz)
 """
 
 
@@ -1414,17 +1439,31 @@ def test_data_files_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     present = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
     if not present:
         pytest.skip("numpy reports none of its dispatch targets present: it runs its baseline kernels")
+    runs = [(command, str(CONFIGS / config), None) for command, config in _DISPATCH_RUNS]
+    for case, smooth_ghz in _DISPATCH_FITS:
+        command, config, overrides, _ = COMMAND_GOLDEN[case]
+        cfg = dict(_load_config(config), **overrides)
+        (tmp_path / case).mkdir(exist_ok=True)
+        _write_fit_s2p(tmp_path / case / cfg["fit"]["data"], cfg["fit"]["template"])
+        runs.append((command, str(_write(tmp_path / case, cfg)), smooth_ghz))
     # what this process already turned off stays off: turning off X86_V3
     # alone, say, leaves X86_V4 on
     disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES"), *present]
     env = _child_env(NPY_DISABLE_CPU_FEATURES=" ".join(filter(None, disabled)))
-    args = [str(CONFIGS), str(tmp_path / "child"), *(a for pair in _DISPATCH_RUNS for a in pair)]
+    # OpenBLAS's oldest x86_64 kernels, which it names Katmai when it loads
+    # them and ignores silently when it does not know the name
+    openblas = "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    expected_err = ""
+    if openblas and platform.machine().lower() in ("x86_64", "amd64"):
+        env.update(OPENBLAS_CORETYPE="Prescott", OPENBLAS_VERBOSE="2")
+        expected_err = "Core: Katmai\n"
     proc = subprocess.run(
-        [sys.executable, "-c", _DISPATCH_CHILD, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "child"), json.dumps(runs)],
+        capture_output=True, text=True, env=env,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-    for k, (command, config) in enumerate(_DISPATCH_RUNS):
-        run(command, CONFIGS / config, tmp_path / "here" / str(k))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", expected_err)
+    for k, (command, config, smooth_ghz) in enumerate(runs):
+        run(command, config, tmp_path / "here" / str(k), smooth_ghz=smooth_ghz)
         assert _digests(tmp_path / "child" / str(k)) == _digests(tmp_path / "here" / str(k)), config
 
 

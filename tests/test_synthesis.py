@@ -1,6 +1,7 @@
 import math
 import pathlib
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from fsskit.errors import (
     UnattainableDimensionError,
 )
 from fsskit.domain import RANGES
+from fsskit import synthesis
 from fsskit.synthesis import _bisect_decreasing
 
 from conftest import assert_lines_match
@@ -355,23 +357,19 @@ def test_fit_of_data_without_a_parasitic_is_not_paced_by_it(ref_substrate):
         assert result.params[name] == pytest.approx(value, rel=1e-4), name
 
 
-@pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
-def test_fit_damps_a_step_whose_solve_fails(ref_substrate, monkeypatch, failure):
-    # The first damped normal system is refused by a stand-in solve, or
-    # answered with NaN: the trial is rejected like a step that raises the
-    # cost, the damping grows, and the fit converges as before.
-    solve = np.linalg.solve
+def test_fit_damps_a_step_whose_solve_fails(ref_substrate, monkeypatch):
+    # The first damped normal system is answered with NaN, as the solve
+    # answers a pivot that is not positive: the trial is rejected like a
+    # step that raises the cost, the damping grows, and the fit converges
+    # as before.
+    solve = synthesis._solve
     calls = []
 
     def failing_once(a, b):
         calls.append(a)
-        if len(calls) > 1:
-            return solve(a, b)
-        if failure == "LinAlgError":
-            raise np.linalg.LinAlgError("Singular matrix")
-        return np.full_like(b, np.nan)
+        return solve(a, b) if len(calls) > 1 else np.full_like(b, np.nan)
 
-    monkeypatch.setattr(np.linalg, "solve", failing_once)
+    monkeypatch.setattr(synthesis, "_solve", failing_once)
     data = _weak_parasitic_data(ref_substrate)
     pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
     initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
@@ -468,9 +466,11 @@ def test_fit_capped_by_max_iter_carries_the_last_accepted_point(ref_substrate, m
 
 
 def test_fit_with_no_improving_step_returns_the_start(ref_circuit, ref_substrate):
-    # data generated at exp(log(x)) match the model there exactly, so no step
-    # can lower the zero cost and the start is returned after no iteration
-    start = {n: math.exp(math.log(getattr(ref_circuit, n))) for n in WEAK_PARASITIC}
+    # data generated at the start match the model there exactly, so no step
+    # can lower the zero cost and the start itself is returned after no
+    # iteration, although exp(log(v)) != v for each of its values
+    start = {n: getattr(ref_circuit, n) for n in WEAK_PARASITIC}
+    assert all(math.exp(math.log(v)) != v for v in start.values())
     stack = build_first_order(ExtractedCircuit(**start), ref_substrate)
     data = sweep(stack, 1e9, 8e9, 801)
     result = fit_circuit(data, "first_order", start, ref_substrate)
@@ -558,19 +558,60 @@ def test_smoothed_fit_refuses_data_whose_running_sum_overflows(ref_circuit, ref_
 
 def test_fit_survives_an_exactly_singular_damped_normal_matrix(ref_circuit):
     # A 1.21 m line with tan_delta = 1 passes S21 ~ 1e-162 at 10-12 GHz, so
-    # the Jacobian's squares are subnormal: the first damped normal matrix
-    # is exactly singular, as the damping 1e-2 * u of its subnormal
-    # diagonal u rounds to 0.  The cost underflows to 0, so -grad is exactly
-    # 0 and numpy 2.4's solve returns a zero step at every damping from 1e-2
-    # to 1e15; a LAPACK that divides by the zero pivot would raise
-    # LinAlgError instead.  No step can lower a cost of 0, so the start is
-    # returned either way.
+    # the Jacobian's squares are subnormal.  The damping 1e-2 * u of a
+    # subnormal diagonal entry u rounds to 0, and at dampings 1e-2 and 1e-1
+    # the elimination rounds its fourth pivot below 0: the solve answers
+    # NaN and the trial is refused.  The cost underflows to 0, and no step
+    # at a larger damping can lower it, so the start is returned.
     sub = Substrate(1.21, 10.2, 1.0)
     pulling = build_first_order(replace(ref_circuit, C_tank=0.36e-12), sub, dielectric_loss=True)
     data = sweep(pulling, 10e9, 12e9, 41)
     result = fit_circuit(data, "first_order", asdict(ref_circuit), sub, dielectric_loss=True)
     assert result.iterations == 0
     assert result.trace == (0.0,)
+
+
+def _exact_solve(a, b):
+    """The exact solution of ``a x = b`` in fractions of the float entries,
+    by Gauss-Jordan elimination."""
+    n = len(b)
+    rows = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for k in range(n):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return [row[n] for row in rows]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_solve_matches_an_exact_solve_of_a_positive_definite_system(n):
+    """``_solve`` against the exact solution x of ``a x = b`` on seeded
+    symmetric positive definite systems whose diagonal spans 24 decades, as
+    the fitter's damped normal matrices can.  With d = sqrt(diag(a)) and
+    h = a / (d d^T), elimination without pivoting has a backward error
+    |da| <= gamma_3n |L||U|, and ||(|L||U|) / (d d^T)||_2 <= n ||h||_2 /
+    (1 - n gamma_(n+1)), with gamma_k = k u / (1 - k u) and u the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Theorem 9.4 and Section 10.1).  So with
+    eta = n gamma_3n kappa_2(h) / (1 - n gamma_(n+1)) < 1 the error obeys
+    ||d (x_hat - x)||_2 <= eta / (1 - eta) ||d x||_2."""
+    rng = np.random.default_rng(41 + n)
+    u = np.finfo(float).eps / 2
+    gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
+    for _ in range(40):
+        g = rng.standard_normal((n, n))
+        scale = 10.0 ** rng.uniform(-6, 6, n)
+        a = scale[:, None] * (g @ g.T + 1e-3 * np.eye(n)) * scale
+        a = (a + a.T) / 2  # symmetric to the bit
+        b = rng.standard_normal(n) * scale
+        d = np.sqrt(np.diag(a))
+        eta = n * gamma(3 * n) * np.linalg.cond(a / np.outer(d, d)) / (1 - n * gamma(n + 1))
+        assert eta < 0.5
+        exact = _exact_solve(a, b)
+        error = [float(Fraction(v) - x) for v, x in zip(synthesis._solve(a, b), exact)]
+        bound = eta / (1 - eta) * np.linalg.norm(d * np.array(exact, float))
+        assert np.linalg.norm(d * error) <= bound
 
 
 def test_fit_differences_backward_where_the_forward_bump_overflows(ref_circuit, ref_substrate):
