@@ -6,7 +6,10 @@ closed form once the tank inductance is chosen); the dimension inversion
 is closed-form except for the cross slot; the fitter is a damped least-squares
 loop over log-parameterized element values whose damping alone sizes each
 step; refusing trials that over- or underflow keeps every iterate strictly
-positive and the accepted-step residual monotone non-increasing.
+positive and the accepted-step residual monotone non-increasing.  A
+first-order fit whose data show a transmission null runs that loop twice:
+first with L_series * C_series held at the null, then over all five
+elements.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .extraction import (
     effective_permittivity,
 )
 from .lumped import SeriesLC, Tank
-from .analysis import ResponseTable, _moving_average
+from .analysis import ResponseTable, _moving_average, _refine_quadratic
 from .topology import (
     Incidence,
     Substrate,
@@ -49,6 +52,9 @@ from .topology import (
 DEFAULT_TANK_L = 4e-9
 
 FIT_MAX_ITER = 200  # default cap on accepted fitter iterations
+#: A first-order fit is anchored at the data's deepest |S21| sample when
+#: it lies this many dB under the median |S21|.
+NULL_DEPTH_DB = 20.0
 
 FIRST_ORDER_PARAMS = tuple(f.name for f in fields(ExtractedCircuit))
 SECOND_ORDER_PARAMS = (
@@ -199,13 +205,16 @@ def _bisect_decreasing(func, target, lo, hi, *, parameter, target_name):
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of a circuit fit: parameter values (SI), the RMS residual,
-    accepted-iteration count, and the residual trace."""
+    accepted-iteration count, and the residual trace.  ``f_null`` is the
+    data's null frequency in Hz where the fit was anchored at it, else
+    None."""
 
     template: str
     params: dict
     rms_residual: float
     iterations: int
     trace: tuple
+    f_null: float | None = None
 
 
 def fit_circuit(
@@ -235,10 +244,28 @@ def fit_circuit(
     on every CPU: the element values come from ``math`` and the damped
     normal equations are formed and solved without BLAS or LAPACK.
 
-    This is a local refiner: responses with deep transmission zeros make
-    the landscape multi-modal, and starts more than roughly 10-15% from
-    the answer can settle in a wrong basin.  Seed it from the extraction
-    chain (or any bench estimate of comparable quality).
+    Responses with deep transmission zeros make the landscape
+    multi-modal, so a first-order fit is anchored at the data's null.  The
+    series branch shorts the sheet at 1/(2 pi sqrt(L_series C_series)),
+    whatever the line, the loss, the angle and the parasitic, so the data
+    show that product directly.  A null is the deepest |S21| sample when it
+    lies at least ``NULL_DEPTH_DB`` (20 dB) under the median |S21| and is
+    neither the first nor the last sample; ``f_null`` is its frequency
+    refined by the parabola through it and its neighbours on the dB curve,
+    and q = 1/(2 pi f_null)^2.  The anchor is one trial step, to the start
+    with C_series = q / L_series, under the loop's own rule: it is taken
+    only if it evaluates and lowers the residual, and then it counts as
+    one accepted iteration.  The loop then runs over log L_series, L_tank,
+    C_tank and L_parasitic with C_series = q / L_series, and last over all
+    five elements.  The null is read from |S21| of the raw data, with or
+    without ``magnitude_only`` or ``smooth_hz``: a moving average across
+    the null fills it and moves it (on demo 06's data the averaged null
+    lies 3.9e-4 from the true zero, the raw one 7.1e-5).  Every other fit,
+    second order, data without a null, ``max_iter = 0`` or an anchor that
+    does not lower the residual, runs the free loop alone from the start.
+    Second-order fits stay local refiners: starts more than roughly 10-15%
+    from the answer can settle in a wrong basin.  Seed them from the
+    extraction chain (or any bench estimate of comparable quality).
 
     ``smooth_hz`` is a window in Hz for the moving average of
     ``smooth_response``.  It applies to the data and to every model trace
@@ -249,10 +276,14 @@ def fit_circuit(
     the first such frequency, before any model is evaluated; so is
     smoothed data whose running sum overflows.
 
+    ``max_iter`` caps the accepted steps of all stages together, the
+    anchor included; ``iterations`` counts them, and ``trace`` holds the
+    start's rms and then each accepted step's, stage after stage.
     ``max_iter = 0`` returns the initial guess unchanged, with the residual
     evaluated at exactly those values; exhausting a positive cap without
     meeting the convergence tests raises DivergedFitError carrying the best
-    parameters and the residual trace.
+    parameters and the residual trace.  A ``max_iter`` that is not an
+    ``int``, or is a ``bool``, is refused as invalid-parameter.
     """
     if not isinstance(template, str) or template not in TEMPLATES:
         raise InvalidParameterError(
@@ -265,6 +296,8 @@ def fit_circuit(
     x0 = np.array([float(initial[n]) for n in names])
     if np.any(x0 <= 0.0):
         raise InvalidParameterError("all initial circuit values must be positive")
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+        raise InvalidParameterError(f"max_iter must be an int, got {max_iter!r}")
     if max_iter < 0:
         raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
 
@@ -291,35 +324,115 @@ def fit_circuit(
         stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
         return observed(stack_response(stack, freqs)[1]) - target
 
-    def evaluated(theta):
-        """Element values at log-values ``theta`` and their residual, or None."""
-        try:  # an element that overflows leaves the domain
-            values = np.array([math.exp(t) for t in theta])
-        except OverflowError:
-            return None
-        if not values.all():  # 0.0 would omit an element, not make it small
-            return None
+    def evaluated(values):
+        """``values`` and their residual, or None where they leave the
+        domain or overflow the network."""
         try:
             return values, model_residual(values)
         except FssError:
             return None
 
-    theta = np.array([math.log(v) for v in x0])
+    def from_logs(theta, q=None):
+        """Element values at log-values ``theta`` and their residual, or
+        None.  With an anchor ``q``, ``theta`` omits C_series, which is
+        q / L_series."""
+        try:  # an element that overflows leaves the domain
+            values = [math.exp(t) for t in theta]
+        except OverflowError:
+            return None
+        if not all(values):  # 0.0 would omit an element, not make it small
+            return None
+        if q is not None:
+            values.insert(1, q / values[0])
+        return evaluated(np.array(values))
+
     # the accepted values travel with their residual.  A start that cannot
     # be evaluated is refused with the error that names why.
-    values, r = x0, model_residual(x0)
-    cost = float(np.sum(r * r))
+    point = x0, model_residual(x0)
+    cost = _cost(point[1])
     trace = [math.sqrt(cost / freqs.size)]
+    theta = np.array([math.log(v) for v in x0])
+    f_null = None
+    if template == "first_order" and max_iter > 0:
+        f_null = _null_frequency(freqs, data.s21)
+    if f_null is not None:
+        q = 1.0 / (2.0 * math.pi * f_null) ** 2  # L_series * C_series at the null
+        # L_series and C_series lead the first-order parameter vector
+        anchored = evaluated(np.array([x0[0], q / x0[0], *x0[2:]]))
+        if anchored is not None and _cost(anchored[1]) < cost:
+            point, stage, _ = _damped_least_squares(
+                lambda t: from_logs(t, q), np.delete(theta, 1), anchored, freqs.size, max_iter - 1
+            )
+            trace += stage
+            theta = np.array([math.log(v) for v in point[0]])
+        else:
+            f_null = None
+    point, stage, converged = _damped_least_squares(
+        from_logs, theta, point, freqs.size, max_iter - (len(trace) - 1)
+    )
+    trace += stage[1:]
+    params = dict(zip(names, point[0]))
+    if not converged and max_iter > 0:
+        raise DivergedFitError(
+            f"fit did not converge within {max_iter} iterations "
+            f"(rms residual {trace[-1]:.3e})",
+            best=params,
+            trace=tuple(trace),
+        )
+    return FitResult(template, params, trace[-1], len(trace) - 1, tuple(trace), f_null)
 
+
+def _null_frequency(f, s21):
+    """The frequency of the deepest |S21| sample, refined by
+    ``_refine_quadratic`` on the dB curve, or None unless that sample lies
+    ``NULL_DEPTH_DB`` under the median |S21| and strictly inside the span.
+
+    It works on |S21|^2, formed with products and sums, and takes the
+    three logarithms from ``math``: numpy's ``abs`` and ``log10`` of an
+    array change their last bits with its CPU dispatch level."""
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        power = s21.real * s21.real + s21.imag * s21.imag
+    j = int(np.argmin(power))
+    if not (0 < j < power.size - 1
+            and power[j] <= np.median(power) / 10.0 ** (NULL_DEPTH_DB / 10.0)):
+        return None
+    db = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in power[j - 1:j + 2].tolist()]
+    return _refine_quadratic(f[j - 1:j + 2], np.array(db), 1)[0]
+
+
+def _cost(r):
+    """The sum of squares of the residual vector ``r``."""
+    return float(np.sum(r * r))
+
+
+def _damped_least_squares(evaluate, theta, point, n, max_iter):
+    """Marquardt's damped least squares over log-values ``theta``, from
+    ``point``: the element values there and their residual vector.  At most
+    ``max_iter`` steps are accepted.  ``evaluate(theta)`` returns such a
+    point, or None where it refuses the values.
+
+    Each Jacobian column is a forward difference, or a backward one where
+    the forward point is refused.  The damping lambda*diag(J^T J) alone
+    sizes each step.  A trial is accepted only where it evaluates and
+    lowers the sum of squares; otherwise the damping grows tenfold, and
+    where no damping up to 1e15 finds such a step the point is stationary.
+
+    Returns the last accepted point, the rms residual (the root of the sum
+    of squares over ``n``) of the start and of each accepted step, and
+    whether a stopping test, rather than the cap, ended the loop.
+    """
+    r = point[1]
+    cost = _cost(r)
+    trace = [math.sqrt(cost / n)]
     lam = 1e-2
     fd_step = 1e-6   # in log space = relative step on element values
     for _ in range(max_iter):
         jac = np.empty((theta.size, r.size))  # one row per parameter
         for k, bump in enumerate(np.eye(theta.size) * fd_step):
-            bumped = evaluated(theta + bump)
+            bumped = evaluate(theta + bump)
             if bumped is None:  # the forward point is refused: difference backward
                 bump = -bump
-                bumped = evaluated(theta + bump)
+                bumped = evaluate(theta + bump)
             jac[k] = (bumped[1] - r) / bump[k]
         grad = (jac * r).sum(axis=1)
         hess = (jac[:, None] * jac).sum(axis=2)
@@ -328,34 +441,24 @@ def fit_circuit(
 
         while lam <= 1e15:
             step = _solve(hess + lam * np.diag(diag), -grad)
-            trial = evaluated(theta + step)  # refuses a non-finite step
+            trial = evaluate(theta + step)  # refuses a non-finite step
             if trial is not None:
-                cost_new = float(np.sum(trial[1] * trial[1]))
+                cost_new = _cost(trial[1])
                 if cost_new < cost:
                     break
             lam *= 10.0
         else:
-            break  # no improving step at any damping: stationary point
+            return point, trace, True  # no improving step at any damping
         theta = theta + step
-        (values, r), cost = trial, cost_new
+        point, r, cost = trial, trial[1], cost_new
         lam = max(lam / 10.0, 1e-12)
-        trace.append(math.sqrt(cost / freqs.size))
+        trace.append(math.sqrt(cost / n))
         # Converged: negligible relative progress, negligible step, or an
         # rms at the numerical floor of unit-scale S-parameters.
-        if trace[-2] - trace[-1] <= 1e-10 * max(trace[-2], 1e-300):
-            break
-        if np.max(np.abs(step)) < 1e-13 or trace[-1] < 1e-10:
-            break
-    else:
-        if max_iter > 0:
-            raise DivergedFitError(
-                f"fit did not converge within {max_iter} iterations "
-                f"(rms residual {trace[-1]:.3e})",
-                best=dict(zip(names, values)),
-                trace=tuple(trace),
-            )
-    params = dict(zip(names, values))
-    return FitResult(template, params, trace[-1], len(trace) - 1, tuple(trace))
+        if (trace[-2] - trace[-1] <= 1e-10 * max(trace[-2], 1e-300)
+                or np.max(np.abs(step)) < 1e-13 or trace[-1] < 1e-10):
+            return point, trace, True
+    return point, trace, False
 
 
 def _solve(a, b):

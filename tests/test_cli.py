@@ -119,7 +119,7 @@ COMMAND_GOLDEN = {
         "initial": {"L_series_nH": 5.1, "C_series_pF": 0.48, "L_tank_nH": 4.2,
                     "C_tank_pF": 0.34, "L_parasitic_nH": 0.9},
     }}, {
-        "design.json": "4c3451aecaacae755efd0c6c489c4d5773912f0e64efb96908ab9dfed2ed7985",
+        "design.json": "711000b0018db5d3d3cf9916e342ef46a4d1675d69122737d918cf4942477d3c",
         "fit_result.json": LINES,
         "residual_trace.csv": LINES,
     }),
@@ -1310,7 +1310,7 @@ def test_smoothed_fit_golden_bytes(tmp_path):
     out = tmp_path / "out"
     run(command, _write(tmp_path, cfg), out, smooth_ghz=0.1)
     _assert_golden(out, "fit-first-order-smoothed", {
-        "design.json": "1c90058881a22e4a3c69c14d517c733f1bdf51b50d4366c402da23411b666ccf",
+        "design.json": "152bf2b6cbdaa0e5b660aad791aed666db2ce22a884358e6f5cc1810d6f9144b",
         "fit_result.json": LINES,
         "residual_trace.csv": LINES,
     })

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 from dataclasses import asdict, replace
@@ -37,6 +38,7 @@ from fsskit.errors import (
 )
 from fsskit.domain import RANGES
 from fsskit import synthesis
+from fsskit.analysis import _refine_quadratic
 from fsskit.synthesis import _bisect_decreasing
 
 from conftest import assert_lines_match
@@ -300,9 +302,11 @@ WEAK_PARASITIC = {
 }
 
 
-def _weak_parasitic_data(sub):
+def _weak_parasitic_data(sub, f_start=1e9, n_points=801):
+    """The weak-parasitic circuit from ``f_start`` to 8 GHz: its null at
+    3.17 GHz lies in the default span and below a start of 4 GHz."""
     stack = build_first_order(ExtractedCircuit(**WEAK_PARASITIC), sub)
-    return sweep(stack, 1e9, 8e9, 801)
+    return sweep(stack, f_start, 8e9, n_points)
 
 
 def test_fit_self_consistency(ref_substrate):
@@ -393,7 +397,8 @@ def test_fit_zero_iteration_cap(ref_substrate):
     assert result.rms_residual > 0.0
 
 
-def test_fit_second_order_template():
+def _second_order_problem():
+    """A lossless second-order truth, its data and a +-10% start."""
     sub = Substrate(3.4e-3, 10.2)
     truth = {
         "L_outer_a": 4.9e-9,
@@ -412,6 +417,11 @@ def test_fit_second_order_template():
     data = sweep(stack, 1.5e9, 4.9e9, 801)
     pattern = (1.10, 0.90, 1.10, 0.90, 1.10, 0.90)
     initial = {k: v * s for (k, v), s in zip(truth.items(), pattern)}
+    return sub, truth, data, initial
+
+
+def test_fit_second_order_template():
+    sub, truth, data, initial = _second_order_problem()
     result = fit_circuit(data, "second_order", initial, sub)
     assert result.rms_residual < 1e-8
     for name, value in truth.items():
@@ -441,7 +451,7 @@ def test_fit_returns_positive_values(ref_substrate):
 
 
 def test_fit_diverged_error_payload(ref_substrate):
-    data = _weak_parasitic_data(ref_substrate)
+    data = _weak_parasitic_data(ref_substrate, f_start=4e9)  # no null: no anchor
     pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
     initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
     with pytest.raises(DivergedFitError) as info:
@@ -452,7 +462,7 @@ def test_fit_diverged_error_payload(ref_substrate):
 
 @pytest.mark.parametrize("max_iter", [1, 3])
 def test_fit_capped_by_max_iter_carries_the_last_accepted_point(ref_substrate, max_iter):
-    data = _weak_parasitic_data(ref_substrate)
+    data = _weak_parasitic_data(ref_substrate, f_start=4e9)  # no null: no anchor
     pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
     initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
     with pytest.raises(DivergedFitError) as info:
@@ -461,6 +471,23 @@ def test_fit_capped_by_max_iter_carries_the_last_accepted_point(ref_substrate, m
     assert len(trace) == max_iter + 1
     assert all(b < a for a, b in zip(trace, trace[1:]))
     # best is the point whose residual ends the trace, to the bit
+    at_best = fit_circuit(data, "first_order", best, ref_substrate, max_iter=0)
+    assert at_best.rms_residual == trace[-1]
+
+
+def test_fit_capped_on_the_anchored_path_counts_the_anchor(ref_substrate):
+    # the anchor is the first of the three accepted steps, the anchored
+    # stage takes the other two, and the free stage none
+    data = _weak_parasitic_data(ref_substrate)
+    pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
+    initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
+    with pytest.raises(DivergedFitError, match="^fit did not converge within 3 iterations") as info:
+        fit_circuit(data, "first_order", initial, ref_substrate, max_iter=3)
+    trace, best = info.value.trace, info.value.best
+    assert len(trace) == 4
+    assert all(b < a for a, b in zip(trace, trace[1:]))
+    q = 1.0 / (2.0 * math.pi * synthesis._null_frequency(data.frequency, data.s21)) ** 2
+    assert best["C_series"] == q / best["L_series"]
     at_best = fit_circuit(data, "first_order", best, ref_substrate, max_iter=0)
     assert at_best.rms_residual == trace[-1]
 
@@ -477,6 +504,9 @@ def test_fit_with_no_improving_step_returns_the_start(ref_circuit, ref_substrate
     assert result.iterations == 0
     assert result.trace == (result.rms_residual,) == (0.0,)
     assert result.params == start
+    # the data's null is found, but the anchored start cannot lower a zero cost
+    assert synthesis._null_frequency(data.frequency, data.s21) is not None
+    assert result.f_null is None
 
 
 def test_fit_input_validation(ref_substrate):
@@ -492,6 +522,121 @@ def test_fit_input_validation(ref_substrate):
         fit_circuit(data, "first_order", bad, ref_substrate)
     with pytest.raises(InvalidParameterError, match="max_iter must be >= 0, got -1"):
         fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate, max_iter=-1)
+    # range() refused the floats with a bare TypeError, and True ran one iteration
+    for max_iter in (2.5, math.inf, True):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^max_iter must be an int, got {max_iter!r}$"):
+            fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate,
+                        max_iter=max_iter)
+
+
+def _fit_digest(result):
+    """SHA-256 of the repr of a fit's element values and residual trace;
+    repr is each float's shortest exact form, so equal digests mean equal
+    bits."""
+    key = repr(([float(v) for v in result.params.values()], list(result.trace)))
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
+# (f_start, n_points) of each first-order grid, and where its deepest
+# sample lies: 4-8 GHz lies above the 3.17 GHz null; from 3.18 GHz the
+# first sample is far under the median but at the edge; 15 points skip
+# the null, and their deepest sample lies only 18.3 dB under the median.
+_UNANCHORED_GRIDS = {
+    "no-null": ((4e9, 801), "edge", False),
+    "null-at-the-edge": ((3.18e9, 801), "edge", True),
+    "shallow-dip": ((1e9, 15), "inside", False),
+}
+
+
+@pytest.mark.parametrize("case, iterations, digest", [
+    ("no-null", 26, "172c538b1610f0b9477367d938a54930be622410983f79e657b82df34c8283b3"),
+    ("null-at-the-edge", 12, "c09fea40e1474028b399509ab8c13100d5212cb3e7b5337f0a15379e59d996d7"),
+    ("shallow-dip", 10, "8d26abd350c385972b81d708d64b9f5ef911484274a4d1f25aa8e7fa97a2dae7"),
+    ("second-order", 9, "4c32b7773b2bbd688ea64f06cc1173d14e25093d1c023b73e78237612e73c0c8"),
+])
+def test_fits_without_an_anchor_keep_the_bits_of_the_single_stage_fitter(
+    ref_substrate, case, iterations, digest
+):
+    # each digest was recorded from the fitter before it had an anchored
+    # stage: a fit that takes no anchor runs the same free loop
+    if case == "second-order":
+        sub, _, data, initial = _second_order_problem()
+        result = fit_circuit(data, "second_order", initial, sub)
+    else:
+        grid, where, deep = _UNANCHORED_GRIDS[case]
+        data = _weak_parasitic_data(ref_substrate, *grid)
+        db = data.s21_db
+        j = int(np.argmin(db))
+        assert ("edge" if j in (0, db.size - 1) else "inside") == where
+        assert (db[j] <= np.median(db) - synthesis.NULL_DEPTH_DB) == deep
+        pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
+        initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), pattern)}
+        result = fit_circuit(data, "first_order", initial, ref_substrate)
+    assert result.f_null is None
+    assert result.iterations == iterations
+    assert _fit_digest(result) == digest
+
+
+def _panel_problem(k, ref_circuit, sub):
+    """Noisy first-order data drawn like the benchmark's fit panel: a truth
+    within 15% of the reference circuit on a lossy line, 801 points over
+    1-8 GHz with 2e-3 complex noise per component, and a start within 10%
+    of the truth.  Returns the data, start, truth and rms noise."""
+    rng = np.random.default_rng([42, k])
+    truth = {n: v * (1.0 + rng.uniform(-0.15, 0.15)) for n, v in asdict(ref_circuit).items()}
+    start = {n: v * math.exp(rng.uniform(math.log(0.9), math.log(1.1))) for n, v in truth.items()}
+    freqs = np.linspace(1e9, 8e9, 801)
+    stack = build_first_order(ExtractedCircuit(**truth), sub, dielectric_loss=True)
+    s11, s21 = stack_response(stack, freqs)
+    noise = 2e-3 * (rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size))
+    floor = math.sqrt(float(np.mean(np.abs(noise) ** 2)))
+    return ResponseTable(freqs, s11, s21 + noise), start, truth, floor
+
+
+# Without the anchor each of these problems ended in a wrong basin, with
+# some element off by a factor of 30 to 2.3e5.
+@pytest.mark.parametrize("k", [0, 1, 4, 5, 6, 7, 9, 11])
+def test_anchored_fit_recovers_first_order_problems_that_fail_unanchored(
+    ref_circuit, ref_substrate, k
+):
+    data, start, truth, floor = _panel_problem(k, ref_circuit, ref_substrate)
+    result = fit_circuit(data, "first_order", start, ref_substrate, dielectric_loss=True)
+    assert result.f_null is not None
+    assert result.rms_residual <= 1.5 * floor
+    for name, value in truth.items():
+        assert result.params[name] == pytest.approx(value, rel=0.02), name
+
+
+def test_the_anchor_holds_the_series_product_at_the_refined_null(ref_circuit, ref_substrate):
+    data, start, truth, _ = _panel_problem(0, ref_circuit, ref_substrate)
+    result = fit_circuit(data, "first_order", start, ref_substrate, dielectric_loss=True)
+    # the null of the table's own dB curve, to rounding: the fit takes its
+    # logarithms from math, s21_db from numpy
+    db = data.s21_db
+    refined = _refine_quadratic(data.frequency, db, int(np.argmin(db)))[0]
+    assert result.f_null == pytest.approx(refined, rel=1e-12)
+    q = 1.0 / (2.0 * math.pi * result.f_null) ** 2
+    assert q == pytest.approx(truth["L_series"] * truth["C_series"], rel=2e-2)
+    # a cap of one accepted step stops at the anchor: the start with
+    # C_series = q / L_series, which lowers the residual
+    with pytest.raises(DivergedFitError) as info:
+        fit_circuit(data, "first_order", start, ref_substrate, dielectric_loss=True, max_iter=1)
+    assert info.value.best == dict(start, C_series=q / start["L_series"])
+    assert info.value.trace[1] < info.value.trace[0]
+
+
+def test_an_anchor_outside_the_capacitance_range_is_refused(ref_circuit, ref_substrate):
+    # a 1 kH series inductor lies in range, but q / L_series does not: the
+    # anchor is refused, and the free loop runs from the start
+    data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 8e9, 801)
+    start = dict(asdict(ref_circuit), L_series=1e3)
+    q = 1.0 / (2.0 * math.pi * synthesis._null_frequency(data.frequency, data.s21)) ** 2
+    with pytest.raises(InvalidParameterError, match=r"^C_series must lie in \[1e-21, 1e3\] F"):
+        fit_circuit(data, "first_order", dict(start, C_series=q / 1e3), ref_substrate, max_iter=0)
+    result = fit_circuit(data, "first_order", start, ref_substrate)
+    assert result.f_null is None
+    assert all(b < a for a, b in zip(result.trace, result.trace[1:]))
 
 
 def _overflow_threshold(ref_circuit, sub, freqs, lo, hi):
