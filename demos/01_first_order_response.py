@@ -59,7 +59,7 @@ print("the parasitic inductor load the sheet.")
 
 # coarse sketch of |S21| in dB: one column per frequency bucket
 print("\n|S21| (dB), 1-12 GHz:")
-db = table.s21_db
+db = 20 * np.log10(np.abs(table.s21))  # the display trace, in dB
 n_cols = 100
 buckets = np.array_split(db, n_cols)
 col_db = np.array([b.max() for b in buckets])

@@ -40,7 +40,7 @@ stack = build_second_order((branch_a, branch_b), middle, substrate)
 table = sweep(stack, 1.5 * GHZ, 4.9 * GHZ, 1701)
 rep = band_report(table)
 
-db = table.s21_db
+db = 20 * np.log10(np.abs(table.s21))  # the display trace, in dB
 peaks = [
     i
     for i in range(1, len(table) - 1)

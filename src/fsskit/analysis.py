@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import check, check_frequencies, frequency_array
+from .domain import check, check_frequencies, check_real, frequency_array
 from .errors import (
     BandStructureError,
     EmptySweepError,
@@ -81,14 +81,6 @@ class ResponseTable:
 
     def __len__(self):
         return self.frequency.size
-
-    @property
-    def s21_db(self) -> np.ndarray:
-        db = np.abs(self.s21)
-        with np.errstate(divide="ignore"):
-            np.log10(db, out=db)
-        db *= 20.0
-        return db
 
 
 def _read_only_owner(arr) -> bool:
@@ -174,24 +166,26 @@ def band_report(table: ResponseTable) -> BandReport:
     """Extract dual-band metrics from a swept response.
 
     The table must contain exactly two passbands: groups of local |S21|
-    maxima above the half-power line, where a valley not above that line
-    separates groups (so a ripple band with two poles counts once).
+    maxima above the half-power line, |S21|^2 > 10**-0.3, where a valley
+    not above that line separates groups (so a ripple band with two poles
+    counts once).
     """
     f = table.frequency
-    db = table.s21_db
+    power = _power(table.s21)
+    line = 10.0 ** (BAND_THRESHOLD_DB / 10.0)
 
     # Local maxima: strictly above the left neighbor, not below the right
-    # one, and finite (NaN and -inf samples never qualify).
-    m = db[1:-1]
-    mask = np.greater(m, db[:-2])
-    scratch = np.greater_equal(m, db[2:])
+    # one, and finite (NaN and inf samples never qualify).
+    m = power[1:-1]
+    mask = np.greater(m, power[:-2])
+    scratch = np.greater_equal(m, power[2:])
     mask &= scratch
     mask &= np.isfinite(m, out=scratch)
     peaks = 1 + np.flatnonzero(mask)
-    qualified = peaks[db[peaks] > BAND_THRESHOLD_DB]
+    qualified = peaks[power[peaks] > line]
     # Neighbouring peaks share a band while the valley between them (its
     # lowest sample) stays above the line, which a NaN valley does not.
-    joined = np.minimum.reduceat(db, qualified)[:-1] > BAND_THRESHOLD_DB
+    joined = np.minimum.reduceat(power, qualified)[:-1] > line
     count = qualified.size - np.count_nonzero(joined)
     if count != 2:
         raise BandStructureError(
@@ -203,14 +197,14 @@ def band_report(table: ResponseTable) -> BandReport:
     # Null: deepest sample strictly between the two bands.  A floor-level
     # sample is an exact zero and is reported without interpolation.
     lo, hi = lower_band[-1], upper_band[0]
-    j = lo + 1 + int(np.argmin(db[lo + 1 : hi]))
-    if db[j] <= ZERO_FLOOR_DB:
+    j = lo + 1 + int(np.argmin(power[lo + 1 : hi]))
+    if power[j] <= 10.0 ** (ZERO_FLOOR_DB / 10.0):
         f_zero = float(f[j])
     else:
-        f_zero, _ = _refine_quadratic(f, db, j)
+        f_zero, _ = _refine_quadratic(f, power, j)
 
-    f_lower, level_lower, bw_lower = _band(f, db, lower_band, "lower", j)
-    f_upper, level_upper, bw_upper = _band(f, db, upper_band, "upper", j)
+    f_lower, level_lower, bw_lower = _band(f, power, lower_band, "lower", j)
+    f_upper, level_upper, bw_upper = _band(f, power, upper_band, "upper", j)
 
     return BandReport(
         f_lower=f_lower,
@@ -224,14 +218,32 @@ def band_report(table: ResponseTable) -> BandReport:
     )
 
 
-def _refine_quadratic(f, db, i) -> tuple[float, float]:
-    """Vertex of the parabola through samples i-1, i, i+1, clamped to the
-    bracketing grid interval; the grid point for non-finite neighborhoods.
-    At a peak or null the slopes have opposite signs, and below 1e15 Hz no
-    quotient underflows (dB steps exceed 1e-31), so the curvature is nonzero."""
+def _power(s: np.ndarray) -> np.ndarray:
+    """|s|^2 as re*re + im*im, squared one block at a time so that a long
+    column holds one full-length array: IEEE products and sums, the same
+    bits at every numpy CPU dispatch level, as numpy's abs is not."""
+    power = np.empty(s.shape)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        for k in range(0, s.size, 16384):
+            part = s[k : k + 16384]
+            power[k : k + 16384] = part.real * part.real + part.imag * part.imag
+    return power
+
+
+def _db(p: float) -> float:
+    """10*log10(p) through ``math``: -inf for 0, NaN for NaN."""
+    return 10.0 * math.log10(p) if p else -math.inf
+
+
+def _refine_quadratic(f, power, i) -> tuple[float, float]:
+    """Vertex of the parabola through samples i-1, i, i+1 of the dB curve
+    ``_db(power)``, clamped to the bracketing grid interval; the grid point
+    for non-finite neighborhoods.  At a peak or null the slopes have
+    opposite signs, and below 1e15 Hz no quotient underflows (dB steps
+    exceed 1e-31), so the curvature is nonzero."""
     # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
     x1, x2, x3 = f[i - 1 : i + 2].tolist()
-    y1, y2, y3 = db[i - 1 : i + 2].tolist()
+    y1, y2, y3 = map(_db, power[i - 1 : i + 2].tolist())
     if not (math.isfinite(y1) and math.isfinite(y2) and math.isfinite(y3)):
         return x2, y2
     d1 = (y2 - y1) / (x2 - x1)
@@ -243,40 +255,41 @@ def _refine_quadratic(f, db, i) -> tuple[float, float]:
     return x_star, y_star
 
 
-def _band(f, db, band, which, null) -> tuple[float, float, float]:
+def _band(f, power, band, which, null) -> tuple[float, float, float]:
     """Refined frequency and level of the band's highest peak, and its
     fractional 3 dB width: crossings of (peak - 3 dB) found by linear
     interpolation outward from the band's outermost peaks that reach the
     target level (a grouped peak under it would bracket no crossing).  A null
     not under the target merges the bands, and a band with no sample at the
     target level is not resolved by the grid."""
-    f_peak, peak_level = _refine_quadratic(f, db, band[int(np.argmax(db[band]))])
+    f_peak, peak_level = _refine_quadratic(f, power, band[int(np.argmax(power[band]))])
     target = peak_level - 3.0
-    if not db[null] < target:
+    level = 10.0 ** (target / 10.0)  # the target as |S21|^2
+    if not power[null] < level:
         raise BandStructureError(
-            f"the {which} band merges with the other one: the null at {db[null]:.3f} dB is "
-            f"not 3 dB under its refined peak level of {peak_level:.3f} dB",
+            f"the {which} band merges with the other one: the null at {_db(power[null]):.3f} dB "
+            f"is not 3 dB under its refined peak level of {peak_level:.3f} dB",
             band_count=2,
         )
-    band = [i for i in band if db[i] >= target]
+    band = [i for i in band if power[i] >= level]
     if not band:
         raise BandStructureError(
             f"the {which} band is not resolved by the grid: no sample reaches "
             f"3 dB below its refined peak level of {peak_level:.3f} dB",
             band_count=2,
         )
-    f_lo = _crossing(f, db, band[0], target, which, "low")
-    f_hi = _crossing(f, db, band[-1], target, which, "high")
+    f_lo = _crossing(f, power, band[0], target, level, which, "low")
+    f_hi = _crossing(f, power, band[-1], target, level, which, "high")
     return f_peak, peak_level, (f_hi - f_lo) / f_peak
 
 
-def _crossing(f, db, start, target, which, side) -> float:
-    """Crossing at the nearest sample under the target level below
-    ``start`` (side "low") or above it (side "high"), interpolated toward
-    the sample next to it on the ``start`` side."""
+def _crossing(f, power, start, target, level, which, side) -> float:
+    """Crossing at the nearest sample under the target (``target`` dB,
+    ``level`` |S21|^2) below ``start`` (side "low") or above it (side
+    "high"), interpolated in dB toward its neighbour on the ``start`` side."""
     low = side == "low"
     # samples under the target, nearest to start first (start >= 1: a peak)
-    under = db[start - 1 :: -1] < target if low else db[start + 1 :] < target
+    under = power[start - 1 :: -1] < level if low else power[start + 1 :] < level
     k = int(np.argmax(under))
     if not under[k]:
         raise TruncatedBandError(
@@ -285,9 +298,10 @@ def _crossing(f, db, start, target, which, side) -> float:
             side=f"{which}-{side}",
         )
     i, step = (start - 1 - k, 1) if low else (start + 1 + k, -1)
-    if not np.isfinite(db[i]):
+    y, y_next = _db(power[i]), _db(power[i + step])
+    if not math.isfinite(y):  # an exact zero
         return float(f[i])
-    frac = (target - db[i]) / (db[i + step] - db[i])
+    frac = (target - y) / (y_next - y)
     return float(f[i] + frac * (f[i + step] - f[i]))
 
 
@@ -339,7 +353,8 @@ def parametric_sweep(
 def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     """Moving average of the complex S-parameters over a frequency window,
     used to knock ripple off imported measurement data.  The window must be
-    narrower than the data's span, or the centre sample averages it all.
+    a real number (a bool is not one), and narrower than the data's span,
+    or the centre sample averages it all.
     One O(n) plan serves both columns; its bound and its refusal of data
     that are not finite are those of ``_moving_average``."""
     f = table.frequency
@@ -373,6 +388,7 @@ def _moving_average(f: np.ndarray, window_hz: float):
     running sum overflows, are refused: they would spread NaN from the
     first bad sample to the end of the column.
     """
+    check_real("window", window_hz)
     if not 0.0 < window_hz < np.inf:
         raise InvalidParameterError(f"window must be finite and positive, got {window_hz}")
     span = f[-1] - f[0]

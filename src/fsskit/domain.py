@@ -30,12 +30,14 @@ beyond printed cells, and inside them no stage leaves the float range:
 * Sweeps: a sweep holds at most 64 bytes a point beside one-byte masks:
   its float grid (8; a parametric sweep's copy with the zero inserted, 8
   more), the engine's one block of two or three complex rows (32 or 48)
-  and ``band_report``'s dB array (8).  So 1e7 points hold under 0.7 GB,
+  and ``band_report``'s |S21|^2 array (8).  So 1e7 points hold under 0.7 GB,
   and a larger count is a range error, not numpy's allocation error or
   its size limit.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -62,6 +64,14 @@ def check(quantity: str, name: str, value, error=InvalidParameterError):
     lo, hi, span = RANGES[quantity]
     if not lo <= value <= hi:  # NaN fails too
         raise error(f"{name} must lie in {span}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse ``value`` unless it is a real number and not a bool, which
+    would count as 0 or 1; a string, None or a complex would fail later
+    with a bare TypeError or ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
 def check_elements(circuit, shorted: str = "") -> None:

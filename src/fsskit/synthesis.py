@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import EPS0
-from .domain import check
+from .domain import check, check_real
 from .errors import (
     DivergedFitError,
     FssError,
@@ -38,7 +38,7 @@ from .extraction import (
     effective_permittivity,
 )
 from .lumped import SeriesLC, Tank
-from .analysis import ResponseTable, _moving_average, _refine_quadratic
+from .analysis import ResponseTable, _moving_average, _power, _refine_quadratic
 from .topology import (
     Incidence,
     Substrate,
@@ -231,8 +231,9 @@ def fit_circuit(
     """Least-squares fit of circuit values to measured/simulated S21.
 
     Model and data are compared through one observation map: S21, moving
-    averaged when ``smooth_hz`` is given, then |S21| (``magnitude_only``)
-    or its real parts followed by its imaginary parts.  The fit minimizes
+    averaged when ``smooth_hz`` is given, then |S21| (``magnitude_only``,
+    the root of the |S21|^2 that ``band_report`` reads) or its real parts
+    followed by its imaginary parts.  The fit minimizes
     the sum of squares of the observed model minus the observed data over
     log-parameterized element values, and the rms residual divides that
     sum by the number of frequencies.  Marquardt's damping
@@ -251,16 +252,17 @@ def fit_circuit(
     show that product directly.  A null is the deepest |S21| sample when it
     lies at least ``NULL_DEPTH_DB`` (20 dB) under the median |S21| and is
     neither the first nor the last sample; ``f_null`` is its frequency
-    refined by the parabola through it and its neighbours on the dB curve,
-    and q = 1/(2 pi f_null)^2.  The anchor is one trial step, to the start
-    with C_series = q / L_series, under the loop's own rule: it is taken
-    only if it evaluates and lowers the residual, and then it counts as
-    one accepted iteration.  The loop then runs over log L_series, L_tank,
-    C_tank and L_parasitic with C_series = q / L_series, and last over all
-    five elements.  The null is read from |S21| of the raw data, with or
-    without ``magnitude_only`` or ``smooth_hz``: a moving average across
-    the null fills it and moves it (on demo 06's data the averaged null
-    lies 3.9e-4 from the true zero, the raw one 7.1e-5).  Every other fit,
+    refined on the dB curve by the parabola through it and its neighbours,
+    as ``band_report`` refines its null: q = 1/(2 pi f_null)^2.  The anchor
+    is one trial step, to the start with C_series = q / L_series, under
+    the loop's own rule: it is taken only if it evaluates and lowers the
+    residual, and then it counts as one accepted iteration.  The loop then
+    runs over log L_series, L_tank, C_tank and L_parasitic with C_series =
+    q / L_series, and last over all five elements.  The null is read from
+    |S21| of the raw data, with or without ``magnitude_only`` or
+    ``smooth_hz``: a moving average across the null fills it and moves it
+    (on demo 06's data the averaged null lies 3.9e-4 from the true zero,
+    the raw one 7.1e-5).  Every other fit,
     second order, data without a null, ``max_iter = 0`` or an anchor that
     does not lower the residual, runs the free loop alone from the start.
     Second-order fits stay local refiners: starts more than roughly 10-15%
@@ -270,7 +272,9 @@ def fit_circuit(
     ``smooth_hz`` is a window in Hz for the moving average of
     ``smooth_response``.  It applies to the data and to every model trace
     alike, to the complex S21 before any magnitude is taken, so it averages
-    noise without biasing the answer.
+    noise without biasing the answer.  A start value that is not a real
+    number, or is a bool, is refused as invalid-parameter, naming its
+    element; so is such a window.
 
     Data whose S21 is not finite are refused as invalid-parameter, naming
     the first such frequency, before any model is evaluated; so is
@@ -293,6 +297,8 @@ def fit_circuit(
     missing = [n for n in names if n not in initial]
     if missing:
         raise InvalidParameterError(f"initial guess is missing {missing}")
+    for n in names:
+        check_real(f"initial {n}", initial[n])
     x0 = np.array([float(initial[n]) for n in names])
     if np.any(x0 <= 0.0):
         raise InvalidParameterError("all initial circuit values must be positive")
@@ -313,7 +319,7 @@ def fit_circuit(
         if average is not None:
             s21 = average(s21)
         if magnitude_only:
-            return np.abs(s21)
+            return np.sqrt(_power(s21))
         return np.concatenate([s21.real, s21.imag])
 
     target = observed(data.s21)
@@ -384,20 +390,15 @@ def fit_circuit(
 
 def _null_frequency(f, s21):
     """The frequency of the deepest |S21| sample, refined by
-    ``_refine_quadratic`` on the dB curve, or None unless that sample lies
-    ``NULL_DEPTH_DB`` under the median |S21| and strictly inside the span.
-
-    It works on |S21|^2, formed with products and sums, and takes the
-    three logarithms from ``math``: numpy's ``abs`` and ``log10`` of an
-    array change their last bits with its CPU dispatch level."""
-    with np.errstate(over="ignore"):  # a square past the float range is inf
-        power = s21.real * s21.real + s21.imag * s21.imag
+    ``_refine_quadratic`` as ``band_report`` refines its null, or None
+    unless that sample lies ``NULL_DEPTH_DB`` under the median |S21| and
+    strictly inside the span.  Both read |S21|^2 through ``_power``."""
+    power = _power(s21)
     j = int(np.argmin(power))
     if not (0 < j < power.size - 1
             and power[j] <= np.median(power) / 10.0 ** (NULL_DEPTH_DB / 10.0)):
         return None
-    db = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in power[j - 1:j + 2].tolist()]
-    return _refine_quadratic(f[j - 1:j + 2], np.array(db), 1)[0]
+    return _refine_quadratic(f, power, j)[0]
 
 
 def _cost(r):

@@ -290,7 +290,7 @@ def test_criterion_7_second_order_structure():
 
     table = sweep(stack, 1.5e9, 4.9e9, 1701)
     rep = band_report(table)
-    db = table.s21_db
+    db = 20 * np.log10(np.abs(table.s21))
     peaks = [
         i
         for i in range(1, len(table) - 1)

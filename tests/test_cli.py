@@ -7,7 +7,7 @@ import platform
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from fsskit import (
     circuit_from_targets,
     exact_poles,
     extract_circuit,
+    fit_circuit,
     geometry_from_circuit,
     load_response,
     predict_resonances,
@@ -1410,7 +1411,9 @@ def test_console_entry_writes_the_files_of_an_in_process_run(tmp_path, case):
 # Every command on its demo config, and fit on its three golden cases.
 # numpy picks its kernels for the CPU at import, and OpenBLAS picks its own;
 # their bits differ between levels (np.log10 and complex products among
-# them).  The files these runs write must not follow either choice.
+# them).  The files these runs write must not follow either choice, and
+# neither must the band reports of the analyze runs' tables or the values
+# of a magnitude-only fit, which the child prints in hex.
 _DISPATCH_RUNS = [
     ("analyze", "sc_band_first_order.json"),
     ("analyze", "second_order.json"),
@@ -1424,12 +1427,22 @@ _DISPATCH_CHILD = """
 import json
 import sys
 from pathlib import Path
+from dataclasses import astuple
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from fsskit import Substrate, band_report, fit_circuit, load_response
 from fsskit.cli import run
 assert not any(__cpu_features__[t] for t in __cpu_dispatch__), __cpu_features__
 out = Path(sys.argv[1])
-for k, (command, config, smooth_ghz) in enumerate(json.loads(sys.argv[2])):
+runs = json.loads(sys.argv[2])
+for k, (command, config, smooth_ghz) in enumerate(runs):
     run(command, config, out / str(k), smooth_ghz=smooth_ghz)
+data, initial, sub = json.loads(sys.argv[3])
+fit = fit_circuit(load_response(data), "first_order", initial, Substrate(*sub), magnitude_only=True)
+print(json.dumps(
+    [[v.hex() for v in astuple(band_report(load_response(out / str(k) / "response.s2p")))]
+     for k, (command, _, _) in enumerate(runs) if command == "analyze"]
+    + [[v.hex() for v in fit.params.values()]]
+))
 """
 
 
@@ -1446,6 +1459,17 @@ def test_data_files_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
         (tmp_path / case).mkdir(exist_ok=True)
         _write_fit_s2p(tmp_path / case / cfg["fit"]["data"], cfg["fit"]["template"])
         runs.append((command, str(_write(tmp_path / case, cfg)), smooth_ghz))
+    # noisy weak-parasitic data for a magnitude-only fit from 5% off the truth
+    sub = (0.635e-3, 10.2, 0.0023)
+    truth = ExtractedCircuit(4.918e-9, 0.5115e-12, 4.0512e-9, 0.3102e-12, 25e-9)
+    stack = topology.build_first_order(truth, topology.Substrate(*sub))
+    freqs = np.linspace(1e9, 8e9, 801)
+    s11, s21, s22 = topology.stack_response_full(stack, freqs)
+    rng = np.random.default_rng(43)
+    s21 = s21 + 2e-3 * (rng.standard_normal(801) + 1j * rng.standard_normal(801))
+    port = topology.port_impedance(topology.Incidence())
+    write_touchstone(freqs, s11, s21, s21, s22, tmp_path / "magnitude.s2p", port)
+    fit = (str(tmp_path / "magnitude.s2p"), {k: 1.05 * v for k, v in asdict(truth).items()}, sub)
     # what this process already turned off stays off: turning off X86_V3
     # alone, say, leaves X86_V4 on
     disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES"), *present]
@@ -1458,13 +1482,23 @@ def test_data_files_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
         env.update(OPENBLAS_CORETYPE="Prescott", OPENBLAS_VERBOSE="2")
         expected_err = "Core: Katmai\n"
     proc = subprocess.run(
-        [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "child"), json.dumps(runs)],
+        [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "child"), json.dumps(runs),
+         json.dumps(fit)],
         capture_output=True, text=True, env=env,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", expected_err)
+    assert (proc.returncode, proc.stderr) == (0, expected_err)
+    figures = []
     for k, (command, config, smooth_ghz) in enumerate(runs):
         run(command, config, tmp_path / "here" / str(k), smooth_ghz=smooth_ghz)
         assert _digests(tmp_path / "child" / str(k)) == _digests(tmp_path / "here" / str(k)), config
+        if command == "analyze":
+            rep = band_report(load_response(tmp_path / "here" / str(k) / "response.s2p"))
+            figures.append([v.hex() for v in astuple(rep)])
+    data, initial, sub = fit
+    result = fit_circuit(load_response(data), "first_order", initial, topology.Substrate(*sub),
+                         magnitude_only=True)
+    figures.append([v.hex() for v in result.params.values()])
+    assert json.loads(proc.stdout) == figures
 
 
 @pytest.mark.parametrize(

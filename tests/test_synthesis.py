@@ -566,7 +566,7 @@ def test_fits_without_an_anchor_keep_the_bits_of_the_single_stage_fitter(
     else:
         grid, where, deep = _UNANCHORED_GRIDS[case]
         data = _weak_parasitic_data(ref_substrate, *grid)
-        db = data.s21_db
+        db = 20.0 * np.log10(np.abs(data.s21))
         j = int(np.argmin(db))
         assert ("edge" if j in (0, db.size - 1) else "inside") == where
         assert (db[j] <= np.median(db) - synthesis.NULL_DEPTH_DB) == deep
@@ -611,10 +611,10 @@ def test_anchored_fit_recovers_first_order_problems_that_fail_unanchored(
 def test_the_anchor_holds_the_series_product_at_the_refined_null(ref_circuit, ref_substrate):
     data, start, truth, _ = _panel_problem(0, ref_circuit, ref_substrate)
     result = fit_circuit(data, "first_order", start, ref_substrate, dielectric_loss=True)
-    # the null of the table's own dB curve, to rounding: the fit takes its
-    # logarithms from math, s21_db from numpy
-    db = data.s21_db
-    refined = _refine_quadratic(data.frequency, db, int(np.argmin(db)))[0]
+    # the null of the table's own |S21|^2, to rounding: the fit squares S21
+    # with products and sums, np.abs takes a hypot
+    power = np.abs(data.s21) ** 2
+    refined = _refine_quadratic(data.frequency, power, int(np.argmin(power)))[0]
     assert result.f_null == pytest.approx(refined, rel=1e-12)
     q = 1.0 / (2.0 * math.pi * result.f_null) ** 2
     assert q == pytest.approx(truth["L_series"] * truth["C_series"], rel=2e-2)
@@ -691,6 +691,43 @@ def test_fit_refuses_data_that_are_not_finite(ref_circuit, ref_substrate, bad, s
     with pytest.raises(InvalidParameterError) as info:
         fit_circuit(table, "first_order", asdict(ref_circuit), ref_substrate, smooth_hz=smooth_hz)
     assert str(info.value) == f"S21 must be finite, got {s21[400]} at {data.frequency[400]} Hz"
+
+
+@pytest.mark.parametrize("window", [True, "1e8", 1e8 + 0j], ids=["bool", "str", "complex"])
+def test_fit_refuses_a_smoothing_window_that_is_not_a_real_number(ref_substrate, window):
+    # True fitted through a 1 Hz window, as if unsmoothed; the others ended
+    # in a bare TypeError
+    data = _weak_parasitic_data(ref_substrate)
+    with pytest.raises(InvalidParameterError) as info:
+        fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate, max_iter=0,
+                    smooth_hz=window)
+    assert str(info.value) == f"window must be a real number, got {window!r}"
+
+
+@pytest.mark.parametrize("value", [True, "x", None], ids=["bool", "str", "None"])
+def test_fit_refuses_a_start_value_that_is_not_a_real_number(ref_substrate, value):
+    # True started at 1.0 F; "x" and None ended in a bare ValueError or TypeError
+    data = _weak_parasitic_data(ref_substrate)
+    with pytest.raises(InvalidParameterError) as info:
+        fit_circuit(data, "first_order", dict(WEAK_PARASITIC, C_tank=value), ref_substrate,
+                    max_iter=0)
+    assert str(info.value) == f"initial C_tank must be a real number, got {value!r}"
+
+
+def test_an_exact_short_in_the_data_anchors_the_fit_at_its_sample(ref_circuit, ref_substrate):
+    # the deepest sample is an exact zero, -inf dB: no parabola runs
+    # through it, and the null is the sample's own frequency
+    f_zero = predict_resonances(ref_circuit).f_zero
+    grid = np.union1d(np.linspace(1e9, 8e9, 801), [f_zero])
+    data = ResponseTable(grid, *stack_response(build_first_order(ref_circuit, ref_substrate), grid))
+    assert data.s21[np.searchsorted(grid, f_zero)] == 0.0
+    truth = asdict(ref_circuit)
+    pattern = (1.10, 0.90, 1.10, 0.90, 1.10)
+    initial = {k: v * s for (k, v), s in zip(truth.items(), pattern)}
+    result = fit_circuit(data, "first_order", initial, ref_substrate)
+    assert result.f_null == f_zero
+    for name, value in truth.items():
+        assert result.params[name] == pytest.approx(value, rel=1e-6), name
 
 
 def test_smoothed_fit_refuses_data_whose_running_sum_overflows(ref_circuit, ref_substrate):
