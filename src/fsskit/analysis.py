@@ -145,8 +145,6 @@ def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndar
     check("frequency", "f_stop", f_stop)
     if not f_start < f_stop:
         raise InvalidParameterError(f"need f_start < f_stop, got {f_start}, {f_stop}")
-    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
-        raise InvalidParameterError(f"n_points must be an integer, got {n_points!r}")
     check("n_points", "n_points", n_points)
     if spacing == "linear":
         grid = np.linspace(f_start, f_stop, n_points)

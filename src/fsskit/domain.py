@@ -1,8 +1,11 @@
 """The input domain: one range per quantity, checked where values enter
 (element, substrate, geometry and target constructors, ``foster_transform``
-and ``geometry_from_circuit`` arguments, every frequency) with one message,
-``<name> must lie in [lo, hi] <unit>, got <value>``.  The ranges reach far
-beyond printed cells, and inside them no stage leaves the float range:
+and ``geometry_from_circuit`` arguments, a fit's starts, every frequency
+and count) with one message, ``<name> must lie in [lo, hi] <unit>, got
+<value>``.  Each value must first be a real number (an integer for a
+count) and not a bool, or ``<name> must be a real number, got <repr>``:
+``check_real``, which values without a range call too.  The ranges reach
+far beyond printed cells, and inside them no stage leaves the float range:
 
 * Sheet: p, q, r = L_tank*C_tank, L_series*C_series, L_tank*C_series lie in
   [1e-39, 1e9] s^2 and x = (2*pi*f)^2 in [3.9e7, 3.9e31] s^-2.  The pole
@@ -52,6 +55,7 @@ _TABLE = {
     "eps_r": ("1", "1e4", ""),
     "tan_delta": ("0", "10", ""),
     "n_points": ("2", "1e7", ""),
+    "max_iter": ("0", "inf", ""),
 }
 RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) in _TABLE.items()}
 
@@ -60,26 +64,30 @@ _ELEMENTS = {"L": "inductance", "C": "capacitance"}
 
 
 def check(quantity: str, name: str, value, error=InvalidParameterError):
-    """Raise ``error`` unless ``value`` lies in the range of ``quantity``."""
+    """Raise ``error`` unless ``value`` is a number (``check_real``) in ``quantity``'s range."""
     lo, hi, span = RANGES[quantity]
+    check_real(name, value, error, integer=quantity in ("n_points", "max_iter"))
     if not lo <= value <= hi:  # NaN fails too
         raise error(f"{name} must lie in {span}, got {value}")
 
 
-def check_real(name: str, value) -> None:
-    """Refuse ``value`` unless it is a real number and not a bool, which
-    would count as 0 or 1; a string, None or a complex would fail later
-    with a bare TypeError or ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+def check_real(name: str, value, error=InvalidParameterError, integer: bool = False) -> None:
+    """Raise ``error`` unless ``value`` is a ``numbers.Real`` (with ``integer``
+    a ``numbers.Integral``) and not a bool, which would count as 0 or 1."""
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{name} must be {noun}, got {value!r}")
 
 
-def check_elements(circuit, shorted: str = "") -> None:
-    """Check every element of a circuit dataclass by its name's initial;
-    the element named ``shorted`` may also be 0."""
-    for name, value in vars(circuit).items():
-        if not (name == shorted and value == 0.0):
-            check(_ELEMENTS[name[0]], name, value)
+def check_elements(values: dict, shorted: str = "", prefix: str = "") -> None:
+    """Check element values by their names' initials, each named with
+    ``prefix``; the one named ``shorted`` may be 0 once it is a number."""
+    for name, value in values.items():
+        if name == shorted:
+            check_real(prefix + name, value)
+            if value == 0.0:
+                continue
+        check(_ELEMENTS[name[0]], prefix + name, value)
 
 
 def frequency_array(values) -> np.ndarray:

@@ -63,7 +63,7 @@ class ExtractedCircuit:
     L_parasitic: float = 0.0
 
     def __post_init__(self):
-        check_elements(self, shorted="L_parasitic")  # 0 omits the parasitic
+        check_elements(vars(self), shorted="L_parasitic")  # 0 omits the parasitic
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ResponseTable
-from .domain import check_frequencies, frequency_array
+from .domain import check_frequencies, check_real, frequency_array
 from .errors import InvalidParameterError
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
@@ -211,16 +211,15 @@ def write_touchstone(
     The option-line reference resistance is the real port impedance of the
     run; each line of a comment (angle, polarization) gets its own ``! ``.
     A complex frequency column, columns that are not 1-D of one length, a
-    frequency out of range and a port impedance that is not finite and
-    positive are ``invalid-parameter`` and nothing is written, as
-    ``load_response`` would refuse the file.  The port impedance is checked
-    as written, with ``%.6f``: one that prints as 0.000000 is refused too.
+    frequency out of range, a ``str`` of ``comments`` and a port impedance
+    that is not a real number, finite and positive as written with ``%.6f``
+    (0.000000 is not) are ``invalid-parameter`` and nothing is written, as
+    ``load_response`` would refuse the file.
     """
-    try:
-        r = "%.6f" % port_z
-    except TypeError:  # not a number: its repr is refused below
-        r = repr(port_z)
-    _check_reference_resistance(path, r)
+    check_real("port_z", port_z)
+    if isinstance(comments, str):
+        raise InvalidParameterError(f"comments must be a sequence of strings, got {comments!r}")
+    _check_reference_resistance(path, r := "%.6f" % port_z)
     lines = [f"! reference impedance {r} ohm"]
     lines.extend("! " + "\n! ".join(c.splitlines()) for c in comments)
     lines.append(f"# HZ S RI R {r}")

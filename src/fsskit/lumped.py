@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check, check_elements
+from .domain import check, check_elements, check_real
 from .errors import DegenerateTransformError, InvalidParameterError
 
 
@@ -46,7 +46,7 @@ class SeriesLC:
     C: float
 
     def __post_init__(self):
-        check_elements(self)
+        check_elements(vars(self))
 
     def resonance(self) -> float:
         """Series-resonance frequency in Hz (the branch is a short there)."""
@@ -61,7 +61,7 @@ class Tank:
     C: float
 
     def __post_init__(self):
-        check_elements(self)
+        check_elements(vars(self))
 
     def resonance(self) -> float:
         return _resonance(self.L, self.C)
@@ -74,7 +74,7 @@ class Inductor:
     L: float
 
     def __post_init__(self):
-        check_elements(self, shorted="L")
+        check_elements(vars(self), shorted="L")
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,12 @@ class HybridCircuit:
     C_series: float
 
     def __post_init__(self):
-        # the elements foster_transform derives from branches in the domain
-        # span [1e-55, 1e40] (see fsskit.domain): only their sign is checked
-        for name in ("L_tank", "C_tank", "L_series", "C_series"):
-            if not 0.0 < getattr(self, name) < math.inf:
+        # foster_transform's elements span [1e-55, 1e40] (see fsskit.domain)
+        for name, value in vars(self).items():
+            check_real(name, value)
+            if not 0.0 < value < math.inf:
                 raise InvalidParameterError(
-                    f"hybrid circuit requires positive elements, got {name}={getattr(self, name)}"
+                    f"hybrid circuit requires positive elements, got {name}={value}"
                 )
 
 
@@ -173,8 +173,7 @@ def foster_transform(L1: float, C1: float, L2: float, C2: float) -> HybridCircui
     hybrid form.  Each element is its exact value rounded once to a normal
     float (``fsskit.domain`` shows why), so within a relative 2**-53 of it.
     """
-    for name, value in (("L1", L1), ("C1", C1), ("L2", L2), ("C2", C2)):
-        check("inductance" if name[0] == "L" else "capacitance", name, value)
+    check_elements(dict(L1=L1, C1=C1, L2=L2, C2=C2))
     w1_sq = 1.0 / (L1 * C1)
     w2_sq = 1.0 / (L2 * C2)
     if abs(w1_sq - w2_sq) <= 1e-6 * max(w1_sq, w2_sq):

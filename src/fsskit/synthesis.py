@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import EPS0
-from .domain import check, check_real
+from .domain import check, check_elements
 from .errors import (
     DivergedFitError,
     FssError,
@@ -270,24 +270,22 @@ def fit_circuit(
     extraction chain (or any bench estimate of comparable quality).
 
     ``smooth_hz`` is a window in Hz for the moving average of
-    ``smooth_response``.  It applies to the data and to every model trace
-    alike, to the complex S21 before any magnitude is taken, so it averages
-    noise without biasing the answer.  A start value that is not a real
-    number, or is a bool, is refused as invalid-parameter, naming its
-    element; so is such a window.
+    ``smooth_response``, applied alike to the data and to every model
+    trace, to the complex S21 before any magnitude is taken, so it averages
+    noise without biasing the answer.  Each start value is checked against
+    its element's range as ``initial <name>``.  Data whose S21 is not
+    finite are refused as invalid-parameter, naming the first such
+    frequency, before any model is evaluated; so are smoothed data whose
+    running sum overflows, and data whose residual's sum of squares
+    overflows at the start.
 
-    Data whose S21 is not finite are refused as invalid-parameter, naming
-    the first such frequency, before any model is evaluated; so is
-    smoothed data whose running sum overflows.
-
-    ``max_iter`` caps the accepted steps of all stages together, the
-    anchor included; ``iterations`` counts them, and ``trace`` holds the
-    start's rms and then each accepted step's, stage after stage.
-    ``max_iter = 0`` returns the initial guess unchanged, with the residual
-    evaluated at exactly those values; exhausting a positive cap without
-    meeting the convergence tests raises DivergedFitError carrying the best
-    parameters and the residual trace.  A ``max_iter`` that is not an
-    ``int``, or is a ``bool``, is refused as invalid-parameter.
+    ``max_iter``, an integer of at least 0 (numpy's too), caps the accepted
+    steps of all stages together, the anchor included; ``iterations``
+    counts them, and ``trace`` holds the start's rms and then each accepted
+    step's, stage after stage.  ``max_iter = 0`` returns the initial guess
+    unchanged, with the residual evaluated at exactly those values;
+    exhausting a positive cap without meeting the convergence tests raises
+    DivergedFitError carrying the best parameters and the residual trace.
     """
     if not isinstance(template, str) or template not in TEMPLATES:
         raise InvalidParameterError(
@@ -297,15 +295,9 @@ def fit_circuit(
     missing = [n for n in names if n not in initial]
     if missing:
         raise InvalidParameterError(f"initial guess is missing {missing}")
-    for n in names:
-        check_real(f"initial {n}", initial[n])
+    check_elements({n: initial[n] for n in names}, prefix="initial ")
     x0 = np.array([float(initial[n]) for n in names])
-    if np.any(x0 <= 0.0):
-        raise InvalidParameterError("all initial circuit values must be positive")
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
-        raise InvalidParameterError(f"max_iter must be an int, got {max_iter!r}")
-    if max_iter < 0:
-        raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
+    check("max_iter", "max_iter", max_iter)
 
     freqs = data.frequency
     bad = np.flatnonzero(~np.isfinite(data.s21))
@@ -356,6 +348,8 @@ def fit_circuit(
     # be evaluated is refused with the error that names why.
     point = x0, model_residual(x0)
     cost = _cost(point[1])
+    if cost == math.inf:
+        raise InvalidParameterError("the residual's sum of squares at the start overflows")
     trace = [math.sqrt(cost / freqs.size)]
     theta = np.array([math.log(v) for v in x0])
     f_null = None
@@ -402,8 +396,9 @@ def _null_frequency(f, s21):
 
 
 def _cost(r):
-    """The sum of squares of the residual vector ``r``."""
-    return float(np.sum(r * r))
+    """The sum of squares of the residual vector ``r``, inf if it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(r * r))
 
 
 def _damped_least_squares(evaluate, theta, point, n, max_iter):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0
-from .domain import check, check_frequencies, frequency_array
+from .domain import check, check_frequencies, check_real, frequency_array
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
 from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _susceptance_array
@@ -43,6 +43,7 @@ class Incidence:
     polarization: str = "TE"
 
     def __post_init__(self):
+        check_real("incidence angle", self.theta)
         if not (0.0 <= self.theta < math.pi / 2.0 and math.sin(self.theta) < 1.0):
             raise InvalidParameterError(
                 f"incidence angle must lie in [0, pi/2) with sin(theta) < 1, got {self.theta}"

@@ -792,6 +792,23 @@ def test_fit_names_the_data_file_and_the_bad_value(tmp_path, capsys, name, text,
     assert capsys.readouterr().err == f"error: invalid-parameter: {data}: {message}\n"
 
 
+@pytest.mark.parametrize("magnitude_only", [False, True], ids=["complex", "magnitude"])
+def test_fit_refuses_data_whose_sum_of_squares_overflows(tmp_path, capsys, magnitude_only):
+    # S21 of 1e160 is finite, but its squares are not: the fit exited 0 and
+    # wrote "rms_residual": Infinity, which is not JSON
+    data = tmp_path / "data.s2p"
+    data.write_text("# HZ S RI R 50\n" + "".join(
+        f"{f:.1f} 0 0 1e160 0 1e160 0 0 0\n" for f in np.linspace(1e9, 8e9, 101)))
+    cfg = json.loads(json.dumps(_FIT_CONFIG))
+    cfg["fit"].update(data=str(data), magnitude_only=magnitude_only, max_iter=5)
+    out = tmp_path / "o"
+    assert main(["fit", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid-parameter: the residual's sum of squares at the start overflows\n"
+    )
+    assert not (out / "fit_result.json").exists()
+
+
 def test_fit_rejects_non_boolean_dielectric_loss(tmp_path, capsys):
     cfg = {
         "design": {

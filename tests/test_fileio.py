@@ -103,6 +103,17 @@ def test_touchstone_comment_of_several_lines_round_trips(tmp_path, ref_circuit, 
     np.testing.assert_allclose(back.s21, s21, rtol=0, atol=1e-11)
 
 
+def test_touchstone_writer_refuses_a_str_of_comments(tmp_path):
+    # a str is a sequence of one-character comments: "angle 0" wrote seven
+    # "!" lines, one per character
+    path = tmp_path / "resp.s2p"
+    z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
+    with pytest.raises(InvalidParameterError) as info:
+        write_touchstone(np.array([1e9, 2e9]), z, z, z, z, path, 50.0, comments="angle 0")
+    assert str(info.value) == "comments must be a sequence of strings, got 'angle 0'"
+    assert not path.exists()
+
+
 def test_touchstone_ma_and_db_formats(tmp_path):
     freqs = np.array([1.0, 2.0])  # GHz, the v1 default unit
     s11 = np.array([0.5 + 0.0j, 0.0 + 0.5j])
@@ -501,7 +512,7 @@ def test_touchstone_writer_refuses_columns_of_different_lengths(tmp_path, column
         ([1e9, 2e9], -5.0, "needs a finite positive reference resistance, got '-5.000000'"),
         ([1e9, 2e9], 1e-7, "needs a finite positive reference resistance, got '0.000000'"),
         ([1e9, 2e9], 4e-7, "needs a finite positive reference resistance, got '0.000000'"),
-        ([1e9, 2e9], "50", "needs a finite positive reference resistance, got \"'50'\""),
+        ([1e9, 2e9], "50", "port_z must be a real number, got '50'"),
     ],
     ids=[
         "negative-frequency",

@@ -520,14 +520,29 @@ def test_fit_input_validation(ref_substrate):
     bad = dict(WEAK_PARASITIC, L_series=-1e-9)
     with pytest.raises(InvalidParameterError):
         fit_circuit(data, "first_order", bad, ref_substrate)
-    with pytest.raises(InvalidParameterError, match="max_iter must be >= 0, got -1"):
+    with pytest.raises(InvalidParameterError, match=r"max_iter must lie in \[0, inf\], got -1"):
         fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate, max_iter=-1)
     # range() refused the floats with a bare TypeError, and True ran one iteration
     for max_iter in (2.5, math.inf, True):
         with pytest.raises(InvalidParameterError,
-                           match=f"^max_iter must be an int, got {max_iter!r}$"):
+                           match=f"^max_iter must be an integer, got {max_iter!r}$"):
             fit_circuit(data, "first_order", dict(WEAK_PARASITIC), ref_substrate,
                         max_iter=max_iter)
+
+
+@pytest.mark.parametrize("level", [1e154, 1e160], ids=["1e154", "1e160"])
+@pytest.mark.parametrize("magnitude_only", [False, True], ids=["complex", "magnitude"])
+def test_fit_refuses_data_whose_sum_of_squares_overflows(ref_substrate, magnitude_only, level):
+    # finite data pass the finiteness check, but each square (1e160) or only
+    # their sum (1e154 at 101 samples) passes the float range: the fit
+    # returned rms inf after 0 iterations, with an overflow RuntimeWarning
+    freqs = np.linspace(1e9, 8e9, 101)
+    s21 = np.full(101, level + 0j)
+    table = ResponseTable(freqs, np.zeros(101, complex), s21)
+    with pytest.raises(InvalidParameterError) as info:
+        fit_circuit(table, "first_order", dict(WEAK_PARASITIC), ref_substrate,
+                    magnitude_only=magnitude_only, max_iter=5)
+    assert str(info.value) == "the residual's sum of squares at the start overflows"
 
 
 def _fit_digest(result):
@@ -632,7 +647,8 @@ def test_an_anchor_outside_the_capacitance_range_is_refused(ref_circuit, ref_sub
     data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 8e9, 801)
     start = dict(asdict(ref_circuit), L_series=1e3)
     q = 1.0 / (2.0 * math.pi * synthesis._null_frequency(data.frequency, data.s21)) ** 2
-    with pytest.raises(InvalidParameterError, match=r"^C_series must lie in \[1e-21, 1e3\] F"):
+    with pytest.raises(InvalidParameterError,
+                       match=r"^initial C_series must lie in \[1e-21, 1e3\] F"):
         fit_circuit(data, "first_order", dict(start, C_series=q / 1e3), ref_substrate, max_iter=0)
     result = fit_circuit(data, "first_order", start, ref_substrate)
     assert result.f_null is None
@@ -666,7 +682,8 @@ def test_fit_refuses_a_start_it_cannot_evaluate(ref_circuit, ref_substrate, c_ta
     data = sweep(build_first_order(ref_circuit, ref_substrate), 1e9, 12e9, 41)
     start = dict(asdict(ref_circuit), C_tank=c_tank)
     for max_iter in (0, 10):
-        with pytest.raises(InvalidParameterError, match=r"^C_tank must lie in \[1e-21, 1e3\] F"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^initial C_tank must lie in \[1e-21, 1e3\] F"):
             fit_circuit(data, "first_order", start, ref_substrate, max_iter=max_iter)
 
 
