@@ -44,7 +44,8 @@ from .topology import (
     Substrate,
     build_first_order,
     build_second_order,
-    stack_response,
+    _line_terms,
+    _response_arrays,
 )
 
 #: Default tank inductance for target inversion; sets the impedance level /
@@ -286,6 +287,8 @@ def fit_circuit(
     unchanged, with the residual evaluated at exactly those values;
     exhausting a positive cap without meeting the convergence tests raises
     DivergedFitError carrying the best parameters and the residual trace.
+    The line terms, fixed by the substrate, incidence, loss and grid, are
+    formed once per fit, read-only, and sliced per block at each evaluation.
     """
     if not isinstance(template, str) or template not in TEMPLATES:
         raise InvalidParameterError(
@@ -320,7 +323,7 @@ def fit_circuit(
         """Residual vector at the element values; raises FssError where they
         leave the domain or the network overflows."""
         stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
-        return observed(stack_response(stack, freqs)[1]) - target
+        return observed(_response_arrays(stack, freqs, False, lines)[1]) - target
 
     def evaluated(values):
         """``values`` and their residual, or None where they leave the
@@ -346,6 +349,9 @@ def fit_circuit(
 
     # the accepted values travel with their residual.  A start that cannot
     # be evaluated is refused with the error that names why.
+    start = _build_template(template, dict(zip(names, x0)), sub, inc, dielectric_loss)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as the engine runs
+        lines = _line_terms(start.layers, inc, dielectric_loss, freqs)
     point = x0, model_residual(x0)
     cost = _cost(point[1])
     if cost == math.inf:

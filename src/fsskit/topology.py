@@ -181,20 +181,44 @@ def stack_response_full(stack: FssStack, freqs):
     return _response_arrays(stack, freqs, want_s22=True)
 
 
-def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
-    """Chain-matrix entries of ``layers`` over the grid ``freqs``.  The
-    layers are those of an ``FssStack`` or their reverse, so they start
-    with a node followed by a line.
+def _line_terms(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
+    """Read-only cos(theta), B and C of each line in ``layers`` over ``freqs``.
+    A line is lossy when ``dielectric_loss`` is on and its ``tan_delta`` is
+    above 0.  With no lossy line, A and D of a chain are real and B and C
+    imaginary (Pozar, *Microwave Engineering*, ch. 4): the terms are float64
+    holding B/j and C/j.  Otherwise they are complex128 holding B and C.  A
+    thick lossy line overflows: the caller turns numpy's warnings off."""
+    subs = [layer for layer in layers if isinstance(layer, Substrate)]
+    real = not (dielectric_loss and any(sub.tan_delta > 0.0 for sub in subs))
+    lines = []
+    for sub in subs:
+        _, line_z, theta_d = incidence_media(incidence, sub, freqs, dielectric_loss)
+        sin_t = np.sin(theta_d)
+        if real:
+            # numpy divides (1j * sin_t) by line_z as sin_t * (1 / line_z)
+            terms = np.cos(theta_d), line_z * sin_t, sin_t * (1.0 / line_z)
+        else:
+            # cast once: each complex product would cast a real cos_t again
+            cos_t = np.cos(theta_d).astype(complex, copy=False)
+            terms = cos_t, 1j * line_z * sin_t, 1j * sin_t / line_z
+        for term in terms:
+            term.setflags(write=False)
+        lines.append(terms)
+    return lines
 
-    Every node is lossless.  A line is lossy when ``dielectric_loss`` is
-    on and its ``tan_delta`` is above 0.  With no lossy line, A and D are
-    real and B and C imaginary (Pozar, *Microwave Engineering*, ch. 4):
-    the entries are float64 arrays holding A, B/j, C/j and D.  Otherwise
-    they are complex128 arrays holding A, B, C and D, and a node's
-    admittance is j times its susceptance.  Both run the same steps; the
-    sums that pair two imaginary factors become differences, as j*j = -1.
-    Each real product or sum is the one that the complex one pairs with
-    zeros, in the same order, so both dtypes give the same bits.
+
+def _chain(layers, lines, incidence: Incidence, freqs: np.ndarray):
+    """Chain-matrix entries of ``layers``, whose ``_line_terms`` are ``lines``,
+    over the grid ``freqs``.  The layers are those of an ``FssStack`` or
+    their reverse, so they start with a node followed by a line.
+
+    Every node is lossless.  The entries take the dtype of the terms:
+    float64 arrays holding A, B/j, C/j and D, or complex128 arrays holding
+    A, B, C and D, where a node's admittance is j times its susceptance.
+    Both run the same steps; the sums that pair two imaginary factors
+    become differences, as j*j = -1.  Each real product or sum is the one
+    that the complex one pairs with zeros, in the same order, so both
+    dtypes give the same bits.
 
     Where a node is a perfect short (non-finite admittance), the first such
     node ends transmission: the reflection into the prefix chain terminated
@@ -205,28 +229,16 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     if no node shorts anywhere on the grid.
 
     Each step is a plain expression in the operand order of the matrix
-    product, and writes only arrays made in this call: the line terms,
-    once multiplied in, are never written.  A short divides by zero and
-    a thick lossy line overflows: the caller turns numpy's warnings off.
+    product, and writes only arrays made in this call: the line terms are
+    never written.  A short divides by zero and a lossy line's overflow
+    spreads: the caller turns numpy's warnings off.
     """
-    real = not (
-        dielectric_loss
-        and any(isinstance(layer, Substrate) and layer.tan_delta > 0.0 for layer in layers)
-    )
+    lines = iter(lines)
+    A, B, c_line = next(lines)  # the first line's terms
+    real = A.dtype == float
     plus = np.subtract if real else np.add
     w = 2.0 * math.pi * freqs
     shorted = s11_short = None
-
-    def line_terms(line):
-        """cos(theta) and the line's B and C (B/j and C/j if real)."""
-        _, line_z, theta_d = incidence_media(incidence, line, freqs, dielectric_loss)
-        sin_t = np.sin(theta_d)
-        if real:
-            # numpy divides (1j * sin_t) by line_z as sin_t * (1 / line_z)
-            return np.cos(theta_d), line_z * sin_t, sin_t * (1.0 / line_z)
-        # cast once: each complex product would cast a real cos_t again
-        cos_t = np.cos(theta_d).astype(complex, copy=False)
-        return cos_t, 1j * line_z * sin_t, 1j * sin_t / line_z
 
     def node_term(layer, B, D):
         """The node's susceptance (admittance if complex) behind the
@@ -256,7 +268,6 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     # its + 0, which turns the -0 real part of a lossless complex b_line
     # into +0.  The node sits behind the identity, B = 0, D = 1.
     y = node_term(layers[0], 0j, 1 + 0j)
-    A, B, c_line = line_terms(layers[1])
     D = plus(A, y * B)
     C = y * A + c_line
     if not real:
@@ -264,7 +275,7 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
 
     for layer in layers[2:]:
         if isinstance(layer, Substrate):
-            cos_t, b_line, c_line = line_terms(layer)
+            cos_t, b_line, c_line = next(lines)
             # [A B; C D] @ [cos_t b_line; c_line cos_t]
             A, B = plus(A * cos_t, B * c_line), A * b_line + B * cos_t
             C, D = C * cos_t + D * c_line, plus(D * cos_t, C * b_line)
@@ -275,7 +286,9 @@ def _chain(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarra
     return A, B, C, D, shorted, s11_short
 
 
-def _response_arrays(stack: FssStack, freqs, want_s22: bool):
+def _response_arrays(stack: FssStack, freqs, want_s22: bool, lines=None):
+    """S11, S21 and S22 (or None) over ``freqs``: each block slices ``lines``,
+    the stack's ``_line_terms`` over the whole grid, or forms its own."""
     freqs = frequency_array(freqs)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
@@ -290,19 +303,20 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, freqs.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            _block_response(stack, freqs[block], *out[:, block])
+            f = freqs[block]
+            terms = (_line_terms(stack.layers, stack.incidence, stack.dielectric_loss, f)
+                     if lines is None else [tuple(t[block] for t in line) for line in lines])
+            _block_response(stack, f, terms, *out[:, block])
     # born read-only, rows included, so a ResponseTable shares them
     out.setflags(write=False)
     return out[0], out[1], out[2] if want_s22 else None
 
 
-def _block_response(stack: FssStack, freqs, s11, s21, s22=None):
-    """Write S11, S21 (and S22 unless it is None) of one block of the grid
-    into the given output slices."""
+def _block_response(stack: FssStack, freqs, lines, s11, s21, s22=None):
+    """Write S11, S21 (and S22 unless it is None) of one block of the grid,
+    whose line terms are ``lines``, into the given output slices."""
     port = port_impedance(stack.incidence)
-    A, B, C, D, shorted, s11_short = _chain(
-        stack.layers, stack.incidence, stack.dielectric_loss, freqs
-    )
+    A, B, C, D, shorted, s11_short = _chain(stack.layers, lines, stack.incidence, freqs)
     # A*port, D*port and C*port*port are each formed once and shared by
     #   delta = A*port + B + C*port*port + D*port
     #   S11 = (A*port + B - C*port*port - D*port) / delta
@@ -347,6 +361,5 @@ def _block_response(stack: FssStack, freqs, s11, s21, s22=None):
         s11[shorted] = s11_short[shorted]
         s21[shorted] = 0j
         if s22 is not None:
-            s22[shorted] = _chain(
-                stack.layers[::-1], stack.incidence, stack.dielectric_loss, freqs[shorted]
-            )[5]
+            masked = [tuple(term[shorted] for term in line) for line in lines[::-1]]
+            s22[shorted] = _chain(stack.layers[::-1], masked, stack.incidence, freqs[shorted])[5]

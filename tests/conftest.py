@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fsskit import ExtractedCircuit, FirstOrderGeometry, Substrate
-from fsskit.topology import _chain
+from fsskit.topology import _chain, _line_terms
 
 
 def complex_chain(layers, incidence, dielectric_loss, freqs):
@@ -23,7 +23,8 @@ def complex_chain(layers, incidence, dielectric_loss, freqs):
     j, so every caller sees the plain chain matrix whatever the dtype.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # at shorts
-        A, B, C, D, shorted, _ = _chain(layers, incidence, dielectric_loss, freqs)
+        lines = _line_terms(layers, incidence, dielectric_loss, freqs)
+        A, B, C, D, shorted, _ = _chain(layers, lines, incidence, freqs)
     if A.dtype == float:
         A, B, C, D = A + 0j, 1j * B, 1j * C, D + 0j
     if shorted is None:

@@ -11,6 +11,7 @@ from fsskit import (
     DesignTargets,
     ExtractedCircuit,
     FirstOrderGeometry,
+    Incidence,
     ResponseTable,
     SeriesLC,
     Substrate,
@@ -37,7 +38,7 @@ from fsskit.errors import (
     UnattainableDimensionError,
 )
 from fsskit.domain import RANGES
-from fsskit import synthesis
+from fsskit import synthesis, topology
 from fsskit.analysis import _refine_quadratic
 from fsskit.synthesis import _bisect_decreasing
 
@@ -545,6 +546,37 @@ def test_fit_refuses_data_whose_sum_of_squares_overflows(ref_substrate, magnitud
     assert str(info.value) == "the residual's sum of squares at the start overflows"
 
 
+@pytest.mark.parametrize("template, n_lines", [("first_order", 1), ("second_order", 2)])
+def test_a_fit_forms_its_line_terms_once(ref_substrate, monkeypatch, template, n_lines):
+    """However many models a fit evaluates, each line's terms are formed
+    once, and every evaluation is passed the same read-only arrays."""
+    if template == "first_order":
+        sub, data = ref_substrate, _weak_parasitic_data(ref_substrate)
+        initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), (1.1, 0.9, 1.1, 0.9, 1.1))}
+    else:
+        sub, _, data, initial = _second_order_problem()
+    media, passed = [], []
+    incidence_media, engine = topology.incidence_media, synthesis._response_arrays
+
+    def counted(*args):
+        media.append(args)
+        return incidence_media(*args)
+
+    def recorded(stack, freqs, want_s22, lines):
+        passed.append(lines)
+        return engine(stack, freqs, want_s22, lines)
+
+    monkeypatch.setattr(topology, "incidence_media", counted)
+    monkeypatch.setattr(synthesis, "_response_arrays", recorded)
+    result = fit_circuit(data, template, initial, sub, dielectric_loss=True)
+    assert len(media) == n_lines
+    # each accepted step differences every parameter and tries a step
+    assert len(passed) > len(initial) * result.iterations > 0
+    assert all(terms is passed[0] for terms in passed)
+    assert len(passed[0]) == n_lines
+    assert not any(term.flags.writeable for line in passed[0] for term in line)
+
+
 def _fit_digest(result):
     """SHA-256 of the repr of a fit's element values and residual trace;
     repr is each float's shortest exact form, so equal digests mean equal
@@ -591,6 +623,62 @@ def test_fits_without_an_anchor_keep_the_bits_of_the_single_stage_fitter(
     assert result.f_null is None
     assert result.iterations == iterations
     assert _fit_digest(result) == digest
+
+
+def _lossy_fit_digest(template, polarization, mode, n_points):
+    """Digest of a seeded lossy fit from a +-10% start, on data with 2e-3
+    complex noise."""
+    if template == "first_order":
+        sub, truth, span = Substrate(0.635e-3, 10.2, 0.0023), WEAK_PARASITIC, (1e9, 8e9)
+        initial = {k: v * s for (k, v), s in zip(truth.items(), (1.1, 0.9, 1.1, 0.9, 1.1))}
+    else:
+        _, truth, _, initial = _second_order_problem()
+        sub, span = Substrate(3.4e-3, 10.2, 0.0023), (1.5e9, 4.9e9)
+    inc = Incidence(0.0, "TE") if polarization == "TE" else Incidence(math.radians(45.0), "TM")
+    freqs = np.linspace(*span, n_points)
+    s11, s21 = stack_response(synthesis._build_template(template, truth, sub, inc, True), freqs)
+    rng = np.random.default_rng(n_points)
+    s21 = s21 + 2e-3 * (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+    result = fit_circuit(ResponseTable(freqs, s11, s21), template, initial, sub, inc,
+                         dielectric_loss=True, magnitude_only=mode == "magnitude",
+                         smooth_hz=0.1e9 if mode == "smoothed" else None)
+    assert result.rms_residual < 3e-3
+    return _fit_digest(result)
+
+
+# each digest was recorded from the fitter whose every model evaluation
+# formed its own line terms
+@pytest.mark.parametrize("template, polarization, mode, n_points, digest", [
+    ("first_order", "TE", "complex", 201,
+     "67ca29add454865a648432c8b680326fa4eaee4f38e03021c77d8c59a972ccc6"),
+    ("first_order", "TE", "magnitude", 201,
+     "28aaab40ec9f73bae3d98557cd404a9f44a08974f93eba2a1985ebca70f13996"),
+    ("first_order", "TE", "smoothed", 201,
+     "00f7515e0443703bef20d93c30951424f6b73bddaee30788563bb706d2d18566"),
+    ("first_order", "TM", "complex", 201,
+     "f0df44fe6f1ed957b2a029067e4a732da7d20dab970883351b57c8bf204bf968"),
+    ("first_order", "TM", "magnitude", 201,
+     "ae1ffd108375a7a3524495720070ccc6c38f3146909c91284363fb3d2eea6f53"),
+    ("first_order", "TM", "smoothed", 201,
+     "fd63dfe7e5ca628afc6410ec4785ea9f25f8ec46ded5c16d7a8597ab38af4692"),
+    ("second_order", "TE", "complex", 201,
+     "743e0f48af5c9833a2f4e7960e073ca7b2db26c210cd7a4721d1d1e14ab1aff9"),
+    ("second_order", "TE", "magnitude", 201,
+     "e83c8f0b72d765f36e15d0b72db160475a67ee48397483daf89bb897fe517bde"),
+    ("second_order", "TE", "smoothed", 201,
+     "286966a844e3f53bc66f7975ab98caa17cac1e52d47a1db72ec39dce4c2bc431"),
+    ("second_order", "TM", "complex", 201,
+     "67c78484bf550701b760156450f21a04656928ca13d129fc18087f735a9ccb8a"),
+    ("second_order", "TM", "magnitude", 201,
+     "9672c4cd5602d723687a781bd9f1ff72fb7908a57334546eab64e6a209843cfa"),
+    ("second_order", "TM", "smoothed", 201,
+     "671e1658e74c65ec853b28289f6535dfeb7272c80f4568803953e3aeab11de9a"),
+    # two blocks of the engine and 17 rows more
+    ("first_order", "TM", "complex", 2 * 4096 + 17,
+     "19c571d48bc37e3f25ea3105daed75eae1870fbac3fb53b3614143a051df0c0f"),
+])
+def test_lossy_fits_keep_their_bits(template, polarization, mode, n_points, digest):
+    assert _lossy_fit_digest(template, polarization, mode, n_points) == digest
 
 
 def _panel_problem(k, ref_circuit, sub):

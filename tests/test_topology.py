@@ -37,7 +37,7 @@ from fsskit import topology
 from fsskit.domain import RANGES
 from fsskit.errors import InvalidParameterError, SingularNetworkError
 from fsskit.fileio import CSV_HEADER
-from fsskit.topology import _chain
+from fsskit.topology import _chain, _line_terms
 
 from conftest import assert_lines_match
 
@@ -337,7 +337,9 @@ def test_stack_twoport_raises_on_exact_short():
     stack = FssStack((Tank(2.0 * _U, 3.0 * _U), sub, SeriesLC(_U, _U)))
     f_short = 1.0 / (2.0 * math.pi * _U)  # series branch exactly short here
     with np.errstate(divide="ignore"):  # the engine turns these warnings off
-        *_, shorted, _ = _chain(stack.layers, stack.incidence, False, np.array([f_short]))
+        freqs = np.array([f_short])
+        lines = _line_terms(stack.layers, stack.incidence, False, freqs)
+        *_, shorted, _ = _chain(stack.layers, lines, stack.incidence, freqs)
     assert shorted[0]
     s11, s21 = stack_response(stack, [f_short])
     assert s21[0] == 0j
@@ -691,8 +693,9 @@ def test_blocked_engine_matches_unblocked_reference():
             plain = np.linspace(0.5e9, 12e9, n) if n > 1 else rng.uniform(0.5e9, 12e9, 1)
             shorts = plain.copy()
             shorts[at] = f_short
+            lines = _line_terms(stack.layers, stack.incidence, loss, shorts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                short = _chain(stack.layers, stack.incidence, loss, shorts)[4]
+                short = _chain(stack.layers, lines, stack.incidence, shorts)[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs, want_s22 in itertools.product((plain, shorts), (True, False)):
                 want = _engine_outcome(_reference_response_arrays, stack, freqs, want_s22)
@@ -730,8 +733,9 @@ def test_block_size_never_changes_a_bit(monkeypatch, second_order):
         shorts[at] = f_short
         for polarization, degrees in itertools.product(("TE", "TM"), (0.0, 60.0)):
             stack = replace(stack, incidence=Incidence(math.radians(degrees), polarization))
+            lines = _line_terms(stack.layers, stack.incidence, loss, shorts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                short = _chain(stack.layers, stack.incidence, loss, shorts)[4]
+                short = _chain(stack.layers, lines, stack.incidence, shorts)[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs in (plain, shorts):
                 outcomes = []
@@ -773,8 +777,9 @@ def test_chain_matches_reference_from_any_first_layer():
         for chain_layers in (layers, long):
             for freqs in (plain, shorts):
                 args = (chain_layers, stack.incidence, loss, freqs)
+                lines = _line_terms(*args)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    got = list(_chain(*args))
+                    got = list(_chain(chain_layers, lines, stack.incidence, freqs))
                 if got[4] is None:  # no node shorts: no mask and no reflections
                     got[4:] = np.zeros(freqs.shape, bool), np.zeros(freqs.shape, complex)
                 A, B, C, D, shorted, s11_short = _reference_chain(*args)
@@ -801,8 +806,8 @@ def _chain_dtypes(monkeypatch):
     dtypes = []
     chain = topology._chain
 
-    def recorded(layers, incidence, dielectric_loss, freqs):
-        out = chain(layers, incidence, dielectric_loss, freqs)
+    def recorded(layers, lines, incidence, freqs):
+        out = chain(layers, lines, incidence, freqs)
         dtypes.append(out[0].dtype)
         return out
 
