@@ -23,7 +23,14 @@ from .errors import (
     TruncatedBandError,
 )
 from .extraction import FirstOrderGeometry, extract_circuit, predict_resonances
-from .topology import FssStack, Incidence, Substrate, build_first_order, stack_response
+from .topology import (
+    FssStack,
+    Incidence,
+    Substrate,
+    _check_illumination,
+    build_first_order,
+    stack_response,
+)
 
 # Local maxima qualify as passband peaks above this absolute level, and a
 # valley dropping below it separates two bands.
@@ -37,11 +44,12 @@ ZERO_FLOOR_DB = -180.0
 SWEEP_POINTS = 1401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseTable:
     """Swept two-port response: strictly increasing frequencies with S11/S21.
     A refused frequency column is named by its first pair out of order, or
-    else by its first value out of range.
+    else by its first value out of range.  A table equals and hashes as
+    itself alone: ndarray columns have no single truth value.
 
     The columns are read-only arrays.  A read-only plain ndarray of the
     column's dtype is shared when its memory belongs to a read-only plain
@@ -317,9 +325,11 @@ def parametric_sweep(
 
     All other dimensions stay at the base values.  Per-point geometry or
     band-structure errors are recorded in the returned entries and the
-    sweep continues.  The analytic transmission-zero frequency of each
-    circuit is inserted into the grid so the null is sampled exactly.
+    sweep continues; the incidence and the loss flag are checked first, as
+    ``FssStack`` checks them.  The analytic transmission-zero frequency of
+    each circuit is inserted into the grid so the null is sampled exactly.
     """
+    _check_illumination(inc, dielectric_loss)
     values = list(values)
     if not values:
         raise EmptySweepError(f"no values supplied for parameter {param!r}")

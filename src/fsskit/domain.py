@@ -4,8 +4,10 @@ and ``geometry_from_circuit`` arguments, a fit's starts, every frequency
 and count) with one message, ``<name> must lie in [lo, hi] <unit>, got
 <value>``.  Each value must first be a real number (an integer for a
 count) and not a bool, or ``<name> must be a real number, got <repr>``:
-``check_real``, which values without a range call too.  The ranges reach
-far beyond printed cells, and inside them no stage leaves the float range:
+``check_real``, which values without a range call too.  A flag must be a
+bool or ``np.bool_`` (``check_flag``): a string such as "no" would switch
+it on.  The ranges reach far beyond printed cells, and inside them no
+stage leaves the float range:
 
 * Sheet: p, q, r = L_tank*C_tank, L_series*C_series, L_tank*C_series lie in
   [1e-39, 1e9] s^2 and x = (2*pi*f)^2 in [3.9e7, 3.9e31] s^-2.  The pole
@@ -26,10 +28,13 @@ far beyond printed cells, and inside them no stage leaves the float range:
 * Engine: every node is lossless, so its admittance is j times a real
   susceptance, and lossless lines are finite; but a lossy line's
   |Im theta| grows with thickness * f * tan_delta up to 4.5e10 rad, so
-  the chain keeps its overflow check.  A fit's trial step may leave the
-  domain: the constructors refuse it and the fit damps the step.  Exact
-  shorts are no overflow and keep their path; the CLI's and the importers'
-  finiteness checks guard outside text, where JSON integers are unbounded.
+  the chain keeps its overflow check.  numpy's warnings are off only where
+  the engine can overflow or divide by zero (``topology._QUIET``): a lossy
+  line's terms in ``_line_terms`` and each call's chain.  A fit's trial
+  step may leave the domain: the constructors refuse it and the fit damps
+  the step.  Exact shorts are no overflow and keep their path; the CLI's
+  and the importers' finiteness checks guard outside text, where JSON
+  integers are unbounded.
 * Sweeps: a sweep holds at most 64 bytes a point beside one-byte masks:
   its float grid (8; a parametric sweep's copy with the zero inserted, 8
   more), the engine's one block of two or three complex rows (32 or 48)
@@ -77,6 +82,12 @@ def check_real(name: str, value, error=InvalidParameterError, integer: bool = Fa
     kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise error(f"{name} must be {noun}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise InvalidParameterError unless ``value`` is a bool or ``np.bool_``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
 
 
 def check_elements(values: dict, shorted: str = "", prefix: str = "") -> None:

@@ -38,33 +38,27 @@ def _resonance(L: float, C: float) -> float:
 
 
 @dataclass(frozen=True)
-class SeriesLC:
+class _LC:
+    """An L-C pair; its two named kinds differ only in how they connect."""
+
+    L: float
+    C: float
+
+    def __post_init__(self):
+        check_elements(vars(self))
+
+    def resonance(self) -> float:
+        """Resonance frequency in Hz: a series branch shorts there, a tank opens."""
+        return _resonance(self.L, self.C)
+
+
+class SeriesLC(_LC):
     """Series L-C branch; shunted it produces a transmission zero at
     1/(2*pi*sqrt(L*C))."""
 
-    L: float
-    C: float
 
-    def __post_init__(self):
-        check_elements(vars(self))
-
-    def resonance(self) -> float:
-        """Series-resonance frequency in Hz (the branch is a short there)."""
-        return _resonance(self.L, self.C)
-
-
-@dataclass(frozen=True)
-class Tank:
+class Tank(_LC):
     """Parallel L-C resonator; shunted it is an open at 1/(2*pi*sqrt(L*C))."""
-
-    L: float
-    C: float
-
-    def __post_init__(self):
-        check_elements(vars(self))
-
-    def resonance(self) -> float:
-        return _resonance(self.L, self.C)
 
 
 @dataclass(frozen=True)

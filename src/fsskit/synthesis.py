@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import EPS0
-from .domain import check, check_elements
+from .domain import check, check_elements, check_flag
 from .errors import (
     DivergedFitError,
     FssError,
@@ -294,6 +294,7 @@ def fit_circuit(
         raise InvalidParameterError(
             f"template must be 'first_order' or 'second_order', got {template!r}"
         )
+    check_flag("magnitude_only", magnitude_only)
     names = TEMPLATES[template]
     missing = [n for n in names if n not in initial]
     if missing:
@@ -350,8 +351,7 @@ def fit_circuit(
     # the accepted values travel with their residual.  A start that cannot
     # be evaluated is refused with the error that names why.
     start = _build_template(template, dict(zip(names, x0)), sub, inc, dielectric_loss)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as the engine runs
-        lines = _line_terms(start.layers, inc, dielectric_loss, freqs)
+    lines = _line_terms(start.layers, inc, dielectric_loss, freqs)
     point = x0, model_residual(x0)
     cost = _cost(point[1])
     if cost == math.inf:
@@ -396,9 +396,21 @@ def _null_frequency(f, s21):
     power = _power(s21)
     j = int(np.argmin(power))
     if not (0 < j < power.size - 1
-            and power[j] <= np.median(power) / 10.0 ** (NULL_DEPTH_DB / 10.0)):
+            and power[j] <= _median(power) / 10.0 ** (NULL_DEPTH_DB / 10.0)):
         return None
     return _refine_quadratic(f, power, j)[0]
+
+
+def _median(x):
+    """``np.median`` of a 1-D array without NaN, with its bits: the middle
+    sample, or (a + b) / 2 of the middle two, as its mean forms them.
+    ``np.median`` itself imports ``numpy.ma`` at its first call."""
+    k = x.size // 2
+    if x.size % 2:
+        return np.partition(x, k)[k]
+    a, b = np.partition(x, (k - 1, k))[k - 1 : k + 1]
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        return (a + b) / 2.0
 
 
 def _cost(r):

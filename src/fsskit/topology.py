@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0
-from .domain import check, check_frequencies, check_real, frequency_array
+from .domain import check, check_flag, check_frequencies, check_real, frequency_array
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
 from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _susceptance_array
@@ -29,6 +29,10 @@ _POLARIZATIONS = ("TE", "TM")
 # temporaries stay in cache; every operation is element-wise, so the bits
 # do not depend on it.
 _BLOCK = 4096
+
+# The engine's warnings policy: shorts divide by zero and a lossy line's
+# overflow spreads, and _block_response reports the overflow.
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class FssStack:
     dielectric_loss: bool = False
 
     def __post_init__(self):
+        _check_illumination(self.incidence, self.dielectric_loss)
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
         if len(layers) < 3 or len(layers) % 2 == 0:
@@ -96,6 +101,14 @@ class FssStack:
                 raise InvalidParameterError(
                     f"layer {i} must be a Substrate line section, got {layer!r}"
                 )
+
+
+def _check_illumination(inc, dielectric_loss) -> None:
+    """Refuse an incidence that is not an ``Incidence`` and a loss flag that
+    is not a bool (``check_flag``)."""
+    if not isinstance(inc, Incidence):
+        raise InvalidParameterError(f"incidence must be an Incidence, got {inc!r}")
+    check_flag("dielectric_loss", dielectric_loss)
 
 
 def _oblique(z, cos, polarization: str):
@@ -117,6 +130,7 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     so do the line impedance and electrical length.  ``f`` may be a scalar
     or an array (the electrical length scales linearly with it).
     """
+    check_flag("dielectric_loss", dielectric_loss)
     lossy = dielectric_loss and sub.tan_delta > 0.0
     eps = sub.eps_r * (1.0 - 1j * sub.tan_delta) if lossy else sub.eps_r
     sin_i = math.sin(inc.theta)
@@ -182,25 +196,27 @@ def stack_response_full(stack: FssStack, freqs):
 
 
 def _line_terms(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
-    """Read-only cos(theta), B and C of each line in ``layers`` over ``freqs``.
-    A line is lossy when ``dielectric_loss`` is on and its ``tan_delta`` is
-    above 0.  With no lossy line, A and D of a chain are real and B and C
-    imaginary (Pozar, *Microwave Engineering*, ch. 4): the terms are float64
-    holding B/j and C/j.  Otherwise they are complex128 holding B and C.  A
-    thick lossy line overflows: the caller turns numpy's warnings off."""
-    subs = [layer for layer in layers if isinstance(layer, Substrate)]
-    real = not (dielectric_loss and any(sub.tan_delta > 0.0 for sub in subs))
+    """Read-only cos(theta), B and C of each line in ``layers`` over ``freqs``,
+    from ``incidence_media``.  With no complex electrical length, A and D of
+    a chain are real and B and C imaginary (Pozar, *Microwave Engineering*,
+    ch. 4): the terms are float64 holding B/j and C/j.  Otherwise they are
+    complex128 holding B and C, formed under ``_QUIET``: a thick lossy line
+    overflows, and a lossless line cannot (``fsskit.domain``)."""
+    media = [incidence_media(incidence, layer, freqs, dielectric_loss)[1:]
+             for layer in layers if isinstance(layer, Substrate)]
+    real = not any(np.iscomplexobj(theta_d) for _, theta_d in media)
     lines = []
-    for sub in subs:
-        _, line_z, theta_d = incidence_media(incidence, sub, freqs, dielectric_loss)
-        sin_t = np.sin(theta_d)
+    for line_z, theta_d in media:
         if real:
+            sin_t = np.sin(theta_d)
             # numpy divides (1j * sin_t) by line_z as sin_t * (1 / line_z)
             terms = np.cos(theta_d), line_z * sin_t, sin_t * (1.0 / line_z)
         else:
-            # cast once: each complex product would cast a real cos_t again
-            cos_t = np.cos(theta_d).astype(complex, copy=False)
-            terms = cos_t, 1j * line_z * sin_t, 1j * sin_t / line_z
+            with np.errstate(**_QUIET):
+                sin_t = np.sin(theta_d)
+                # cast once: each complex product would cast a real cos_t again
+                cos_t = np.cos(theta_d).astype(complex, copy=False)
+                terms = cos_t, 1j * line_z * sin_t, 1j * sin_t / line_z
         for term in terms:
             term.setflags(write=False)
         lines.append(terms)
@@ -231,7 +247,7 @@ def _chain(layers, lines, incidence: Incidence, freqs: np.ndarray):
     Each step is a plain expression in the operand order of the matrix
     product, and writes only arrays made in this call: the line terms are
     never written.  A short divides by zero and a lossy line's overflow
-    spreads: the caller turns numpy's warnings off.
+    spreads: the caller runs it under ``_QUIET``.
     """
     lines = iter(lines)
     A, B, c_line = next(lines)  # the first line's terms
@@ -299,8 +315,7 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool, lines=None):
     # dynamic mmap and trim thresholds by the largest block freed, so a warm
     # study then keeps its heap mapped instead of faulting it in every call.
     out = np.empty((3 if want_s22 else 2, freqs.size), dtype=complex)
-    # shorts divide by zero and _block_response reports overflow: no warnings
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         for start in range(0, freqs.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             f = freqs[block]

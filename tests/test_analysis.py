@@ -136,6 +136,18 @@ def test_response_table_is_immutable():
     assert t.s21.tolist() == [1 + 0j, 1 + 0j]
 
 
+def test_response_table_equals_and_hashes_by_identity():
+    # the generated __eq__ compared ndarray columns, which raised ValueError,
+    # and a frozen table's generated __hash__ raised TypeError
+    f, s11, s21 = np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([1 + 0j, 1 + 0j])
+    t = ResponseTable(f, s11, s21)
+    copy = ResponseTable(f, s11, s21)
+    assert t == t
+    assert t != copy
+    assert {t, copy, t} == {t, copy}
+    assert hash(t) == hash(t) and len({t: 1}) == 1
+
+
 def test_response_table_shares_read_only_arrays_that_own_their_memory(ref_circuit, ref_substrate):
     f, s11, s21 = np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([1 + 0j, 1 + 0j])
     for arr in (f, s11, s21):

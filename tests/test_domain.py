@@ -18,6 +18,7 @@ from fsskit import (
     DesignTargets,
     ExtractedCircuit,
     FirstOrderGeometry,
+    FssStack,
     HybridCircuit,
     Incidence,
     Inductor,
@@ -26,11 +27,13 @@ from fsskit import (
     Tank,
     branch_impedance,
     build_first_order,
+    build_second_order,
     effective_permittivity,
     fit_circuit,
     foster_transform,
     geometry_from_circuit,
     hybrid_impedance,
+    incidence_media,
     parametric_sweep,
     smooth_response,
     surface_impedance,
@@ -157,3 +160,67 @@ def test_a_count_takes_numpy_integers():
     runs = [fit_circuit(DATA, "first_order", start, SUB, max_iter=n) for n in (np.int64(50), 50)]
     assert runs[0] == runs[1]
     assert runs[0].iterations > 0
+
+
+# A flag must be a bool or np.bool_, and an incidence an Incidence: a string
+# such as "no" once switched a flag on, and a tuple ended in a bare
+# AttributeError at evaluation.  A parametric sweep refuses both on entry
+# rather than record them at every point.
+NOT_FLAGS = ["no", "", 0, 1, 1.0, None, np.int64(1)]
+NOT_INCIDENCES = [(0.0, "TE"), None, 0.0, "TE"]
+OUTER = (SeriesLC(4.9e-9, 0.5e-12), SeriesLC(2.0e-9, 0.5e-12))
+MIDDLE = Tank(2.5e-9, 0.3e-12)
+# entry: its call with an incidence and a loss flag
+ILLUMINATED = {
+    "FssStack": lambda inc, loss: FssStack(STACK.layers, inc, loss),
+    "build_first_order": lambda inc, loss: build_first_order(CIRCUIT, SUB, inc, loss),
+    "build_second_order": lambda inc, loss: build_second_order(OUTER, MIDDLE, SUB, inc, loss),
+    "parametric_sweep": lambda inc, loss: parametric_sweep(
+        GEOMETRY, "jc_gap", [5e-4], 1e9, 8e9, 11, inc, loss),
+    "fit_circuit": lambda inc, loss: fit_circuit(
+        DATA, "first_order", START, SUB, inc, loss, max_iter=0),
+}
+FLAGS = {
+    "incidence_media.dielectric_loss": (
+        "dielectric_loss", lambda v: incidence_media(Incidence(), SUB, 1e9, v)),
+    "fit_circuit.magnitude_only": ("magnitude_only", lambda v: fit_circuit(
+        DATA, "first_order", START, SUB, magnitude_only=v, max_iter=0)),
+    **{f"{entry}.dielectric_loss": ("dielectric_loss", lambda v, call=call: call(Incidence(), v))
+       for entry, call in ILLUMINATED.items()},
+}
+
+
+@pytest.mark.parametrize(
+    "argument, value", [(a, v) for a in sorted(FLAGS) for v in NOT_FLAGS],
+    ids=lambda p: p if isinstance(p, str) and p in FLAGS else repr(p),
+)
+def test_every_flag_refuses_what_is_not_a_bool(argument, value):
+    name, call = FLAGS[argument]
+    with pytest.raises(FssError) as info:
+        call(value)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"{name} must be a bool, got {value!r}"
+
+
+@pytest.mark.parametrize("value", NOT_INCIDENCES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ILLUMINATED))
+def test_every_stack_entry_refuses_an_incidence_that_is_not_an_incidence(entry, value):
+    with pytest.raises(FssError) as info:
+        ILLUMINATED[entry](value, False)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"incidence must be an Incidence, got {value!r}"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_flag_takes_numpy_bools(flag):
+    lossy = Substrate(0.635e-3, 10.2, 0.05)
+    stacks = [build_first_order(CIRCUIT, lossy, dielectric_loss=f) for f in (np.bool_(flag), flag)]
+    assert stacks[0].dielectric_loss is not stacks[1].dielectric_loss
+    s21 = [sweep(stack, 1e9, 8e9, 41).s21 for stack in stacks]
+    assert s21[0].tobytes() == s21[1].tobytes()
+    lossless = sweep(build_first_order(CIRCUIT, lossy), 1e9, 8e9, 41).s21
+    assert (s21[0].tobytes() != lossless.tobytes()) == flag
+    start = dict(START, C_tank=0.36e-12)
+    fits = [fit_circuit(DATA, "first_order", start, SUB, magnitude_only=f, max_iter=50)
+            for f in (np.bool_(flag), flag)]
+    assert fits[0] == fits[1]

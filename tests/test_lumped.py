@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,33 @@ from fsskit.errors import DegenerateTransformError, FssError, InvalidParameterEr
 # henry and U farad exactly short.
 F_UNIT = 2.0**13 / (2.0 * math.pi)
 U = 2.0**-13
+
+
+@pytest.mark.parametrize("kind", [SeriesLC, Tank])
+def test_lc_kinds_keep_their_dataclass_behaviour(kind):
+    # both kinds share one field list, check and resonance; each keeps its
+    # own name in repr, equality, hashing, fields and replace
+    b = kind(4.9e-9, 0.5e-12)
+    assert repr(b) == f"{kind.__name__}(L=4.9e-09, C=5e-13)"
+    assert b == kind(4.9e-9, 0.5e-12) and b != kind(4.9e-9, 0.6e-12)
+    assert hash(b) == hash((4.9e-9, 0.5e-12))
+    assert [(f.name, f.type) for f in fields(b)] == [("L", "float"), ("C", "float")]
+    changed = replace(b, C=0.6e-12)
+    assert type(changed) is kind and changed == kind(4.9e-9, 0.6e-12)
+    assert b.resonance() == 1.0 / (2.0 * math.pi * math.sqrt(4.9e-9 * 0.5e-12))
+    with pytest.raises(AttributeError):
+        b.L = 1e-9
+    with pytest.raises(InvalidParameterError, match="^C must lie in"):
+        kind(4.9e-9, 0.0)
+    with pytest.raises(InvalidParameterError, match="^C must lie in"):
+        replace(b, C=-1.0)
+
+
+def test_a_series_branch_never_equals_a_tank():
+    series, tank = SeriesLC(4.9e-9, 0.5e-12), Tank(4.9e-9, 0.5e-12)
+    assert series != tank and tank != series
+    assert len({series, tank}) == 2
+    assert series.resonance() == tank.resonance()
 
 
 def test_series_lc_short_at_resonance():

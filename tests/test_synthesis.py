@@ -546,6 +546,30 @@ def test_fit_refuses_data_whose_sum_of_squares_overflows(ref_substrate, magnitud
     assert str(info.value) == "the residual's sum of squares at the start overflows"
 
 
+def test_null_test_median_has_np_median_bits():
+    # the null test forms its median with np.partition, since np.median
+    # imports numpy.ma at its first call; the bits are np.median's on odd
+    # and even sizes, with ties, infinities and sums past the float range
+    rng = np.random.default_rng(47)
+    compared = 0
+    for n in [1, 2, 3, 4, 5, *rng.integers(6, 3000, 40)]:
+        for case in range(4):
+            x = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-300, 300, n)
+            if case == 1:
+                x[rng.integers(0, n, max(1, n // 3))] = np.inf
+            elif case == 2:
+                x = rng.integers(0, 4, n).astype(float)  # ties
+            elif case == 3:
+                x = np.full(n, np.finfo(float).max)  # a middle pair sums to inf
+            got = synthesis._median(x)
+            with np.errstate(over="ignore"):
+                want = np.median(x)
+            assert type(got) is np.float64
+            assert got.tobytes() == want.tobytes(), (n, case)
+            compared += 1
+    assert compared == 45 * 4
+
+
 @pytest.mark.parametrize("template, n_lines", [("first_order", 1), ("second_order", 2)])
 def test_a_fit_forms_its_line_terms_once(ref_substrate, monkeypatch, template, n_lines):
     """However many models a fit evaluates, each line's terms are formed

@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -849,6 +850,40 @@ def test_lossless_stacks_and_only_they_take_the_real_path(
             got = _engine_outcome(topology._response_arrays, stack, freqs, want_s22)
             assert got == want, (inc, want_s22)
     assert dtypes == [np.dtype(float if real else complex)] * 6
+
+
+@pytest.mark.parametrize("dielectric_loss", [False, True, np.False_, np.True_], ids=repr)
+@pytest.mark.parametrize("tan_delta", [0.0, 0.0023, 1.0])
+def test_line_terms_take_the_dtype_incidence_media_gives(dielectric_loss, tan_delta):
+    """``incidence_media`` alone tells a lossy line: the terms are complex
+    where any line's electrical length is, a lossless line beside a lossy
+    one included, and float64 otherwise."""
+    freqs = np.linspace(0.5e9, 12e9, 11)
+    line = Substrate(0.635e-3, 10.2, tan_delta)
+    lossy = bool(dielectric_loss) and tan_delta > 0.0
+    for inc in (Incidence(), Incidence(0.7, "TM")):
+        for layers in (
+            (_TANK, line, _BOTTOM),
+            (_BOTTOM, _NO_TANGENT, _TANK, line, _BOTTOM),
+            (_BOTTOM, line, _TANK, _NO_TANGENT, _BOTTOM),
+        ):
+            media = [incidence_media(inc, sub, freqs, dielectric_loss)[1:] for sub in layers[1::2]]
+            want = np.result_type(*(x for pair in media for x in pair))
+            assert want == np.dtype(complex if lossy else float)
+            terms = _line_terms(layers, inc, dielectric_loss, freqs)
+            assert [t.dtype for line_terms in terms for t in line_terms] == [want] * 3 * len(media)
+
+
+def test_line_terms_of_a_thick_lossy_line_warn_nowhere():
+    # they overflow past 1 GHz: _line_terms forms them under the engine's
+    # warnings policy, so a caller such as fit_circuit sets none of its own
+    freqs = np.linspace(0.5e9, 12e9, 3 * topology._BLOCK + 17)
+    layers = (_TANK, Substrate(2.5, 10.2, 1.0), _TANK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [terms] = _line_terms(layers, Incidence(), True, freqs)
+    assert all(t.dtype == complex for t in terms)
+    assert not np.all(np.isfinite(terms[0]))  # the line does overflow
 
 
 def test_lossless_grid_with_shorts_in_some_blocks_stays_float64(monkeypatch):
