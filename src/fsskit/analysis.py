@@ -325,10 +325,13 @@ def parametric_sweep(
 
     All other dimensions stay at the base values.  Per-point geometry or
     band-structure errors are recorded in the returned entries and the
-    sweep continues; the incidence and the loss flag are checked first, as
-    ``FssStack`` checks them.  The analytic transmission-zero frequency of
-    each circuit is inserted into the grid so the null is sampled exactly.
+    sweep continues; a base that is not a ``FirstOrderGeometry`` is refused
+    first, and the incidence and the loss flag as ``FssStack`` checks them.
+    The analytic transmission-zero frequency of each circuit is inserted
+    into the grid so the null is sampled exactly.
     """
+    if not isinstance(base, FirstOrderGeometry):
+        raise InvalidParameterError(f"base must be a FirstOrderGeometry, got {base!r}")
     _check_illumination(inc, dielectric_loss)
     values = list(values)
     if not values:

@@ -36,16 +36,42 @@ def _text(path) -> str:
         raise InvalidParameterError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _data_row(path, row: str, parts) -> list:
-    """Values of one data row; frequency, S11 and S21 (the first five) must
-    be finite."""
+# The complex value of an (a, b) pair in each Touchstone format.
+_TO_COMPLEX = {
+    "RI": complex,
+    "MA": lambda a, b: cmath.rect(a, math.radians(b)),
+    "DB": lambda a, b: cmath.rect(10.0 ** (a / 20.0), math.radians(b)),
+}
+
+
+def _data_row(path, row: str, parts, fmt="RI", scale=1.0, number=None) -> tuple:
+    """(frequency in Hz, S11, S21) of one data row of line ``number``: a
+    frequency in units of ``scale`` Hz, then ``fmt`` pairs.  The values
+    must be numbers, frequency, S11 and S21 (the first five) finite, an MA
+    magnitude not negative, and the row finite after conversion."""
     try:
         vals = [float(p) for p in parts]
     except ValueError:
         raise InvalidParameterError(f"{path}: non-numeric value in row {row!r}") from None
     if not all(map(math.isfinite, vals[:5])):
         raise InvalidParameterError(f"{path}: non-finite value in row {row!r}")
-    return vals
+    if fmt == "MA":  # a negative magnitude would flip the phase by 180 degrees
+        negative = [v for v in vals[1::2] if v < 0.0]
+        if negative:
+            raise InvalidParameterError(
+                f"{path}: line {number}: MA magnitude must not be negative, "
+                f"got {negative[0]!r}"
+            )
+    to_complex = _TO_COMPLEX[fmt]
+    try:  # frequency (Hz), S11, S21
+        result = (vals[0] * scale, to_complex(*vals[1:3]), to_complex(*vals[3:5]))
+    except OverflowError:  # a DB magnitude beyond float range
+        result = None
+    if result is None or not all(map(cmath.isfinite, result)):
+        raise InvalidParameterError(
+            f"{path}: non-finite value after conversion in row {row!r}"
+        )
+    return result
 
 
 # The writers print every value as "%.11e" does, a whole block at a time.  A
@@ -190,8 +216,7 @@ def _csv_rows(path, lines) -> list:
         parts = ln.split(",")
         if len(parts) != 7:
             raise InvalidParameterError(f"{path}: malformed CSV row {ln!r}")
-        vals = _data_row(path, ln, parts)
-        rows.append((vals[0], complex(vals[1], vals[2]), complex(vals[3], vals[4])))
+        rows.append(_data_row(path, ln, parts))
     return rows
 
 
@@ -211,17 +236,18 @@ def write_touchstone(
     The option-line reference resistance is the real port impedance of the
     run; each line of a comment (angle, polarization) gets its own ``! ``.
     A complex frequency column, columns that are not 1-D of one length, a
-    frequency out of range, a ``str`` of ``comments`` and a port impedance
-    that is not a real number, finite and positive as written with ``%.6f``
-    (0.000000 is not) are ``invalid-parameter`` and nothing is written, as
+    frequency out of range, ``comments`` that are a ``str`` or hold anything
+    but strings, and a port impedance that is not a real number, finite and
+    positive as written with ``%.6f`` (0.000000 is not) are ``invalid-parameter`` and nothing is written, as
     ``load_response`` would refuse the file.
     """
     check_real("port_z", port_z)
-    if isinstance(comments, str):
+    texts = None if isinstance(comments, str) else list(comments)
+    if texts is None or not all(isinstance(c, str) for c in texts):
         raise InvalidParameterError(f"comments must be a sequence of strings, got {comments!r}")
     _check_reference_resistance(path, r := "%.6f" % port_z)
     lines = [f"! reference impedance {r} ohm"]
-    lines.extend("! " + "\n! ".join(c.splitlines()) for c in comments)
+    lines.extend("! " + "\n! ".join(c.splitlines()) for c in texts)
     lines.append(f"# HZ S RI R {r}")
     f = frequency_array(freqs)
     s_columns = [np.asarray(s, dtype=complex) for s in (s11, s21, s12, s22)]
@@ -261,25 +287,14 @@ def _touchstone_rows(path, lines) -> list:
     fmt = "MA"
     scale = 1e9  # Touchstone v1 default unit is GHz
     rows = []
-    started = False  # a line that is not blank or a comment has been read
-
-    def to_complex(a: float, b: float) -> complex:
-        if fmt == "RI":
-            return complex(a, b)
-        if fmt == "MA":
-            return cmath.rect(a, math.radians(b))
-        return cmath.rect(10.0 ** (a / 20.0), math.radians(b))
-
-    for number, raw in enumerate(lines, start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#") and started:
+    body = [(number, line) for number, raw in enumerate(lines, start=1)
+            if (line := raw.split("!", 1)[0].strip())]
+    for i, (number, line) in enumerate(body):
+        if line.startswith("#") and i:
             raise InvalidParameterError(
                 f"{path}: line {number}: option line {line!r} must be the first line "
                 "that is not blank or a comment"
             )
-        started = True
         if line.startswith("#"):
             tokens = iter(line[1:].split())
             for tok in tokens:
@@ -300,23 +315,7 @@ def _touchstone_rows(path, lines) -> list:
             raise InvalidParameterError(
                 f"{path}: expected 9-column two-port rows, got {len(parts)} columns"
             )
-        vals = _data_row(path, line, parts)
-        if fmt == "MA":  # a negative magnitude would flip the phase by 180 degrees
-            negative = [v for v in vals[1::2] if v < 0.0]
-            if negative:
-                raise InvalidParameterError(
-                    f"{path}: line {number}: MA magnitude must not be negative, "
-                    f"got {negative[0]!r}"
-                )
-        try:  # frequency (Hz), S11, S21
-            row = (vals[0] * scale, to_complex(*vals[1:3]), to_complex(*vals[3:5]))
-        except OverflowError:  # a DB magnitude beyond float range
-            row = None
-        if row is None or not all(map(cmath.isfinite, row)):
-            raise InvalidParameterError(
-                f"{path}: non-finite value after conversion in row {line!r}"
-            )
-        rows.append(row)
+        rows.append(_data_row(path, line, parts, fmt, scale, number))
     rows.sort(key=lambda r: r[0])
     return rows
 

@@ -103,7 +103,7 @@ class FssStack:
                 )
 
 
-def _check_illumination(inc, dielectric_loss) -> None:
+def _check_illumination(inc, dielectric_loss=False) -> None:
     """Refuse an incidence that is not an ``Incidence`` and a loss flag that
     is not a bool (``check_flag``)."""
     if not isinstance(inc, Incidence):
@@ -118,7 +118,9 @@ def _oblique(z, cos, polarization: str):
 
 
 def port_impedance(inc: Incidence) -> float:
-    """Free-space wave impedance seen by the given polarization at angle theta."""
+    """Free-space wave impedance seen by the given polarization at angle theta.
+    An incidence that is not an ``Incidence`` is invalid-parameter."""
+    _check_illumination(inc)
     return _oblique(ETA0, math.cos(inc.theta), inc.polarization)
 
 
@@ -128,9 +130,12 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     Snell refraction into the substrate sets the oblique line parameters;
     with ``dielectric_loss`` the substrate permittivity becomes complex and
     so do the line impedance and electrical length.  ``f`` may be a scalar
-    or an array (the electrical length scales linearly with it).
+    or an array (the electrical length scales linearly with it).  An
+    incidence, substrate or loss flag of the wrong type is invalid-parameter.
     """
-    check_flag("dielectric_loss", dielectric_loss)
+    _check_illumination(inc, dielectric_loss)
+    if not isinstance(sub, Substrate):
+        raise InvalidParameterError(f"substrate must be a Substrate, got {sub!r}")
     lossy = dielectric_loss and sub.tan_delta > 0.0
     eps = sub.eps_r * (1.0 - 1j * sub.tan_delta) if lossy else sub.eps_r
     sin_i = math.sin(inc.theta)

@@ -548,6 +548,16 @@ def test_parametric_sweep_validation(nominal_geometry):
         parametric_sweep(nominal_geometry, "bogus", [1e-3], 1e9, 10e9)
 
 
+@pytest.mark.parametrize("base", [(1, 2), None, ExtractedCircuit(4.9e-9, 0.5e-12, 4e-9, 0.35e-12)],
+                         ids=repr)
+def test_parametric_sweep_refuses_a_base_that_is_not_a_geometry(base):
+    # a tuple once ended in a bare TypeError from dataclasses.replace; the
+    # refusal comes on entry, not as a per-point error
+    with pytest.raises(InvalidParameterError) as info:
+        parametric_sweep(base, "period", [1e-3], 1e9, 2e9)
+    assert str(info.value) == f"base must be a FirstOrderGeometry, got {base!r}"
+
+
 def test_parametric_sweep_band_separation_regression(nominal_geometry):
     """Pinned separations for the hat-length sweep; the spread over the
     sweep stays near 6.5 GHz."""

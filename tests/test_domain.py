@@ -35,6 +35,7 @@ from fsskit import (
     hybrid_impedance,
     incidence_media,
     parametric_sweep,
+    port_impedance,
     smooth_response,
     surface_impedance,
     sweep,
@@ -209,6 +210,25 @@ def test_every_stack_entry_refuses_an_incidence_that_is_not_an_incidence(entry, 
         ILLUMINATED[entry](value, False)
     assert type(info.value) is InvalidParameterError
     assert str(info.value) == f"incidence must be an Incidence, got {value!r}"
+
+
+# The two media entries once ended in a bare AttributeError on such values.
+@pytest.mark.parametrize("value", NOT_INCIDENCES, ids=repr)
+@pytest.mark.parametrize("call", [lambda inc: incidence_media(inc, SUB, 1e9), port_impedance],
+                         ids=["incidence_media", "port_impedance"])
+def test_every_media_entry_refuses_an_incidence_that_is_not_an_incidence(call, value):
+    with pytest.raises(FssError) as info:
+        call(value)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"incidence must be an Incidence, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [(1e-3, 4.0), None, 4.0, GEOMETRY], ids=repr)
+def test_incidence_media_refuses_a_substrate_that_is_not_a_substrate(value):
+    with pytest.raises(FssError) as info:
+        incidence_media(Incidence(), value, 1e9)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"substrate must be a Substrate, got {value!r}"
 
 
 @pytest.mark.parametrize("flag", [True, False])

@@ -114,6 +114,27 @@ def test_touchstone_writer_refuses_a_str_of_comments(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("comments", [[1], ("ok", None), [b"bytes"]], ids=repr)
+def test_touchstone_writer_refuses_a_comment_that_is_not_a_str(tmp_path, comments):
+    # [1] once ended in a bare AttributeError on int.splitlines
+    path = tmp_path / "resp.s2p"
+    z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
+    with pytest.raises(InvalidParameterError) as info:
+        write_touchstone(np.array([1e9, 2e9]), z, z, z, z, path, 50.0, comments=comments)
+    assert str(info.value) == f"comments must be a sequence of strings, got {comments!r}"
+    assert not path.exists()
+
+
+def test_touchstone_writer_takes_a_generator_of_comments(tmp_path):
+    path = tmp_path / "resp.s2p"
+    z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
+    write_touchstone(np.array([1e9, 2e9]), z, z, z, z, path, 50.0,
+                     comments=(c for c in ("angle 0", "TE\nfirst order")))
+    lines = path.read_text().split("\n")
+    assert lines[1:4] == ["! angle 0", "! TE", "! first order"]
+    assert lines[4] == "# HZ S RI R 50.000000"
+
+
 def test_touchstone_ma_and_db_formats(tmp_path):
     freqs = np.array([1.0, 2.0])  # GHz, the v1 default unit
     s11 = np.array([0.5 + 0.0j, 0.0 + 0.5j])
