@@ -102,14 +102,14 @@ def check_elements(values: dict, shorted: str = "", prefix: str = "") -> None:
 
 
 def frequency_array(values) -> np.ndarray:
-    """``values`` as a float64 array.  A complex array, or an object array
-    holding a complex value, is refused: a cast would keep only the real
-    part, or fail with a bare TypeError."""
+    """``values`` as a float64 array.  A complex or text array, or an object
+    array the cast cannot read, is refused: a cast would keep only the real
+    part, parse the text, or fail with a bare TypeError or ValueError."""
     f = np.asarray(values)
-    if f.dtype.kind != "c":
+    if f.dtype.kind not in "cUS":
         try:
             return f.astype(float, copy=False)
-        except TypeError:
+        except (TypeError, ValueError):
             pass
     raise InvalidParameterError(f"frequencies must be real numbers, got a {f.dtype} array")
 

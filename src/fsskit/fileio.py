@@ -80,6 +80,10 @@ def _data_row(path, row: str, parts, fmt="RI", scale=1.0, number=None) -> tuple:
 # value fills a 20-byte cell of five little-endian uint32 words,
 #   [pad, sign or pad, d0, "."] [d1-d4] [d5-d8] [d9-d11, "e"] [exp sign, 2 exp digits, separator],
 # and the pad bytes (0) are dropped when the block is joined.
+# e is floor(log10|x|), which np.log10 puts one off only within about 1e-13
+# of a power 10**k, and the digits are right either way: rounded up onto k,
+# the scaled |x| lies in [1e11 - 0.5, 1e11) and rounds to m = 1e11, as
+# "%.11e" rounds x; fallen below k, it rounds to 1e12 and carries.
 _CELL = 20
 _POW10 = np.array([float(f"1e{11 - e}") for e in range(-99, 100)])  # index e + 99
 
@@ -87,10 +91,6 @@ _POW10 = np.array([float(f"1e{11 - e}") for e in range(-99, 100)])  # index e + 
 # and from the power, so a fraction that close to one half may round either
 # way: such values go through "%" (as do zero, inf, nan and |e| >= 100).
 _TIE = 1e-3
-# np.log10 may differ from math.log10 in the last bit or two, which moves
-# 20*log10 by under 1e-3 of a unit in the 12th digit: a dB value nearer a
-# rounding tie than this is recomputed with math.log10.
-_DB_TIE = 1e-2
 
 
 def _ascii_words(text: str) -> np.ndarray:
@@ -110,20 +110,17 @@ _LEAD = _ascii_words("".join(f"\0{sign}{d}." for sign in "\0-" for d in range(10
 _EXPONENT = _ascii_words("".join(f"{e:+03d}\0" for e in range(-99, 100)))
 
 
-def _mantissa(x: np.ndarray, tie: float):
+def _mantissa(x: np.ndarray):
     """The 12-digit integer mantissa m and decimal exponent e of each |x|,
     and a mask `exact`, False where m and e may not print x as "%.11e"
-    does: zero, inf, nan, |e| >= 100, and a scaled |x| within `tie` of a
+    does: zero, inf, nan, |e| >= 100, and a scaled |x| within `_TIE` of a
     rounding tie."""
     a = np.abs(x)
     exact = np.isfinite(a) & (a != 0.0)
     a = np.where(exact, a, 1.0)  # log10 and the scaling see no 0, inf or nan
     e = np.floor(np.log10(a)).astype(np.int64)
     scaled = a * _POW10.take(e + 99, mode="clip")
-    off = np.flatnonzero((scaled < 1e11) | (scaled >= 1e12))  # log10 one off, or |e| > 99
-    e[off] += np.where(scaled[off] < 1e11, -1, 1)
-    scaled[off] = a[off] * _POW10.take(e[off] + 99, mode="clip")
-    exact &= (np.abs(e) < 100) & (np.abs(scaled - np.floor(scaled) - 0.5) > tie)
+    exact &= (np.abs(e) < 100) & (np.abs(scaled - np.floor(scaled) - 0.5) > _TIE)
     m = np.rint(np.where(exact, scaled, 1e11)).astype(np.int64)
     carry = m == 10**12  # 9.99999999999|5 rounds up to the next decade
     m[carry] = 10**11
@@ -138,7 +135,7 @@ def _format_rows(columns, sep: str) -> np.ndarray:
     joined by `sep`, one line per row."""
     block = np.column_stack(columns)
     x = block.ravel()
-    m, e, exact = _mantissa(x, _TIE)
+    m, e, exact = _mantissa(x)
     cells = np.empty((x.size, _CELL // 4), "<u4")
     q = m // 1000
     cells[:, 3] = _DIGITS3E.take(m - 1000 * q)
@@ -161,11 +158,11 @@ def _format_rows(columns, sep: str) -> np.ndarray:
 def _decibels(s: np.ndarray) -> np.ndarray:
     """20*log10|s| as ``20.0 * math.log10(abs(z))`` gives it where
     ``abs(z) > 0``, else -inf (a NaN magnitude included)."""
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         mag = np.hypot(s.real, s.imag)  # bit for bit abs(complex); np.abs is not
-        db = np.where(mag > 0.0, 20.0 * np.log10(mag), -np.inf)
-    near = np.isfinite(db) & ~_mantissa(db, _DB_TIE)[2]
-    db[near] = 20.0 * np.array(list(map(math.log10, mag[near].tolist())))
+    db = np.full(mag.shape, -np.inf)
+    positive = mag > 0.0
+    db[positive] = 20.0 * np.array(list(map(math.log10, mag[positive].tolist())))
     return db
 
 
@@ -235,14 +232,15 @@ def write_touchstone(
 
     The option-line reference resistance is the real port impedance of the
     run; each line of a comment (angle, polarization) gets its own ``! ``.
-    A complex frequency column, columns that are not 1-D of one length, a
-    frequency out of range, ``comments`` that are a ``str`` or hold anything
-    but strings, and a port impedance that is not a real number, finite and
-    positive as written with ``%.6f`` (0.000000 is not) are ``invalid-parameter`` and nothing is written, as
+    A complex or text frequency column, columns that are not 1-D of one
+    length, a frequency out of range, ``comments`` that are a ``str``, not
+    iterable, or hold anything but strings, and a port impedance that is
+    not a real number, finite and positive as written with ``%.6f``
+    (0.000000 is not) are ``invalid-parameter`` and nothing is written, as
     ``load_response`` would refuse the file.
     """
     check_real("port_z", port_z)
-    texts = None if isinstance(comments, str) else list(comments)
+    texts = list(comments) if np.iterable(comments) and not isinstance(comments, str) else None
     if texts is None or not all(isinstance(c, str) for c in texts):
         raise InvalidParameterError(f"comments must be a sequence of strings, got {comments!r}")
     _check_reference_resistance(path, r := "%.6f" % port_z)

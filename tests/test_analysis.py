@@ -491,12 +491,20 @@ def test_response_table_frequencies_must_be_finite(freqs, rule):
     assert info.value.category == "invalid-parameter"
 
 
-@pytest.mark.parametrize("dtype", [complex, object])
-def test_response_table_refuses_a_complex_frequency_column(dtype):
+@pytest.mark.parametrize("freqs", [
+    pytest.param(np.array([2e9 + 5e8j, 3e9]), id="complex"),
+    pytest.param(np.array([2e9 + 5e8j, 3e9], dtype=object), id="object"),
+    pytest.param(np.array(["a", "b"]), id="str"),
+    pytest.param(np.array(["1e9", "2e9"]), id="numeric-str"),
+    pytest.param(np.array([b"1e9", b"2e9"]), id="bytes"),
+    pytest.param(np.array(["a", 3e9], dtype=object), id="object-str"),
+])
+def test_response_table_refuses_a_complex_frequency_column(freqs):
     # a float cast kept 2 GHz of (2+0.5j) GHz with only a ComplexWarning,
-    # and failed with a bare TypeError on an object array
+    # and failed with a bare TypeError on an object array; it parsed a
+    # column of numeric strings, and failed with a bare ValueError on any
+    # other text
     zeros = np.zeros(2, dtype=complex)
-    freqs = np.array([2e9 + 5e8j, 3e9], dtype=dtype)
     with pytest.raises(InvalidParameterError) as info:
         ResponseTable(freqs, zeros, zeros)
     assert str(info.value) == f"frequencies must be real numbers, got a {freqs.dtype} array"

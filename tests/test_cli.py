@@ -1518,6 +1518,51 @@ def test_data_files_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     assert json.loads(proc.stdout) == figures
 
 
+# Every power of ten with a two-digit exponent and the 2,000 floats on each
+# side of it, eight to a Touchstone row.  Within about 70 floats of a power
+# np.log10 may put floor(log10|x|) one off (about 1.5% of these, with and
+# without numpy's dispatch targets); the writer's digits must not follow it.
+_POWERS_CHILD = """
+import sys
+from decimal import Decimal
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from fsskit import write_touchstone
+assert not any(__cpu_features__[t] for t in __cpu_dispatch__), __cpu_features__
+x = np.load(sys.argv[1])
+rows = np.resize(x, (-(-x.size // 8), 8))
+write_touchstone(np.linspace(1e9, 2e9, len(rows)), *rows.view(complex).T, sys.argv[2], 50.0)
+near = x[:, 1900:2101].ravel().tolist()
+print(np.count_nonzero(np.floor(np.log10(near)) != [Decimal(v).adjusted() for v in near]))
+"""
+
+
+def test_writer_exponents_do_not_follow_log10_at_any_dispatch_level(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    powers = np.array([float(f"1e{k}") for k in range(-99, 100)])
+    x = (powers.view(np.int64)[:, None] + np.arange(-2000, 2001)).view(float)
+    np.save(tmp_path / "x.npy", x)
+    rows = np.resize(x, (-(-x.size // 8), 8))
+    write_touchstone(np.linspace(1e9, 2e9, len(rows)), *rows.view(complex).T,
+                     tmp_path / "here.s2p", 50.0)
+    present = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES"), *present]
+    env = _child_env(NPY_DISABLE_CPU_FEATURES=" ".join(filter(None, disabled)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POWERS_CHILD, str(tmp_path / "x.npy"), str(tmp_path / "child.s2p")],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) > 0  # the baseline log10 is one off somewhere
+    want = ["%.11e" % v for v in rows.ravel().tolist()]
+    for name in ("here.s2p", "child.s2p"):
+        lines = (tmp_path / name).read_text().split("\n")[2:-1]
+        got = " ".join(line.split(" ", 1)[1] for line in lines).split(" ")
+        wrong = [(w, g) for w, g in zip(want, got) if w != g]
+        assert (len(got), wrong[:5]) == (len(want), []), name
+
+
 @pytest.mark.parametrize(
     "command,sweep,code,category",
     [

@@ -114,9 +114,10 @@ def test_touchstone_writer_refuses_a_str_of_comments(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("comments", [[1], ("ok", None), [b"bytes"]], ids=repr)
+@pytest.mark.parametrize("comments", [[1], ("ok", None), [b"bytes"], 5, None], ids=repr)
 def test_touchstone_writer_refuses_a_comment_that_is_not_a_str(tmp_path, comments):
-    # [1] once ended in a bare AttributeError on int.splitlines
+    # [1] once ended in a bare AttributeError on int.splitlines, 5 and None
+    # in a bare TypeError from list()
     path = tmp_path / "resp.s2p"
     z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
     with pytest.raises(InvalidParameterError) as info:
@@ -489,13 +490,18 @@ def test_touchstone_writer_with_no_rows(tmp_path):
 
 
 def test_touchstone_writer_refuses_a_complex_frequency_column(tmp_path):
-    # a float cast kept the real part only, with a ComplexWarning
+    # a float cast kept the real part only, with a ComplexWarning; it parsed
+    # a column of numeric strings, and failed with a bare ValueError on any
+    # other text
     path = tmp_path / "complex.s2p"
     z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
-    with pytest.raises(InvalidParameterError) as info:
-        write_touchstone(np.array([2e9 + 5e8j, 3e9]), z, z, z, z, path, 50.0)
-    assert str(info.value) == "frequencies must be real numbers, got a complex128 array"
-    assert not path.exists()
+    columns = [np.array([2e9 + 5e8j, 3e9]), ["a", "b"], ["1e9", "2e9"],
+               np.array([b"1e9", b"2e9"]), np.array(["a", 3e9], dtype=object)]
+    for freqs, dtype in zip(columns, ["complex128", "<U1", "<U3", "|S3", "object"]):
+        with pytest.raises(InvalidParameterError) as info:
+            write_touchstone(freqs, z, z, z, z, path, 50.0)
+        assert str(info.value) == f"frequencies must be real numbers, got a {dtype} array"
+        assert not path.exists()
 
 
 _F3 = np.array([2e9, 3e9, 4e9])

@@ -401,16 +401,26 @@ def test_grid_must_be_a_non_empty_1d_array(ref_circuit, ref_substrate, grid):
             evaluate(stack, grid)
 
 
-@pytest.mark.parametrize("dtype", [complex, object])
-def test_complex_grid_is_refused_not_cut_to_its_real_part(ref_circuit, ref_substrate, dtype):
+@pytest.mark.parametrize("freqs", [
+    pytest.param(np.array([2e9 + 5e8j, 3e9]), id="complex"),
+    pytest.param(np.array([2e9 + 5e8j, 3e9], dtype=object), id="object"),
+    pytest.param(["a", "b"], id="str"),
+    pytest.param(["1e9", "2e9"], id="numeric-str"),
+    pytest.param(np.array([b"1e9", b"2e9"]), id="bytes"),
+    pytest.param(np.array(["a", 3e9], dtype=object), id="object-str"),
+])
+def test_complex_grid_is_refused_not_cut_to_its_real_part(ref_circuit, ref_substrate, freqs):
     # a float cast returned the response at 2 GHz for (2+0.5j) GHz with only
-    # a ComplexWarning, and failed with a bare TypeError on an object array
+    # a ComplexWarning, and failed with a bare TypeError on an object array;
+    # it parsed a column of numeric strings, and failed with a bare
+    # ValueError on any other text
     stack = build_first_order(ref_circuit, ref_substrate)
-    freqs = np.array([2e9 + 5e8j, 3e9], dtype=dtype)
     for evaluate in (stack_response, stack_response_full):
         with pytest.raises(InvalidParameterError) as info:
             evaluate(stack, freqs)
-        assert str(info.value) == f"frequencies must be real numbers, got a {freqs.dtype} array"
+        assert str(info.value) == (
+            f"frequencies must be real numbers, got a {np.asarray(freqs).dtype} array"
+        )
 
 # Thick lossy lines: a line's |Im theta| grows with thickness, frequency and
 # tan_delta, and its chain entries with exp(|Im theta|).  The first overflows
