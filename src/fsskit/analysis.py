@@ -10,11 +10,12 @@ responses.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import check, check_frequencies, check_real, frequency_array
+from .domain import check, check_flag, check_frequencies, check_real, check_type, number_array
 from .errors import (
     BandStructureError,
     EmptySweepError,
@@ -27,7 +28,6 @@ from .topology import (
     FssStack,
     Incidence,
     Substrate,
-    _check_illumination,
     build_first_order,
     stack_response,
 )
@@ -62,7 +62,7 @@ class ResponseTable:
     s21: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("frequency", float), ("s11", complex), ("s21", complex)):
+        for name, label, dtype in _COLUMNS:
             arr = getattr(self, name)
             if not (
                 type(arr) is np.ndarray
@@ -71,7 +71,7 @@ class ResponseTable:
                 and _read_only_owner(arr if arr.flags.owndata else arr.base)
             ):
                 # a copy the table owns
-                arr = np.array(frequency_array(arr) if dtype is float else arr, dtype=dtype)
+                arr = np.array(number_array(label, arr, dtype))
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
         f = self.frequency
@@ -89,6 +89,10 @@ class ResponseTable:
 
     def __len__(self):
         return self.frequency.size
+
+
+# each column: its field, its name in a refusal, and its dtype
+_COLUMNS = (("frequency", "frequencies", float), ("s11", "S11", complex), ("s21", "S21", complex))
 
 
 def _read_only_owner(arr) -> bool:
@@ -176,6 +180,7 @@ def band_report(table: ResponseTable) -> BandReport:
     not above that line separates groups (so a ripple band with two poles
     counts once).
     """
+    check_type("table", table, ResponseTable)
     f = table.frequency
     power = _power(table.s21)
     line = 10.0 ** (BAND_THRESHOLD_DB / 10.0)
@@ -330,9 +335,10 @@ def parametric_sweep(
     The analytic transmission-zero frequency of each circuit is inserted
     into the grid so the null is sampled exactly.
     """
-    if not isinstance(base, FirstOrderGeometry):
-        raise InvalidParameterError(f"base must be a FirstOrderGeometry, got {base!r}")
-    _check_illumination(inc, dielectric_loss)
+    check_type("base", base, FirstOrderGeometry)
+    check_type("incidence", inc, Incidence)
+    check_flag("dielectric_loss", dielectric_loss)
+    check_type("values", values, Iterable, "an iterable")
     values = list(values)
     if not values:
         raise EmptySweepError(f"no values supplied for parameter {param!r}")
@@ -368,6 +374,7 @@ def smooth_response(table: ResponseTable, window_hz: float) -> ResponseTable:
     or the centre sample averages it all.
     One O(n) plan serves both columns; its bound and its refusal of data
     that are not finite are those of ``_moving_average``."""
+    check_type("table", table, ResponseTable)
     f = table.frequency
     return ResponseTable(f, *map(_moving_average(f, window_hz), (table.s11, table.s21)))
 

@@ -4,10 +4,11 @@ and ``geometry_from_circuit`` arguments, a fit's starts, every frequency
 and count) with one message, ``<name> must lie in [lo, hi] <unit>, got
 <value>``.  Each value must first be a real number (an integer for a
 count) and not a bool, or ``<name> must be a real number, got <repr>``:
-``check_real``, which values without a range call too.  A flag must be a
-bool or ``np.bool_`` (``check_flag``): a string such as "no" would switch
-it on.  The ranges reach far beyond printed cells, and inside them no
-stage leaves the float range:
+``check_real``, which values without a range call too.  Any other argument
+must be of its type (``check_type``), a flag a bool or ``np.bool_``: a
+string such as "no" would switch it on.  An array column must hold numbers
+(``number_array``).  The ranges reach far beyond printed cells, and inside
+them no stage leaves the float range:
 
 * Sheet: p, q, r = L_tank*C_tank, L_series*C_series, L_tank*C_series lie in
   [1e-39, 1e9] s^2 and x = (2*pi*f)^2 in [3.9e7, 3.9e31] s^-2.  The pole
@@ -84,10 +85,19 @@ def check_real(name: str, value, error=InvalidParameterError, integer: bool = Fa
         raise error(f"{name} must be {noun}, got {value!r}")
 
 
+def check_type(name: str, value, kind, noun: str = "") -> None:
+    """Raise InvalidParameterError unless ``value`` is an instance of
+    ``kind``, a type or a tuple of them: ``<name> must be <noun>, got
+    <repr>``, where the noun defaults to "a" or "an" and the type's name."""
+    if not isinstance(value, kind):
+        if not noun:
+            noun = ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
+        raise InvalidParameterError(f"{name} must be {noun}, got {value!r}")
+
+
 def check_flag(name: str, value) -> None:
     """Raise InvalidParameterError unless ``value`` is a bool or ``np.bool_``."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise InvalidParameterError(f"{name} must be a bool, got {value!r}")
+    check_type(name, value, (bool, np.bool_), "a bool")
 
 
 def check_elements(values: dict, shorted: str = "", prefix: str = "") -> None:
@@ -101,17 +111,22 @@ def check_elements(values: dict, shorted: str = "", prefix: str = "") -> None:
         check(_ELEMENTS[name[0]], prefix + name, value)
 
 
-def frequency_array(values) -> np.ndarray:
-    """``values`` as a float64 array.  A complex or text array, or an object
-    array the cast cannot read, is refused: a cast would keep only the real
-    part, parse the text, or fail with a bare TypeError or ValueError."""
-    f = np.asarray(values)
-    if f.dtype.kind not in "cUS":
+def number_array(name: str, values, dtype=float) -> np.ndarray:
+    """``values`` as a float64 array, or complex128 for ``dtype=complex``.
+    Text, a complex array where real numbers are due, and an object array
+    holding anything but such numbers are refused: a cast would parse the
+    text, keep only the real part, turn None into NaN, or fail with a bare
+    TypeError or ValueError."""
+    a = np.asarray(values)
+    kind = a.dtype.kind
+    kinds, number = ("biuf", numbers.Real) if dtype is float else ("biufc", numbers.Complex)
+    if kind in kinds or (kind == "O" and all(isinstance(v, number) for v in a.flat)):
         try:
-            return f.astype(float, copy=False)
-        except (TypeError, ValueError):
+            return a.astype(dtype, copy=False)
+        except OverflowError:  # an integer past the float range
             pass
-    raise InvalidParameterError(f"frequencies must be real numbers, got a {f.dtype} array")
+    noun = "real numbers" if dtype is float else "numbers"
+    raise InvalidParameterError(f"{name} must be {noun}, got a {a.dtype} array")
 
 
 def check_frequencies(f: np.ndarray) -> None:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import EPS0, MU0
-from .domain import check, check_elements
+from .domain import check, check_elements, check_type
 from .errors import InvalidGeometryError, InvalidParameterError
 from .lumped import OPEN, _resonance
 
@@ -126,6 +126,7 @@ def extract_circuit(geom: FirstOrderGeometry) -> ExtractedCircuit:
     The parasitic inductance has no closed form and is returned as 0;
     set it explicitly or recover it with ``synthesis.fit_circuit``.
     """
+    check_type("geometry", geom, FirstOrderGeometry)
     a = geom.period
     er_eff = effective_permittivity(geom.eps_r)
 
@@ -143,6 +144,7 @@ def surface_impedance(c: ExtractedCircuit, f: float):
 
     Returns OPEN exactly at a pole of the expression.
     """
+    check_type("circuit", c, ExtractedCircuit)
     check("frequency", "frequency", f)
     p, q, r = c.L_tank * c.C_tank, c.L_series * c.C_series, c.L_tank * c.C_series
     w = 2.0 * math.pi * f
@@ -159,6 +161,7 @@ def predict_resonances(c: ExtractedCircuit) -> ResonancePrediction:
     upper passband from the tank alone, lower passband from the loaded
     series branch.  The parasitic inductor and the substrate are ignored,
     so the upper value in particular underestimates the swept peak."""
+    check_type("circuit", c, ExtractedCircuit)
     f_zero = _resonance(c.L_series, c.C_series)
     f_upper = _resonance(c.L_tank, c.C_tank)
     f_lower = _resonance(c.L_tank + c.L_series, c.C_series)
@@ -174,6 +177,7 @@ def exact_poles(c: ExtractedCircuit) -> tuple[float, float]:
     is summed as (p-q)^2 + r(r + 2(p+q)), whose terms are all non-negative
     for positive elements, so both poles are always real.
     """
+    check_type("circuit", c, ExtractedCircuit)
     p, q, r = c.L_tank * c.C_tank, c.L_series * c.C_series, c.L_tank * c.C_series
     b = p + q + r
     a2 = p * q

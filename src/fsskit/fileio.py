@@ -9,17 +9,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
+from . import analysis
 from .analysis import ResponseTable
-from .domain import check_frequencies, check_real, frequency_array
+from .domain import check_frequencies, check_real, check_type, number_array
 from .errors import InvalidParameterError
 
 CSV_HEADER = "freq_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"
 
 _FREQ_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
+
+# what a file path may be, and its name in a refusal
+_PATH = (str, os.PathLike), "a str or os.PathLike"
 
 
 # Rows formatted per block: big enough that the per-block overhead vanishes,
@@ -175,6 +180,9 @@ def write_response_csv(table: ResponseTable, path) -> None:
     digits; inf, -inf and nan print as such), the dB columns derived from
     S11 and S21. Formatted a block of rows at a time, whole-array; the
     bytes are those of formatting each value on its own."""
+    # analysis's own class: the importers' name ResponseTable may be rebound
+    check_type("table", table, analysis.ResponseTable)
+    check_type("path", path, *_PATH)
     f, s11, s21 = table.frequency, table.s11, table.s21
     with Path(path).open("wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
@@ -232,13 +240,15 @@ def write_touchstone(
 
     The option-line reference resistance is the real port impedance of the
     run; each line of a comment (angle, polarization) gets its own ``! ``.
-    A complex or text frequency column, columns that are not 1-D of one
+    A frequency column that is not real numbers, an S-parameter column that
+    is not numbers (``number_array``), columns that are not 1-D of one
     length, a frequency out of range, ``comments`` that are a ``str``, not
     iterable, or hold anything but strings, and a port impedance that is
     not a real number, finite and positive as written with ``%.6f``
     (0.000000 is not) are ``invalid-parameter`` and nothing is written, as
     ``load_response`` would refuse the file.
     """
+    check_type("path", path, *_PATH)
     check_real("port_z", port_z)
     texts = list(comments) if np.iterable(comments) and not isinstance(comments, str) else None
     if texts is None or not all(isinstance(c, str) for c in texts):
@@ -247,8 +257,9 @@ def write_touchstone(
     lines = [f"! reference impedance {r} ohm"]
     lines.extend("! " + "\n! ".join(c.splitlines()) for c in texts)
     lines.append(f"# HZ S RI R {r}")
-    f = frequency_array(freqs)
-    s_columns = [np.asarray(s, dtype=complex) for s in (s11, s21, s12, s22)]
+    f = number_array("frequencies", freqs)
+    s_columns = [number_array(name, s, complex)
+                 for name, s in zip(("S11", "S21", "S12", "S22"), (s11, s21, s12, s22))]
     if f.ndim != 1 or any(s.shape != f.shape for s in s_columns):
         shapes = ", ".join(str(c.shape) for c in (f, *s_columns))
         raise InvalidParameterError(
@@ -322,6 +333,7 @@ def load_response(path) -> ResponseTable:
     """Read the package CSV schema or a Touchstone v1 file.  The file is a
     CSV when its first line that is not blank holds a comma before any
     ``!`` comment and is not a ``#`` option line."""
+    check_type("path", path, *_PATH)
     lines = [ln.strip() for ln in _text(path).splitlines()]
     first = next((ln.split("!", 1)[0] for ln in lines if ln), "")
     csv = "," in first and not first.startswith("#")

@@ -10,11 +10,12 @@ values are SI (henry, farad).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check, check_elements, check_real
+from .domain import check, check_elements, check_real, check_type
 from .errors import DegenerateTransformError, InvalidParameterError
 
 
@@ -78,9 +79,10 @@ class Parallel:
     branches: tuple
 
     def __post_init__(self):
+        check_type("branches", self.branches, (tuple, Iterable), "an iterable")
+        object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise InvalidParameterError("parallel combination needs at least one branch")
-        object.__setattr__(self, "branches", tuple(self.branches))
         for b in self.branches:
             if not isinstance(b, Branch):
                 raise InvalidParameterError(f"not a lumped branch: {b!r}")
@@ -150,6 +152,7 @@ class HybridCircuit:
 def hybrid_impedance(h: HybridCircuit, f: float):
     """Impedance of the hybrid network, jwL_series + 1/(jwC_series) + tank;
     the tank term has a ``Tank``'s bits but not a ``Tank``'s ranges."""
+    check_type("circuit", h, HybridCircuit)
     check("frequency", "frequency", f)
     w = 2.0 * math.pi * f
     b_tank = w * h.C_tank - 1.0 / (w * h.L_tank)  # the tank's susceptance

@@ -15,12 +15,13 @@ elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constants import EPS0
-from .domain import check, check_elements, check_flag
+from .domain import check, check_elements, check_flag, check_type
 from .errors import (
     DivergedFitError,
     FssError,
@@ -106,6 +107,7 @@ def circuit_from_targets(t: DesignTargets) -> ExtractedCircuit:
     the zero and lower-band relations simultaneously.  The parasitic
     inductance is left at zero.
     """
+    check_type("targets", t, DesignTargets)
     c_tank = 1.0 / ((2.0 * math.pi * t.f_upper) ** 2 * t.L_tank)
     q_zero = 1.0 / (2.0 * math.pi * t.f_zero) ** 2    # L_series * C_series
     q_lower = 1.0 / (2.0 * math.pi * t.f_lower) ** 2  # (L_tank + L_series) * C_series
@@ -132,7 +134,9 @@ def geometry_from_circuit(
     The grid formulas extract no parasitic inductance, so only
     ``L_parasitic = 0`` is attainable.
     """
+    check_type("circuit", c, ExtractedCircuit)
     check("length", "period", period)
+    check_type("substrate", sub, Substrate)
     _attainable(c.L_parasitic, 0.0, 0.0, parameter="L_parasitic", target_name="L_parasitic")
     a = period
     er_eff = effective_permittivity(sub.eps_r)
@@ -290,12 +294,14 @@ def fit_circuit(
     The line terms, fixed by the substrate, incidence, loss and grid, are
     formed once per fit, read-only, and sliced per block at each evaluation.
     """
+    check_type("data", data, ResponseTable)
     if not isinstance(template, str) or template not in TEMPLATES:
         raise InvalidParameterError(
             f"template must be 'first_order' or 'second_order', got {template!r}"
         )
     check_flag("magnitude_only", magnitude_only)
     names = TEMPLATES[template]
+    check_type("initial guess", initial, Mapping)
     missing = [n for n in names if n not in initial]
     if missing:
         raise InvalidParameterError(f"initial guess is missing {missing}")

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C0, ETA0
-from .domain import check, check_flag, check_frequencies, check_real, frequency_array
+from .domain import check, check_flag, check_frequencies, check_real, check_type, number_array
 from .errors import InvalidParameterError, SingularNetworkError
 from .extraction import ExtractedCircuit
 from .lumped import Branch, Inductor, Parallel, SeriesLC, Tank, _susceptance_array
@@ -73,6 +74,10 @@ class Substrate:
         check("tan_delta", "tan_delta", self.tan_delta)
 
 
+# each layer's type and noun: nodes at even positions, lines at odd ones
+_LAYER_KINDS = ((Branch, "a shunt lumped branch"), (Substrate, "a Substrate line section"))
+
+
 @dataclass(frozen=True)
 class FssStack:
     """Alternating sequence of shunt branch nodes and substrate line
@@ -83,7 +88,9 @@ class FssStack:
     dielectric_loss: bool = False
 
     def __post_init__(self):
-        _check_illumination(self.incidence, self.dielectric_loss)
+        check_type("incidence", self.incidence, Incidence)
+        check_flag("dielectric_loss", self.dielectric_loss)
+        check_type("layers", self.layers, (tuple, Iterable), "an iterable")
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
         if len(layers) < 3 or len(layers) % 2 == 0:
@@ -92,23 +99,9 @@ class FssStack:
                 f"with a node (got {len(layers)} layers)"
             )
         for i, layer in enumerate(layers):
-            if i % 2 == 0:
-                if not isinstance(layer, Branch):
-                    raise InvalidParameterError(
-                        f"layer {i} must be a shunt lumped branch, got {layer!r}"
-                    )
-            elif not isinstance(layer, Substrate):
-                raise InvalidParameterError(
-                    f"layer {i} must be a Substrate line section, got {layer!r}"
-                )
-
-
-def _check_illumination(inc, dielectric_loss=False) -> None:
-    """Refuse an incidence that is not an ``Incidence`` and a loss flag that
-    is not a bool (``check_flag``)."""
-    if not isinstance(inc, Incidence):
-        raise InvalidParameterError(f"incidence must be an Incidence, got {inc!r}")
-    check_flag("dielectric_loss", dielectric_loss)
+            kind, noun = _LAYER_KINDS[i % 2]
+            if not isinstance(layer, kind):  # the name is formed only for a refusal
+                check_type(f"layer {i}", layer, kind, noun)
 
 
 def _oblique(z, cos, polarization: str):
@@ -120,7 +113,7 @@ def _oblique(z, cos, polarization: str):
 def port_impedance(inc: Incidence) -> float:
     """Free-space wave impedance seen by the given polarization at angle theta.
     An incidence that is not an ``Incidence`` is invalid-parameter."""
-    _check_illumination(inc)
+    check_type("incidence", inc, Incidence)
     return _oblique(ETA0, math.cos(inc.theta), inc.polarization)
 
 
@@ -133,9 +126,9 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     or an array (the electrical length scales linearly with it).  An
     incidence, substrate or loss flag of the wrong type is invalid-parameter.
     """
-    _check_illumination(inc, dielectric_loss)
-    if not isinstance(sub, Substrate):
-        raise InvalidParameterError(f"substrate must be a Substrate, got {sub!r}")
+    check_type("incidence", inc, Incidence)
+    check_flag("dielectric_loss", dielectric_loss)
+    check_type("substrate", sub, Substrate)
     lossy = dielectric_loss and sub.tan_delta > 0.0
     eps = sub.eps_r * (1.0 - 1j * sub.tan_delta) if lossy else sub.eps_r
     sin_i = math.sin(inc.theta)
@@ -157,6 +150,7 @@ def build_first_order(
 
     A zero parasitic inductance omits the inductor branch entirely.
     """
+    check_type("circuit", circuit, ExtractedCircuit)
     tank = Tank(circuit.L_tank, circuit.C_tank)
     series = SeriesLC(circuit.L_series, circuit.C_series)
     if circuit.L_parasitic > 0.0:
@@ -175,13 +169,14 @@ def build_second_order(
 ) -> FssStack:
     """Symmetric three-node stack: two identical outer nodes, each a pair of
     series L-C branches in parallel, around a bandpass tank."""
-    branch_a, branch_b = outer
-    for b in (branch_a, branch_b):
-        if not isinstance(b, SeriesLC):
-            raise InvalidParameterError(f"outer branches must be SeriesLC, got {b!r}")
-    if not isinstance(middle, Tank):
-        raise InvalidParameterError(f"middle layer must be a Tank, got {middle!r}")
-    node = Parallel((branch_a, branch_b))
+    check_type("outer branches", outer, (tuple, Iterable), "a pair")
+    outer = tuple(outer)
+    if len(outer) != 2:
+        raise InvalidParameterError(f"need 2 outer branches, got {len(outer)}")
+    for b in outer:
+        check_type("outer branches", b, SeriesLC, "SeriesLC")
+    check_type("middle layer", middle, Tank)
+    node = Parallel(outer)
     return FssStack((node, sub, middle, sub, node), inc, dielectric_loss)
 
 
@@ -189,6 +184,7 @@ def stack_response(stack: FssStack, freqs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (S11, S21) over a frequency array.  The arrays are
     read-only rows of one (2, n) array, which each keeps alive;
     ``np.array(s21)`` gives an independent, writeable copy."""
+    check_type("stack", stack, FssStack, "an FssStack")
     s11, s21, _ = _response_arrays(stack, freqs, want_s22=False)
     return s11, s21
 
@@ -197,6 +193,7 @@ def stack_response_full(stack: FssStack, freqs):
     """Vectorized (S11, S21, S22); S12 equals S21 for these reciprocal stacks.
     The arrays are read-only rows of one (3, n) array, as in
     ``stack_response``."""
+    check_type("stack", stack, FssStack, "an FssStack")
     return _response_arrays(stack, freqs, want_s22=True)
 
 
@@ -310,7 +307,7 @@ def _chain(layers, lines, incidence: Incidence, freqs: np.ndarray):
 def _response_arrays(stack: FssStack, freqs, want_s22: bool, lines=None):
     """S11, S21 and S22 (or None) over ``freqs``: each block slices ``lines``,
     the stack's ``_line_terms`` over the whole grid, or forms its own."""
-    freqs = frequency_array(freqs)
+    freqs = number_array("frequencies", freqs)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
     check_frequencies(freqs)

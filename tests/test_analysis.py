@@ -498,17 +498,37 @@ def test_response_table_frequencies_must_be_finite(freqs, rule):
     pytest.param(np.array(["1e9", "2e9"]), id="numeric-str"),
     pytest.param(np.array([b"1e9", b"2e9"]), id="bytes"),
     pytest.param(np.array(["a", 3e9], dtype=object), id="object-str"),
+    pytest.param(np.array(["1e9", "2e9"], dtype=object), id="object-numeric-str"),
+    pytest.param(np.array([None, 3e9]), id="object-none"),
+    pytest.param(np.array([10**400, 3e9], dtype=object), id="object-huge-int"),
 ])
 def test_response_table_refuses_a_complex_frequency_column(freqs):
     # a float cast kept 2 GHz of (2+0.5j) GHz with only a ComplexWarning,
     # and failed with a bare TypeError on an object array; it parsed a
-    # column of numeric strings, and failed with a bare ValueError on any
-    # other text
+    # column of numeric strings, object or not, and failed with a bare
+    # ValueError on any other text; None became NaN, and an integer past
+    # the float range a bare OverflowError
     zeros = np.zeros(2, dtype=complex)
     with pytest.raises(InvalidParameterError) as info:
         ResponseTable(freqs, zeros, zeros)
     assert str(info.value) == f"frequencies must be real numbers, got a {freqs.dtype} array"
     assert info.value.category == "invalid-parameter"
+
+
+# S-parameter columns that are not numbers: numpy parsed numeric text, cast
+# None to NaN, and failed with a bare ValueError or TypeError on the rest
+NOT_NUMBER_COLUMNS = [["1", "2"], [None, 1], ["a", "b"], [object(), 1]]
+
+
+@pytest.mark.parametrize("column", NOT_NUMBER_COLUMNS, ids=["numeric-str", "none", "str", "object"])
+@pytest.mark.parametrize("name", ["s11", "s21"])
+def test_response_table_refuses_an_s_column_that_is_not_numbers(name, column):
+    columns = dict(frequency=[1e9, 2e9], s11=[0.5, 0.5j], s21=[0.5, 0.5j])
+    with pytest.raises(InvalidParameterError) as info:
+        ResponseTable(**dict(columns, **{name: column}))
+    assert str(info.value) == (
+        f"{name.upper()} must be numbers, got a {np.asarray(column).dtype} array"
+    )
 
 def test_parametric_sweep_grid_is_the_union_with_the_zero(nominal_geometry, monkeypatch):
     """The exact zero goes into the grid as np.union1d(grid, [f_zero])

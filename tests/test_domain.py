@@ -22,23 +22,33 @@ from fsskit import (
     HybridCircuit,
     Incidence,
     Inductor,
+    Parallel,
     SeriesLC,
     Substrate,
     Tank,
+    band_report,
     branch_impedance,
     build_first_order,
     build_second_order,
+    circuit_from_targets,
     effective_permittivity,
+    exact_poles,
+    extract_circuit,
     fit_circuit,
     foster_transform,
     geometry_from_circuit,
     hybrid_impedance,
     incidence_media,
+    load_response,
     parametric_sweep,
     port_impedance,
+    predict_resonances,
     smooth_response,
+    stack_response,
+    stack_response_full,
     surface_impedance,
     sweep,
+    write_response_csv,
     write_touchstone,
 )
 from fsskit.errors import FssError, InvalidGeometryError, InvalidParameterError
@@ -244,3 +254,72 @@ def test_a_flag_takes_numpy_bools(flag):
     fits = [fit_circuit(DATA, "first_order", start, SUB, magnitude_only=f, max_iter=50)
             for f in (np.bool_(flag), flag)]
     assert fits[0] == fits[1]
+
+
+# Every other argument must be of its type, or ``<name> must be <noun>, got
+# <repr>``: each of these once ended in a bare AttributeError, TypeError or
+# ValueError.  argument: (name and noun in the message, call of the value
+# and a scratch file path)
+WRONG_TYPES = {
+    "band_report.table": ("table must be a ResponseTable", lambda v, _: band_report(v)),
+    "smooth_response.table": (
+        "table must be a ResponseTable", lambda v, _: smooth_response(v, 1e8)),
+    "write_response_csv.table": (
+        "table must be a ResponseTable", lambda v, path: write_response_csv(v, path)),
+    "fit_circuit.data": ("data must be a ResponseTable", lambda v, _: fit_circuit(
+        v, "first_order", START, SUB, max_iter=0)),
+    "fit_circuit.initial": ("initial guess must be a Mapping", _fit(initial=lambda v: v)),
+    "stack_response.stack": (
+        "stack must be an FssStack", lambda v, _: stack_response(v, [1e9, 2e9])),
+    "stack_response_full.stack": (
+        "stack must be an FssStack", lambda v, _: stack_response_full(v, [1e9, 2e9])),
+    "sweep.stack": ("stack must be an FssStack", lambda v, _: sweep(v, 1e9, 8e9, 11)),
+    "extract_circuit.geom": (
+        "geometry must be a FirstOrderGeometry", lambda v, _: extract_circuit(v)),
+    "predict_resonances.c": (
+        "circuit must be an ExtractedCircuit", lambda v, _: predict_resonances(v)),
+    "exact_poles.c": ("circuit must be an ExtractedCircuit", lambda v, _: exact_poles(v)),
+    "surface_impedance.c": (
+        "circuit must be an ExtractedCircuit", lambda v, _: surface_impedance(v, 1e9)),
+    "build_first_order.circuit": (
+        "circuit must be an ExtractedCircuit", lambda v, _: build_first_order(v, SUB)),
+    "geometry_from_circuit.c": (
+        "circuit must be an ExtractedCircuit", lambda v, _: geometry_from_circuit(v, 8.5e-3, SUB)),
+    "geometry_from_circuit.sub": (
+        "substrate must be a Substrate", lambda v, _: geometry_from_circuit(CIRCUIT, 8.5e-3, v)),
+    "circuit_from_targets.t": (
+        "targets must be a DesignTargets", lambda v, _: circuit_from_targets(v)),
+    "hybrid_impedance.h": ("circuit must be a HybridCircuit", lambda v, _: hybrid_impedance(v, 1e9)),
+    "FssStack.layers": ("layers must be an iterable", lambda v, _: FssStack(v)),
+    "Parallel.branches": ("branches must be an iterable", lambda v, _: Parallel(v)),
+    "parametric_sweep.values": ("values must be an iterable", lambda v, _: parametric_sweep(
+        GEOMETRY, "jc_gap", v, 1e9, 8e9, 11)),
+    "build_second_order.outer": (
+        "outer branches must be a pair", lambda v, _: build_second_order(v, MIDDLE, SUB)),
+    "load_response.path": ("path must be a str or os.PathLike", lambda v, _: load_response(v)),
+    "write_response_csv.path": (
+        "path must be a str or os.PathLike", lambda v, _: write_response_csv(DATA, v)),
+    "write_touchstone.path": ("path must be a str or os.PathLike", lambda v, _: write_touchstone(
+        [1e9, 2e9], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], v, 50.0)),
+}
+
+
+@pytest.mark.parametrize("value", [5, None, 1.5], ids=repr)
+@pytest.mark.parametrize("argument", sorted(WRONG_TYPES))
+def test_every_public_entry_refuses_an_argument_of_the_wrong_type(tmp_path, argument, value):
+    prefix, call = WRONG_TYPES[argument]
+    path = tmp_path / "out.csv"
+    with pytest.raises(FssError) as info:
+        call(value, path)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"{prefix}, got {value!r}"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_build_second_order_needs_two_outer_branches(count):
+    # a 1-tuple once ended in a bare unpacking ValueError
+    with pytest.raises(FssError) as info:
+        build_second_order((OUTER * 2)[:count], MIDDLE, SUB)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == f"need 2 outer branches, got {count}"

@@ -491,16 +491,34 @@ def test_touchstone_writer_with_no_rows(tmp_path):
 
 def test_touchstone_writer_refuses_a_complex_frequency_column(tmp_path):
     # a float cast kept the real part only, with a ComplexWarning; it parsed
-    # a column of numeric strings, and failed with a bare ValueError on any
-    # other text
+    # a column of numeric strings, object or not, and failed with a bare
+    # ValueError on any other text; None became NaN
     path = tmp_path / "complex.s2p"
     z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
     columns = [np.array([2e9 + 5e8j, 3e9]), ["a", "b"], ["1e9", "2e9"],
-               np.array([b"1e9", b"2e9"]), np.array(["a", 3e9], dtype=object)]
-    for freqs, dtype in zip(columns, ["complex128", "<U1", "<U3", "|S3", "object"]):
+               np.array([b"1e9", b"2e9"]), np.array(["a", 3e9], dtype=object),
+               np.array(["1e9", "2e9"], dtype=object), [None, 2e9]]
+    dtypes = ["complex128", "<U1", "<U3", "|S3", "object", "object", "object"]
+    for freqs, dtype in zip(columns, dtypes):
         with pytest.raises(InvalidParameterError) as info:
             write_touchstone(freqs, z, z, z, z, path, 50.0)
         assert str(info.value) == f"frequencies must be real numbers, got a {dtype} array"
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("column", [["1", "2"], [None, 1], ["a", "b"], [object(), 1]],
+                         ids=["numeric-str", "none", "str", "object"])
+def test_touchstone_writer_refuses_an_s_column_that_is_not_numbers(tmp_path, column):
+    # numpy parsed numeric text, cast None to NaN, and failed with a bare
+    # ValueError or TypeError on the rest
+    path = tmp_path / "s.s2p"
+    z = np.array([0.5 + 0.1j, 0.4 - 0.2j])
+    for k, name in enumerate(["S11", "S21", "S12", "S22"]):
+        s = [z] * 4
+        s[k] = column
+        with pytest.raises(InvalidParameterError) as info:
+            write_touchstone(np.array([1e9, 2e9]), *s, path, 50.0)
+        assert str(info.value) == f"{name} must be numbers, got a {np.asarray(column).dtype} array"
         assert not path.exists()
 
 

@@ -408,12 +408,14 @@ def test_grid_must_be_a_non_empty_1d_array(ref_circuit, ref_substrate, grid):
     pytest.param(["1e9", "2e9"], id="numeric-str"),
     pytest.param(np.array([b"1e9", b"2e9"]), id="bytes"),
     pytest.param(np.array(["a", 3e9], dtype=object), id="object-str"),
+    pytest.param(np.array(["1e9", "2e9"], dtype=object), id="object-numeric-str"),
+    pytest.param([None, 2e9], id="object-none"),
 ])
 def test_complex_grid_is_refused_not_cut_to_its_real_part(ref_circuit, ref_substrate, freqs):
     # a float cast returned the response at 2 GHz for (2+0.5j) GHz with only
     # a ComplexWarning, and failed with a bare TypeError on an object array;
-    # it parsed a column of numeric strings, and failed with a bare
-    # ValueError on any other text
+    # it parsed a column of numeric strings, object or not, and failed with
+    # a bare ValueError on any other text; None became NaN
     stack = build_first_order(ref_circuit, ref_substrate)
     for evaluate in (stack_response, stack_response_full):
         with pytest.raises(InvalidParameterError) as info:
