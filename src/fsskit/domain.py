@@ -116,8 +116,13 @@ def number_array(name: str, values, dtype=float) -> np.ndarray:
     Text, a complex array where real numbers are due, and an object array
     holding anything but such numbers are refused: a cast would parse the
     text, keep only the real part, turn None into NaN, or fail with a bare
-    TypeError or ValueError."""
-    a = np.asarray(values)
+    TypeError or ValueError.  A ragged nesting, which has no array, is
+    refused too."""
+    noun = "real numbers" if dtype is float else "numbers"
+    try:
+        a = np.asarray(values)
+    except ValueError:  # sequences of unequal lengths make no array
+        raise InvalidParameterError(f"{name} must be {noun}, got a ragged sequence") from None
     kind = a.dtype.kind
     kinds, number = ("biuf", numbers.Real) if dtype is float else ("biufc", numbers.Complex)
     if kind in kinds or (kind == "O" and all(isinstance(v, number) for v in a.flat)):
@@ -125,12 +130,12 @@ def number_array(name: str, values, dtype=float) -> np.ndarray:
             return a.astype(dtype, copy=False)
         except OverflowError:  # an integer past the float range
             pass
-    noun = "real numbers" if dtype is float else "numbers"
     raise InvalidParameterError(f"{name} must be {noun}, got a {a.dtype} array")
 
 
 def check_frequencies(f: np.ndarray) -> None:
-    """Check a 1-D frequency array, naming its first value out of range."""
+    """Check a frequency array, naming its first value out of range; an
+    empty array has none."""
     lo, hi, _ = RANGES["frequency"]
-    if not (lo <= f.min() and f.max() <= hi):
+    if f.size and not (lo <= f.min() and f.max() <= hi):
         check("frequency", "frequency", f[~((f >= lo) & (f <= hi))][0])

@@ -266,8 +266,7 @@ def write_touchstone(
             f"frequency, S11, S21, S12 and S22 must be 1-D columns of one length, "
             f"got shapes {shapes}"
         )
-    if f.size:
-        check_frequencies(f)
+    check_frequencies(f)
     columns = [f]
     for s in s_columns:
         columns += [s.real, s.imag]

@@ -123,12 +123,18 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     Snell refraction into the substrate sets the oblique line parameters;
     with ``dielectric_loss`` the substrate permittivity becomes complex and
     so do the line impedance and electrical length.  ``f`` may be a scalar
-    or an array (the electrical length scales linearly with it).  An
-    incidence, substrate or loss flag of the wrong type is invalid-parameter.
+    or an array (the electrical length scales linearly with it), each value
+    a frequency in range; an empty array gives an empty one.  An incidence,
+    substrate, loss flag or frequency of the wrong type is invalid-parameter.
     """
     check_type("incidence", inc, Incidence)
     check_flag("dielectric_loss", dielectric_loss)
     check_type("substrate", sub, Substrate)
+    if isinstance(f, np.ndarray):
+        f = number_array("frequencies", f)
+        check_frequencies(f)
+    else:
+        check("frequency", "frequency", f)
     lossy = dielectric_loss and sub.tan_delta > 0.0
     eps = sub.eps_r * (1.0 - 1j * sub.tan_delta) if lossy else sub.eps_r
     sin_i = math.sin(inc.theta)
@@ -225,7 +231,7 @@ def _line_terms(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.n
     return lines
 
 
-def _chain(layers, lines, incidence: Incidence, freqs: np.ndarray):
+def _chain(layers, lines, port: float, freqs: np.ndarray):
     """Chain-matrix entries of ``layers``, whose ``_line_terms`` are ``lines``,
     over the grid ``freqs``.  The layers are those of an ``FssStack`` or
     their reverse, so they start with a node followed by a line.
@@ -240,11 +246,11 @@ def _chain(layers, lines, incidence: Incidence, freqs: np.ndarray):
 
     Where a node is a perfect short (non-finite admittance), the first such
     node ends transmission: the reflection into the prefix chain terminated
-    in that short, S11 = (B - D*Z)/(B + D*Z) with Z the port impedance, is
-    recorded, and the node is then taken as Y = 0 so the product stays
-    finite.  Returns (A, B, C, D, shorted, s11_short); ``s11_short`` is
-    complex and meaningful only where ``shorted`` is set, and both are None
-    if no node shorts anywhere on the grid.
+    in that short, S11 = (B - D*port)/(B + D*port) at the real port
+    impedance ``port``, is recorded, and the node is then taken as Y = 0 so
+    the product stays finite.  Returns (A, B, C, D, shorted, s11_short);
+    ``s11_short`` is complex and meaningful only where ``shorted`` is set,
+    and both are None if no node shorts anywhere on the grid.
 
     Each step is a plain expression in the operand order of the matrix
     product, and writes only arrays made in this call: the line terms are
@@ -274,7 +280,6 @@ def _chain(layers, lines, incidence: Incidence, freqs: np.ndarray):
             b, d = (np.broadcast_to(m, freqs.shape)[first] for m in (B, D))
             if real:
                 b, d = b * 1j, d + 0j
-            port = port_impedance(incidence)
             s11_short[first] = (b - d * port) / (b + d * port)
             np.logical_or(shorted, bad, out=shorted)
             y[bad] = 0.0
@@ -317,23 +322,24 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool, lines=None):
     # dynamic mmap and trim thresholds by the largest block freed, so a warm
     # study then keeps its heap mapped instead of faulting it in every call.
     out = np.empty((3 if want_s22 else 2, freqs.size), dtype=complex)
+    port = port_impedance(stack.incidence)
     with np.errstate(**_QUIET):
         for start in range(0, freqs.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             f = freqs[block]
             terms = (_line_terms(stack.layers, stack.incidence, stack.dielectric_loss, f)
                      if lines is None else [tuple(t[block] for t in line) for line in lines])
-            _block_response(stack, f, terms, *out[:, block])
+            _block_response(stack.layers, port, f, terms, *out[:, block])
     # born read-only, rows included, so a ResponseTable shares them
     out.setflags(write=False)
     return out[0], out[1], out[2] if want_s22 else None
 
 
-def _block_response(stack: FssStack, freqs, lines, s11, s21, s22=None):
-    """Write S11, S21 (and S22 unless it is None) of one block of the grid,
-    whose line terms are ``lines``, into the given output slices."""
-    port = port_impedance(stack.incidence)
-    A, B, C, D, shorted, s11_short = _chain(stack.layers, lines, stack.incidence, freqs)
+def _block_response(layers, port: float, freqs, lines, s11, s21, s22=None):
+    """Write S11, S21 (and S22 unless it is None) of ``layers`` at the real
+    port impedance ``port`` over one block of the grid, whose line terms
+    are ``lines``, into the given output slices."""
+    A, B, C, D, shorted, s11_short = _chain(layers, lines, port, freqs)
     # A*port, D*port and C*port*port are each formed once and shared by
     #   delta = A*port + B + C*port*port + D*port
     #   S11 = (A*port + B - C*port*port - D*port) / delta
@@ -379,4 +385,4 @@ def _block_response(stack: FssStack, freqs, lines, s11, s21, s22=None):
         s21[shorted] = 0j
         if s22 is not None:
             masked = [tuple(term[shorted] for term in line) for line in lines[::-1]]
-            s22[shorted] = _chain(stack.layers[::-1], masked, stack.incidence, freqs[shorted])[5]
+            s22[shorted] = _chain(layers[::-1], masked, port, freqs[shorted])[5]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fsskit import ExtractedCircuit, FirstOrderGeometry, Substrate
-from fsskit.topology import _chain, _line_terms
+from fsskit.topology import _chain, _line_terms, port_impedance
 
 
 def complex_chain(layers, incidence, dielectric_loss, freqs):
@@ -24,7 +24,7 @@ def complex_chain(layers, incidence, dielectric_loss, freqs):
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # at shorts
         lines = _line_terms(layers, incidence, dielectric_loss, freqs)
-        A, B, C, D, shorted, _ = _chain(layers, lines, incidence, freqs)
+        A, B, C, D, shorted, _ = _chain(layers, lines, port_impedance(incidence), freqs)
     if A.dtype == float:
         A, B, C, D = A + 0j, 1j * B, 1j * C, D + 0j
     if shorted is None:

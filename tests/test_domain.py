@@ -23,6 +23,7 @@ from fsskit import (
     Incidence,
     Inductor,
     Parallel,
+    ResponseTable,
     SeriesLC,
     Substrate,
     Tank,
@@ -99,6 +100,7 @@ CASES = {
     "branch_impedance.f": ("frequency", lambda v, _: branch_impedance(Tank(4e-9, 0.35e-12), v)),
     "hybrid_impedance.f": ("frequency", lambda v, _: hybrid_impedance(HYBRID, v)),
     "surface_impedance.f": ("frequency", lambda v, _: surface_impedance(CIRCUIT, v)),
+    "incidence_media.f": ("frequency", lambda v, _: incidence_media(Incidence(), SUB, v)),
     "effective_permittivity.eps_r": ("eps_r", lambda v, _: effective_permittivity(v)),
     "geometry_from_circuit.period": (
         "period", lambda v, _: geometry_from_circuit(CIRCUIT, v, SUB)),
@@ -239,6 +241,55 @@ def test_incidence_media_refuses_a_substrate_that_is_not_a_substrate(value):
         incidence_media(Incidence(), value, 1e9)
     assert type(info.value) is InvalidParameterError
     assert str(info.value) == f"substrate must be a Substrate, got {value!r}"
+
+
+# A frequency that is neither a real number nor an ndarray (a tuple, a
+# list) once ended in a bare TypeError, and a negative one gave a negative
+# electrical length.
+@pytest.mark.parametrize("value, message", [
+    ((5,), "frequency must be a real number, got (5,)"),
+    ([1e9, 2e9], "frequency must be a real number, got [1000000000.0, 2000000000.0]"),
+    (-1e9, "frequency must lie in [1e3, 1e15] Hz, got -1000000000.0"),
+    (np.array([1e9, -1e9]), "frequency must lie in [1e3, 1e15] Hz, got -1000000000.0"),
+    (np.array([[1e9], [np.nan]]), "frequency must lie in [1e3, 1e15] Hz, got nan"),
+    (np.array(["1e9"]), "frequencies must be real numbers, got a <U3 array"),
+    (np.array([1e9 + 0j]), "frequencies must be real numbers, got a complex128 array"),
+], ids=repr)
+def test_incidence_media_refuses_a_frequency_outside_the_domain(value, message):
+    with pytest.raises(FssError) as info:
+        incidence_media(Incidence(), SUB, value)
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("loss", [False, True])
+def test_incidence_media_takes_a_scalar_an_array_or_an_empty_array(loss):
+    # a scalar gives a float (a complex one when lossy), an array holds the
+    # scalar's bits at each point, and an empty array gives an empty one
+    f = np.array([1e9, 2.4e9, 8e9])
+    *_, theta = incidence_media(Incidence(), SUB, f, loss)
+    scalars = [incidence_media(Incidence(), SUB, x, loss)[2] for x in f.tolist()]
+    assert {type(x) for x in scalars} == {complex if loss else float}
+    assert theta.tobytes() == np.array(scalars).tobytes()
+    assert incidence_media(Incidence(), SUB, np.array([]), loss)[2].shape == (0,)
+
+
+# np.asarray of a ragged nesting once raised its bare ValueError
+@pytest.mark.parametrize("call, message", [
+    (lambda: stack_response(STACK, [[1e9, 2e9], [3e9]]),
+     "frequencies must be real numbers, got a ragged sequence"),
+    (lambda: stack_response_full(STACK, [1e9, [2e9]]),
+     "frequencies must be real numbers, got a ragged sequence"),
+    (lambda: ResponseTable([1e9, 2e9], [0.5, [1]], [0.5, 0.5]),
+     "S11 must be numbers, got a ragged sequence"),
+    (lambda: ResponseTable([[1e9], [2e9, 3e9]], [0.5, 0.5], [0.5, 0.5]),
+     "frequencies must be real numbers, got a ragged sequence"),
+], ids=["stack_response", "stack_response_full", "ResponseTable.s11", "ResponseTable.frequency"])
+def test_a_ragged_column_is_refused_by_name(call, message):
+    with pytest.raises(FssError) as info:
+        call()
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("flag", [True, False])

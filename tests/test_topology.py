@@ -340,7 +340,7 @@ def test_stack_twoport_raises_on_exact_short():
     with np.errstate(divide="ignore"):  # the engine turns these warnings off
         freqs = np.array([f_short])
         lines = _line_terms(stack.layers, stack.incidence, False, freqs)
-        *_, shorted, _ = _chain(stack.layers, lines, stack.incidence, freqs)
+        *_, shorted, _ = _chain(stack.layers, lines, port_impedance(stack.incidence), freqs)
     assert shorted[0]
     s11, s21 = stack_response(stack, [f_short])
     assert s21[0] == 0j
@@ -708,7 +708,7 @@ def test_blocked_engine_matches_unblocked_reference():
             shorts[at] = f_short
             lines = _line_terms(stack.layers, stack.incidence, loss, shorts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                short = _chain(stack.layers, lines, stack.incidence, shorts)[4]
+                short = _chain(stack.layers, lines, port_impedance(stack.incidence), shorts)[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs, want_s22 in itertools.product((plain, shorts), (True, False)):
                 want = _engine_outcome(_reference_response_arrays, stack, freqs, want_s22)
@@ -748,7 +748,7 @@ def test_block_size_never_changes_a_bit(monkeypatch, second_order):
             stack = replace(stack, incidence=Incidence(math.radians(degrees), polarization))
             lines = _line_terms(stack.layers, stack.incidence, loss, shorts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                short = _chain(stack.layers, lines, stack.incidence, shorts)[4]
+                short = _chain(stack.layers, lines, port_impedance(stack.incidence), shorts)[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs in (plain, shorts):
                 outcomes = []
@@ -792,7 +792,7 @@ def test_chain_matches_reference_from_any_first_layer():
                 args = (chain_layers, stack.incidence, loss, freqs)
                 lines = _line_terms(*args)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    got = list(_chain(chain_layers, lines, stack.incidence, freqs))
+                    got = list(_chain(chain_layers, lines, port_impedance(stack.incidence), freqs))
                 if got[4] is None:  # no node shorts: no mask and no reflections
                     got[4:] = np.zeros(freqs.shape, bool), np.zeros(freqs.shape, complex)
                 A, B, C, D, shorted, s11_short = _reference_chain(*args)
@@ -807,6 +807,36 @@ def test_chain_matches_reference_from_any_first_layer():
     assert 0 < reals < compared
 
 
+@pytest.mark.parametrize("second_order", [False, True], ids=["first", "second"])
+@pytest.mark.parametrize("loss", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("polarization, degrees", [("TE", 0.0), ("TM", 45.0)], ids=["TE0", "TM45"])
+def test_engine_at_a_real_reference_matches_renormalized_s(second_order, loss, polarization, degrees):
+    """The chain matrix does not depend on the reference, so S that the
+    engine forms at R = 50 ohm equals S at the port impedance Z0
+    renormalized to R at each frequency, S' = (S - gI)(I - gS)^-1 with
+    g = (R - Z0)/(R + Z0) (Frickey, IEEE T-MTT 42(2), 1994): an exact
+    short on the grid included."""
+    rng = np.random.default_rng(51)
+    stack, f_short = _shorting_stack(rng, second_order, polarization, loss)
+    stack = replace(stack, incidence=Incidence(math.radians(degrees), polarization))
+    freqs = np.linspace(0.5e9, 12e9, 201)
+    freqs[77] = f_short
+    R, z0 = 50.0, port_impedance(stack.incidence)
+    got = np.empty((3, freqs.size), dtype=complex)
+    with np.errstate(**topology._QUIET):
+        lines = _line_terms(stack.layers, stack.incidence, loss, freqs)
+        topology._block_response(stack.layers, R, freqs, lines, *got)
+    assert np.flatnonzero(got[1] == 0).tolist() == [77]
+
+    s11, s21, s22 = stack_response_full(stack, freqs)
+    S = np.moveaxis(np.array([[s11, s21], [s21, s22]]), -1, 0)
+    g, eye = (R - z0) / (R + z0), np.eye(2)
+    want = (S - g * eye) @ np.linalg.inv(eye - g * S)
+    for s, (i, j) in zip(got, [(0, 0), (1, 0), (1, 1)]):
+        assert np.abs(s - want[:, i, j]).max() < 1e-13
+    assert np.abs(want[:, 0, 1] - want[:, 1, 0]).max() < 1e-13
+
+
 # --- Real and complex chains ---------------------------------------------------
 #
 # Stacks with no lossy line run a float64 chain, the rest a complex128
@@ -819,8 +849,8 @@ def _chain_dtypes(monkeypatch):
     dtypes = []
     chain = topology._chain
 
-    def recorded(layers, lines, incidence, freqs):
-        out = chain(layers, lines, incidence, freqs)
+    def recorded(layers, lines, port, freqs):
+        out = chain(layers, lines, port, freqs)
         dtypes.append(out[0].dtype)
         return out
 
