@@ -153,8 +153,8 @@ def sweep(
 
 def _grid(f_start: float, f_stop: float, n_points: int, spacing: str) -> np.ndarray:
     """The linear or logarithmic frequency grid of a sweep."""
-    check("frequency", "f_start", f_start)
-    check("frequency", "f_stop", f_stop)
+    f_start = check("frequency", "f_start", f_start)
+    f_stop = check("frequency", "f_stop", f_stop)
     if not f_start < f_stop:
         raise InvalidParameterError(f"need f_start < f_stop, got {f_start}, {f_stop}")
     check("n_points", "n_points", n_points)

@@ -31,11 +31,11 @@ them no stage leaves the float range:
   |Im theta| grows with thickness * f * tan_delta up to 4.5e10 rad, so
   the chain keeps its overflow check.  numpy's warnings are off only where
   the engine can overflow or divide by zero (``topology._QUIET``): a lossy
-  line's terms in ``_line_terms`` and each call's chain.  A fit's trial
-  step may leave the domain: the constructors refuse it and the fit damps
-  the step.  Exact shorts are no overflow and keep their path; the CLI's
-  and the importers' finiteness checks guard outside text, where JSON
-  integers are unbounded.
+  line's terms in ``_line_terms``, each chain and a fit's nodes.  A fit's
+  trial step may leave the domain: one range check refuses it, 0.0 too,
+  and the fit damps the step.  Exact shorts are no overflow and keep their
+  path; the CLI's and the importers' finiteness checks guard outside
+  text, where JSON integers are unbounded.
 * Sweeps: a sweep holds at most 64 bytes a point beside one-byte masks:
   its float grid (8; a parametric sweep's copy with the zero inserted, 8
   more), the engine's one block of two or three complex rows (32 or 48)
@@ -69,12 +69,15 @@ RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) i
 _ELEMENTS = {"L": "inductance", "C": "capacitance"}
 
 
-def check(quantity: str, name: str, value, error=InvalidParameterError):
-    """Raise ``error`` unless ``value`` is a number (``check_real``) in ``quantity``'s range."""
+def check(quantity: str, name: str, value, error=InvalidParameterError) -> float:
+    """Raise ``error`` unless ``value`` is a number (``check_real``) in
+    ``quantity``'s range; return it as a Python float, so that a NumPy
+    float32 frequency is computed with in double precision."""
     lo, hi, span = RANGES[quantity]
     check_real(name, value, error, integer=quantity in ("n_points", "max_iter"))
     if not lo <= value <= hi:  # NaN fails too
         raise error(f"{name} must lie in {span}, got {value}")
+    return float(value)
 
 
 def check_real(name: str, value, error=InvalidParameterError, integer: bool = False) -> None:

@@ -145,7 +145,7 @@ def surface_impedance(c: ExtractedCircuit, f: float):
     Returns OPEN exactly at a pole of the expression.
     """
     check_type("circuit", c, ExtractedCircuit)
-    check("frequency", "frequency", f)
+    f = check("frequency", "frequency", f)
     p, q, r = c.L_tank * c.C_tank, c.L_series * c.C_series, c.L_tank * c.C_series
     w = 2.0 * math.pi * f
     x = w * w

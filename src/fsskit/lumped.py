@@ -90,6 +90,13 @@ class Parallel:
 
 Branch = SeriesLC | Tank | Inductor | Parallel
 
+# each leaf branch's susceptance over angular frequencies w, from its fields
+_LEAVES = {
+    SeriesLC: lambda w, L, C: -1.0 / (w * L - 1.0 / (w * C)),
+    Tank: lambda w, L, C: w * C - 1.0 / (w * L),
+    Inductor: lambda w, L: -1.0 / (w * L),
+}
+
 
 def branch_impedance(b: Branch, f: float):
     """Complex impedance of a branch at frequency f (Hz).
@@ -97,7 +104,7 @@ def branch_impedance(b: Branch, f: float):
     Returns OPEN for an exactly infinite impedance; 0j (a perfect short)
     is an ordinary return value.
     """
-    check("frequency", "frequency", f)
+    f = check("frequency", "frequency", f)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = float(_susceptance_array(b, np.array([2.0 * math.pi * f]))[0])
     if x == 0.0:
@@ -115,17 +122,12 @@ def _susceptance_array(b: Branch, w: np.ndarray) -> np.ndarray:
     short.  There it divides by zero: callers turn off numpy's divide and
     invalid warnings.
     """
-    if isinstance(b, SeriesLC):
-        return -1.0 / (w * b.L - 1.0 / (w * b.C))
-    if isinstance(b, Tank):
-        return w * b.C - 1.0 / (w * b.L)
-    if isinstance(b, Inductor):
-        return -1.0 / (w * b.L)
+    for kind, leaf in _LEAVES.items():
+        if isinstance(b, kind):
+            return leaf(w, *vars(b).values())
     if isinstance(b, Parallel):
-        x = np.zeros(w.shape)
-        for sub in b.branches:
-            x += _susceptance_array(sub, w)
-        return x
+        first, *rest = (_susceptance_array(sub, w) for sub in b.branches)
+        return sum(rest, first)
     raise InvalidParameterError(f"not a lumped branch: {b!r}")
 
 
@@ -153,9 +155,9 @@ def hybrid_impedance(h: HybridCircuit, f: float):
     """Impedance of the hybrid network, jwL_series + 1/(jwC_series) + tank;
     the tank term has a ``Tank``'s bits but not a ``Tank``'s ranges."""
     check_type("circuit", h, HybridCircuit)
-    check("frequency", "frequency", f)
+    f = check("frequency", "frequency", f)
     w = 2.0 * math.pi * f
-    b_tank = w * h.C_tank - 1.0 / (w * h.L_tank)  # the tank's susceptance
+    b_tank = _LEAVES[Tank](w, h.L_tank, h.C_tank)
     if b_tank == 0.0:
         return OPEN
     return 1j * (w * h.L_series - 1.0 / (w * h.C_series)) + 1.0 / complex(0.0, b_tank)

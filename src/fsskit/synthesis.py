@@ -38,15 +38,17 @@ from .extraction import (
     _strip_width,
     effective_permittivity,
 )
-from .lumped import SeriesLC, Tank
+from .lumped import _LEAVES, Inductor, SeriesLC, Tank
 from .analysis import ResponseTable, _moving_average, _power, _refine_quadratic
 from .topology import (
+    _QUIET,
     Incidence,
     Substrate,
     build_first_order,
     build_second_order,
+    port_impedance,
+    _block_response,
     _line_terms,
-    _response_arrays,
 )
 
 #: Default tank inductance for target inversion; sets the impedance level /
@@ -84,7 +86,7 @@ class DesignTargets:
 
     def __post_init__(self):
         for name in ("f_lower", "f_upper") + (("f_zero",) if self.f_zero is not None else ()):
-            check("frequency", name, getattr(self, name))
+            object.__setattr__(self, name, check("frequency", name, getattr(self, name)))
         check("inductance", "L_tank", self.L_tank)
         if not self.f_lower < self.f_upper:
             raise InvalidParameterError(
@@ -292,7 +294,7 @@ def fit_circuit(
     exhausting a positive cap without meeting the convergence tests raises
     DivergedFitError carrying the best parameters and the residual trace.
     The line terms, fixed by the substrate, incidence, loss and grid, are
-    formed once per fit, read-only, and sliced per block at each evaluation.
+    formed once per fit; each evaluation forms only the nodes, on the whole grid.
     """
     check_type("data", data, ResponseTable)
     if not isinstance(template, str) or template not in TEMPLATES:
@@ -325,12 +327,20 @@ def fit_circuit(
         return np.concatenate([s21.real, s21.imag])
 
     target = observed(data.s21)
+    port = port_impedance(inc)
+    check_flag("dielectric_loss", dielectric_loss)
+    check_type("substrate", sub, Substrate)
+    subs = (sub,) if template == "first_order" else (sub, sub)
+    lines = _line_terms(subs, inc, dielectric_loss, freqs)
+    w = 2.0 * math.pi * freqs
 
     def model_residual(values):
         """Residual vector at the element values; raises FssError where they
         leave the domain or the network overflows."""
-        stack = _build_template(template, dict(zip(names, values)), sub, inc, dielectric_loss)
-        return observed(_response_arrays(stack, freqs, False, lines)[1]) - target
+        s11, s21 = np.empty((2, freqs.size), dtype=complex)
+        with np.errstate(**_QUIET):
+            _block_response(_template_terms(template, values, w, lines), port, freqs, s11, s21)
+        return observed(s21) - target
 
     def evaluated(values):
         """``values`` and their residual, or None where they leave the
@@ -344,20 +354,16 @@ def fit_circuit(
         """Element values at log-values ``theta`` and their residual, or
         None.  With an anchor ``q``, ``theta`` omits C_series, which is
         q / L_series."""
-        try:  # an element that overflows leaves the domain
+        try:  # an element that over- or underflows leaves the domain
             values = [math.exp(t) for t in theta]
-        except OverflowError:
+            if q is not None:
+                values.insert(1, q / values[0])
+        except (OverflowError, ZeroDivisionError):
             return None
-        if not all(values):  # 0.0 would omit an element, not make it small
-            return None
-        if q is not None:
-            values.insert(1, q / values[0])
         return evaluated(np.array(values))
 
     # the accepted values travel with their residual.  A start that cannot
     # be evaluated is refused with the error that names why.
-    start = _build_template(template, dict(zip(names, x0)), sub, inc, dielectric_loss)
-    lines = _line_terms(start.layers, inc, dielectric_loss, freqs)
     point = x0, model_residual(x0)
     cost = _cost(point[1])
     if cost == math.inf:
@@ -505,3 +511,17 @@ def _build_template(template, params, sub, inc, dielectric_loss):
     l_a, c_a, l_b, c_b, l_tank, c_tank = (params[n] for n in SECOND_ORDER_PARAMS)
     outer = (SeriesLC(l_a, c_a), SeriesLC(l_b, c_b))
     return build_second_order(outer, Tank(l_tank, c_tank), sub, inc, dielectric_loss)
+
+
+def _template_terms(template, values, w, lines):
+    """``_build_template``'s stack as ``_chain`` terms at element values
+    ``values`` over angular frequencies ``w``: ``lines`` and the nodes that
+    ``_susceptance_array`` forms.  A value out of range, 0.0 too, is refused."""
+    check_elements(dict(zip(TEMPLATES[template], values)))
+    series, tank = _LEAVES[SeriesLC], _LEAVES[Tank]
+    if template == "first_order":
+        l_s, c_s, l_t, c_t, l_p = values
+        return [tank(w, l_t, c_t), lines[0], _LEAVES[Inductor](w, l_p) + series(w, l_s, c_s)]
+    l_a, c_a, l_b, c_b, l_t, c_t = values
+    outer = series(w, l_a, c_a) + series(w, l_b, c_b)
+    return [outer, lines[0], tank(w, l_t, c_t), lines[1], outer]

@@ -134,7 +134,13 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
         f = number_array("frequencies", f)
         check_frequencies(f)
     else:
-        check("frequency", "frequency", f)
+        f = check("frequency", "frequency", f)
+    return port_impedance(inc), *_line_media(inc, sub, f, dielectric_loss)
+
+
+def _line_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool):
+    """``incidence_media``'s line impedance and electrical length, from
+    arguments it has checked."""
     lossy = dielectric_loss and sub.tan_delta > 0.0
     eps = sub.eps_r * (1.0 - 1j * sub.tan_delta) if lossy else sub.eps_r
     sin_i = math.sin(inc.theta)
@@ -143,7 +149,7 @@ def incidence_media(inc: Incidence, sub: Substrate, f, dielectric_loss: bool = F
     cos_r = (1.0 - sin_i * sin_i / eps) ** 0.5
     line_z = _oblique(ETA0 / eps ** 0.5, cos_r, inc.polarization)
     theta_d = (2.0 * math.pi / C0) * sub.thickness * (eps ** 0.5) * cos_r * f
-    return port_impedance(inc), line_z, theta_d
+    return line_z, theta_d
 
 
 def build_first_order(
@@ -205,12 +211,12 @@ def stack_response_full(stack: FssStack, freqs):
 
 def _line_terms(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
     """Read-only cos(theta), B and C of each line in ``layers`` over ``freqs``,
-    from ``incidence_media``.  With no complex electrical length, A and D of
+    from ``_line_media``.  With no complex electrical length, A and D of
     a chain are real and B and C imaginary (Pozar, *Microwave Engineering*,
     ch. 4): the terms are float64 holding B/j and C/j.  Otherwise they are
     complex128 holding B and C, formed under ``_QUIET``: a thick lossy line
     overflows, and a lossless line cannot (``fsskit.domain``)."""
-    media = [incidence_media(incidence, layer, freqs, dielectric_loss)[1:]
+    media = [_line_media(incidence, layer, freqs, dielectric_loss)
              for layer in layers if isinstance(layer, Substrate)]
     real = not any(np.iscomplexobj(theta_d) for _, theta_d in media)
     lines = []
@@ -231,10 +237,10 @@ def _line_terms(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.n
     return lines
 
 
-def _chain(layers, lines, port: float, freqs: np.ndarray):
-    """Chain-matrix entries of ``layers``, whose ``_line_terms`` are ``lines``,
-    over the grid ``freqs``.  The layers are those of an ``FssStack`` or
-    their reverse, so they start with a node followed by a line.
+def _chain(terms, port: float):
+    """Chain-matrix entries of a stack's layers, or of their reverse, from
+    their ``terms``: a node's susceptance array and a line's ``_line_terms``
+    tuple, a node first and a line second.
 
     Every node is lossless.  The entries take the dtype of the terms:
     float64 arrays holding A, B/j, C/j and D, or complex128 arrays holding
@@ -253,36 +259,33 @@ def _chain(layers, lines, port: float, freqs: np.ndarray):
     and both are None if no node shorts anywhere on the grid.
 
     Each step is a plain expression in the operand order of the matrix
-    product, and writes only arrays made in this call: the line terms are
+    product, and writes only arrays made in this call: the terms are
     never written.  A short divides by zero and a lossy line's overflow
     spreads: the caller runs it under ``_QUIET``.
     """
-    lines = iter(lines)
-    A, B, c_line = next(lines)  # the first line's terms
+    A, B, c_line = terms[1]  # the first line's terms
     real = A.dtype == float
     plus = np.subtract if real else np.add
-    w = 2.0 * math.pi * freqs
     shorted = s11_short = None
 
-    def node_term(layer, B, D):
-        """The node's susceptance (admittance if complex) behind the
+    def node_term(y, B, D):
+        """The node's susceptance ``y`` (admittance if complex) behind the
         prefix chain B, D, with its shorts recorded and zeroed."""
         nonlocal shorted, s11_short
-        y = _susceptance_array(layer, w)
         # the sum of finite values is finite unless it overflows, so the
         # mask is built only when some node shorts (or on such an overflow)
         if not math.isfinite(y.sum()):
             bad = ~np.isfinite(y)
             if shorted is None:
-                shorted = np.zeros(freqs.shape, dtype=bool)
-                s11_short = np.zeros(freqs.shape, dtype=complex)
+                shorted = np.zeros(y.shape, dtype=bool)
+                s11_short = np.zeros(y.shape, dtype=complex)
             first = bad & ~shorted
-            b, d = (np.broadcast_to(m, freqs.shape)[first] for m in (B, D))
+            b, d = (np.broadcast_to(m, y.shape)[first] for m in (B, D))
             if real:
                 b, d = b * 1j, d + 0j
             s11_short[first] = (b - d * port) / (b + d * port)
             np.logical_or(shorted, bad, out=shorted)
-            y[bad] = 0.0
+            y = np.where(bad, 0.0, y)
         return y if real else 1j * y
 
     # The first node and line, [1 0; y 1] @ [cos_t b_line; c_line cos_t],
@@ -290,28 +293,28 @@ def _chain(layers, lines, port: float, freqs: np.ndarray):
     # nonzero v plus a signed zero is v.  Only B = 1*b_line + 0*cos_t keeps
     # its + 0, which turns the -0 real part of a lossless complex b_line
     # into +0.  The node sits behind the identity, B = 0, D = 1.
-    y = node_term(layers[0], 0j, 1 + 0j)
+    y = node_term(terms[0], 0j, 1 + 0j)
     D = plus(A, y * B)
     C = y * A + c_line
     if not real:
         B = B + 0.0
 
-    for layer in layers[2:]:
-        if isinstance(layer, Substrate):
-            cos_t, b_line, c_line = next(lines)
+    for term in terms[2:]:
+        if isinstance(term, tuple):  # a line's terms
+            cos_t, b_line, c_line = term
             # [A B; C D] @ [cos_t b_line; c_line cos_t]
             A, B = plus(A * cos_t, B * c_line), A * b_line + B * cos_t
             C, D = C * cos_t + D * c_line, plus(D * cos_t, C * b_line)
         else:
-            y = node_term(layer, B, D)
+            y = node_term(term, B, D)
             A = plus(A, B * y)
             C = C + D * y
     return A, B, C, D, shorted, s11_short
 
 
-def _response_arrays(stack: FssStack, freqs, want_s22: bool, lines=None):
-    """S11, S21 and S22 (or None) over ``freqs``: each block slices ``lines``,
-    the stack's ``_line_terms`` over the whole grid, or forms its own."""
+def _response_arrays(stack: FssStack, freqs, want_s22: bool):
+    """S11, S21 and S22 (or None) of ``stack`` over ``freqs``, whose terms
+    each block forms."""
     freqs = number_array("frequencies", freqs)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
@@ -327,19 +330,21 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool, lines=None):
         for start in range(0, freqs.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             f = freqs[block]
-            terms = (_line_terms(stack.layers, stack.incidence, stack.dielectric_loss, f)
-                     if lines is None else [tuple(t[block] for t in line) for line in lines])
-            _block_response(stack.layers, port, f, terms, *out[:, block])
+            lines = iter(_line_terms(stack.layers, stack.incidence, stack.dielectric_loss, f))
+            w = 2.0 * math.pi * f
+            terms = [next(lines) if isinstance(layer, Substrate) else _susceptance_array(layer, w)
+                     for layer in stack.layers]
+            _block_response(terms, port, f, *out[:, block])
     # born read-only, rows included, so a ResponseTable shares them
     out.setflags(write=False)
     return out[0], out[1], out[2] if want_s22 else None
 
 
-def _block_response(layers, port: float, freqs, lines, s11, s21, s22=None):
-    """Write S11, S21 (and S22 unless it is None) of ``layers`` at the real
-    port impedance ``port`` over one block of the grid, whose line terms
-    are ``lines``, into the given output slices."""
-    A, B, C, D, shorted, s11_short = _chain(layers, lines, port, freqs)
+def _block_response(terms, port: float, freqs, s11, s21, s22=None):
+    """Write S11, S21 (and S22 unless it is None) of the layers whose
+    ``_chain`` terms are ``terms`` at the real port impedance ``port`` over
+    the grid ``freqs`` into the given output slices."""
+    A, B, C, D, shorted, s11_short = _chain(terms, port)
     # A*port, D*port and C*port*port are each formed once and shared by
     #   delta = A*port + B + C*port*port + D*port
     #   S11 = (A*port + B - C*port*port - D*port) / delta
@@ -384,5 +389,6 @@ def _block_response(layers, port: float, freqs, lines, s11, s21, s22=None):
         s11[shorted] = s11_short[shorted]
         s21[shorted] = 0j
         if s22 is not None:
-            masked = [tuple(term[shorted] for term in line) for line in lines[::-1]]
-            s22[shorted] = _chain(layers[::-1], masked, port, freqs[shorted])[5]
+            masked = [tuple(t[shorted] for t in term) if isinstance(term, tuple) else term[shorted]
+                      for term in terms[::-1]]
+            s22[shorted] = _chain(masked, port)[5]

@@ -274,6 +274,41 @@ def test_incidence_media_takes_a_scalar_an_array_or_an_empty_array(loss):
     assert incidence_media(Incidence(), SUB, np.array([]), loss)[2].shape == (0,)
 
 
+def _bits(value):
+    """The type, dtype and raw bytes of each number or array in ``value``."""
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    if isinstance(value, ResponseTable):
+        return _bits((value.frequency, value.s11, value.s21))
+    if isinstance(value, (DesignTargets, ExtractedCircuit)):
+        return _bits(list(asdict(value).values()))
+    a = np.asarray(value)
+    return type(value).__name__, a.dtype.str, a.tobytes()
+
+
+# entry: its outcome at frequencies made by ``hz`` from float32 numbers
+SCALAR_FREQUENCIES = {
+    "incidence_media": lambda hz: incidence_media(Incidence(0.3, "TM"), SUB, hz(2.4e9), True),
+    "branch_impedance": lambda hz: branch_impedance(Tank(4e-9, 0.35e-12), hz(2.4e9)),
+    "hybrid_impedance": lambda hz: hybrid_impedance(HYBRID, hz(2.4e9)),
+    "surface_impedance": lambda hz: surface_impedance(CIRCUIT, hz(2.4e9)),
+    "sweep": lambda hz: sweep(STACK, hz(1.1e9), hz(2.75e9), 5),
+    "DesignTargets": lambda hz: (t := DesignTargets(hz(2.4e9), hz(5.8e9), hz(3.5e9)),
+                                 circuit_from_targets(t)),
+    "DesignTargets.f_zero=None": lambda hz: (t := DesignTargets(hz(2.4e9), hz(5.8e9)),
+                                             circuit_from_targets(t)),
+}
+
+
+# A float32 scalar was computed with in single precision: incidence_media
+# returned a float32, surface_impedance overflowed to 0j, and sweep built a
+# float32 grid.  Every scalar frequency is handed on as a Python float.
+@pytest.mark.parametrize("entry", sorted(SCALAR_FREQUENCIES))
+def test_a_float32_frequency_has_the_bits_of_its_float(entry):
+    call = SCALAR_FREQUENCIES[entry]
+    assert _bits(call(np.float32)) == _bits(call(lambda x: float(np.float32(x))))
+
+
 # np.asarray of a ragged nesting once raised its bare ValueError
 @pytest.mark.parametrize("call, message", [
     (lambda: stack_response(STACK, [[1e9, 2e9], [3e9]]),
@@ -320,6 +355,7 @@ WRONG_TYPES = {
     "fit_circuit.data": ("data must be a ResponseTable", lambda v, _: fit_circuit(
         v, "first_order", START, SUB, max_iter=0)),
     "fit_circuit.initial": ("initial guess must be a Mapping", _fit(initial=lambda v: v)),
+    "fit_circuit.sub": ("substrate must be a Substrate", _fit(sub=lambda v: v)),
     "stack_response.stack": (
         "stack must be an FssStack", lambda v, _: stack_response(v, [1e9, 2e9])),
     "stack_response_full.stack": (

@@ -38,7 +38,9 @@ from fsskit.errors import (
     UnattainableDimensionError,
 )
 from fsskit.domain import RANGES
-from fsskit import synthesis, topology
+from fsskit import lumped, synthesis, topology
+from fsskit.lumped import Inductor, Parallel, _susceptance_array
+from fsskit.topology import FssStack, _line_terms
 from fsskit.analysis import _refine_quadratic
 from fsskit.synthesis import _bisect_decreasing
 
@@ -580,25 +582,136 @@ def test_a_fit_forms_its_line_terms_once(ref_substrate, monkeypatch, template, n
     else:
         sub, _, data, initial = _second_order_problem()
     media, passed = [], []
-    incidence_media, engine = topology.incidence_media, synthesis._response_arrays
+    line_media, engine = topology._line_media, synthesis._block_response
 
     def counted(*args):
         media.append(args)
-        return incidence_media(*args)
+        return line_media(*args)
 
-    def recorded(stack, freqs, want_s22, lines):
-        passed.append(lines)
-        return engine(stack, freqs, want_s22, lines)
+    def recorded(terms, port, freqs, *out):
+        passed.append(terms[1::2])  # the line terms
+        return engine(terms, port, freqs, *out)
 
-    monkeypatch.setattr(topology, "incidence_media", counted)
-    monkeypatch.setattr(synthesis, "_response_arrays", recorded)
+    monkeypatch.setattr(topology, "_line_media", counted)
+    monkeypatch.setattr(synthesis, "_block_response", recorded)
     result = fit_circuit(data, template, initial, sub, dielectric_loss=True)
     assert len(media) == n_lines
     # each accepted step differences every parameter and tries a step
     assert len(passed) > len(initial) * result.iterations > 0
-    assert all(terms is passed[0] for terms in passed)
+    assert all(line is first for terms in passed for line, first in zip(terms, passed[0]))
     assert len(passed[0]) == n_lines
     assert not any(term.flags.writeable for line in passed[0] for term in line)
+
+
+def _template_problem(template):
+    """The element names, substrate, incidence and line substrates of a
+    template's test stacks."""
+    sub = Substrate(0.635e-3, 10.2, 0.0023)
+    subs = (sub,) if template == "first_order" else (sub, sub)
+    return synthesis.TEMPLATES[template], sub, Incidence(0.3, "TM"), subs
+
+
+@pytest.mark.parametrize("template", ["first_order", "second_order"])
+def test_template_terms_have_the_bits_of_the_built_stack(template):
+    """A fit's template map forms each node's susceptance with the bits that
+    ``_susceptance_array`` gives on ``_build_template``'s stack: at seeded
+    values, at the ends of the element ranges, and where the first series
+    branch is exactly short on the grid (w*L = 1/(w*C) = 1 at w = 2**15)."""
+    names, sub, inc, subs = _template_problem(template)
+    rng = np.random.default_rng(52)
+    u = 2.0**-15
+    f_short = 1.0 / (2.0 * math.pi * u)
+    freqs = np.sort(np.concatenate([10.0 ** rng.uniform(3.0, 15.0, 60), [1e3, f_short, 1e15]]))
+    w = 2.0 * math.pi * freqs
+    lines = _line_terms(subs, inc, True, freqs)
+    shorts = 0
+    for k in range(60):
+        values = []
+        for name in names:
+            lo, hi, _ = RANGES["inductance" if name[0] == "L" else "capacitance"]
+            edge = rng.integers(4)  # one value in four at an end of its range
+            values.append(lo if edge == 0 and k % 2 else hi if edge == 0 else
+                          10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+        if k % 3 == 0:
+            values[:2] = u, u
+        values = np.array(values)
+        with np.errstate(**topology._QUIET):
+            got = synthesis._template_terms(template, values, w, lines)
+            stack = synthesis._build_template(template, dict(zip(names, values)), sub, inc, True)
+            want = [_susceptance_array(node, w) for node in stack.layers[::2]]
+        assert [t.tobytes() for t in got[::2]] == [t.tobytes() for t in want], k
+        assert all(a is b for a, b in zip(got[1::2], lines))
+        shorts += not all(np.isfinite(node).all() for node in got[::2])
+    assert shorts >= 20
+
+
+@pytest.mark.parametrize("template", ["first_order", "second_order"])
+def test_template_range_check_refuses_what_the_constructors_refuse(template):
+    # the constructors refused each value out of range, and from_logs
+    # refused a 0.0 L_parasitic, which the first-order builder omits
+    names, sub, inc, subs = _template_problem(template)
+    base = WEAK_PARASITIC if template == "first_order" else _second_order_problem()[1]
+    freqs = np.array([1e9, 2e9])
+    lines = _line_terms(subs, inc, False, freqs)
+
+    def refused(call):
+        try:
+            call()
+        except InvalidParameterError:
+            return True
+        return False
+
+    for name in names:
+        lo, hi, _ = RANGES["inductance" if name[0] == "L" else "capacitance"]
+        for v in (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
+                  0.0, math.inf, math.nan):
+            values = dict(base, **{name: v})
+            mapped = refused(lambda: synthesis._template_terms(
+                template, np.array(list(values.values())), 2.0 * math.pi * freqs, lines))
+            built = refused(lambda: synthesis._build_template(template, values, sub, inc, False))
+            assert mapped == (built or (name == "L_parasitic" and v == 0.0)), (name, v)
+            assert mapped == (v not in (lo, hi)), (name, v)
+
+
+@pytest.mark.parametrize("template", ["first_order", "second_order"])
+def test_a_fit_builds_no_stack_or_branch(ref_substrate, monkeypatch, template):
+    """A fit evaluates element vectors: no evaluation runs a constructor's
+    checks, as building each model's stack did."""
+    if template == "first_order":
+        sub, data = ref_substrate, _weak_parasitic_data(ref_substrate)
+        initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), (1.1, 0.9, 1.1, 0.9, 1.1))}
+    else:
+        sub, _, data, initial = _second_order_problem()
+    built = []
+    for cls in (FssStack, lumped._LC, Inductor, Parallel, ExtractedCircuit):
+        def counted(self, post=cls.__post_init__):
+            built.append(type(self).__name__)
+            post(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    result = fit_circuit(data, template, initial, sub, dielectric_loss=True)
+    assert result.iterations > 0
+    assert built == []
+    synthesis._build_template(template, initial, sub, Incidence(), True)
+    assert "FssStack" in built and "Parallel" in built
+
+
+def test_an_anchored_trial_whose_series_inductance_underflows_is_refused(
+        ref_substrate, monkeypatch):
+    # exp(-800) underflows to 0.0: the anchored stage's C_series = q / L_series
+    # would divide by it, and the free stage's range check refuses it
+    refusals = []
+    loop = synthesis._damped_least_squares
+
+    def probing(evaluate, theta, point, n, max_iter):
+        refusals.append(evaluate(np.concatenate([[-800.0], theta[1:]])))
+        return loop(evaluate, theta, point, n, max_iter)
+
+    monkeypatch.setattr(synthesis, "_damped_least_squares", probing)
+    data = _weak_parasitic_data(ref_substrate)
+    initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), (1.1, 0.9, 1.1, 0.9, 1.1))}
+    result = fit_circuit(data, "first_order", initial, ref_substrate)
+    assert result.f_null is not None
+    assert refusals == [None, None]
 
 
 def _fit_digest(result):

@@ -40,7 +40,7 @@ from fsskit.errors import InvalidParameterError, SingularNetworkError
 from fsskit.fileio import CSV_HEADER
 from fsskit.topology import _chain, _line_terms
 
-from conftest import assert_lines_match
+from conftest import assert_lines_match, chain_terms
 
 MEDIA_GOLDEN = pathlib.Path(__file__).parent / "golden" / "media_resonance_reader_outputs.txt"
 
@@ -339,8 +339,8 @@ def test_stack_twoport_raises_on_exact_short():
     f_short = 1.0 / (2.0 * math.pi * _U)  # series branch exactly short here
     with np.errstate(divide="ignore"):  # the engine turns these warnings off
         freqs = np.array([f_short])
-        lines = _line_terms(stack.layers, stack.incidence, False, freqs)
-        *_, shorted, _ = _chain(stack.layers, lines, port_impedance(stack.incidence), freqs)
+        terms = chain_terms(stack.layers, stack.incidence, False, freqs)
+        *_, shorted, _ = _chain(terms, port_impedance(stack.incidence))
     assert shorted[0]
     s11, s21 = stack_response(stack, [f_short])
     assert s21[0] == 0j
@@ -706,9 +706,9 @@ def test_blocked_engine_matches_unblocked_reference():
             plain = np.linspace(0.5e9, 12e9, n) if n > 1 else rng.uniform(0.5e9, 12e9, 1)
             shorts = plain.copy()
             shorts[at] = f_short
-            lines = _line_terms(stack.layers, stack.incidence, loss, shorts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                short = _chain(stack.layers, lines, port_impedance(stack.incidence), shorts)[4]
+                terms = chain_terms(stack.layers, stack.incidence, loss, shorts)
+                short = _chain(terms, port_impedance(stack.incidence))[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs, want_s22 in itertools.product((plain, shorts), (True, False)):
                 want = _engine_outcome(_reference_response_arrays, stack, freqs, want_s22)
@@ -746,9 +746,9 @@ def test_block_size_never_changes_a_bit(monkeypatch, second_order):
         shorts[at] = f_short
         for polarization, degrees in itertools.product(("TE", "TM"), (0.0, 60.0)):
             stack = replace(stack, incidence=Incidence(math.radians(degrees), polarization))
-            lines = _line_terms(stack.layers, stack.incidence, loss, shorts)
             with np.errstate(divide="ignore", invalid="ignore"):
-                short = _chain(stack.layers, lines, port_impedance(stack.incidence), shorts)[4]
+                terms = chain_terms(stack.layers, stack.incidence, loss, shorts)
+                short = _chain(terms, port_impedance(stack.incidence))[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs in (plain, shorts):
                 outcomes = []
@@ -790,9 +790,9 @@ def test_chain_matches_reference_from_any_first_layer():
         for chain_layers in (layers, long):
             for freqs in (plain, shorts):
                 args = (chain_layers, stack.incidence, loss, freqs)
-                lines = _line_terms(*args)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    got = list(_chain(chain_layers, lines, port_impedance(stack.incidence), freqs))
+                    terms = chain_terms(*args)
+                    got = list(_chain(terms, port_impedance(stack.incidence)))
                 if got[4] is None:  # no node shorts: no mask and no reflections
                     got[4:] = np.zeros(freqs.shape, bool), np.zeros(freqs.shape, complex)
                 A, B, C, D, shorted, s11_short = _reference_chain(*args)
@@ -805,6 +805,20 @@ def test_chain_matches_reference_from_any_first_layer():
                 compared += 1
     assert compared == 24 * 2 * 2
     assert 0 < reals < compared
+
+
+def test_a_response_checks_its_frequencies_once(monkeypatch):
+    # each line's terms once checked their block's frequencies again: 1 + 4 * 2
+    # calls for this second-order stack over four blocks
+    sizes = []
+    check = topology.check_frequencies
+    monkeypatch.setattr(topology, "check_frequencies", lambda f: sizes.append(f.size) or check(f))
+    monkeypatch.setattr(topology, "_BLOCK", 16)
+    stack = build_second_order(
+        (SeriesLC(4.9e-9, 0.5e-12), SeriesLC(2e-9, 0.5e-12)), Tank(2.5e-9, 0.3e-12),
+        Substrate(3.4e-3, 10.2, 0.0023), dielectric_loss=True)
+    stack_response(stack, np.linspace(1e9, 8e9, 50))
+    assert sizes == [50]
 
 
 @pytest.mark.parametrize("second_order", [False, True], ids=["first", "second"])
@@ -824,8 +838,8 @@ def test_engine_at_a_real_reference_matches_renormalized_s(second_order, loss, p
     R, z0 = 50.0, port_impedance(stack.incidence)
     got = np.empty((3, freqs.size), dtype=complex)
     with np.errstate(**topology._QUIET):
-        lines = _line_terms(stack.layers, stack.incidence, loss, freqs)
-        topology._block_response(stack.layers, R, freqs, lines, *got)
+        terms = chain_terms(stack.layers, stack.incidence, loss, freqs)
+        topology._block_response(terms, R, freqs, *got)
     assert np.flatnonzero(got[1] == 0).tolist() == [77]
 
     s11, s21, s22 = stack_response_full(stack, freqs)
@@ -849,8 +863,8 @@ def _chain_dtypes(monkeypatch):
     dtypes = []
     chain = topology._chain
 
-    def recorded(layers, lines, port, freqs):
-        out = chain(layers, lines, port, freqs)
+    def recorded(terms, port):
+        out = chain(terms, port)
         dtypes.append(out[0].dtype)
         return out
 
