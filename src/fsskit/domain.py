@@ -69,15 +69,16 @@ RANGES = {q: (float(a), float(b), f"[{a}, {b}] {u}".rstrip()) for q, (a, b, u) i
 _ELEMENTS = {"L": "inductance", "C": "capacitance"}
 
 
-def check(quantity: str, name: str, value, error=InvalidParameterError) -> float:
+def check(quantity: str, name: str, value, error=InvalidParameterError):
     """Raise ``error`` unless ``value`` is a number (``check_real``) in
-    ``quantity``'s range; return it as a Python float, so that a NumPy
-    float32 frequency is computed with in double precision."""
+    ``quantity``'s range; return it, a real one as a Python float, so that
+    a NumPy float32 frequency is computed with in double precision."""
     lo, hi, span = RANGES[quantity]
-    check_real(name, value, error, integer=quantity in ("n_points", "max_iter"))
+    integer = quantity in ("n_points", "max_iter")
+    check_real(name, value, error, integer=integer)
     if not lo <= value <= hi:  # NaN fails too
         raise error(f"{name} must lie in {span}, got {value}")
-    return float(value)
+    return value if integer else float(value)
 
 
 def check_real(name: str, value, error=InvalidParameterError, integer: bool = False) -> None:

@@ -41,13 +41,12 @@ from .extraction import (
 from .lumped import _LEAVES, Inductor, SeriesLC, Tank
 from .analysis import ResponseTable, _moving_average, _power, _refine_quadratic
 from .topology import (
-    _QUIET,
     Incidence,
     Substrate,
     build_first_order,
     build_second_order,
     port_impedance,
-    _block_response,
+    _blocked_response,
     _line_terms,
 )
 
@@ -294,7 +293,8 @@ def fit_circuit(
     exhausting a positive cap without meeting the convergence tests raises
     DivergedFitError carrying the best parameters and the residual trace.
     The line terms, fixed by the substrate, incidence, loss and grid, are
-    formed once per fit; each evaluation forms only the nodes, on the whole grid.
+    formed once per fit; each evaluation forms only the nodes, block by
+    block as ``stack_response`` does.
     """
     check_type("data", data, ResponseTable)
     if not isinstance(template, str) or template not in TEMPLATES:
@@ -337,10 +337,10 @@ def fit_circuit(
     def model_residual(values):
         """Residual vector at the element values; raises FssError where they
         leave the domain or the network overflows."""
-        s11, s21 = np.empty((2, freqs.size), dtype=complex)
-        with np.errstate(**_QUIET):
-            _block_response(_template_terms(template, values, w, lines), port, freqs, s11, s21)
-        return observed(s21) - target
+        out = np.empty((2, freqs.size), dtype=complex)
+        _blocked_response(out, port, freqs, lambda block: _template_terms(
+            template, values, w[block], [tuple(t[block] for t in line) for line in lines]))
+        return observed(out[1]) - target
 
     def evaluated(values):
         """``values`` and their residual, or None where they leave the

@@ -313,8 +313,7 @@ def _chain(terms, port: float):
 
 
 def _response_arrays(stack: FssStack, freqs, want_s22: bool):
-    """S11, S21 and S22 (or None) of ``stack`` over ``freqs``, whose terms
-    each block forms."""
+    """S11, S21 and S22 (or None) of ``stack`` over ``freqs``."""
     freqs = number_array("frequencies", freqs)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InvalidParameterError("frequency grid must be a non-empty 1-D array")
@@ -325,19 +324,31 @@ def _response_arrays(stack: FssStack, freqs, want_s22: bool):
     # dynamic mmap and trim thresholds by the largest block freed, so a warm
     # study then keeps its heap mapped instead of faulting it in every call.
     out = np.empty((3 if want_s22 else 2, freqs.size), dtype=complex)
-    port = port_impedance(stack.incidence)
-    with np.errstate(**_QUIET):
-        for start in range(0, freqs.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            f = freqs[block]
-            lines = iter(_line_terms(stack.layers, stack.incidence, stack.dielectric_loss, f))
-            w = 2.0 * math.pi * f
-            terms = [next(lines) if isinstance(layer, Substrate) else _susceptance_array(layer, w)
-                     for layer in stack.layers]
-            _block_response(terms, port, f, *out[:, block])
+    _blocked_response(out, port_impedance(stack.incidence), freqs, lambda block: _stack_terms(
+        stack.layers, stack.incidence, stack.dielectric_loss, freqs[block]))
     # born read-only, rows included, so a ResponseTable shares them
     out.setflags(write=False)
     return out[0], out[1], out[2] if want_s22 else None
+
+
+def _stack_terms(layers, incidence: Incidence, dielectric_loss: bool, freqs: np.ndarray):
+    """The ``_chain`` terms of ``layers`` over ``freqs``: each node's
+    ``_susceptance_array`` and each line's ``_line_terms`` tuple."""
+    lines = iter(_line_terms(layers, incidence, dielectric_loss, freqs))
+    w = 2.0 * math.pi * freqs
+    return [next(lines) if isinstance(layer, Substrate) else _susceptance_array(layer, w)
+            for layer in layers]
+
+
+def _blocked_response(out, port: float, freqs, terms_of):
+    """Write S11, S21 (and S22 if ``out`` has three rows) at the real port
+    impedance ``port`` over ``freqs`` into the rows of ``out``, one
+    ``_BLOCK`` at a time: ``terms_of(block)`` gives the ``_chain`` terms of
+    a block, a slice of the grid, under ``_QUIET``."""
+    with np.errstate(**_QUIET):
+        for start in range(0, freqs.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            _block_response(terms_of(block), port, freqs[block], *out[:, block])
 
 
 def _block_response(terms, port: float, freqs, s11, s21, s22=None):

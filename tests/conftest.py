@@ -13,17 +13,7 @@ import numpy as np
 import pytest
 
 from fsskit import ExtractedCircuit, FirstOrderGeometry, Substrate
-from fsskit.lumped import _susceptance_array
-from fsskit.topology import _chain, _line_terms, port_impedance
-
-
-def chain_terms(layers, incidence, dielectric_loss, freqs):
-    """The ``topology._chain`` terms of ``layers`` over ``freqs``: each
-    node's susceptance array and each line's ``_line_terms`` tuple."""
-    lines = iter(_line_terms(layers, incidence, dielectric_loss, freqs))
-    w = 2.0 * np.pi * freqs
-    return [next(lines) if isinstance(layer, Substrate) else _susceptance_array(layer, w)
-            for layer in layers]
+from fsskit.topology import _chain, _stack_terms, port_impedance
 
 
 def complex_chain(layers, incidence, dielectric_loss, freqs):
@@ -33,7 +23,7 @@ def complex_chain(layers, incidence, dielectric_loss, freqs):
     j, so every caller sees the plain chain matrix whatever the dtype.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # at shorts
-        terms = chain_terms(layers, incidence, dielectric_loss, freqs)
+        terms = _stack_terms(layers, incidence, dielectric_loss, freqs)
         A, B, C, D, shorted, _ = _chain(terms, port_impedance(incidence))
     if A.dtype == float:
         A, B, C, D = A + 0j, 1j * B, 1j * C, D + 0j

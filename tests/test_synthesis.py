@@ -582,7 +582,7 @@ def test_a_fit_forms_its_line_terms_once(ref_substrate, monkeypatch, template, n
     else:
         sub, _, data, initial = _second_order_problem()
     media, passed = [], []
-    line_media, engine = topology._line_media, synthesis._block_response
+    line_media, engine = topology._line_media, topology._block_response
 
     def counted(*args):
         media.append(args)
@@ -593,12 +593,15 @@ def test_a_fit_forms_its_line_terms_once(ref_substrate, monkeypatch, template, n
         return engine(terms, port, freqs, *out)
 
     monkeypatch.setattr(topology, "_line_media", counted)
-    monkeypatch.setattr(synthesis, "_block_response", recorded)
+    monkeypatch.setattr(topology, "_block_response", recorded)
     result = fit_circuit(data, template, initial, sub, dielectric_loss=True)
     assert len(media) == n_lines
     # each accepted step differences every parameter and tries a step
     assert len(passed) > len(initial) * result.iterations > 0
-    assert all(line is first for terms in passed for line, first in zip(terms, passed[0]))
+    # a block's line terms are views of the arrays formed at the start
+    assert all(np.shares_memory(term, formed)
+               for terms in passed for line, first in zip(terms, passed[0])
+               for term, formed in zip(line, first))
     assert len(passed[0]) == n_lines
     assert not any(term.flags.writeable for line in passed[0] for term in line)
 
@@ -712,6 +715,39 @@ def test_an_anchored_trial_whose_series_inductance_underflows_is_refused(
     result = fit_circuit(data, "first_order", initial, ref_substrate)
     assert result.f_null is not None
     assert refusals == [None, None]
+
+
+@pytest.mark.parametrize("template", ["first_order", "second_order"])
+def test_a_fit_evaluates_its_grid_in_blocks(ref_substrate, monkeypatch, template):
+    """A fit's evaluations run the chain a block at a time, as a response
+    does, so its temporaries stay bounded on a long grid; the bits are
+    those of one block over the whole grid."""
+    if template == "first_order":
+        sub, data = ref_substrate, _weak_parasitic_data(ref_substrate)
+        initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), (1.1, 0.9, 1.1, 0.9, 1.1))}
+    else:
+        sub, _, data, initial = _second_order_problem()
+    whole = fit_circuit(data, template, initial, sub, dielectric_loss=True)
+    sizes, engine = [], topology._block_response
+
+    def recorded(terms, port, freqs, *out):
+        sizes.append(freqs.size)
+        return engine(terms, port, freqs, *out)
+
+    monkeypatch.setattr(topology, "_block_response", recorded)
+    monkeypatch.setattr(topology, "_BLOCK", 100)
+    blocked = fit_circuit(data, template, initial, sub, dielectric_loss=True)
+    assert max(sizes) == 100 and data.frequency.size > 100
+    assert _fit_digest(blocked) == _fit_digest(whole)
+
+
+def test_a_fit_takes_an_unbounded_integer_cap(ref_substrate):
+    # max_iter has no upper bound: 10**400 is beyond the float range and
+    # caps nothing, as the default cap of a converging fit does not
+    data = _weak_parasitic_data(ref_substrate)
+    initial = {k: v * s for (k, v), s in zip(WEAK_PARASITIC.items(), (1.1, 0.9, 1.1, 0.9, 1.1))}
+    capped = fit_circuit(data, "first_order", initial, ref_substrate, max_iter=10**400)
+    assert _fit_digest(capped) == _fit_digest(fit_circuit(data, "first_order", initial, ref_substrate))
 
 
 def _fit_digest(result):

@@ -38,9 +38,9 @@ from fsskit import topology
 from fsskit.domain import RANGES
 from fsskit.errors import InvalidParameterError, SingularNetworkError
 from fsskit.fileio import CSV_HEADER
-from fsskit.topology import _chain, _line_terms
+from fsskit.topology import _chain, _line_terms, _stack_terms
 
-from conftest import assert_lines_match, chain_terms
+from conftest import assert_lines_match
 
 MEDIA_GOLDEN = pathlib.Path(__file__).parent / "golden" / "media_resonance_reader_outputs.txt"
 
@@ -339,7 +339,7 @@ def test_stack_twoport_raises_on_exact_short():
     f_short = 1.0 / (2.0 * math.pi * _U)  # series branch exactly short here
     with np.errstate(divide="ignore"):  # the engine turns these warnings off
         freqs = np.array([f_short])
-        terms = chain_terms(stack.layers, stack.incidence, False, freqs)
+        terms = _stack_terms(stack.layers, stack.incidence, False, freqs)
         *_, shorted, _ = _chain(terms, port_impedance(stack.incidence))
     assert shorted[0]
     s11, s21 = stack_response(stack, [f_short])
@@ -707,7 +707,7 @@ def test_blocked_engine_matches_unblocked_reference():
             shorts = plain.copy()
             shorts[at] = f_short
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = chain_terms(stack.layers, stack.incidence, loss, shorts)
+                terms = _stack_terms(stack.layers, stack.incidence, loss, shorts)
                 short = _chain(terms, port_impedance(stack.incidence))[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs, want_s22 in itertools.product((plain, shorts), (True, False)):
@@ -747,7 +747,7 @@ def test_block_size_never_changes_a_bit(monkeypatch, second_order):
         for polarization, degrees in itertools.product(("TE", "TM"), (0.0, 60.0)):
             stack = replace(stack, incidence=Incidence(math.radians(degrees), polarization))
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = chain_terms(stack.layers, stack.incidence, loss, shorts)
+                terms = _stack_terms(stack.layers, stack.incidence, loss, shorts)
                 short = _chain(terms, port_impedance(stack.incidence))[4]
             assert np.flatnonzero(short).tolist() == at
             for freqs in (plain, shorts):
@@ -791,7 +791,7 @@ def test_chain_matches_reference_from_any_first_layer():
             for freqs in (plain, shorts):
                 args = (chain_layers, stack.incidence, loss, freqs)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    terms = chain_terms(*args)
+                    terms = _stack_terms(*args)
                     got = list(_chain(terms, port_impedance(stack.incidence)))
                 if got[4] is None:  # no node shorts: no mask and no reflections
                     got[4:] = np.zeros(freqs.shape, bool), np.zeros(freqs.shape, complex)
@@ -838,7 +838,7 @@ def test_engine_at_a_real_reference_matches_renormalized_s(second_order, loss, p
     R, z0 = 50.0, port_impedance(stack.incidence)
     got = np.empty((3, freqs.size), dtype=complex)
     with np.errstate(**topology._QUIET):
-        terms = chain_terms(stack.layers, stack.incidence, loss, freqs)
+        terms = _stack_terms(stack.layers, stack.incidence, loss, freqs)
         topology._block_response(terms, R, freqs, *got)
     assert np.flatnonzero(got[1] == 0).tolist() == [77]
 
